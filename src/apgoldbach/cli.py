@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,6 +54,12 @@ class RunConfig:
     @property
     def worker_count(self) -> int:
         return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+
+    def stage1_bound(self, m: int) -> int:
+        """M for modulus m: the fixed bound if set, else the adaptive one."""
+        if self.M is not None:
+            return self.M
+        return min(partitions.default_stage1_bound(m), self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,9 @@ def load_cache_entry(
 _WORKER_TABLE = {}
 
 
-def _sets_for_modulus_raw(args: tuple[int, int, Optional[int]]) -> dict:
+def _sets_for_modulus(
+    args: tuple[int, int, int]
+) -> dict[tuple[int, int], ExceptionalSet]:
     """Worker entry: compute all ordered-pair sets for one modulus."""
     m, N, M = args
     table = _WORKER_TABLE.get(N)
@@ -148,94 +156,53 @@ def _sets_for_modulus_raw(args: tuple[int, int, Optional[int]]) -> dict:
         table = sieve_primes(N)
         _WORKER_TABLE.clear()
         _WORKER_TABLE[N] = table
-    sets = exceptional_sets_for_modulus(m, N, M=M, table=table)
-    return {
-        key: (es.elements, es.stage1_survivors, es.stage1_bound)
-        for key, es in sets.items()
-    }
+    return exceptional_sets_for_modulus(m, N, M=M, table=table)
 
 
-def compute_modulus_sets(
-    m: int, config: RunConfig
-) -> dict[tuple[int, int], ExceptionalSet]:
-    """Sets for one modulus, consulting and refreshing the cache."""
-    M = config.M if config.M is not None else min(
-        partitions.default_stage1_bound(m), config.N
-    )
+def _load_cached_modulus(
+    cache_dir: Path, m: int, N: int, M: int
+) -> Optional[dict[tuple[int, int], ExceptionalSet]]:
+    """Every ordered-pair set for modulus m from the cache, or None on a miss."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     out: dict[tuple[int, int], ExceptionalSet] = {}
-    if config.cache_dir is not None:
-        for a in units:
-            for b in units:
-                hit = load_cache_entry(config.cache_dir, m, a, b, config.N, M)
-                if hit is None:
-                    out.clear()
-                    break
-                out[(a, b)] = hit
-            if not out:
-                break
-        if out:
-            return out
-    raw = _sets_for_modulus_raw((m, config.N, M))
-    out = {
-        key: ExceptionalSet(
-            pair=AdmissiblePair(key[0], key[1], m),
-            search_limit=config.N,
-            stage1_bound=bound,
-            elements=elements,
-            stage1_survivors=survivors,
-            confirmed=True,
-        )
-        for key, (elements, survivors, bound) in raw.items()
-    }
-    if config.cache_dir is not None:
-        for es in out.values():
-            save_cache_entry(config.cache_dir, es)
+    for a in units:
+        for b in units:
+            hit = load_cache_entry(cache_dir, m, a, b, N, M)
+            if hit is None:
+                return None
+            out[(a, b)] = hit
     return out
 
 
 def compute_sweep(config: RunConfig) -> dict[int, dict[tuple[int, int], ExceptionalSet]]:
-    """Sets for every modulus in range; parallel over moduli.
+    """Sets for every modulus in range; cache misses run in parallel over
+    moduli and are then written to the cache.
 
     Results are merged in modulus order, so the output is independent of
     worker scheduling.
     """
-    moduli = config.moduli
-    cached: dict[int, dict] = {}
-    pending = []
-    for m in moduli:
+    results: dict[int, dict] = {}
+    jobs = []
+    for m in config.moduli:
+        M = config.stage1_bound(m)
         if config.cache_dir is not None:
-            sets = compute_modulus_sets(m, RunConfig(
-                N=config.N, m_min=m, m_max=m, M=config.M,
-                cache_dir=config.cache_dir, threads=1,
-            ))
-            cached[m] = sets
-        else:
-            pending.append(m)
+            cached = _load_cached_modulus(config.cache_dir, m, config.N, M)
+            if cached is not None:
+                results[m] = cached
+                continue
+        jobs.append((m, config.N, M))
 
-    results: dict[int, dict] = dict(cached)
-    if pending:
-        M = config.M
-        jobs = [(m, config.N, M if M is not None else min(
-            partitions.default_stage1_bound(m), config.N)) for m in pending]
-        if config.worker_count > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-                raws = list(pool.map(_sets_for_modulus_raw, jobs))
-        else:
-            raws = [_sets_for_modulus_raw(j) for j in jobs]
-        for m, raw in zip(pending, raws):
-            results[m] = {
-                key: ExceptionalSet(
-                    pair=AdmissiblePair(key[0], key[1], m),
-                    search_limit=config.N,
-                    stage1_bound=bound,
-                    elements=elements,
-                    stage1_survivors=survivors,
-                    confirmed=True,
-                )
-                for key, (elements, survivors, bound) in raw.items()
-            }
-    return {m: results[m] for m in moduli}
+    if config.worker_count > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+            computed = list(pool.map(_sets_for_modulus, jobs))
+    else:
+        computed = [_sets_for_modulus(job) for job in jobs]
+    for (m, _, _), sets in zip(jobs, computed):
+        results[m] = sets
+        if config.cache_dir is not None:
+            for es in sets.values():
+                save_cache_entry(config.cache_dir, es)
+    return {m: results[m] for m in config.moduli}
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +268,10 @@ CONJ3_EXPECTED = {
 }
 
 
-def verify_report(target: str, N: int, a: int = 7) -> tuple[str, bool]:
-    """(report text, all passed) for one verification target."""
+def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool]:
+    """(report text, all passed) for one verification target at config.N;
+    the asy sweep runs over m <= 50 with the rest of the config."""
+    N = config.N
     lines = []
     ok = True
     if target == "conj2":
@@ -337,8 +306,7 @@ def verify_report(target: str, N: int, a: int = 7) -> tuple[str, bool]:
             f"ternary: violations {list(got)} -> {'PASS' if passed else 'FAIL'}"
         )
     elif target == "asy":
-        config = RunConfig(N=N, m_min=2, m_max=50, threads=1)
-        sweep = compute_sweep(config)
+        sweep = compute_sweep(replace(config, m_min=2, m_max=50))
         worst = 0.0
         for m, sets in sweep.items():
             if m < 4:
@@ -379,7 +347,7 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
     )
     if config.cache_dir is not None:
         try:
-            sets = compute_modulus_sets(m, config)
+            sets = compute_sweep(replace(config, m_min=m, m_max=m))[m]
             s = summaries.summarize_modulus(sets, m)
             lines.append(
                 f"observed: L_avg = {float(s.unrestricted.l_avg):.6f}, "
@@ -443,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
     return parser
@@ -466,13 +433,12 @@ def _config_from(args: argparse.Namespace, m_range: bool = False) -> RunConfig:
 def cmd_exceptions(args: argparse.Namespace) -> int:
     pair = AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
+    M = config.stage1_bound(args.m)
     sets = None
     if config.cache_dir is not None:
-        M = config.M if config.M is not None else min(
-            partitions.default_stage1_bound(args.m), config.N)
         sets = load_cache_entry(config.cache_dir, args.m, args.a, args.b, config.N, M)
     if sets is None:
-        sets = partitions.exceptional_set(pair, config.N, M=config.M)
+        sets = partitions.exceptional_set(pair, config.N, M=M)
         if config.cache_dir is not None:
             save_cache_entry(config.cache_dir, sets)
     body = " ".join(str(n) for n in sets.elements) if sets.elements else "(empty)"
@@ -517,7 +483,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report, ok = verify_report(args.target, args.limit, a=args.a)
+    report, ok = verify_report(args.target, _config_from(args), a=args.a)
     sys.stdout.write(report)
     return EXIT_OK if ok else EXIT_FAIL
 

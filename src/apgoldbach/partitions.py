@@ -279,93 +279,48 @@ def stage1_survivor_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# Residue-constrained verification of the explicit conjectures
+# The explicit conjectures, each reduced to exceptional sets
 
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Even n in the stated class with no representation p + q where
-    p = residue and q = -residue (mod modulus), unless q_residue overrides."""
+    """Even multiples n of modulus with no representation p + q where
+    p = residue and q = -residue (mod modulus)."""
 
     modulus: int
     residue: int
     violations: tuple[int, ...]
 
 
-def _class_violations(
-    cands: np.ndarray,
-    p_class: np.ndarray,
-    q_ok: np.ndarray,
-    M: int,
-) -> list[int]:
-    """Candidates n with no n = p + q, p in p_class, q_ok[q]; ascending.
-
-    p_class is the full sorted list of admissible p up to max(cands); the
-    staged scan only uses p <= M for the wide phase, then checks survivors
-    against the whole class.
-    """
-    if len(cands) == 0:
-        return []
-    p_small = p_class[p_class <= M]
-
-    ok = np.zeros(len(cands), dtype=bool)
-    for p in p_small[:_VECTOR_PHASE_PRIMES]:
-        q = cands - int(p)
-        valid = q >= 2
-        hit = np.zeros(len(cands), dtype=bool)
-        hit[valid] = q_ok[q[valid]]
-        ok |= hit
-
-    pending = cands[~ok]
-    for p in p_small[_VECTOR_PHASE_PRIMES:]:
-        if len(pending) == 0:
-            break
-        q = pending - int(p)
-        valid = q >= 2
-        hit = np.zeros(len(pending), dtype=bool)
-        hit[valid] = q_ok[q[valid]]
-        pending = pending[~hit]
-
-    violations = []
-    p_all = [int(p) for p in p_class]
-    for n in pending:
-        n = int(n)
-        if not any(p <= n - 2 and q_ok[n - p] for p in p_all):
-            violations.append(n)
-    return violations
+def _odd_lift(r: int, m0: int) -> int:
+    """The odd residue modulo the least even multiple of m0 that is r mod m0."""
+    x = r % m0
+    return x if x % 2 else x + m0
 
 
-def _residue_pair_violations(
-    m0: int,
-    a: int,
-    N: int,
-    table: PrimeTable,
-    b: Optional[int] = None,
+def _progression_violations(
+    m0: int, r: int, N: int, table: PrimeTable
 ) -> ViolationReport:
-    """Violations among even multiples of m0 for p = a, q = b (mod m0).
+    """Violations among even multiples of m0 for p = r, q = -r (mod m0).
 
-    b defaults to -a mod m0.  Works for odd and even m0 alike.
+    This is E(a', b', step) with step the least even multiple of m0 and
+    a', b' the odd lifts of r and -r.  The prime 2 lies in a class mod m0
+    only when m0 is odd; every candidate is then a multiple of 2*m0 >= 6,
+    so the partner of 2 is even and above 2, never prime.
     """
-    if b is None:
-        b = (-a) % m0
     step = m0 if m0 % 2 == 0 else 2 * m0
-    first = step  # smallest positive even multiple
-    cands = np.arange(first, N + 1, step, dtype=np.int64)
-
-    ps = table.primes(hi=N)
-    p_class = ps[ps % m0 == a % m0]
-    pm = table.mask(N)
-    q_ok = pm.copy()
-    q_ok &= (np.arange(N + 1) % m0) == (b % m0)
-    M = default_stage1_bound(step)
+    pair = AdmissiblePair(_odd_lift(r, m0), _odd_lift(-r, m0), step)
     return ViolationReport(
         modulus=m0,
-        residue=a % m0,
-        violations=tuple(_class_violations(cands, p_class, q_ok, M)),
+        residue=r % m0,
+        violations=exceptional_set(pair, N, table=table).elements,
     )
 
 
 MOD4_CASES = ("i", "ii", "iii", "iv")
+
+# (a, b) mod 4 of the exceptional set that is exactly the case's violations
+_MOD4_PAIRS = {"ii": (1, 3), "iii": (3, 3), "iv": (1, 1)}
 
 
 def verify_conjecture_mod4(
@@ -385,27 +340,17 @@ def verify_conjecture_mod4(
         raise ValueError(f"N={N} must be >= 2")
     if table is None:
         table = sieve_primes(N)
-    pm = table.mask(N)
-    ps = table.primes(hi=N)
-    residues = np.arange(N + 1) % 4
-
-    if case == "i":
-        cands = np.arange(6, N + 1, 2, dtype=np.int64)
-        p_class = ps[ps % 4 == 3]
-        q_ok = pm.copy()  # q unrestricted
-    elif case == "ii":
-        cands = np.arange(4, N + 1, 4, dtype=np.int64)
-        p_class = ps[ps % 4 == 1]
-        q_ok = pm & (residues == 3)
-    elif case == "iii":
-        cands = np.arange(2, N + 1, 4, dtype=np.int64)
-        p_class = ps[ps % 4 == 3]
-        q_ok = pm & (residues == 3)
-    else:  # iv
-        cands = np.arange(2, N + 1, 4, dtype=np.int64)
-        p_class = ps[ps % 4 == 1]
-        q_ok = pm & (residues == 1)
-    return tuple(_class_violations(cands, p_class, q_ok, default_stage1_bound(4)))
+    if case != "i":
+        a, b = _MOD4_PAIRS[case]
+        return exceptional_set(AdmissiblePair(a, b, 4), N, table=table).elements
+    # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
+    # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
+    elements = [
+        n
+        for b in (1, 3)
+        for n in exceptional_set(AdmissiblePair(3, b, 4), N, table=table).elements
+    ]
+    return tuple(sorted(n for n in elements if n > 4))
 
 
 SAMPLE_ITEMS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
@@ -447,10 +392,10 @@ def verify_conjecture_samples(
             raise ValueError(
                 f"a={a} is congruent to +-1 or +-11 mod 60, excluded by the statement"
             )
-        return (_residue_pair_violations(60, a, N, table),)
+        return (_progression_violations(60, a, N, table),)
 
     m0, residues = _SAMPLE_SPECS[item]
-    return tuple(_residue_pair_violations(m0, r, N, table) for r in residues)
+    return tuple(_progression_violations(m0, r, N, table) for r in residues)
 
 
 def verify_ternary(
@@ -466,18 +411,15 @@ def verify_ternary(
         raise ValueError(f"N={N} must be >= 7")
     if table is None:
         table = sieve_primes(N)
-    pm = table.mask(N)
     ps = table.primes(hi=N)
 
-    # representable even k = 1 mod 3 as p + q with p, q = 2 mod 3 (2 included)
-    p_class = ps[ps % 3 == 2]
-    q_ok = pm & ((np.arange(N + 1) % 3) == 2)
-    cands = np.arange(4, N + 1, 6, dtype=np.int64)  # even, = 1 mod 3
+    # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
+    # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
     binary_violations = set(
-        _class_violations(cands, p_class, q_ok, default_stage1_bound(6))
-    )
+        exceptional_set(AdmissiblePair(5, 5, 6), N, table=table).elements
+    ) - {4}
     rep = np.zeros(N + 1, dtype=bool)
-    rep[cands] = True
+    rep[4::6] = True
     for k in binary_violations:
         rep[k] = False
 

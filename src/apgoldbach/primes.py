@@ -24,7 +24,7 @@ MILLER_RABIN_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class MemoryBudgetError(RuntimeError):
+class MemoryBudgetError(ValueError):
     """Sieve request would exceed the configured memory budget."""
 
 

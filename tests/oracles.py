@@ -38,6 +38,25 @@ def naive_exceptional_set(a: int, b: int, m: int, N: int) -> list[int]:
     return [n for n in range(start, N + 1, m) if n not in reachable]
 
 
+def naive_progression_violations(m0: int, r: int, N: int) -> list[int]:
+    """Even multiples n <= N of m0 with no n = p + q, p = r and q = -r
+    (mod m0), by a double loop over prime pairs; p = 2 or q = 2 takes
+    part whenever its class allows it."""
+    primes = primes_up_to(N)
+    ps = [p for p in primes if p % m0 == r % m0]
+    qs = [q for q in primes if q % m0 == -r % m0]
+    reachable = {p + q for p in ps for q in qs}
+    return [n for n in range(m0, N + 1, m0) if n % 2 == 0 and n not in reachable]
+
+
+def naive_mod4_case_i(N: int) -> list[int]:
+    """Even n with 4 < n <= N and no n = p + q, p = 3 (mod 4) and q any
+    prime, by a double loop."""
+    primes = primes_up_to(N)
+    reachable = {p + q for p in primes if p % 4 == 3 for q in primes}
+    return [n for n in range(6, N + 1, 2) if n not in reachable]
+
+
 def coupon_tail_enumeration(r: int, k: int) -> Fraction:
     """P(W_r > k) by enumerating all r^k equally likely draw sequences."""
     bad = 0

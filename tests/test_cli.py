@@ -55,6 +55,16 @@ class TestExceptions:
         assert code == EXIT_OK
         assert any(line.startswith("spot check:") for line in out.splitlines())
 
+    def test_over_budget_limit_usage_error(self, capsys):
+        # the budget check runs before the sieve allocates anything
+        code, out, err = run(
+            capsys, "exceptions", "--m", "4", "--a", "1", "--b", "1",
+            "--limit", "3000000000",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
 
 class TestTables:
     def test_table1_single_row(self, capsys):
@@ -164,6 +174,11 @@ class TestHeuristic:
         code, _, err = run(capsys, "heuristic", "--m", "5", "--limit", "10000")
         assert code == EXIT_USAGE
 
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["heuristic", "--m", "4", "--seed", "1"])
+        assert exc.value.code == EXIT_USAGE
+
 
 class TestCache:
     def test_round_trip(self, tmp_path, table_1e5):
@@ -198,6 +213,15 @@ class TestCache:
         doc["schema_version"] = 999
         path.write_text(json.dumps(doc))
         assert load_cache_entry(tmp_path, 4, 1, 1, 10**4, 10**4) is None
+
+    def test_parallel_sweep_fills_and_reads_cache(self, tmp_path):
+        plain = RunConfig(N=10**4, m_min=2, m_max=10, threads=1)
+        cached = RunConfig(N=10**4, m_min=2, m_max=10, threads=2, cache_dir=tmp_path)
+        expected = table1_document(plain)
+        assert table1_document(cached) == expected  # cold: every modulus misses
+        # one entry per ordered pair: phi(m)^2 summed over m = 2, 4, ..., 10
+        assert len(list(tmp_path.glob("*.json"))) == 1 + 4 + 4 + 16 + 16
+        assert table1_document(cached) == expected  # warm: every modulus hits
 
     def test_warm_cache_transparent(self, capsys, tmp_path):
         args = ["table1", "--m-min", "4", "--m-max", "6", "--limit", "10000",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apgoldbach.partitions import (
+    _progression_violations,
     AdmissiblePair,
     exceptional_set,
     exceptional_sets_for_modulus,
@@ -16,7 +17,12 @@ from apgoldbach.partitions import (
     verify_ternary,
 )
 from apgoldbach.primes import is_prime
-from oracles import is_prime_trial_division, naive_exceptional_set
+from oracles import (
+    is_prime_trial_division,
+    naive_exceptional_set,
+    naive_mod4_case_i,
+    naive_progression_violations,
+)
 
 # published explicit sets, m in {2, 4, 6, 8, 10}, complete below 10^6
 EXPLICIT_SETS = {
@@ -181,6 +187,10 @@ class TestConjectureMod4:
         with pytest.raises(ValueError, match="unknown case"):
             verify_conjecture_mod4("v", 100, table=table_1e6)
 
+    def test_case_i_matches_naive(self, table_1e5):
+        got = verify_conjecture_mod4("i", 10**4, table=table_1e5)
+        assert list(got) == naive_mod4_case_i(10**4)
+
     def test_case_iv_18_has_representation(self):
         # 18 = 5 + 13 with both primes 1 mod 4; the stated exception list's
         # 18 is a slip for 38
@@ -264,3 +274,12 @@ def test_symmetry_property(m, data):
     fwd = exceptional_set(AdmissiblePair(a, b, m), 2000)
     rev = exceptional_set(AdmissiblePair(b, a, m), 2000)
     assert fwd.elements == rev.elements
+
+
+@given(m0=st.integers(3, 16), N=st.integers(2, 3000), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
+    r = data.draw(st.sampled_from([r for r in range(1, m0) if math.gcd(r, m0) == 1]))
+    report = _progression_violations(m0, r, N, table_1e5)
+    assert (report.modulus, report.residue) == (m0, r)
+    assert list(report.violations) == naive_progression_violations(m0, r, N)
