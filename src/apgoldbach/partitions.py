@@ -5,19 +5,34 @@ The engine is two-staged: a vectorized scan marks every candidate n that
 has a representation p + q with a small p (p <= M) drawn from the a-class
 and q <= N from the b-class; the few unmarked candidates are then resolved
 exhaustively with the deterministic primality test.
+
+Stage 1 reads a ResidueIndex: one table.primes(hi=N) call bucketed by
+class mod m, holding per class the progression indices i of its primes
+(p = a + i*m) and a boolean mask over them.  A modulus sweep builds one
+index for all unit classes and every pair orientation reads it; a single
+pair indexes only its two classes.  With n = c + k*m and a + b = c + t*m,
+p + q = n means q's index is k - i - t.  The first _VECTOR_PHASE_PRIMES
+primes each OR a shifted b-mask into the candidate marks; the remaining
+primes test the still-unmarked candidates in 2-D gathers,
+qmask[unresolved[:, None] - pidx_block[None, :] - t], in blocks of at
+most _GATHER_BLOCK_ELEMENTS elements.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .primes import PrimeTable, is_prime, sieve_primes
+from .primes import PrimeTable, is_prime, residue_classes, sieve_primes
 
 # Stage-1 primes handled with whole-array ORs before switching to the
-# narrow per-candidate scan.
+# gathers over the remaining candidates.
 _VECTOR_PHASE_PRIMES = 64
+
+# Cap on the elements (candidates x primes) of one stage-1 tail gather
+# block; its int64 index matrix takes 8 bytes an element.
+_GATHER_BLOCK_ELEMENTS = 1 << 18
 
 
 def default_stage1_bound(m: int) -> int:
@@ -116,8 +131,35 @@ def _candidate_params(pair: AdmissiblePair, N: int) -> tuple[int, int, int, int]
     return c, t, k0, kmax
 
 
+class ResidueIndex:
+    """The primes <= N of some unit classes mod m, from one table.primes call.
+
+    indices[a] holds the progression indices i of the class-a primes
+    (p = a + i*m), ascending; its keys follow the order of `classes`.
+    mask(b)[j] is True iff b + j*m is prime, for every j with b + j*m <= N;
+    one False entry follows, so mask(b)[-1] is False.  Masks are built on
+    first use and kept.
+    """
+
+    def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
+        if table.limit < N:
+            raise ValueError(f"table limit {table.limit} below N={N}")
+        self.m = m
+        self.N = N
+        self.indices = residue_classes(table.primes(hi=N), m, classes)
+        self._masks: dict[int, np.ndarray] = {}
+
+    def mask(self, b: int) -> np.ndarray:
+        mask = self._masks.get(b)
+        if mask is None:
+            mask = np.zeros((self.N - b) // self.m + 2, dtype=bool)
+            mask[self.indices[b]] = True
+            self._masks[b] = mask
+        return mask
+
+
 def _stage1_unresolved(
-    pair: AdmissiblePair, N: int, M: int, table: PrimeTable
+    pair: AdmissiblePair, N: int, M: int, index: ResidueIndex
 ) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending."""
     m = pair.m
@@ -125,38 +167,32 @@ def _stage1_unresolved(
     if kmax < k0:
         return []
 
-    ps = table.primes(hi=N)
-    qs = ps[ps % m == pair.b]
-    qidx = (qs - pair.b) // m  # q = b + j*m
-    qlen = int(qidx[-1]) + 1 if len(qidx) else 0
-    qmask = np.zeros(qlen, dtype=bool)
-    qmask[qidx] = True
-
-    p_small = ps[(ps % m == pair.a) & (ps <= M)]
-    pidx = (p_small - pair.a) // m  # p = a + i*m
+    qmask = index.mask(pair.b)  # q = b + j*m
+    ia = index.indices[pair.a]  # p = a + i*m
+    pidx = ia[: np.searchsorted(ia, (M - pair.a) // m, side="right")]
 
     mark = np.zeros(kmax + 1, dtype=bool)
     # marking: p + q = c + (i + j + t)*m, so prime index i shifts qmask by i + t
-    head = pidx[:_VECTOR_PHASE_PRIMES]
-    for i in head:
+    for i in pidx[:_VECTOR_PHASE_PRIMES]:
         lo = int(i) + t
         if lo > kmax:
-            continue
-        span = min(qlen, kmax + 1 - lo)
-        if span > 0:
-            mark[lo : lo + span] |= qmask[:span]
-
-    unresolved = np.flatnonzero(~mark)
-    unresolved = unresolved[unresolved >= k0]
-    for i in pidx[_VECTOR_PHASE_PRIMES:]:
-        if len(unresolved) == 0:
             break
-        j = unresolved - int(i) - t
-        ok = (j >= 0) & (j < qlen)
-        hit = np.zeros(len(unresolved), dtype=bool)
-        hit[ok] = qmask[j[ok]]
-        unresolved = unresolved[~hit]
-    return [int(c + k * m) for k in unresolved]
+        span = min(len(qmask), kmax + 1 - lo)
+        mark[lo : lo + span] |= qmask[:span]
+
+    unresolved = np.flatnonzero(~mark[k0:]) + k0
+    # the rest in blocks: one row per candidate k, one column per prime
+    # index i, reading qmask at j = k - i - t; j never passes the last
+    # progression index, and j < 0 (p > n) is clamped to the False entry
+    tail = pidx[_VECTOR_PHASE_PRIMES:]
+    start = 0
+    while start < len(tail) and len(unresolved):
+        width = max(1, _GATHER_BLOCK_ELEMENTS // len(unresolved))
+        j = unresolved[:, None] - (tail[start : start + width] + t)[None, :]
+        np.maximum(j, -1, out=j)
+        unresolved = unresolved[~qmask[j].any(axis=1)]
+        start += width
+    return (c + unresolved * m).tolist()
 
 
 def exceptional_set(
@@ -164,20 +200,30 @@ def exceptional_set(
     N: int,
     M: Optional[int] = None,
     table: Optional[PrimeTable] = None,
+    index: Optional[ResidueIndex] = None,
 ) -> ExceptionalSet:
-    """Compute E_{a,b,m} up to N with the two-stage algorithm."""
+    """Compute E_{a,b,m} up to N with the two-stage algorithm.
+
+    Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
+    given; otherwise it indexes just those two classes from `table`,
+    sieved when omitted.
+    """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is None:
         M = min(default_stage1_bound(pair.m), N)
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    if table is None:
-        table = sieve_primes(N)
-    elif table.limit < N:
-        raise ValueError(f"table limit {table.limit} below N={N}")
+    if index is None:
+        if table is None:
+            table = sieve_primes(N)
+        index = ResidueIndex(table, pair.m, N, {pair.a, pair.b})
+    elif (index.m, index.N) != (pair.m, N):
+        raise ValueError(
+            f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
+        )
 
-    survivors = _stage1_unresolved(pair, N, M, table)
+    survivors = _stage1_unresolved(pair, N, M, index)
     elements = [n for n in survivors if find_witness(n, pair) is None]
     return ExceptionalSet(
         pair=pair,
@@ -187,6 +233,48 @@ def exceptional_set(
         stage1_survivors=len(survivors) - len(elements),
         confirmed=True,
     )
+
+
+def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
+    """One ResidueIndex over every unit class mod the even modulus m."""
+    if m < 2 or m % 2 != 0:
+        raise ValueError(
+            f"modulus must be a positive even integer, got {m} "
+            "(double an odd modulus instead)"
+        )
+    if table is None:
+        table = sieve_primes(N)
+    return ResidueIndex(table, m, N, [a for a in range(1, m) if math.gcd(a, m) == 1])
+
+
+def _modulus_sets(
+    index: ResidueIndex, M: Optional[int]
+) -> dict[tuple[int, int], ExceptionalSet]:
+    """exceptional_sets_for_modulus, read off a modulus-wide index."""
+    m, N = index.m, index.N
+    if M is None:
+        M = min(default_stage1_bound(m), N)
+    units = list(index.indices)
+    out: dict[tuple[int, int], ExceptionalSet] = {}
+    for a in units:
+        for b in units:
+            if a > b:
+                continue
+            pair = AdmissiblePair(a, b, m)
+            forward = exceptional_set(pair, N, M=M, index=index)
+            out[(a, b)] = forward
+            if a != b:
+                rev = pair.swapped
+                rev_survivors = _stage1_unresolved(rev, N, M, index)
+                out[(b, a)] = ExceptionalSet(
+                    pair=rev,
+                    search_limit=N,
+                    stage1_bound=M,
+                    elements=forward.elements,
+                    stage1_survivors=len(rev_survivors) - len(forward.elements),
+                    confirmed=True,
+                )
+    return dict(sorted(out.items()))
 
 
 def exceptional_sets_for_modulus(
@@ -199,39 +287,10 @@ def exceptional_sets_for_modulus(
 
     Each unordered pair is resolved once (the element sets are symmetric);
     stage-1 diagnostics are computed per orientation, since the roles of
-    the small-prime class and the long class differ.
+    the small-prime class and the long class differ.  Every orientation
+    reads one ResidueIndex, so the table is unpacked once.
     """
-    if m < 2 or m % 2 != 0:
-        raise ValueError(
-            f"modulus must be a positive even integer, got {m} "
-            "(double an odd modulus instead)"
-        )
-    if M is None:
-        M = min(default_stage1_bound(m), N)
-    if table is None:
-        table = sieve_primes(N)
-
-    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    out: dict[tuple[int, int], ExceptionalSet] = {}
-    for a in units:
-        for b in units:
-            if a > b:
-                continue
-            pair = AdmissiblePair(a, b, m)
-            forward = exceptional_set(pair, N, M=M, table=table)
-            out[(a, b)] = forward
-            if a != b:
-                rev = pair.swapped
-                rev_survivors = _stage1_unresolved(rev, N, M, table)
-                out[(b, a)] = ExceptionalSet(
-                    pair=rev,
-                    search_limit=N,
-                    stage1_bound=M,
-                    elements=forward.elements,
-                    stage1_survivors=len(rev_survivors) - len(forward.elements),
-                    confirmed=True,
-                )
-    return dict(sorted(out.items()))
+    return _modulus_sets(_modulus_index(m, N, table), M)
 
 
 @dataclass(frozen=True)
@@ -256,17 +315,16 @@ def stage1_survivor_diagnostic(
     m: int, N: int, M: int, table: Optional[PrimeTable] = None
 ) -> SurvivorDiagnostic:
     """Count stage-1 survivors (unresolved non-exceptions) for modulus m."""
-    if table is None:
-        table = sieve_primes(N)
-    sets = exceptional_sets_for_modulus(m, N, M=M, table=table)
+    index = _modulus_index(m, N, table)
+    sets = _modulus_sets(index, M)
     ordered = sum(es.stage1_survivors for es in sets.values())
     canonical = sum(
         es.stage1_survivors for (a, b), es in sets.items() if a <= b
     )
     distinct: set[int] = set()
-    for (a, b), es in sets.items():
+    for es in sets.values():
         exceptions = set(es.elements)
-        unres = _stage1_unresolved(AdmissiblePair(a, b, m), N, M, table)
+        unres = _stage1_unresolved(es.pair, N, M, index)
         distinct.update(n for n in unres if n not in exceptions)
     return SurvivorDiagnostic(
         m=m,
@@ -411,7 +469,6 @@ def verify_ternary(
         raise ValueError(f"N={N} must be >= 7")
     if table is None:
         table = sieve_primes(N)
-    ps = table.primes(hi=N)
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
@@ -432,10 +489,10 @@ def verify_ternary(
         hit[valid] = rep[k[valid]]
         good |= hit
 
-    violations = []
-    small_rs = [int(r) for r in ps]
-    for n in n_arr[~good]:
-        n = int(n)
-        if not any(r <= n - 4 and rep[n - r] for r in small_rs):
-            violations.append(n)
-    return tuple(violations)
+    fallback = n_arr[~good].tolist()
+    if not fallback:
+        return ()
+    rs = table.primes(hi=fallback[-1]).tolist()
+    return tuple(
+        n for n in fallback if not any(r <= n - 4 and rep[n - r] for r in rs)
+    )

@@ -2,10 +2,12 @@
 
 Provides a bit-packed segmented sieve (PrimeTable), a deterministic
 Miller-Rabin test valid for the full 64-bit range, and extraction of
-primes lying in a fixed residue class.
+primes lying in fixed residue classes (residue_classes, the one place
+that maps primes to their class).
 """
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class PrimeTable:
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         flags = np.unpackbits(self.bits, count=hi + 1)
-        ps = np.flatnonzero(flags).astype(np.int64)
+        ps = np.flatnonzero(flags).astype(np.int64, copy=False)
         if lo > 2:
             ps = ps[ps >= lo]
         return ps
@@ -159,9 +161,21 @@ def primes_in_class(table: PrimeTable, a: int, m: int, limit: int) -> ResidueCla
         raise ValueError(f"residue a={a} not in [0, {m})")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds table limit {table.limit}")
-    ps = table.primes(hi=limit)
-    sel = ps[ps % m == a]
-    return ResidueClassPrimes(a=a, m=m, limit=limit, primes=tuple(int(p) for p in sel))
+    js = residue_classes(table.primes(hi=limit), m, (a,))[a]
+    primes = tuple((a + js * m).tolist())
+    return ResidueClassPrimes(a=a, m=m, limit=limit, primes=primes)
+
+
+def residue_classes(
+    ps: np.ndarray, m: int, classes: Iterable[int]
+) -> dict[int, np.ndarray]:
+    """The primes of the ascending array ps in each class a (mod m), as
+    progression indices j with p = a + j*m, ascending.
+
+    The int64 residue temporary lives only inside this call.
+    """
+    residues = ps % m
+    return {a: ps[residues == a] // m for a in classes}
 
 
 def sieve_progression(a: int, m: int, limit: int) -> ResidueClassPrimes:

@@ -38,6 +38,19 @@ def naive_exceptional_set(a: int, b: int, m: int, N: int) -> list[int]:
     return [n for n in range(start, N + 1, m) if n not in reachable]
 
 
+def naive_stage1_unresolved(a: int, b: int, m: int, N: int, M: int) -> list[int]:
+    """Candidates n <= N in the class a + b (mod m), n >= 2, with no
+    n = p + q where p = a (mod m), p <= M and q = b (mod m), both prime,
+    by a double loop."""
+    primes = primes_up_to(N)
+    pa = [p for p in primes if p % m == a and p <= M]
+    pb = [q for q in primes if q % m == b]
+    reachable = {p + q for p in pa for q in pb}
+    c = (a + b) % m
+    start = c if c >= 2 else c + m
+    return [n for n in range(start, N + 1, m) if n not in reachable]
+
+
 def naive_progression_violations(m0: int, r: int, N: int) -> list[int]:
     """Even multiples n <= N of m0 with no n = p + q, p = r and q = -r
     (mod m0), by a double loop over prime pairs; p = 2 or q = 2 takes

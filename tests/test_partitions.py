@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from apgoldbach import partitions
 from apgoldbach.partitions import (
     _progression_violations,
+    _stage1_unresolved,
     AdmissiblePair,
+    ResidueIndex,
     exceptional_set,
     exceptional_sets_for_modulus,
     find_witness,
@@ -16,12 +19,13 @@ from apgoldbach.partitions import (
     verify_conjecture_samples,
     verify_ternary,
 )
-from apgoldbach.primes import is_prime
+from apgoldbach.primes import PrimeTable, is_prime
 from oracles import (
     is_prime_trial_division,
     naive_exceptional_set,
     naive_mod4_case_i,
     naive_progression_violations,
+    naive_stage1_unresolved,
 )
 
 # published explicit sets, m in {2, 4, 6, 8, 10}, complete below 10^6
@@ -169,6 +173,42 @@ class TestModulusSweep:
         with pytest.raises(ValueError, match="double"):
             exceptional_sets_for_modulus(15, 10**4)
 
+    @pytest.mark.parametrize(
+        "m,N,M",
+        [(4, 3000, 3000), (4, 3000, 60), (6, 3000, 150), (10, 2500, 300),
+         (12, 3000, 1500), (30, 3000, 400)],
+    )
+    def test_survivor_counts_match_naive(self, monkeypatch, table_1e5, m, N, M):
+        # a short head leaves most small primes to the blocked tail
+        monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
+        monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
+        sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
+        for (a, b), es in sets.items():
+            naive = naive_stage1_unresolved(a, b, m, N, M)
+            assert set(es.elements) <= set(naive), (a, b)
+            assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
+
+    def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
+        calls = []
+        unpack = PrimeTable.primes
+
+        def counted(self, *args, **kwargs):
+            calls.append(kwargs)
+            return unpack(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrimeTable, "primes", counted)
+        for m in (2, 12, 30):
+            calls.clear()
+            exceptional_sets_for_modulus(m, 10**5, table=table_1e5)
+            assert len(calls) == 1, m
+
+    def test_index_must_match_pair(self, table_1e5):
+        index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
+        with pytest.raises(ValueError, match="does not match"):
+            exceptional_set(AdmissiblePair(1, 3, 8), 2000, index=index)
+        with pytest.raises(ValueError, match="does not match"):
+            exceptional_set(AdmissiblePair(1, 3, 4), 1000, index=index)
+
     def test_survivor_diagnostic_monotone(self, table_1e6):
         d = stage1_survivor_diagnostic(8, 10**5, M=100, table=table_1e6)
         assert d.ordered_with_multiplicity >= d.unordered_canonical
@@ -283,3 +323,29 @@ def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
     report = _progression_violations(m0, r, N, table_1e5)
     assert (report.modulus, report.residue) == (m0, r)
     assert list(report.violations) == naive_progression_violations(m0, r, N)
+
+
+@given(
+    m=st.sampled_from([2, 4, 6, 8, 10, 12, 30]),
+    N=st.integers(2, 4000),
+    data=st.data(),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
+    # a tiny gather block makes the tail cross many block boundaries; M
+    # spans bounds below and above the head's primes of class a, at the
+    # default head of 64 primes and at shorter ones
+    monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
+    head = data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 1, 8]))
+    monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    a = data.draw(st.sampled_from(units))
+    b = data.draw(st.sampled_from(units))
+    M = data.draw(st.integers(1, N))
+    index = ResidueIndex(table_1e5, m, N, {a, b})
+    got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M, index)
+    assert got == naive_stage1_unresolved(a, b, m, N, M)
