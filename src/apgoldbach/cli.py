@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import heuristics, partitions, summaries
 from .partitions import AdmissiblePair, ExceptionalSet, exceptional_sets_for_modulus
@@ -99,6 +99,19 @@ def save_cache_entry(cache_dir: Path, es: ExceptionalSet) -> None:
     tmp.replace(path)
 
 
+def _cache_candidates(
+    cache_dir: Path, m: int, a: int, b: int, N: int, M: int
+) -> Iterator[Path]:
+    """The exact-key path, then the other N of the same (m, a, b, M) in
+    name order.  Callers stop at the first valid entry, so the directory
+    is globbed only when the exact path is missing or invalid."""
+    exact = _cache_path(cache_dir, m, a, b, N, M)
+    yield exact
+    for p in sorted(cache_dir.glob(f"m{m}_a{a}_b{b}_N*_M{M}.json")):
+        if p != exact:
+            yield p
+
+
 def load_cache_entry(
     cache_dir: Path, m: int, a: int, b: int, N: int, M: int
 ) -> Optional[ExceptionalSet]:
@@ -108,13 +121,7 @@ def load_cache_entry(
     sorted element list truncates to a prefix.  Entries with a schema or
     checksum mismatch are ignored with a warning.
     """
-    candidates = [_cache_path(cache_dir, m, a, b, N, M)]
-    if cache_dir.is_dir():
-        prefix = f"m{m}_a{a}_b{b}_N"
-        for p in sorted(cache_dir.glob(f"{prefix}*_M{M}.json")):
-            if p not in candidates:
-                candidates.append(p)
-    for path in candidates:
+    for path in _cache_candidates(cache_dir, m, a, b, N, M):
         if not path.is_file():
             continue
         try:

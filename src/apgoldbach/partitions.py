@@ -6,14 +6,16 @@ has a representation p + q with a small p (p <= M) drawn from the a-class
 and q <= N from the b-class; the few unmarked candidates are then resolved
 exhaustively with the deterministic primality test.
 
-Stage 1 reads a ResidueIndex: one table.primes(hi=N) call bucketed by
-class mod m, holding per class the progression indices i of its primes
-(p = a + i*m) and a boolean mask over them.  A modulus sweep builds one
+Stage 1 reads a ResidueIndex: one boolean mask per class mod m, where
+mask(b)[j] says whether b + j*m is prime, read off the packed table in
+one chunked pass (PrimeTable.class_masks).  A modulus sweep builds one
 index for all unit classes and every pair orientation reads it; a single
 pair indexes only its two classes.  With n = c + k*m and a + b = c + t*m,
-p + q = n means q's index is k - i - t.  The first _VECTOR_PHASE_PRIMES
-primes each OR a shifted b-mask into the candidate marks; the remaining
-primes test the still-unmarked candidates in 2-D gathers,
+p + q = n means q's index is k - i - t, and the small primes of class a
+are the set entries i of mask(a) up to M.  The first _VECTOR_PHASE_PRIMES
+of them each OR a shifted b-mask into the candidate marks, one block of
+_MARK_BLOCK candidates at a time so the marks stay in cache; the
+remaining primes test the still-unmarked candidates in 2-D gathers,
 qmask[unresolved[:, None] - pidx_block[None, :] - t], in blocks of at
 most _GATHER_BLOCK_ELEMENTS elements.
 """
@@ -24,11 +26,15 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .primes import PrimeTable, is_prime, residue_classes, sieve_primes
+from .primes import PrimeTable, is_prime, sieve_primes
 
 # Stage-1 primes handled with whole-array ORs before switching to the
 # gathers over the remaining candidates.
 _VECTOR_PHASE_PRIMES = 64
+
+# Candidates marked per block by those ORs; a block's marks and the
+# b-mask slices it reads stay cache-resident.
+_MARK_BLOCK = 1 << 18
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element.
@@ -132,13 +138,12 @@ def _candidate_params(pair: AdmissiblePair, N: int) -> tuple[int, int, int, int]
 
 
 class ResidueIndex:
-    """The primes <= N of some unit classes mod m, from one table.primes call.
+    """The primes <= N of some unit classes mod m, read off the table in
+    one pass.
 
-    indices[a] holds the progression indices i of the class-a primes
-    (p = a + i*m), ascending; its keys follow the order of `classes`.
-    mask(b)[j] is True iff b + j*m is prime, for every j with b + j*m <= N;
-    one False entry follows, so mask(b)[-1] is False.  Masks are built on
-    first use and kept.
+    masks[b][j] is True iff b + j*m is prime, for every j with
+    b + j*m <= N; one False entry follows, so masks[b][-1] is False.  The
+    keys of masks follow the order of `classes`.
     """
 
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
@@ -146,16 +151,7 @@ class ResidueIndex:
             raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
         self.N = N
-        self.indices = residue_classes(table.primes(hi=N), m, classes)
-        self._masks: dict[int, np.ndarray] = {}
-
-    def mask(self, b: int) -> np.ndarray:
-        mask = self._masks.get(b)
-        if mask is None:
-            mask = np.zeros((self.N - b) // self.m + 2, dtype=bool)
-            mask[self.indices[b]] = True
-            self._masks[b] = mask
-        return mask
+        self.masks = table.class_masks(m, classes, hi=N)
 
 
 def _stage1_unresolved(
@@ -167,20 +163,26 @@ def _stage1_unresolved(
     if kmax < k0:
         return []
 
-    qmask = index.mask(pair.b)  # q = b + j*m
-    ia = index.indices[pair.a]  # p = a + i*m
-    pidx = ia[: np.searchsorted(ia, (M - pair.a) // m, side="right")]
+    qmask = index.masks[pair.b]  # q = b + j*m
+    # p = a + i*m <= M
+    pidx = np.flatnonzero(index.masks[pair.a][: (M - pair.a) // m + 1])
 
-    mark = np.zeros(kmax + 1, dtype=bool)
-    # marking: p + q = c + (i + j + t)*m, so prime index i shifts qmask by i + t
-    for i in pidx[:_VECTOR_PHASE_PRIMES]:
-        lo = int(i) + t
-        if lo > kmax:
-            break
-        span = min(len(qmask), kmax + 1 - lo)
-        mark[lo : lo + span] |= qmask[:span]
-
-    unresolved = np.flatnonzero(~mark[k0:]) + k0
+    # marking: p + q = c + (i + j + t)*m, so prime index i shifts qmask by
+    # i + t; block [lo, hi) of k reads qmask at j = k - i - t
+    shifts = (pidx[:_VECTOR_PHASE_PRIMES] + t).tolist()
+    blocks = []
+    for lo in range(k0, kmax + 1, _MARK_BLOCK):
+        hi = min(lo + _MARK_BLOCK, kmax + 1)
+        mark = np.zeros(hi - lo, dtype=bool)
+        for shift in shifts:
+            if shift >= hi:
+                break
+            jlo = max(lo - shift, 0)
+            jhi = min(hi - shift, len(qmask))
+            mark[jlo + shift - lo : jhi + shift - lo] |= qmask[jlo:jhi]
+        np.logical_not(mark, out=mark)
+        blocks.append(np.flatnonzero(mark) + lo)
+    unresolved = np.concatenate(blocks)
     # the rest in blocks: one row per candidate k, one column per prime
     # index i, reading qmask at j = k - i - t; j never passes the last
     # progression index, and j < 0 (p > n) is clamped to the False entry
@@ -254,7 +256,7 @@ def _modulus_sets(
     m, N = index.m, index.N
     if M is None:
         M = min(default_stage1_bound(m), N)
-    units = list(index.indices)
+    units = list(index.masks)
     out: dict[tuple[int, int], ExceptionalSet] = {}
     for a in units:
         for b in units:
@@ -288,7 +290,7 @@ def exceptional_sets_for_modulus(
     Each unordered pair is resolved once (the element sets are symmetric);
     stage-1 diagnostics are computed per orientation, since the roles of
     the small-prime class and the long class differ.  Every orientation
-    reads one ResidueIndex, so the table is unpacked once.
+    reads one ResidueIndex, so the table is read once.
     """
     return _modulus_sets(_modulus_index(m, N, table), M)
 

@@ -2,10 +2,11 @@
 
 Provides a bit-packed segmented sieve (PrimeTable), a deterministic
 Miller-Rabin test valid for the full 64-bit range, and extraction of
-primes lying in fixed residue classes (residue_classes, the one place
-that maps primes to their class).
+primes lying in fixed residue classes (PrimeTable.class_masks, the one
+place that maps primes to their class).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -14,9 +15,16 @@ import numpy as np
 # Segment size (entries) for the segmented sieve; sized to stay cache-resident.
 SIEVE_SEGMENT_SIZE = 1 << 20
 
-# Default cap on sieve storage.  The table is bit-packed, so this admits
-# limits up to ~2*10^9.
+# Default cap on the sieve's peak storage: the bit-packed table plus one
+# unpacked segment and its packed copy.  This admits limits up to ~2.1*10^9.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
+
+# Entries unpacked at a time by PrimeTable.class_masks, rounded to a
+# multiple of lcm(8, m) so every chunk starts on a byte and on class 0.
+_CLASS_CHUNK = 1 << 18
+
+# Set bits per byte value.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
 # correct for every n < 3,317,044,064,679,887,385,961,981 (~3.3 * 10^24),
@@ -52,7 +60,11 @@ class PrimeTable:
 
     @property
     def count(self) -> int:
-        return int(np.unpackbits(self.bits, count=self.limit + 1).sum())
+        full, rest = divmod(self.limit + 1, 8)
+        total = int(_POPCOUNT[self.bits[:full]].sum())
+        if rest:  # bits past the limit in the last byte do not count
+            total += int(_POPCOUNT[self.bits[full] >> (8 - rest)])
+        return total
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """All primes in [lo, hi] as an int64 array, ascending."""
@@ -72,6 +84,37 @@ class PrimeTable:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         return np.unpackbits(self.bits, count=hi + 1).astype(bool)
 
+    def class_masks(
+        self, m: int, classes: Iterable[int], hi: int | None = None
+    ) -> dict[int, np.ndarray]:
+        """Primality along the progressions b + j*m for each b in classes.
+
+        masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
+        b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
+        One pass over the packed bits unpacks a chunk of about _CLASS_CHUNK
+        entries at a time, so no (hi + 1)-entry array is ever built.
+        """
+        hi = self.limit if hi is None else hi
+        if hi > self.limit:
+            raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
+        if m < 1:
+            raise ValueError(f"modulus m={m} must be >= 1")
+        masks: dict[int, np.ndarray] = {}
+        for b in classes:
+            if not 0 <= b < m:
+                raise ValueError(f"residue b={b} not in [0, {m})")
+            masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
+        step = math.lcm(8, m)
+        step *= max(1, _CLASS_CHUNK // step)
+        for lo in range(0, hi + 1, step):
+            end = min(lo + step, hi + 1)
+            flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
+            j0 = lo // m
+            for b, mask in masks.items():
+                column = flags[b::m]
+                mask[j0 : j0 + len(column)] = column
+        return masks
+
 
 @dataclass(frozen=True)
 class ResidueClassPrimes:
@@ -88,14 +131,23 @@ def sieve_primes(
     segment_size: int = SIEVE_SEGMENT_SIZE,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
 ) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to `limit` inclusive."""
+    """Segmented sieve of Eratosthenes up to `limit` inclusive.
+
+    Each segment is packed into the table as soon as it is sieved, so the
+    peak storage is the packed table plus one unpacked segment and its
+    packed copy; that peak is what memory_budget_bytes bounds.  segment_size is rounded down to
+    a multiple of 8 (at least 8) so segments start on a byte.
+    """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    segment_size = max(8, segment_size - segment_size % 8)
     nbytes = (limit + 8) // 8
-    if nbytes > memory_budget_bytes:
+    segment = min(segment_size, limit + 1)
+    peak = nbytes + segment + (segment + 7) // 8  # table, segment, its packed copy
+    if peak > memory_budget_bytes:
         raise MemoryBudgetError(
-            f"sieving to {limit} needs {nbytes} bytes, over the "
-            f"{memory_budget_bytes}-byte budget"
+            f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus "
+            f"one segment), over the {memory_budget_bytes}-byte budget"
         )
 
     root = int(limit**0.5) + 1
@@ -104,24 +156,25 @@ def sieve_primes(
     for p in range(2, int(root**0.5) + 1):
         if base[p]:
             base[p * p :: p] = False
-    base_primes = np.flatnonzero(base)
+    base_primes = np.flatnonzero(base).tolist()
 
-    flags = np.zeros(limit + 1, dtype=bool)
+    bits = np.empty(nbytes, dtype=np.uint8)
+    buf = np.empty(segment, dtype=bool)
     lo = 0
     while lo <= limit:
         hi = min(lo + segment_size, limit + 1)
-        seg = np.ones(hi - lo, dtype=bool)
+        seg = buf[: hi - lo]
+        seg[:] = True
         if lo == 0:
             seg[: min(2, hi)] = False
         for p in base_primes:
-            p = int(p)
+            if p * p >= hi:
+                break
             start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
             seg[start - lo :: p] = False
-        flags[lo:hi] = seg
+        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(seg)
         lo = hi
-    return PrimeTable(limit=limit, bits=np.packbits(flags))
+    return PrimeTable(limit=limit, bits=bits)
 
 
 def is_prime(n: int) -> bool:
@@ -161,21 +214,9 @@ def primes_in_class(table: PrimeTable, a: int, m: int, limit: int) -> ResidueCla
         raise ValueError(f"residue a={a} not in [0, {m})")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds table limit {table.limit}")
-    js = residue_classes(table.primes(hi=limit), m, (a,))[a]
+    js = np.flatnonzero(table.class_masks(m, (a,), hi=limit)[a])
     primes = tuple((a + js * m).tolist())
     return ResidueClassPrimes(a=a, m=m, limit=limit, primes=primes)
-
-
-def residue_classes(
-    ps: np.ndarray, m: int, classes: Iterable[int]
-) -> dict[int, np.ndarray]:
-    """The primes of the ascending array ps in each class a (mod m), as
-    progression indices j with p = a + j*m, ascending.
-
-    The int64 residue temporary lives only inside this call.
-    """
-    residues = ps % m
-    return {a: ps[residues == a] // m for a in classes}
 
 
 def sieve_progression(a: int, m: int, limit: int) -> ResidueClassPrimes:

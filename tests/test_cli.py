@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,24 @@ class TestCache:
         hit = load_cache_entry(tmp_path, 4, 1, 1, 100, 10**3)
         assert hit is not None
         assert hit.elements == tuple(e for e in es.elements if e <= 100)
+
+    def test_exact_hit_skips_glob(self, monkeypatch, tmp_path, table_1e5):
+        for N in (100, 10**4):
+            es = exceptional_set(AdmissiblePair(1, 1, 4), N, M=100, table=table_1e5)
+            save_cache_entry(tmp_path, es)
+        globs = []
+        glob = Path.glob
+        monkeypatch.setattr(
+            Path, "glob", lambda self, pattern: globs.append(pattern) or glob(self, pattern)
+        )
+        hit = load_cache_entry(tmp_path, 4, 1, 1, 100, 100)
+        assert hit is not None and hit.elements == (2, 6, 14, 38, 62)
+        assert globs == []
+        # no entry at N = 1000: the glob finds the N = 10^4 run's prefix
+        hit = load_cache_entry(tmp_path, 4, 1, 1, 1000, 100)
+        assert hit is not None and hit.search_limit == 1000
+        assert hit.elements == (2, 6, 14, 38, 62)
+        assert len(globs) == 1
 
     def test_corrupt_entry_ignored(self, tmp_path, table_1e5, capsys):
         es = exceptional_set(AdmissiblePair(1, 1, 4), 10**4, M=10**4, table=table_1e5)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,7 @@ from apgoldbach.partitions import (
     verify_conjecture_samples,
     verify_ternary,
 )
-from apgoldbach.primes import PrimeTable, is_prime
+from apgoldbach.primes import PrimeTable, is_prime, sieve_primes
 from oracles import (
     is_prime_trial_division,
     naive_exceptional_set,
@@ -182,6 +183,7 @@ class TestModulusSweep:
         # a short head leaves most small primes to the blocked tail
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
         sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
         for (a, b), es in sets.items():
             naive = naive_stage1_unresolved(a, b, m, N, M)
@@ -189,18 +191,35 @@ class TestModulusSweep:
             assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
 
     def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
+        # the table is read by one class-mask pass per modulus, and never
+        # unpacked whole
         calls = []
-        unpack = PrimeTable.primes
+        for name in ("class_masks", "primes", "mask"):
+            unpack = getattr(PrimeTable, name)
 
-        def counted(self, *args, **kwargs):
-            calls.append(kwargs)
-            return unpack(self, *args, **kwargs)
+            def counted(self, *args, _name=name, _unpack=unpack, **kwargs):
+                calls.append(_name)
+                return _unpack(self, *args, **kwargs)
 
-        monkeypatch.setattr(PrimeTable, "primes", counted)
+            monkeypatch.setattr(PrimeTable, name, counted)
         for m in (2, 12, 30):
             calls.clear()
             exceptional_sets_for_modulus(m, 10**5, table=table_1e5)
-            assert len(calls) == 1, m
+            assert calls == ["class_masks"], m
+
+    def test_single_pair_peak_memory(self):
+        # one class mask of N/m entries plus block-sized scratch: no
+        # N-entry unpack and no int64 prime list
+        N, m = 10**7, 4
+        table = sieve_primes(N)
+        tracemalloc.start()
+        try:
+            es = exceptional_set(AdmissiblePair(1, 1, m), N, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert es.elements == EXPLICIT_SETS[(1, 1, 4)]
+        assert peak <= 3 * N // m
 
     def test_index_must_match_pair(self, table_1e5):
         index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
@@ -336,10 +355,13 @@ def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
-    # a tiny gather block makes the tail cross many block boundaries; M
-    # spans bounds below and above the head's primes of class a, at the
-    # default head of 64 primes and at shorter ones
+    # tiny gather and marking blocks make the tail and the head cross many
+    # block boundaries; M spans bounds below and above the head's primes of
+    # class a, at the default head of 64 primes and at shorter ones
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
+    monkeypatch.setattr(
+        partitions, "_MARK_BLOCK", data.draw(st.sampled_from([partitions._MARK_BLOCK, 1, 5, 64]))
+    )
     head = data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 1, 8]))
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from apgoldbach import primes
 from apgoldbach.primes import (
+    SIEVE_SEGMENT_SIZE,
     MemoryBudgetError,
     is_prime,
     primes_in_class,
@@ -43,6 +46,26 @@ def test_segment_size_does_not_change_result():
 def test_memory_budget_enforced():
     with pytest.raises(MemoryBudgetError, match="budget"):
         sieve_primes(10**9, memory_budget_bytes=1024)
+
+
+def test_memory_budget_counts_one_segment():
+    # the packed table, one 4096-entry segment and its 512 packed bytes
+    peak = (10**6 + 8) // 8 + 4096 + 512
+    with pytest.raises(MemoryBudgetError, match="one segment"):
+        sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak - 1)
+    assert sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak).count == 78498
+
+
+def test_sieve_peak_is_packed_table_plus_segments():
+    N = 10**7
+    tracemalloc.start()
+    try:
+        table = sieve_primes(N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.bits.nbytes == (N + 8) // 8
+    assert peak <= table.bits.nbytes + 2 * SIEVE_SEGMENT_SIZE
 
 
 def test_sieve_rejects_tiny_limit():
@@ -106,6 +129,24 @@ class TestPrimesInClass:
                 union.extend(primes_in_class(table_1e5, a, m, limit).primes)
             union.extend(p for p in primes_up_to(limit) if m % p == 0)
             assert sorted(union) == primes_up_to(limit)
+
+    @given(m=st.integers(2, 60), data=st.data())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_class_masks_match_is_prime(self, monkeypatch, table_1e5, m, data):
+        # tiny chunks put many chunk boundaries inside [0, N]; N off a
+        # multiple of 8 and of m ends the last chunk mid-byte and mid-row
+        monkeypatch.setattr(primes, "_CLASS_CHUNK", data.draw(st.sampled_from([1, 8, 40, 1 << 18])))
+        N = data.draw(st.integers(2, 5000).filter(lambda n: n % 8 and n % m))
+        masks = table_1e5.class_masks(m, range(m), hi=N)
+        assert list(masks) == list(range(m))
+        for b, mask in masks.items():
+            assert len(mask) == (N - b) // m + 2
+            assert not mask[-1]
+            assert [bool(x) for x in mask[:-1]] == [is_prime(b + j * m) for j in range(len(mask) - 1)]
 
     def test_sorted_strictly_increasing(self, table_1e5):
         ps = primes_in_class(table_1e5, 1, 8, 10**4).primes
