@@ -39,7 +39,7 @@ def g2_exact(n: int, table: PrimeTable) -> int:
     if n < 4:
         return 0
     ps = table.primes(hi=n - 2)
-    mask = table.mask(n)
+    mask = table.mask(n)[0]
     return int(mask[n - ps].sum())
 
 

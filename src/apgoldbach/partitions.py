@@ -8,7 +8,7 @@ exhaustively with the deterministic primality test.
 
 Stage 1 reads a ResidueIndex: one boolean mask per class mod m, where
 mask(b)[j] says whether b + j*m is prime, read off the packed table in
-one chunked pass (PrimeTable.class_masks).  A modulus sweep builds one
+one chunked pass (PrimeTable.mask).  A modulus sweep builds one
 index for all unit classes and every pair orientation reads it; a single
 pair indexes only its two classes.  With n = c + k*m and a + b = c + t*m,
 p + q = n means q's index is k - i - t, and the small primes of class a
@@ -151,7 +151,7 @@ class ResidueIndex:
             raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
         self.N = N
-        self.masks = table.class_masks(m, classes, hi=N)
+        self.masks = table.mask(N, m, classes)
 
 
 def _stage1_unresolved(
@@ -164,8 +164,8 @@ def _stage1_unresolved(
         return []
 
     qmask = index.masks[pair.b]  # q = b + j*m
-    # p = a + i*m <= M
-    pidx = np.flatnonzero(index.masks[pair.a][: (M - pair.a) // m + 1])
+    # p = a + i*m <= M; none when M < a
+    pidx = np.flatnonzero(index.masks[pair.a][: max(0, (M - pair.a) // m + 1)])
 
     # marking: p + q = c + (i + j + t)*m, so prime index i shifts qmask by
     # i + t; block [lo, hi) of k reads qmask at j = k - i - t

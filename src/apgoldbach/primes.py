@@ -2,8 +2,8 @@
 
 Provides a bit-packed segmented sieve (PrimeTable), a deterministic
 Miller-Rabin test valid for the full 64-bit range, and extraction of
-primes lying in fixed residue classes (PrimeTable.class_masks, the one
-place that maps primes to their class).
+primes lying in fixed residue classes (PrimeTable.mask, the one place
+that maps primes to their class).
 """
 
 import math
@@ -19,12 +19,9 @@ SIEVE_SEGMENT_SIZE = 1 << 20
 # unpacked segment and its packed copy.  This admits limits up to ~2.1*10^9.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
-# Entries unpacked at a time by PrimeTable.class_masks, rounded to a
-# multiple of lcm(8, m) so every chunk starts on a byte and on class 0.
+# Entries unpacked at a time by PrimeTable.mask, rounded to a multiple
+# of lcm(8, m) so every chunk starts on a byte and on class 0.
 _CLASS_CHUNK = 1 << 18
-
-# Set bits per byte value.
-_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
 
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
 # correct for every n < 3,317,044,064,679,887,385,961,981 (~3.3 * 10^24),
@@ -46,7 +43,7 @@ class PrimeTable:
     """
 
     limit: int
-    bits: np.ndarray = field(repr=False)  # packed, bit i <-> integer i
+    bits: np.ndarray = field(repr=False)  # packed, bit i <-> integer i; 0 past limit
 
     def __contains__(self, n: int) -> bool:
         if n < 0 or n > self.limit:
@@ -60,11 +57,7 @@ class PrimeTable:
 
     @property
     def count(self) -> int:
-        full, rest = divmod(self.limit + 1, 8)
-        total = int(_POPCOUNT[self.bits[:full]].sum())
-        if rest:  # bits past the limit in the last byte do not count
-            total += int(_POPCOUNT[self.bits[full] >> (8 - rest)])
-        return total
+        return int.from_bytes(self.bits, "big").bit_count()
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """All primes in [lo, hi] as an int64 array, ascending."""
@@ -77,24 +70,17 @@ class PrimeTable:
             ps = ps[ps >= lo]
         return ps
 
-    def mask(self, hi: int | None = None) -> np.ndarray:
-        """Unpacked boolean primality mask over [0, hi]."""
-        hi = self.limit if hi is None else hi
-        if hi > self.limit:
-            raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
-        return np.unpackbits(self.bits, count=hi + 1).astype(bool)
-
-    def class_masks(
-        self, m: int, classes: Iterable[int], hi: int | None = None
+    def mask(
+        self, hi: int, m: int = 1, classes: Iterable[int] = (0,)
     ) -> dict[int, np.ndarray]:
         """Primality along the progressions b + j*m for each b in classes.
 
         masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
         b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
-        One pass over the packed bits unpacks a chunk of about _CLASS_CHUNK
+        The defaults give the plain mask over [0, hi] as masks[0].  One
+        pass over the packed bits unpacks a chunk of about _CLASS_CHUNK
         entries at a time, so no (hi + 1)-entry array is ever built.
         """
-        hi = self.limit if hi is None else hi
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         if m < 1:
@@ -135,8 +121,9 @@ def sieve_primes(
 
     Each segment is packed into the table as soon as it is sieved, so the
     peak storage is the packed table plus one unpacked segment and its
-    packed copy; that peak is what memory_budget_bytes bounds.  segment_size is rounded down to
-    a multiple of 8 (at least 8) so segments start on a byte.
+    packed copy; that peak is what memory_budget_bytes bounds.
+    segment_size is rounded down to a multiple of 8 (at least 8) so
+    segments start on a byte.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -214,7 +201,7 @@ def primes_in_class(table: PrimeTable, a: int, m: int, limit: int) -> ResidueCla
         raise ValueError(f"residue a={a} not in [0, {m})")
     if limit > table.limit:
         raise ValueError(f"limit {limit} exceeds table limit {table.limit}")
-    js = np.flatnonzero(table.class_masks(m, (a,), hi=limit)[a])
+    js = np.flatnonzero(table.mask(limit, m, (a,))[a])
     primes = tuple((a + js * m).tolist())
     return ResidueClassPrimes(a=a, m=m, limit=limit, primes=primes)
 

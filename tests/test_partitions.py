@@ -136,6 +136,14 @@ class TestExceptionalSet:
         with pytest.raises(ValueError, match="exceeds"):
             exceptional_set(AdmissiblePair(1, 1, 2), 100, M=200, table=table_1e6)
 
+    @pytest.mark.parametrize("M", [-100, -4, 0])
+    def test_M_below_every_prime_leaves_all_candidates(self, table_1e6, M):
+        # no p <= M, so stage 1 resolves nothing: the 250 candidates
+        # n = 2 (mod 4) up to 1000 all go to stage 2
+        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=M, table=table_1e6)
+        assert es.elements == exceptional_set(AdmissiblePair(1, 1, 4), 1000, table=table_1e6).elements
+        assert es.stage1_survivors + len(es.elements) == 250
+
     def test_oracle_equivalence_small_moduli(self, table_1e6):
         N = 10**4
         for m in (2, 4, 6, 8, 10, 12):
@@ -194,7 +202,7 @@ class TestModulusSweep:
         # the table is read by one class-mask pass per modulus, and never
         # unpacked whole
         calls = []
-        for name in ("class_masks", "primes", "mask"):
+        for name in ("primes", "mask"):
             unpack = getattr(PrimeTable, name)
 
             def counted(self, *args, _name=name, _unpack=unpack, **kwargs):
@@ -205,7 +213,7 @@ class TestModulusSweep:
         for m in (2, 12, 30):
             calls.clear()
             exceptional_sets_for_modulus(m, 10**5, table=table_1e5)
-            assert calls == ["class_masks"], m
+            assert calls == ["mask"], m
 
     def test_single_pair_peak_memory(self):
         # one class mask of N/m entries plus block-sized scratch: no
@@ -356,8 +364,9 @@ def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
 )
 def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # tiny gather and marking blocks make the tail and the head cross many
-    # block boundaries; M spans bounds below and above the head's primes of
-    # class a, at the default head of 64 primes and at shorter ones
+    # block boundaries; M spans bounds below every prime of class a and
+    # below and above the head's primes, at the default head of 64 primes
+    # and at shorter ones
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
     monkeypatch.setattr(
         partitions, "_MARK_BLOCK", data.draw(st.sampled_from([partitions._MARK_BLOCK, 1, 5, 64]))
@@ -367,7 +376,7 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
-    M = data.draw(st.integers(1, N))
+    M = data.draw(st.integers(-2 * m, N))
     index = ResidueIndex(table_1e5, m, N, {a, b})
     got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M, index)
     assert got == naive_stage1_unresolved(a, b, m, N, M)

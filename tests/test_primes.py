@@ -27,6 +27,12 @@ def test_boundary_count():
     assert sieve_primes(2).count == 1
 
 
+def test_count_at_every_small_limit():
+    # limits on and off byte boundaries: bits past the limit count nothing
+    for limit in range(2, 200):
+        assert sieve_primes(limit).count == len(primes_up_to(limit)), limit
+
+
 def test_count_to_1e6(table_1e6):
     assert table_1e6.count == 78498
 
@@ -87,7 +93,7 @@ class TestIsPrime:
         assert is_prime(2147483647)
 
     def test_agrees_with_sieve_exhaustively(self, table_1e6):
-        flags = table_1e6.mask(10**6)
+        flags = table_1e6.mask(10**6)[0]
         for n in range(2, 10**6 + 1):
             if is_prime(n) != flags[n]:
                 pytest.fail(f"disagreement at n={n}")
@@ -136,12 +142,12 @@ class TestPrimesInClass:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_class_masks_match_is_prime(self, monkeypatch, table_1e5, m, data):
+    def test_class_mask_matches_is_prime(self, monkeypatch, table_1e5, m, data):
         # tiny chunks put many chunk boundaries inside [0, N]; N off a
         # multiple of 8 and of m ends the last chunk mid-byte and mid-row
         monkeypatch.setattr(primes, "_CLASS_CHUNK", data.draw(st.sampled_from([1, 8, 40, 1 << 18])))
         N = data.draw(st.integers(2, 5000).filter(lambda n: n % 8 and n % m))
-        masks = table_1e5.class_masks(m, range(m), hi=N)
+        masks = table_1e5.mask(N, m, range(m))
         assert list(masks) == list(range(m))
         for b, mask in masks.items():
             assert len(mask) == (N - b) // m + 2
