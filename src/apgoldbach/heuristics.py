@@ -33,14 +33,20 @@ def g2_estimate(n: int) -> float:
 
 
 def g2_exact(n: int, table: PrimeTable) -> int:
-    """Ordered prime pairs (p, q) with p + q = n; 0 for odd n."""
+    """Ordered prime pairs (p, q) with p + q = n.
+
+    For odd n the pairs are (2, n - 2) and (n - 2, 2), so the count is 2
+    when n - 2 is prime and 0 otherwise.  For even n both primes are odd,
+    apart from 4 = 2 + 2.
+    """
     if n > table.limit:
         raise ValueError(f"n={n} exceeds table limit {table.limit}")
     if n < 4:
         return 0
-    ps = table.primes(hi=n - 2)
-    mask = table.mask(n)[0]
-    return int(mask[n - ps].sum())
+    if n % 2:
+        return 2 if n - 2 in table else 0
+    odd = table.mask(n - 1, 2, (1,))[1][: n // 2]  # odd[i]: 2i + 1 is prime
+    return int(np.count_nonzero(odd & odd[::-1])) + (n == 4)
 
 
 @lru_cache(maxsize=None)

@@ -7,15 +7,17 @@ and q <= N from the b-class; the few unmarked candidates are then resolved
 exhaustively with the deterministic primality test.
 
 Stage 1 reads a ResidueIndex: one boolean mask per class mod m, where
-mask(b)[j] says whether b + j*m is prime, read off the packed table in
-one chunked pass (PrimeTable.mask).  A modulus sweep builds one
-index for all unit classes and every pair orientation reads it; a single
-pair indexes only its two classes.  With n = c + k*m and a + b = c + t*m,
-p + q = n means q's index is k - i - t, and the small primes of class a
-are the set entries i of mask(a) up to M.  The first _VECTOR_PHASE_PRIMES
-of them each OR a shifted b-mask into the candidate marks, one block of
-_MARK_BLOCK candidates at a time so the marks stay in cache; the
-remaining primes test the still-unmarked candidates in 2-D gathers,
+mask(b)[j] says whether b + j*m is prime, read off the packed odd bits
+of the table in one chunked pass (PrimeTable.mask).  A modulus sweep
+builds one index for all unit classes and every pair orientation reads
+it; a single pair indexes only its two classes, the small-prime class
+only up to M, and drops a table it sieved itself before stage 1.  With
+n = c + k*m and a + b = c + t*m, p + q = n means q's index is k - i - t,
+and the small primes of class a are the set entries i of mask(a) up to
+M.  The first _VECTOR_PHASE_PRIMES of them each OR a shifted b-mask into
+the candidate marks, one block of _MARK_BLOCK candidates at a time so the
+marks stay in cache; the remaining primes test the still-unmarked
+candidates in 2-D gathers,
 qmask[unresolved[:, None] - pidx_block[None, :] - t], in blocks of at
 most _GATHER_BLOCK_ELEMENTS elements.
 """
@@ -37,8 +39,10 @@ _VECTOR_PHASE_PRIMES = 64
 _MARK_BLOCK = 1 << 18
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
-# block; its int64 index matrix takes 8 bytes an element.
-_GATHER_BLOCK_ELEMENTS = 1 << 18
+# block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
+# which keeps a pair's stage-1 scratch below half of one N/m-entry mask
+# at N = 10^7.
+_GATHER_BLOCK_ELEMENTS = 1 << 16
 
 
 def default_stage1_bound(m: int) -> int:
@@ -143,7 +147,9 @@ class ResidueIndex:
 
     masks[b][j] is True iff b + j*m is prime, for every j with
     b + j*m <= N; one False entry follows, so masks[b][-1] is False.  The
-    keys of masks follow the order of `classes`.
+    keys of masks follow the order of `classes`.  A class that serves only
+    as the small-prime class a of stage 1 may be added with a shorter mask
+    that reaches M (see _pair_index).
     """
 
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
@@ -152,6 +158,26 @@ class ResidueIndex:
         self.m = m
         self.N = N
         self.masks = table.mask(N, m, classes)
+
+
+def _pair_index(
+    pair: AdmissiblePair, N: int, M: int, table: Optional[PrimeTable]
+) -> ResidueIndex:
+    """The index one pair's stage 1 reads: the b-class up to N and, when
+    a != b, the a-class only up to max(M, 0), since stage 1 reads no p > M.
+
+    A table sieved here counts the two masks against its memory budget and
+    is dropped on return, before stage 1 runs.
+    """
+    masks = (N - pair.b) // pair.m + 2
+    if pair.a != pair.b:
+        masks += (max(M, 0) - pair.a) // pair.m + 2
+    if table is None:
+        table = sieve_primes(N, reserved_bytes=masks)
+    index = ResidueIndex(table, pair.m, N, (pair.b,))
+    if pair.a != pair.b:
+        index.masks.update(table.mask(max(M, 0), pair.m, (pair.a,)))
+    return index
 
 
 def _stage1_unresolved(
@@ -208,7 +234,7 @@ def exceptional_set(
 
     Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
     given; otherwise it indexes just those two classes from `table`,
-    sieved when omitted.
+    sieved when omitted (see _pair_index).
     """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
@@ -217,9 +243,7 @@ def exceptional_set(
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
     if index is None:
-        if table is None:
-            table = sieve_primes(N)
-        index = ResidueIndex(table, pair.m, N, {pair.a, pair.b})
+        index = _pair_index(pair, N, M, table)
     elif (index.m, index.N) != (pair.m, N):
         raise ValueError(
             f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
@@ -464,8 +488,10 @@ def verify_ternary(
     """Odd n with 5 < n <= N not of the form p + q + r with
     p = q = 2 (mod 3) and r prime.
 
-    Tries r in {3, 5, 7} first (exactly one leaves n - r = 4 mod 6), then
-    falls back to a full scan over r.
+    For odd n >= 7 exactly one r in {3, 5, 7} leaves k = n - r = 4 (mod 6),
+    and that k is at least 4; n passes with that r unless k is a binary
+    violation.  So only the k + r with k a violation and r in {3, 5, 7}
+    fall back to a scan over every prime r.
     """
     if N < 7:
         raise ValueError(f"N={N} must be >= 7")
@@ -477,24 +503,14 @@ def verify_ternary(
     binary_violations = set(
         exceptional_set(AdmissiblePair(5, 5, 6), N, table=table).elements
     ) - {4}
-    rep = np.zeros(N + 1, dtype=bool)
-    rep[4::6] = True
-    for k in binary_violations:
-        rep[k] = False
 
-    n_arr = np.arange(7, N + 1, 2, dtype=np.int64)
-    good = np.zeros(len(n_arr), dtype=bool)
-    for r in (3, 5, 7):
-        k = n_arr - r
-        valid = k >= 4
-        hit = np.zeros(len(n_arr), dtype=bool)
-        hit[valid] = rep[k[valid]]
-        good |= hit
+    def rep(k: int) -> bool:
+        return k % 6 == 4 and k >= 4 and k not in binary_violations
 
-    fallback = n_arr[~good].tolist()
+    fallback = sorted(
+        {k + r for k in binary_violations for r in (3, 5, 7) if k + r <= N}
+    )
     if not fallback:
         return ()
     rs = table.primes(hi=fallback[-1]).tolist()
-    return tuple(
-        n for n in fallback if not any(r <= n - 4 and rep[n - r] for r in rs)
-    )
+    return tuple(n for n in fallback if not any(rep(n - r) for r in rs))

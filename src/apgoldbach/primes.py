@@ -1,9 +1,9 @@
 """Prime generation and deterministic primality testing.
 
-Provides a bit-packed segmented sieve (PrimeTable), a deterministic
-Miller-Rabin test valid for the full 64-bit range, and extraction of
-primes lying in fixed residue classes (PrimeTable.mask, the one place
-that maps primes to their class).
+Provides a bit-packed segmented sieve over the odd numbers (PrimeTable), a
+deterministic Miller-Rabin test valid for the full 64-bit range, and
+extraction of primes lying in fixed residue classes (PrimeTable.mask, the
+one place that maps primes to their class).
 """
 
 import math
@@ -12,15 +12,22 @@ from typing import Iterable
 
 import numpy as np
 
-# Segment size (entries) for the segmented sieve; sized to stay cache-resident.
+# Segment size (odd entries) for the segmented sieve; sized to stay
+# cache-resident.
 SIEVE_SEGMENT_SIZE = 1 << 20
 
-# Default cap on the sieve's peak storage: the bit-packed table plus one
-# unpacked segment and its packed copy.  This admits limits up to ~2.1*10^9.
+# Default cap on the sieve's peak storage: the packed odd bits plus one
+# unpacked segment, its packed copy, the presieve pattern and the base-prime
+# sieve.  This admits limits up to ~4.3*10^9.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
-# Entries unpacked at a time by PrimeTable.mask, rounded to a multiple
-# of lcm(8, m) so every chunk starts on a byte and on class 0.
+# Odd primes whose multiples every segment copies from a precomputed
+# pattern; the pattern repeats every _PRESIEVE_PERIOD odd entries.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
+
+# Odd entries unpacked at a time by PrimeTable.mask, rounded to a multiple
+# of 8 and of a class's step so every chunk starts on a byte and on class 0.
 _CLASS_CHUNK = 1 << 18
 
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
@@ -37,18 +44,22 @@ class MemoryBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Exact primality knowledge over [2, limit], bit-packed.
+    """Exact primality knowledge over [2, limit], bit-packed over the odd
+    numbers; the prime 2 is implicit.
 
     Immutable after construction; safe to share across threads.
     """
 
     limit: int
-    bits: np.ndarray = field(repr=False)  # packed, bit i <-> integer i; 0 past limit
+    bits: np.ndarray = field(repr=False)  # packed, bit i <-> 2i + 1; 0 past limit
 
     def __contains__(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
+        if n == 2:
+            return self.limit >= 2
+        if n < 0 or n > self.limit or n % 2 == 0:
             return False
-        return bool((self.bits[n >> 3] >> (7 - (n & 7))) & 1)
+        i = n >> 1
+        return bool((self.bits[i >> 3] >> (7 - (i & 7))) & 1)
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -57,15 +68,18 @@ class PrimeTable:
 
     @property
     def count(self) -> int:
-        return int.from_bytes(self.bits, "big").bit_count()
+        return int.from_bytes(self.bits, "big").bit_count() + 1
 
     def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
         """All primes in [lo, hi] as an int64 array, ascending."""
         hi = self.limit if hi is None else hi
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
-        flags = np.unpackbits(self.bits, count=hi + 1)
-        ps = np.flatnonzero(flags).astype(np.int64, copy=False)
+        if hi < 2:
+            return np.zeros(0, dtype=np.int64)
+        flags = np.unpackbits(self.bits, count=(hi + 1) // 2)
+        ps = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1))
+        ps = ps.astype(np.int64, copy=False)
         if lo > 2:
             ps = ps[ps >= lo]
         return ps
@@ -77,28 +91,42 @@ class PrimeTable:
 
         masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
         b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
-        The defaults give the plain mask over [0, hi] as masks[0].  One
-        pass over the packed bits unpacks a chunk of about _CLASS_CHUNK
-        entries at a time, so no (hi + 1)-entry array is ever built.
+        The defaults give the plain mask over [0, hi] as masks[0].
+
+        The odd members of class b are b0 + k*L, with L = lcm(2, m) and b0
+        the least odd one: odd index b0//2 + k*L/2, mask entry
+        (b0 - b)/m + k*L/m.  (For even m and odd b that is the column
+        b//2 + j*m/2; even m and even b have no odd member.)  One pass over
+        the odd bits unpacks a chunk of about _CLASS_CHUNK entries at a time
+        and copies each class's column; the prime 2 is set afterwards.  No
+        (hi + 1)-entry array is ever built.
         """
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         if m < 1:
             raise ValueError(f"modulus m={m} must be >= 1")
+        half = math.lcm(2, m) // 2  # odd-index step of every class
         masks: dict[int, np.ndarray] = {}
+        columns = []  # (odd index of b0, view of the mask entries b0 + k*L)
         for b in classes:
             if not 0 <= b < m:
                 raise ValueError(f"residue b={b} not in [0, {m})")
-            masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
-        step = math.lcm(8, m)
+            mask = masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
+            b0 = b if b % 2 else b + m
+            if b0 % 2:
+                columns.append((b0 // 2, mask[(b0 - b) // m :: 2 * half // m]))
+        step = math.lcm(8, half)
         step *= max(1, _CLASS_CHUNK // step)
-        for lo in range(0, hi + 1, step):
-            end = min(lo + step, hi + 1)
+        entries = (hi + 1) // 2  # odd numbers <= hi
+        for lo in range(0, entries, step):
+            end = min(lo + step, entries)
             flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
-            j0 = lo // m
-            for b, mask in masks.items():
-                column = flags[b::m]
-                mask[j0 : j0 + len(column)] = column
+            k0 = lo // half
+            for offset, dest in columns:
+                column = flags[offset::half]
+                dest[k0 : k0 + len(column)] = column
+        if hi >= 2 and 2 % m in masks:
+            masks[2 % m][2 // m] = True
         return masks
 
 
@@ -116,51 +144,74 @@ def sieve_primes(
     limit: int,
     segment_size: int = SIEVE_SEGMENT_SIZE,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
+    reserved_bytes: int = 0,
 ) -> PrimeTable:
-    """Segmented sieve of Eratosthenes up to `limit` inclusive.
+    """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
+    inclusive; entry i stands for 2i + 1.
 
-    Each segment is packed into the table as soon as it is sieved, so the
-    peak storage is the packed table plus one unpacked segment and its
-    packed copy; that peak is what memory_budget_bytes bounds.
-    segment_size is rounded down to a multiple of 8 (at least 8) so
-    segments start on a byte.
+    Each segment starts as a copy of the pattern that the odd primes up to
+    13 leave (period _PRESIEVE_PERIOD entries), so only the larger base
+    primes strike it, and it is packed into the table as soon as it is
+    sieved.  The peak storage is the packed table, one unpacked segment and
+    its packed copy, the pattern and the sieve of the base primes up to
+    sqrt(limit); that peak, plus the reserved_bytes the caller will hold
+    beside the table (a pair's class masks), is what memory_budget_bytes
+    bounds.  segment_size counts odd entries and is rounded down to a
+    multiple of 8 (at least 8) so segments start on a byte.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     segment_size = max(8, segment_size - segment_size % 8)
-    nbytes = (limit + 8) // 8
-    segment = min(segment_size, limit + 1)
-    peak = nbytes + segment + (segment + 7) // 8  # table, segment, its packed copy
-    if peak > memory_budget_bytes:
+    entries = (limit + 1) // 2  # odd numbers <= limit
+    nbytes = (entries + 7) // 8
+    segment = min(segment_size, entries)
+    root = math.isqrt(limit)
+    # table, segment, its packed copy, two periods of pattern, base sieve
+    peak = nbytes + segment + (segment + 7) // 8 + 2 * _PRESIEVE_PERIOD + root + 1
+    if peak + reserved_bytes > memory_budget_bytes:
         raise MemoryBudgetError(
             f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus "
-            f"one segment), over the {memory_budget_bytes}-byte budget"
+            f"one segment) and {reserved_bytes} more are reserved, over the "
+            f"{memory_budget_bytes}-byte budget"
         )
 
-    root = int(limit**0.5) + 1
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
-    for p in range(2, int(root**0.5) + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p :: p] = False
-    base_primes = np.flatnonzero(base).tolist()
+    base_primes = [p for p in np.flatnonzero(base).tolist() if p > _PRESIEVE_PRIMES[-1]]
+
+    # two periods, so any offset into the first is followed by a whole period
+    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)
+    for p in _PRESIEVE_PRIMES:
+        pattern[p // 2 :: p] = False  # odd multiples of p, p itself included
 
     bits = np.empty(nbytes, dtype=np.uint8)
     buf = np.empty(segment, dtype=bool)
-    lo = 0
-    while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(0, entries, segment_size):
+        hi = min(lo + segment_size, entries)
         seg = buf[: hi - lo]
-        seg[:] = True
+        filled = min(_PRESIEVE_PERIOD, len(seg))
+        offset = lo % _PRESIEVE_PERIOD
+        seg[:filled] = pattern[offset : offset + filled]
+        while filled < len(seg):  # a whole number of periods: double it
+            n = min(filled, len(seg) - filled)
+            seg[filled : filled + n] = seg[:n]
+            filled += n
         if lo == 0:
-            seg[: min(2, hi)] = False
+            seg[0] = False  # 1
+            for p in _PRESIEVE_PRIMES:
+                if p // 2 < hi:
+                    seg[p // 2] = True
         for p in base_primes:
-            if p * p >= hi:
+            start = p * p // 2  # index of p*p
+            if start >= hi:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < lo:
+                start = lo + (p // 2 - lo) % p  # first odd multiple of p
             seg[start - lo :: p] = False
         bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(seg)
-        lo = hi
     return PrimeTable(limit=limit, bits=bits)
 
 

@@ -70,6 +70,16 @@ def naive_mod4_case_i(N: int) -> list[int]:
     return [n for n in range(6, N + 1, 2) if n not in reachable]
 
 
+def naive_ternary_violations(N: int, unrepresented: frozenset = frozenset()) -> list[int]:
+    """Odd n with 5 < n <= N and no n = p + q + r, p = q = 2 (mod 3) and
+    r any prime, by a double loop over p, q and a scan over r.  Sums p + q
+    listed in `unrepresented` are treated as not representable."""
+    primes = primes_up_to(N)
+    two = [p for p in primes if p % 3 == 2]
+    pairs = {p + q for p in two for q in two if p + q <= N} - unrepresented
+    return [n for n in range(7, N + 1, 2) if not any(n - r in pairs for r in primes)]
+
+
 def coupon_tail_enumeration(r: int, k: int) -> Fraction:
     """P(W_r > k) by enumerating all r^k equally likely draw sequences."""
     bad = 0

@@ -39,6 +39,8 @@ class TestG2:
         assert g2_exact(10, table_1e5) == 3  # 3+7, 5+5, 7+3
         assert g2_exact(4, table_1e5) == 1
         assert g2_exact(3, table_1e5) == 0
+        assert g2_exact(7, table_1e5) == 2  # 2+5, 5+2
+        assert g2_exact(11, table_1e5) == 0  # 9 is not prime
 
     def test_exact_beyond_table_rejected(self, table_1e5):
         with pytest.raises(ValueError, match="exceeds"):
@@ -47,7 +49,7 @@ class TestG2:
     def test_exact_brute_force(self, table_1e5):
         from oracles import primes_up_to
 
-        for n in (16, 30, 100, 144):
+        for n in (5, 6, 9, 15, 16, 21, 30, 99, 100, 144):
             ps = primes_up_to(n)
             pset = set(ps)
             expected = sum(1 for p in ps if n - p in pset)

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,7 @@ from oracles import (
     naive_mod4_case_i,
     naive_progression_violations,
     naive_stage1_unresolved,
+    naive_ternary_violations,
 )
 
 # published explicit sets, m in {2, 4, 6, 8, 10}, complete below 10^6
@@ -132,6 +135,15 @@ class TestExceptionalSet:
         assert small.elements == large.elements
         assert small.stage1_survivors >= large.stage1_survivors
 
+    @pytest.mark.parametrize(
+        "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
+    )
+    def test_survivors_match_naive_with_M_prime(self, table_1e5, a, b, m, M):
+        # M is itself a prime of class a, so stage 1 must still use p = M
+        es = exceptional_set(AdmissiblePair(a, b, m), 3000, M=M, table=table_1e5)
+        naive = naive_stage1_unresolved(a, b, m, 3000, M)
+        assert es.stage1_survivors == len(naive) - len(es.elements)
+
     def test_M_larger_than_N_rejected(self, table_1e6):
         with pytest.raises(ValueError, match="exceeds"):
             exceptional_set(AdmissiblePair(1, 1, 2), 100, M=200, table=table_1e6)
@@ -217,17 +229,40 @@ class TestModulusSweep:
 
     def test_single_pair_peak_memory(self):
         # one class mask of N/m entries plus block-sized scratch: no
-        # N-entry unpack and no int64 prime list
+        # N-entry unpack, no int64 prime list, and for a != b the a-class
+        # mask reaches only M
         N, m = 10**7, 4
         table = sieve_primes(N)
-        tracemalloc.start()
-        try:
-            es = exceptional_set(AdmissiblePair(1, 1, m), N, table=table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert es.elements == EXPLICIT_SETS[(1, 1, 4)]
-        assert peak <= 3 * N // m
+        for a, b in ((1, 1), (1, 3)):
+            tracemalloc.start()
+            try:
+                es = exceptional_set(AdmissiblePair(a, b, m), N, table=table)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert es.elements == EXPLICIT_SETS[(a, b, 4)]
+            assert peak <= 1.5 * N / m, (a, b)
+
+    def test_own_table_dropped_before_stage1(self, monkeypatch):
+        # a table exceptional_set sieved itself is freed once the index is
+        # built, so stage 1 and stage 2 do not hold it
+        tables = []
+
+        def sieve(*args, **kwargs):
+            table = sieve_primes(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        stage1 = partitions._stage1_unresolved
+
+        def checked_stage1(*args):
+            assert tables and tables[0]() is None
+            return stage1(*args)
+
+        monkeypatch.setattr(partitions, "sieve_primes", sieve)
+        monkeypatch.setattr(partitions, "_stage1_unresolved", checked_stage1)
+        es = exceptional_set(AdmissiblePair(1, 3, 4), 10**5)
+        assert es.elements == EXPLICIT_SETS[(1, 3, 4)]
 
     def test_index_must_match_pair(self, table_1e5):
         index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
@@ -311,6 +346,42 @@ class TestTernary:
             assert p + q + r == n
             assert p % 3 == 2 and q % 3 == 2
             assert all(map(is_prime_trial_division, (p, q, r)))
+
+    @pytest.mark.parametrize("N", [7, 8, 9, 100, 1001, 3000])
+    def test_matches_naive(self, table_1e5, N):
+        assert list(verify_ternary(N, table=table_1e5)) == naive_ternary_violations(N)
+
+    def test_fallback_scan_matches_naive(self, monkeypatch, table_1e5):
+        # pretend every even k = 4 (mod 6) above 4 is a binary violation:
+        # each odd n then takes the fallback scan over every prime r, and
+        # is p + q + r only as 2 + 2 + r, so n is a violation unless n - 4
+        # is prime
+        extra = tuple(range(10, 3001, 6))
+        real = partitions.exceptional_set
+
+        def with_extra(pair, N, **kwargs):
+            es = real(pair, N, **kwargs)
+            if pair == AdmissiblePair(5, 5, 6):
+                es = dataclasses.replace(es, elements=tuple(sorted(es.elements + extra)))
+            return es
+
+        monkeypatch.setattr(partitions, "exceptional_set", with_extra)
+        got = list(verify_ternary(3000, table=table_1e5))
+        assert got == naive_ternary_violations(3000, frozenset(extra))
+        assert got == [n for n in range(7, 3001, 2) if not is_prime(n - 4)]
+
+    def test_peak_memory(self):
+        # one N/6-entry class mask and block-sized scratch: no N-entry
+        # array and no int64 array over the odd n
+        N = 5 * 10**6
+        table = sieve_primes(N)
+        tracemalloc.start()
+        try:
+            assert verify_ternary(N, table=table) == ()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= N / 2
 
     def test_brute_force_agreement(self):
         # independent triple loop up to 500

@@ -28,9 +28,15 @@ def test_boundary_count():
 
 
 def test_count_at_every_small_limit():
-    # limits on and off byte boundaries: bits past the limit count nothing
+    # limits on and off byte boundaries: bits past the limit count nothing,
+    # and the implicit prime 2 is counted, contained and listed
     for limit in range(2, 200):
-        assert sieve_primes(limit).count == len(primes_up_to(limit)), limit
+        t = sieve_primes(limit)
+        expected = primes_up_to(limit)
+        assert t.count == len(expected), limit
+        assert [n for n in range(-2, limit + 20) if n in t] == expected, limit
+        assert t.primes().tolist() == expected, limit
+        assert t.primes(lo=3).tolist() == expected[1:], limit
 
 
 def test_count_to_1e6(table_1e6):
@@ -55,11 +61,16 @@ def test_memory_budget_enforced():
 
 
 def test_memory_budget_counts_one_segment():
-    # the packed table, one 4096-entry segment and its 512 packed bytes
-    peak = (10**6 + 8) // 8 + 4096 + 512
+    # the packed odd bits, one 4096-entry segment, its 512 packed bytes, two
+    # periods of the 15,015-entry presieve pattern and the base-prime sieve
+    # over [0, 1000]
+    peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001
     with pytest.raises(MemoryBudgetError, match="one segment"):
         sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak - 1)
     assert sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak).count == 78498
+    # bytes a caller reserves beside the table count against the same budget
+    with pytest.raises(MemoryBudgetError, match="reserved"):
+        sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak, reserved_bytes=1)
 
 
 def test_sieve_peak_is_packed_table_plus_segments():
@@ -70,8 +81,21 @@ def test_sieve_peak_is_packed_table_plus_segments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.bits.nbytes == (N + 8) // 8
+    assert table.bits.nbytes == ((N + 1) // 2 + 7) // 8
     assert peak <= table.bits.nbytes + 2 * SIEVE_SEGMENT_SIZE
+
+
+@given(
+    limit=st.integers(2, 5000) | st.integers(2 * 15015, 2 * 15015 + 3000),
+    segment_size=st.sampled_from([8, 16, 24, 1000, 1 << 20]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sieve_matches_is_prime(limit, segment_size):
+    # small segments start at many offsets into the presieve pattern and
+    # cut across the presieved primes 3..13; limits past 30,030 wrap the
+    # pattern's period of 15,015 odd entries
+    t = sieve_primes(limit, segment_size=segment_size)
+    assert [n in t for n in range(limit + 1)] == [is_prime(n) for n in range(limit + 1)]
 
 
 def test_sieve_rejects_tiny_limit():
