@@ -11,7 +11,13 @@ import sys
 import time
 from pathlib import Path
 
-from apgoldbach.cli import RunConfig, figure_documents, table1_document, table2_document
+from apgoldbach.cli import (
+    RunConfig,
+    compute_sweep,
+    figure_documents,
+    table1_document,
+    table2_document,
+)
 
 
 def main() -> int:
@@ -36,9 +42,10 @@ def main() -> int:
     args.output_dir.mkdir(parents=True, exist_ok=True)
 
     start = time.monotonic()
-    (args.output_dir / "table1.csv").write_text(table1_document(config))
-    (args.output_dir / "table2.csv").write_text(table2_document(config))
-    fig1, fig2 = figure_documents(config)
+    sweep = compute_sweep(config)
+    (args.output_dir / "table1.csv").write_text(table1_document(sweep))
+    (args.output_dir / "table2.csv").write_text(table2_document(sweep))
+    fig1, fig2 = figure_documents(sweep)
     (args.output_dir / "fig1.csv").write_text(fig1)
     (args.output_dir / "fig2.csv").write_text(fig2)
     print(

@@ -17,11 +17,12 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from . import heuristics, partitions, summaries
-from .partitions import AdmissiblePair, ExceptionalSet, exceptional_sets_for_modulus
+from .partitions import AdmissiblePair, exceptional_sets_for_modulus
 from .primes import sieve_primes
+from .summaries import ModulusSets
 
 CACHE_ENV_VAR = "APGOLDBACH_CACHE_DIR"
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,19 +72,19 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _cache_path(cache_dir: Path, m: int, a: int, b: int, N: int, M: int) -> Path:
-    return cache_dir / f"m{m}_a{a}_b{b}_N{N}_M{M}.json"
+def _cache_path(cache_dir: Path, m: int, N: int) -> Path:
+    return cache_dir / f"m{m}_N{N}.json"
 
 
-def save_cache_entry(cache_dir: Path, es: ExceptionalSet) -> None:
+def save_cache_entry(cache_dir: Path, m: int, N: int, sets: ModulusSets) -> None:
+    """Write the sweep of modulus m at N as one checksummed file, one
+    [a, b, elements] entry per unordered pair a <= b."""
     payload = {
-        "m": es.pair.m,
-        "a": es.pair.a,
-        "b": es.pair.b,
-        "N": es.search_limit,
-        "M": es.stage1_bound,
-        "elements": list(es.elements),
-        "stage1_survivors": es.stage1_survivors,
+        "m": m,
+        "N": N,
+        "sets": [
+            [a, b, list(elements)] for (a, b), elements in sets.items() if a <= b
+        ],
     }
     doc = {
         "schema_version": CACHE_SCHEMA_VERSION,
@@ -91,37 +92,32 @@ def save_cache_entry(cache_dir: Path, es: ExceptionalSet) -> None:
         "checksum": _payload_checksum(payload),
     }
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(
-        cache_dir, es.pair.m, es.pair.a, es.pair.b, es.search_limit, es.stage1_bound
-    )
+    path = _cache_path(cache_dir, m, N)
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc))
     tmp.replace(path)
 
 
-def _cache_candidates(
-    cache_dir: Path, m: int, a: int, b: int, N: int, M: int
-) -> Iterator[Path]:
-    """The exact-key path, then the other N of the same (m, a, b, M) in
-    name order.  Callers stop at the first valid entry, so the directory
-    is globbed only when the exact path is missing or invalid."""
-    exact = _cache_path(cache_dir, m, a, b, N, M)
+def _cache_candidates(cache_dir: Path, m: int, N: int) -> Iterator[Path]:
+    """The exact-key path, then the other N of the same m in name order.
+    Callers stop at the first valid entry, so the directory is globbed
+    only when the exact path is missing or invalid."""
+    exact = _cache_path(cache_dir, m, N)
     yield exact
-    for p in sorted(cache_dir.glob(f"m{m}_a{a}_b{b}_N*_M{M}.json")):
+    for p in sorted(cache_dir.glob(f"m{m}_N*.json")):
         if p != exact:
             yield p
 
 
-def load_cache_entry(
-    cache_dir: Path, m: int, a: int, b: int, N: int, M: int
-) -> Optional[ExceptionalSet]:
-    """Valid cached set for the key, or None.
+def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
+    """The cached sweep of modulus m at N, keyed by ordered pair, or None.
 
-    A cached run at larger N' >= N with the same M is also accepted: the
-    sorted element list truncates to a prefix.  Entries with a schema or
-    checksum mismatch are ignored with a warning.
+    The elements do not depend on the stage-1 bound, so it is no part of
+    the key, and a file at N' >= N serves N: each sorted element list
+    truncates to a prefix.  Entries with a schema or checksum mismatch are
+    ignored with a warning.
     """
-    for path in _cache_candidates(cache_dir, m, a, b, N, M):
+    for path in _cache_candidates(cache_dir, m, N):
         if not path.is_file():
             continue
         try:
@@ -131,19 +127,15 @@ def load_cache_entry(
                 continue
             if doc.get("checksum") != _payload_checksum(payload):
                 raise ValueError("checksum mismatch")
-            if payload["N"] < N or payload["M"] != M:
+            if payload["m"] != m or payload["N"] < N:
                 continue
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
             continue
-        return ExceptionalSet(
-            pair=AdmissiblePair(payload["a"], payload["b"], payload["m"]),
-            search_limit=N,
-            stage1_bound=payload["M"],
-            elements=tuple(e for e in payload["elements"] if e <= N),
-            stage1_survivors=payload["stage1_survivors"],
-            confirmed=True,
-        )
+        sets: ModulusSets = {}
+        for a, b, elements in payload["sets"]:
+            sets[(a, b)] = sets[(b, a)] = tuple(e for e in elements if e <= N)
+        return sets
     return None
 
 
@@ -153,9 +145,7 @@ def load_cache_entry(
 _WORKER_TABLE = {}
 
 
-def _sets_for_modulus(
-    args: tuple[int, int, int]
-) -> dict[tuple[int, int], ExceptionalSet]:
+def _sets_for_modulus(args: tuple[int, int, int]) -> ModulusSets:
     """Worker entry: compute all ordered-pair sets for one modulus."""
     m, N, M = args
     table = _WORKER_TABLE.get(N)
@@ -166,38 +156,22 @@ def _sets_for_modulus(
     return exceptional_sets_for_modulus(m, N, M=M, table=table)
 
 
-def _load_cached_modulus(
-    cache_dir: Path, m: int, N: int, M: int
-) -> Optional[dict[tuple[int, int], ExceptionalSet]]:
-    """Every ordered-pair set for modulus m from the cache, or None on a miss."""
-    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    out: dict[tuple[int, int], ExceptionalSet] = {}
-    for a in units:
-        for b in units:
-            hit = load_cache_entry(cache_dir, m, a, b, N, M)
-            if hit is None:
-                return None
-            out[(a, b)] = hit
-    return out
-
-
-def compute_sweep(config: RunConfig) -> dict[int, dict[tuple[int, int], ExceptionalSet]]:
+def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
     """Sets for every modulus in range; cache misses run in parallel over
     moduli and are then written to the cache.
 
     Results are merged in modulus order, so the output is independent of
     worker scheduling.
     """
-    results: dict[int, dict] = {}
+    results: dict[int, ModulusSets] = {}
     jobs = []
     for m in config.moduli:
-        M = config.stage1_bound(m)
         if config.cache_dir is not None:
-            cached = _load_cached_modulus(config.cache_dir, m, config.N, M)
+            cached = load_cache_entry(config.cache_dir, m, config.N)
             if cached is not None:
                 results[m] = cached
                 continue
-        jobs.append((m, config.N, M))
+        jobs.append((m, config.N, config.stage1_bound(m)))
 
     if config.worker_count > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
@@ -207,8 +181,7 @@ def compute_sweep(config: RunConfig) -> dict[int, dict[tuple[int, int], Exceptio
     for (m, _, _), sets in zip(jobs, computed):
         results[m] = sets
         if config.cache_dir is not None:
-            for es in sets.values():
-                save_cache_entry(config.cache_dir, es)
+            save_cache_entry(config.cache_dir, m, config.N, sets)
     return {m: results[m] for m in config.moduli}
 
 
@@ -216,10 +189,9 @@ def compute_sweep(config: RunConfig) -> dict[int, dict[tuple[int, int], Exceptio
 # Documents
 
 
-def table1_document(config: RunConfig) -> str:
-    sweep = compute_sweep(config)
+def table1_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
     rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
-    if config.output_format == "json":
+    if output_format == "json":
         doc = [dict(zip(summaries.TABLE1_HEADER.split(","), r.csv_row().split(",")))
                for r in rows]
         return json.dumps(doc, indent=2) + "\n"
@@ -227,10 +199,9 @@ def table1_document(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table2_document(config: RunConfig) -> str:
-    sweep = compute_sweep(config)
+def table2_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
     rows = [summaries.count_empty_pairs(sets, m) for m, sets in sweep.items()]
-    if config.output_format == "json":
+    if output_format == "json":
         doc = [dict(zip(summaries.TABLE2_HEADER.split(","), r.csv_row().split(",")))
                for r in rows]
         return json.dumps(doc, indent=2) + "\n"
@@ -238,10 +209,9 @@ def table2_document(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def figure_documents(config: RunConfig) -> tuple[str, str]:
+def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
     """(fig1, fig2) plot data: largest exception vs totient, and vs the
     quadratic / quadratic-log reference curves."""
-    sweep = compute_sweep(config)
     rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
     fig1_lines = ["m,E_max,phi"] + [
         f"{r.m},{r.unrestricted.e_max},{summaries.totient(r.m)}" for r in rows
@@ -353,15 +323,12 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
         f"(tail bound {est.tail_bound:.3g})"
     )
     if config.cache_dir is not None:
-        try:
-            sets = compute_sweep(replace(config, m_min=m, m_max=m))[m]
-            s = summaries.summarize_modulus(sets, m)
-            lines.append(
-                f"observed: L_avg = {float(s.unrestricted.l_avg):.6f}, "
-                f"E_max = {s.unrestricted.e_max}"
-            )
-        except Exception as exc:  # cache miss just skips the comparison
-            lines.append(f"observed: unavailable ({exc})")
+        sets = compute_sweep(replace(config, m_min=m, m_max=m))[m]
+        s = summaries.summarize_modulus(sets, m)
+        lines.append(
+            f"observed: L_avg = {float(s.unrestricted.l_avg):.6f}, "
+            f"E_max = {s.unrestricted.e_max}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -440,20 +407,13 @@ def _config_from(args: argparse.Namespace, m_range: bool = False) -> RunConfig:
 def cmd_exceptions(args: argparse.Namespace) -> int:
     pair = AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
-    M = config.stage1_bound(args.m)
-    sets = None
-    if config.cache_dir is not None:
-        sets = load_cache_entry(config.cache_dir, args.m, args.a, args.b, config.N, M)
-    if sets is None:
-        sets = partitions.exceptional_set(pair, config.N, M=M)
-        if config.cache_dir is not None:
-            save_cache_entry(config.cache_dir, sets)
-    body = " ".join(str(n) for n in sets.elements) if sets.elements else "(empty)"
+    es = partitions.exceptional_set(pair, config.N, M=config.stage1_bound(args.m))
+    body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
-    print(f"stage-1 bound M = {sets.stage1_bound}, "
-          f"survivors resolved in stage 2 = {sets.stage1_survivors}, "
-          f"confirmed = {sets.confirmed}")
-    spot = _largest_non_exception(pair, config.N, set(sets.elements))
+    print(f"stage-1 bound M = {es.stage1_bound}, "
+          f"survivors resolved in stage 2 = {es.stage1_survivors}, "
+          f"confirmed = {es.confirmed}")
+    spot = _largest_non_exception(pair, config.N, set(es.elements))
     if spot is not None:
         w = partitions.find_witness(spot, pair)
         if w is not None:
@@ -473,14 +433,13 @@ def _largest_non_exception(pair: AdmissiblePair, N: int, elements: set) -> Optio
 
 def cmd_table(args: argparse.Namespace, which: str) -> int:
     config = _config_from(args, m_range=True)
-    doc = table1_document(config) if which == "table1" else table2_document(config)
-    sys.stdout.write(doc)
+    document = table1_document if which == "table1" else table2_document
+    sys.stdout.write(document(compute_sweep(config), config.output_format))
     return EXIT_OK
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    config = _config_from(args, m_range=True)
-    fig1, fig2 = figure_documents(config)
+    fig1, fig2 = figure_documents(compute_sweep(_config_from(args, m_range=True)))
     out = args.output_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "fig1.csv").write_text(fig1)

@@ -9,9 +9,10 @@ exhaustively with the deterministic primality test.
 Stage 1 reads a ResidueIndex: one boolean mask per class mod m, where
 mask(b)[j] says whether b + j*m is prime, read off the packed odd bits
 of the table in one chunked pass (PrimeTable.mask).  A modulus sweep
-builds one index for all unit classes and every pair orientation reads
-it; a single pair indexes only its two classes, the small-prime class
-only up to M, and drops a table it sieved itself before stage 1.  With
+builds one index for all unit classes and runs the engine on it once per
+unordered pair, since E_{a,b,m} = E_{b,a,m}; a single pair indexes only
+its two classes, the small-prime class only up to M, and drops a table
+it sieved itself before stage 1.  With
 n = c + k*m and a + b = c + t*m, p + q = n means q's index is k - i - t,
 and the small primes of class a are the set entries i of mask(a) up to
 M.  The first _VECTOR_PHASE_PRIMES of them each OR a shifted b-mask into
@@ -69,10 +70,6 @@ class AdmissiblePair:
                 raise ValueError(f"residue {r} not a canonical unit in (0, {self.m})")
             if math.gcd(r, self.m) != 1:
                 raise ValueError(f"residue {r} not coprime to modulus {self.m}")
-
-    @property
-    def swapped(self) -> "AdmissiblePair":
-        return AdmissiblePair(self.b, self.a, self.m)
 
     @property
     def target_residue(self) -> int:
@@ -275,31 +272,18 @@ def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
 
 def _modulus_sets(
     index: ResidueIndex, M: Optional[int]
-) -> dict[tuple[int, int], ExceptionalSet]:
+) -> dict[tuple[int, int], tuple[int, ...]]:
     """exceptional_sets_for_modulus, read off a modulus-wide index."""
     m, N = index.m, index.N
     if M is None:
         M = min(default_stage1_bound(m), N)
     units = list(index.masks)
-    out: dict[tuple[int, int], ExceptionalSet] = {}
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in units:
         for b in units:
-            if a > b:
-                continue
-            pair = AdmissiblePair(a, b, m)
-            forward = exceptional_set(pair, N, M=M, index=index)
-            out[(a, b)] = forward
-            if a != b:
-                rev = pair.swapped
-                rev_survivors = _stage1_unresolved(rev, N, M, index)
-                out[(b, a)] = ExceptionalSet(
-                    pair=rev,
-                    search_limit=N,
-                    stage1_bound=M,
-                    elements=forward.elements,
-                    stage1_survivors=len(rev_survivors) - len(forward.elements),
-                    confirmed=True,
-                )
+            if a <= b:
+                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
+                out[(a, b)] = out[(b, a)] = es.elements
     return dict(sorted(out.items()))
 
 
@@ -308,13 +292,14 @@ def exceptional_sets_for_modulus(
     N: int,
     M: Optional[int] = None,
     table: Optional[PrimeTable] = None,
-) -> dict[tuple[int, int], ExceptionalSet]:
-    """E_{a,b,m} for every ordered admissible pair, keyed by (a, b).
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The elements of E_{a,b,m} for every ordered admissible pair, keyed
+    by (a, b).
 
-    Each unordered pair is resolved once (the element sets are symmetric);
-    stage-1 diagnostics are computed per orientation, since the roles of
-    the small-prime class and the long class differ.  Every orientation
-    reads one ResidueIndex, so the table is read once.
+    E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
+    with the smaller residue as the small-prime class, and (b, a) shares
+    the tuple of (a, b).  Every pair reads one ResidueIndex, so the table
+    is read once.
     """
     return _modulus_sets(_modulus_index(m, N, table), M)
 
@@ -340,25 +325,25 @@ class SurvivorDiagnostic:
 def stage1_survivor_diagnostic(
     m: int, N: int, M: int, table: Optional[PrimeTable] = None
 ) -> SurvivorDiagnostic:
-    """Count stage-1 survivors (unresolved non-exceptions) for modulus m."""
+    """Count stage-1 survivors (unresolved non-exceptions) for modulus m.
+
+    The roles of the small-prime class and the long class differ, so each
+    ordered pair runs stage 1 in its own orientation; its survivors are
+    the unresolved candidates that are not elements.
+    """
     index = _modulus_index(m, N, table)
-    sets = _modulus_sets(index, M)
-    ordered = sum(es.stage1_survivors for es in sets.values())
-    canonical = sum(
-        es.stage1_survivors for (a, b), es in sets.items() if a <= b
-    )
-    distinct: set[int] = set()
-    for es in sets.values():
-        exceptions = set(es.elements)
-        unres = _stage1_unresolved(es.pair, N, M, index)
-        distinct.update(n for n in unres if n not in exceptions)
+    survivors = {
+        (a, b): set(_stage1_unresolved(AdmissiblePair(a, b, m), N, M, index))
+        - set(elements)
+        for (a, b), elements in _modulus_sets(index, M).items()
+    }
     return SurvivorDiagnostic(
         m=m,
         N=N,
         M=M,
-        ordered_with_multiplicity=ordered,
-        distinct_n=len(distinct),
-        unordered_canonical=canonical,
+        ordered_with_multiplicity=sum(map(len, survivors.values())),
+        distinct_n=len(set().union(*survivors.values())),
+        unordered_canonical=sum(len(s) for (a, b), s in survivors.items() if a <= b),
     )
 
 

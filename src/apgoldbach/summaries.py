@@ -1,6 +1,10 @@
 """Aggregate per-modulus exceptional-set data into table rows and
 growth-comparison series.
 
+The input for one modulus m maps every ordered admissible pair (a, b) to
+the sorted elements of E_{a,b,m}, as exceptional_sets_for_modulus
+returns them.
+
 Averages are kept as exact fractions internally and rounded only at
 emission (half away from zero, 3 decimals, trailing zeros trimmed but at
 least one decimal kept) so the emitted tables are byte-reproducible.
@@ -10,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import ExceptionalSet
+ModulusSets = dict[tuple[int, int], tuple[int, ...]]
 
 
 def totient(m: int) -> int:
@@ -95,7 +99,7 @@ class EmptyPairCount:
         return f"{self.m},{self.z_m},{format_percent(self.fraction)}"
 
 
-def _require_complete(sets: dict[tuple[int, int], ExceptionalSet], m: int) -> list[int]:
+def _require_complete(sets: ModulusSets, m: int) -> list[int]:
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     missing = [(a, b) for a in units for b in units if (a, b) not in sets]
     if missing:
@@ -115,20 +119,18 @@ def _family_stats(lengths: list[int], maxima: list[int], unions: list[set]) -> F
     )
 
 
-def summarize_modulus(
-    sets: dict[tuple[int, int], ExceptionalSet], m: int
-) -> ModulusSummary:
+def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
     """The twelve aggregates over ordered admissible pairs for m."""
     units = _require_complete(sets, m)
 
     def stats(pairs):
         lengths, maxima, unions = [], [], []
         for key in pairs:
-            es = sets[key]
-            lengths.append(len(es.elements))
-            unions.append(set(es.elements))
-            if es.elements:
-                maxima.append(es.elements[-1])
+            elements = sets[key]
+            lengths.append(len(elements))
+            unions.append(set(elements))
+            if elements:
+                maxima.append(elements[-1])
         return _family_stats(lengths, maxima, unions)
 
     all_pairs = [(a, b) for a in units for b in units]
@@ -140,14 +142,10 @@ def summarize_modulus(
     )
 
 
-def count_empty_pairs(
-    sets: dict[tuple[int, int], ExceptionalSet], m: int
-) -> EmptyPairCount:
+def count_empty_pairs(sets: ModulusSets, m: int) -> EmptyPairCount:
     """Ordered admissible pairs whose exceptional set is empty."""
     units = _require_complete(sets, m)
-    z = sum(
-        1 for a in units for b in units if not sets[(a, b)].elements
-    )
+    z = sum(1 for a in units for b in units if not sets[(a, b)])
     return EmptyPairCount(m=m, z_m=z, total_pairs=len(units) ** 2)
 
 

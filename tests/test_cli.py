@@ -1,20 +1,30 @@
+import contextlib
+import functools
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apgoldbach import cli
 from apgoldbach.cli import (
     EXIT_FAIL,
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
+    compute_sweep,
     load_cache_entry,
     main,
     save_cache_entry,
     table1_document,
     table2_document,
 )
-from apgoldbach.partitions import AdmissiblePair, exceptional_set
+from apgoldbach.partitions import exceptional_sets_for_modulus
+from apgoldbach.primes import sieve_primes
 
 
 def run(capsys, *argv):
@@ -55,6 +65,20 @@ class TestExceptions:
         )
         assert code == EXIT_OK
         assert any(line.startswith("spot check:") for line in out.splitlines())
+
+    def test_cache_not_read_or_written(self, capsys, tmp_path):
+        # survivor counts depend on N and M, so exceptions always computes:
+        # a smaller N after a larger one prints its own count
+        cache = tmp_path / "cache"
+        base = ["exceptions", "--m", "4", "--a", "1", "--b", "1", "-M", "100"]
+        run(capsys, *base, "--limit", "100000", "--cache-dir", str(cache))
+        code, out, _ = run(capsys, *base, "--limit", "1000", "--cache-dir", str(cache))
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == (
+            "stage-1 bound M = 100, survivors resolved in stage 2 = 5, confirmed = True"
+        )
+        assert out == run(capsys, *base, "--limit", "1000")[1]
+        assert not cache.exists()
 
     def test_over_budget_limit_usage_error(self, capsys):
         # the budget check runs before the sieve allocates anything
@@ -101,14 +125,14 @@ class TestTables:
         assert code == EXIT_USAGE
 
     def test_json_round_trip(self, capsys):
-        config = RunConfig(N=10**4, m_min=2, m_max=6, output_format="json", threads=1)
-        doc = table1_document(config)
+        config = RunConfig(N=10**4, m_min=2, m_max=6, threads=1)
+        doc = table1_document(compute_sweep(config), "json")
         reloaded = json.loads(doc)
         assert json.dumps(reloaded, indent=2) + "\n" == doc
 
     def test_thread_count_does_not_change_output(self):
-        serial = RunConfig(N=10**4, m_min=2, m_max=10, threads=1)
-        parallel = RunConfig(N=10**4, m_min=2, m_max=10, threads=4)
+        serial = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=10, threads=1))
+        parallel = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=10, threads=4))
         assert table1_document(serial) == table1_document(parallel)
         assert table2_document(serial) == table2_document(parallel)
 
@@ -180,67 +204,105 @@ class TestHeuristic:
             main(["heuristic", "--m", "4", "--seed", "1"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"], ["table1"]])
+    def test_cache_io_error_exits_3(self, capsys, tmp_path, command):
+        # the cache directory cannot be made under a regular file; the
+        # observed comparison does not swallow that
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, *command, "--limit", "10000", "--threads", "1",
+            "--cache-dir", str(blocker / "cache"),
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("I/O error:")
+
+    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"], ["table1"]])
+    def test_over_budget_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        # a 1 KB budget stands in for an over-budget --limit, so that the
+        # model's truncated sum stays small
+        monkeypatch.setattr(cli, "_WORKER_TABLE", {})
+        monkeypatch.setattr(
+            cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=1000)
+        )
+        code, out, err = run(
+            capsys, *command, "--limit", "10000", "--threads", "1",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+
+
+def _files(path: Path) -> list[tuple[str, int]]:
+    return sorted((p.name, p.stat().st_size) for p in path.iterdir())
+
 
 class TestCache:
     def test_round_trip(self, tmp_path, table_1e5):
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 10**4, M=10**4, table=table_1e5)
-        save_cache_entry(tmp_path, es)
-        hit = load_cache_entry(tmp_path, 4, 1, 1, 10**4, 10**4)
-        assert hit is not None
-        assert hit.elements == es.elements
+        sets = exceptional_sets_for_modulus(8, 10**4, table=table_1e5)
+        save_cache_entry(tmp_path, 8, 10**4, sets)
+        assert [p.name for p in tmp_path.iterdir()] == ["m8_N10000.json"]
+        assert load_cache_entry(tmp_path, 8, 10**4) == sets
 
     def test_prefix_reuse(self, tmp_path, table_1e5):
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 10**4, M=10**3, table=table_1e5)
-        save_cache_entry(tmp_path, es)
-        hit = load_cache_entry(tmp_path, 4, 1, 1, 100, 10**3)
-        assert hit is not None
-        assert hit.elements == tuple(e for e in es.elements if e <= 100)
+        sets = exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        save_cache_entry(tmp_path, 4, 10**4, sets)
+        hit = load_cache_entry(tmp_path, 4, 100)
+        assert hit == exceptional_sets_for_modulus(4, 100, table=table_1e5)
+        assert hit[(1, 1)] == (2, 6, 14, 38, 62)
+        assert load_cache_entry(tmp_path, 4, 10**4 + 1) is None
+        assert load_cache_entry(tmp_path, 40, 100) is None
 
     def test_exact_hit_skips_glob(self, monkeypatch, tmp_path, table_1e5):
         for N in (100, 10**4):
-            es = exceptional_set(AdmissiblePair(1, 1, 4), N, M=100, table=table_1e5)
-            save_cache_entry(tmp_path, es)
+            save_cache_entry(
+                tmp_path, 4, N, exceptional_sets_for_modulus(4, N, table=table_1e5)
+            )
         globs = []
         glob = Path.glob
         monkeypatch.setattr(
             Path, "glob", lambda self, pattern: globs.append(pattern) or glob(self, pattern)
         )
-        hit = load_cache_entry(tmp_path, 4, 1, 1, 100, 100)
-        assert hit is not None and hit.elements == (2, 6, 14, 38, 62)
+        hit = load_cache_entry(tmp_path, 4, 100)
+        assert hit is not None and hit[(1, 1)] == (2, 6, 14, 38, 62)
         assert globs == []
         # no entry at N = 1000: the glob finds the N = 10^4 run's prefix
-        hit = load_cache_entry(tmp_path, 4, 1, 1, 1000, 100)
-        assert hit is not None and hit.search_limit == 1000
-        assert hit.elements == (2, 6, 14, 38, 62)
+        hit = load_cache_entry(tmp_path, 4, 1000)
+        assert hit is not None and hit[(1, 1)] == (2, 6, 14, 38, 62)
         assert len(globs) == 1
 
     def test_corrupt_entry_ignored(self, tmp_path, table_1e5, capsys):
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 10**4, M=10**4, table=table_1e5)
-        save_cache_entry(tmp_path, es)
+        save_cache_entry(
+            tmp_path, 4, 10**4, exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        )
         path = next(tmp_path.glob("*.json"))
         doc = json.loads(path.read_text())
-        doc["payload"]["elements"] = [999]
+        doc["payload"]["sets"][0][2] = [999]
         path.write_text(json.dumps(doc))
-        assert load_cache_entry(tmp_path, 4, 1, 1, 10**4, 10**4) is None
+        assert load_cache_entry(tmp_path, 4, 10**4) is None
         assert "corrupt" in capsys.readouterr().err
 
     def test_schema_version_mismatch_ignored(self, tmp_path, table_1e5):
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 10**4, M=10**4, table=table_1e5)
-        save_cache_entry(tmp_path, es)
+        save_cache_entry(
+            tmp_path, 4, 10**4, exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        )
         path = next(tmp_path.glob("*.json"))
         doc = json.loads(path.read_text())
-        doc["schema_version"] = 999
+        doc["schema_version"] = 1
         path.write_text(json.dumps(doc))
-        assert load_cache_entry(tmp_path, 4, 1, 1, 10**4, 10**4) is None
+        assert load_cache_entry(tmp_path, 4, 10**4) is None
 
     def test_parallel_sweep_fills_and_reads_cache(self, tmp_path):
-        plain = RunConfig(N=10**4, m_min=2, m_max=10, threads=1)
-        cached = RunConfig(N=10**4, m_min=2, m_max=10, threads=2, cache_dir=tmp_path)
-        expected = table1_document(plain)
-        assert table1_document(cached) == expected  # cold: every modulus misses
-        # one entry per ordered pair: phi(m)^2 summed over m = 2, 4, ..., 10
-        assert len(list(tmp_path.glob("*.json"))) == 1 + 4 + 4 + 16 + 16
-        assert table1_document(cached) == expected  # warm: every modulus hits
+        plain = table1_document(compute_sweep(RunConfig(N=10**4, m_max=10, threads=1)))
+        cached = RunConfig(N=10**4, m_max=10, threads=2, cache_dir=tmp_path)
+        assert table1_document(compute_sweep(cached)) == plain  # cold: every modulus misses
+        # one file per modulus m = 2, 4, ..., 10
+        assert [name for name, _ in _files(tmp_path)] == [
+            f"m{m}_N10000.json" for m in (10, 2, 4, 6, 8)
+        ]
+        assert table1_document(compute_sweep(cached)) == plain  # warm: every modulus hits
 
     def test_warm_cache_transparent(self, capsys, tmp_path):
         args = ["table1", "--m-min", "4", "--m-max", "6", "--limit", "10000",
@@ -252,3 +314,62 @@ class TestCache:
         assert code1 == code2 == EXIT_OK
         assert cold == warm
         assert list(tmp_path.glob("*.json"))
+
+    def test_smaller_limit_reuses_larger_run(self, capsys, tmp_path):
+        # the default stage-1 bound min(bound, N) changes with N; it is no
+        # part of the key, so the N = 10^4 run reads the N = 10^5 files
+        args = ["table1", "--m-min", "2", "--m-max", "10", "--threads", "1"]
+        cache = ["--cache-dir", str(tmp_path)]
+        assert run(capsys, *args, "--limit", "100000", *cache)[0] == EXIT_OK
+        files = _files(tmp_path)
+        code, out, _ = run(capsys, *args, "--limit", "10000", *cache)
+        assert code == EXIT_OK
+        assert _files(tmp_path) == files
+        assert out == run(capsys, *args, "--limit", "10000")[1]
+
+
+SWEEP_MODULI = st.sampled_from([2, 4, 6, 8, 10, 12, 30])
+
+
+@given(m=SWEEP_MODULI, N=st.integers(2, 5000))
+@settings(max_examples=25, deadline=None)
+def test_cache_round_trip_property(table_1e5, m, N):
+    sets = exceptional_sets_for_modulus(m, N, table=table_1e5)
+    with tempfile.TemporaryDirectory() as d:
+        save_cache_entry(Path(d), m, N, sets)
+        assert load_cache_entry(Path(d), m, N) == sets
+
+
+@given(m=SWEEP_MODULI, N=st.integers(2, 5000), extra=st.integers(0, 5000))
+@settings(max_examples=25, deadline=None)
+def test_cache_prefix_truncation_property(table_1e5, m, N, extra):
+    larger = exceptional_sets_for_modulus(m, N + extra, table=table_1e5)
+    with tempfile.TemporaryDirectory() as d:
+        save_cache_entry(Path(d), m, N + extra, larger)
+        hit = load_cache_entry(Path(d), m, N)
+    assert hit == {k: tuple(e for e in v if e <= N) for k, v in larger.items()}
+    assert hit == exceptional_sets_for_modulus(m, N, table=table_1e5)
+
+
+@given(m=SWEEP_MODULI, N=st.integers(2, 5000), edit=st.sampled_from(["N", "drop", "add", "M"]))
+@settings(max_examples=25, deadline=None)
+def test_cache_edited_payload_ignored_property(table_1e5, m, N, edit):
+    sets = exceptional_sets_for_modulus(m, N, table=table_1e5)
+    with tempfile.TemporaryDirectory() as d:
+        save_cache_entry(Path(d), m, N, sets)
+        path = next(Path(d).iterdir())
+        doc = json.loads(path.read_text())
+        payload = doc["payload"]
+        if edit == "N":
+            payload["N"] += 2
+        elif edit == "drop":
+            payload["sets"].pop()
+        elif edit == "add":
+            payload["sets"][-1][2].append(N + 2)
+        else:
+            payload["M"] = 100
+        path.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert load_cache_entry(Path(d), m, N) is None
+    assert f"warning: ignoring corrupt cache entry {path}: checksum mismatch" in stderr.getvalue()

@@ -174,12 +174,11 @@ class TestExceptionalSet:
 class TestModulusSweep:
     def test_m2_single_pair(self, table_1e6):
         sets = exceptional_sets_for_modulus(2, 10**4, table=table_1e6)
-        assert list(sets) == [(1, 1)]
-        assert sets[(1, 1)].elements == (2, 4)
+        assert sets == {(1, 1): (2, 4)}
 
     def test_m6_ordered_pairs(self, table_1e6):
         sets = exceptional_sets_for_modulus(6, 10**6, table=table_1e6)
-        assert {k: v.elements for k, v in sets.items()} == {
+        assert sets == {
             (1, 1): (2, 8),
             (1, 5): (6,),
             (5, 1): (6,),
@@ -188,7 +187,7 @@ class TestModulusSweep:
 
     def test_m4_multiplicity_count(self, table_1e6):
         sets = exceptional_sets_for_modulus(4, 10**6, table=table_1e6)
-        assert sum(len(v.elements) for v in sets.values()) == 8
+        assert sum(len(v) for v in sets.values()) == 8
 
     def test_odd_modulus_rejected(self):
         with pytest.raises(ValueError, match="double"):
@@ -200,15 +199,38 @@ class TestModulusSweep:
          (12, 3000, 1500), (30, 3000, 400)],
     )
     def test_survivor_counts_match_naive(self, monkeypatch, table_1e5, m, N, M):
-        # a short head leaves most small primes to the blocked tail
+        # a short head leaves most small primes to the blocked tail; every
+        # ordered pair runs in its own orientation on one modulus index
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        index = ResidueIndex(table_1e5, m, N, units)
         sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
-        for (a, b), es in sets.items():
-            naive = naive_stage1_unresolved(a, b, m, N, M)
-            assert set(es.elements) <= set(naive), (a, b)
-            assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
+        for a in units:
+            for b in units:
+                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
+                naive = naive_stage1_unresolved(a, b, m, N, M)
+                assert es.elements == sets[(a, b)], (a, b)
+                assert set(es.elements) <= set(naive), (a, b)
+                assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
+
+    @pytest.mark.parametrize("m", [2, 12, 30])
+    def test_one_stage1_pass_per_unordered_pair(self, monkeypatch, table_1e5, m):
+        calls = []
+        stage1 = partitions._stage1_unresolved
+
+        def counted(pair, *args):
+            calls.append((pair.a, pair.b))
+            return stage1(pair, *args)
+
+        monkeypatch.setattr(partitions, "_stage1_unresolved", counted)
+        sets = exceptional_sets_for_modulus(m, 10**4, table=table_1e5)
+        phi = sum(1 for a in range(1, m) if math.gcd(a, m) == 1)
+        assert len(calls) == phi * (phi + 1) // 2
+        assert all(a <= b for a, b in calls)
+        assert len(sets) == phi * phi
+        assert all(sets[(b, a)] is sets[(a, b)] for a, b in calls)
 
     def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
         # the table is read by one class-mask pass per modulus, and never

@@ -69,14 +69,14 @@ def test_incomplete_coverage_rejected(sets_by_m):
 
 
 def test_relabel_invariance(sets_by_m):
-    flipped = {(b, a): es for (a, b), es in sets_by_m[8].items()}
+    flipped = {(b, a): elements for (a, b), elements in sets_by_m[8].items()}
     assert summarize_modulus(flipped, 8) == summarize_modulus(sets_by_m[8], 8)
 
 
 def test_empty_pairs_m8(sets_by_m):
     c = count_empty_pairs(sets_by_m[8], 8)
     assert c.z_m == 3
-    empty_keys = {k for k, v in sets_by_m[8].items() if not v.elements}
+    empty_keys = {k for k, v in sets_by_m[8].items() if not v}
     assert empty_keys == {(3, 3), (3, 5), (5, 3)}
     assert c.csv_row() == "8,3,18.8"
 
