@@ -145,12 +145,15 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
 _WORKER_TABLE = {}
 
 
-def _sets_for_modulus(args: tuple[int, int, int]) -> ModulusSets:
-    """Worker entry: compute all ordered-pair sets for one modulus."""
-    m, N, M = args
+def _sets_for_modulus(args: tuple[int, int, int, int]) -> ModulusSets:
+    """Worker entry: compute all ordered-pair sets for one modulus.
+
+    The worker keeps its table for its next modulus at the same N, so the
+    sieve reserves the class-mask bytes of the largest index of the sweep."""
+    m, N, M, reserved = args
     table = _WORKER_TABLE.get(N)
     if table is None:
-        table = sieve_primes(N)
+        table = sieve_primes(N, reserved_bytes=reserved)
         _WORKER_TABLE.clear()
         _WORKER_TABLE[N] = table
     return exceptional_sets_for_modulus(m, N, M=M, table=table)
@@ -164,21 +167,23 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
     worker scheduling.
     """
     results: dict[int, ModulusSets] = {}
-    jobs = []
+    missing = []
     for m in config.moduli:
         if config.cache_dir is not None:
             cached = load_cache_entry(config.cache_dir, m, config.N)
             if cached is not None:
                 results[m] = cached
                 continue
-        jobs.append((m, config.N, config.stage1_bound(m)))
+        missing.append(m)
+    reserved = max((partitions.class_mask_bytes(m, config.N) for m in missing), default=0)
+    jobs = [(m, config.N, config.stage1_bound(m), reserved) for m in missing]
 
     if config.worker_count > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             computed = list(pool.map(_sets_for_modulus, jobs))
     else:
         computed = [_sets_for_modulus(job) for job in jobs]
-    for (m, _, _), sets in zip(jobs, computed):
+    for (m, *_), sets in zip(jobs, computed):
         results[m] = sets
         if config.cache_dir is not None:
             save_cache_entry(config.cache_dir, m, config.N, sets)
@@ -252,9 +257,8 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
     lines = []
     ok = True
     if target == "conj2":
-        table = sieve_primes(N)
         for case in partitions.MOD4_CASES:
-            got = partitions.verify_conjecture_mod4(case, N, table=table)
+            got = partitions.verify_conjecture_mod4(case, N)
             expected = CONJ2_EXPECTED[case]
             passed = got == expected
             ok &= passed
@@ -263,10 +267,9 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
                 f"expected {list(expected)} -> {'PASS' if passed else 'FAIL'}"
             )
     elif target == "conj3":
-        table = sieve_primes(N)
         for item in partitions.SAMPLE_ITEMS:
             kwargs = {"a": a} if item == "vii" else {}
-            reps = partitions.verify_conjecture_samples(item, N, table=table, **kwargs)
+            reps = partitions.verify_conjecture_samples(item, N, **kwargs)
             got = tuple(r.violations for r in reps)
             expected = CONJ3_EXPECTED[item]
             passed = got == expected

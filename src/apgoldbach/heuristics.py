@@ -24,6 +24,11 @@ from .summaries import totient
 EXACT_TAIL_MAX_R = 30
 EXACT_TAIL_MAX_K = 500
 
+# Largest run of terms of the model's mean-length sum evaluated at once, so
+# its memory does not grow with N; at least the 128-term block below which
+# np.sum stops halving.
+_SUM_CHUNK = 1 << 16
+
 
 def g2_estimate(n: int) -> float:
     """Average-order estimate 2n/(ln n)^2 for the ordered pair count."""
@@ -159,6 +164,11 @@ def expected_exception_length(m: int, N: int) -> TruncatedSum:
     The reported tail bound majorizes the discarded n > N terms by a
     geometric series: the exponent f(n) = 2n/(ln n)^2 is increasing and
     convex-minorized by f(N) + f'(N)(n - N) for n >= N >= 10.
+
+    The sum splits [2, N] in halves the way np.sum's pairwise summation
+    does, down to runs of at most _SUM_CHUNK terms, so it equals np.sum
+    over all the terms to the last bit.  f increases for n >= 8, so once a
+    run ends in the term 0.0 every later run sums to 0.0 and is skipped.
     """
     if N < 10:
         raise ValueError(f"N={N} must be >= 10")
@@ -167,9 +177,26 @@ def expected_exception_length(m: int, N: int) -> TruncatedSum:
     if alpha == 0.0:
         return TruncatedSum(value=0.0, tail_bound=0.0)
 
-    n = np.arange(2, N + 1, dtype=np.float64)
-    exponents = 2 * n / np.log(n) ** 2
-    value = float(np.sum(np.power(alpha, exponents))) / m
+    zero_from = N + 1  # every term from here on is 0.0
+
+    def pairwise(lo: int, hi: int) -> float:
+        nonlocal zero_from
+        if lo >= zero_from:
+            return 0.0
+        if hi - lo > _SUM_CHUNK:
+            half = (hi - lo) // 2
+            half -= half % 8  # numpy's split, a multiple of its 8-way unroll
+            return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+        terms = np.log(np.arange(lo, hi, dtype=np.float64))
+        np.square(terms, out=terms)
+        np.divide(np.arange(lo, hi, dtype=np.float64), terms, out=terms)
+        terms *= 2  # 2n/(ln n)^2 to the last bit: doubling is exact
+        np.power(alpha, terms, out=terms)
+        if terms[-1] == 0.0:
+            zero_from = hi
+        return float(np.sum(terms))
+
+    value = pairwise(2, N + 1) / m
 
     lnN = math.log(N)
     f_N = 2 * N / lnN**2

@@ -6,30 +6,41 @@ has a representation p + q with a small p (p <= M) drawn from the a-class
 and q <= N from the b-class; the few unmarked candidates are then resolved
 exhaustively with the deterministic primality test.
 
-Stage 1 reads a ResidueIndex: one boolean mask per class mod m, where
-mask(b)[j] says whether b + j*m is prime, read off the packed odd bits
-of the table in one chunked pass (PrimeTable.mask).  A modulus sweep
-builds one index for all unit classes and runs the engine on it once per
-unordered pair, since E_{a,b,m} = E_{b,a,m}; a single pair indexes only
-its two classes, the small-prime class only up to M, and drops a table
-it sieved itself before stage 1.  With
-n = c + k*m and a + b = c + t*m, p + q = n means q's index is k - i - t,
-and the small primes of class a are the set entries i of mask(a) up to
-M.  The first _VECTOR_PHASE_PRIMES of them each OR a shifted b-mask into
-the candidate marks, one block of _MARK_BLOCK candidates at a time so the
-marks stay in cache; the remaining primes test the still-unmarked
-candidates in 2-D gathers,
-qmask[unresolved[:, None] - pidx_block[None, :] - t], in blocks of at
-most _GATHER_BLOCK_ELEMENTS elements.
+Stage 1 reads the b-class, whose entry j says whether b + j*m is prime,
+one window of j at a time, and the small primes of class a up to M.  A
+modulus sweep builds one ResidueIndex, a boolean mask per unit class read
+off the packed odd bits of the table in one chunked pass
+(PrimeTable.mask), and runs the engine on it once per unordered pair,
+since E_{a,b,m} = E_{b,a,m}; its windows are zero-copy slices of the
+masks.  A single pair builds no table and no N/m-entry mask: it sieves
+the a-class up to M and then each b-window straight from its progression
+(primes.sieve_progression), so its memory is flat in N.  With
+n = c + k*m and a + b = c + t*m, p + q = n means q's index is k - i - t
+for the prime p = a + i*m.  The first _VECTOR_PHASE_PRIMES small primes
+each OR a shifted window into the candidate marks, one block of
+_MARK_BLOCK candidates at a time so the marks stay in cache; the
+remaining primes test the still-unmarked candidates in 2-D gathers,
+window[unresolved[:, None] - pidx_block[None, :] - t - wlo] for the
+window that starts at j = wlo, in blocks of at most _GATHER_BLOCK_ELEMENTS
+elements.  Stage 1 tries every small prime
+up to M, so only survivors above M + 2 go to stage 2.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .primes import PrimeTable, is_prime, sieve_primes
+from .primes import (
+    DEFAULT_MEMORY_BUDGET_BYTES,
+    MemoryBudgetError,
+    PrimeTable,
+    is_prime,
+    sieve_overhead_bytes,
+    sieve_primes,
+    sieve_progression,
+)
 
 # Stage-1 primes handled with whole-array ORs before switching to the
 # gathers over the remaining candidates.
@@ -38,6 +49,13 @@ _VECTOR_PHASE_PRIMES = 64
 # Candidates marked per block by those ORs; a block's marks and the
 # b-mask slices it reads stay cache-resident.
 _MARK_BLOCK = 1 << 18
+
+# Candidates per stage-1 window of a single pair, beside the entries below
+# them that the largest shift reaches; one sieve segment's worth.
+_WINDOW = 1 << 20
+
+# Maps the j ranges of the b-class windows, in order, to the windows.
+Windows = Callable[[list[tuple[int, int]]], Iterable[np.ndarray]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
@@ -144,9 +162,7 @@ class ResidueIndex:
 
     masks[b][j] is True iff b + j*m is prime, for every j with
     b + j*m <= N; one False entry follows, so masks[b][-1] is False.  The
-    keys of masks follow the order of `classes`.  A class that serves only
-    as the small-prime class a of stage 1 may be added with a shorter mask
-    that reaches M (see _pair_index).
+    keys of masks follow the order of `classes`.
     """
 
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
@@ -156,82 +172,132 @@ class ResidueIndex:
         self.N = N
         self.masks = table.mask(N, m, classes)
 
+    def stage1_source(self, pair: AdmissiblePair, M: int) -> tuple[np.ndarray, Windows]:
+        """Stage 1's inputs read off the masks: the b-windows are zero-copy
+        slices that run to the mask's final False entry."""
+        qmask = self.masks[pair.b]
+        pidx = np.flatnonzero(self.masks[pair.a][: max(0, (M - pair.a) // self.m + 1)])
+        return pidx, lambda ranges: (qmask[lo:] for lo, _ in ranges)
 
-def _pair_index(
-    pair: AdmissiblePair, N: int, M: int, table: Optional[PrimeTable]
-) -> ResidueIndex:
-    """The index one pair's stage 1 reads: the b-class up to N and, when
-    a != b, the a-class only up to max(M, 0), since stage 1 reads no p > M.
 
-    A table sieved here counts the two masks against its memory budget and
-    is dropped on return, before stage 1 runs.
+def class_mask_bytes(m: int, N: int) -> int:
+    """Bytes of a ResidueIndex over every unit class mod m up to N."""
+    return sum((N - b) // m + 2 for b in range(1, m) if math.gcd(b, m) == 1)
+
+
+def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows]:
+    """Stage 1's inputs for one pair, sieved along its two progressions:
+    no table and no N/m-entry mask.
+
+    The a-class up to M is the window [0, (M - a)//m] of its own
+    progression, kept only as the indices of its primes; each b-window is
+    sieved into one reused buffer, with a False entry after it.  Before
+    each allocation the budget counts the a-mask, the int64 indices once
+    known, the buffer once its size is, and the sieve's pattern and base
+    primes.
     """
-    masks = (N - pair.b) // pair.m + 2
-    if pair.a != pair.b:
-        masks += (max(M, 0) - pair.a) // pair.m + 2
-    if table is None:
-        table = sieve_primes(N, reserved_bytes=masks)
-    index = ResidueIndex(table, pair.m, N, (pair.b,))
-    if pair.a != pair.b:
-        index.masks.update(table.mask(max(M, 0), pair.m, (pair.a,)))
-    return index
+    a, b, m = pair.a, pair.b, pair.m
+    entries = max(0, (M - a) // m + 1)
+
+    def reserve(primes: int, window: int) -> None:
+        need = entries + 8 * primes + window + sieve_overhead_bytes(N)
+        if need > DEFAULT_MEMORY_BUDGET_BYTES:
+            raise MemoryBudgetError(
+                f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
+                f"small-prime mask, {window} of window), over the "
+                f"{DEFAULT_MEMORY_BUDGET_BYTES}-byte budget"
+            )
+
+    reserve(0, 0)
+    pidx = np.zeros(0, dtype=np.int64)
+    if entries:
+        amask = next(sieve_progression(a, m, M, [(0, entries)], np.empty(entries, bool)))
+        reserve(int(np.count_nonzero(amask)), 0)
+        pidx = np.flatnonzero(amask)
+
+    def windows(ranges: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+        size = max(hi - lo for lo, hi in ranges)
+        reserve(len(pidx), size + 1)
+        buf = np.empty(size + 1, dtype=bool)
+        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, ranges, buf)):
+            buf[hi - lo] = False
+            yield buf[: hi - lo + 1]
+
+    return pidx, windows
 
 
 def _stage1_unresolved(
-    pair: AdmissiblePair, N: int, M: int, index: ResidueIndex
+    pair: AdmissiblePair, N: int, M: int, index: Optional[ResidueIndex] = None
 ) -> list[int]:
-    """Candidates n <= N not representable with p <= M; ascending."""
+    """Candidates n <= N not representable with p <= M; ascending.
+
+    The b-class comes one window at a time, from `index` when given and
+    otherwise sieved (_sieved_source).  Each window serves _WINDOW + span
+    candidates and reaches the span entries below them, span being the
+    largest shift, so at most half of what is sieved is overlap.
+    """
     m = pair.m
     c, t, k0, kmax = _candidate_params(pair, N)
     if kmax < k0:
         return []
+    pidx, windows = (
+        _sieved_source(pair, N, M) if index is None else index.stage1_source(pair, M)
+    )
+    if not len(pidx):  # p = a + i*m <= M: none when M < a
+        return list(range(c + k0 * m, N + 1, m))
 
-    qmask = index.masks[pair.b]  # q = b + j*m
-    # p = a + i*m <= M; none when M < a
-    pidx = np.flatnonzero(index.masks[pair.a][: max(0, (M - pair.a) // m + 1)])
-
-    # marking: p + q = c + (i + j + t)*m, so prime index i shifts qmask by
-    # i + t; block [lo, hi) of k reads qmask at j = k - i - t
+    # marking: p + q = c + (i + j + t)*m, so prime index i shifts the
+    # b-class by i + t; candidate k reads q = b + j*m at j = k - i - t
     shifts = (pidx[:_VECTOR_PHASE_PRIMES] + t).tolist()
-    blocks = []
-    for lo in range(k0, kmax + 1, _MARK_BLOCK):
-        hi = min(lo + _MARK_BLOCK, kmax + 1)
-        mark = np.zeros(hi - lo, dtype=bool)
-        for shift in shifts:
-            if shift >= hi:
-                break
-            jlo = max(lo - shift, 0)
-            jhi = min(hi - shift, len(qmask))
-            mark[jlo + shift - lo : jhi + shift - lo] |= qmask[jlo:jhi]
-        np.logical_not(mark, out=mark)
-        blocks.append(np.flatnonzero(mark) + lo)
-    unresolved = np.concatenate(blocks)
-    # the rest in blocks: one row per candidate k, one column per prime
-    # index i, reading qmask at j = k - i - t; j never passes the last
-    # progression index, and j < 0 (p > n) is clamped to the False entry
-    tail = pidx[_VECTOR_PHASE_PRIMES:]
-    start = 0
-    while start < len(tail) and len(unresolved):
-        width = max(1, _GATHER_BLOCK_ELEMENTS // len(unresolved))
-        j = unresolved[:, None] - (tail[start : start + width] + t)[None, :]
-        np.maximum(j, -1, out=j)
-        unresolved = unresolved[~qmask[j].any(axis=1)]
-        start += width
-    return (c + unresolved * m).tolist()
+    tail = pidx[_VECTOR_PHASE_PRIMES:] + t
+    span = int(pidx[-1]) + t
+    step = _WINDOW + span
+    starts = range(k0, kmax + 1, step)
+    count = (N - pair.b) // m + 1  # j with b + j*m <= N
+    ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
+    found = []
+    for lo, (wlo, _), window in zip(starts, ranges, windows(ranges)):
+        # window[x] is j = wlo + x, and window[-1] is False
+        hi = min(lo + step, kmax + 1)
+        blocks = []
+        for blo in range(lo, hi, _MARK_BLOCK):
+            bhi = min(blo + _MARK_BLOCK, hi)
+            mark = np.zeros(bhi - blo, dtype=bool)
+            for shift in shifts:
+                if shift >= bhi:
+                    break
+                jlo = max(blo - shift, 0)
+                mark[jlo + shift - blo :] |= window[jlo - wlo : bhi - shift - wlo]
+            np.logical_not(mark, out=mark)
+            blocks.append(np.flatnonzero(mark) + blo)
+        unresolved = np.concatenate(blocks)
+        # the rest in blocks: one row per candidate k, one column per prime
+        # index i; j never passes the window, and j < 0 (p > n) is clamped
+        # to the False entry
+        start = 0
+        while start < len(tail) and len(unresolved):
+            width = max(1, _GATHER_BLOCK_ELEMENTS // len(unresolved))
+            j = unresolved[:, None] - (tail[start : start + width] + wlo)[None, :]
+            np.maximum(j, -1, out=j)
+            unresolved = unresolved[~window[j].any(axis=1)]
+            start += width
+        found.append(unresolved)
+    return (c + np.concatenate(found) * m).tolist()
 
 
 def exceptional_set(
     pair: AdmissiblePair,
     N: int,
     M: Optional[int] = None,
-    table: Optional[PrimeTable] = None,
     index: Optional[ResidueIndex] = None,
 ) -> ExceptionalSet:
     """Compute E_{a,b,m} up to N with the two-stage algorithm.
 
     Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
-    given; otherwise it indexes just those two classes from `table`,
-    sieved when omitted (see _pair_index).
+    given; otherwise it sieves the pair's two progressions itself, one
+    window at a time.  Stage 1 tries every prime p = a (mod m) up to M, so
+    an unmarked n <= M + 2 has no representation, and stage 2 resolves
+    only the survivors above it.
     """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
@@ -239,15 +305,13 @@ def exceptional_set(
         M = min(default_stage1_bound(pair.m), N)
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    if index is None:
-        index = _pair_index(pair, N, M, table)
-    elif (index.m, index.N) != (pair.m, N):
+    if index is not None and (index.m, index.N) != (pair.m, N):
         raise ValueError(
             f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
         )
 
     survivors = _stage1_unresolved(pair, N, M, index)
-    elements = [n for n in survivors if find_witness(n, pair) is None]
+    elements = [n for n in survivors if n <= M + 2 or find_witness(n, pair) is None]
     return ExceptionalSet(
         pair=pair,
         search_limit=N,
@@ -266,7 +330,7 @@ def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
             "(double an odd modulus instead)"
         )
     if table is None:
-        table = sieve_primes(N)
+        table = sieve_primes(N, reserved_bytes=class_mask_bytes(m, N))
     return ResidueIndex(table, m, N, [a for a in range(1, m) if math.gcd(a, m) == 1])
 
 
@@ -367,9 +431,7 @@ def _odd_lift(r: int, m0: int) -> int:
     return x if x % 2 else x + m0
 
 
-def _progression_violations(
-    m0: int, r: int, N: int, table: PrimeTable
-) -> ViolationReport:
+def _progression_violations(m0: int, r: int, N: int) -> ViolationReport:
     """Violations among even multiples of m0 for p = r, q = -r (mod m0).
 
     This is E(a', b', step) with step the least even multiple of m0 and
@@ -382,7 +444,7 @@ def _progression_violations(
     return ViolationReport(
         modulus=m0,
         residue=r % m0,
-        violations=exceptional_set(pair, N, table=table).elements,
+        violations=exceptional_set(pair, N).elements,
     )
 
 
@@ -392,9 +454,7 @@ MOD4_CASES = ("i", "ii", "iii", "iv")
 _MOD4_PAIRS = {"ii": (1, 3), "iii": (3, 3), "iv": (1, 1)}
 
 
-def verify_conjecture_mod4(
-    case: str, N: int, table: Optional[PrimeTable] = None
-) -> tuple[int, ...]:
+def verify_conjecture_mod4(case: str, N: int) -> tuple[int, ...]:
     """Violations of the stated mod-4 representation case up to N.
 
     Cases: (i) even n > 4 with p = 3 mod 4 and q unrestricted;
@@ -407,17 +467,15 @@ def verify_conjecture_mod4(
         raise ValueError(f"unknown case {case!r}, expected one of {MOD4_CASES}")
     if N < 2:
         raise ValueError(f"N={N} must be >= 2")
-    if table is None:
-        table = sieve_primes(N)
     if case != "i":
         a, b = _MOD4_PAIRS[case]
-        return exceptional_set(AdmissiblePair(a, b, 4), N, table=table).elements
+        return exceptional_set(AdmissiblePair(a, b, 4), N).elements
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
     elements = [
         n
         for b in (1, 3)
-        for n in exceptional_set(AdmissiblePair(3, b, 4), N, table=table).elements
+        for n in exceptional_set(AdmissiblePair(3, b, 4), N).elements
     ]
     return tuple(sorted(n for n in elements if n > 4))
 
@@ -436,10 +494,7 @@ _SAMPLE_SPECS = {
 
 
 def verify_conjecture_samples(
-    item: str,
-    N: int,
-    a: Optional[int] = None,
-    table: Optional[PrimeTable] = None,
+    item: str, N: int, a: Optional[int] = None
 ) -> tuple[ViolationReport, ...]:
     """Violations for the sample single-progression conjectures.
 
@@ -449,8 +504,6 @@ def verify_conjecture_samples(
     """
     if item not in SAMPLE_ITEMS:
         raise ValueError(f"unknown item {item!r}, expected one of {SAMPLE_ITEMS}")
-    if table is None:
-        table = sieve_primes(N)
 
     if item == "vii":
         if a is None:
@@ -461,10 +514,10 @@ def verify_conjecture_samples(
             raise ValueError(
                 f"a={a} is congruent to +-1 or +-11 mod 60, excluded by the statement"
             )
-        return (_progression_violations(60, a, N, table),)
+        return (_progression_violations(60, a, N),)
 
     m0, residues = _SAMPLE_SPECS[item]
-    return tuple(_progression_violations(m0, r, N, table) for r in residues)
+    return tuple(_progression_violations(m0, r, N) for r in residues)
 
 
 def verify_ternary(
@@ -476,17 +529,16 @@ def verify_ternary(
     For odd n >= 7 exactly one r in {3, 5, 7} leaves k = n - r = 4 (mod 6),
     and that k is at least 4; n passes with that r unless k is a binary
     violation.  So only the k + r with k a violation and r in {3, 5, 7}
-    fall back to a scan over every prime r.
+    fall back to a scan over every prime r, read off `table`, or off a
+    table sieved to the largest of them when that is omitted.
     """
     if N < 7:
         raise ValueError(f"N={N} must be >= 7")
-    if table is None:
-        table = sieve_primes(N)
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
     binary_violations = set(
-        exceptional_set(AdmissiblePair(5, 5, 6), N, table=table).elements
+        exceptional_set(AdmissiblePair(5, 5, 6), N).elements
     ) - {4}
 
     def rep(k: int) -> bool:
@@ -497,5 +549,7 @@ def verify_ternary(
     )
     if not fallback:
         return ()
+    if table is None:
+        table = sieve_primes(fallback[-1])
     rs = table.primes(hi=fallback[-1]).tolist()
     return tuple(n for n in fallback if not any(rep(n - r) for r in rs))

@@ -1,28 +1,34 @@
 """Prime generation and deterministic primality testing.
 
-Provides a bit-packed segmented sieve over the odd numbers (PrimeTable), a
-deterministic Miller-Rabin test valid for the full 64-bit range, and
-extraction of primes lying in fixed residue classes (PrimeTable.mask, the
-one place that maps primes to their class).
+Provides one segmented sieve along a progression b + j*m, window by window
+(sieve_progression); the bit-packed table over the odd numbers
+(PrimeTable) that sieve_primes builds from its case m = 2, b = 1; a
+deterministic Miller-Rabin test valid for the full 64-bit range; and
+extraction of the primes of fixed residue classes from a table
+(PrimeTable.mask, the one place that maps a table's primes to their
+class).
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-# Segment size (odd entries) for the segmented sieve; sized to stay
+# Segment size (odd entries) for the table's sieve; sized to stay
 # cache-resident.
 SIEVE_SEGMENT_SIZE = 1 << 20
 
-# Default cap on the sieve's peak storage: the packed odd bits plus one
+# Default cap on peak storage.  For a table: the packed odd bits plus one
 # unpacked segment, its packed copy, the presieve pattern and the base-prime
-# sieve.  This admits limits up to ~4.3*10^9.
+# sieve, which admits limits up to ~4.3*10^9, plus the class masks a sweep
+# reserves beside it, which brings a sweep down to ~4.7*10^8.  A single
+# pair counts its sieved windows against the same cap.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
-# Odd primes whose multiples every segment copies from a precomputed
-# pattern; the pattern repeats every _PRESIEVE_PERIOD odd entries.
+# Odd primes whose multiples every window copies from a precomputed
+# pattern; along b + j*m the pattern of those not dividing m repeats with
+# their product, at most _PRESIEVE_PERIOD entries.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
@@ -140,6 +146,80 @@ class ResidueClassPrimes:
     primes: tuple[int, ...]
 
 
+def sieve_overhead_bytes(limit: int) -> int:
+    """Bytes sieve_progression holds beside its output buffer: two periods
+    of the presieve pattern and the sieve of the base primes up to
+    sqrt(limit)."""
+    return 2 * _PRESIEVE_PERIOD + math.isqrt(limit) + 1
+
+
+def sieve_progression(
+    b: int, m: int, limit: int, windows: Iterable[tuple[int, int]], out: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Segmented sieve of Eratosthenes along the progression b + j*m.
+
+    For each window (lo, hi) of j, in the order given, yields out[:hi - lo]
+    with entry x True iff b + (lo + x)*m is prime.  The answer is exact for
+    values up to `limit`; windows must not pass it.  m is even and b a unit
+    mod m, so every entry is odd; sieve_primes is the case m = 2, b = 1.
+    `out` is reused: each window overwrites the last.
+
+    Each window starts as a copy of the pattern that the primes 3-13 not
+    dividing m leave (its period is their product), with those primes
+    restored where they lie in the class and 1 cleared.  Every larger base
+    prime p <= sqrt(limit) with p not dividing m then strikes from the
+    first j with p | b + j*m and b + j*m >= p*p, with stride p.  Beside
+    `out`, the sieve holds sieve_overhead_bytes(limit).
+    """
+    if m < 2 or m % 2 or math.gcd(b, m) != 1:
+        raise ValueError(f"need an even modulus and a unit residue, got b={b}, m={m}")
+    root = math.isqrt(limit)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = False
+
+    def first_multiple(p: int) -> int:  # least j >= 0 with p | b + j*m
+        return -b * pow(m, -1, p) % p
+
+    presieve = [p for p in _PRESIEVE_PRIMES if m % p]
+    period = math.prod(presieve)
+    # two periods, so any offset into the first is followed by a whole period
+    pattern = np.ones(2 * period, dtype=bool)
+    for p in presieve:
+        pattern[first_multiple(p) :: p] = False  # p itself included
+    restored = [(p - b) // m for p in presieve if p % m == b]
+    strikes = []  # (first j at or above p*p, first j of any multiple, p)
+    for p in np.flatnonzero(base).tolist():
+        if p > _PRESIEVE_PRIMES[-1] and m % p:
+            r = first_multiple(p)
+            j = max(0, -(-(p * p - b) // m))
+            strikes.append((j + (r - j) % p, r, p))
+    strikes.sort()  # so the first strike past a window ends the scan
+
+    for lo, hi in windows:
+        seg = out[: hi - lo]
+        filled = min(period, len(seg))
+        offset = lo % period
+        seg[:filled] = pattern[offset : offset + filled]
+        while filled < len(seg):  # a whole number of periods: double it
+            n = min(filled, len(seg) - filled)
+            seg[filled : filled + n] = seg[:n]
+            filled += n
+        for j in restored:
+            if lo <= j < hi:
+                seg[j - lo] = True
+        if b == 1 and lo == 0 < hi:
+            seg[0] = False  # 1
+        for first, r, p in strikes:
+            if first >= hi:
+                break
+            start = first if first >= lo else lo + (r - lo) % p
+            seg[start - lo :: p] = False
+        yield seg
+
+
 def sieve_primes(
     limit: int,
     segment_size: int = SIEVE_SEGMENT_SIZE,
@@ -149,15 +229,14 @@ def sieve_primes(
     """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
     inclusive; entry i stands for 2i + 1.
 
-    Each segment starts as a copy of the pattern that the odd primes up to
-    13 leave (period _PRESIEVE_PERIOD entries), so only the larger base
-    primes strike it, and it is packed into the table as soon as it is
-    sieved.  The peak storage is the packed table, one unpacked segment and
-    its packed copy, the pattern and the sieve of the base primes up to
-    sqrt(limit); that peak, plus the reserved_bytes the caller will hold
-    beside the table (a pair's class masks), is what memory_budget_bytes
-    bounds.  segment_size counts odd entries and is rounded down to a
-    multiple of 8 (at least 8) so segments start on a byte.
+    The segments are the windows of sieve_progression(1, 2, ...), each
+    packed into the table as soon as it is sieved.  The peak storage is the
+    packed table, one unpacked segment and its packed copy, and the
+    sieve's pattern and base primes; that peak, plus the reserved_bytes the
+    caller will hold beside the table (a sweep's class masks), is what
+    memory_budget_bytes bounds.  segment_size counts odd entries and is
+    rounded down to a multiple of 8 (at least 8) so segments start on a
+    byte.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -165,9 +244,7 @@ def sieve_primes(
     entries = (limit + 1) // 2  # odd numbers <= limit
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)
-    root = math.isqrt(limit)
-    # table, segment, its packed copy, two periods of pattern, base sieve
-    peak = nbytes + segment + (segment + 7) // 8 + 2 * _PRESIEVE_PERIOD + root + 1
+    peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit)
     if peak + reserved_bytes > memory_budget_bytes:
         raise MemoryBudgetError(
             f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus "
@@ -175,43 +252,12 @@ def sieve_primes(
             f"{memory_budget_bytes}-byte budget"
         )
 
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    base_primes = [p for p in np.flatnonzero(base).tolist() if p > _PRESIEVE_PRIMES[-1]]
-
-    # two periods, so any offset into the first is followed by a whole period
-    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)
-    for p in _PRESIEVE_PRIMES:
-        pattern[p // 2 :: p] = False  # odd multiples of p, p itself included
-
     bits = np.empty(nbytes, dtype=np.uint8)
-    buf = np.empty(segment, dtype=bool)
-    for lo in range(0, entries, segment_size):
-        hi = min(lo + segment_size, entries)
-        seg = buf[: hi - lo]
-        filled = min(_PRESIEVE_PERIOD, len(seg))
-        offset = lo % _PRESIEVE_PERIOD
-        seg[:filled] = pattern[offset : offset + filled]
-        while filled < len(seg):  # a whole number of periods: double it
-            n = min(filled, len(seg) - filled)
-            seg[filled : filled + n] = seg[:n]
-            filled += n
-        if lo == 0:
-            seg[0] = False  # 1
-            for p in _PRESIEVE_PRIMES:
-                if p // 2 < hi:
-                    seg[p // 2] = True
-        for p in base_primes:
-            start = p * p // 2  # index of p*p
-            if start >= hi:
-                break
-            if start < lo:
-                start = lo + (p // 2 - lo) % p  # first odd multiple of p
-            seg[start - lo :: p] = False
-        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(seg)
+    starts = range(0, entries, segment_size)
+    windows = ((lo, min(lo + segment_size, entries)) for lo in starts)
+    segments = sieve_progression(1, 2, limit, windows, np.empty(segment, dtype=bool))
+    for lo, seg in zip(starts, segments):
+        bits[lo >> 3 : (lo + len(seg) + 7) >> 3] = np.packbits(seg)
     return PrimeTable(limit=limit, bits=bits)
 
 
@@ -255,15 +301,3 @@ def primes_in_class(table: PrimeTable, a: int, m: int, limit: int) -> ResidueCla
     js = np.flatnonzero(table.mask(limit, m, (a,))[a])
     primes = tuple((a + js * m).tolist())
     return ResidueClassPrimes(a=a, m=m, limit=limit, primes=primes)
-
-
-def sieve_progression(a: int, m: int, limit: int) -> ResidueClassPrimes:
-    """Primes = a (mod m) up to limit by testing the progression directly.
-
-    Independent of any PrimeTable; used to cross-check primes_in_class.
-    """
-    if not 0 <= a < m:
-        raise ValueError(f"residue a={a} not in [0, {m})")
-    start = a if a >= 2 else a + m * ((2 - a + m - 1) // m)
-    found = [n for n in range(start, limit + 1, m) if is_prime(n)]
-    return ResidueClassPrimes(a=a, m=m, limit=limit, primes=tuple(found))

@@ -23,6 +23,17 @@ def primes_up_to(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if is_prime_trial_division(n)]
 
 
+def sieve_progression(a: int, m: int, limit: int) -> tuple[int, ...]:
+    """Primes = a (mod m) up to limit by testing the progression directly
+    with the package's Miller-Rabin test; no sieve is involved."""
+    from apgoldbach.primes import is_prime
+
+    if not 0 <= a < m:
+        raise ValueError(f"residue a={a} not in [0, {m})")
+    start = a if a >= 2 else a + m * ((2 - a + m - 1) // m)
+    return tuple(n for n in range(start, limit + 1, m) if is_prime(n))
+
+
 def naive_exceptional_set(a: int, b: int, m: int, N: int) -> list[int]:
     """E_{a,b,m} up to N by a double loop over prime pairs."""
     primes = primes_up_to(N)

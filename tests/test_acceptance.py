@@ -26,7 +26,6 @@ from apgoldbach.partitions import (
     verify_conjecture_samples,
     verify_ternary,
 )
-from apgoldbach.primes import sieve_primes
 from apgoldbach.summaries import (
     TABLE1_HEADER,
     TABLE2_HEADER,
@@ -54,9 +53,8 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_explicit_sets():
     start = time.monotonic()
-    table = sieve_primes(N)
     for (a, b, m), expected in sorted(EXPLICIT_SETS.items()):
-        es = exceptional_set(AdmissiblePair(a, b, m), N, table=table)
+        es = exceptional_set(AdmissiblePair(a, b, m), N)
         assert es.elements == expected, (a, b, m)
     elapsed = time.monotonic() - start
     _report("1 explicit sets m<=10", elapsed < 60, f"{elapsed:.1f}s single-threaded")
@@ -86,7 +84,6 @@ def test_criterion_3_table2(sweep_m50):
 
 
 def test_criterion_4_mod4_cases():
-    table = sieve_primes(N)
     # case (iv): the stated exception list prints 18 where the computation
     # (and the explicit mod-4 set listing) gives 38; 18 = 5 + 13 with both
     # primes 1 mod 4, so the computed set below is the correct one
@@ -97,13 +94,12 @@ def test_criterion_4_mod4_cases():
         "iv": (2, 6, 14, 38, 62),
     }
     for case, want in expected.items():
-        got = verify_conjecture_mod4(case, N, table=table)
+        got = verify_conjecture_mod4(case, N)
         assert got == want, (case, got)
     _report("4 mod-4 conjecture violation sets", True, "case iv uses 38, see notes")
 
 
 def test_criterion_5_sample_conjectures():
-    table = sieve_primes(N)
     expected = {
         "i": ((6,),),
         "ii": ((), (10, 20)),
@@ -113,9 +109,9 @@ def test_criterion_5_sample_conjectures():
         "vi": ((),),
     }
     for item, want in expected.items():
-        reps = verify_conjecture_samples(item, N, table=table)
+        reps = verify_conjecture_samples(item, N)
         assert tuple(r.violations for r in reps) == want, item
-    reps = verify_conjecture_samples("vii", N, a=7, table=table)
+    reps = verify_conjecture_samples("vii", N, a=7)
     assert reps[0].violations == ()
     _report("5 sample conjectures i-vii (a=7)", True)
 
@@ -133,7 +129,6 @@ def test_criterion_6_ternary():
 
 def test_criterion_7_oracle_equivalence():
     limit = 10**4
-    table = sieve_primes(limit)
     checked = 0
     for m in (2, 4, 6, 8, 10, 12):
         units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -141,7 +136,7 @@ def test_criterion_7_oracle_equivalence():
             for b in units:
                 if a > b:
                     continue
-                staged = exceptional_set(AdmissiblePair(a, b, m), limit, table=table)
+                staged = exceptional_set(AdmissiblePair(a, b, m), limit)
                 assert list(staged.elements) == naive_exceptional_set(a, b, m, limit)
                 checked += 1
     _report("7 staged vs naive double loop, m<=12", True, f"{checked} unordered pairs")

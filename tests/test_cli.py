@@ -3,13 +3,14 @@ import functools
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import cli
+from apgoldbach import cli, partitions
 from apgoldbach.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -81,14 +82,44 @@ class TestExceptions:
         assert not cache.exists()
 
     def test_over_budget_limit_usage_error(self, capsys):
-        # the budget check runs before the sieve allocates anything
-        code, out, err = run(
-            capsys, "exceptions", "--m", "4", "--a", "1", "--b", "1",
-            "--limit", "3000000000",
+        # the budget check runs before anything is allocated: a single
+        # pair's memory grows with M, not N, and a sweep's table and class
+        # masks grow with N
+        for command in (
+            ["exceptions", "--m", "4", "--a", "1", "--b", "1",
+             "--limit", "3000000000", "-M", "3000000000"],
+            ["table1", "--m-min", "2", "--m-max", "4", "--limit", "500000000",
+             "--threads", "1"],
+        ):
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, *command)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_USAGE, command
+            assert out == ""
+            assert err.startswith("error:") and "budget" in err
+            assert peak < 2**20, command
+
+    def test_large_limit_within_small_budget(self, capsys, monkeypatch):
+        # a single pair holds one window of its b-class whatever N, so 10^8
+        # fits in 8 MiB, where a table and an N/m-entry mask would not
+        budget = 8 * 2**20
+        monkeypatch.setattr(partitions, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+        monkeypatch.setattr(
+            partitions, "sieve_primes",
+            functools.partial(sieve_primes, memory_budget_bytes=budget),
         )
+        command = ["exceptions", "--m", "4", "--a", "3", "--b", "1", "--limit", "100000000"]
+        code, out, _ = run(capsys, *command)
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "4"
+        # a large M widens the window: 3 MB of a-class mask, 3 MB of
+        # small-prime indices and a window of 7 MB do not fit
+        code, out, err = run(capsys, *command, "-M", "12000000")
         assert code == EXIT_USAGE
-        assert out == ""
-        assert err.startswith("error:") and "budget" in err
+        assert out == "" and "budget" in err
 
 
 class TestTables:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apgoldbach import heuristics
 from apgoldbach.heuristics import (
     CouponModel,
     bell_number,
@@ -195,6 +197,32 @@ class TestExpectedLength:
         ref = float(np.sum(0.5 ** (2 * n / np.log(n) ** 2))) / 12
         got = expected_exception_length(12, 10**5)
         assert got.value == pytest.approx(ref, abs=got.tail_bound + 1e-12)
+
+    @pytest.mark.parametrize(
+        "m,N", [(4, 10), (10, 1000), (12, 10**4), (50, 65537), (50, 2 * 10**5), (200, 10**5 + 3)]
+    )
+    def test_chunked_sum_matches_one_shot_sum(self, monkeypatch, m, N):
+        # the one-shot float64 sum over 2..N, to the last bit: the chunks
+        # follow np.sum's pairwise order, also at chunks of 128 terms, the
+        # block below which np.sum stops halving
+        import numpy as np
+
+        n = np.arange(2, N + 1, dtype=np.float64)
+        alpha = CouponModel.for_modulus(m).alpha
+        one_shot = float(np.sum(np.power(alpha, 2 * n / np.log(n) ** 2))) / m
+        assert expected_exception_length(m, N).value == one_shot
+        monkeypatch.setattr(heuristics, "_SUM_CHUNK", 128)
+        assert expected_exception_length(m, N).value == one_shot
+
+    def test_peak_memory_flat_in_N(self):
+        # one chunk of float64 terms at a time, not three arrays over 2..N
+        tracemalloc.start()
+        try:
+            expected_exception_length(200, 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestPredictBounds:

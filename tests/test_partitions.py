@@ -1,14 +1,14 @@
 import dataclasses
+import functools
 import math
 import random
 import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import partitions
+from apgoldbach import partitions, primes
 from apgoldbach.partitions import (
     _progression_violations,
     _stage1_unresolved,
@@ -22,7 +22,7 @@ from apgoldbach.partitions import (
     verify_conjecture_samples,
     verify_ternary,
 )
-from apgoldbach.primes import PrimeTable, is_prime, sieve_primes
+from apgoldbach.primes import MemoryBudgetError, PrimeTable, is_prime, sieve_primes
 from oracles import (
     is_prime_trial_division,
     naive_exceptional_set,
@@ -116,47 +116,68 @@ class TestFindWitness:
 
 class TestExceptionalSet:
     @pytest.mark.parametrize("key,expected", sorted(EXPLICIT_SETS.items()))
-    def test_explicit_sets(self, table_1e6, key, expected):
+    def test_explicit_sets(self, key, expected):
         a, b, m = key
-        es = exceptional_set(AdmissiblePair(a, b, m), 10**6, table=table_1e6)
+        es = exceptional_set(AdmissiblePair(a, b, m), 10**6)
         assert es.elements == expected
         assert es.confirmed
 
-    def test_symmetry(self, table_1e6):
+    def test_symmetry(self):
         for a, b, m in [(1, 3, 8), (3, 9, 10), (1, 5, 6)]:
-            fwd = exceptional_set(AdmissiblePair(a, b, m), 10**5, table=table_1e6)
-            rev = exceptional_set(AdmissiblePair(b, a, m), 10**5, table=table_1e6)
+            fwd = exceptional_set(AdmissiblePair(a, b, m), 10**5)
+            rev = exceptional_set(AdmissiblePair(b, a, m), 10**5)
             assert fwd.elements == rev.elements
 
-    def test_stage1_bound_invariance(self, table_1e6):
+    def test_stage1_bound_invariance(self):
         pair = AdmissiblePair(7, 7, 8)
-        small = exceptional_set(pair, 10**5, M=500, table=table_1e6)
-        large = exceptional_set(pair, 10**5, M=10**5, table=table_1e6)
+        small = exceptional_set(pair, 10**5, M=500)
+        large = exceptional_set(pair, 10**5, M=10**5)
         assert small.elements == large.elements
         assert small.stage1_survivors >= large.stage1_survivors
 
     @pytest.mark.parametrize(
         "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
     )
-    def test_survivors_match_naive_with_M_prime(self, table_1e5, a, b, m, M):
+    def test_survivors_match_naive_with_M_prime(self, a, b, m, M):
         # M is itself a prime of class a, so stage 1 must still use p = M
-        es = exceptional_set(AdmissiblePair(a, b, m), 3000, M=M, table=table_1e5)
+        es = exceptional_set(AdmissiblePair(a, b, m), 3000, M=M)
         naive = naive_stage1_unresolved(a, b, m, 3000, M)
         assert es.stage1_survivors == len(naive) - len(es.elements)
 
-    def test_M_larger_than_N_rejected(self, table_1e6):
+    def test_stage2_skips_survivors_up_to_M(self, monkeypatch):
+        # stage 1 tried every class-a prime up to M, so only the survivors
+        # above M + 2 reach find_witness
+        calls = []
+        witness = partitions.find_witness
+        monkeypatch.setattr(
+            partitions, "find_witness", lambda n, pair: calls.append(n) or witness(n, pair)
+        )
+        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=100)
+        assert es.elements == (2, 6, 14, 38, 62)
+        assert len(calls) == es.stage1_survivors == 5
+        assert min(calls) > 102
+        calls.clear()
+        assert exceptional_set(AdmissiblePair(1, 1, 4), 1000).elements == es.elements
+        assert calls == []
+        # no class-1 prime is <= 4, so every candidate survives; 8 = 5 + 3
+        # lies just above M + 2 and stage 2 finds it
+        es = exceptional_set(AdmissiblePair(1, 3, 4), 100, M=4)
+        assert es.elements == (4,)
+        assert calls[0] == 8
+
+    def test_M_larger_than_N_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            exceptional_set(AdmissiblePair(1, 1, 2), 100, M=200, table=table_1e6)
+            exceptional_set(AdmissiblePair(1, 1, 2), 100, M=200)
 
     @pytest.mark.parametrize("M", [-100, -4, 0])
-    def test_M_below_every_prime_leaves_all_candidates(self, table_1e6, M):
+    def test_M_below_every_prime_leaves_all_candidates(self, M):
         # no p <= M, so stage 1 resolves nothing: the 250 candidates
         # n = 2 (mod 4) up to 1000 all go to stage 2
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=M, table=table_1e6)
-        assert es.elements == exceptional_set(AdmissiblePair(1, 1, 4), 1000, table=table_1e6).elements
+        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=M)
+        assert es.elements == exceptional_set(AdmissiblePair(1, 1, 4), 1000).elements
         assert es.stage1_survivors + len(es.elements) == 250
 
-    def test_oracle_equivalence_small_moduli(self, table_1e6):
+    def test_oracle_equivalence_small_moduli(self):
         N = 10**4
         for m in (2, 4, 6, 8, 10, 12):
             units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -164,9 +185,7 @@ class TestExceptionalSet:
                 for b in units:
                     if a > b:
                         continue
-                    staged = exceptional_set(
-                        AdmissiblePair(a, b, m), N, table=table_1e6
-                    )
+                    staged = exceptional_set(AdmissiblePair(a, b, m), N)
                     naive = naive_exceptional_set(a, b, m, N)
                     assert list(staged.elements) == naive, (a, b, m)
 
@@ -199,21 +218,24 @@ class TestModulusSweep:
          (12, 3000, 1500), (30, 3000, 400)],
     )
     def test_survivor_counts_match_naive(self, monkeypatch, table_1e5, m, N, M):
-        # a short head leaves most small primes to the blocked tail; every
-        # ordered pair runs in its own orientation on one modulus index
+        # a short head leaves most small primes to the blocked tail, and
+        # short windows cut the candidates into many; every ordered pair
+        # runs in its own orientation, on one modulus index and sieved
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
+        monkeypatch.setattr(partitions, "_WINDOW", 3)
         units = [a for a in range(1, m) if math.gcd(a, m) == 1]
         index = ResidueIndex(table_1e5, m, N, units)
         sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
         for a in units:
             for b in units:
-                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
                 naive = naive_stage1_unresolved(a, b, m, N, M)
-                assert es.elements == sets[(a, b)], (a, b)
-                assert set(es.elements) <= set(naive), (a, b)
-                assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
+                for source in (index, None):
+                    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=source)
+                    assert es.elements == sets[(a, b)], (a, b)
+                    assert set(es.elements) <= set(naive), (a, b)
+                    assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
 
     @pytest.mark.parametrize("m", [2, 12, 30])
     def test_one_stage1_pass_per_unordered_pair(self, monkeypatch, table_1e5, m):
@@ -250,41 +272,53 @@ class TestModulusSweep:
             assert calls == ["mask"], m
 
     def test_single_pair_peak_memory(self):
-        # one class mask of N/m entries plus block-sized scratch: no
-        # N-entry unpack, no int64 prime list, and for a != b the a-class
-        # mask reaches only M
-        N, m = 10**7, 4
-        table = sieve_primes(N)
-        for a, b in ((1, 1), (1, 3)):
-            tracemalloc.start()
-            try:
-                es = exceptional_set(AdmissiblePair(a, b, m), N, table=table)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert es.elements == EXPLICIT_SETS[(a, b, 4)]
-            assert peak <= 1.5 * N / m, (a, b)
+        # one sieved window of the b-class, the a-class up to M and
+        # block-sized scratch, whatever N: no table, no N/m-entry mask
+        for N in (10**7, 4 * 10**7):
+            for a, b in ((1, 1), (1, 3)):
+                tracemalloc.start()
+                try:
+                    es = exceptional_set(AdmissiblePair(a, b, 4), N)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert es.elements == EXPLICIT_SETS[(a, b, 4)]
+                assert peak <= 4 * 2**20, (N, a, b)
 
-    def test_own_table_dropped_before_stage1(self, monkeypatch):
-        # a table exceptional_set sieved itself is freed once the index is
-        # built, so stage 1 and stage 2 do not hold it
-        tables = []
+    def test_pair_builds_no_table(self, monkeypatch):
+        # a single pair reads no table's class masks and sieves no table
+        # past sqrt(N)
+        limits = []
 
-        def sieve(*args, **kwargs):
-            table = sieve_primes(*args, **kwargs)
-            tables.append(weakref.ref(table))
-            return table
+        def sieve(limit, *args, **kwargs):
+            limits.append(limit)
+            return sieve_primes(limit, *args, **kwargs)
 
-        stage1 = partitions._stage1_unresolved
-
-        def checked_stage1(*args):
-            assert tables and tables[0]() is None
-            return stage1(*args)
+        def no_mask(*args, **kwargs):
+            raise AssertionError("PrimeTable.mask called")
 
         monkeypatch.setattr(partitions, "sieve_primes", sieve)
-        monkeypatch.setattr(partitions, "_stage1_unresolved", checked_stage1)
-        es = exceptional_set(AdmissiblePair(1, 3, 4), 10**5)
-        assert es.elements == EXPLICIT_SETS[(1, 3, 4)]
+        monkeypatch.setattr(primes, "sieve_primes", sieve)
+        monkeypatch.setattr(PrimeTable, "mask", no_mask)
+        N = 10**6
+        for (a, b, m), expected in EXPLICIT_SETS.items():
+            assert exceptional_set(AdmissiblePair(a, b, m), N).elements == expected
+        assert verify_conjecture_mod4("i", N) == ()
+        assert all(limit <= math.isqrt(N) for limit in limits)
+
+    def test_own_sieve_reserves_class_masks(self, monkeypatch):
+        # a sweep that sieves its own table counts the masks of every unit
+        # class beside it: at m = 2 they take N/2 bytes, and the table and
+        # one segment of it another 656 KB
+        N = 10**6
+        budget = 2**20
+        monkeypatch.setattr(
+            partitions, "sieve_primes",
+            functools.partial(sieve_primes, memory_budget_bytes=budget),
+        )
+        assert sieve_primes(N, memory_budget_bytes=budget).count == 78498
+        with pytest.raises(MemoryBudgetError, match="reserved"):
+            exceptional_sets_for_modulus(2, N)
 
     def test_index_must_match_pair(self, table_1e5):
         index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
@@ -304,15 +338,15 @@ class TestConjectureMod4:
         "case,expected",
         [("i", ()), ("ii", (4,)), ("iii", (2,)), ("iv", (2, 6, 14, 38, 62))],
     )
-    def test_cases(self, table_1e6, case, expected):
-        assert verify_conjecture_mod4(case, 10**6, table=table_1e6) == expected
+    def test_cases(self, case, expected):
+        assert verify_conjecture_mod4(case, 10**6) == expected
 
-    def test_unknown_case(self, table_1e6):
+    def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):
-            verify_conjecture_mod4("v", 100, table=table_1e6)
+            verify_conjecture_mod4("v", 100)
 
-    def test_case_i_matches_naive(self, table_1e5):
-        got = verify_conjecture_mod4("i", 10**4, table=table_1e5)
+    def test_case_i_matches_naive(self):
+        got = verify_conjecture_mod4("i", 10**4)
         assert list(got) == naive_mod4_case_i(10**4)
 
     def test_case_iv_18_has_representation(self):
@@ -333,28 +367,28 @@ class TestConjectureSamples:
             ("vi", ((),)),
         ],
     )
-    def test_items(self, table_1e6, item, expected):
-        reps = verify_conjecture_samples(item, 10**6, table=table_1e6)
+    def test_items(self, item, expected):
+        reps = verify_conjecture_samples(item, 10**6)
         assert tuple(r.violations for r in reps) == expected
 
-    def test_item_vii(self, table_1e6):
-        reps = verify_conjecture_samples("vii", 10**6, a=7, table=table_1e6)
+    def test_item_vii(self):
+        reps = verify_conjecture_samples("vii", 10**6, a=7)
         assert reps[0].violations == ()
 
-    def test_item_vii_excluded_residue(self, table_1e6):
+    def test_item_vii_excluded_residue(self):
         with pytest.raises(ValueError, match="excluded"):
-            verify_conjecture_samples("vii", 100, a=11, table=table_1e6)
+            verify_conjecture_samples("vii", 100, a=11)
         with pytest.raises(ValueError, match="excluded"):
-            verify_conjecture_samples("vii", 100, a=59, table=table_1e6)
+            verify_conjecture_samples("vii", 100, a=59)
 
-    def test_item_vii_noncoprime(self, table_1e6):
+    def test_item_vii_noncoprime(self):
         with pytest.raises(ValueError, match="coprime"):
-            verify_conjecture_samples("vii", 100, a=6, table=table_1e6)
+            verify_conjecture_samples("vii", 100, a=6)
 
-    def test_item_i_matches_progression_set(self, table_1e6):
+    def test_item_i_matches_progression_set(self):
         # violations mod 3 coincide with the exceptional set for (1, 5) mod 6
-        e156 = exceptional_set(AdmissiblePair(1, 5, 6), 10**5, table=table_1e6)
-        reps = verify_conjecture_samples("i", 10**5, table=table_1e6)
+        e156 = exceptional_set(AdmissiblePair(1, 5, 6), 10**5)
+        reps = verify_conjecture_samples("i", 10**5)
         assert reps[0].violations == e156.elements
 
 
@@ -438,9 +472,9 @@ def test_symmetry_property(m, data):
 
 @given(m0=st.integers(3, 16), N=st.integers(2, 3000), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
+def test_progression_reduction_matches_naive(m0, N, data):
     r = data.draw(st.sampled_from([r for r in range(1, m0) if math.gcd(r, m0) == 1]))
-    report = _progression_violations(m0, r, N, table_1e5)
+    report = _progression_violations(m0, r, N)
     assert (report.modulus, report.residue) == (m0, r)
     assert list(report.violations) == naive_progression_violations(m0, r, N)
 
@@ -457,19 +491,26 @@ def test_progression_reduction_matches_naive(table_1e5, m0, N, data):
 )
 def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # tiny gather and marking blocks make the tail and the head cross many
-    # block boundaries; M spans bounds below every prime of class a and
-    # below and above the head's primes, at the default head of 64 primes
-    # and at shorter ones
+    # block boundaries, and tiny windows make both cross many windows; M
+    # spans bounds below every prime of class a and below and above the
+    # head's primes, at the default head of 64 primes and at shorter ones.
+    # Stage 1 reads the b-class off a modulus index or sieves it, and
+    # stage 2 skips the survivors up to M + 2 either way.
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
     monkeypatch.setattr(
         partitions, "_MARK_BLOCK", data.draw(st.sampled_from([partitions._MARK_BLOCK, 1, 5, 64]))
     )
     head = data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 1, 8]))
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
+    monkeypatch.setattr(
+        partitions, "_WINDOW", data.draw(st.sampled_from([partitions._WINDOW, 1, 7, 64]))
+    )
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
-    index = ResidueIndex(table_1e5, m, N, {a, b})
+    index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
     got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M, index)
     assert got == naive_stage1_unresolved(a, b, m, N, M)
+    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
+    assert list(es.elements) == naive_exceptional_set(a, b, m, N)

@@ -13,9 +13,8 @@ from apgoldbach.primes import (
     is_prime,
     primes_in_class,
     sieve_primes,
-    sieve_progression,
 )
-from oracles import is_prime_trial_division, primes_up_to
+from oracles import is_prime_trial_division, primes_up_to, sieve_progression
 
 
 def test_first_primes():
@@ -98,6 +97,39 @@ def test_sieve_matches_is_prime(limit, segment_size):
     assert [n in t for n in range(limit + 1)] == [is_prime(n) for n in range(limit + 1)]
 
 
+@given(
+    m=st.sampled_from([2, 4, 6, 8, 12, 30, 34, 210, 2310]) | st.integers(1, 300).map(lambda h: 2 * h),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_window_sieve_matches_is_prime(m, data):
+    # windows of j in any order, overlapping or not: short ones around the
+    # first strikes b + j*m >= p*p, long ones across the presieve pattern's
+    # period (up to 15,015 entries), and one from j = 0, where b = 1 puts
+    # the non-prime 1
+    b = data.draw(st.sampled_from([r for r in range(1, m) if math.gcd(r, m) == 1]))
+    limit = data.draw(st.integers(b, 4 * 10**5))
+    count = (limit - b) // m + 1
+    lo = st.integers(0, count - 1)
+    windows = data.draw(st.lists(
+        st.tuples(lo, st.integers(1, 40)) | st.tuples(lo, st.integers(1, 2 * 15015)),
+        max_size=5,
+    ))
+    square = data.draw(st.sampled_from(primes_up_to(max(2, math.isqrt(limit)))))
+    near = max(0, (square * square - b) // m - 20)  # around the first strike of p
+    windows = [(min(j, count - 1), min(count, j + n)) for j, n in windows + [(0, 30), (near, 40)]]
+    out = np.empty(max(hi - lo for lo, hi in windows), dtype=bool)
+    for (lo, hi), window in zip(windows, primes.sieve_progression(b, m, limit, windows, out)):
+        assert window.tolist() == [is_prime(b + j * m) for j in range(lo, hi)], (lo, hi)
+
+
+def test_window_sieve_rejects_non_units():
+    out = np.empty(8, dtype=bool)
+    for b, m in ((2, 4), (3, 6), (1, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            next(primes.sieve_progression(b, m, 100, [(0, 8)], out))
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve_primes(1)
@@ -147,8 +179,7 @@ class TestPrimesInClass:
     def test_both_paths_agree(self, table_1e5):
         for a, m in [(1, 4), (3, 4), (1, 6), (5, 6), (7, 10), (0, 5)]:
             filtered = primes_in_class(table_1e5, a, m, 5000)
-            resieved = sieve_progression(a, m, 5000)
-            assert filtered.primes == resieved.primes
+            assert filtered.primes == sieve_progression(a, m, 5000)
 
     def test_partition_property(self, table_1e5):
         limit = 3000
