@@ -6,19 +6,17 @@ error.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
 from . import heuristics, partitions, summaries
 from .partitions import AdmissiblePair, exceptional_sets_for_modulus
-from .primes import sieve_primes
+from .primes import PrimeTable, sieve_primes
 from .summaries import ModulusSets
 
 CACHE_ENV_VAR = "APGOLDBACH_CACHE_DIR"
@@ -54,7 +52,12 @@ class RunConfig:
 
     @property
     def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
+        """`threads`, or else the CPUs this process may run on."""
+        if self.threads > 0:
+            return self.threads
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def stage1_bound(self, m: int) -> int:
         """M for modulus m: the fixed bound if set, else the adaptive one."""
@@ -68,6 +71,8 @@ class RunConfig:
 
 
 def _payload_checksum(payload: dict) -> str:
+    import hashlib  # here, so that starting the CLI does not load it
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -93,9 +98,15 @@ def save_cache_entry(cache_dir: Path, m: int, N: int, sets: ModulusSets) -> None
     }
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = _cache_path(cache_dir, m, N)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc))
-    tmp.replace(path)
+    # a name no other live process writes, so runs sharing the directory
+    # never rename each other's file away
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cache_candidates(cache_dir: Path, m: int, N: int) -> Iterator[Path]:
@@ -142,20 +153,22 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
 # ---------------------------------------------------------------------------
 # Per-modulus computation (worker-safe)
 
-_WORKER_TABLE = {}
+_WORKER_TABLE: dict[tuple[int, int], PrimeTable] = {}
 
 
 def _sets_for_modulus(args: tuple[int, int, int, int]) -> ModulusSets:
     """Worker entry: compute all ordered-pair sets for one modulus.
 
-    The worker keeps its table for its next modulus at the same N, so the
-    sieve reserves the class-mask bytes of the largest index of the sweep."""
+    The sieve reserves the class-mask bytes of the largest index of the
+    sweep, and the worker keeps its table for its next modulus at the same
+    N and reserve: a table is reused only where the budget check it passed
+    was made for that reserve."""
     m, N, M, reserved = args
-    table = _WORKER_TABLE.get(N)
+    table = _WORKER_TABLE.get((N, reserved))
     if table is None:
         table = sieve_primes(N, reserved_bytes=reserved)
         _WORKER_TABLE.clear()
-        _WORKER_TABLE[N] = table
+        _WORKER_TABLE[(N, reserved)] = table
     return exceptional_sets_for_modulus(m, N, M=M, table=table)
 
 
@@ -178,8 +191,12 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
     reserved = max((partitions.class_mask_bytes(m, config.N) for m in missing), default=0)
     jobs = [(m, config.N, config.stage1_bound(m), reserved) for m in missing]
 
-    if config.worker_count > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+    # the pool starts every worker up front, so start no more than the jobs
+    workers = min(config.worker_count, len(jobs))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_sets_for_modulus, jobs))
     else:
         computed = [_sets_for_modulus(job) for job in jobs]

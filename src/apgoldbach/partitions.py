@@ -7,23 +7,26 @@ and q <= N from the b-class; the few unmarked candidates are then resolved
 exhaustively with the deterministic primality test.
 
 Stage 1 reads the b-class, whose entry j says whether b + j*m is prime,
-one window of j at a time, and the small primes of class a up to M.  A
-modulus sweep builds one ResidueIndex, a boolean mask per unit class read
-off the packed odd bits of the table in one chunked pass
-(PrimeTable.mask), and runs the engine on it once per unordered pair,
-since E_{a,b,m} = E_{b,a,m}; its windows are zero-copy slices of the
-masks.  A single pair builds no table and no N/m-entry mask: it sieves
-the a-class up to M and then each b-window straight from its progression
-(primes.sieve_progression), so its memory is flat in N.  With
-n = c + k*m and a + b = c + t*m, p + q = n means q's index is k - i - t
-for the prime p = a + i*m.  The first _VECTOR_PHASE_PRIMES small primes
-each OR a shifted window into the candidate marks, one block of
-_MARK_BLOCK candidates at a time so the marks stay in cache; the
-remaining primes test the still-unmarked candidates in 2-D gathers,
-window[unresolved[:, None] - pidx_block[None, :] - t - wlo] for the
-window that starts at j = wlo, in blocks of at most _GATHER_BLOCK_ELEMENTS
-elements.  Stage 1 tries every small prime
-up to M, so only survivors above M + 2 go to stage 2.
+and the small primes p = a + i*m up to M.  Candidates are indexed by
+s = i + j, n = a + b + s*m, so prime index i marks s wherever entry s - i
+is prime; the one other candidate, a + b - m when it is at least 2, is
+never marked.  The b-class is held as eight bit-shifted packed copies
+(primes.pack_copies), so a shift is whole-byte ORs of copy i % 8 at byte
+offset i // 8.  The first _VECTOR_PHASE_PRIMES shifts OR into packed
+marks one block at a time, so the marks stay in cache; the survivors are
+the unset bits of the few marks bytes that hold any, and the remaining
+primes test them in 2-D gathers of bit j of copy 0, in blocks of at most
+_GATHER_BLOCK_ELEMENTS elements.  Stage 1 tries every small prime up to
+M, so only survivors above M + 2 go to stage 2.
+
+A modulus sweep builds one ResidueIndex, the copies of every unit class
+read off the table's odd bits in one chunked pass (PrimeTable.mask).
+Since E_{a,b,m} = E_{b,a,m}, it runs stage 1 once per small-prime class a
+over the rows b >= a, which follow each other in the index and share a's
+primes, so one OR marks every row.  A single pair is the one-row case: it
+builds no table and no N/m-entry mask, but sieves the a-class up to M and
+then each b-window straight from its progression
+(primes.sieve_progression) and packs it once, so its memory is flat in N.
 """
 
 import math
@@ -37,31 +40,40 @@ from .primes import (
     MemoryBudgetError,
     PrimeTable,
     is_prime,
+    pack_copies,
     sieve_overhead_bytes,
     sieve_primes,
     sieve_progression,
 )
 
-# Stage-1 primes handled with whole-array ORs before switching to the
-# gathers over the remaining candidates.
+# Stage-1 primes handled with whole-block ORs before the gathers over the
+# remaining candidates may take over.  Past them the ORs go on in groups
+# of _HEAD_GROUP while a gather would take more elements (candidates not
+# yet ruled out, times primes left) than the block has mark bytes: on
+# sparse b-classes, such as m = 4 at 2*10^8, that halves stage 1.
 _VECTOR_PHASE_PRIMES = 64
+_HEAD_GROUP = 32
 
-# Candidates marked per block by those ORs; a block's marks and the
-# b-mask slices it reads stay cache-resident.
-_MARK_BLOCK = 1 << 18
+# Candidates marked per block by those ORs, over all rows; a block's
+# 256 KiB of marks and the copy slices it reads stay in L2.
+_MARK_BLOCK = 1 << 21
 
 # Candidates per stage-1 window of a single pair, beside the entries below
 # them that the largest shift reaches; one sieve segment's worth.
 _WINDOW = 1 << 20
 
-# Maps the j ranges of the b-class windows, in order, to the windows.
-Windows = Callable[[list[tuple[int, int]]], Iterable[np.ndarray]]
+# Maps the j ranges of the b-class windows, in order, to the windows, each
+# as (base, copies): bit y of copies[r, k] is entry base + y - r of row k.
+Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, np.ndarray]]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
 # which keeps a pair's stage-1 scratch below half of one N/m-entry mask
 # at N = 10^7.
 _GATHER_BLOCK_ELEMENTS = 1 << 16
+
+# _BIT[y % 8] selects bit y of a packed row within its byte.
+_BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def default_stage1_bound(m: int) -> int:
@@ -145,24 +157,21 @@ def find_witness(
     return None
 
 
-def _candidate_params(pair: AdmissiblePair, N: int) -> tuple[int, int, int, int]:
-    """Candidate n = c + k*m for k0 <= k <= kmax, plus carry t with
-    a + b = c + t*m."""
-    m = pair.m
-    c = pair.target_residue
-    t = (pair.a + pair.b - c) // m
-    k0 = 1 if c < 2 else 0  # n >= 2; c == 0 means multiples of m
-    kmax = (N - c) // m
-    return c, t, k0, kmax
+def _copy_width(m: int, N: int) -> int:
+    """Bytes of one packed copy of a class in a modulus index up to N: room
+    for j <= (N - 2)//m, the largest s of any pair."""
+    return (N - 2) // m // 8 + 1
 
 
 class ResidueIndex:
-    """The primes <= N of some unit classes mod m, read off the table in
-    one pass.
+    """The primes below N of some unit classes mod m, read off the table in
+    one pass and held packed.
 
-    masks[b][j] is True iff b + j*m is prime, for every j with
-    b + j*m <= N; one False entry follows, so masks[b][-1] is False.  The
-    keys of masks follow the order of `classes`.
+    copies[r, k] is class classes[k] as eight bit-shifted copies: bit y of
+    copies[r, k], in np.packbits order, is True iff b + (y - r)*m is a
+    prime < N, so its first r bits are False.  That is the bytes a bool
+    mask per class would take, give or take 7, and class_mask_bytes counts
+    them.  Stage 1 reads q = n - p <= N - 1 only.
     """
 
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
@@ -170,19 +179,28 @@ class ResidueIndex:
             raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
         self.N = N
-        self.masks = table.mask(N, m, classes)
+        self.classes = list(classes)
+        self.copies = np.zeros((8, len(self.classes), _copy_width(m, N)), dtype=np.uint8)
+        table.mask(N - 1, m, self.classes, out=self.copies)
 
-    def stage1_source(self, pair: AdmissiblePair, M: int) -> tuple[np.ndarray, Windows]:
-        """Stage 1's inputs read off the masks: the b-windows are zero-copy
-        slices that run to the mask's final False entry."""
-        qmask = self.masks[pair.b]
-        pidx = np.flatnonzero(self.masks[pair.a][: max(0, (M - pair.a) // self.m + 1)])
-        return pidx, lambda ranges: (qmask[lo:] for lo, _ in ranges)
+    def stage1_source(self, a: int, bs: list[int], M: int) -> tuple[np.ndarray, Windows]:
+        """Stage 1's inputs for small-prime class a and the b-rows bs, which
+        must follow each other in `classes`: every window is the rows'
+        copies whole, starting at j = 0."""
+        k = self.classes.index(bs[0])
+        if self.classes[k : k + len(bs)] != bs:
+            raise ValueError(f"classes {bs} are not consecutive in the index")
+        copies = self.copies[:, k : k + len(bs)]
+        entries = max(0, (M - a) // self.m + 1)
+        row = self.copies[0, self.classes.index(a)]
+        pidx = np.flatnonzero(np.unpackbits(row, count=entries))
+        return pidx, lambda ranges: ((0, copies) for _ in ranges)
 
 
 def class_mask_bytes(m: int, N: int) -> int:
     """Bytes of a ResidueIndex over every unit class mod m up to N."""
-    return sum((N - b) // m + 2 for b in range(1, m) if math.gcd(b, m) == 1)
+    units = sum(1 for b in range(1, m) if math.gcd(b, m) == 1)
+    return 8 * units * _copy_width(m, N)
 
 
 def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows]:
@@ -191,10 +209,10 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
 
     The a-class up to M is the window [0, (M - a)//m] of its own
     progression, kept only as the indices of its primes; each b-window is
-    sieved into one reused buffer, with a False entry after it.  Before
-    each allocation the budget counts the a-mask, the int64 indices once
-    known, the buffer once its size is, and the sieve's pattern and base
-    primes.
+    sieved into one reused buffer behind 7 False entries and packed from
+    there into eight reused copies.  Before each allocation the budget
+    counts the a-mask, the int64 indices once known, the buffer and the
+    copies once their size is, and the sieve's pattern and base primes.
     """
     a, b, m = pair.a, pair.b, pair.m
     entries = max(0, (M - a) // m + 1)
@@ -215,15 +233,99 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
         reserve(int(np.count_nonzero(amask)), 0)
         pidx = np.flatnonzero(amask)
 
-    def windows(ranges: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    def windows(ranges: list[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
         size = max(hi - lo for lo, hi in ranges)
-        reserve(len(pidx), size + 1)
-        buf = np.empty(size + 1, dtype=bool)
-        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, ranges, buf)):
-            buf[hi - lo] = False
-            yield buf[: hi - lo + 1]
+        width = (size + 14) // 8  # every entry in every copy
+        reserve(len(pidx), size + 7 + 8 * width)
+        buf = np.zeros(size + 7, dtype=bool)
+        copies = np.empty((8, 1, width), dtype=np.uint8)
+        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, ranges, buf[7:])):
+            copies.fill(0)
+            pack_copies(buf[: 7 + hi - lo], copies[:, 0])
+            yield lo, copies
 
     return pidx, windows
+
+
+def _stage1(
+    a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, windows: Windows
+) -> list[list[int]]:
+    """Candidates n <= N of each pair (a, b), b in bs, not representable
+    with a small prime p = a + i*m, i in pidx; one ascending list per b.
+
+    The candidates are n = a + b + s*m for s >= 0, and n = a + b - m when
+    that is at least 2, which no p + q reaches.  Prime index i marks s
+    where b + (s - i)*m is prime.  The marks of all rows are one uint8
+    array, bit s - lo of row k in np.packbits order, so one OR per shift
+    covers every row.  Windows cover _WINDOW + span of s and reach the
+    span entries below them, span being the largest shift, so at most
+    half of what a single pair sieves is overlap.
+    """
+    last = np.array([(N - a - b) // m for b in bs])  # largest s per row
+    count = int(last.max()) + 1
+    span = int(pidx[-1]) if len(pidx) else 0
+    # windows start on a byte, so shift i reads copy i % 8 of an index,
+    # which holds every entry j <= (N - 2)//m - i that it needs
+    step = (_WINDOW + span + 7) // 8 * 8
+    starts = range(0, count, step)
+    ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
+    shifts = pidx.tolist()
+    block = max(1, _MARK_BLOCK // (8 * len(bs)))  # mark bytes per row
+    rows, found = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo, (_, hi), (base, copies) in zip(starts, ranges, windows(ranges)):
+        # bit y of copies[r, k] is j = base + y - r of class bs[k]
+        width = copies.shape[2]
+        bits0 = copies[0].reshape(-1)  # the rows of copy 0 follow each other
+        nbytes = (hi - lo + 7) // 8
+        for xlo in range(0, nbytes, block):
+            xhi = min(xlo + block, nbytes)
+            mark = np.zeros((len(bs), xhi - xlo), dtype=np.uint8)
+            flat = mark.ravel()
+            h = 0  # shifts ORed so far
+            while h < len(shifts):
+                if h >= _VECTOR_PHASE_PRIMES and h % _HEAD_GROUP == 0:
+                    if np.count_nonzero(flat != 255) * (len(shifts) - h) <= flat.size:
+                        break
+                # mark bit x reads j = lo + x - i, bit x + 8d of copy 8d - e
+                e = lo - base - shifts[h]
+                d = -(-e // 8)
+                x0, x1 = max(xlo, -d), min(xhi, width - d)
+                if x0 >= xhi:  # p > n for the whole block, and for the rest
+                    h = len(shifts)
+                    break
+                if x0 < x1:
+                    mark[:, x0 - xlo : x1 - xlo] |= copies[8 * d - e, :, x0 + d : x1 + d]
+                h += 1
+            tail = pidx[h:]
+            # the unmarked bits, unpacking only the bytes that hold any
+            nz = np.flatnonzero(flat != 255)
+            bits = np.flatnonzero(np.unpackbits(~flat[nz]))
+            row, x = np.divmod(nz[bits >> 3] * 8 + (bits & 7), 8 * (xhi - xlo))
+            s = lo + 8 * xlo + x
+            keep = (s < hi) & (s <= last[row])
+            row, s = row[keep], s[keep]
+            # the rest in blocks: one row per candidate, one column per
+            # prime index i, reading bit y = j - base of copy 0; j < 0
+            # (p > n) is no hit
+            start = 0
+            while start < len(tail) and len(s):
+                w = max(1, _GATHER_BLOCK_ELEMENTS // len(s))
+                y = (s - base)[:, None] - tail[start : start + w][None, :]
+                hit = bits0.take((row * width)[:, None] + (y >> 3))
+                hit &= _BIT.take(y & 7)
+                hit *= y >= 0
+                keep = ~hit.any(axis=1)
+                row, s = row[keep], s[keep]
+                start += w
+            rows.append(row)
+            found.append(s)
+    row = np.concatenate(rows)
+    s = np.concatenate(found)[np.argsort(row, kind="stable")]
+    per_row = np.split(s, np.cumsum(np.bincount(row, minlength=len(bs)))[:-1])
+    return [
+        [a + b - m] * (2 <= a + b - m <= N) + (a + b + ss * m).tolist()
+        for b, ss in zip(bs, per_row)
+    ]
 
 
 def _stage1_unresolved(
@@ -232,57 +334,28 @@ def _stage1_unresolved(
     """Candidates n <= N not representable with p <= M; ascending.
 
     The b-class comes one window at a time, from `index` when given and
-    otherwise sieved (_sieved_source).  Each window serves _WINDOW + span
-    candidates and reaches the span entries below them, span being the
-    largest shift, so at most half of what is sieved is overlap.
+    otherwise sieved (_sieved_source).
     """
-    m = pair.m
-    c, t, k0, kmax = _candidate_params(pair, N)
-    if kmax < k0:
-        return []
+    a, b = pair.a, pair.b
     pidx, windows = (
-        _sieved_source(pair, N, M) if index is None else index.stage1_source(pair, M)
+        _sieved_source(pair, N, M) if index is None else index.stage1_source(a, [b], M)
     )
-    if not len(pidx):  # p = a + i*m <= M: none when M < a
-        return list(range(c + k0 * m, N + 1, m))
+    return _stage1(a, [b], pair.m, N, pidx, windows)[0]
 
-    # marking: p + q = c + (i + j + t)*m, so prime index i shifts the
-    # b-class by i + t; candidate k reads q = b + j*m at j = k - i - t
-    shifts = (pidx[:_VECTOR_PHASE_PRIMES] + t).tolist()
-    tail = pidx[_VECTOR_PHASE_PRIMES:] + t
-    span = int(pidx[-1]) + t
-    step = _WINDOW + span
-    starts = range(k0, kmax + 1, step)
-    count = (N - pair.b) // m + 1  # j with b + j*m <= N
-    ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
-    found = []
-    for lo, (wlo, _), window in zip(starts, ranges, windows(ranges)):
-        # window[x] is j = wlo + x, and window[-1] is False
-        hi = min(lo + step, kmax + 1)
-        blocks = []
-        for blo in range(lo, hi, _MARK_BLOCK):
-            bhi = min(blo + _MARK_BLOCK, hi)
-            mark = np.zeros(bhi - blo, dtype=bool)
-            for shift in shifts:
-                if shift >= bhi:
-                    break
-                jlo = max(blo - shift, 0)
-                mark[jlo + shift - blo :] |= window[jlo - wlo : bhi - shift - wlo]
-            np.logical_not(mark, out=mark)
-            blocks.append(np.flatnonzero(mark) + blo)
-        unresolved = np.concatenate(blocks)
-        # the rest in blocks: one row per candidate k, one column per prime
-        # index i; j never passes the window, and j < 0 (p > n) is clamped
-        # to the False entry
-        start = 0
-        while start < len(tail) and len(unresolved):
-            width = max(1, _GATHER_BLOCK_ELEMENTS // len(unresolved))
-            j = unresolved[:, None] - (tail[start : start + width] + wlo)[None, :]
-            np.maximum(j, -1, out=j)
-            unresolved = unresolved[~window[j].any(axis=1)]
-            start += width
-        found.append(unresolved)
-    return (c + np.concatenate(found) * m).tolist()
+
+def _resolved(pair: AdmissiblePair, N: int, M: int, survivors: list[int]) -> ExceptionalSet:
+    """Stage 2 on stage 1's survivors.  Stage 1 tried every prime
+    p = a (mod m) up to M, so an unmarked n <= M + 2 has no
+    representation, and only the survivors above it go to find_witness."""
+    elements = [n for n in survivors if n <= M + 2 or find_witness(n, pair) is None]
+    return ExceptionalSet(
+        pair=pair,
+        search_limit=N,
+        stage1_bound=M,
+        elements=tuple(elements),
+        stage1_survivors=len(survivors) - len(elements),
+        confirmed=True,
+    )
 
 
 def exceptional_set(
@@ -295,9 +368,7 @@ def exceptional_set(
 
     Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
     given; otherwise it sieves the pair's two progressions itself, one
-    window at a time.  Stage 1 tries every prime p = a (mod m) up to M, so
-    an unmarked n <= M + 2 has no representation, and stage 2 resolves
-    only the survivors above it.
+    window at a time.
     """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
@@ -309,17 +380,7 @@ def exceptional_set(
         raise ValueError(
             f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
         )
-
-    survivors = _stage1_unresolved(pair, N, M, index)
-    elements = [n for n in survivors if n <= M + 2 or find_witness(n, pair) is None]
-    return ExceptionalSet(
-        pair=pair,
-        search_limit=N,
-        stage1_bound=M,
-        elements=tuple(elements),
-        stage1_survivors=len(survivors) - len(elements),
-        confirmed=True,
-    )
+    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, index))
 
 
 def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
@@ -337,17 +398,19 @@ def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
 def _modulus_sets(
     index: ResidueIndex, M: Optional[int]
 ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """exceptional_sets_for_modulus, read off a modulus-wide index."""
+    """exceptional_sets_for_modulus, read off a modulus-wide index: one
+    stage-1 pass per small-prime class a over the rows b >= a."""
     m, N = index.m, index.N
     if M is None:
         M = min(default_stage1_bound(m), N)
-    units = list(index.masks)
+    units = index.classes
     out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a in units:
-        for b in units:
-            if a <= b:
-                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
-                out[(a, b)] = out[(b, a)] = es.elements
+    for k, a in enumerate(units):
+        bs = units[k:]
+        pidx, windows = index.stage1_source(a, bs, M)
+        for b, survivors in zip(bs, _stage1(a, bs, m, N, pidx, windows)):
+            es = _resolved(AdmissiblePair(a, b, m), N, M, survivors)
+            out[(a, b)] = out[(b, a)] = es.elements
     return dict(sorted(out.items()))
 
 

@@ -33,7 +33,8 @@ _PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
 _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 
 # Odd entries unpacked at a time by PrimeTable.mask, rounded to a multiple
-# of 8 and of a class's step so every chunk starts on a byte and on class 0.
+# of 8 times a class's step so every chunk starts on class 0 and on a byte
+# of the odd bits and of every packed class.
 _CLASS_CHUNK = 1 << 18
 
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
@@ -91,13 +92,23 @@ class PrimeTable:
         return ps
 
     def mask(
-        self, hi: int, m: int = 1, classes: Iterable[int] = (0,)
+        self,
+        hi: int,
+        m: int = 1,
+        classes: Iterable[int] = (0,),
+        out: np.ndarray | None = None,
     ) -> dict[int, np.ndarray]:
         """Primality along the progressions b + j*m for each b in classes.
 
         masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
         b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
         The defaults give the plain mask over [0, hi] as masks[0].
+
+        With `out`, a zeroed uint8 array of shape (8, len(classes), width),
+        m must be even and every class odd: the entries of the k-th class
+        are written packed into out[:, k] instead, as the eight bit-shifted
+        copies of pack_copies clipped to width bytes, and masks[b] is that
+        view.  No bool mask is built then.
 
         The odd members of class b are b0 + k*L, with L = lcm(2, m) and b0
         the least odd one: odd index b0//2 + k*L/2, mask entry
@@ -114,26 +125,55 @@ class PrimeTable:
         half = math.lcm(2, m) // 2  # odd-index step of every class
         masks: dict[int, np.ndarray] = {}
         columns = []  # (odd index of b0, view of the mask entries b0 + k*L)
-        for b in classes:
+        for k, b in enumerate(classes):
             if not 0 <= b < m:
                 raise ValueError(f"residue b={b} not in [0, {m})")
+            if out is not None:
+                if m % 2 or b % 2 == 0:
+                    raise ValueError("packed masks need an even modulus and odd classes")
+                masks[b] = out[:, k]  # entry j is column entry j
+                columns.append((b // 2, masks[b]))
+                continue
             mask = masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
             b0 = b if b % 2 else b + m
             if b0 % 2:
                 columns.append((b0 // 2, mask[(b0 - b) // m :: 2 * half // m]))
-        step = math.lcm(8, half)
-        step *= max(1, _CLASS_CHUNK // step)
+        step = 8 * half * max(1, _CLASS_CHUNK // (8 * half))
         entries = (hi + 1) // 2  # odd numbers <= hi
         for lo in range(0, entries, step):
             end = min(lo + step, entries)
             flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
             k0 = lo // half
+            if out is not None:  # every class at once, one row each
+                padded = np.zeros((len(columns), (end - lo) // half + 8), dtype=bool)
+                for row, (offset, _) in zip(padded, columns):
+                    column = flags[offset::half]
+                    row[7 : 7 + len(column)] = column
+                pack_copies(padded, out, k0)
+                continue
             for offset, dest in columns:
                 column = flags[offset::half]
                 dest[k0 : k0 + len(column)] = column
         if hi >= 2 and 2 % m in masks:
             masks[2 % m][2 // m] = True
         return masks
+
+
+def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
+    """OR runs of bool entries into eight bit-shifted packed copies.
+
+    padded[..., 7:] are entries start, start + 1, ... (start a multiple of
+    8) of each row and padded[..., :7] are False; out[r] has the same
+    leading axes.  Bit y of out[r], in np.packbits order, is
+    entry y - r, so a shift s is whole bytes of copy s % 8 at byte offset
+    s // 8.  Bits past out's width are dropped; bytes shared with a
+    neighbouring run are ORed, so the runs of one out may come in any
+    order.
+    """
+    for r in range(8):
+        packed = np.packbits(padded[..., 7 - r :], axis=-1)
+        dest = out[r, ..., start >> 3 :]
+        dest[..., : packed.shape[-1]] |= packed[..., : dest.shape[-1]]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import concurrent.futures
 import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -25,7 +29,7 @@ from apgoldbach.cli import (
     table2_document,
 )
 from apgoldbach.partitions import exceptional_sets_for_modulus
-from apgoldbach.primes import sieve_primes
+from apgoldbach.primes import MemoryBudgetError, sieve_primes
 
 
 def run(capsys, *argv):
@@ -116,7 +120,8 @@ class TestExceptions:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "4"
         # a large M widens the window: 3 MB of a-class mask, 3 MB of
-        # small-prime indices and a window of 7 MB do not fit
+        # small-prime indices and a 4 MB window with its 4 MB of packed
+        # copies do not fit
         code, out, err = run(capsys, *command, "-M", "12000000")
         assert code == EXIT_USAGE
         assert out == "" and "budget" in err
@@ -166,6 +171,58 @@ class TestTables:
         parallel = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=10, threads=4))
         assert table1_document(serial) == table1_document(parallel)
         assert table2_document(serial) == table2_document(parallel)
+
+    def test_auto_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert RunConfig(threads=0).worker_count == 3
+        assert RunConfig(threads=5).worker_count == 5
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert RunConfig(threads=0).worker_count == 8
+
+    def test_pool_capped_at_missing_moduli(self, monkeypatch):
+        # the pool starts all its workers up front: two moduli start two
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=8))
+        assert started == [2]
+        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
+
+    def test_reused_worker_table_checks_budget(self, monkeypatch):
+        # a sweep of m = 30 fits a 1 MiB budget beside its table, and one
+        # of m = 2 does not, also after the m = 30 sweep left its table
+        monkeypatch.setattr(cli, "_WORKER_TABLE", {})
+        monkeypatch.setattr(
+            cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=2**20)
+        )
+        assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
+        with pytest.raises(MemoryBudgetError, match="reserved"):
+            compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
+
+
+def test_cli_import_loads_no_pool_or_hashlib():
+    # the pool and the checksum import their modules when first used
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, apgoldbach.cli; print(sorted(set(sys.modules) & {%r, %r, %r}))" % (
+        "multiprocessing", "concurrent.futures", "_hashlib")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 class TestFigures:
@@ -276,6 +333,25 @@ class TestCache:
         save_cache_entry(tmp_path, 8, 10**4, sets)
         assert [p.name for p in tmp_path.iterdir()] == ["m8_N10000.json"]
         assert load_cache_entry(tmp_path, 8, 10**4) == sets
+
+    def test_save_ignores_other_temp_names(self, tmp_path, table_1e5):
+        # a directory on the name another writer might use does not stop
+        # the save, and the save leaves no temp file of its own
+        sets = exceptional_sets_for_modulus(8, 10**4, table=table_1e5)
+        (tmp_path / "m8_N10000.tmp").mkdir()
+        save_cache_entry(tmp_path, 8, 10**4, sets)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m8_N10000.json", "m8_N10000.tmp"]
+        assert load_cache_entry(tmp_path, 8, 10**4) == sets
+
+    def test_failed_save_removes_its_temp_file(self, monkeypatch, tmp_path, table_1e5):
+        def fail(self, target):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "replace", fail)
+        sets = exceptional_sets_for_modulus(8, 10**4, table=table_1e5)
+        with pytest.raises(OSError, match="disk full"):
+            save_cache_entry(tmp_path, 8, 10**4, sets)
+        assert list(tmp_path.iterdir()) == []
 
     def test_prefix_reuse(self, tmp_path, table_1e5):
         sets = exceptional_sets_for_modulus(4, 10**4, table=table_1e5)

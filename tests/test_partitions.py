@@ -238,21 +238,29 @@ class TestModulusSweep:
                     assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
 
     @pytest.mark.parametrize("m", [2, 12, 30])
-    def test_one_stage1_pass_per_unordered_pair(self, monkeypatch, table_1e5, m):
-        calls = []
-        stage1 = partitions._stage1_unresolved
+    def test_one_batched_stage1_mark_per_unordered_pair(self, monkeypatch, table_1e5, m):
+        # the sweep runs one stage-1 pass per small-prime class a over the
+        # rows b >= a, so every unordered pair is marked once, as a <= b
+        marked = []
+        stage1 = partitions._stage1
 
-        def counted(pair, *args):
-            calls.append((pair.a, pair.b))
-            return stage1(pair, *args)
+        def counted(a, bs, *args):
+            marked.extend((a, b) for b in bs)
+            return stage1(a, bs, *args)
 
-        monkeypatch.setattr(partitions, "_stage1_unresolved", counted)
+        monkeypatch.setattr(partitions, "_stage1", counted)
         sets = exceptional_sets_for_modulus(m, 10**4, table=table_1e5)
         phi = sum(1 for a in range(1, m) if math.gcd(a, m) == 1)
-        assert len(calls) == phi * (phi + 1) // 2
-        assert all(a <= b for a, b in calls)
+        assert len(marked) == len(set(marked)) == phi * (phi + 1) // 2
+        assert all(a <= b for a, b in marked)
         assert len(sets) == phi * phi
-        assert all(sets[(b, a)] is sets[(a, b)] for a, b in calls)
+        assert all(sets[(b, a)] is sets[(a, b)] for a, b in marked)
+
+    @pytest.mark.parametrize("m,N", [(2, 10**5), (12, 99_991), (30, 10**5), (50, 2)])
+    def test_index_bytes_are_class_mask_bytes(self, table_1e5, m, N):
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        index = ResidueIndex(table_1e5, m, N, units)
+        assert index.copies.nbytes == partitions.class_mask_bytes(m, N)
 
     def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
         # the table is read by one class-mask pass per modulus, and never
@@ -319,6 +327,14 @@ class TestModulusSweep:
         assert sieve_primes(N, memory_budget_bytes=budget).count == 78498
         with pytest.raises(MemoryBudgetError, match="reserved"):
             exceptional_sets_for_modulus(2, N)
+
+    def test_index_windows_reach_the_last_entry(self, monkeypatch, table_1e5):
+        # a window of the index off a byte boundary would read shift 0
+        # from copy 7, whose last entry j = 1 (q = 5) lies past its bytes,
+        # and leave 8 = 3 + 5 unmarked
+        monkeypatch.setattr(partitions, "_WINDOW", 1)
+        index = ResidueIndex(table_1e5, 4, 8, (1, 3))
+        assert _stage1_unresolved(AdmissiblePair(3, 1, 4), 8, 3, index) == [4]
 
     def test_index_must_match_pair(self, table_1e5):
         index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
@@ -495,7 +511,8 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # spans bounds below every prime of class a and below and above the
     # head's primes, at the default head of 64 primes and at shorter ones.
     # Stage 1 reads the b-class off a modulus index or sieves it, and
-    # stage 2 skips the survivors up to M + 2 either way.
+    # stage 2 skips the survivors up to M + 2 either way.  The sweep's
+    # batched pass marks the pair as the row max(a, b) of class min(a, b).
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
     monkeypatch.setattr(
         partitions, "_MARK_BLOCK", data.draw(st.sampled_from([partitions._MARK_BLOCK, 1, 5, 64]))
@@ -514,3 +531,9 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     assert got == naive_stage1_unresolved(a, b, m, N, M)
     es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
     assert list(es.elements) == naive_exceptional_set(a, b, m, N)
+    small, large = sorted((a, b))
+    rows = units[units.index(small) :]
+    batched = partitions._stage1(
+        small, rows, m, N, *ResidueIndex(table_1e5, m, N, units).stage1_source(small, rows, M)
+    )
+    assert batched[rows.index(large)] == naive_stage1_unresolved(small, large, m, N, M)

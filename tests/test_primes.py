@@ -209,6 +209,31 @@ class TestPrimesInClass:
             assert not mask[-1]
             assert [bool(x) for x in mask[:-1]] == [is_prime(b + j * m) for j in range(len(mask) - 1)]
 
+    @given(m=st.sampled_from([2, 4, 6, 10, 30]), data=st.data())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_packed_copies_match_class_masks(self, monkeypatch, table_1e5, m, data):
+        # bit y of copy r is entry y - r of the bool mask, clipped to the
+        # width, whatever the chunk boundaries
+        monkeypatch.setattr(primes, "_CLASS_CHUNK", data.draw(st.sampled_from([1, 8, 40, 1 << 18])))
+        N = data.draw(st.integers(2, 5000))
+        width = data.draw(st.integers(1, (N // m + 9) // 8))
+        units = [b for b in range(1, m) if math.gcd(b, m) == 1]
+        out = np.zeros((8, len(units), width), dtype=np.uint8)
+        table_1e5.mask(N, m, units, out=out)
+        for k, mask in enumerate(table_1e5.mask(N, m, units).values()):
+            for r in range(8):
+                shifted = np.concatenate((np.zeros(r, bool), mask[:-1], np.zeros(8 * width, bool)))
+                assert np.array_equal(np.unpackbits(out[r, k]), shifted[: 8 * width]), (k, r)
+
+    def test_packed_copies_need_even_modulus_and_odd_classes(self, table_1e5):
+        for m, classes in ((3, (1,)), (4, (1, 2))):
+            with pytest.raises(ValueError, match="packed"):
+                table_1e5.mask(100, m, classes, out=np.zeros((8, len(classes), 4), np.uint8))
+
     def test_sorted_strictly_increasing(self, table_1e5):
         ps = primes_in_class(table_1e5, 1, 8, 10**4).primes
         assert all(x < y for x, y in zip(ps, ps[1:]))
