@@ -5,6 +5,8 @@ Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error, 3 I/O
 error.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import math
@@ -12,12 +14,17 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from . import heuristics, partitions, summaries
+from . import partitions
 from .partitions import AdmissiblePair, exceptional_sets_for_modulus
 from .primes import PrimeTable, sieve_primes
-from .summaries import ModulusSets
+
+# summaries and heuristics (and the fractions and decimal modules they
+# load) are imported where they are used, so that `exceptions` and the
+# engine-only `verify` targets never load them
+if TYPE_CHECKING:
+    from .summaries import ModulusSets
 
 CACHE_ENV_VAR = "APGOLDBACH_CACHE_DIR"
 CACHE_SCHEMA_VERSION = 2
@@ -212,6 +219,8 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
 
 
 def table1_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
+    from . import summaries
+
     rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
     if output_format == "json":
         doc = [dict(zip(summaries.TABLE1_HEADER.split(","), r.csv_row().split(",")))
@@ -222,6 +231,8 @@ def table1_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -
 
 
 def table2_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
+    from . import summaries
+
     rows = [summaries.count_empty_pairs(sets, m) for m, sets in sweep.items()]
     if output_format == "json":
         doc = [dict(zip(summaries.TABLE2_HEADER.split(","), r.csv_row().split(",")))
@@ -234,6 +245,8 @@ def table2_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -
 def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
     """(fig1, fig2) plot data: largest exception vs totient, and vs the
     quadratic / quadratic-log reference curves."""
+    from . import summaries
+
     rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
     fig1_lines = ["m,E_max,phi"] + [
         f"{r.m},{r.unrestricted.e_max},{summaries.totient(r.m)}" for r in rows
@@ -303,6 +316,8 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
             f"ternary: violations {list(got)} -> {'PASS' if passed else 'FAIL'}"
         )
     elif target == "asy":
+        from . import summaries
+
         sweep = compute_sweep(replace(config, m_min=2, m_max=50))
         worst = 0.0
         for m, sets in sweep.items():
@@ -321,6 +336,8 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
 
 
 def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
+    from . import heuristics, summaries
+
     model = heuristics.CouponModel.for_modulus(m)
     lines = [
         f"m = {m}",

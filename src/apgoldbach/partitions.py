@@ -17,7 +17,7 @@ marks one block at a time, so the marks stay in cache; the survivors are
 the unset bits of the few marks bytes that hold any, and the remaining
 primes test them in 2-D gathers of bit j of copy 0, in blocks of at most
 _GATHER_BLOCK_ELEMENTS elements.  Stage 1 tries every small prime up to
-M, so only survivors above M + 2 go to stage 2.
+M, so only survivors above M + 2 go to stage 2, which tries only p > M.
 
 A modulus sweep builds one ResidueIndex, the copies of every unit class
 read off the table's odd bits in one chunked pass (PrimeTable.mask).
@@ -137,11 +137,13 @@ def find_witness(
     n: int,
     pair: AdmissiblePair,
     oracle: Callable[[int], bool] = is_prime,
+    start: int = 0,
 ) -> Optional[PartitionWitness]:
     """Representation n = p + q with p = a, q = b (mod m), smallest p.
 
-    Scans p ascending through the a-class; q = n - p automatically lies in
-    the b-class.  Returns None when no p <= n - 2 works.
+    Scans p ascending through the a-class, from the first p >= start; q =
+    n - p automatically lies in the b-class.  Returns None when no p <= n - 2
+    works.
     """
     if n % 2 != 0:
         raise ValueError(f"n={n} must be even")
@@ -149,7 +151,7 @@ def find_witness(
         raise ValueError(
             f"n={n} is not congruent to a+b={pair.a + pair.b} mod {pair.m}"
         )
-    p = pair.a
+    p = pair.a + max(0, -(-(start - pair.a) // pair.m)) * pair.m
     while p <= n - 2:
         if oracle(p) and oracle(n - p):
             return PartitionWitness(n=n, p=p, q=n - p)
@@ -346,8 +348,11 @@ def _stage1_unresolved(
 def _resolved(pair: AdmissiblePair, N: int, M: int, survivors: list[int]) -> ExceptionalSet:
     """Stage 2 on stage 1's survivors.  Stage 1 tried every prime
     p = a (mod m) up to M, so an unmarked n <= M + 2 has no
-    representation, and only the survivors above it go to find_witness."""
-    elements = [n for n in survivors if n <= M + 2 or find_witness(n, pair) is None]
+    representation, and only the survivors above it go to find_witness,
+    which tries only p > M."""
+    elements = [
+        n for n in survivors if n <= M + 2 or find_witness(n, pair, start=M + 1) is None
+    ]
     return ExceptionalSet(
         pair=pair,
         search_limit=N,

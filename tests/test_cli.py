@@ -225,6 +225,56 @@ def test_cli_import_loads_no_pool_or_hashlib():
     assert out == "[]\n"
 
 
+def _fresh_python(code: str, **env_vars: str) -> str:
+    """stdout of a fresh interpreter running code with src/ on its path, with
+    no OPENBLAS_NUM_THREADS or cache directory but those in env_vars: this
+    process set the former when it imported apgoldbach."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop(cli.CACHE_ENV_VAR, None)
+    env.update(env_vars)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout
+
+
+@pytest.mark.parametrize("caller,seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_blas_threads_default_to_one_unless_set(caller, seen):
+    # pytest has loaded numpy before any test runs, so only a fresh
+    # interpreter shows the setting made before numpy's import
+    code = "import os, apgoldbach.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, **caller) == seen + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_import_starts_no_thread():
+    # numpy's OpenBLAS starts a helper thread unless told to use one thread
+    code = "import os, apgoldbach.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == "1\n"
+
+
+LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], []),
+    (["verify", "conj2", "--limit", "1000"], []),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], []),
+    (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
+     ["apgoldbach.summaries", "decimal", "fractions"]),
+])
+def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
+    # import alone (argv []) loads none of LAZY_MODULES
+    code = (
+        "import contextlib, io, sys\n"
+        "from apgoldbach import cli\n"
+        f"argv = {argv!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(argv) if argv else 0\n"
+        f"print(rc, sorted(set(sys.modules) & {LAZY_MODULES!r}))\n"
+    )
+    assert _fresh_python(code) == f"0 {loaded}\n"
+
+
 class TestFigures:
     def test_fig_documents(self, capsys, tmp_path):
         code, out, _ = run(

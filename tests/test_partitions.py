@@ -85,6 +85,13 @@ class TestFindWitness:
         w = find_witness(10, AdmissiblePair(3, 3, 4))
         assert (w.p, w.q) == (3, 7)
 
+    def test_start_skips_smaller_p(self):
+        pair = AdmissiblePair(3, 3, 4)
+        assert find_witness(22, pair, start=4) == find_witness(22, pair, start=7)
+        assert (find_witness(22, pair, start=4).p, find_witness(22, pair, start=12).p) == (11, 19)
+        assert find_witness(22, pair, start=20) is None
+        assert find_witness(22, pair, start=-10) == find_witness(22, pair)
+
     def test_no_witness(self):
         assert find_witness(4, AdmissiblePair(1, 3, 4)) is None
 
@@ -150,7 +157,8 @@ class TestExceptionalSet:
         calls = []
         witness = partitions.find_witness
         monkeypatch.setattr(
-            partitions, "find_witness", lambda n, pair: calls.append(n) or witness(n, pair)
+            partitions, "find_witness",
+            lambda n, pair, **kw: calls.append(n) or witness(n, pair, **kw),
         )
         es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=100)
         assert es.elements == (2, 6, 14, 38, 62)
@@ -164,6 +172,30 @@ class TestExceptionalSet:
         es = exceptional_set(AdmissiblePair(1, 3, 4), 100, M=4)
         assert es.elements == (4,)
         assert calls[0] == 8
+
+    def test_stage2_tests_no_p_up_to_M(self, monkeypatch):
+        # stage 1 ruled out every class-a prime p <= M, so stage 2's scan
+        # starts at the first p > M; classes 1 and 49 mod 50 differ, so
+        # the oracle's arguments of class 1 are the p it tried
+        pair, N, M = AdmissiblePair(1, 49, 50), 10**5, 300
+        tested = []
+
+        def counting(k):
+            tested.append(k)
+            return is_prime(k)
+
+        witness = partitions.find_witness
+        monkeypatch.setattr(
+            partitions, "find_witness",
+            lambda n, pair, **kw: witness(n, pair, oracle=counting, **kw),
+        )
+        es = exceptional_set(pair, N, M=M)
+        ps = [k for k in tested if k % 50 == 1]
+        assert ps and min(ps) == 301
+        assert es.elements == tuple(naive_exceptional_set(1, 49, 50, N))
+        assert es.stage1_survivors == len(naive_stage1_unresolved(1, 49, 50, N, M)) - len(
+            es.elements
+        )
 
     def test_M_larger_than_N_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
