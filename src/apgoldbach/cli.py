@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from . import partitions
-from .partitions import AdmissiblePair, exceptional_sets_for_modulus
-from .primes import PrimeTable, sieve_primes
-
-# summaries and heuristics (and the fractions and decimal modules they
-# load) are imported where they are used, so that `exceptions` and the
-# engine-only `verify` targets never load them
+# The engine (partitions and primes, and with them numpy) is imported only
+# where something is computed, so that a warm-cache table1, table2, figures
+# or verify asy never loads it; summaries and heuristics (and the fractions
+# and decimal modules they load) are imported where they are used, so that
+# `exceptions` and the engine-only `verify` targets never load them
 if TYPE_CHECKING:
+    from .partitions import AdmissiblePair
+    from .primes import PrimeTable
     from .summaries import ModulusSets
 
 CACHE_ENV_VAR = "APGOLDBACH_CACHE_DIR"
@@ -50,6 +50,8 @@ class RunConfig:
             raise ValueError(f"search limit must be >= 2, got {self.N}")
         if self.m_min % 2 or self.m_max % 2:
             raise ValueError("modulus range endpoints must be even")
+        if self.m_min < 2 and self.m_min <= self.m_max:  # a non-empty range
+            raise ValueError(f"moduli must be >= 2, got m_min = {self.m_min}")
         if self.threads < 0:
             raise ValueError("threads must be >= 0")
 
@@ -70,6 +72,8 @@ class RunConfig:
         """M for modulus m: the fixed bound if set, else the adaptive one."""
         if self.M is not None:
             return self.M
+        from . import partitions
+
         return min(partitions.default_stage1_bound(m), self.N)
 
 
@@ -127,19 +131,38 @@ def _cache_candidates(cache_dir: Path, m: int, N: int) -> Iterator[Path]:
             yield p
 
 
+def _payload_sets(rows, m: int, N: int) -> ModulusSets:
+    """The ordered-pair sets of a payload's [a, b, elements] rows, cut at
+    N.  ValueError or TypeError unless the rows hold integers only and
+    cover exactly the pairs of units mod m."""
+    sets: ModulusSets = {}
+    for a, b, elements in rows:
+        if not all(type(x) is int for x in (a, b, *elements)):
+            raise ValueError("non-integer entry")
+        sets[(a, b)] = sets[(b, a)] = tuple(e for e in elements if e <= N)
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    if sets.keys() != {(a, b) for a in units for b in units}:
+        raise ValueError(f"pairs do not match m = {m}")
+    return sets
+
+
 def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
     """The cached sweep of modulus m at N, keyed by ordered pair, or None.
 
     The elements do not depend on the stage-1 bound, so it is no part of
     the key, and a file at N' >= N serves N: each sorted element list
-    truncates to a prefix.  Entries with a schema or checksum mismatch are
-    ignored with a warning.
+    truncates to a prefix.  Entries of another schema version are
+    skipped; any other entry that does not hold a sweep of m (bad JSON,
+    a checksum mismatch, a payload of the wrong shape) is ignored with a
+    warning.
     """
     for path in _cache_candidates(cache_dir, m, N):
         if not path.is_file():
             continue
         try:
             doc = json.loads(path.read_text())
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
             payload = doc["payload"]
             if doc.get("schema_version") != CACHE_SCHEMA_VERSION:
                 continue
@@ -147,18 +170,33 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
                 raise ValueError("checksum mismatch")
             if payload["m"] != m or payload["N"] < N:
                 continue
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            return _payload_sets(payload["sets"], m, N)
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)
-            continue
-        sets: ModulusSets = {}
-        for a, b, elements in payload["sets"]:
-            sets[(a, b)] = sets[(b, a)] = tuple(e for e in elements if e <= N)
-        return sets
     return None
 
 
 # ---------------------------------------------------------------------------
 # Per-modulus computation (worker-safe)
+
+
+def sieve_primes(limit: int, **kwargs) -> PrimeTable:
+    """primes.sieve_primes.  The sweep calls the engine through this name
+    and exceptional_sets_for_modulus, so that callers can patch them; the
+    first call imports the engine."""
+    from . import primes
+
+    return primes.sieve_primes(limit, **kwargs)
+
+
+def exceptional_sets_for_modulus(
+    m: int, N: int, M: Optional[int] = None, table: Optional[PrimeTable] = None
+) -> ModulusSets:
+    """partitions.exceptional_sets_for_modulus (see sieve_primes)."""
+    from . import partitions
+
+    return partitions.exceptional_sets_for_modulus(m, N, M=M, table=table)
+
 
 _WORKER_TABLE: dict[tuple[int, int], PrimeTable] = {}
 
@@ -195,7 +233,13 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
                 results[m] = cached
                 continue
         missing.append(m)
-    reserved = max((partitions.class_mask_bytes(m, config.N) for m in missing), default=0)
+    if not missing:
+        return results
+    # a miss computes: import the engine here, before the pool forks its
+    # workers, so that they inherit it instead of each importing numpy
+    from . import partitions
+
+    reserved = max(partitions.class_mask_bytes(m, config.N) for m in missing)
     jobs = [(m, config.N, config.stage1_bound(m), reserved) for m in missing]
 
     # the pool starts every worker up front, so start no more than the jobs
@@ -286,6 +330,8 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
     N = config.N
     lines = []
     ok = True
+    if target in ("conj2", "conj3", "ternary"):
+        from . import partitions
     if target == "conj2":
         for case in partitions.MOD4_CASES:
             got = partitions.verify_conjecture_mod4(case, N)
@@ -442,7 +488,9 @@ def _config_from(args: argparse.Namespace, m_range: bool = False) -> RunConfig:
 
 
 def cmd_exceptions(args: argparse.Namespace) -> int:
-    pair = AdmissiblePair(args.a, args.b, args.m)
+    from . import partitions
+
+    pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
     es = partitions.exceptional_set(pair, config.N, M=config.stage1_bound(args.m))
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"

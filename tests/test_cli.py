@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apgoldbach import cli, partitions
@@ -160,6 +161,19 @@ class TestTables:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["table1", "table2", "figures"])
+    def test_zero_modulus_usage_error(self, capsys, tmp_path, command):
+        # m = 0 has no unit classes: the range is refused before anything
+        # computes, so the engine is never imported
+        argv = [command, "--m-min", "0", "--m-max", "4", "--limit", "1000", "--threads", "1"]
+        if command == "figures":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: moduli must be >= 2, got m_min = 0\n"
+        assert _fresh_cli(argv) == [EXIT_USAGE, [], ""]
+        assert not (tmp_path / "out").exists()
+
     def test_json_round_trip(self, capsys):
         config = RunConfig(N=10**4, m_min=2, m_max=6, threads=1)
         doc = table1_document(compute_sweep(config), "json")
@@ -237,6 +251,24 @@ def _fresh_python(code: str, **env_vars: str) -> str:
                           text=True, check=True, timeout=60).stdout
 
 
+# the engine, which only the processes that compute import
+ENGINE_MODULES = {"numpy", "apgoldbach.partitions", "apgoldbach.primes"}
+
+
+def _fresh_cli(argv: list[str], modules: set[str] = ENGINE_MODULES) -> list:
+    """[exit code, the loaded modules among `modules`, stdout] of
+    cli.main(argv) in a fresh interpreter; an empty argv only imports."""
+    code = textwrap.dedent(f"""\
+        import contextlib, io, json, sys
+        from apgoldbach import cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main({argv!r}) if {argv!r} else 0
+        print(json.dumps([rc, sorted(set(sys.modules) & {modules!r}), out.getvalue()]))
+    """)
+    return json.loads(_fresh_python(code))
+
+
 @pytest.mark.parametrize("caller,seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
 def test_blas_threads_default_to_one_unless_set(caller, seen):
     # pytest has loaded numpy before any test runs, so only a fresh
@@ -247,32 +279,108 @@ def test_blas_threads_default_to_one_unless_set(caller, seen):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_cli_import_starts_no_thread():
-    # numpy's OpenBLAS starts a helper thread unless told to use one thread
-    code = "import os, apgoldbach.cli; print(len(os.listdir('/proc/self/task')))"
-    assert _fresh_python(code) == "1\n"
+    # numpy's OpenBLAS starts a helper thread unless told to use one
+    # thread; the CLI imports numpy when it first computes, so count after
+    # an engine command
+    code = textwrap.dedent("""\
+        import contextlib, io, os, sys
+        from apgoldbach import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["verify", "conj2", "--limit", "1000"])
+        print(rc, "numpy" in sys.modules, len(os.listdir("/proc/self/task")))
+    """)
+    assert _fresh_python(code) == "0 True 1\n"
 
 
-LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "decimal"}
+@pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])
+def test_import_loads_no_engine(module):
+    code = f"import sys, {module}; print(sorted(set(sys.modules) & {ENGINE_MODULES!r}))"
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_public_names_load_on_first_access():
+    code = textwrap.dedent("""\
+        import apgoldbach
+        names = [getattr(apgoldbach, name).__module__ for name in apgoldbach.__all__]
+        print(sorted(set(names)), set(apgoldbach.__all__) <= set(dir(apgoldbach)))
+        try:
+            apgoldbach.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """)
+    assert _fresh_python(code) == (
+        "['apgoldbach.partitions', 'apgoldbach.primes'] True\n"
+        "module 'apgoldbach' has no attribute 'no_such_name'\n"
+    )
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache holding m <= 50 at N = 10^4."""
+    cache = tmp_path_factory.mktemp("warm")
+    compute_sweep(RunConfig(N=10**4, m_min=2, m_max=50, threads=1, cache_dir=cache))
+    return cache
+
+
+@pytest.mark.parametrize("argv", [["table2"], ["figures"], ["verify", "asy"]])
+def test_warm_cache_loads_no_engine(capsys, tmp_path, warm_cache, argv):
+    # each reads m <= 50 off the cache and computes nothing
+    args = [*argv, "--limit", "10000", "--threads", "1"]
+    if argv == ["figures"]:
+        args += ["--output-dir", str(tmp_path)]
+    code, uncached, _ = run(capsys, *args)
+    figures = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for p in tmp_path.iterdir():
+        p.unlink()
+    assert code == EXIT_OK
+    assert _fresh_cli([*args, "--cache-dir", str(warm_cache)]) == [EXIT_OK, [], uncached]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == figures
+
+
+def test_cold_pool_starts_after_the_engine_import():
+    # forked workers inherit the engine that the parent imported
+    code = textwrap.dedent("""\
+        import concurrent.futures, contextlib, io, sys
+        from apgoldbach import cli
+
+        seen = ["apgoldbach.partitions" in sys.modules]
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append("apgoldbach.partitions" in sys.modules)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        concurrent.futures.ProcessPoolExecutor = Pool
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["table1", "--m-min", "4", "--m-max", "6",
+                           "--limit", "10000", "--threads", "2"])
+        print(rc, seen)
+    """)
+    assert _fresh_python(code) == "0 [False, True]\n"
+
+
+LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "decimal",
+                "numpy"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
     ([], []),
-    (["verify", "conj2", "--limit", "1000"], []),
-    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], []),
+    (["verify", "conj2", "--limit", "1000"], ["numpy"]),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], ["numpy"]),
     (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
-     ["apgoldbach.summaries", "decimal", "fractions"]),
+     ["apgoldbach.summaries", "decimal", "fractions", "numpy"]),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # import alone (argv []) loads none of LAZY_MODULES
-    code = (
-        "import contextlib, io, sys\n"
-        "from apgoldbach import cli\n"
-        f"argv = {argv!r}\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = cli.main(argv) if argv else 0\n"
-        f"print(rc, sorted(set(sys.modules) & {LAZY_MODULES!r}))\n"
-    )
-    assert _fresh_python(code) == f"0 {loaded}\n"
+    assert _fresh_cli(argv, LAZY_MODULES)[:2] == [EXIT_OK, loaded]
 
 
 class TestFigures:
@@ -506,6 +614,48 @@ def test_cache_prefix_truncation_property(table_1e5, m, N, extra):
         hit = load_cache_entry(Path(d), m, N)
     assert hit == {k: tuple(e for e in v if e <= N) for k, v in larger.items()}
     assert hit == exceptional_sets_for_modulus(m, N, table=table_1e5)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _checksummed(sets) -> dict:
+    """A cache document for m = 4 at N = 10^4 whose checksum holds, with
+    `sets` as its pair list."""
+    payload = {"m": 4, "N": 10**4, "sets": sets}
+    return {"schema_version": cli.CACHE_SCHEMA_VERSION, "payload": payload,
+            "checksum": cli._payload_checksum(payload)}
+
+
+@given(doc=JSON_VALUES | JSON_VALUES.map(_checksummed))
+@example(doc=[])
+@example(doc="x")
+@example(doc=5)
+@example(doc=_checksummed(5))
+@example(doc=_checksummed([]))
+@example(doc=_checksummed([[1, 1, ["2"]], [1, 3, []], [3, 3, []]]))
+@settings(max_examples=40, deadline=None)
+def test_cache_file_of_any_json_is_recomputed_property(doc):
+    # whatever valid JSON the exact-key file holds, table1 warns once and
+    # prints what it prints without a cache
+    argv = ["table1", "--m-min", "4", "--m-max", "4", "--limit", "10000", "--threads", "1"]
+    uncached, out, err = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(uncached):
+        assert main(argv) == EXIT_OK
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "m4_N10000.json")
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--cache-dir", d])
+    assert code == EXIT_OK
+    assert out.getvalue() == uncached.getvalue()
+    assert err.getvalue().startswith(f"warning: ignoring corrupt cache entry {path}: ")
+    assert err.getvalue().count("\n") == 1
 
 
 @given(m=SWEEP_MODULI, N=st.integers(2, 5000), edit=st.sampled_from(["N", "drop", "add", "M"]))
