@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
 # The engine (partitions and primes, and with them numpy) is imported only
 # where something is computed, so that a warm-cache table1, table2, figures
@@ -177,7 +177,93 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
 
 
 # ---------------------------------------------------------------------------
-# Per-modulus computation (worker-safe)
+# Worker processes
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def fork_map(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
+    """[fn(x) for x in shares], each share in its own process.
+
+    This process computes shares[0]; a child forked for each other share
+    computes it, sends back its pickled result or the exception it raised,
+    which is raised here, and leaves with os._exit.  A child that dies
+    without sending one raises RuntimeError naming its wait status.  Every
+    child is reaped before this returns or raises.  Serial where os.fork
+    does not exist.
+
+    Children are copies of this process, engine and all, so fn and the
+    shares need not be picklable; this process must run no other thread
+    (importing apgoldbach keeps numpy's OpenBLAS to one).
+    """
+    if len(shares) < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in shares]
+    import pickle
+
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, share, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [fn(shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(
+                    f"worker process {pid} sent no result: wait status {status} ({how})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:  # this process failed first: stop and reap the rest
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
+    """The child's side of fork_map: write (True, fn(share)) or (False,
+    the exception it raised), pickled, to the pipe end w and exit; exit
+    status 1 if that fails."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            out = (True, fn(share))
+        except BaseException as exc:  # raised again in the parent
+            out = (False, exc)
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
+# Per-modulus computation
 
 
 def sieve_primes(limit: int, **kwargs) -> PrimeTable:
@@ -202,7 +288,7 @@ _WORKER_TABLE: dict[tuple[int, int], PrimeTable] = {}
 
 
 def _sets_for_modulus(args: tuple[int, int, int, int]) -> ModulusSets:
-    """Worker entry: compute all ordered-pair sets for one modulus.
+    """All ordered-pair sets for one modulus.
 
     The sieve reserves the class-mask bytes of the largest index of the
     sweep, and the worker keeps its table for its next modulus at the same
@@ -217,12 +303,30 @@ def _sets_for_modulus(args: tuple[int, int, int, int]) -> ModulusSets:
     return exceptional_sets_for_modulus(m, N, M=M, table=table)
 
 
+def _modulus_shares(jobs: list[tuple[int, int, int, int]], workers: int) -> list[list]:
+    """The jobs dealt to min(workers, len(jobs)) shares: heaviest first, each
+    to the share with the least estimated work.  Modulus m costs about
+    phi(m)^2/m, in proportion to its stage-1 OR bytes: for each of its
+    phi(m) small-prime classes, up to phi(m) rows of N/m candidates."""
+
+    def cost(m: int) -> float:
+        return sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 / m
+
+    shares: list[list] = [[] for _ in range(min(workers, len(jobs)))]
+    loads = [0.0] * len(shares)
+    for job in sorted(jobs, key=lambda job: -cost(job[0])):
+        k = loads.index(min(loads))
+        shares[k].append(job)
+        loads[k] += cost(job[0])
+    return shares
+
+
 def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
-    """Sets for every modulus in range; cache misses run in parallel over
-    moduli and are then written to the cache.
+    """Sets for every modulus in range; cache misses are dealt to the
+    workers' shares (fork_map) and then written to the cache.
 
     Results are merged in modulus order, so the output is independent of
-    worker scheduling.
+    how the moduli were dealt.
     """
     results: dict[int, ModulusSets] = {}
     missing = []
@@ -235,26 +339,20 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
         missing.append(m)
     if not missing:
         return results
-    # a miss computes: import the engine here, before the pool forks its
+    # a miss computes: import the engine here, before fork_map forks the
     # workers, so that they inherit it instead of each importing numpy
     from . import partitions
 
     reserved = max(partitions.class_mask_bytes(m, config.N) for m in missing)
     jobs = [(m, config.N, config.stage1_bound(m), reserved) for m in missing]
-
-    # the pool starts every worker up front, so start no more than the jobs
-    workers = min(config.worker_count, len(jobs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_sets_for_modulus, jobs))
-    else:
-        computed = [_sets_for_modulus(job) for job in jobs]
-    for (m, *_), sets in zip(jobs, computed):
-        results[m] = sets
-        if config.cache_dir is not None:
-            save_cache_entry(config.cache_dir, m, config.N, sets)
+    shares = _modulus_shares(jobs, config.worker_count)
+    computed = fork_map(lambda share: [_sets_for_modulus(job) for job in share], shares)
+    for share, sets_list in zip(shares, computed):
+        for (m, *_), sets in zip(share, sets_list):
+            results[m] = sets
+    if config.cache_dir is not None:
+        for m in missing:
+            save_cache_entry(config.cache_dir, m, config.N, results[m])
     return {m: results[m] for m in config.moduli}
 
 
@@ -333,8 +431,9 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
     if target in ("conj2", "conj3", "ternary"):
         from . import partitions
     if target == "conj2":
+        sets: dict = {}  # the cases share the three sets mod 4
         for case in partitions.MOD4_CASES:
-            got = partitions.verify_conjecture_mod4(case, N)
+            got = partitions.verify_conjecture_mod4(case, N, sets)
             expected = CONJ2_EXPECTED[case]
             passed = got == expected
             ok &= passed
@@ -428,7 +527,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", type=Path,
                    default=os.environ.get(CACHE_ENV_VAR) or None)
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes for sweeps (0 = auto)")
+                   help="worker processes, over the moduli of a sweep or the "
+                   "windows of one exceptions pair (0 = auto: one per CPU)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,7 +592,8 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
 
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
-    es = partitions.exceptional_set(pair, config.N, M=config.stage1_bound(args.m))
+    es = partitions.exceptional_set(pair, config.N, M=config.stage1_bound(args.m),
+                                    workers=config.worker_count, share_map=fork_map)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
     print(f"stage-1 bound M = {es.stage1_bound}, "

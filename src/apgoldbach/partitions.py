@@ -15,9 +15,10 @@ never marked.  The b-class is held as eight bit-shifted packed copies
 offset i // 8.  The first _VECTOR_PHASE_PRIMES shifts OR into packed
 marks one block at a time, so the marks stay in cache; the survivors are
 the unset bits of the few marks bytes that hold any, and the remaining
-primes test them in 2-D gathers of bit j of copy 0, in blocks of at most
-_GATHER_BLOCK_ELEMENTS elements.  Stage 1 tries every small prime up to
-M, so only survivors above M + 2 go to stage 2, which tries only p > M.
+primes test them in 2-D gathers of bit j of copy 0, in blocks that start
+at _GATHER_FIRST_ELEMENTS elements and double up to _GATHER_BLOCK_ELEMENTS.
+Stage 1 tries every small prime up to M, so only survivors above M + 2 go
+to stage 2, which tries only p > M.
 
 A modulus sweep builds one ResidueIndex, the copies of every unit class
 read off the table's odd bits in one chunked pass (PrimeTable.mask).
@@ -27,6 +28,9 @@ primes, so one OR marks every row.  A single pair is the one-row case: it
 builds no table and no N/m-entry mask, but sieves the a-class up to M and
 then each b-window straight from its progression
 (primes.sieve_progression) and packs it once, so its memory is flat in N.
+Its windows are independent, so a caller may pass a share map that runs
+shares of them in other processes (cli.fork_map); the engine itself runs
+them in order.
 """
 
 import math
@@ -62,15 +66,34 @@ _MARK_BLOCK = 1 << 21
 # them that the largest shift reaches; one sieve segment's worth.
 _WINDOW = 1 << 20
 
+# Fewest windows a share of a single pair's stage 1 may get when it is
+# split over processes.  On 2 vCPUs, forking a share from a CLI process
+# and reading back its survivors costs about 4 ms of wall and CPU time,
+# and one window of a mod-4 pair at 2*10^8 about 6.5 ms: from 3 windows
+# up the fork costs at most a fifth of a share, and the verifiers' pairs
+# at 5*10^6 (1-2 windows) stay in one process.
+_MIN_SHARE_WINDOWS = 3
+
 # Maps the j ranges of the b-class windows, in order, to the windows, each
 # as (base, copies): bit y of copies[r, k] is entry base + y - r of row k.
 Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, np.ndarray]]]
 
+# Maps fn over the share numbers 0, 1, ..., in order; a caller's map may run
+# them in other processes.
+ShareMap = Callable[[Callable[[int], list[int]], range], list[list[int]]]
+
+
+def _serial_map(fn: Callable[[int], list[int]], shares: range) -> list[list[int]]:
+    return [fn(k) for k in shares]
+
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
 # which keeps a pair's stage-1 scratch below half of one N/m-entry mask
-# at N = 10^7.
+# at N = 10^7.  The first block of each gather takes _GATHER_FIRST_ELEMENTS
+# and each next one twice the last: nearly every candidate falls to the
+# first few primes, and the later blocks test only the rest.
 _GATHER_BLOCK_ELEMENTS = 1 << 16
+_GATHER_FIRST_ELEMENTS = 1 << 12
 
 # _BIT[y % 8] selects bit y of a packed row within its byte.
 _BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
@@ -249,8 +272,23 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
     return pidx, windows
 
 
+def _window_step(pidx: np.ndarray) -> int:
+    """Candidates s per stage-1 window: _WINDOW + span, span being the
+    largest shift, rounded up to whole bytes, so that shift i reads copy
+    i % 8 of an index, which holds every entry j <= (N - 2)//m - i that
+    it needs."""
+    span = int(pidx[-1]) if len(pidx) else 0
+    return (_WINDOW + span + 7) // 8 * 8
+
+
 def _stage1(
-    a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, windows: Windows
+    a: int,
+    bs: list[int],
+    m: int,
+    N: int,
+    pidx: np.ndarray,
+    windows: Windows,
+    share: tuple[int, int] = (0, 1),
 ) -> list[list[int]]:
     """Candidates n <= N of each pair (a, b), b in bs, not representable
     with a small prime p = a + i*m, i in pidx; one ascending list per b.
@@ -262,14 +300,16 @@ def _stage1(
     covers every row.  Windows cover _WINDOW + span of s and reach the
     span entries below them, span being the largest shift, so at most
     half of what a single pair sieves is overlap.
+
+    share = (k, K) runs only windows k, k + K, k + 2K, ...; share 0 also
+    holds a + b - m.  The K shares' lists, merged, are the unsplit lists.
     """
     last = np.array([(N - a - b) // m for b in bs])  # largest s per row
     count = int(last.max()) + 1
     span = int(pidx[-1]) if len(pidx) else 0
-    # windows start on a byte, so shift i reads copy i % 8 of an index,
-    # which holds every entry j <= (N - 2)//m - i that it needs
-    step = (_WINDOW + span + 7) // 8 * 8
-    starts = range(0, count, step)
+    step = _window_step(pidx)
+    k, shares = share
+    starts = range(k * step, count, shares * step)
     ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
     shifts = pidx.tolist()
     block = max(1, _MARK_BLOCK // (8 * len(bs)))  # mark bytes per row
@@ -309,9 +349,9 @@ def _stage1(
             # the rest in blocks: one row per candidate, one column per
             # prime index i, reading bit y = j - base of copy 0; j < 0
             # (p > n) is no hit
-            start = 0
+            start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
             while start < len(tail) and len(s):
-                w = max(1, _GATHER_BLOCK_ELEMENTS // len(s))
+                w = max(1, elements // len(s))
                 y = (s - base)[:, None] - tail[start : start + w][None, :]
                 hit = bits0.take((row * width)[:, None] + (y >> 3))
                 hit &= _BIT.take(y & 7)
@@ -319,30 +359,43 @@ def _stage1(
                 keep = ~hit.any(axis=1)
                 row, s = row[keep], s[keep]
                 start += w
+                elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
             rows.append(row)
             found.append(s)
     row = np.concatenate(rows)
     s = np.concatenate(found)[np.argsort(row, kind="stable")]
     per_row = np.split(s, np.cumsum(np.bincount(row, minlength=len(bs)))[:-1])
     return [
-        [a + b - m] * (2 <= a + b - m <= N) + (a + b + ss * m).tolist()
+        [a + b - m] * (k == 0 and 2 <= a + b - m <= N) + (a + b + ss * m).tolist()
         for b, ss in zip(bs, per_row)
     ]
 
 
 def _stage1_unresolved(
-    pair: AdmissiblePair, N: int, M: int, index: Optional[ResidueIndex] = None
+    pair: AdmissiblePair,
+    N: int,
+    M: int,
+    index: Optional[ResidueIndex] = None,
+    workers: int = 1,
+    share_map: ShareMap = _serial_map,
 ) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending.
 
     The b-class comes one window at a time, from `index` when given and
-    otherwise sieved (_sieved_source).
+    otherwise sieved (_sieved_source).  The windows are split into as many
+    shares as `workers` allows while each gets _MIN_SHARE_WINDOWS, and
+    share_map runs the shares.
     """
-    a, b = pair.a, pair.b
+    a, b, m = pair.a, pair.b, pair.m
     pidx, windows = (
         _sieved_source(pair, N, M) if index is None else index.stage1_source(a, [b], M)
     )
-    return _stage1(a, [b], pair.m, N, pidx, windows)[0]
+    count = len(range(0, (N - a - b) // m + 1, _window_step(pidx)))
+    shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
+    parts = share_map(
+        lambda k: _stage1(a, [b], m, N, pidx, windows, (k, shares))[0], range(shares)
+    )
+    return sorted(n for part in parts for n in part)
 
 
 def _resolved(pair: AdmissiblePair, N: int, M: int, survivors: list[int]) -> ExceptionalSet:
@@ -368,12 +421,15 @@ def exceptional_set(
     N: int,
     M: Optional[int] = None,
     index: Optional[ResidueIndex] = None,
+    workers: int = 1,
+    share_map: ShareMap = _serial_map,
 ) -> ExceptionalSet:
     """Compute E_{a,b,m} up to N with the two-stage algorithm.
 
     Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
     given; otherwise it sieves the pair's two progressions itself, one
-    window at a time.
+    window at a time.  With workers > 1 its windows may be split into up
+    to that many shares, which share_map runs; stage 2 runs here.
     """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
@@ -385,7 +441,7 @@ def exceptional_set(
         raise ValueError(
             f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
         )
-    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, index))
+    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, index, workers, share_map))
 
 
 def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
@@ -522,30 +578,36 @@ MOD4_CASES = ("i", "ii", "iii", "iv")
 _MOD4_PAIRS = {"ii": (1, 3), "iii": (3, 3), "iv": (1, 1)}
 
 
-def verify_conjecture_mod4(case: str, N: int) -> tuple[int, ...]:
+def verify_conjecture_mod4(
+    case: str, N: int, memo: Optional[dict[tuple[int, int, int], tuple[int, ...]]] = None
+) -> tuple[int, ...]:
     """Violations of the stated mod-4 representation case up to N.
 
     Cases: (i) even n > 4 with p = 3 mod 4 and q unrestricted;
     (ii) n = 0 mod 4 with p = 1, q = 3 mod 4; (iii) n = 2 mod 4 with
     p = q = 3 mod 4; (iv) n = 2 mod 4 with p = q = 1 mod 4.  Cases
     (ii)-(iv) report the small exceptions; case (i) excludes n <= 4 by
-    its statement.
+    its statement.  `memo` keeps each set E(a, b, 4) up to N it computes,
+    keyed by (a, b, N) with a <= b since E(a, b, 4) = E(b, a, 4); one dict
+    passed to every case computes each of the three sets once.
     """
     if case not in MOD4_CASES:
         raise ValueError(f"unknown case {case!r}, expected one of {MOD4_CASES}")
     if N < 2:
         raise ValueError(f"N={N} must be >= 2")
+    memo = {} if memo is None else memo
+
+    def elements(a: int, b: int) -> tuple[int, ...]:
+        key = (min(a, b), max(a, b), N)
+        if key not in memo:
+            memo[key] = exceptional_set(AdmissiblePair(key[0], key[1], 4), N).elements
+        return memo[key]
+
     if case != "i":
-        a, b = _MOD4_PAIRS[case]
-        return exceptional_set(AdmissiblePair(a, b, 4), N).elements
+        return elements(*_MOD4_PAIRS[case])
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
-    elements = [
-        n
-        for b in (1, 3)
-        for n in exceptional_set(AdmissiblePair(3, b, 4), N).elements
-    ]
-    return tuple(sorted(n for n in elements if n > 4))
+    return tuple(sorted(n for b in (1, 3) for n in elements(3, b) if n > 4))
 
 
 SAMPLE_ITEMS = ("i", "ii", "iii", "iv", "v", "vi", "vii")

@@ -1,9 +1,9 @@
-import concurrent.futures
 import contextlib
 import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,6 +37,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork makes from now on."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_children():
+    # waitpid(-1) would see a running child and reap a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestExceptions:
@@ -127,6 +148,23 @@ class TestExceptions:
         assert code == EXIT_USAGE
         assert out == "" and "budget" in err
 
+    def test_threads_do_not_change_output(self, capsys, monkeypatch):
+        # short windows split the pair into shares: 2 and 3 workers fork 1
+        # and 2 children; -M 300 leaves 329 survivors to stage 2
+        monkeypatch.setattr(partitions, "_WINDOW", 1 << 10)
+        forks = _count_forks(monkeypatch)
+        argv = ["exceptions", "--m", "4", "--a", "1", "--b", "3",
+                "--limit", "200000", "-M", "300"]
+        outs = []
+        for threads in (1, 2, 3):
+            code, out, err = run(capsys, *argv, "--threads", str(threads))
+            assert (code, err) == (EXIT_OK, "")
+            outs.append(out)
+        assert outs == [outs[0]] * 3
+        assert "survivors resolved in stage 2 = 329," in outs[0]
+        assert len(forks) == 3
+        _assert_no_children()
+
 
 class TestTables:
     def test_table1_single_row(self, capsys):
@@ -195,26 +233,20 @@ class TestTables:
         assert RunConfig(threads=0).worker_count == 8
 
     def test_pool_capped_at_missing_moduli(self, monkeypatch):
-        # the pool starts all its workers up front: two moduli start two
-        started = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        # one share per worker and no more shares than moduli: two moduli
+        # on eight workers run in this process and one child
+        forks = _count_forks(monkeypatch)
         sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=8))
-        assert started == [2]
+        assert len(forks) == 1
         assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
+        _assert_no_children()
+
+    def test_moduli_dealt_heaviest_first(self):
+        # phi(m)^2/m: m = 8 costs 2, m = 4 costs 1, m = 6 and m = 2 less
+        jobs = [(m, 100, 10, 0) for m in (2, 4, 6, 8)]
+        shares = cli._modulus_shares(jobs, 3)
+        assert [[job[0] for job in share] for share in shares] == [[8], [4], [6, 2]]
+        assert [job[0] for job in cli._modulus_shares(jobs, 1)[0]] == [8, 4, 6, 2]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
         # a sweep of m = 30 fits a 1 MiB budget beside its table, and one
@@ -340,25 +372,17 @@ def test_warm_cache_loads_no_engine(capsys, tmp_path, warm_cache, argv):
 def test_cold_pool_starts_after_the_engine_import():
     # forked workers inherit the engine that the parent imported
     code = textwrap.dedent("""\
-        import concurrent.futures, contextlib, io, sys
+        import contextlib, io, os, sys
         from apgoldbach import cli
 
         seen = ["apgoldbach.partitions" in sys.modules]
+        fork = os.fork
 
-        class Pool:
-            def __init__(self, max_workers):
-                seen.append("apgoldbach.partitions" in sys.modules)
+        def recorded():
+            seen.append("apgoldbach.partitions" in sys.modules)
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        concurrent.futures.ProcessPoolExecutor = Pool
+        os.fork = recorded
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(["table1", "--m-min", "4", "--m-max", "6",
                            "--limit", "10000", "--threads", "2"])
@@ -368,7 +392,7 @@ def test_cold_pool_starts_after_the_engine_import():
 
 
 LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "decimal",
-                "numpy"}
+                "numpy", "concurrent.futures", "multiprocessing"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -377,6 +401,11 @@ LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "d
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], ["numpy"]),
     (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
      ["apgoldbach.summaries", "decimal", "fractions", "numpy"]),
+    # both fork one worker
+    (["table1", "--m-max", "6", "--limit", "1000", "--threads", "2"],
+     ["apgoldbach.summaries", "decimal", "fractions", "numpy"]),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "30000000",
+      "--threads", "2"], ["numpy"]),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # import alone (argv []) loads none of LAZY_MODULES
@@ -479,6 +508,73 @@ class TestHeuristic:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error:") and "budget" in err
+
+
+SWEEP_ARGV = ["table1", "--m-min", "4", "--m-max", "6", "--limit", "10000", "--threads", "2"]
+PAIR_ARGV = ["exceptions", "--m", "4", "--a", "1", "--b", "3", "--limit", "200000",
+             "--threads", "2"]
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+@pytest.mark.parametrize("argv", [SWEEP_ARGV, PAIR_ARGV], ids=["sweep", "pair"])
+def test_budget_error_in_a_worker_exits_2(capsys, monkeypatch, argv, where):
+    # the sweep deals m = 4 to this process and m = 6 to the child; the
+    # pair, in short windows, runs windows 0, 2, ... here and 1, 3, ... there.
+    # The error stops the side it is raised in, and the other side's child
+    # is reaped either way
+    parent = os.getpid()
+    monkeypatch.setattr(partitions, "_WINDOW", 1 << 10)
+
+    def over_budget(fn):
+        def wrapped(*args, **kwargs):
+            if (os.getpid() == parent) == (where == "parent") and args[0] != 1:
+                raise MemoryBudgetError(f"over the budget in the {where}")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # the pair sieves its a-class (1 mod 4) here before it forks; its
+    # b-windows (3 mod 4) and the sweep's moduli run in both processes
+    monkeypatch.setattr(cli, "exceptional_sets_for_modulus",
+                        over_budget(cli.exceptional_sets_for_modulus))
+    monkeypatch.setattr(partitions, "sieve_progression",
+                        over_budget(partitions.sieve_progression))
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: over the budget in the {where}\n"
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_killed_worker_fails_the_parent():
+    # the parent reads end of file from a killed child's pipe, so it does
+    # not wait for a result; it names the wait status and reaps every child
+    code = textwrap.dedent("""\
+        import os, signal
+        from apgoldbach import cli
+
+        parent, real = os.getpid(), cli.exceptional_sets_for_modulus
+
+        def killed(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        cli.exceptional_sets_for_modulus = killed
+        try:
+            cli.compute_sweep(cli.RunConfig(N=10**4, m_min=4, m_max=8, threads=3))
+        except RuntimeError as exc:
+            print(exc)
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            print("no children")
+    """)
+    assert re.fullmatch(
+        r"worker process \d+ sent no result: wait status 9 \(killed by signal 9\)\n"
+        r"no children\n",
+        _fresh_python(code),
+    )
 
 
 def _files(path: Path) -> list[tuple[str, int]]:

@@ -393,6 +393,22 @@ class TestConjectureMod4:
         with pytest.raises(ValueError, match="unknown case"):
             verify_conjecture_mod4("v", 100)
 
+    def test_shared_memo_computes_each_set_once(self, monkeypatch):
+        # case (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4), which
+        # cases (ii) and (iii) read too
+        pairs = []
+        engine = partitions.exceptional_set
+
+        def counted(pair, N):
+            pairs.append((pair.a, pair.b))
+            return engine(pair, N)
+
+        monkeypatch.setattr(partitions, "exceptional_set", counted)
+        memo = {}
+        got = [verify_conjecture_mod4(case, 10**4, memo) for case in partitions.MOD4_CASES]
+        assert sorted(pairs) == [(1, 1), (1, 3), (3, 3)]
+        assert got == [verify_conjecture_mod4(case, 10**4) for case in partitions.MOD4_CASES]
+
     def test_case_i_matches_naive(self):
         got = verify_conjecture_mod4("i", 10**4)
         assert list(got) == naive_mod4_case_i(10**4)
@@ -539,13 +555,15 @@ def test_progression_reduction_matches_naive(m0, N, data):
 )
 def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # tiny gather and marking blocks make the tail and the head cross many
-    # block boundaries, and tiny windows make both cross many windows; M
+    # block boundaries (the gather's first blocks narrower than the rest),
+    # and tiny windows make both cross many windows; M
     # spans bounds below every prime of class a and below and above the
     # head's primes, at the default head of 64 primes and at shorter ones.
     # Stage 1 reads the b-class off a modulus index or sieves it, and
     # stage 2 skips the survivors up to M + 2 either way.  The sweep's
     # batched pass marks the pair as the row max(a, b) of class min(a, b).
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
+    monkeypatch.setattr(partitions, "_GATHER_FIRST_ELEMENTS", data.draw(st.sampled_from([1, 2, 7])))
     monkeypatch.setattr(
         partitions, "_MARK_BLOCK", data.draw(st.sampled_from([partitions._MARK_BLOCK, 1, 5, 64]))
     )
@@ -569,3 +587,47 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
         small, rows, m, N, *ResidueIndex(table_1e5, m, N, units).stage1_source(small, rows, M)
     )
     assert batched[rows.index(large)] == naive_stage1_unresolved(small, large, m, N, M)
+
+
+@given(
+    m=st.sampled_from([2, 4, 6, 8, 10, 12, 30]),
+    N=st.integers(2, 4000),
+    K=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
+    # share k of K runs windows k, k + K, ...; merged, the K shares' lists
+    # are the unsplit stage 1, also where a share has no window.  Through
+    # the engine, a pair splits into at most `workers` shares, only while
+    # each gets _MIN_SHARE_WINDOWS windows, and gives the unsplit result
+    monkeypatch.setattr(partitions, "_WINDOW", data.draw(st.sampled_from([1, 7, 64])))
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    a = data.draw(st.sampled_from(units))
+    b = data.draw(st.sampled_from(units))
+    M = data.draw(st.integers(-2 * m, N))
+    pair = AdmissiblePair(a, b, m)
+    index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
+    unsplit = _stage1_unresolved(pair, N, M, index)
+    assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
+    pidx, windows = (
+        partitions._sieved_source(pair, N, M) if index is None
+        else index.stage1_source(a, [b], M)
+    )
+    parts = [partitions._stage1(a, [b], m, N, pidx, windows, (k, K))[0] for k in range(K)]
+    assert all(part == sorted(part) for part in parts)
+    assert sorted(n for part in parts for n in part) == unsplit
+
+    calls = []
+
+    def share_map(fn, shares):
+        calls.append(len(shares))
+        return [fn(k) for k in reversed(shares)][::-1]
+
+    assert _stage1_unresolved(pair, N, M, index, K, share_map) == unsplit
+    count = len(range(0, (N - a - b) // m + 1, partitions._window_step(pidx)))
+    assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
