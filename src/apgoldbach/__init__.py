@@ -29,7 +29,6 @@ _EXPORTS = {
     "find_witness": "partitions",
     "PrimeTable": "primes",
     "is_prime": "primes",
-    "primes_in_class": "primes",
     "sieve_primes": "primes",
 }
 

@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .primes import PrimeTable
 from .summaries import totient
 
 # Exact rational evaluation of the tail is used inside this range; beyond
@@ -35,23 +33,6 @@ def g2_estimate(n: int) -> float:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"n={n} must be even and >= 4")
     return 2 * n / math.log(n) ** 2
-
-
-def g2_exact(n: int, table: PrimeTable) -> int:
-    """Ordered prime pairs (p, q) with p + q = n.
-
-    For odd n the pairs are (2, n - 2) and (n - 2, 2), so the count is 2
-    when n - 2 is prime and 0 otherwise.  For even n both primes are odd,
-    apart from 4 = 2 + 2.
-    """
-    if n > table.limit:
-        raise ValueError(f"n={n} exceeds table limit {table.limit}")
-    if n < 4:
-        return 0
-    if n % 2:
-        return 2 if n - 2 in table else 0
-    odd = table.mask(n - 1, 2, (1,))[1][: n // 2]  # odd[i]: 2i + 1 is prime
-    return int(np.count_nonzero(odd & odd[::-1])) + (n == 4)
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +55,6 @@ def stirling2(k: int, r: int) -> int:
     if r > k:
         return 0
     return _stirling_row(k)[r]
-
-
-def bell_number(k: int) -> int:
-    """Partition count of a k-set; row sum of the Stirling triangle."""
-    return sum(_stirling_row(k))
 
 
 def harmonic(r: int) -> Fraction:
@@ -113,20 +89,6 @@ def coupon_tail(r: int, k: int) -> float:
         for j in range(1, r)
     ]
     return min(1.0, max(0.0, math.fsum(terms)))
-
-
-def coupon_tail_inclusion_exclusion(r: int, k: int) -> Fraction:
-    """Inclusion-exclusion form of P(W_r > k) in exact rationals.
-
-    Independent route for cross-checking the factorial/Stirling form.
-    """
-    if r < 1 or k < 0:
-        raise ValueError("need r >= 1 and k >= 0")
-    return sum(
-        ((-1) ** (j + 1) * math.comb(r, j) * Fraction(r - j, r) ** k
-         for j in range(1, r)),
-        Fraction(0),
-    )
 
 
 @dataclass(frozen=True)
@@ -229,22 +191,3 @@ def predict_bounds(m: int, c: float, delta: float) -> BoundPrediction:
         expected_length=model.r ** (1 / delta) / (2 * m),
     )
 
-
-def simulate_coupon(r: int, k: int, trials: int, seed: int) -> float:
-    """Monte Carlo estimate of P(W_r > k); reproducible given seed."""
-    if r < 1 or k < 0 or trials < 1:
-        raise ValueError("need r >= 1, k >= 0, trials >= 1")
-    if k == 0:
-        return 1.0  # no draws, every box still empty
-    rng = np.random.default_rng(seed)
-    empty = 0
-    chunk = max(1, min(trials, 10**7 // max(k, 1)))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        draws = rng.integers(0, r, size=(t, k))
-        present = np.zeros((t, r), dtype=bool)
-        present[np.arange(t)[:, None], draws] = True
-        empty += int((present.sum(axis=1) < r).sum())
-        done += t
-    return empty / trials

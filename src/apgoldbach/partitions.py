@@ -146,7 +146,6 @@ class ExceptionalSet:
     stage1_bound: int
     elements: tuple[int, ...]
     stage1_survivors: int  # candidates that reached stage 2 but are not exceptions
-    confirmed: bool
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -375,21 +374,17 @@ def _stage1_unresolved(
     pair: AdmissiblePair,
     N: int,
     M: int,
-    index: Optional[ResidueIndex] = None,
     workers: int = 1,
     share_map: ShareMap = _serial_map,
 ) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending.
 
-    The b-class comes one window at a time, from `index` when given and
-    otherwise sieved (_sieved_source).  The windows are split into as many
-    shares as `workers` allows while each gets _MIN_SHARE_WINDOWS, and
-    share_map runs the shares.
+    The b-class is sieved one window at a time (_sieved_source).  The
+    windows are split into as many shares as `workers` allows while each
+    gets _MIN_SHARE_WINDOWS, and share_map runs the shares.
     """
     a, b, m = pair.a, pair.b, pair.m
-    pidx, windows = (
-        _sieved_source(pair, N, M) if index is None else index.stage1_source(a, [b], M)
-    )
+    pidx, windows = _sieved_source(pair, N, M)
     count = len(range(0, (N - a - b) // m + 1, _window_step(pidx)))
     shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
     parts = share_map(
@@ -412,7 +407,6 @@ def _resolved(pair: AdmissiblePair, N: int, M: int, survivors: list[int]) -> Exc
         stage1_bound=M,
         elements=tuple(elements),
         stage1_survivors=len(survivors) - len(elements),
-        confirmed=True,
     )
 
 
@@ -420,16 +414,14 @@ def exceptional_set(
     pair: AdmissiblePair,
     N: int,
     M: Optional[int] = None,
-    index: Optional[ResidueIndex] = None,
     workers: int = 1,
     share_map: ShareMap = _serial_map,
 ) -> ExceptionalSet:
     """Compute E_{a,b,m} up to N with the two-stage algorithm.
 
-    Stage 1 reads `index` (modulus pair.m, limit N, classes a and b) when
-    given; otherwise it sieves the pair's two progressions itself, one
-    window at a time.  With workers > 1 its windows may be split into up
-    to that many shares, which share_map runs; stage 2 runs here.
+    Stage 1 sieves the pair's two progressions, one window at a time.
+    With workers > 1 its windows may be split into up to that many
+    shares, which share_map runs; stage 2 runs here.
     """
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
@@ -437,11 +429,7 @@ def exceptional_set(
         M = min(default_stage1_bound(pair.m), N)
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    if index is not None and (index.m, index.N) != (pair.m, N):
-        raise ValueError(
-            f"index for m={index.m}, N={index.N} does not match m={pair.m}, N={N}"
-        )
-    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, index, workers, share_map))
+    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, workers, share_map))
 
 
 def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
@@ -521,7 +509,7 @@ def stage1_survivor_diagnostic(
     """
     index = _modulus_index(m, N, table)
     survivors = {
-        (a, b): set(_stage1_unresolved(AdmissiblePair(a, b, m), N, M, index))
+        (a, b): set(_stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0])
         - set(elements)
         for (a, b), elements in _modulus_sets(index, M).items()
     }
@@ -650,17 +638,14 @@ def verify_conjecture_samples(
     return tuple(_progression_violations(m0, r, N) for r in residues)
 
 
-def verify_ternary(
-    N: int, table: Optional[PrimeTable] = None
-) -> tuple[int, ...]:
+def verify_ternary(N: int) -> tuple[int, ...]:
     """Odd n with 5 < n <= N not of the form p + q + r with
     p = q = 2 (mod 3) and r prime.
 
     For odd n >= 7 exactly one r in {3, 5, 7} leaves k = n - r = 4 (mod 6),
     and that k is at least 4; n passes with that r unless k is a binary
     violation.  So only the k + r with k a violation and r in {3, 5, 7}
-    fall back to a scan over every prime r, read off `table`, or off a
-    table sieved to the largest of them when that is omitted.
+    fall back to a scan over every prime r up to the largest of them.
     """
     if N < 7:
         raise ValueError(f"N={N} must be >= 7")
@@ -679,7 +664,5 @@ def verify_ternary(
     )
     if not fallback:
         return ()
-    if table is None:
-        table = sieve_primes(fallback[-1])
-    rs = table.primes(hi=fallback[-1]).tolist()
+    rs = [r for r in range(2, fallback[-1] + 1) if is_prime(r)]
     return tuple(n for n in fallback if not any(rep(n - r) for r in rs))

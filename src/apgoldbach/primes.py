@@ -11,7 +11,7 @@ class).
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,103 +60,33 @@ class PrimeTable:
     limit: int
     bits: np.ndarray = field(repr=False)  # packed, bit i <-> 2i + 1; 0 past limit
 
-    def __contains__(self, n: int) -> bool:
-        if n == 2:
-            return self.limit >= 2
-        if n < 0 or n > self.limit or n % 2 == 0:
-            return False
-        i = n >> 1
-        return bool((self.bits[i >> 3] >> (7 - (i & 7))) & 1)
+    def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray) -> None:
+        """Primality along the progressions b + j*m for each b in classes,
+        written packed: out is a zeroed uint8 array of shape (8,
+        len(classes), width), and out[:, k] receives the entries of the
+        k-th class, entry j True iff b + j*m is a prime <= hi, as the eight
+        bit-shifted copies of pack_copies clipped to width bytes.
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            raise ValueError(f"n={n} outside table range [2, {self.limit}]")
-        return n in self
-
-    @property
-    def count(self) -> int:
-        return int.from_bytes(self.bits, "big").bit_count() + 1
-
-    def primes(self, lo: int = 2, hi: int | None = None) -> np.ndarray:
-        """All primes in [lo, hi] as an int64 array, ascending."""
-        hi = self.limit if hi is None else hi
-        if hi > self.limit:
-            raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
-        if hi < 2:
-            return np.zeros(0, dtype=np.int64)
-        flags = np.unpackbits(self.bits, count=(hi + 1) // 2)
-        ps = np.concatenate(([2], 2 * np.flatnonzero(flags) + 1))
-        ps = ps.astype(np.int64, copy=False)
-        if lo > 2:
-            ps = ps[ps >= lo]
-        return ps
-
-    def mask(
-        self,
-        hi: int,
-        m: int = 1,
-        classes: Iterable[int] = (0,),
-        out: np.ndarray | None = None,
-    ) -> dict[int, np.ndarray]:
-        """Primality along the progressions b + j*m for each b in classes.
-
-        masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
-        b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
-        The defaults give the plain mask over [0, hi] as masks[0].
-
-        With `out`, a zeroed uint8 array of shape (8, len(classes), width),
-        m must be even and every class odd: the entries of the k-th class
-        are written packed into out[:, k] instead, as the eight bit-shifted
-        copies of pack_copies clipped to width bytes, and masks[b] is that
-        view.  No bool mask is built then.
-
-        The odd members of class b are b0 + k*L, with L = lcm(2, m) and b0
-        the least odd one: odd index b0//2 + k*L/2, mask entry
-        (b0 - b)/m + k*L/m.  (For even m and odd b that is the column
-        b//2 + j*m/2; even m and even b have no odd member.)  One pass over
-        the odd bits unpacks a chunk of about _CLASS_CHUNK entries at a time
-        and copies each class's column; the prime 2 is set afterwards.  No
-        (hi + 1)-entry array is ever built.
+        m is even and every class odd, so the entries of class b are the
+        odd indices b//2 + j*m/2.  One pass over the odd bits unpacks a
+        chunk of about _CLASS_CHUNK entries at a time and packs each
+        class's column; no (hi + 1)-entry array is ever built.
         """
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
-        if m < 1:
-            raise ValueError(f"modulus m={m} must be >= 1")
-        half = math.lcm(2, m) // 2  # odd-index step of every class
-        masks: dict[int, np.ndarray] = {}
-        columns = []  # (odd index of b0, view of the mask entries b0 + k*L)
-        for k, b in enumerate(classes):
-            if not 0 <= b < m:
-                raise ValueError(f"residue b={b} not in [0, {m})")
-            if out is not None:
-                if m % 2 or b % 2 == 0:
-                    raise ValueError("packed masks need an even modulus and odd classes")
-                masks[b] = out[:, k]  # entry j is column entry j
-                columns.append((b // 2, masks[b]))
-                continue
-            mask = masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
-            b0 = b if b % 2 else b + m
-            if b0 % 2:
-                columns.append((b0 // 2, mask[(b0 - b) // m :: 2 * half // m]))
+        if m < 2 or m % 2 or any(b % 2 == 0 or not 0 < b < m for b in classes):
+            raise ValueError("packed masks need an even modulus and odd classes in [0, m)")
+        half = m // 2  # odd-index step of every class
         step = 8 * half * max(1, _CLASS_CHUNK // (8 * half))
         entries = (hi + 1) // 2  # odd numbers <= hi
         for lo in range(0, entries, step):
             end = min(lo + step, entries)
             flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
-            k0 = lo // half
-            if out is not None:  # every class at once, one row each
-                padded = np.zeros((len(columns), (end - lo) // half + 8), dtype=bool)
-                for row, (offset, _) in zip(padded, columns):
-                    column = flags[offset::half]
-                    row[7 : 7 + len(column)] = column
-                pack_copies(padded, out, k0)
-                continue
-            for offset, dest in columns:
-                column = flags[offset::half]
-                dest[k0 : k0 + len(column)] = column
-        if hi >= 2 and 2 % m in masks:
-            masks[2 % m][2 // m] = True
-        return masks
+            padded = np.zeros((len(classes), (end - lo) // half + 8), dtype=bool)
+            for row, b in zip(padded, classes):
+                column = flags[b // 2 :: half]
+                row[7 : 7 + len(column)] = column
+            pack_copies(padded, out, lo // half)
 
 
 def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
@@ -174,16 +104,6 @@ def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
         packed = np.packbits(padded[..., 7 - r :], axis=-1)
         dest = out[r, ..., start >> 3 :]
         dest[..., : packed.shape[-1]] |= packed[..., : dest.shape[-1]]
-
-
-@dataclass(frozen=True)
-class ResidueClassPrimes:
-    """Primes p <= limit with p = a (mod m), ascending."""
-
-    a: int
-    m: int
-    limit: int
-    primes: tuple[int, ...]
 
 
 def sieve_overhead_bytes(limit: int) -> int:
@@ -331,13 +251,3 @@ def is_prime(n: int) -> bool:
             return False
     return True
 
-
-def primes_in_class(table: PrimeTable, a: int, m: int, limit: int) -> ResidueClassPrimes:
-    """Primes p <= limit with p = a (mod m), read off a sieve table."""
-    if not 0 <= a < m:
-        raise ValueError(f"residue a={a} not in [0, {m})")
-    if limit > table.limit:
-        raise ValueError(f"limit {limit} exceeds table limit {table.limit}")
-    js = np.flatnonzero(table.mask(limit, m, (a,))[a])
-    primes = tuple((a + js * m).tolist())
-    return ResidueClassPrimes(a=a, m=m, limit=limit, primes=primes)

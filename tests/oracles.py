@@ -1,13 +1,16 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive: trial division, double loops,
-full enumeration.  None of it shares code with the implementations under
-test.
+full enumeration, a table's bits unpacked whole.  None of it shares code
+with the implementations under test.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 def is_prime_trial_division(n: int) -> bool:
@@ -119,3 +122,109 @@ def stirling2_by_enumeration(k: int, r: int) -> int:
         if len(set(assignment)) == r
     )
     return surjections // math.factorial(r) if r else 0
+
+
+def bell_number(k: int) -> int:
+    """Partition count of a k-set; row sum of the Stirling triangle."""
+    from apgoldbach.heuristics import stirling2
+
+    return sum(stirling2(k, r) for r in range(k + 1))
+
+
+def coupon_tail_inclusion_exclusion(r: int, k: int) -> Fraction:
+    """Inclusion-exclusion form of P(W_r > k) in exact rationals.
+
+    Independent route for cross-checking the factorial/Stirling form.
+    """
+    if r < 1 or k < 0:
+        raise ValueError("need r >= 1 and k >= 0")
+    return sum(
+        ((-1) ** (j + 1) * math.comb(r, j) * Fraction(r - j, r) ** k
+         for j in range(1, r)),
+        Fraction(0),
+    )
+
+
+def simulate_coupon(r: int, k: int, trials: int, seed: int) -> float:
+    """Monte Carlo estimate of P(W_r > k); reproducible given seed."""
+    if r < 1 or k < 0 or trials < 1:
+        raise ValueError("need r >= 1, k >= 0, trials >= 1")
+    if k == 0:
+        return 1.0  # no draws, every box still empty
+    rng = np.random.default_rng(seed)
+    empty = 0
+    chunk = max(1, min(trials, 10**7 // max(k, 1)))
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        draws = rng.integers(0, r, size=(t, k))
+        present = np.zeros((t, r), dtype=bool)
+        present[np.arange(t)[:, None], draws] = True
+        empty += int((present.sum(axis=1) < r).sum())
+        done += t
+    return empty / trials
+
+
+def class_masks(table, hi: int, m: int = 1, classes=(0,)) -> dict[int, np.ndarray]:
+    """Bool masks along the progressions b + j*m, read off a PrimeTable's
+    packed odd bits by unpacking them whole.
+
+    masks[b][j] is True iff b + j*m is a prime <= hi, for every j with
+    b + j*m <= hi; one False entry follows, so masks[b][-1] is False.
+    The defaults give the plain mask over [0, hi] as masks[0].
+    """
+    if hi > table.limit:
+        raise ValueError(f"hi={hi} exceeds table limit {table.limit}")
+    flags = np.zeros(hi + 1, dtype=bool)  # flags[n]: n is prime
+    flags[1::2] = np.unpackbits(table.bits, count=(hi + 1) // 2)  # bit i <-> 2i + 1
+    flags[2:3] = True  # the implicit prime 2, if hi >= 2
+    masks = {}
+    for b in classes:
+        if not 0 <= b < m:
+            raise ValueError(f"residue b={b} not in [0, {m})")
+        masks[b] = np.zeros((hi - b) // m + 2, dtype=bool)
+        masks[b][:-1] = flags[b::m]
+    return masks
+
+
+def table_primes(table) -> list[int]:
+    """Every prime a PrimeTable holds, ascending."""
+    return np.flatnonzero(class_masks(table, table.limit)[0]).tolist()
+
+
+@dataclass(frozen=True)
+class ResidueClassPrimes:
+    """Primes p <= limit with p = a (mod m), ascending."""
+
+    a: int
+    m: int
+    limit: int
+    primes: tuple[int, ...]
+
+
+def primes_in_class(table, a: int, m: int, limit: int) -> ResidueClassPrimes:
+    """Primes p <= limit with p = a (mod m), read off a sieve table."""
+    if not 0 <= a < m:
+        raise ValueError(f"residue a={a} not in [0, {m})")
+    if limit > table.limit:
+        raise ValueError(f"limit {limit} exceeds table limit {table.limit}")
+    js = np.flatnonzero(class_masks(table, limit, m, (a,))[a])
+    return ResidueClassPrimes(a=a, m=m, limit=limit, primes=tuple((a + js * m).tolist()))
+
+
+def g2_exact(n: int, table) -> int:
+    """Ordered prime pairs (p, q) with p + q = n.
+
+    For odd n the pairs are (2, n - 2) and (n - 2, 2), so the count is 2
+    when n - 2 is prime and 0 otherwise.  For even n both primes are odd,
+    apart from 4 = 2 + 2.
+    """
+    if n > table.limit:
+        raise ValueError(f"n={n} exceeds table limit {table.limit}")
+    if n < 4:
+        return 0
+    flags = class_masks(table, n)[0]
+    if n % 2:
+        return 2 if flags[n - 2] else 0
+    odd = flags[1:n:2]  # odd[i]: 2i + 1 is prime
+    return int(np.count_nonzero(odd & odd[::-1])) + (n == 4)

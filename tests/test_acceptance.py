@@ -12,12 +12,7 @@ from pathlib import Path
 import pytest
 
 from apgoldbach.cli import RunConfig, compute_sweep
-from apgoldbach.heuristics import (
-    coupon_expected_wait,
-    coupon_tail,
-    coupon_tail_inclusion_exclusion,
-    simulate_coupon,
-)
+from apgoldbach.heuristics import coupon_expected_wait, coupon_tail
 from apgoldbach.partitions import (
     AdmissiblePair,
     exceptional_set,
@@ -32,7 +27,7 @@ from apgoldbach.summaries import (
     count_empty_pairs,
     summarize_modulus,
 )
-from oracles import naive_exceptional_set
+from oracles import coupon_tail_inclusion_exclusion, naive_exceptional_set, simulate_coupon
 from test_partitions import EXPLICIT_SETS
 
 N = 10**6

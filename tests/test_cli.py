@@ -249,15 +249,38 @@ class TestTables:
         assert [job[0] for job in cli._modulus_shares(jobs, 1)[0]] == [8, 4, 6, 2]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
-        # a sweep of m = 30 fits a 1 MiB budget beside its table, and one
-        # of m = 2 does not, also after the m = 30 sweep left its table
-        monkeypatch.setattr(cli, "_WORKER_TABLE", {})
+        # the sweep's one table reserves its largest index: a sweep of
+        # m = 30 fits a 1 MiB budget beside its table, and one of m = 2,
+        # run next in the same process, does not
         monkeypatch.setattr(
             cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=2**20)
         )
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
         with pytest.raises(MemoryBudgetError, match="reserved"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
+
+    def test_sweep_sieves_once_before_it_forks(self, monkeypatch):
+        # the parent sieves the one table and the workers inherit it: a
+        # sieve in a child would fail the sweep
+        parent, events = os.getpid(), []
+        sieve, fork = cli.sieve_primes, os.fork
+
+        def recorded_sieve(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a worker sieved")
+            events.append("sieve")
+            return sieve(*args, **kwargs)
+
+        def recorded_fork():
+            events.append("fork")
+            return fork()
+
+        monkeypatch.setattr(cli, "sieve_primes", recorded_sieve)
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=2))
+        assert events == ["sieve", "fork"]
+        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
+        _assert_no_children()
 
 
 def test_cli_import_loads_no_pool_or_hashlib():
@@ -334,6 +357,7 @@ def test_public_names_load_on_first_access():
     code = textwrap.dedent("""\
         import apgoldbach
         names = [getattr(apgoldbach, name).__module__ for name in apgoldbach.__all__]
+        print(apgoldbach.__all__)
         print(sorted(set(names)), set(apgoldbach.__all__) <= set(dir(apgoldbach)))
         try:
             apgoldbach.no_such_name
@@ -341,6 +365,9 @@ def test_public_names_load_on_first_access():
             print(exc)
     """)
     assert _fresh_python(code) == (
+        "['AdmissiblePair', 'ExceptionalSet', 'PartitionWitness', 'PrimeTable', "
+        "'exceptional_set', 'exceptional_sets_for_modulus', 'find_witness', 'is_prime', "
+        "'sieve_primes']\n"
         "['apgoldbach.partitions', 'apgoldbach.primes'] True\n"
         "module 'apgoldbach' has no attribute 'no_such_name'\n"
     )
@@ -391,21 +418,26 @@ def test_cold_pool_starts_after_the_engine_import():
     assert _fresh_python(code) == "0 [False, True]\n"
 
 
-LAZY_MODULES = {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions", "decimal",
-                "numpy", "concurrent.futures", "multiprocessing"}
+LAZY_MODULES = ENGINE_MODULES | {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions",
+                                 "decimal", "concurrent.futures", "multiprocessing"}
+SUMMARIES = {"apgoldbach.summaries", "decimal", "fractions"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
     ([], []),
-    (["verify", "conj2", "--limit", "1000"], ["numpy"]),
-    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], ["numpy"]),
+    (["verify", "conj2", "--limit", "1000"], sorted(ENGINE_MODULES)),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"],
+     sorted(ENGINE_MODULES)),
     (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
-     ["apgoldbach.summaries", "decimal", "fractions", "numpy"]),
+     sorted(ENGINE_MODULES | SUMMARIES)),
     # both fork one worker
     (["table1", "--m-max", "6", "--limit", "1000", "--threads", "2"],
-     ["apgoldbach.summaries", "decimal", "fractions", "numpy"]),
+     sorted(ENGINE_MODULES | SUMMARIES)),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "30000000",
-      "--threads", "2"], ["numpy"]),
+      "--threads", "2"], sorted(ENGINE_MODULES)),
+    # the model alone: numpy, but neither partitions nor primes
+    (["heuristic", "--m", "10", "--limit", "1000"],
+     sorted(SUMMARIES | {"apgoldbach.heuristics", "numpy"})),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # import alone (argv []) loads none of LAZY_MODULES
@@ -433,6 +465,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "conj2", "--limit", "100000")
         assert code == EXIT_OK
         assert out.count("PASS") == 4
+
+    def test_small_limits_pass(self, capsys):
+        # each expected list is cut at N, so a limit below its largest
+        # exception (62 for conj2, 20 for conj3) still passes
+        for target, top in (("conj2", 70), ("conj3", 25)):
+            for N in range(2, top + 1):
+                code, out, _ = run(capsys, "verify", target, "--limit", str(N))
+                assert (code, out.count("FAIL")) == (EXIT_OK, 0), (target, N, out)
+        code, out, _ = run(capsys, "verify", "conj2", "--limit", "20")
+        assert "mod-4 case (iv): violations [2, 6, 14] expected [2, 6, 14] -> PASS" in out
 
     def test_ternary(self, capsys):
         code, out, _ = run(capsys, "verify", "ternary", "--limit", "10000")
@@ -497,7 +539,6 @@ class TestHeuristic:
     def test_over_budget_exits_2(self, capsys, monkeypatch, tmp_path, command):
         # a 1 KB budget stands in for an over-budget --limit, so that the
         # model's truncated sum stays small
-        monkeypatch.setattr(cli, "_WORKER_TABLE", {})
         monkeypatch.setattr(
             cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=1000)
         )

@@ -9,18 +9,22 @@ from hypothesis import strategies as st
 from apgoldbach import heuristics
 from apgoldbach.heuristics import (
     CouponModel,
-    bell_number,
     coupon_expected_wait,
     coupon_tail,
-    coupon_tail_inclusion_exclusion,
     expected_exception_length,
     g2_estimate,
-    g2_exact,
     predict_bounds,
-    simulate_coupon,
     stirling2,
 )
-from oracles import bell_numbers, coupon_tail_enumeration, stirling2_by_enumeration
+from oracles import (
+    bell_number,
+    bell_numbers,
+    coupon_tail_enumeration,
+    coupon_tail_inclusion_exclusion,
+    g2_exact,
+    simulate_coupon,
+    stirling2_by_enumeration,
+)
 
 
 class TestG2:

@@ -25,6 +25,7 @@ from apgoldbach.partitions import (
 from apgoldbach.primes import MemoryBudgetError, PrimeTable, is_prime, sieve_primes
 from oracles import (
     is_prime_trial_division,
+    table_primes,
     naive_exceptional_set,
     naive_mod4_case_i,
     naive_progression_violations,
@@ -127,7 +128,6 @@ class TestExceptionalSet:
         a, b, m = key
         es = exceptional_set(AdmissiblePair(a, b, m), 10**6)
         assert es.elements == expected
-        assert es.confirmed
 
     def test_symmetry(self):
         for a, b, m in [(1, 3, 8), (3, 9, 10), (1, 5, 6)]:
@@ -253,6 +253,7 @@ class TestModulusSweep:
         # a short head leaves most small primes to the blocked tail, and
         # short windows cut the candidates into many; every ordered pair
         # runs in its own orientation, on one modulus index and sieved
+        # through the engine
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
@@ -263,11 +264,12 @@ class TestModulusSweep:
         for a in units:
             for b in units:
                 naive = naive_stage1_unresolved(a, b, m, N, M)
-                for source in (index, None):
-                    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=source)
-                    assert es.elements == sets[(a, b)], (a, b)
-                    assert set(es.elements) <= set(naive), (a, b)
-                    assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
+                indexed = partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0]
+                assert indexed == naive, (a, b)
+                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
+                assert es.elements == sets[(a, b)], (a, b)
+                assert set(es.elements) <= set(naive), (a, b)
+                assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
 
     @pytest.mark.parametrize("m", [2, 12, 30])
     def test_one_batched_stage1_mark_per_unordered_pair(self, monkeypatch, table_1e5, m):
@@ -295,17 +297,16 @@ class TestModulusSweep:
         assert index.copies.nbytes == partitions.class_mask_bytes(m, N)
 
     def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
-        # the table is read by one class-mask pass per modulus, and never
-        # unpacked whole
+        # the table is read by one class-mask pass per modulus, its only
+        # reader
         calls = []
-        for name in ("primes", "mask"):
-            unpack = getattr(PrimeTable, name)
+        unpack = PrimeTable.mask
 
-            def counted(self, *args, _name=name, _unpack=unpack, **kwargs):
-                calls.append(_name)
-                return _unpack(self, *args, **kwargs)
+        def counted(self, *args, **kwargs):
+            calls.append("mask")
+            return unpack(self, *args, **kwargs)
 
-            monkeypatch.setattr(PrimeTable, name, counted)
+        monkeypatch.setattr(PrimeTable, "mask", counted)
         for m in (2, 12, 30):
             calls.clear()
             exceptional_sets_for_modulus(m, 10**5, table=table_1e5)
@@ -356,7 +357,7 @@ class TestModulusSweep:
             partitions, "sieve_primes",
             functools.partial(sieve_primes, memory_budget_bytes=budget),
         )
-        assert sieve_primes(N, memory_budget_bytes=budget).count == 78498
+        assert len(table_primes(sieve_primes(N, memory_budget_bytes=budget))) == 78498
         with pytest.raises(MemoryBudgetError, match="reserved"):
             exceptional_sets_for_modulus(2, N)
 
@@ -366,14 +367,7 @@ class TestModulusSweep:
         # and leave 8 = 3 + 5 unmarked
         monkeypatch.setattr(partitions, "_WINDOW", 1)
         index = ResidueIndex(table_1e5, 4, 8, (1, 3))
-        assert _stage1_unresolved(AdmissiblePair(3, 1, 4), 8, 3, index) == [4]
-
-    def test_index_must_match_pair(self, table_1e5):
-        index = ResidueIndex(table_1e5, 8, 1000, (1, 3))
-        with pytest.raises(ValueError, match="does not match"):
-            exceptional_set(AdmissiblePair(1, 3, 8), 2000, index=index)
-        with pytest.raises(ValueError, match="does not match"):
-            exceptional_set(AdmissiblePair(1, 3, 4), 1000, index=index)
+        assert partitions._stage1(3, [1], 4, 8, *index.stage1_source(3, [1], 3)) == [[4]]
 
     def test_survivor_diagnostic_monotone(self, table_1e6):
         d = stage1_survivor_diagnostic(8, 10**5, M=100, table=table_1e6)
@@ -457,8 +451,8 @@ class TestConjectureSamples:
 
 
 class TestTernary:
-    def test_no_violations_to_1e4(self, table_1e6):
-        assert verify_ternary(10**4, table=table_1e6) == ()
+    def test_no_violations_to_1e4(self):
+        assert verify_ternary(10**4) == ()
 
     def test_small_witnesses(self):
         # enumerated by hand: 7 = 2+2+3, 11 = 2+2+7, both 2s are 2 mod 3
@@ -468,10 +462,10 @@ class TestTernary:
             assert all(map(is_prime_trial_division, (p, q, r)))
 
     @pytest.mark.parametrize("N", [7, 8, 9, 100, 1001, 3000])
-    def test_matches_naive(self, table_1e5, N):
-        assert list(verify_ternary(N, table=table_1e5)) == naive_ternary_violations(N)
+    def test_matches_naive(self, N):
+        assert list(verify_ternary(N)) == naive_ternary_violations(N)
 
-    def test_fallback_scan_matches_naive(self, monkeypatch, table_1e5):
+    def test_fallback_scan_matches_naive(self, monkeypatch):
         # pretend every even k = 4 (mod 6) above 4 is a binary violation:
         # each odd n then takes the fallback scan over every prime r, and
         # is p + q + r only as 2 + 2 + r, so n is a violation unless n - 4
@@ -486,7 +480,7 @@ class TestTernary:
             return es
 
         monkeypatch.setattr(partitions, "exceptional_set", with_extra)
-        got = list(verify_ternary(3000, table=table_1e5))
+        got = list(verify_ternary(3000))
         assert got == naive_ternary_violations(3000, frozenset(extra))
         assert got == [n for n in range(7, 3001, 2) if not is_prime(n - 4)]
 
@@ -494,10 +488,9 @@ class TestTernary:
         # one N/6-entry class mask and block-sized scratch: no N-entry
         # array and no int64 array over the odd n
         N = 5 * 10**6
-        table = sieve_primes(N)
         tracemalloc.start()
         try:
-            assert verify_ternary(N, table=table) == ()
+            assert verify_ternary(N) == ()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -560,8 +553,8 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # spans bounds below every prime of class a and below and above the
     # head's primes, at the default head of 64 primes and at shorter ones.
     # Stage 1 reads the b-class off a modulus index or sieves it, and
-    # stage 2 skips the survivors up to M + 2 either way.  The sweep's
-    # batched pass marks the pair as the row max(a, b) of class min(a, b).
+    # stage 2 skips the survivors up to M + 2.  The sweep's batched pass
+    # marks the pair as the row max(a, b) of class min(a, b).
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
     monkeypatch.setattr(partitions, "_GATHER_FIRST_ELEMENTS", data.draw(st.sampled_from([1, 2, 7])))
     monkeypatch.setattr(
@@ -577,9 +570,12 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
     index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
-    got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M, index)
+    if index is None:
+        got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M)
+    else:
+        got = partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0]
     assert got == naive_stage1_unresolved(a, b, m, N, M)
-    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M, index=index)
+    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
     assert list(es.elements) == naive_exceptional_set(a, b, m, N)
     small, large = sorted((a, b))
     rows = units[units.index(small) :]
@@ -612,7 +608,7 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
     M = data.draw(st.integers(-2 * m, N))
     pair = AdmissiblePair(a, b, m)
     index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
-    unsplit = _stage1_unresolved(pair, N, M, index)
+    unsplit = _stage1_unresolved(pair, N, M)
     assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
     pidx, windows = (
         partitions._sieved_source(pair, N, M) if index is None
@@ -628,6 +624,6 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
         calls.append(len(shares))
         return [fn(k) for k in reversed(shares)][::-1]
 
-    assert _stage1_unresolved(pair, N, M, index, K, share_map) == unsplit
+    assert _stage1_unresolved(pair, N, M, K, share_map) == unsplit
     count = len(range(0, (N - a - b) // m + 1, partitions._window_step(pidx)))
     assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]

@@ -7,45 +7,42 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from apgoldbach import primes
-from apgoldbach.primes import (
-    SIEVE_SEGMENT_SIZE,
-    MemoryBudgetError,
-    is_prime,
+from apgoldbach.primes import SIEVE_SEGMENT_SIZE, MemoryBudgetError, is_prime, sieve_primes
+from oracles import (
+    class_masks,
+    is_prime_trial_division,
     primes_in_class,
-    sieve_primes,
+    primes_up_to,
+    sieve_progression,
+    table_primes,
 )
-from oracles import is_prime_trial_division, primes_up_to, sieve_progression
 
 
 def test_first_primes():
-    t = sieve_primes(10)
-    assert [n for n in range(11) if n in t] == [2, 3, 5, 7]
+    assert table_primes(sieve_primes(10)) == [2, 3, 5, 7]
 
 
 def test_boundary_count():
-    assert sieve_primes(2).count == 1
+    assert len(table_primes(sieve_primes(2))) == 1
 
 
 def test_count_at_every_small_limit():
-    # limits on and off byte boundaries: bits past the limit count nothing,
-    # and the implicit prime 2 is counted, contained and listed
+    # limits on and off byte boundaries: bits past the limit are 0, and the
+    # odd bits hold every odd prime up to the limit
     for limit in range(2, 200):
         t = sieve_primes(limit)
-        expected = primes_up_to(limit)
-        assert t.count == len(expected), limit
-        assert [n for n in range(-2, limit + 20) if n in t] == expected, limit
-        assert t.primes().tolist() == expected, limit
-        assert t.primes(lo=3).tolist() == expected[1:], limit
+        assert not np.unpackbits(t.bits)[(limit + 1) // 2 :].any(), limit
+        assert table_primes(t) == primes_up_to(limit), limit
 
 
 def test_count_to_1e6(table_1e6):
-    assert table_1e6.count == 78498
+    assert len(table_primes(table_1e6)) == 78498
 
 
 def test_sieve_agrees_with_trial_division():
-    t = sieve_primes(10**4)
+    flags = class_masks(sieve_primes(10**4), 10**4)[0]
     for n in range(2, 10**4 + 1):
-        assert (n in t) == is_prime_trial_division(n), n
+        assert flags[n] == is_prime_trial_division(n), n
 
 
 def test_segment_size_does_not_change_result():
@@ -66,7 +63,8 @@ def test_memory_budget_counts_one_segment():
     peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001
     with pytest.raises(MemoryBudgetError, match="one segment"):
         sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak - 1)
-    assert sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak).count == 78498
+    table = sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak)
+    assert len(table_primes(table)) == 78498
     # bytes a caller reserves beside the table count against the same budget
     with pytest.raises(MemoryBudgetError, match="reserved"):
         sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak, reserved_bytes=1)
@@ -94,7 +92,8 @@ def test_sieve_matches_is_prime(limit, segment_size):
     # cut across the presieved primes 3..13; limits past 30,030 wrap the
     # pattern's period of 15,015 odd entries
     t = sieve_primes(limit, segment_size=segment_size)
-    assert [n in t for n in range(limit + 1)] == [is_prime(n) for n in range(limit + 1)]
+    flags = class_masks(t, limit)[0][:-1]
+    assert flags.tolist() == [is_prime(n) for n in range(limit + 1)]
 
 
 @given(
@@ -149,7 +148,7 @@ class TestIsPrime:
         assert is_prime(2147483647)
 
     def test_agrees_with_sieve_exhaustively(self, table_1e6):
-        flags = table_1e6.mask(10**6)[0]
+        flags = class_masks(table_1e6, 10**6)[0]
         for n in range(2, 10**6 + 1):
             if is_prime(n) != flags[n]:
                 pytest.fail(f"disagreement at n={n}")
@@ -199,15 +198,28 @@ class TestPrimesInClass:
     )
     def test_class_mask_matches_is_prime(self, monkeypatch, table_1e5, m, data):
         # tiny chunks put many chunk boundaries inside [0, N]; N off a
-        # multiple of 8 and of m ends the last chunk mid-byte and mid-row
+        # multiple of 8 and of m ends the last chunk mid-byte and mid-row.
+        # The bool masks of every class come from the oracle; the packed
+        # copies of the odd classes of an even m from PrimeTable.mask
         monkeypatch.setattr(primes, "_CLASS_CHUNK", data.draw(st.sampled_from([1, 8, 40, 1 << 18])))
         N = data.draw(st.integers(2, 5000).filter(lambda n: n % 8 and n % m))
-        masks = table_1e5.mask(N, m, range(m))
+        masks = class_masks(table_1e5, N, m, range(m))
         assert list(masks) == list(range(m))
         for b, mask in masks.items():
             assert len(mask) == (N - b) // m + 2
             assert not mask[-1]
             assert [bool(x) for x in mask[:-1]] == [is_prime(b + j * m) for j in range(len(mask) - 1)]
+        if m % 2:
+            return
+        odd = list(range(1, m, 2))
+        width = (N // m + 9) // 8  # every entry of every copy
+        out = np.zeros((8, len(odd), width), dtype=np.uint8)
+        table_1e5.mask(N, m, odd, out)
+        for k, b in enumerate(odd):
+            for r in range(8):
+                want = [y >= r and b + (y - r) * m <= N and is_prime(b + (y - r) * m)
+                        for y in range(8 * width)]
+                assert np.unpackbits(out[r, k]).tolist() == want, (b, r)
 
     @given(m=st.sampled_from([2, 4, 6, 10, 30]), data=st.data())
     @settings(
@@ -224,7 +236,7 @@ class TestPrimesInClass:
         units = [b for b in range(1, m) if math.gcd(b, m) == 1]
         out = np.zeros((8, len(units), width), dtype=np.uint8)
         table_1e5.mask(N, m, units, out=out)
-        for k, mask in enumerate(table_1e5.mask(N, m, units).values()):
+        for k, mask in enumerate(class_masks(table_1e5, N, m, units).values()):
             for r in range(8):
                 shifted = np.concatenate((np.zeros(r, bool), mask[:-1], np.zeros(8 * width, bool)))
                 assert np.array_equal(np.unpackbits(out[r, k]), shifted[: 8 * width]), (k, r)
