@@ -98,7 +98,6 @@ class CouponModel:
     m: int
     r: int
     alpha: float
-    harmonic_r: float
 
     @classmethod
     def for_modulus(cls, m: int) -> "CouponModel":
@@ -107,11 +106,11 @@ class CouponModel:
         r = (2 * totient(m) ** 2) // m
         if r < 1:
             raise ValueError(f"m={m} gives r=0 admissible classes on average")
-        return cls(m=m, r=r, alpha=1 - 1 / r, harmonic_r=float(harmonic(r)))
+        return cls(m=m, r=r, alpha=1 - 1 / r)
 
     @property
     def expected_wait(self) -> float:
-        return self.r * self.harmonic_r
+        return coupon_expected_wait(self.r)
 
 
 @dataclass(frozen=True)

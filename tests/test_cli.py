@@ -1,5 +1,7 @@
 import contextlib
 import functools
+import gc
+import importlib
 import io
 import json
 import os
@@ -166,6 +168,47 @@ class TestExceptions:
         _assert_no_children()
 
 
+TABLE1_M4_JSON = """\
+[
+  {
+    "m": "4",
+    "L0_min": "1",
+    "L0_avg": "1.0",
+    "L0_max": "1",
+    "E0_max": "4",
+    "e0_m": "1",
+    "e0_tilde_m": "2",
+    "L_min": "1",
+    "L_avg": "2.0",
+    "L_max": "5",
+    "E_max": "62",
+    "e_m": "6",
+    "e_tilde_m": "8"
+  }
+]
+"""
+
+TABLE2_M8_JSON = """\
+[
+  {
+    "m": "4",
+    "count": "0",
+    "percent": "0.0"
+  },
+  {
+    "m": "6",
+    "count": "0",
+    "percent": "0.0"
+  },
+  {
+    "m": "8",
+    "count": "3",
+    "percent": "18.8"
+  }
+]
+"""
+
+
 class TestTables:
     def test_table1_single_row(self, capsys):
         code, out, _ = run(
@@ -211,6 +254,29 @@ class TestTables:
         assert err == "error: moduli must be >= 2, got m_min = 0\n"
         assert _fresh_cli(argv) == [EXIT_USAGE, [], ""]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["exceptions", "--m", "4", "--a", "1", "--b", "1"],
+        ["figures", "--m-max", "4"],
+        ["verify", "conj2"],
+        ["heuristic", "--m", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_format_only_where_honored(self, capsys, monkeypatch, tmp_path, argv):
+        # only table1 and table2 write JSON; the others refuse the flag
+        monkeypatch.chdir(tmp_path)  # where figures would write
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--limit", "1000", "--format", "json"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["table1", "--m-min", "4", "--m-max", "4"], TABLE1_M4_JSON),
+        (["table2", "--m-min", "4", "--m-max", "8"], TABLE2_M8_JSON),
+    ], ids=["table1", "table2"])
+    def test_json_bytes(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv, "--limit", "10000", "--threads", "1",
+                             "--format", "json")
+        assert (code, out, err) == (EXIT_OK, expected, "")
 
     def test_json_round_trip(self, capsys):
         config = RunConfig(N=10**4, m_min=2, m_max=6, threads=1)
@@ -444,6 +510,47 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     assert _fresh_cli(argv, LAZY_MODULES)[:2] == [EXIT_OK, loaded]
 
 
+def test_module_run_freezes_the_heap_before_exit():
+    # `python -m apgoldbach.cli` ends through main_and_exit: an atexit probe
+    # finds numpy's modules frozen and the collector's generations empty
+    code = textwrap.dedent("""\
+        import atexit, gc, runpy, sys
+        atexit.register(lambda: print(gc.get_freeze_count(),
+                                      sum(len(gc.get_objects(g)) for g in range(3))))
+        sys.argv = ["apgoldbach", "verify", "conj2", "--limit", "1000"]
+        runpy.run_module("apgoldbach.cli", run_name="__main__")
+    """)
+    *report, probe = _fresh_python(code).splitlines()
+    assert report[-1] == ("mod-4 case (iv): violations [2, 6, 14, 38, 62] "
+                          "expected [2, 6, 14, 38, 62] -> PASS")
+    frozen, tracked = map(int, probe.split())
+    assert frozen >= 20_000
+    assert tracked < 100
+
+
+def test_module_run_exits_with_main_status():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "apgoldbach.cli", "table1", "--m-min", "3", "--m-max", "9"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert done.stderr == "error: modulus range endpoints must be even\n"
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    # tests, scripts/ and the benchmark's tracer call main() in-process
+    before = gc.get_freeze_count()
+    assert main(["verify", "conj2", "--limit", "1000"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_exit_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["apgoldbach"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main_and_exit
+
+
 class TestFigures:
     def test_fig_documents(self, capsys, tmp_path):
         code, out, _ = run(
@@ -511,6 +618,12 @@ class TestHeuristic:
         assert code == EXIT_OK
         assert "r = 1" in out
         assert "E[W] = 1.000000" in out
+
+    def test_m50(self, capsys):
+        # the desk check: E[W] = r * H_r for r = 16
+        code, out, _ = run(capsys, "heuristic", "--m", "50", "--limit", "10000")
+        assert code == EXIT_OK
+        assert "E[W] = 54.091664" in out.splitlines()
 
     def test_odd_m_usage_error(self, capsys):
         code, _, err = run(capsys, "heuristic", "--m", "5", "--limit", "10000")
@@ -696,6 +809,31 @@ class TestCache:
         path.write_text(json.dumps(doc))
         assert load_cache_entry(tmp_path, 4, 10**4) is None
 
+    @pytest.mark.parametrize("version,warns", [
+        (None, True), ("2", True), (2.0, True), (True, True), ("missing", True),
+        (1, False), (3, False),
+    ])
+    def test_only_an_integer_version_is_skipped_silently(
+        self, tmp_path, table_1e5, capsys, version, warns
+    ):
+        save_cache_entry(
+            tmp_path, 4, 10**4, exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        )
+        path = next(tmp_path.glob("*.json"))
+        doc = json.loads(path.read_text())
+        if version == "missing":
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        assert load_cache_entry(tmp_path, 4, 10**4) is None
+        err = capsys.readouterr().err
+        if warns:
+            assert err == (f"warning: ignoring corrupt cache entry {path}: "
+                           f"schema_version {doc.get('schema_version')!r} is not an integer\n")
+        else:
+            assert err == ""
+
     def test_parallel_sweep_fills_and_reads_cache(self, tmp_path):
         plain = table1_document(compute_sweep(RunConfig(N=10**4, m_max=10, threads=1)))
         cached = RunConfig(N=10**4, m_max=10, threads=2, cache_dir=tmp_path)
@@ -770,6 +908,7 @@ def _checksummed(sets) -> dict:
 
 
 @given(doc=JSON_VALUES | JSON_VALUES.map(_checksummed))
+@example(doc={"payload": None})
 @example(doc=[])
 @example(doc="x")
 @example(doc=5)
