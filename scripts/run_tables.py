@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--limit", "-N", type=int, default=10**6)
     parser.add_argument("--m-min", type=int, default=2)
     parser.add_argument("--m-max", type=int, default=50)
-    parser.add_argument("--stage1-bound", "-M", type=int, default=None)
     parser.add_argument("--threads", type=int, default=0)
     parser.add_argument("--cache-dir", type=Path, default=None)
     parser.add_argument("--output-dir", type=Path, default=Path("out"))
@@ -35,7 +34,6 @@ def main() -> int:
         N=args.limit,
         m_min=args.m_min,
         m_max=args.m_max,
-        M=args.stage1_bound,
         cache_dir=args.cache_dir,
         threads=args.threads,
     )

@@ -41,7 +41,6 @@ class RunConfig:
     N: int = 10**7
     m_min: int = 2
     m_max: int = 200
-    M: Optional[int] = None  # None = adaptive per-modulus bound
     cache_dir: Optional[Path] = None
     threads: int = 0
 
@@ -67,14 +66,6 @@ class RunConfig:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-
-    def stage1_bound(self, m: int) -> int:
-        """M for modulus m: the fixed bound if set, else the adaptive one."""
-        if self.M is not None:
-            return self.M
-        from . import partitions
-
-        return min(partitions.default_stage1_bound(m), self.N)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +260,16 @@ def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
 # Per-modulus computation
 
 
-def sieve_primes(limit: int, **kwargs) -> PrimeTable:
-    """primes.sieve_primes.  The sweep calls the engine through this name
-    and exceptional_sets_for_modulus, so that callers can patch them; the
-    first call imports the engine."""
-    from . import primes
-
-    return primes.sieve_primes(limit, **kwargs)
-
-
-def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, table: Optional[PrimeTable] = None
-) -> ModulusSets:
-    """partitions.exceptional_sets_for_modulus (see sieve_primes)."""
+def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable) -> ModulusSets:
+    """partitions.exceptional_sets_for_modulus, called through this name so
+    that perfbench/inprocess.py can patch it to time each modulus."""
     from . import partitions
 
-    return partitions.exceptional_sets_for_modulus(m, N, M=M, table=table)
+    return partitions.exceptional_sets_for_modulus(m, N, table=table)
 
 
-def _modulus_shares(jobs: list[tuple[int, int]], workers: int) -> list[list]:
-    """The jobs dealt to min(workers, len(jobs)) shares: heaviest first, each
+def _modulus_shares(moduli: list[int], workers: int) -> list[list[int]]:
+    """The moduli dealt to min(workers, len(moduli)) shares: heaviest first, each
     to the share with the least estimated work.  Modulus m costs about
     phi(m)^2/m, in proportion to its stage-1 OR bytes: for each of its
     phi(m) small-prime classes, up to phi(m) rows of N/m candidates."""
@@ -296,12 +277,12 @@ def _modulus_shares(jobs: list[tuple[int, int]], workers: int) -> list[list]:
     def cost(m: int) -> float:
         return sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 / m
 
-    shares: list[list] = [[] for _ in range(min(workers, len(jobs)))]
+    shares: list[list[int]] = [[] for _ in range(min(workers, len(moduli)))]
     loads = [0.0] * len(shares)
-    for job in sorted(jobs, key=lambda job: -cost(job[0])):
+    for m in sorted(moduli, key=lambda m: -cost(m)):
         k = loads.index(min(loads))
-        shares[k].append(job)
-        loads[k] += cost(job[0])
+        shares[k].append(m)
+        loads[k] += cost(m)
     return shares
 
 
@@ -331,14 +312,13 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
 
     N = config.N
     reserved = max(partitions.class_mask_bytes(m, N) for m in missing)
-    table = sieve_primes(N, reserved_bytes=reserved)
-    shares = _modulus_shares([(m, config.stage1_bound(m)) for m in missing], config.worker_count)
+    table = partitions.sieve_primes(N, reserved_bytes=reserved)
+    shares = _modulus_shares(missing, config.worker_count)
     computed = fork_map(
-        lambda share: [exceptional_sets_for_modulus(m, N, M=M, table=table) for m, M in share],
-        shares,
+        lambda share: [exceptional_sets_for_modulus(m, N, table) for m in share], shares
     )
     for share, sets_list in zip(shares, computed):
-        for (m, _), sets in zip(share, sets_list):
+        for m, sets in zip(share, sets_list):
             results[m] = sets
     if config.cache_dir is not None:
         for m in missing:
@@ -511,8 +491,6 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", "-N", type=int, default=10**6,
                    help="inclusive search limit for n (default 10^6)")
-    p.add_argument("--stage1-bound", "-M", type=int, default=None,
-                   help="stage-1 prime bound (default: adaptive per modulus)")
     p.add_argument("--cache-dir", type=Path,
                    default=os.environ.get(CACHE_ENV_VAR) or None)
     p.add_argument("--threads", type=int, default=0,
@@ -567,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace, m_range: bool = False) -> RunConfig:
     kwargs = dict(
         N=args.limit,
-        M=args.stage1_bound,
         cache_dir=args.cache_dir,
         threads=args.threads,
     )
@@ -582,8 +559,8 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
 
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
-    es = partitions.exceptional_set(pair, config.N, M=config.stage1_bound(args.m),
-                                    workers=config.worker_count, share_map=fork_map)
+    es = partitions.exceptional_set(pair, config.N, workers=config.worker_count,
+                                    share_map=fork_map)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
     print(f"stage-1 bound M = {es.stage1_bound}, "

@@ -99,9 +99,9 @@ _GATHER_FIRST_ELEMENTS = 1 << 12
 _BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
-def default_stage1_bound(m: int) -> int:
-    """Adaptive bound M for the small prime set; grows with the modulus."""
-    return max(10**4, math.ceil(m * math.log(max(m, 3)) ** 2 * 50))
+def default_stage1_bound(m: int, N: int) -> int:
+    """Bound M on the small primes of modulus m at N: grows with m, <= N."""
+    return min(max(10**4, math.ceil(m * math.log(max(m, 3)) ** 2 * 50)), N)
 
 
 @dataclass(frozen=True, order=True)
@@ -242,12 +242,14 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
     entries = max(0, (M - a) // m + 1)
 
     def reserve(primes: int, window: int) -> None:
-        need = entries + 8 * primes + window + sieve_overhead_bytes(N)
+        sieve = sieve_overhead_bytes(N)
+        need = entries + 8 * primes + window + sieve
         if need > DEFAULT_MEMORY_BUDGET_BYTES:
             raise MemoryBudgetError(
                 f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                f"small-prime mask, {window} of window), over the "
-                f"{DEFAULT_MEMORY_BUDGET_BYTES}-byte budget"
+                f"small-prime mask, {8 * primes} of prime indices, {window} of "
+                f"window and copies, {sieve} of sieve pattern and base primes), "
+                f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte budget"
             )
 
     reserve(0, 0)
@@ -426,7 +428,7 @@ def exceptional_set(
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is None:
-        M = min(default_stage1_bound(pair.m), N)
+        M = default_stage1_bound(pair.m, N)
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
     return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, workers, share_map))
@@ -451,7 +453,7 @@ def _modulus_sets(
     stage-1 pass per small-prime class a over the rows b >= a."""
     m, N = index.m, index.N
     if M is None:
-        M = min(default_stage1_bound(m), N)
+        M = default_stage1_bound(m, N)
     units = index.classes
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for k, a in enumerate(units):

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import functools
 import gc
 import importlib
@@ -33,6 +35,9 @@ from apgoldbach.cli import (
 )
 from apgoldbach.partitions import exceptional_sets_for_modulus
 from apgoldbach.primes import MemoryBudgetError, sieve_primes
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -95,11 +100,12 @@ class TestExceptions:
         assert code == EXIT_OK
         assert any(line.startswith("spot check:") for line in out.splitlines())
 
-    def test_cache_not_read_or_written(self, capsys, tmp_path):
-        # survivor counts depend on N and M, so exceptions always computes:
-        # a smaller N after a larger one prints its own count
+    def test_cache_not_read_or_written(self, capsys, monkeypatch, tmp_path):
+        # survivor counts depend on N, so exceptions always computes: a
+        # smaller N after a larger one prints its own count
+        monkeypatch.setattr(partitions, "default_stage1_bound", lambda m, N: min(100, N))
         cache = tmp_path / "cache"
-        base = ["exceptions", "--m", "4", "--a", "1", "--b", "1", "-M", "100"]
+        base = ["exceptions", "--m", "4", "--a", "1", "--b", "1"]
         run(capsys, *base, "--limit", "100000", "--cache-dir", str(cache))
         code, out, _ = run(capsys, *base, "--limit", "1000", "--cache-dir", str(cache))
         assert code == EXIT_OK
@@ -111,11 +117,11 @@ class TestExceptions:
 
     def test_over_budget_limit_usage_error(self, capsys):
         # the budget check runs before anything is allocated: a single
-        # pair's memory grows with M, not N, and a sweep's table and class
-        # masks grow with N
+        # pair's memory outgrows the budget only through the base-prime
+        # sieve of a huge N, and a sweep's table and class masks grow with N
         for command in (
             ["exceptions", "--m", "4", "--a", "1", "--b", "1",
-             "--limit", "3000000000", "-M", "3000000000"],
+             "--limit", "100000000000000000"],
             ["table1", "--m-min", "2", "--m-max", "4", "--limit", "500000000",
              "--threads", "1"],
         ):
@@ -146,17 +152,20 @@ class TestExceptions:
         # a large M widens the window: 3 MB of a-class mask, 3 MB of
         # small-prime indices and a 4 MB window with its 4 MB of packed
         # copies do not fit
-        code, out, err = run(capsys, *command, "-M", "12000000")
+        monkeypatch.setattr(partitions, "default_stage1_bound",
+                            lambda m, N: min(12_000_000, N))
+        code, out, err = run(capsys, *command)
         assert code == EXIT_USAGE
         assert out == "" and "budget" in err
 
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         # short windows split the pair into shares: 2 and 3 workers fork 1
-        # and 2 children; -M 300 leaves 329 survivors to stage 2
+        # and 2 children; M = 300 leaves 329 survivors to stage 2
         monkeypatch.setattr(partitions, "_WINDOW", 1 << 10)
+        monkeypatch.setattr(partitions, "default_stage1_bound", lambda m, N: min(300, N))
         forks = _count_forks(monkeypatch)
         argv = ["exceptions", "--m", "4", "--a", "1", "--b", "3",
-                "--limit", "200000", "-M", "300"]
+                "--limit", "200000"]
         outs = []
         for threads in (1, 2, 3):
             code, out, err = run(capsys, *argv, "--threads", str(threads))
@@ -269,6 +278,27 @@ class TestTables:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["-M", "--stage1-bound"])
+    @pytest.mark.parametrize("argv", [
+        ["exceptions", "--m", "4", "--a", "1", "--b", "1"],
+        ["table1"],
+        ["table2"],
+        ["figures"],
+        ["verify", "conj2"],
+        ["heuristic", "--m", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_stage1_bound_is_no_option(self, capsys, monkeypatch, tmp_path, argv, flag):
+        # the engine derives M from m and N, and no M changes an element
+        monkeypatch.chdir(tmp_path)  # where figures would write
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--limit", "1000", flag, "300"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 300" in capsys.readouterr().err
+
+    def test_run_config_has_no_stage1_bound(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "N", "m_min", "m_max", "cache_dir", "threads"]
+
     @pytest.mark.parametrize("argv,expected", [
         (["table1", "--m-min", "4", "--m-max", "4"], TABLE1_M4_JSON),
         (["table2", "--m-min", "4", "--m-max", "8"], TABLE2_M8_JSON),
@@ -309,17 +339,16 @@ class TestTables:
 
     def test_moduli_dealt_heaviest_first(self):
         # phi(m)^2/m: m = 8 costs 2, m = 4 costs 1, m = 6 and m = 2 less
-        jobs = [(m, 100, 10, 0) for m in (2, 4, 6, 8)]
-        shares = cli._modulus_shares(jobs, 3)
-        assert [[job[0] for job in share] for share in shares] == [[8], [4], [6, 2]]
-        assert [job[0] for job in cli._modulus_shares(jobs, 1)[0]] == [8, 4, 6, 2]
+        assert cli._modulus_shares([2, 4, 6, 8], 3) == [[8], [4], [6, 2]]
+        assert cli._modulus_shares([2, 4, 6, 8], 1) == [[8, 4, 6, 2]]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
         # the sweep's one table reserves its largest index: a sweep of
         # m = 30 fits a 1 MiB budget beside its table, and one of m = 2,
         # run next in the same process, does not
         monkeypatch.setattr(
-            cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=2**20)
+            partitions, "sieve_primes",
+            functools.partial(sieve_primes, memory_budget_bytes=2**20),
         )
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
         with pytest.raises(MemoryBudgetError, match="reserved"):
@@ -329,7 +358,7 @@ class TestTables:
         # the parent sieves the one table and the workers inherit it: a
         # sieve in a child would fail the sweep
         parent, events = os.getpid(), []
-        sieve, fork = cli.sieve_primes, os.fork
+        sieve, fork = partitions.sieve_primes, os.fork
 
         def recorded_sieve(*args, **kwargs):
             if os.getpid() != parent:
@@ -341,12 +370,35 @@ class TestTables:
             events.append("fork")
             return fork()
 
-        monkeypatch.setattr(cli, "sieve_primes", recorded_sieve)
+        monkeypatch.setattr(partitions, "sieve_primes", recorded_sieve)
         monkeypatch.setattr(os, "fork", recorded_fork)
         sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=2))
         assert events == ["sieve", "fork"]
         assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
         _assert_no_children()
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options of parser and of its subcommands, but --help."""
+    options = set()
+    for action in parser._actions:
+        options.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                options |= _long_options(subparser)
+    return options - {"--help"}
+
+
+def test_readme_names_every_option_and_no_other():
+    # the CLI section documents every option; outside the install
+    # commands (pip's and pytest's flags), README names no option that
+    # the parser does not register
+    sections = re.split(r"^## ", (ROOT / "README.md").read_text(), flags=re.M)
+    named = {s.split("\n", 1)[0]: set(re.findall(r"--[a-z][a-z0-9-]*", s)) for s in sections}
+    registered = _long_options(cli.build_parser())
+    assert registered - named["CLI"] == set()
+    del named["Install and test"]
+    assert set().union(*named.values()) - registered == set()
 
 
 def test_cli_import_loads_no_pool_or_hashlib():
@@ -653,7 +705,8 @@ class TestHeuristic:
         # a 1 KB budget stands in for an over-budget --limit, so that the
         # model's truncated sum stays small
         monkeypatch.setattr(
-            cli, "sieve_primes", functools.partial(sieve_primes, memory_budget_bytes=1000)
+            partitions, "sieve_primes",
+            functools.partial(sieve_primes, memory_budget_bytes=1000),
         )
         code, out, err = run(
             capsys, *command, "--limit", "10000", "--threads", "1",

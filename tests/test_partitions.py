@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -141,6 +142,27 @@ class TestExceptionalSet:
         large = exceptional_set(pair, 10**5, M=10**5)
         assert small.elements == large.elements
         assert small.stage1_survivors >= large.stage1_survivors
+
+    @pytest.mark.parametrize("N,M,budget,nonzero", [
+        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, False, False, True]),
+        (10**8, 12_000_000, 4_000_000, [True, True, False, True]),
+        (10**8, 12_000_000, 8 * 2**20, [True, True, True, True]),
+    ])
+    def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
+        # the a-mask and the sieve exceed the budget before any
+        # allocation, then with the prime indices, then with a window and
+        # its copies; the parts named add up to the bytes needed
+        monkeypatch.setattr(partitions, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+        with pytest.raises(MemoryBudgetError) as exc:
+            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M)
+        need, *parts = map(int, re.search(
+            r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
+            r"(\d+) of window and copies, (\d+) of sieve pattern and base primes\)",
+            str(exc.value),
+        ).groups())
+        assert sum(parts) == need > budget
+        assert [part > 0 for part in parts] == nonzero
+        assert parts[3] == primes.sieve_overhead_bytes(N)
 
     @pytest.mark.parametrize(
         "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
@@ -525,6 +547,21 @@ def test_symmetry_property(m, data):
     fwd = exceptional_set(AdmissiblePair(a, b, m), 2000)
     rev = exceptional_set(AdmissiblePair(b, a, m), 2000)
     assert fwd.elements == rev.elements
+
+
+@given(m=st.integers(1, 15).map(lambda k: 2 * k), N=st.integers(2, 2 * 10**4), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_elements_do_not_depend_on_M(table_1e5, m, N, data):
+    # so the engine alone picks M: any M from below every prime to N
+    # gives the elements of the default M, for a whole modulus and a pair
+    M = data.draw(st.integers(-2 * m, N))
+    assert exceptional_sets_for_modulus(m, N, M=M, table=table_1e5) == (
+        exceptional_sets_for_modulus(m, N, table=table_1e5)
+    )
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    a, b = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
+    pair = AdmissiblePair(a, b, m)
+    assert exceptional_set(pair, N, M=M).elements == exceptional_set(pair, N).elements
 
 
 @given(m0=st.integers(3, 16), N=st.integers(2, 3000), data=st.data())

@@ -41,3 +41,12 @@ def test_model_vs_observed_prints_one_row_per_modulus():
                       "observed_L_avg,observed_E_max")
     assert [row.split(",")[0] for row in rows] == ["4", "6", "8", "10"]
     assert all(len(row.split(",")) == 7 for row in rows)
+
+
+def test_run_tables_takes_no_stage1_bound(tmp_path):
+    # the engine derives M, so the script refuses the removed flag
+    for flag in ("-M", "--stage1-bound"):
+        proc = _script("run_tables.py", *SWEEP, flag, "300", "--output-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag} 300" in proc.stderr
+    assert not any(tmp_path.iterdir())
