@@ -37,7 +37,7 @@ def main() -> int:
     for m, sets in sweep.items():
         model = CouponModel.for_modulus(m)
         est = expected_exception_length(m, max(args.limit, 10))
-        pred = predict_bounds(max(m, 4), args.c, args.delta)
+        pred = predict_bounds(m, args.c, args.delta)
         s = summarize_modulus(sets, m).unrestricted
         print(
             f"{m},{model.r},{est.value:.4f},{pred.expected_length:.4f},"

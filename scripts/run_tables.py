@@ -15,8 +15,7 @@ from apgoldbach.cli import (
     RunConfig,
     compute_sweep,
     figure_documents,
-    table1_document,
-    table2_document,
+    table_document,
 )
 
 
@@ -41,8 +40,8 @@ def main() -> int:
 
     start = time.monotonic()
     sweep = compute_sweep(config)
-    (args.output_dir / "table1.csv").write_text(table1_document(sweep))
-    (args.output_dir / "table2.csv").write_text(table2_document(sweep))
+    for which in ("table1", "table2"):
+        (args.output_dir / f"{which}.csv").write_text(table_document(which, sweep))
     fig1, fig2 = figure_documents(sweep)
     (args.output_dir / "fig1.csv").write_text(fig1)
     (args.output_dir / "fig2.csv").write_text(fig2)

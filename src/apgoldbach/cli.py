@@ -330,28 +330,22 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
 # Documents
 
 
-def table1_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
+def table_document(
+    which: str, sweep: dict[int, ModulusSets], output_format: str = "csv"
+) -> str:
+    """Table 1 (per-modulus aggregates) or Table 2 (empty-pair counts) of a
+    sweep, as CSV or as a JSON list of rows keyed by the CSV header."""
     from . import summaries
 
-    rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
+    header, row = {
+        "table1": (summaries.TABLE1_HEADER, summaries.summarize_modulus),
+        "table2": (summaries.TABLE2_HEADER, summaries.count_empty_pairs),
+    }[which]
+    rows = [row(sets, m).csv_row() for m, sets in sweep.items()]
     if output_format == "json":
-        doc = [dict(zip(summaries.TABLE1_HEADER.split(","), r.csv_row().split(",")))
-               for r in rows]
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [summaries.TABLE1_HEADER] + [r.csv_row() for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def table2_document(sweep: dict[int, ModulusSets], output_format: str = "csv") -> str:
-    from . import summaries
-
-    rows = [summaries.count_empty_pairs(sets, m) for m, sets in sweep.items()]
-    if output_format == "json":
-        doc = [dict(zip(summaries.TABLE2_HEADER.split(","), r.csv_row().split(",")))
-               for r in rows]
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [summaries.TABLE2_HEADER] + [r.csv_row() for r in rows]
-    return "\n".join(lines) + "\n"
+        keys = header.split(",")
+        return json.dumps([dict(zip(keys, r.split(","))) for r in rows], indent=2) + "\n"
+    return "\n".join([header] + rows) + "\n"
 
 
 def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
@@ -460,13 +454,11 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
         f"alpha = {model.alpha:.6f}",
         f"E[W] = {model.expected_wait:.6f}",
     ]
-    n_probe = m * m if (m * m) % 2 == 0 else m * m + 1
-    if n_probe >= 4:
-        k = round(heuristics.g2_estimate(n_probe))
-        lines.append(
-            f"P(W > g2~(m^2)) = P(W > {k}) = {heuristics.coupon_tail(model.r, k):.6g}"
-        )
-    pred = heuristics.predict_bounds(max(m, 4), c, delta)
+    k = round(heuristics.g2_estimate(m * m))  # for_modulus took m even, >= 2
+    lines.append(
+        f"P(W > g2~(m^2)) = P(W > {k}) = {heuristics.coupon_tail(model.r, k):.6g}"
+    )
+    pred = heuristics.predict_bounds(m, c, delta)
     lines.append(f"predicted E_max bound (c={c}): {pred.e_max_bound:.3f}")
     lines.append(f"predicted mean length (delta={delta}): {pred.expected_length:.6f}")
     est = heuristics.expected_exception_length(m, max(config.N, 10))
@@ -511,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
+    p.set_defaults(run=cmd_exceptions)
     _add_common(p)
 
     for name, help_ in (
@@ -523,20 +516,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m-max", type=int, default=50)
         if name == "figures":
             p.add_argument("--output-dir", type=Path, default=Path("."))
+            p.set_defaults(run=cmd_figures)
         else:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.set_defaults(run=cmd_table)
         _add_common(p)
 
     p = sub.add_parser("verify", help="check the explicit conjecture statements")
     p.add_argument("target", choices=("conj2", "conj3", "ternary", "asy"))
     p.add_argument("--a", type=int, default=7,
                    help="residue mod 60 for sample item (vii)")
+    p.set_defaults(run=cmd_verify)
     _add_common(p)
 
     p = sub.add_parser("heuristic", help="coupon-collector model report")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
+    p.set_defaults(run=cmd_heuristic)
     _add_common(p)
 
     return parser
@@ -583,10 +580,9 @@ def _largest_non_exception(pair: AdmissiblePair, N: int, elements: set) -> Optio
     return None
 
 
-def cmd_table(args: argparse.Namespace, which: str) -> int:
-    config = _config_from(args, m_range=True)
-    document = table1_document if which == "table1" else table2_document
-    sys.stdout.write(document(compute_sweep(config), args.format))
+def cmd_table(args: argparse.Namespace) -> int:
+    sweep = compute_sweep(_config_from(args, m_range=True))
+    sys.stdout.write(table_document(args.command, sweep, args.format))
     return EXIT_OK
 
 
@@ -613,27 +609,15 @@ def cmd_heuristic(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "exceptions":
-            return cmd_exceptions(args)
-        if args.command in ("table1", "table2"):
-            return cmd_table(args, args.command)
-        if args.command == "figures":
-            return cmd_figures(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "heuristic":
-            return cmd_heuristic(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
 
 
 def main_and_exit() -> NoReturn:

@@ -177,8 +177,6 @@ class BoundPrediction:
 def predict_bounds(m: int, c: float, delta: float) -> BoundPrediction:
     """Model growth predictions: largest exception O(m^2 (ln m)^2) with
     constant c, and mean set length r^(1/delta)/(2m)."""
-    if m < 4:
-        raise ValueError(f"m={m} must be >= 4")
     if c <= 0:
         raise ValueError(f"c={c} must be positive")
     if not 0 < delta < 1:

@@ -147,13 +147,6 @@ class ExceptionalSet:
     elements: tuple[int, ...]
     stage1_survivors: int  # candidates that reached stage 2 but are not exceptions
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def max_element(self) -> int:
-        return self.elements[-1] if self.elements else 0
-
 
 def find_witness(
     n: int,
@@ -202,7 +195,6 @@ class ResidueIndex:
         if table.limit < N:
             raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
-        self.N = N
         self.classes = list(classes)
         self.copies = np.zeros((8, len(self.classes), _copy_width(m, N)), dtype=np.uint8)
         table.mask(N - 1, m, self.classes, out=self.copies)
@@ -434,37 +426,6 @@ def exceptional_set(
     return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, workers, share_map))
 
 
-def _modulus_index(m: int, N: int, table: Optional[PrimeTable]) -> ResidueIndex:
-    """One ResidueIndex over every unit class mod the even modulus m."""
-    if m < 2 or m % 2 != 0:
-        raise ValueError(
-            f"modulus must be a positive even integer, got {m} "
-            "(double an odd modulus instead)"
-        )
-    if table is None:
-        table = sieve_primes(N, reserved_bytes=class_mask_bytes(m, N))
-    return ResidueIndex(table, m, N, [a for a in range(1, m) if math.gcd(a, m) == 1])
-
-
-def _modulus_sets(
-    index: ResidueIndex, M: Optional[int]
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """exceptional_sets_for_modulus, read off a modulus-wide index: one
-    stage-1 pass per small-prime class a over the rows b >= a."""
-    m, N = index.m, index.N
-    if M is None:
-        M = default_stage1_bound(m, N)
-    units = index.classes
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k, a in enumerate(units):
-        bs = units[k:]
-        pidx, windows = index.stage1_source(a, bs, M)
-        for b, survivors in zip(bs, _stage1(a, bs, m, N, pidx, windows)):
-            es = _resolved(AdmissiblePair(a, b, m), N, M, survivors)
-            out[(a, b)] = out[(b, a)] = es.elements
-    return dict(sorted(out.items()))
-
-
 def exceptional_sets_for_modulus(
     m: int,
     N: int,
@@ -477,52 +438,28 @@ def exceptional_sets_for_modulus(
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
     with the smaller residue as the small-prime class, and (b, a) shares
     the tuple of (a, b).  Every pair reads one ResidueIndex, so the table
-    is read once.
+    is read once: one stage-1 pass per small-prime class a over the rows
+    b >= a.
     """
-    return _modulus_sets(_modulus_index(m, N, table), M)
-
-
-@dataclass(frozen=True)
-class SurvivorDiagnostic:
-    """Stage-1 survivor counts for a whole modulus under several tallies.
-
-    ordered_with_multiplicity sums the per-orientation counts over all
-    ordered pairs; distinct_n counts distinct surviving values across
-    pairs; unordered_canonical runs stage 1 once per unordered pair with
-    the smaller residue as the small-prime class.
-    """
-
-    m: int
-    N: int
-    M: int
-    ordered_with_multiplicity: int
-    distinct_n: int
-    unordered_canonical: int
-
-
-def stage1_survivor_diagnostic(
-    m: int, N: int, M: int, table: Optional[PrimeTable] = None
-) -> SurvivorDiagnostic:
-    """Count stage-1 survivors (unresolved non-exceptions) for modulus m.
-
-    The roles of the small-prime class and the long class differ, so each
-    ordered pair runs stage 1 in its own orientation; its survivors are
-    the unresolved candidates that are not elements.
-    """
-    index = _modulus_index(m, N, table)
-    survivors = {
-        (a, b): set(_stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0])
-        - set(elements)
-        for (a, b), elements in _modulus_sets(index, M).items()
-    }
-    return SurvivorDiagnostic(
-        m=m,
-        N=N,
-        M=M,
-        ordered_with_multiplicity=sum(map(len, survivors.values())),
-        distinct_n=len(set().union(*survivors.values())),
-        unordered_canonical=sum(len(s) for (a, b), s in survivors.items() if a <= b),
-    )
+    if m < 2 or m % 2 != 0:
+        raise ValueError(
+            f"modulus must be a positive even integer, got {m} "
+            "(double an odd modulus instead)"
+        )
+    if table is None:
+        table = sieve_primes(N, reserved_bytes=class_mask_bytes(m, N))
+    if M is None:
+        M = default_stage1_bound(m, N)
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    index = ResidueIndex(table, m, N, units)
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    for k, a in enumerate(units):
+        bs = units[k:]
+        pidx, windows = index.stage1_source(a, bs, M)
+        for b, survivors in zip(bs, _stage1(a, bs, m, N, pidx, windows)):
+            es = _resolved(AdmissiblePair(a, b, m), N, M, survivors)
+            out[(a, b)] = out[(b, a)] = es.elements
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

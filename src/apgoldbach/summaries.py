@@ -21,12 +21,14 @@ def totient(m: int) -> int:
     return sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
 
 
+def _thousandths(x: Fraction) -> int:
+    """x * 1000 rounded half up (half away from zero, for x >= 0)."""
+    return math.floor(x * 1000 + Fraction(1, 2))
+
+
 def format_average(x: Fraction) -> str:
     """Round to 3 decimals, half away from zero, trim trailing zeros."""
-    scaled = x * 1000
-    q = scaled.numerator // scaled.denominator
-    if scaled - q >= Fraction(1, 2):
-        q += 1
+    q = _thousandths(x)
     s = f"{q // 1000}.{q % 1000:03d}".rstrip("0")
     if s.endswith("."):
         s += "0"
@@ -35,10 +37,7 @@ def format_average(x: Fraction) -> str:
 
 def format_percent(x: Fraction) -> str:
     """One decimal, half away from zero."""
-    scaled = x * 1000  # x is a fraction, percent wants x*100 at 1 decimal
-    q = scaled.numerator // scaled.denominator
-    if scaled - q >= Fraction(1, 2):
-        q += 1
+    q = _thousandths(x)  # x is a fraction, percent wants x*100 at 1 decimal
     return f"{q // 10}.{q % 10}"
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: trial division, double loops,
 full enumeration, a table's bits unpacked whole.  None of it shares code
-with the implementations under test.
+with the implementations under test, except stage1_survivor_diagnostic,
+which counts what the engine's own stage 1 leaves unresolved.
 """
 
 import itertools
@@ -228,3 +229,52 @@ def g2_exact(n: int, table) -> int:
         return 2 if flags[n - 2] else 0
     odd = flags[1:n:2]  # odd[i]: 2i + 1 is prime
     return int(np.count_nonzero(odd & odd[::-1])) + (n == 4)
+
+
+@dataclass(frozen=True)
+class SurvivorDiagnostic:
+    """Stage-1 survivor counts for a whole modulus under several tallies.
+
+    ordered_with_multiplicity sums the per-orientation counts over all
+    ordered pairs; distinct_n counts distinct surviving values across
+    pairs; unordered_canonical runs stage 1 once per unordered pair with
+    the smaller residue as the small-prime class.
+    """
+
+    m: int
+    N: int
+    M: int
+    ordered_with_multiplicity: int
+    distinct_n: int
+    unordered_canonical: int
+
+
+def stage1_survivor_diagnostic(m: int, N: int, M: int, table=None) -> SurvivorDiagnostic:
+    """Count stage-1 survivors (unresolved non-exceptions) for modulus m.
+
+    The roles of the small-prime class and the long class differ, so each
+    ordered pair runs the engine's stage 1 in its own orientation; its
+    survivors are the unresolved candidates that are not elements.
+    """
+    from apgoldbach import partitions
+    from apgoldbach.primes import sieve_primes
+
+    if table is None:
+        table = sieve_primes(N)
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    index = partitions.ResidueIndex(table, m, N, units)
+    survivors = {
+        (a, b): set(partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0])
+        - set(elements)
+        for (a, b), elements in partitions.exceptional_sets_for_modulus(
+            m, N, M, table=table
+        ).items()
+    }
+    return SurvivorDiagnostic(
+        m=m,
+        N=N,
+        M=M,
+        ordered_with_multiplicity=sum(map(len, survivors.values())),
+        distinct_n=len(set().union(*survivors.values())),
+        unordered_canonical=sum(len(s) for (a, b), s in survivors.items() if a <= b),
+    )

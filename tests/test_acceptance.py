@@ -16,7 +16,6 @@ from apgoldbach.heuristics import coupon_expected_wait, coupon_tail
 from apgoldbach.partitions import (
     AdmissiblePair,
     exceptional_set,
-    stage1_survivor_diagnostic,
     verify_conjecture_mod4,
     verify_conjecture_samples,
     verify_ternary,
@@ -27,7 +26,12 @@ from apgoldbach.summaries import (
     count_empty_pairs,
     summarize_modulus,
 )
-from oracles import coupon_tail_inclusion_exclusion, naive_exceptional_set, simulate_coupon
+from oracles import (
+    coupon_tail_inclusion_exclusion,
+    naive_exceptional_set,
+    simulate_coupon,
+    stage1_survivor_diagnostic,
+)
 from test_partitions import EXPLICIT_SETS
 
 N = 10**6

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -30,8 +31,7 @@ from apgoldbach.cli import (
     load_cache_entry,
     main,
     save_cache_entry,
-    table1_document,
-    table2_document,
+    table_document,
 )
 from apgoldbach.partitions import exceptional_sets_for_modulus
 from apgoldbach.primes import MemoryBudgetError, sieve_primes
@@ -310,15 +310,15 @@ class TestTables:
 
     def test_json_round_trip(self, capsys):
         config = RunConfig(N=10**4, m_min=2, m_max=6, threads=1)
-        doc = table1_document(compute_sweep(config), "json")
+        doc = table_document("table1", compute_sweep(config), "json")
         reloaded = json.loads(doc)
         assert json.dumps(reloaded, indent=2) + "\n" == doc
 
     def test_thread_count_does_not_change_output(self):
         serial = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=10, threads=1))
         parallel = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=10, threads=4))
-        assert table1_document(serial) == table1_document(parallel)
-        assert table2_document(serial) == table2_document(parallel)
+        for which in ("table1", "table2"):
+            assert table_document(which, serial) == table_document(which, parallel)
 
     def test_auto_worker_count_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -668,8 +668,12 @@ class TestHeuristic:
     def test_m2(self, capsys):
         code, out, _ = run(capsys, "heuristic", "--m", "2", "--limit", "10000")
         assert code == EXIT_OK
-        assert "r = 1" in out
-        assert "E[W] = 1.000000" in out
+        lines = out.splitlines()
+        assert "r = 1" in lines
+        assert "E[W] = 1.000000" in lines
+        # m = 2's own predictions: 4 (ln 2)^2 and r^2/(2m) with r = 1
+        assert "predicted E_max bound (c=1.0): 1.922" in lines
+        assert "predicted mean length (delta=0.5): 0.250000" in lines
 
     def test_m50(self, capsys):
         # the desk check: E[W] = r * H_r for r = 16
@@ -789,6 +793,16 @@ def _files(path: Path) -> list[tuple[str, int]]:
 
 
 class TestCache:
+    def test_file_bytes(self, tmp_path):
+        # dicts compare without order, so the round trip alone does not pin
+        # the file: these are its bytes, pair order included
+        save_cache_entry(tmp_path, 8, 10**4, exceptional_sets_for_modulus(8, 10**4))
+        data = (tmp_path / "m8_N10000.json").read_bytes()
+        assert len(data) == 375
+        assert hashlib.sha256(data).hexdigest() == (
+            "9201cbaae182ac627bb96597a9ccf60d89331e1a99ebab691807d40429f92025"
+        )
+
     def test_round_trip(self, tmp_path, table_1e5):
         sets = exceptional_sets_for_modulus(8, 10**4, table=table_1e5)
         save_cache_entry(tmp_path, 8, 10**4, sets)
@@ -888,14 +902,14 @@ class TestCache:
             assert err == ""
 
     def test_parallel_sweep_fills_and_reads_cache(self, tmp_path):
-        plain = table1_document(compute_sweep(RunConfig(N=10**4, m_max=10, threads=1)))
+        plain = table_document("table1", compute_sweep(RunConfig(N=10**4, m_max=10, threads=1)))
         cached = RunConfig(N=10**4, m_max=10, threads=2, cache_dir=tmp_path)
-        assert table1_document(compute_sweep(cached)) == plain  # cold: every modulus misses
+        assert table_document("table1", compute_sweep(cached)) == plain  # cold: every modulus misses
         # one file per modulus m = 2, 4, ..., 10
         assert [name for name, _ in _files(tmp_path)] == [
             f"m{m}_N10000.json" for m in (10, 2, 4, 6, 8)
         ]
-        assert table1_document(compute_sweep(cached)) == plain  # warm: every modulus hits
+        assert table_document("table1", compute_sweep(cached)) == plain  # warm: every modulus hits
 
     def test_warm_cache_transparent(self, capsys, tmp_path):
         args = ["table1", "--m-min", "4", "--m-max", "6", "--limit", "10000",

@@ -249,6 +249,15 @@ class TestPredictBounds:
         vals = [predict_bounds(m, 2.0, 0.5).e_max_bound for m in range(4, 100, 2)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
+    def test_m2(self):
+        p = predict_bounds(2, 1.0, 0.5)
+        assert p.e_max_bound == pytest.approx(4 * math.log(2) ** 2)
+        assert p.expected_length == pytest.approx(1 / 4)  # r = 1
+
+    def test_odd_m_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            predict_bounds(5, 1.0, 0.5)
+
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             predict_bounds(10, 1.0, 1.0)

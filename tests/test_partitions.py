@@ -18,7 +18,6 @@ from apgoldbach.partitions import (
     exceptional_set,
     exceptional_sets_for_modulus,
     find_witness,
-    stage1_survivor_diagnostic,
     verify_conjecture_mod4,
     verify_conjecture_samples,
     verify_ternary,
@@ -32,6 +31,7 @@ from oracles import (
     naive_progression_violations,
     naive_stage1_unresolved,
     naive_ternary_violations,
+    stage1_survivor_diagnostic,
 )
 
 # published explicit sets, m in {2, 4, 6, 8, 10}, complete below 10^6

@@ -34,13 +34,15 @@ def test_run_tables_writes_the_cli_documents(capsys, tmp_path):
 
 
 def test_model_vs_observed_prints_one_row_per_modulus():
-    proc = _script("model_vs_observed.py", *SWEEP)
+    proc = _script("model_vs_observed.py", *SWEEP, "--m-min", "2")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header == ("m,r,model_mean_length,model_length_bound,model_emax_bound,"
                       "observed_L_avg,observed_E_max")
-    assert [row.split(",")[0] for row in rows] == ["4", "6", "8", "10"]
+    assert [row.split(",")[0] for row in rows] == ["2", "4", "6", "8", "10"]
     assert all(len(row.split(",")) == 7 for row in rows)
+    # m = 2 gets its own bounds, not m = 4's (0.5000 and 30.7)
+    assert rows[0].split(",")[3:5] == ["0.2500", "1.9"]
 
 
 def test_run_tables_takes_no_stage1_bound(tmp_path):

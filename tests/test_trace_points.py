@@ -1,0 +1,33 @@
+"""The names that perfbench/inprocess.py wraps to time each layer.
+
+Its tracer skips a name it cannot find without an error, so a rename in
+the package would read that layer's metrics as 0.  This pins every name
+it patches.
+"""
+
+import functools
+
+import pytest
+
+from apgoldbach import cli, partitions, primes
+
+MODULES = {"cli": cli, "partitions": partitions, "primes": primes}
+
+
+@pytest.mark.parametrize("name", [
+    "partitions.sieve_primes",
+    "primes.PrimeTable.mask",
+    "partitions.exceptional_set",
+    "partitions.find_witness",
+    "cli.exceptional_sets_for_modulus",
+    "partitions.verify_conjecture_mod4",
+    "partitions.verify_conjecture_samples",
+    "partitions.verify_ternary",
+    "cli.load_cache_entry",
+    "cli.save_cache_entry",
+])
+def test_traced_name_is_callable(name):
+    module, *attrs = name.split(".")
+    target = functools.reduce(lambda owner, attr: getattr(owner, attr, None), attrs,
+                              MODULES[module])
+    assert callable(target)
