@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
@@ -21,7 +19,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequen
 # where something is computed, so that a warm-cache table1, table2, figures
 # or verify asy never loads it; summaries and heuristics (and the fractions
 # and decimal modules they load) are imported where they are used, so that
-# `exceptions` and the engine-only `verify` targets never load them
+# `exceptions` and the engine-only `verify` targets never load them and
+# `heuristic` loads summaries only with a cache directory; json is imported
+# by the cache functions and the JSON table format
 if TYPE_CHECKING:
     from .partitions import AdmissiblePair
     from .primes import PrimeTable
@@ -36,23 +36,28 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass
 class RunConfig:
-    N: int = 10**7
-    m_min: int = 2
-    m_max: int = 200
-    cache_dir: Optional[Path] = None
-    threads: int = 0
+    """The settings of one run, checked when it is made."""
 
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"search limit must be >= 2, got {self.N}")
-        if self.m_min % 2 or self.m_max % 2:
+    def __init__(self, N: int = 10**7, m_min: int = 2, m_max: int = 200,
+                 cache_dir: Optional[Path] = None, threads: int = 0):
+        if N < 2:
+            raise ValueError(f"search limit must be >= 2, got {N}")
+        if m_min % 2 or m_max % 2:
             raise ValueError("modulus range endpoints must be even")
-        if self.m_min < 2 and self.m_min <= self.m_max:  # a non-empty range
-            raise ValueError(f"moduli must be >= 2, got m_min = {self.m_min}")
-        if self.threads < 0:
+        if m_min < 2 and m_min <= m_max:  # a non-empty range
+            raise ValueError(f"moduli must be >= 2, got m_min = {m_min}")
+        if threads < 0:
             raise ValueError("threads must be >= 0")
+        self.N = N
+        self.m_min = m_min
+        self.m_max = m_max
+        self.cache_dir = cache_dir
+        self.threads = threads
+
+    def replace(self, **changes) -> RunConfig:
+        """A copy with `changes`, checked like a new config."""
+        return RunConfig(**{**vars(self), **changes})
 
     @property
     def moduli(self) -> list[int]:
@@ -74,6 +79,7 @@ class RunConfig:
 
 def _payload_checksum(payload: dict) -> str:
     import hashlib  # here, so that starting the CLI does not load it
+    import json
 
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -86,6 +92,8 @@ def _cache_path(cache_dir: Path, m: int, N: int) -> Path:
 def save_cache_entry(cache_dir: Path, m: int, N: int, sets: ModulusSets) -> None:
     """Write the sweep of modulus m at N as one checksummed file, one
     [a, b, elements] entry per unordered pair a <= b."""
+    import json
+
     payload = {
         "m": m,
         "N": N,
@@ -147,6 +155,8 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
     JSON, no integer schema_version, a checksum mismatch, a payload of
     the wrong shape) is ignored with a warning.
     """
+    import json
+
     for path in _cache_candidates(cache_dir, m, N):
         if not path.is_file():
             continue
@@ -343,6 +353,8 @@ def table_document(
     }[which]
     rows = [row(sets, m).csv_row() for m, sets in sweep.items()]
     if output_format == "json":
+        import json
+
         keys = header.split(",")
         return json.dumps([dict(zip(keys, r.split(","))) for r in rows], indent=2) + "\n"
     return "\n".join([header] + rows) + "\n"
@@ -427,7 +439,7 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
     elif target == "asy":
         from . import summaries
 
-        sweep = compute_sweep(replace(config, m_min=2, m_max=50))
+        sweep = compute_sweep(config.replace(m_min=2, m_max=50))
         worst = 0.0
         for m, sets in sweep.items():
             if m < 4:
@@ -445,7 +457,7 @@ def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool
 
 
 def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
-    from . import heuristics, summaries
+    from . import heuristics
 
     model = heuristics.CouponModel.for_modulus(m)
     lines = [
@@ -467,7 +479,9 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
         f"(tail bound {est.tail_bound:.3g})"
     )
     if config.cache_dir is not None:
-        sets = compute_sweep(replace(config, m_min=m, m_max=m))[m]
+        from . import summaries
+
+        sets = compute_sweep(config.replace(m_min=m, m_max=m))[m]
         s = summaries.summarize_modulus(sets, m)
         lines.append(
             f"observed: L_avg = {float(s.unrestricted.l_avg):.6f}, "

@@ -11,8 +11,8 @@ least one decimal kept) so the emitted tables are byte-reproducible.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 ModulusSets = dict[tuple[int, int], tuple[int, ...]]
 
@@ -41,8 +41,7 @@ def format_percent(x: Fraction) -> str:
     return f"{q // 10}.{q % 10}"
 
 
-@dataclass(frozen=True)
-class FamilyStats:
+class FamilyStats(NamedTuple):
     """min/avg/max set length, largest exception, and exception counts
     without / with multiplicity, over one family of ordered pairs."""
 
@@ -54,8 +53,7 @@ class FamilyStats:
     e_count_mult: int
 
 
-@dataclass(frozen=True)
-class ModulusSummary:
+class ModulusSummary(NamedTuple):
     """One table row: restricted (b = -a) and unrestricted aggregates."""
 
     m: int
@@ -84,8 +82,7 @@ TABLE1_HEADER = (
 TABLE2_HEADER = "m,count,percent"
 
 
-@dataclass(frozen=True)
-class EmptyPairCount:
+class EmptyPairCount(NamedTuple):
     m: int
     z_m: int
     total_pairs: int
@@ -151,8 +148,7 @@ def count_empty_pairs(sets: ModulusSets, m: int) -> EmptyPairCount:
 GROWTH_HEADER = "m,E_max,phi,8m2,16m2,2m2_ln_m,4m2_ln_m"
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     m: int
     e_max: int
     phi: int

@@ -1,10 +1,11 @@
 import argparse
+import ast
 import contextlib
-import dataclasses
 import functools
 import gc
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -296,8 +297,16 @@ class TestTables:
         assert f"unrecognized arguments: {flag} 300" in capsys.readouterr().err
 
     def test_run_config_has_no_stage1_bound(self):
-        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        assert list(inspect.signature(RunConfig).parameters) == [
             "N", "m_min", "m_max", "cache_dir", "threads"]
+
+    def test_run_config_replace_checks_like_the_constructor(self):
+        config = RunConfig(N=10**4, m_min=4, m_max=8, threads=2)
+        assert vars(config.replace(m_max=10)) == {
+            "N": 10**4, "m_min": 4, "m_max": 10, "cache_dir": None, "threads": 2}
+        assert config.m_max == 8
+        with pytest.raises(ValueError, match="must be even"):
+            config.replace(m_min=3)
 
     @pytest.mark.parametrize("argv,expected", [
         (["table1", "--m-min", "4", "--m-max", "4"], TABLE1_M4_JSON),
@@ -430,16 +439,17 @@ ENGINE_MODULES = {"numpy", "apgoldbach.partitions", "apgoldbach.primes"}
 
 def _fresh_cli(argv: list[str], modules: set[str] = ENGINE_MODULES) -> list:
     """[exit code, the loaded modules among `modules`, stdout] of
-    cli.main(argv) in a fresh interpreter; an empty argv only imports."""
+    cli.main(argv) in a fresh interpreter; an empty argv only imports.
+    The probe itself imports no json, so that it can be among `modules`."""
     code = textwrap.dedent(f"""\
-        import contextlib, io, json, sys
+        import contextlib, io, sys
         from apgoldbach import cli
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = cli.main({argv!r}) if {argv!r} else 0
-        print(json.dumps([rc, sorted(set(sys.modules) & {modules!r}), out.getvalue()]))
+        print(repr([rc, sorted(set(sys.modules) & {modules!r}), out.getvalue()]))
     """)
-    return json.loads(_fresh_python(code))
+    return ast.literal_eval(_fresh_python(code))
 
 
 @pytest.mark.parametrize("caller,seen", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
@@ -501,7 +511,9 @@ def warm_cache(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [["table2"], ["figures"], ["verify", "asy"]])
 def test_warm_cache_loads_no_engine(capsys, tmp_path, warm_cache, argv):
-    # each reads m <= 50 off the cache and computes nothing
+    # each reads m <= 50 off the cache and computes nothing; the row types
+    # are named tuples, so neither dataclasses nor the inspect module it
+    # imports is loaded
     args = [*argv, "--limit", "10000", "--threads", "1"]
     if argv == ["figures"]:
         args += ["--output-dir", str(tmp_path)]
@@ -510,7 +522,8 @@ def test_warm_cache_loads_no_engine(capsys, tmp_path, warm_cache, argv):
     for p in tmp_path.iterdir():
         p.unlink()
     assert code == EXIT_OK
-    assert _fresh_cli([*args, "--cache-dir", str(warm_cache)]) == [EXIT_OK, [], uncached]
+    assert _fresh_cli([*args, "--cache-dir", str(warm_cache)],
+                      ENGINE_MODULES | {"dataclasses", "inspect"}) == [EXIT_OK, [], uncached]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == figures
 
 
@@ -553,13 +566,26 @@ SUMMARIES = {"apgoldbach.summaries", "decimal", "fractions"}
      sorted(ENGINE_MODULES | SUMMARIES)),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "30000000",
       "--threads", "2"], sorted(ENGINE_MODULES)),
-    # the model alone: numpy, but neither partitions nor primes
+    # the model alone: neither numpy nor summaries without a cache directory
     (["heuristic", "--m", "10", "--limit", "1000"],
-     sorted(SUMMARIES | {"apgoldbach.heuristics", "numpy"})),
+     sorted({"apgoldbach.heuristics", "decimal", "fractions"})),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # import alone (argv []) loads none of LAZY_MODULES
     assert _fresh_cli(argv, LAZY_MODULES)[:2] == [EXIT_OK, loaded]
+
+
+@pytest.mark.parametrize("argv,unused", [
+    ([], {"numpy", "dataclasses", "inspect", "json"}),
+    (["heuristic", "--m", "10", "--limit", "1000"],
+     {"numpy", "apgoldbach.summaries", "dataclasses", "json"}),
+    (["verify", "conj2", "--limit", "1000"], {"json"}),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], {"json"}),
+], ids=["import", "heuristic", "verify", "exceptions"])
+def test_command_loads_no_module_it_does_not_use(argv, unused):
+    # json is for the cache and the JSON table format, dataclasses (and the
+    # inspect module it imports) only for the engine's types
+    assert _fresh_cli(argv, unused)[:2] == [EXIT_OK, []]
 
 
 def test_module_run_freezes_the_heap_before_exit():

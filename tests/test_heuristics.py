@@ -210,21 +210,59 @@ class TestExpectedLength:
     @pytest.mark.parametrize(
         "m,N", [(4, 10), (10, 1000), (12, 10**4), (50, 65537), (50, 2 * 10**5), (200, 10**5 + 3)]
     )
-    def test_chunked_sum_matches_one_shot_sum(self, monkeypatch, m, N):
-        # the one-shot float64 sum over 2..N, to the last bit: the chunks
-        # follow np.sum's pairwise order, also at chunks of 128 terms, the
-        # block below which np.sum stops halving
+    def test_sum_is_fsum_over_all_terms(self, monkeypatch, m, N):
+        # math.fsum over every term 2..N, to the last bit, whether the sum
+        # stops early or not, also in blocks of 7 terms, where the first
+        # blocks end below 21 and the tail is checked after every block
+        alpha = CouponModel.for_modulus(m).alpha
+        k = 2 / math.log(2) ** 2  # the package's float form of the terms
+        reference = math.fsum(
+            alpha ** (k * n / (math.log2(n) * math.log2(n))) for n in range(2, N + 1)
+        ) / m
+        assert expected_exception_length(m, N).value == reference
+        monkeypatch.setattr(heuristics, "_SUM_BLOCK", 7)
+        assert expected_exception_length(m, N).value == reference
+
+    def test_sum_stops_once_the_tail_cannot_change_it(self, monkeypatch):
+        summed = []
+        terms = heuristics._terms
+        monkeypatch.setattr(heuristics, "_terms",
+                            lambda alpha, lo, hi: summed.append(hi - lo) or terms(alpha, lo, hi))
+        value = expected_exception_length(50, 10**6).value
+        assert sum(summed) < 40_000
+        assert expected_exception_length(50, 10**7).value == value
+
+    @pytest.mark.parametrize("N", [10, 10**3, 10**5, 10**6])
+    def test_printed_value_matches_the_numpy_one_shot_sum(self, N):
+        # `heuristic` prints the value to 6 decimals; the reference is the
+        # one-shot float64 np.sum over all the terms
         import numpy as np
 
         n = np.arange(2, N + 1, dtype=np.float64)
-        alpha = CouponModel.for_modulus(m).alpha
-        one_shot = float(np.sum(np.power(alpha, 2 * n / np.log(n) ** 2))) / m
-        assert expected_exception_length(m, N).value == one_shot
-        monkeypatch.setattr(heuristics, "_SUM_CHUNK", 128)
-        assert expected_exception_length(m, N).value == one_shot
+        f = 2 * n / np.log(n) ** 2
+        sums: dict[float, float] = {}
+        for m in range(2, 201, 2):
+            alpha = CouponModel.for_modulus(m).alpha
+            if alpha not in sums:
+                sums[alpha] = float(np.sum(np.power(alpha, f)))
+            got = expected_exception_length(m, N).value
+            assert f"{got:.6f}" == f"{sums[alpha] / m:.6f}", m
+
+    @pytest.mark.parametrize("m,h", [(10, 21), (50, 3 * 10**4), (194, 10**5)])
+    def test_tail_majorant_bounds_the_tail(self, m, h):
+        # Euler-Maclaurin agrees with direct summation to 12 digits at these
+        # points; the upper check would also catch a sum that went wrong
+        mpmath = pytest.importorskip("mpmath")
+        model = CouponModel.for_modulus(m)
+        with mpmath.workdps(20):
+            alpha = 1 - mpmath.mpf(1) / model.r
+            tail = mpmath.nsum(lambda n: alpha ** (2 * n / mpmath.log(n) ** 2),
+                               [h + 1, mpmath.inf], method="euler-maclaurin")
+        bound = heuristics._tail_majorant(model.alpha, h)
+        assert tail < bound < 2 * tail
 
     def test_peak_memory_flat_in_N(self):
-        # one chunk of float64 terms at a time, not three arrays over 2..N
+        # one block of terms at a time, not a list over 2..N
         tracemalloc.start()
         try:
             expected_exception_length(200, 10**7)

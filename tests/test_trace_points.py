@@ -9,9 +9,9 @@ import functools
 
 import pytest
 
-from apgoldbach import cli, partitions, primes
+from apgoldbach import cli, heuristics, partitions, primes
 
-MODULES = {"cli": cli, "partitions": partitions, "primes": primes}
+MODULES = {"cli": cli, "heuristics": heuristics, "partitions": partitions, "primes": primes}
 
 
 @pytest.mark.parametrize("name", [
@@ -25,6 +25,12 @@ MODULES = {"cli": cli, "partitions": partitions, "primes": primes}
     "partitions.verify_ternary",
     "cli.load_cache_entry",
     "cli.save_cache_entry",
+    # every public function of heuristics is wrapped; these are the ones
+    # `heuristic` calls
+    "heuristics.g2_estimate",
+    "heuristics.coupon_tail",
+    "heuristics.predict_bounds",
+    "heuristics.expected_exception_length",
 ])
 def test_traced_name_is_callable(name):
     module, *attrs = name.split(".")
