@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequen
 
 # The engine (partitions and primes, and with them numpy) is imported only
 # where something is computed, so that a warm-cache table1, table2, figures
-# or verify asy never loads it; summaries and heuristics (and the fractions
-# and decimal modules they load) are imported where they are used, so that
+# or verify asy never loads it; summaries (and the fractions and decimal
+# modules it loads) and heuristics are imported where they are used, so that
 # `exceptions` and the engine-only `verify` targets never load them and
 # `heuristic` loads summaries only with a cache directory; json is imported
 # by the cache functions and the JSON table format
@@ -365,11 +365,10 @@ def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
     quadratic / quadratic-log reference curves."""
     from . import summaries
 
-    rows = [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
-    fig1_lines = ["m,E_max,phi"] + [
-        f"{r.m},{r.unrestricted.e_max},{summaries.totient(r.m)}" for r in rows
-    ]
-    growth = summaries.growth_series(rows)
+    growth = summaries.growth_series(
+        [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
+    )
+    fig1_lines = ["m,E_max,phi"] + [f"{g.m},{g.e_max},{g.phi}" for g in growth]
     fig2_lines = [summaries.GROWTH_HEADER] + [g.csv_row() for g in growth]
     return "\n".join(fig1_lines) + "\n", "\n".join(fig2_lines) + "\n"
 

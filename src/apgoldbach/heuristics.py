@@ -4,19 +4,12 @@ Representations of an even n are modeled as g2(n) independent draws
 landing uniformly in r = floor(2*phi(m)^2/m) admissible residue-pair
 classes; the chance that some class stays empty is the coupon-collector
 tail P(W_r > g2(n)).  g2(n) itself is approximated by its conjectural
-average 2n/(ln n)^2.
+average 2n/(ln n)^2.  The tail and the mean wait r*H_r are summed
+exactly in integers and rounded once, by the final division.
 """
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
-
-# Exact rational evaluation of the tail is used inside this range; beyond
-# it the alternating inclusion-exclusion sum is evaluated in floats with
-# exact (fsum) accumulation.
-EXACT_TAIL_MAX_R = 30
-EXACT_TAIL_MAX_K = 500
 
 # Terms of the model's mean-length sum per math.fsum call, so that its
 # memory does not grow with N.
@@ -31,60 +24,29 @@ def g2_estimate(n: int) -> float:
     return 2 * n / math.log(n) ** 2
 
 
-@lru_cache(maxsize=None)
-def _stirling_row(k: int) -> tuple[int, ...]:
-    """Row k of the second-kind Stirling triangle, entries r = 0..k."""
-    if k == 0:
-        return (1,)
-    prev = _stirling_row(k - 1)
-    row = [0] * (k + 1)
-    for r in range(1, k + 1):
-        below = prev[r] if r < k else 0
-        row[r] = r * below + prev[r - 1]
-    return tuple(row)
-
-
-def stirling2(k: int, r: int) -> int:
-    """Stirling number of the second kind, exact."""
-    if k < 0 or r < 0:
-        raise ValueError("k and r must be nonnegative")
-    if r > k:
-        return 0
-    return _stirling_row(k)[r]
-
-
-def harmonic(r: int) -> Fraction:
+def coupon_expected_wait(r: int) -> float:
+    """Expected draws to fill all r boxes: r * H_r, summed exactly over
+    the common denominator lcm(1..r)."""
     if r < 1:
         raise ValueError(f"r={r} must be >= 1")
-    return sum((Fraction(1, j) for j in range(1, r + 1)), Fraction(0))
-
-
-def coupon_expected_wait(r: int) -> float:
-    """Expected draws to fill all r boxes: r * H_r."""
-    return float(r * harmonic(r))
+    lcm = math.lcm(*range(1, r + 1))
+    return r * sum(lcm // j for j in range(1, r + 1)) / lcm
 
 
 def coupon_tail(r: int, k: int) -> float:
     """P(W_r > k): probability some box is still empty after k draws.
 
-    Closed form 1 - r! S(k, r) / r^k in exact rationals within the exact
-    range; inclusion-exclusion with fsum accumulation beyond it (the
-    alternating sum cancels catastrophically in naive float order).
+    Inclusion-exclusion over the boxes left empty,
+    sum_{j=1..r-1} (-1)^(j+1) C(r, j) (r - j)^k / r^k, in integers: the
+    sum is exact, and the int/int division rounds it correctly.
     """
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     if k < r:
         return 1.0
-    if r == 1:
-        return 0.0
-    if r <= EXACT_TAIL_MAX_R and k <= EXACT_TAIL_MAX_K:
-        val = 1 - Fraction(math.factorial(r) * stirling2(k, r), r**k)
-        return float(val)
-    terms = [
-        (-1) ** (j + 1) * math.comb(r, j) * (1 - j / r) ** k
-        for j in range(1, r)
-    ]
-    return min(1.0, max(0.0, math.fsum(terms)))
+    return sum(
+        (-1) ** (j + 1) * math.comb(r, j) * (r - j) ** k for j in range(1, r)
+    ) / r**k
 
 
 class CouponModel(NamedTuple):
@@ -175,8 +137,6 @@ def expected_exception_length(m: int, N: int) -> TruncatedSum:
         raise ValueError(f"N={N} must be >= 10")
     model = CouponModel.for_modulus(m)
     alpha = model.alpha
-    if alpha == 0.0:
-        return TruncatedSum(value=0.0, tail_bound=0.0)
 
     parts: list[float] = []
     for lo in range(2, N + 1, _SUM_BLOCK):

@@ -78,13 +78,9 @@ _MIN_SHARE_WINDOWS = 3
 # as (base, copies): bit y of copies[r, k] is entry base + y - r of row k.
 Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, np.ndarray]]]
 
-# Maps fn over the share numbers 0, 1, ..., in order; a caller's map may run
-# them in other processes.
-ShareMap = Callable[[Callable[[int], list[int]], range], list[list[int]]]
-
-
-def _serial_map(fn: Callable[[int], list[int]], shares: range) -> list[list[int]]:
-    return [fn(k) for k in shares]
+# Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
+# a caller's map may run them in other processes.
+ShareMap = Callable[[Callable[[int], list[int]], range], Iterable[list[int]]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
@@ -369,7 +365,7 @@ def _stage1_unresolved(
     N: int,
     M: int,
     workers: int = 1,
-    share_map: ShareMap = _serial_map,
+    share_map: ShareMap = map,
 ) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending.
 
@@ -409,7 +405,7 @@ def exceptional_set(
     N: int,
     M: Optional[int] = None,
     workers: int = 1,
-    share_map: ShareMap = _serial_map,
+    share_map: ShareMap = map,
 ) -> ExceptionalSet:
     """Compute E_{a,b,m} up to N with the two-stage algorithm.
 

@@ -6,6 +6,7 @@ with the implementations under test, except stage1_survivor_diagnostic,
 which counts what the engine's own stage 1 leaves unresolved.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,23 +126,52 @@ def stirling2_by_enumeration(k: int, r: int) -> int:
     return surjections // math.factorial(r) if r else 0
 
 
+@functools.lru_cache(maxsize=None)
+def _stirling_row(k: int) -> tuple[int, ...]:
+    """Row k of the second-kind Stirling triangle, entries r = 0..k."""
+    if k == 0:
+        return (1,)
+    prev = _stirling_row(k - 1)
+    row = [0] * (k + 1)
+    for r in range(1, k + 1):
+        below = prev[r] if r < k else 0
+        row[r] = r * below + prev[r - 1]
+    return tuple(row)
+
+
+def stirling2(k: int, r: int) -> int:
+    """Stirling number of the second kind, exact, from the triangle's
+    recurrence S(k, r) = r S(k-1, r) + S(k-1, r-1): the reference for
+    the closed form P(W_r > k) = 1 - r! S(k, r) / r^k."""
+    if k < 0 or r < 0:
+        raise ValueError("k and r must be nonnegative")
+    if r > k:
+        return 0
+    return _stirling_row(k)[r]
+
+
 def bell_number(k: int) -> int:
     """Partition count of a k-set; row sum of the Stirling triangle."""
-    from apgoldbach.heuristics import stirling2
-
     return sum(stirling2(k, r) for r in range(k + 1))
+
+
+def harmonic(r: int) -> Fraction:
+    """H_r = 1 + 1/2 + ... + 1/r in exact rationals."""
+    return sum((Fraction(1, j) for j in range(1, r + 1)), Fraction(0))
 
 
 def coupon_tail_inclusion_exclusion(r: int, k: int) -> Fraction:
     """Inclusion-exclusion form of P(W_r > k) in exact rationals.
 
     Independent route for cross-checking the factorial/Stirling form.
+    The sum runs over every nonempty set of j empty boxes, j = r too:
+    that term is 0 for k >= 1 and makes the sum 1 at k = 0.
     """
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     return sum(
         ((-1) ** (j + 1) * math.comb(r, j) * Fraction(r - j, r) ** k
-         for j in range(1, r)),
+         for j in range(1, r + 1)),
         Fraction(0),
     )
 

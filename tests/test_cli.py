@@ -567,8 +567,7 @@ SUMMARIES = {"apgoldbach.summaries", "decimal", "fractions"}
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "30000000",
       "--threads", "2"], sorted(ENGINE_MODULES)),
     # the model alone: neither numpy nor summaries without a cache directory
-    (["heuristic", "--m", "10", "--limit", "1000"],
-     sorted({"apgoldbach.heuristics", "decimal", "fractions"})),
+    (["heuristic", "--m", "10", "--limit", "1000"], ["apgoldbach.heuristics"]),
 ])
 def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # import alone (argv []) loads none of LAZY_MODULES
@@ -578,7 +577,8 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
 @pytest.mark.parametrize("argv,unused", [
     ([], {"numpy", "dataclasses", "inspect", "json"}),
     (["heuristic", "--m", "10", "--limit", "1000"],
-     {"numpy", "apgoldbach.summaries", "dataclasses", "json"}),
+     {"numpy", "apgoldbach.summaries", "dataclasses", "json", "fractions", "decimal",
+      "numbers"}),
     (["verify", "conj2", "--limit", "1000"], {"json"}),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], {"json"}),
 ], ids=["import", "heuristic", "verify", "exceptions"])

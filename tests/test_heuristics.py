@@ -14,7 +14,6 @@ from apgoldbach.heuristics import (
     expected_exception_length,
     g2_estimate,
     predict_bounds,
-    stirling2,
 )
 from oracles import (
     bell_number,
@@ -22,7 +21,9 @@ from oracles import (
     coupon_tail_enumeration,
     coupon_tail_inclusion_exclusion,
     g2_exact,
+    harmonic,
     simulate_coupon,
+    stirling2,
     stirling2_by_enumeration,
 )
 
@@ -131,6 +132,18 @@ class TestCouponTail:
                 )
                 assert closed == coupon_tail_inclusion_exclusion(r, k)
 
+    def test_is_the_exact_inclusion_exclusion_rounded_once(self):
+        # to the last bit, for k < r, k = r and large r and k alike
+        for r in [*range(1, 41), 64, 95, 128]:
+            for k in sorted({*range(0, 817, 17), r - 1, r, r + 1}):
+                assert coupon_tail(r, k) == float(coupon_tail_inclusion_exclusion(r, k)), (r, k)
+
+    def test_is_the_stirling_closed_form_rounded_once(self):
+        for r in range(1, 31):
+            for k in range(501):
+                closed = 1 - Fraction(math.factorial(r) * stirling2(k, r), r**k)
+                assert coupon_tail(r, k) == float(closed), (r, k)
+
     def test_tail_sum_equals_expected_wait(self):
         for r in range(1, 11):
             total = sum(coupon_tail(r, k) for k in range(3000))
@@ -161,6 +174,10 @@ class TestExpectedWait:
         with pytest.raises(ValueError):
             coupon_expected_wait(0)
 
+    def test_is_r_times_the_exact_harmonic_number_rounded_once(self):
+        for r in range(1, 401):
+            assert coupon_expected_wait(r) == float(r * harmonic(r)), r
+
 
 class TestCouponModel:
     def test_r_values(self):
@@ -189,8 +206,9 @@ class TestCouponModel:
 
 class TestExpectedLength:
     def test_alpha_zero_gives_zero(self):
-        t = expected_exception_length(2, 10**4)  # r = 1
-        assert t.value == 0.0
+        # r = 1: every term and the tail estimate are 0.0 ** x = 0.0
+        for N in (10, 10**4, 10**6):
+            assert expected_exception_length(2, N) == (0.0, 0.0)
 
     def test_truncation_bound_holds(self):
         small = expected_exception_length(10, 10**4)
