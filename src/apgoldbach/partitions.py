@@ -13,12 +13,12 @@ is prime; the one other candidate, a + b - m when it is at least 2, is
 never marked.  The b-class is held as eight bit-shifted packed copies
 (primes.pack_copies), so a shift is whole-byte ORs of copy i % 8 at byte
 offset i // 8.  The first _VECTOR_PHASE_PRIMES shifts OR into packed
-marks one block at a time, so the marks stay in cache; the survivors are
-the unset bits of the few marks bytes that hold any, and the remaining
-primes test them in 2-D gathers of bit j of copy 0, in blocks that start
-at _GATHER_FIRST_ELEMENTS elements and double up to _GATHER_BLOCK_ELEMENTS.
-Stage 1 tries every small prime up to M, so only survivors above M + 2 go
-to stage 2, which tries only p > M.
+marks one window at a time, of a length the source sets so that the marks
+stay in cache; the survivors are the unset bits of the few marks bytes
+that hold any, and the remaining primes test them in 2-D gathers of bit j
+of copy 0, in blocks that start at _GATHER_FIRST_ELEMENTS elements and
+double up to _GATHER_BLOCK_ELEMENTS.  Stage 1 tries every small prime up
+to M, so only survivors above M + 2 go to stage 2, which tries only p > M.
 
 A modulus sweep builds one ResidueIndex, the copies of every unit class
 read off the table's odd bits in one chunked pass (PrimeTable.mask).
@@ -41,6 +41,7 @@ import numpy as np
 
 from .primes import (
     DEFAULT_MEMORY_BUDGET_BYTES,
+    SIEVE_SEGMENT_SIZE,
     MemoryBudgetError,
     PrimeTable,
     is_prime,
@@ -58,13 +59,10 @@ from .primes import (
 _VECTOR_PHASE_PRIMES = 64
 _HEAD_GROUP = 32
 
-# Candidates marked per block by those ORs, over all rows; a block's
-# 256 KiB of marks and the copy slices it reads stay in L2.
+# Candidates per stage-1 window of a sweep, over all its rows; a window's
+# 256 KiB of marks and the copy slices it reads stay in L2.  A single
+# pair's window is one sieve segment (SIEVE_SEGMENT_SIZE) of candidates.
 _MARK_BLOCK = 1 << 21
-
-# Candidates per stage-1 window of a single pair, beside the entries below
-# them that the largest shift reaches; one sieve segment's worth.
-_WINDOW = 1 << 20
 
 # Fewest windows a share of a single pair's stage 1 may get when it is
 # split over processes.  On 2 vCPUs, forking a share from a CLI process
@@ -195,10 +193,11 @@ class ResidueIndex:
         self.copies = np.zeros((8, len(self.classes), _copy_width(m, N)), dtype=np.uint8)
         table.mask(N - 1, m, self.classes, out=self.copies)
 
-    def stage1_source(self, a: int, bs: list[int], M: int) -> tuple[np.ndarray, Windows]:
+    def stage1_source(self, a: int, bs: list[int], M: int) -> tuple[np.ndarray, Windows, int]:
         """Stage 1's inputs for small-prime class a and the b-rows bs, which
-        must follow each other in `classes`: every window is the rows'
-        copies whole, starting at j = 0."""
+        must follow each other in `classes`: each window is the rows' copies
+        whole from j = 0 and _MARK_BLOCK candidates over the rows, in whole
+        bytes, so shift i reads copy i % 8, which holds every j it needs."""
         k = self.classes.index(bs[0])
         if self.classes[k : k + len(bs)] != bs:
             raise ValueError(f"classes {bs} are not consecutive in the index")
@@ -206,7 +205,8 @@ class ResidueIndex:
         entries = max(0, (M - a) // self.m + 1)
         row = self.copies[0, self.classes.index(a)]
         pidx = np.flatnonzero(np.unpackbits(row, count=entries))
-        return pidx, lambda ranges: ((0, copies) for _ in ranges)
+        step = 8 * max(1, _MARK_BLOCK // (8 * len(bs)))
+        return pidx, lambda ranges: ((0, copies) for _ in ranges), step
 
 
 def class_mask_bytes(m: int, N: int) -> int:
@@ -215,14 +215,15 @@ def class_mask_bytes(m: int, N: int) -> int:
     return 8 * units * _copy_width(m, N)
 
 
-def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows]:
+def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows, int]:
     """Stage 1's inputs for one pair, sieved along its two progressions:
     no table and no N/m-entry mask.
 
     The a-class up to M is the window [0, (M - a)//m] of its own
-    progression, kept only as the indices of its primes; each b-window is
-    sieved into one reused buffer behind 7 False entries and packed from
-    there into eight reused copies.  Before each allocation the budget
+    progression, kept only as the indices of its primes.  A window is one
+    sieve segment of candidates; its b-entries, with the span below it,
+    are sieved into one reused buffer behind 7 False entries and packed
+    into eight reused copies.  Before each allocation the budget
     counts the a-mask, the int64 indices once known, the buffer and the
     copies once their size is, and the sieve's pattern and base primes.
     """
@@ -258,16 +259,7 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
             pack_copies(buf[: 7 + hi - lo], copies[:, 0])
             yield lo, copies
 
-    return pidx, windows
-
-
-def _window_step(pidx: np.ndarray) -> int:
-    """Candidates s per stage-1 window: _WINDOW + span, span being the
-    largest shift, rounded up to whole bytes, so that shift i reads copy
-    i % 8 of an index, which holds every entry j <= (N - 2)//m - i that
-    it needs."""
-    span = int(pidx[-1]) if len(pidx) else 0
-    return (_WINDOW + span + 7) // 8 * 8
+    return pidx, windows, SIEVE_SEGMENT_SIZE
 
 
 def _stage1(
@@ -277,6 +269,7 @@ def _stage1(
     N: int,
     pidx: np.ndarray,
     windows: Windows,
+    step: int,
     share: tuple[int, int] = (0, 1),
 ) -> list[list[int]]:
     """Candidates n <= N of each pair (a, b), b in bs, not representable
@@ -284,11 +277,11 @@ def _stage1(
 
     The candidates are n = a + b + s*m for s >= 0, and n = a + b - m when
     that is at least 2, which no p + q reaches.  Prime index i marks s
-    where b + (s - i)*m is prime.  The marks of all rows are one uint8
+    where b + (s - i)*m is prime.  Each window covers `step` candidates s,
+    a length its source sets, and reaches the span entries below them,
+    span being the largest shift.  Its marks of all rows are one uint8
     array, bit s - lo of row k in np.packbits order, so one OR per shift
-    covers every row.  Windows cover _WINDOW + span of s and reach the
-    span entries below them, span being the largest shift, so at most
-    half of what a single pair sieves is overlap.
+    covers every row.
 
     share = (k, K) runs only windows k, k + K, k + 2K, ...; share 0 also
     holds a + b - m.  The K shares' lists, merged, are the unsplit lists.
@@ -296,61 +289,57 @@ def _stage1(
     last = np.array([(N - a - b) // m for b in bs])  # largest s per row
     count = int(last.max()) + 1
     span = int(pidx[-1]) if len(pidx) else 0
-    step = _window_step(pidx)
     k, shares = share
     starts = range(k * step, count, shares * step)
     ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
     shifts = pidx.tolist()
-    block = max(1, _MARK_BLOCK // (8 * len(bs)))  # mark bytes per row
     rows, found = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for lo, (_, hi), (base, copies) in zip(starts, ranges, windows(ranges)):
         # bit y of copies[r, k] is j = base + y - r of class bs[k]
         width = copies.shape[2]
         bits0 = copies[0].reshape(-1)  # the rows of copy 0 follow each other
         nbytes = (hi - lo + 7) // 8
-        for xlo in range(0, nbytes, block):
-            xhi = min(xlo + block, nbytes)
-            mark = np.zeros((len(bs), xhi - xlo), dtype=np.uint8)
-            flat = mark.ravel()
-            h = 0  # shifts ORed so far
-            while h < len(shifts):
-                if h >= _VECTOR_PHASE_PRIMES and h % _HEAD_GROUP == 0:
-                    if np.count_nonzero(flat != 255) * (len(shifts) - h) <= flat.size:
-                        break
-                # mark bit x reads j = lo + x - i, bit x + 8d of copy 8d - e
-                e = lo - base - shifts[h]
-                d = -(-e // 8)
-                x0, x1 = max(xlo, -d), min(xhi, width - d)
-                if x0 >= xhi:  # p > n for the whole block, and for the rest
-                    h = len(shifts)
+        mark = np.zeros((len(bs), nbytes), dtype=np.uint8)
+        flat = mark.ravel()
+        h = 0  # shifts ORed so far
+        while h < len(shifts):
+            if h >= _VECTOR_PHASE_PRIMES and h % _HEAD_GROUP == 0:
+                if np.count_nonzero(flat != 255) * (len(shifts) - h) <= flat.size:
                     break
-                if x0 < x1:
-                    mark[:, x0 - xlo : x1 - xlo] |= copies[8 * d - e, :, x0 + d : x1 + d]
-                h += 1
-            tail = pidx[h:]
-            # the unmarked bits, unpacking only the bytes that hold any
-            nz = np.flatnonzero(flat != 255)
-            bits = np.flatnonzero(np.unpackbits(~flat[nz]))
-            row, x = np.divmod(nz[bits >> 3] * 8 + (bits & 7), 8 * (xhi - xlo))
-            s = lo + 8 * xlo + x
-            keep = (s < hi) & (s <= last[row])
+            # mark bit x reads j = lo + x - i, bit x + 8d of copy 8d - e
+            e = lo - base - shifts[h]
+            d = -(-e // 8)
+            x0, x1 = max(0, -d), min(nbytes, width - d)
+            if x0 >= nbytes:  # p > n for the whole window, and for the rest
+                h = len(shifts)
+                break
+            if x0 < x1:
+                mark[:, x0:x1] |= copies[8 * d - e, :, x0 + d : x1 + d]
+            h += 1
+        tail = pidx[h:]
+        # the unmarked bits, unpacking only the bytes that hold any
+        nz = np.flatnonzero(flat != 255)
+        bits = np.flatnonzero(np.unpackbits(~flat[nz]))
+        row, x = np.divmod(nz[bits >> 3] * 8 + (bits & 7), 8 * nbytes)
+        s = lo + x
+        keep = (s < hi) & (s <= last[row])
+        row, s = row[keep], s[keep]
+        # the rest in blocks: one row per candidate, one column per
+        # prime index i, reading bit y = j - base of copy 0; j < 0
+        # (p > n) is no hit
+        start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
+        while start < len(tail) and len(s):
+            w = max(1, elements // len(s))
+            y = (s - base)[:, None] - tail[start : start + w][None, :]
+            hit = bits0.take((row * width)[:, None] + (y >> 3))
+            hit &= _BIT.take(y & 7)
+            hit *= y >= 0
+            keep = ~hit.any(axis=1)
             row, s = row[keep], s[keep]
-            # the rest in blocks: one row per candidate, one column per
-            # prime index i, reading bit y = j - base of copy 0; j < 0
-            # (p > n) is no hit
-            start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
-            while start < len(tail) and len(s):
-                w = max(1, elements // len(s))
-                y = (s - base)[:, None] - tail[start : start + w][None, :]
-                hit = bits0.take((row * width)[:, None] + (y >> 3))
-                hit &= _BIT.take(y & 7)
-                hit *= y >= 0
-                keep = ~hit.any(axis=1)
-                row, s = row[keep], s[keep]
-                start += w
-                elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
-            rows.append(row)
-            found.append(s)
+            start += w
+            elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
+        rows.append(row)
+        found.append(s)
     row = np.concatenate(rows)
     s = np.concatenate(found)[np.argsort(row, kind="stable")]
     per_row = np.split(s, np.cumsum(np.bincount(row, minlength=len(bs)))[:-1])
@@ -374,11 +363,11 @@ def _stage1_unresolved(
     gets _MIN_SHARE_WINDOWS, and share_map runs the shares.
     """
     a, b, m = pair.a, pair.b, pair.m
-    pidx, windows = _sieved_source(pair, N, M)
-    count = len(range(0, (N - a - b) // m + 1, _window_step(pidx)))
+    pidx, windows, step = _sieved_source(pair, N, M)
+    count = len(range(0, (N - a - b) // m + 1, step))
     shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
     parts = share_map(
-        lambda k: _stage1(a, [b], m, N, pidx, windows, (k, shares))[0], range(shares)
+        lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0], range(shares)
     )
     return sorted(n for part in parts for n in part)
 
@@ -451,8 +440,7 @@ def exceptional_sets_for_modulus(
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for k, a in enumerate(units):
         bs = units[k:]
-        pidx, windows = index.stage1_source(a, bs, M)
-        for b, survivors in zip(bs, _stage1(a, bs, m, N, pidx, windows)):
+        for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
             es = _resolved(AdmissiblePair(a, b, m), N, M, survivors)
             out[(a, b)] = out[(b, a)] = es.elements
     return dict(sorted(out.items()))

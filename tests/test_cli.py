@@ -162,7 +162,7 @@ class TestExceptions:
     def test_threads_do_not_change_output(self, capsys, monkeypatch):
         # short windows split the pair into shares: 2 and 3 workers fork 1
         # and 2 children; M = 300 leaves 329 survivors to stage 2
-        monkeypatch.setattr(partitions, "_WINDOW", 1 << 10)
+        monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 1 << 10)
         monkeypatch.setattr(partitions, "default_stage1_bound", lambda m, N: min(300, N))
         forks = _count_forks(monkeypatch)
         argv = ["exceptions", "--m", "4", "--a", "1", "--b", "3",
@@ -760,7 +760,7 @@ def test_budget_error_in_a_worker_exits_2(capsys, monkeypatch, argv, where):
     # The error stops the side it is raised in, and the other side's child
     # is reaped either way
     parent = os.getpid()
-    monkeypatch.setattr(partitions, "_WINDOW", 1 << 10)
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 1 << 10)
 
     def over_budget(fn):
         def wrapped(*args, **kwargs):

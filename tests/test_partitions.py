@@ -279,7 +279,7 @@ class TestModulusSweep:
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
-        monkeypatch.setattr(partitions, "_WINDOW", 3)
+        monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 3)
         units = [a for a in range(1, m) if math.gcd(a, m) == 1]
         index = ResidueIndex(table_1e5, m, N, units)
         sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
@@ -348,6 +348,27 @@ class TestModulusSweep:
                 assert es.elements == EXPLICIT_SETS[(a, b, 4)]
                 assert peak <= 4 * 2**20, (N, a, b)
 
+    def test_single_pair_peak_memory_ignores_mark_block(self, monkeypatch):
+        # a pair's window is one sieve segment, so a larger sweep window
+        # (1 MiB of marks) leaves its memory as it is
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1 << 23)
+        self.test_single_pair_peak_memory()
+
+    @pytest.mark.parametrize("rows", [1, 3, 80])
+    def test_each_source_sets_its_window(self, monkeypatch, table_1e5, rows):
+        # a pair's window is one sieve segment and a sweep's one mark block
+        # over its rows, whatever the other's constant
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 8)
+        pair = AdmissiblePair(1, 3, 4)
+        assert partitions._sieved_source(pair, 10**4, 100)[2] == primes.SIEVE_SEGMENT_SIZE
+        monkeypatch.undo()
+        monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 8)
+        units = [b for b in range(1, 400) if math.gcd(b, 400) == 1]
+        index = ResidueIndex(table_1e5, 400, 10**4, units)
+        bs = units[:rows]
+        step = 8 * max(1, partitions._MARK_BLOCK // (8 * len(bs)))
+        assert index.stage1_source(1, bs, 100)[2] == step
+
     def test_pair_builds_no_table(self, monkeypatch):
         # a single pair reads no table's class masks and sieves no table
         # past sqrt(N)
@@ -387,7 +408,7 @@ class TestModulusSweep:
         # a window of the index off a byte boundary would read shift 0
         # from copy 7, whose last entry j = 1 (q = 5) lies past its bytes,
         # and leave 8 = 3 + 5 unmarked
-        monkeypatch.setattr(partitions, "_WINDOW", 1)
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1)
         index = ResidueIndex(table_1e5, 4, 8, (1, 3))
         assert partitions._stage1(3, [1], 4, 8, *index.stage1_source(3, [1], 3)) == [[4]]
 
@@ -600,7 +621,8 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     head = data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 1, 8]))
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
     monkeypatch.setattr(
-        partitions, "_WINDOW", data.draw(st.sampled_from([partitions._WINDOW, 1, 7, 64]))
+        partitions, "SIEVE_SEGMENT_SIZE",
+        data.draw(st.sampled_from([partitions.SIEVE_SEGMENT_SIZE, 1, 7, 64])),
     )
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a = data.draw(st.sampled_from(units))
@@ -638,7 +660,9 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
     # are the unsplit stage 1, also where a share has no window.  Through
     # the engine, a pair splits into at most `workers` shares, only while
     # each gets _MIN_SHARE_WINDOWS windows, and gives the unsplit result
-    monkeypatch.setattr(partitions, "_WINDOW", data.draw(st.sampled_from([1, 7, 64])))
+    window = data.draw(st.sampled_from([1, 7, 64]))
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", window)
+    monkeypatch.setattr(partitions, "_MARK_BLOCK", window)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
@@ -647,11 +671,11 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
     index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
     unsplit = _stage1_unresolved(pair, N, M)
     assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
-    pidx, windows = (
+    pidx, windows, step = (
         partitions._sieved_source(pair, N, M) if index is None
         else index.stage1_source(a, [b], M)
     )
-    parts = [partitions._stage1(a, [b], m, N, pidx, windows, (k, K))[0] for k in range(K)]
+    parts = [partitions._stage1(a, [b], m, N, pidx, windows, step, (k, K))[0] for k in range(K)]
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
@@ -662,5 +686,6 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
         return [fn(k) for k in reversed(shares)][::-1]
 
     assert _stage1_unresolved(pair, N, M, K, share_map) == unsplit
-    count = len(range(0, (N - a - b) // m + 1, partitions._window_step(pidx)))
+    step = partitions._sieved_source(pair, N, M)[2]
+    count = len(range(0, (N - a - b) // m + 1, step))
     assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
