@@ -41,7 +41,7 @@ def main() -> int:
         s = summarize_modulus(sets, m).unrestricted
         print(
             f"{m},{model.r},{est.value:.4f},{pred.expected_length:.4f},"
-            f"{pred.e_max_bound:.1f},{float(s.l_avg):.4f},{s.e_max}"
+            f"{pred.e_max_bound:.1f},{s.e_count_mult / s.pairs:.4f},{s.e_max}"
         )
     return 0
 

@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequen
 
 # The engine (partitions and primes, and with them numpy) is imported only
 # where something is computed, so that a warm-cache table1, table2, figures
-# or verify asy never loads it; summaries (and the fractions and decimal
-# modules it loads) and heuristics are imported where they are used, so that
-# `exceptions` and the engine-only `verify` targets never load them and
-# `heuristic` loads summaries only with a cache directory; json is imported
-# by the cache functions and the JSON table format
+# or verify asy never loads it; summaries and heuristics, which need only
+# math and integers, are imported where they are used, so that `exceptions`
+# and the engine-only `verify` targets never load them and `heuristic`
+# loads summaries only with a cache directory; json is imported by the
+# cache functions and the JSON table format
 if TYPE_CHECKING:
     from .partitions import AdmissiblePair
     from .primes import PrimeTable
@@ -481,11 +481,8 @@ def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
         from . import summaries
 
         sets = compute_sweep(config.replace(m_min=m, m_max=m))[m]
-        s = summaries.summarize_modulus(sets, m)
-        lines.append(
-            f"observed: L_avg = {float(s.unrestricted.l_avg):.6f}, "
-            f"E_max = {s.unrestricted.e_max}"
-        )
+        u = summaries.summarize_modulus(sets, m).unrestricted
+        lines.append(f"observed: L_avg = {u.e_count_mult / u.pairs:.6f}, E_max = {u.e_max}")
     return "\n".join(lines) + "\n"
 
 
@@ -569,11 +566,11 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
 
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = _config_from(args)
-    es = partitions.exceptional_set(pair, config.N, workers=config.worker_count,
-                                    share_map=fork_map)
+    M = partitions.default_stage1_bound(pair.m, config.N)
+    es = partitions.exceptional_set(pair, config.N, M, config.worker_count, fork_map)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
-    print(f"stage-1 bound M = {es.stage1_bound}, "
+    print(f"stage-1 bound M = {M}, "
           f"survivors resolved in stage 2 = {es.stage1_survivors}, confirmed = True")
     spot = _largest_non_exception(pair, config.N, set(es.elements))
     if spot is not None:

@@ -133,11 +133,8 @@ class PartitionWitness:
 
 @dataclass(frozen=True)
 class ExceptionalSet:
-    """All even n <= search_limit in the pair's class with no representation."""
+    """All even n <= N in a pair's class with no representation."""
 
-    pair: AdmissiblePair
-    search_limit: int
-    stage1_bound: int
     elements: tuple[int, ...]
     stage1_survivors: int  # candidates that reached stage 2 but are not exceptions
 
@@ -372,20 +369,13 @@ def _stage1_unresolved(
     return sorted(n for part in parts for n in part)
 
 
-def _resolved(pair: AdmissiblePair, N: int, M: int, survivors: list[int]) -> ExceptionalSet:
-    """Stage 2 on stage 1's survivors.  Stage 1 tried every prime
+def _resolved(pair: AdmissiblePair, M: int, survivors: list[int]) -> tuple[int, ...]:
+    """The elements among stage 1's survivors.  Stage 1 tried every prime
     p = a (mod m) up to M, so an unmarked n <= M + 2 has no
     representation, and only the survivors above it go to find_witness,
     which tries only p > M."""
-    elements = [
+    return tuple(
         n for n in survivors if n <= M + 2 or find_witness(n, pair, start=M + 1) is None
-    ]
-    return ExceptionalSet(
-        pair=pair,
-        search_limit=N,
-        stage1_bound=M,
-        elements=tuple(elements),
-        stage1_survivors=len(survivors) - len(elements),
     )
 
 
@@ -408,7 +398,9 @@ def exceptional_set(
         M = default_stage1_bound(pair.m, N)
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    return _resolved(pair, N, M, _stage1_unresolved(pair, N, M, workers, share_map))
+    survivors = _stage1_unresolved(pair, N, M, workers, share_map)
+    elements = _resolved(pair, M, survivors)
+    return ExceptionalSet(elements, len(survivors) - len(elements))
 
 
 def exceptional_sets_for_modulus(
@@ -441,8 +433,7 @@ def exceptional_sets_for_modulus(
     for k, a in enumerate(units):
         bs = units[k:]
         for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
-            es = _resolved(AdmissiblePair(a, b, m), N, M, survivors)
-            out[(a, b)] = out[(b, a)] = es.elements
+            out[(a, b)] = out[(b, a)] = _resolved(AdmissiblePair(a, b, m), M, survivors)
     return dict(sorted(out.items()))
 
 

@@ -182,7 +182,6 @@ def sieve_progression(
 
 def sieve_primes(
     limit: int,
-    segment_size: int = SIEVE_SEGMENT_SIZE,
     memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
     reserved_bytes: int = 0,
 ) -> PrimeTable:
@@ -194,13 +193,13 @@ def sieve_primes(
     packed table, one unpacked segment and its packed copy, and the
     sieve's pattern and base primes; that peak, plus the reserved_bytes the
     caller will hold beside the table (a sweep's class masks), is what
-    memory_budget_bytes bounds.  segment_size counts odd entries and is
-    rounded down to a multiple of 8 (at least 8) so segments start on a
-    byte.
+    memory_budget_bytes bounds.  A segment is SIEVE_SEGMENT_SIZE odd
+    entries, read at each call and rounded down to a multiple of 8 (at
+    least 8) so segments start on a byte.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    segment_size = max(8, segment_size - segment_size % 8)
+    segment_size = max(8, SIEVE_SEGMENT_SIZE - SIEVE_SEGMENT_SIZE % 8)
     entries = (limit + 1) // 2  # odd numbers <= limit
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)

@@ -5,13 +5,14 @@ The input for one modulus m maps every ordered admissible pair (a, b) to
 the sorted elements of E_{a,b,m}, as exceptional_sets_for_modulus
 returns them.
 
-Averages are kept as exact fractions internally and rounded only at
-emission (half away from zero, 3 decimals, trailing zeros trimmed but at
-least one decimal kept) so the emitted tables are byte-reproducible.
+Every aggregate is an integer; an average or a percentage is kept as its
+numerator and denominator and rounded only at emission, exactly, in
+integer arithmetic (half away from zero, 3 decimals, trailing zeros
+trimmed but at least one decimal kept), so the emitted tables are
+byte-reproducible.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 ModulusSets = dict[tuple[int, int], tuple[int, ...]]
@@ -21,32 +22,33 @@ def totient(m: int) -> int:
     return sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
 
 
-def _thousandths(x: Fraction) -> int:
-    """x * 1000 rounded half up (half away from zero, for x >= 0)."""
-    return math.floor(x * 1000 + Fraction(1, 2))
+def _thousandths(num: int, den: int) -> int:
+    """num/den * 1000 rounded half up (half away from zero, for num/den >= 0)."""
+    return (2000 * num + den) // (2 * den)
 
 
-def format_average(x: Fraction) -> str:
-    """Round to 3 decimals, half away from zero, trim trailing zeros."""
-    q = _thousandths(x)
+def format_average(num: int, den: int) -> str:
+    """num/den to 3 decimals, half away from zero, trailing zeros trimmed."""
+    q = _thousandths(num, den)
     s = f"{q // 1000}.{q % 1000:03d}".rstrip("0")
     if s.endswith("."):
         s += "0"
     return s
 
 
-def format_percent(x: Fraction) -> str:
-    """One decimal, half away from zero."""
-    q = _thousandths(x)  # x is a fraction, percent wants x*100 at 1 decimal
+def format_percent(num: int, den: int) -> str:
+    """num/den as a percentage to one decimal, half away from zero."""
+    q = _thousandths(num, den)  # tenths of a percent
     return f"{q // 10}.{q % 10}"
 
 
 class FamilyStats(NamedTuple):
-    """min/avg/max set length, largest exception, and exception counts
-    without / with multiplicity, over one family of ordered pairs."""
+    """min/max set length, pair count, largest exception, and exception
+    counts without / with multiplicity, over one family of ordered pairs;
+    the average length is e_count_mult / pairs."""
 
     l_min: int
-    l_avg: Fraction
+    pairs: int
     l_max: int
     e_max: int
     e_count: int
@@ -65,7 +67,7 @@ class ModulusSummary(NamedTuple):
         for fam in (self.restricted, self.unrestricted):
             parts += [
                 str(fam.l_min),
-                format_average(fam.l_avg),
+                format_average(fam.e_count_mult, fam.pairs),
                 str(fam.l_max),
                 str(fam.e_max),
                 str(fam.e_count),
@@ -87,12 +89,8 @@ class EmptyPairCount(NamedTuple):
     z_m: int
     total_pairs: int
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.z_m, self.total_pairs)
-
     def csv_row(self) -> str:
-        return f"{self.m},{self.z_m},{format_percent(self.fraction)}"
+        return f"{self.m},{self.z_m},{format_percent(self.z_m, self.total_pairs)}"
 
 
 def _require_complete(sets: ModulusSets, m: int) -> list[int]:
@@ -103,31 +101,21 @@ def _require_complete(sets: ModulusSets, m: int) -> list[int]:
     return units
 
 
-def _family_stats(lengths: list[int], maxima: list[int], unions: list[set]) -> FamilyStats:
-    union = set().union(*unions) if unions else set()
-    return FamilyStats(
-        l_min=min(lengths),
-        l_avg=Fraction(sum(lengths), len(lengths)),
-        l_max=max(lengths),
-        e_max=max(maxima) if maxima else 0,
-        e_count=len(union),
-        e_count_mult=sum(lengths),
-    )
-
-
 def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
     """The twelve aggregates over ordered admissible pairs for m."""
     units = _require_complete(sets, m)
 
-    def stats(pairs):
-        lengths, maxima, unions = [], [], []
-        for key in pairs:
-            elements = sets[key]
-            lengths.append(len(elements))
-            unions.append(set(elements))
-            if elements:
-                maxima.append(elements[-1])
-        return _family_stats(lengths, maxima, unions)
+    def stats(pairs) -> FamilyStats:
+        family = [sets[key] for key in pairs]
+        lengths = [len(elements) for elements in family]
+        return FamilyStats(
+            l_min=min(lengths),
+            pairs=len(family),
+            l_max=max(lengths),
+            e_max=max((elements[-1] for elements in family if elements), default=0),
+            e_count=len(set().union(*family)),
+            e_count_mult=sum(lengths),
+        )
 
     all_pairs = [(a, b) for a in units for b in units]
     restricted_pairs = [(a, (-a) % m) for a in units]

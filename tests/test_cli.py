@@ -75,7 +75,12 @@ class TestExceptions:
             "--limit", "1000000",
         )
         assert code == EXIT_OK
-        assert out.splitlines()[0] == "2 6 14 38 62"
+        # the CLI prints the default M itself
+        assert out == (
+            "2 6 14 38 62\n"
+            "stage-1 bound M = 10000, survivors resolved in stage 2 = 0, confirmed = True\n"
+            "spot check: 999998 = 37 + 999961\n"
+        )
 
     def test_empty_set(self, capsys):
         code, out, _ = run(
@@ -551,7 +556,8 @@ def test_cold_pool_starts_after_the_engine_import():
 
 LAZY_MODULES = ENGINE_MODULES | {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions",
                                  "decimal", "concurrent.futures", "multiprocessing"}
-SUMMARIES = {"apgoldbach.summaries", "decimal", "fractions"}
+# summaries rounds integer ratios itself: no fractions, and so no decimal
+SUMMARIES = {"apgoldbach.summaries"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -581,10 +587,16 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
       "numbers"}),
     (["verify", "conj2", "--limit", "1000"], {"json"}),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], {"json"}),
-], ids=["import", "heuristic", "verify", "exceptions"])
-def test_command_loads_no_module_it_does_not_use(argv, unused):
+    # the warm cache's directory is appended
+    (["table1", "--limit", "10000", "--threads", "1", "--cache-dir"],
+     {"numpy", "fractions", "decimal", "numbers"}),
+], ids=["import", "heuristic", "verify", "exceptions", "warm-table1"])
+def test_command_loads_no_module_it_does_not_use(request, argv, unused):
     # json is for the cache and the JSON table format, dataclasses (and the
-    # inspect module it imports) only for the engine's types
+    # inspect module it imports) only for the engine's types; the tables
+    # are integers and integer ratios, rounded without fractions
+    if argv[-1:] == ["--cache-dir"]:
+        argv = [*argv, str(request.getfixturevalue("warm_cache"))]
     assert _fresh_cli(argv, unused)[:2] == [EXIT_OK, []]
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,9 +46,11 @@ def test_sieve_agrees_with_trial_division():
         assert flags[n] == is_prime_trial_division(n), n
 
 
-def test_segment_size_does_not_change_result():
-    a = sieve_primes(10**5, segment_size=1 << 20)
-    b = sieve_primes(10**5, segment_size=997)
+def test_segment_size_does_not_change_result(monkeypatch):
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 1 << 20)
+    a = sieve_primes(10**5)
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 997)
+    b = sieve_primes(10**5)
     assert np.array_equal(a.bits, b.bits)
 
 
@@ -56,18 +59,19 @@ def test_memory_budget_enforced():
         sieve_primes(10**9, memory_budget_bytes=1024)
 
 
-def test_memory_budget_counts_one_segment():
+def test_memory_budget_counts_one_segment(monkeypatch):
     # the packed odd bits, one 4096-entry segment, its 512 packed bytes, two
     # periods of the 15,015-entry presieve pattern and the base-prime sieve
     # over [0, 1000]
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
     peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001
     with pytest.raises(MemoryBudgetError, match="one segment"):
-        sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak - 1)
-    table = sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak)
+        sieve_primes(10**6, memory_budget_bytes=peak - 1)
+    table = sieve_primes(10**6, memory_budget_bytes=peak)
     assert len(table_primes(table)) == 78498
     # bytes a caller reserves beside the table count against the same budget
     with pytest.raises(MemoryBudgetError, match="reserved"):
-        sieve_primes(10**6, segment_size=4096, memory_budget_bytes=peak, reserved_bytes=1)
+        sieve_primes(10**6, memory_budget_bytes=peak, reserved_bytes=1)
 
 
 def test_sieve_peak_is_packed_table_plus_segments():
@@ -91,7 +95,8 @@ def test_sieve_matches_is_prime(limit, segment_size):
     # small segments start at many offsets into the presieve pattern and
     # cut across the presieved primes 3..13; limits past 30,030 wrap the
     # pattern's period of 15,015 odd entries
-    t = sieve_primes(limit, segment_size=segment_size)
+    with mock.patch.object(primes, "SIEVE_SEGMENT_SIZE", segment_size):
+        t = sieve_primes(limit)
     flags = class_masks(t, limit)[0][:-1]
     assert flags.tolist() == [is_prime(n) for n in range(limit + 1)]
 

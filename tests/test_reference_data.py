@@ -1,0 +1,48 @@
+"""The frozen reference tables under tests/data, and the sweep rows above
+m = 50 that they pin.
+
+table1_m200.csv and table2_m200.csv are the stdout of `table1` and `table2
+--m-max 200` at N = 2*10^5; at N = 10^7 both commands print the same bytes,
+since every set of m <= 200 ends below 2*10^5 (the largest element is
+104,494).
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from apgoldbach.cli import RunConfig, compute_sweep, table_document
+
+DATA_DIR = Path(__file__).parent / "data"
+
+# A reference regenerated from changed code fails here, in review, instead
+# of passing every output check that reads it.
+MD5 = {
+    "table1_m50.csv": "ac6af280fc606cef8cfcfb28dac597b5",
+    "table2_m50.csv": "8962b964dbc502a2f628a686833dd976",
+    "table1_m200.csv": "5af14e52f4dbeffd38e1e06083360699",
+    "table2_m200.csv": "1953cb5ad358f9065ee59f45cc1fb860",
+}
+
+
+def test_every_reference_file_is_pinned():
+    got = {p.name: hashlib.md5(p.read_bytes()).hexdigest() for p in DATA_DIR.iterdir()}
+    assert got == MD5
+
+
+def _frozen_rows(name: str, moduli: range) -> str:
+    header, *rows = (DATA_DIR / name).read_text().splitlines()
+    return "\n".join([header] + [r for r in rows if int(r.split(",")[0]) in moduli]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def sweep_m180_200():
+    # M = min(bound, N) is N itself for each of these moduli at 2*10^5
+    return compute_sweep(RunConfig(N=2 * 10**5, m_min=180, m_max=200, threads=2))
+
+
+@pytest.mark.parametrize("which", ["table1", "table2"])
+def test_moduli_180_to_200_match_the_frozen_tables(sweep_m180_200, which):
+    expected = _frozen_rows(f"{which}_m200.csv", range(180, 201))
+    assert table_document(which, sweep_m180_200) == expected

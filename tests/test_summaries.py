@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from apgoldbach.partitions import exceptional_sets_for_modulus
@@ -27,16 +27,18 @@ def sets_by_m(table_1e6):
 def test_m4_row(sets_by_m):
     s = summarize_modulus(sets_by_m[4], 4)
     r, u = s.restricted, s.unrestricted
-    assert (r.l_min, r.l_avg, r.l_max, r.e_max, r.e_count, r.e_count_mult) == (
-        1, Fraction(1), 1, 4, 1, 2)
-    assert (u.l_min, u.l_avg, u.l_max, u.e_max, u.e_count, u.e_count_mult) == (
-        1, Fraction(2), 5, 62, 6, 8)
+    # the average length is e_count_mult / pairs: 2/2 = 1 and 8/4 = 2
+    assert (r.l_min, r.l_max, r.e_max, r.e_count, r.e_count_mult, r.pairs) == (
+        1, 1, 4, 1, 2, 2)
+    assert (u.l_min, u.l_max, u.e_max, u.e_count, u.e_count_mult, u.pairs) == (
+        1, 5, 62, 6, 8, 4)
 
 
 def test_m10_row(sets_by_m):
     u = summarize_modulus(sets_by_m[10], 10).unrestricted
     assert (u.l_min, u.l_max, u.e_max, u.e_count, u.e_count_mult) == (0, 4, 152, 13, 25)
-    assert format_average(u.l_avg) == "1.563"
+    assert (u.e_count_mult, u.pairs) == (25, 16)
+    assert format_average(u.e_count_mult, u.pairs) == "1.563"
 
 
 def test_m2_families_coincide(sets_by_m):
@@ -49,8 +51,8 @@ def test_average_times_pairs_identity(sets_by_m):
     for m, sets in sets_by_m.items():
         s = summarize_modulus(sets, m)
         phi = totient(m)
-        assert s.unrestricted.l_avg * phi**2 == s.unrestricted.e_count_mult
-        assert s.restricted.l_avg * phi == s.restricted.e_count_mult
+        assert s.unrestricted.pairs == phi**2
+        assert s.restricted.pairs == phi
 
 
 def test_restricted_dominated(sets_by_m):
@@ -93,39 +95,68 @@ def test_growth_series(sets_by_m):
     assert (by_m[10].e_max, by_m[10].phi) == (152, 4)
 
 
+def _rounded(x: Fraction, places: int) -> Fraction:
+    """The exact oracle: x >= 0 to `places` decimals, half away from zero,
+    chosen among the two neighbouring multiples of 10^-places."""
+    unit = Fraction(1, 10**places)
+    below = x // unit * unit
+    above = below + unit
+    return above if above - x <= x - below else below
+
+
+# num/den with den up to 10^6, and exact halves (2k + 1)/2000, which are
+# k/1000 + 0.0005 and (k + 1)/1000 - 0.0005, with den a multiple of 2000
+_ratios = st.integers(1, 10**6).flatmap(
+    lambda den: st.tuples(st.integers(0, 100 * den), st.just(den))
+) | st.tuples(st.integers(0, 10**5), st.integers(1, 500)).map(
+    lambda kt: ((2 * kt[0] + 1) * kt[1], 2000 * kt[1])
+)
+
+
 class TestFormatting:
+    # each frac is a ratio (num, den) of integers, as the tables hold it
     @pytest.mark.parametrize(
         "frac,expected",
         [
-            (Fraction(2), "2.0"),
-            (Fraction(5, 4), "1.25"),
-            (Fraction(25, 16), "1.563"),  # half rounds away from zero
-            (Fraction(2, 6), "0.333"),
-            (Fraction(1157, 400), "2.893"),
-            (Fraction(286, 100), "2.86"),
-            (Fraction(0), "0.0"),
+            ((2, 1), "2.0"),
+            ((5, 4), "1.25"),
+            ((25, 16), "1.563"),  # half rounds away from zero
+            ((2, 6), "0.333"),
+            ((1157, 400), "2.893"),
+            ((286, 100), "2.86"),
+            ((0, 1), "0.0"),
         ],
     )
     def test_average(self, frac, expected):
-        assert format_average(frac) == expected
+        assert format_average(*frac) == expected
 
     @pytest.mark.parametrize(
         "frac,expected",
         [
-            (Fraction(3, 16), "18.8"),
-            (Fraction(20, 64), "31.3"),
-            (Fraction(2, 100), "2.0"),
-            (Fraction(0), "0.0"),
+            ((3, 16), "18.8"),
+            ((20, 64), "31.3"),
+            ((2, 100), "2.0"),
+            ((0, 1), "0.0"),
         ],
     )
     def test_percent(self, frac, expected):
-        assert format_percent(frac) == expected
+        assert format_percent(*frac) == expected
 
-    @given(st.fractions(min_value=0, max_value=100))
+    @given(_ratios)
+    @example((1, 2000))  # 0.0005
+    @example((2001, 2000))  # 1.0005
+    @example((1999, 2000))  # 0.9995
+    @example((999_999, 10**6))
     def test_average_parses_back(self, frac):
-        s = format_average(frac)
-        assert abs(float(s) - float(frac)) <= 0.0005 + 1e-9
-        assert "." in s
+        # both strings parse back to the exact oracle's rounding of num/den
+        x = Fraction(*frac)
+        s = format_average(*frac)
+        decimals = s.partition(".")[2]
+        assert 1 <= len(decimals) <= 3 and (decimals == "0" or not decimals.endswith("0"))
+        assert Fraction(s) == _rounded(x, 3)
+        p = format_percent(*frac)
+        assert len(p.partition(".")[2]) == 1
+        assert Fraction(p) == _rounded(100 * x, 1)
 
 
 def test_totient_small_values():
