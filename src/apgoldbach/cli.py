@@ -397,95 +397,6 @@ CONJ3_EXPECTED = {
 }
 
 
-def verify_report(target: str, config: RunConfig, a: int = 7) -> tuple[str, bool]:
-    """(report text, all passed) for one verification target at config.N;
-    the asy sweep runs over m <= 50 with the rest of the config."""
-    N = config.N
-    lines = []
-    ok = True
-    if target in ("conj2", "conj3", "ternary"):
-        from . import partitions
-    if target == "conj2":
-        sets: dict = {}  # the cases share the three sets mod 4
-        for case in partitions.MOD4_CASES:
-            got = partitions.verify_conjecture_mod4(case, N, sets)
-            expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
-            passed = got == expected
-            ok &= passed
-            lines.append(
-                f"mod-4 case ({case}): violations {list(got)} "
-                f"expected {list(expected)} -> {'PASS' if passed else 'FAIL'}"
-            )
-    elif target == "conj3":
-        for item in partitions.SAMPLE_ITEMS:
-            kwargs = {"a": a} if item == "vii" else {}
-            reps = partitions.verify_conjecture_samples(item, N, **kwargs)
-            got = tuple(r.violations for r in reps)
-            expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
-            passed = got == expected
-            ok &= passed
-            detail = "; ".join(
-                f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
-            )
-            lines.append(f"sample item ({item}): {detail} -> {'PASS' if passed else 'FAIL'}")
-    elif target == "ternary":
-        got = partitions.verify_ternary(N)
-        passed = got == ()
-        ok &= passed
-        lines.append(
-            f"ternary: violations {list(got)} -> {'PASS' if passed else 'FAIL'}"
-        )
-    elif target == "asy":
-        from . import summaries
-
-        sweep = compute_sweep(config.replace(m_min=2, m_max=50))
-        worst = 0.0
-        for m, sets in sweep.items():
-            if m < 4:
-                continue
-            s = summaries.summarize_modulus(sets, m)
-            ratio = s.unrestricted.e_max / (m * m * math.log(m) ** 2)
-            worst = max(worst, ratio)
-        lines.append(
-            f"max over computed m of E_max(m)/(m^2 (ln m)^2) = {worst:.6f} "
-            "(asymptotic claim, no pass/fail)"
-        )
-    else:
-        raise ValueError(f"unknown verify target {target!r}")
-    return "\n".join(lines) + "\n", ok
-
-
-def heuristic_report(m: int, config: RunConfig, c: float, delta: float) -> str:
-    from . import heuristics
-
-    model = heuristics.CouponModel.for_modulus(m)
-    lines = [
-        f"m = {m}",
-        f"r = {model.r}",
-        f"alpha = {model.alpha:.6f}",
-        f"E[W] = {model.expected_wait:.6f}",
-    ]
-    k = round(heuristics.g2_estimate(m * m))  # for_modulus took m even, >= 2
-    lines.append(
-        f"P(W > g2~(m^2)) = P(W > {k}) = {heuristics.coupon_tail(model.r, k):.6g}"
-    )
-    pred = heuristics.predict_bounds(m, c, delta)
-    lines.append(f"predicted E_max bound (c={c}): {pred.e_max_bound:.3f}")
-    lines.append(f"predicted mean length (delta={delta}): {pred.expected_length:.6f}")
-    est = heuristics.expected_exception_length(m, max(config.N, 10))
-    lines.append(
-        f"model mean length (truncated sum): {est.value:.6f} "
-        f"(tail bound {est.tail_bound:.3g})"
-    )
-    if config.cache_dir is not None:
-        from . import summaries
-
-        sets = compute_sweep(config.replace(m_min=m, m_max=m))[m]
-        u = summaries.summarize_modulus(sets, m).unrestricted
-        lines.append(f"observed: L_avg = {u.e_count_mult / u.pairs:.6f}, E_max = {u.e_max}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing
 
@@ -607,14 +518,83 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report, ok = verify_report(args.target, _config_from(args), a=args.a)
-    sys.stdout.write(report)
+    """Check one target at --limit and print its report once every check
+    has run; the asy sweep runs over m <= 50 with the rest of the config."""
+    config = _config_from(args)
+    N = config.N
+    lines = []
+    ok = True
+    if args.target != "asy":
+        from . import partitions
+    if args.target == "conj2":
+        sets: dict = {}  # the cases share the three sets mod 4
+        for case in partitions.MOD4_CASES:
+            got = partitions.verify_conjecture_mod4(case, N, sets)
+            expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
+            passed = got == expected
+            ok &= passed
+            lines.append(
+                f"mod-4 case ({case}): violations {list(got)} "
+                f"expected {list(expected)} -> {'PASS' if passed else 'FAIL'}"
+            )
+    elif args.target == "conj3":
+        for item in partitions.SAMPLE_ITEMS:
+            reps = partitions.verify_conjecture_samples(item, N, args.a)  # only (vii) reads a
+            got = tuple(r.violations for r in reps)
+            expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
+            passed = got == expected
+            ok &= passed
+            detail = "; ".join(
+                f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
+            )
+            lines.append(f"sample item ({item}): {detail} -> {'PASS' if passed else 'FAIL'}")
+    elif args.target == "ternary":
+        got = partitions.verify_ternary(N)
+        ok = got == ()
+        lines.append(f"ternary: violations {list(got)} -> {'PASS' if ok else 'FAIL'}")
+    else:  # asy
+        from . import summaries
+
+        sweep = compute_sweep(config.replace(m_min=2, m_max=50))
+        worst = max(
+            summaries.summarize_modulus(sets, m).unrestricted.e_max
+            / (m * m * math.log(m) ** 2)
+            for m, sets in sweep.items() if m >= 4
+        )
+        lines.append(
+            f"max over computed m of E_max(m)/(m^2 (ln m)^2) = {worst:.6f} "
+            "(asymptotic claim, no pass/fail)"
+        )
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_heuristic(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    sys.stdout.write(heuristic_report(args.m, config, args.c, args.delta))
+    from . import heuristics
+
+    config, m = _config_from(args), args.m
+    model = heuristics.CouponModel.for_modulus(m)
+    k = round(heuristics.g2_estimate(m * m))  # for_modulus took m even, >= 2
+    pred = heuristics.predict_bounds(m, args.c, args.delta)
+    est = heuristics.expected_exception_length(m, max(config.N, 10))
+    lines = [
+        f"m = {m}",
+        f"r = {model.r}",
+        f"alpha = {model.alpha:.6f}",
+        f"E[W] = {model.expected_wait:.6f}",
+        f"P(W > g2~(m^2)) = P(W > {k}) = {heuristics.coupon_tail(model.r, k):.6g}",
+        f"predicted E_max bound (c={args.c}): {pred.e_max_bound:.3f}",
+        f"predicted mean length (delta={args.delta}): {pred.expected_length:.6f}",
+        f"model mean length (truncated sum): {est.value:.6f} "
+        f"(tail bound {est.tail_bound:.3g})",
+    ]
+    if config.cache_dir is not None:
+        from . import summaries
+
+        sets = compute_sweep(config.replace(m_min=m, m_max=m))[m]
+        u = summaries.summarize_modulus(sets, m).unrestricted
+        lines.append(f"observed: L_avg = {u.e_count_mult / u.pairs:.6f}, E_max = {u.e_max}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

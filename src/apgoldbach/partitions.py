@@ -139,12 +139,7 @@ class ExceptionalSet:
     stage1_survivors: int  # candidates that reached stage 2 but are not exceptions
 
 
-def find_witness(
-    n: int,
-    pair: AdmissiblePair,
-    oracle: Callable[[int], bool] = is_prime,
-    start: int = 0,
-) -> Optional[PartitionWitness]:
+def find_witness(n: int, pair: AdmissiblePair, start: int = 0) -> Optional[PartitionWitness]:
     """Representation n = p + q with p = a, q = b (mod m), smallest p.
 
     Scans p ascending through the a-class, from the first p >= start; q =
@@ -159,7 +154,7 @@ def find_witness(
         )
     p = pair.a + max(0, -(-(start - pair.a) // pair.m)) * pair.m
     while p <= n - 2:
-        if oracle(p) and oracle(n - p):
+        if is_prime(p) and is_prime(n - p):
             return PartitionWitness(n=n, p=p, q=n - p)
         p += pair.m
     return None
@@ -451,27 +446,24 @@ class ViolationReport:
     violations: tuple[int, ...]
 
 
-def _odd_lift(r: int, m0: int) -> int:
-    """The odd residue modulo the least even multiple of m0 that is r mod m0."""
-    x = r % m0
-    return x if x % 2 else x + m0
+def _violations(m0: int, r: int, s: int, N: int) -> tuple[int, ...]:
+    """The elements of E(a, b, step) up to N, step the least even multiple
+    of m0 and a, b the odd residues mod step that are r, s mod m0, in that
+    order; every conjecture check reaches the engine through here.  E
+    holds sums of odd primes only: the prime 2, in a class mod m0 only
+    when m0 is odd, is left to the caller."""
+    step = m0 if m0 % 2 == 0 else 2 * m0
+    a, b = (x % m0 if x % m0 % 2 else x % m0 + m0 for x in (r, s))
+    return exceptional_set(AdmissiblePair(a, b, step), N).elements
 
 
 def _progression_violations(m0: int, r: int, N: int) -> ViolationReport:
     """Violations among even multiples of m0 for p = r, q = -r (mod m0).
 
-    This is E(a', b', step) with step the least even multiple of m0 and
-    a', b' the odd lifts of r and -r.  The prime 2 lies in a class mod m0
-    only when m0 is odd; every candidate is then a multiple of 2*m0 >= 6,
-    so the partner of 2 is even and above 2, never prime.
+    When m0 is odd every candidate is a multiple of 2*m0 >= 6, so the
+    partner of the prime 2 is even and above 2, never prime.
     """
-    step = m0 if m0 % 2 == 0 else 2 * m0
-    pair = AdmissiblePair(_odd_lift(r, m0), _odd_lift(-r, m0), step)
-    return ViolationReport(
-        modulus=m0,
-        residue=r % m0,
-        violations=exceptional_set(pair, N).elements,
-    )
+    return ViolationReport(m0, r % m0, _violations(m0, r, -r, N))
 
 
 MOD4_CASES = ("i", "ii", "iii", "iv")
@@ -495,14 +487,12 @@ def verify_conjecture_mod4(
     """
     if case not in MOD4_CASES:
         raise ValueError(f"unknown case {case!r}, expected one of {MOD4_CASES}")
-    if N < 2:
-        raise ValueError(f"N={N} must be >= 2")
     memo = {} if memo is None else memo
 
     def elements(a: int, b: int) -> tuple[int, ...]:
         key = (min(a, b), max(a, b), N)
         if key not in memo:
-            memo[key] = exceptional_set(AdmissiblePair(key[0], key[1], 4), N).elements
+            memo[key] = _violations(4, key[0], key[1], N)
         return memo[key]
 
     if case != "i":
@@ -566,9 +556,7 @@ def verify_ternary(N: int) -> tuple[int, ...]:
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
-    binary_violations = set(
-        exceptional_set(AdmissiblePair(5, 5, 6), N).elements
-    ) - {4}
+    binary_violations = set(_violations(3, 2, 2, N)) - {4}
 
     def rep(k: int) -> bool:
         return k % 6 == 4 and k >= 4 and k not in binary_violations

@@ -657,7 +657,43 @@ class TestFigures:
         assert m4["E_max"] == "62"
 
 
+# The whole report of each verify target at --limit 100000, byte for byte.
+VERIFY_REPORTS_1E5 = {
+    "conj2": (
+        "mod-4 case (i): violations [] expected [] -> PASS\n"
+        "mod-4 case (ii): violations [4] expected [4] -> PASS\n"
+        "mod-4 case (iii): violations [2] expected [2] -> PASS\n"
+        "mod-4 case (iv): violations [2, 6, 14, 38, 62] expected [2, 6, 14, 38, 62] -> PASS\n"
+    ),
+    "conj3": (
+        "sample item (i): p=1 mod 3: [6] -> PASS\n"
+        "sample item (ii): p=2 mod 5: []; p=1 mod 5: [10, 20] -> PASS\n"
+        "sample item (iii): p=3 mod 7: [] -> PASS\n"
+        "sample item (iv): p=3 mod 11: [] -> PASS\n"
+        "sample item (v): p=3 mod 8: [] -> PASS\n"
+        "sample item (vi): p=3 mod 16: [] -> PASS\n"
+        "sample item (vii): p=7 mod 60: [] -> PASS\n"
+    ),
+    "ternary": "ternary: violations [] -> PASS\n",
+    "asy": (
+        "max over computed m of E_max(m)/(m^2 (ln m)^2) = 2.016326 "
+        "(asymptotic claim, no pass/fail)\n"
+    ),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("target", list(VERIFY_REPORTS_1E5))
+    def test_report_bytes(self, capsys, target):
+        assert run(capsys, "verify", target, "--limit", "100000") == (
+            EXIT_OK, VERIFY_REPORTS_1E5[target], "")
+
+    def test_excluded_residue_exits_2(self, capsys):
+        # item (vii) refuses a = 11 after items (i)-(vi) ran: nothing is printed
+        assert run(capsys, "verify", "conj3", "--limit", "1000", "--a", "11") == (
+            EXIT_USAGE, "",
+            "error: a=11 is congruent to +-1 or +-11 mod 60, excluded by the statement\n")
+
     def test_conj2(self, capsys):
         code, out, _ = run(capsys, "verify", "conj2", "--limit", "100000")
         assert code == EXIT_OK
@@ -691,7 +727,23 @@ class TestVerify:
         assert exc.value.code == EXIT_USAGE
 
 
+HEURISTIC_M50 = """\
+m = 50
+r = 16
+alpha = 0.937500
+E[W] = 54.091664
+P(W > g2~(m^2)) = P(W > 82) = 0.0784088
+predicted E_max bound (c=1.0): 38259.810
+predicted mean length (delta=0.5): 2.560000
+model mean length (truncated sum): 5.804663 (tail bound 6.95e-293)
+"""
+
+
 class TestHeuristic:
+    def test_m50_report_bytes(self, capsys):
+        # at the default limit, 10^6
+        assert run(capsys, "heuristic", "--m", "50") == (EXIT_OK, HEURISTIC_M50, "")
+
     def test_m10(self, capsys):
         code, out, _ = run(capsys, "heuristic", "--m", "10", "--limit", "10000")
         assert code == EXIT_OK

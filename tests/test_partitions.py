@@ -198,7 +198,7 @@ class TestExceptionalSet:
     def test_stage2_tests_no_p_up_to_M(self, monkeypatch):
         # stage 1 ruled out every class-a prime p <= M, so stage 2's scan
         # starts at the first p > M; classes 1 and 49 mod 50 differ, so
-        # the oracle's arguments of class 1 are the p it tried
+        # the primality tests' arguments of class 1 are the p it tried
         pair, N, M = AdmissiblePair(1, 49, 50), 10**5, 300
         tested = []
 
@@ -206,11 +206,7 @@ class TestExceptionalSet:
             tested.append(k)
             return is_prime(k)
 
-        witness = partitions.find_witness
-        monkeypatch.setattr(
-            partitions, "find_witness",
-            lambda n, pair, **kw: witness(n, pair, oracle=counting, **kw),
-        )
+        monkeypatch.setattr(partitions, "is_prime", counting)
         es = exceptional_set(pair, N, M=M)
         ps = [k for k in tested if k % 50 == 1]
         assert ps and min(ps) == 301
@@ -272,11 +268,12 @@ class TestModulusSweep:
          (12, 3000, 1500), (30, 3000, 400)],
     )
     def test_survivor_counts_match_naive(self, monkeypatch, table_1e5, m, N, M):
-        # a short head leaves most small primes to the blocked tail, and
-        # short windows cut the candidates into many; every ordered pair
-        # runs in its own orientation, on one modulus index and sieved
-        # through the engine
+        # a short head, which may stop at any shift past it, leaves most
+        # small primes to the blocked tail gathers, and short windows cut
+        # the candidates into many; every ordered pair runs in its own
+        # orientation, on one modulus index and sieved through the engine
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
+        monkeypatch.setattr(partitions, "_HEAD_GROUP", 1)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
         monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 3)
@@ -416,6 +413,16 @@ class TestModulusSweep:
         d = stage1_survivor_diagnostic(8, 10**5, M=100, table=table_1e6)
         assert d.ordered_with_multiplicity >= d.unordered_canonical
         assert d.ordered_with_multiplicity >= d.distinct_n >= 0
+
+
+@pytest.mark.parametrize("verify", [
+    functools.partial(verify_conjecture_mod4, "iv"),
+    functools.partial(verify_conjecture_samples, "i"),
+    verify_ternary,
+], ids=["mod4", "samples", "ternary"])
+def test_verifiers_refuse_N_1(verify):
+    with pytest.raises(ValueError, match="N=1 must be >="):
+        verify(1)
 
 
 class TestConjectureMod4:

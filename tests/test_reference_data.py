@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from apgoldbach import partitions
 from apgoldbach.cli import RunConfig, compute_sweep, table_document
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -36,10 +37,17 @@ def _frozen_rows(name: str, moduli: range) -> str:
     return "\n".join([header] + [r for r in rows if int(r.split(",")[0]) in moduli]) + "\n"
 
 
-@pytest.fixture(scope="module")
-def sweep_m180_200():
-    # M = min(bound, N) is N itself for each of these moduli at 2*10^5
-    return compute_sweep(RunConfig(N=2 * 10**5, m_min=180, m_max=200, threads=2))
+@pytest.fixture(scope="module", params=[None, 1 << 15], ids=["one-window", "several-windows"])
+def sweep_m180_200(request):
+    # M = min(bound, N) is N itself for each of these moduli at 2*10^5.
+    # A row has at most 1,112 candidates, so the default window holds a
+    # whole stage-1 pass over a class's rows; 2^15 candidates a window cut
+    # the passes over many rows into 2-4 windows.  The workers fork after
+    # the patch and inherit it.
+    with pytest.MonkeyPatch.context() as patch:
+        if request.param is not None:
+            patch.setattr(partitions, "_MARK_BLOCK", request.param)
+        return compute_sweep(RunConfig(N=2 * 10**5, m_min=180, m_max=200, threads=2))
 
 
 @pytest.mark.parametrize("which", ["table1", "table2"])
