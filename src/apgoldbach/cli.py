@@ -339,6 +339,9 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
 # ---------------------------------------------------------------------------
 # Documents
 
+FIG1_HEADER = "m,E_max,phi"
+GROWTH_HEADER = "m,E_max,phi,8m2,16m2,2m2_ln_m,4m2_ln_m"
+
 
 def table_document(
     which: str, sweep: dict[int, ModulusSets], output_format: str = "csv"
@@ -361,16 +364,20 @@ def table_document(
 
 
 def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
-    """(fig1, fig2) plot data: largest exception vs totient, and vs the
-    quadratic / quadratic-log reference curves."""
+    """(fig1, fig2) plot data, read from each modulus's Table 1 summary:
+    E_max against phi(m), the restricted family's pair count; fig2 adds
+    the quadratic / quadratic-log reference curves."""
     from . import summaries
 
-    growth = summaries.growth_series(
-        [summaries.summarize_modulus(sets, m) for m, sets in sweep.items()]
-    )
-    fig1_lines = ["m,E_max,phi"] + [f"{g.m},{g.e_max},{g.phi}" for g in growth]
-    fig2_lines = [summaries.GROWTH_HEADER] + [g.csv_row() for g in growth]
-    return "\n".join(fig1_lines) + "\n", "\n".join(fig2_lines) + "\n"
+    fig1, fig2 = [FIG1_HEADER], [GROWTH_HEADER]
+    for m, sets in sweep.items():
+        s = summaries.summarize_modulus(sets, m)
+        row = f"{m},{s.unrestricted.e_max},{s.restricted.pairs}"
+        fig1.append(row)
+        lnm = math.log(m)
+        fig2.append(f"{row},{8 * m * m},{16 * m * m},"
+                    f"{2 * m * m * lnm:.6g},{4 * m * m * lnm:.6g}")
+    return "\n".join(fig1) + "\n", "\n".join(fig2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +408,6 @@ CONJ3_EXPECTED = {
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--limit", "-N", type=int, default=10**6,
-                   help="inclusive search limit for n (default 10^6)")
-    p.add_argument("--cache-dir", type=Path,
-                   default=os.environ.get(CACHE_ENV_VAR) or None)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes, over the moduli of a sweep or the "
-                   "windows of one exceptions pair (0 = auto: one per CPU)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apgoldbach",
@@ -425,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.set_defaults(run=cmd_exceptions)
-    _add_common(p)
 
     for name, help_ in (
         ("table1", "per-modulus aggregate statistics"),
@@ -441,22 +437,28 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.set_defaults(run=cmd_table)
-        _add_common(p)
 
     p = sub.add_parser("verify", help="check the explicit conjecture statements")
     p.add_argument("target", choices=("conj2", "conj3", "ternary", "asy"))
     p.add_argument("--a", type=int, default=7,
                    help="residue mod 60 for sample item (vii)")
     p.set_defaults(run=cmd_verify)
-    _add_common(p)
 
     p = sub.add_parser("heuristic", help="coupon-collector model report")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.5)
     p.set_defaults(run=cmd_heuristic)
-    _add_common(p)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--limit", "-N", type=int, default=10**6,
+                       help="inclusive search limit for n (default 10^6)")
+        if name != "exceptions":  # the one command that reads no cache
+            p.add_argument("--cache-dir", type=Path,
+                           default=os.environ.get(CACHE_ENV_VAR) or None)
+        p.add_argument("--threads", type=int, default=0,
+                       help="worker processes, over the moduli of a sweep or the "
+                       "windows of one exceptions pair (0 = auto: one per CPU)")
     return parser
 
 
@@ -476,7 +478,7 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
     from . import partitions
 
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
-    config = _config_from(args)
+    config = RunConfig(N=args.limit, threads=args.threads)
     M = partitions.default_stage1_bound(pair.m, config.N)
     es = partitions.exceptional_set(pair, config.N, M, config.worker_count, fork_map)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"

@@ -332,12 +332,11 @@ def _stage1(
             elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
         rows.append(row)
         found.append(s)
-    row = np.concatenate(rows)
-    s = np.concatenate(found)[np.argsort(row, kind="stable")]
-    per_row = np.split(s, np.cumsum(np.bincount(row, minlength=len(bs)))[:-1])
+    # each window's survivors ascend within a row, and the windows ascend
+    row, s = np.concatenate(rows), np.concatenate(found)
     return [
-        [a + b - m] * (k == 0 and 2 <= a + b - m <= N) + (a + b + ss * m).tolist()
-        for b, ss in zip(bs, per_row)
+        [a + b - m] * (k == 0 and 2 <= a + b - m <= N) + (a + b + s[row == r] * m).tolist()
+        for r, b in enumerate(bs)
     ]
 
 

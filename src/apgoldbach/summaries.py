@@ -1,9 +1,10 @@
-"""Aggregate per-modulus exceptional-set data into table rows and
-growth-comparison series.
+"""Aggregate per-modulus exceptional-set data into table rows.
 
 The input for one modulus m maps every ordered admissible pair (a, b) to
 the sorted elements of E_{a,b,m}, as exceptional_sets_for_modulus
-returns them.
+returns them.  The figure documents, built in cli, read E_max and
+phi(m) from the same Table 1 summary: phi(m) is the restricted family's
+pair count, one pair (a, -a) per unit a.
 
 Every aggregate is an integer; an average or a percentage is kept as its
 numerator and denominator and rounded only at emission, exactly, in
@@ -16,10 +17,6 @@ import math
 from typing import NamedTuple
 
 ModulusSets = dict[tuple[int, int], tuple[int, ...]]
-
-
-def totient(m: int) -> int:
-    return sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
 
 
 def _thousandths(num: int, den: int) -> int:
@@ -131,28 +128,3 @@ def count_empty_pairs(sets: ModulusSets, m: int) -> EmptyPairCount:
     units = _require_complete(sets, m)
     z = sum(1 for a in units for b in units if not sets[(a, b)])
     return EmptyPairCount(m=m, z_m=z, total_pairs=len(units) ** 2)
-
-
-GROWTH_HEADER = "m,E_max,phi,8m2,16m2,2m2_ln_m,4m2_ln_m"
-
-
-class GrowthRow(NamedTuple):
-    m: int
-    e_max: int
-    phi: int
-
-    def csv_row(self) -> str:
-        m = self.m
-        lnm = math.log(m)
-        return (
-            f"{m},{self.e_max},{self.phi},{8 * m * m},{16 * m * m},"
-            f"{2 * m * m * lnm:.6g},{4 * m * m * lnm:.6g}"
-        )
-
-
-def growth_series(summaries: list[ModulusSummary]) -> list[GrowthRow]:
-    """Plot-ready growth comparison rows, one per modulus."""
-    return [
-        GrowthRow(m=s.m, e_max=s.unrestricted.e_max, phi=totient(s.m))
-        for s in summaries
-    ]

@@ -107,17 +107,21 @@ class TestExceptions:
         assert any(line.startswith("spot check:") for line in out.splitlines())
 
     def test_cache_not_read_or_written(self, capsys, monkeypatch, tmp_path):
-        # survivor counts depend on N, so exceptions always computes: a
-        # smaller N after a larger one prints its own count
+        # survivor counts depend on N, so exceptions always computes and
+        # takes no cache directory (test_cache_dir_only_where_read), not
+        # even from the environment: a smaller N after a larger one prints
+        # its own count
         monkeypatch.setattr(partitions, "default_stage1_bound", lambda m, N: min(100, N))
         cache = tmp_path / "cache"
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
         base = ["exceptions", "--m", "4", "--a", "1", "--b", "1"]
-        run(capsys, *base, "--limit", "100000", "--cache-dir", str(cache))
-        code, out, _ = run(capsys, *base, "--limit", "1000", "--cache-dir", str(cache))
+        run(capsys, *base, "--limit", "100000")
+        code, out, _ = run(capsys, *base, "--limit", "1000")
         assert code == EXIT_OK
         assert out.splitlines()[1] == (
             "stage-1 bound M = 100, survivors resolved in stage 2 = 5, confirmed = True"
         )
+        monkeypatch.delenv(cli.CACHE_ENV_VAR)
         assert out == run(capsys, *base, "--limit", "1000")[1]
         assert not cache.exists()
 
@@ -283,6 +287,15 @@ class TestTables:
             main([*argv, "--limit", "1000", "--format", "json"])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+    def test_cache_dir_only_where_read(self, capsys, tmp_path):
+        # exceptions always computes its pair, so it refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000",
+                  "--cache-dir", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: --cache-dir {tmp_path}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["-M", "--stage1-bound"])
     @pytest.mark.parametrize("argv", [
@@ -655,6 +668,16 @@ class TestFigures:
         m4 = dict(zip(fig2[0].split(","), fig2[1].split(",")))
         assert m4["16m2"] == "256"
         assert m4["E_max"] == "62"
+
+    def test_m50_document_bytes(self, capsys, tmp_path):
+        # both documents of m <= 50 at 10^5, byte for byte
+        assert run(capsys, "figures", "--m-max", "50", "--limit", "100000",
+                   "--threads", "1", "--output-dir", str(tmp_path))[0] == EXIT_OK
+        assert {name: hashlib.md5((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("fig1.csv", "fig2.csv")} == {
+            "fig1.csv": "4d4ae1b4cd9eaa942bdf94830b6b7bb3",
+            "fig2.csv": "7f0631230b58e73aad29843e43bbe914",
+        }
 
 
 # The whole report of each verify target at --limit 100000, byte for byte.

@@ -8,12 +8,13 @@ since every set of m <= 200 ends below 2*10^5 (the largest element is
 """
 
 import hashlib
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from apgoldbach import partitions
-from apgoldbach.cli import RunConfig, compute_sweep, table_document
+from apgoldbach.cli import RunConfig, compute_sweep, figure_documents, table_document
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -54,3 +55,17 @@ def sweep_m180_200(request):
 def test_moduli_180_to_200_match_the_frozen_tables(sweep_m180_200, which):
     expected = _frozen_rows(f"{which}_m200.csv", range(180, 201))
     assert table_document(which, sweep_m180_200) == expected
+
+
+def test_fig1_matches_the_frozen_e_max_and_a_gcd_count(sweep_m180_200):
+    # E_max from the frozen Table 1 rows, and phi(m) counted here, apart
+    # from the summary that the figures read it from
+    header, *frozen = _frozen_rows("table1_m200.csv", range(180, 201)).splitlines()
+    col = header.split(",").index("E_max")
+    expected = ["m,E_max,phi"]
+    for row in frozen:
+        cells = row.split(",")
+        m = int(cells[0])
+        expected.append(f"{m},{cells[col]},{sum(gcd(a, m) == 1 for a in range(1, m))}")
+    assert len(expected) == 12
+    assert figure_documents(sweep_m180_200)[0].splitlines() == expected

@@ -31,6 +31,10 @@ def test_run_tables_writes_the_cli_documents(capsys, tmp_path):
         "fig1.csv", "fig2.csv", "table1.csv", "table2.csv"]
     for table in ("table1", "table2"):
         assert (tmp_path / f"{table}.csv").read_text() == _cli_stdout(capsys, table, *SWEEP)
+    figures = tmp_path / "figures"
+    _cli_stdout(capsys, "figures", *SWEEP, "--output-dir", str(figures))
+    for fig in ("fig1.csv", "fig2.csv"):
+        assert (tmp_path / fig).read_text() == (figures / fig).read_text()
 
 
 def test_model_vs_observed_prints_one_row_per_modulus():

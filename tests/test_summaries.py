@@ -10,9 +10,7 @@ from apgoldbach.summaries import (
     count_empty_pairs,
     format_average,
     format_percent,
-    growth_series,
     summarize_modulus,
-    totient,
 )
 
 
@@ -50,7 +48,7 @@ def test_m2_families_coincide(sets_by_m):
 def test_average_times_pairs_identity(sets_by_m):
     for m, sets in sets_by_m.items():
         s = summarize_modulus(sets, m)
-        phi = totient(m)
+        phi = sum(math.gcd(a, m) == 1 for a in range(1, m))
         assert s.unrestricted.pairs == phi**2
         assert s.restricted.pairs == phi
 
@@ -85,14 +83,6 @@ def test_empty_pairs_m8(sets_by_m):
 
 def test_empty_pairs_m2(sets_by_m):
     assert count_empty_pairs(sets_by_m[2], 2).z_m == 0
-
-
-def test_growth_series(sets_by_m):
-    rows = growth_series([summarize_modulus(sets_by_m[m], m) for m in (4, 8, 10)])
-    by_m = {r.m: r for r in rows}
-    assert (by_m[4].e_max, by_m[4].phi) == (62, 2)
-    assert "256" in by_m[4].csv_row().split(",")  # 16 m^2 at m=4
-    assert (by_m[10].e_max, by_m[10].phi) == (152, 4)
 
 
 def _rounded(x: Fraction, places: int) -> Fraction:
@@ -157,11 +147,3 @@ class TestFormatting:
         p = format_percent(*frac)
         assert len(p.partition(".")[2]) == 1
         assert Fraction(p) == _rounded(100 * x, 1)
-
-
-def test_totient_small_values():
-    expected = {1: 1, 2: 1, 8: 4, 10: 4, 46: 22, 60: 16}
-    for m, phi in expected.items():
-        assert totient(m) == phi
-    for m in range(1, 50):
-        assert totient(m) == sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
