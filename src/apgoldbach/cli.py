@@ -297,10 +297,15 @@ def _modulus_shares(moduli: list[int], workers: int) -> list[list[int]]:
 
 
 def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
-    """Sets for every modulus in range; cache misses are dealt to the
-    workers' shares (fork_map) and then written to the cache.  The table
-    is sieved once, before the fork, and the workers read it
-    copy-on-write; its budget reserves the largest index of the sweep.
+    """Sets for every modulus in range; cache misses are computed or
+    derived and then written to the cache.
+
+    A miss m whose double is in range is derived from the sets of 2m
+    (partitions.exceptional_sets_from_double), in descending order, so 2m
+    is cached, computed or derived first.  The other misses are dealt to
+    the workers' shares (fork_map).  The table is sieved once, before the
+    fork, and the workers read it copy-on-write; its budget reserves the
+    largest index of a computed modulus.
 
     Results are merged in modulus order, so the output is independent of
     how the moduli were dealt.
@@ -316,20 +321,25 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
         missing.append(m)
     if not missing:
         return results
-    # a miss computes: import the engine here, before fork_map forks the
-    # workers, so that they inherit it instead of each importing numpy
+    # a miss computes or derives: import the engine here, before fork_map
+    # forks the workers, so that they inherit it instead of each importing
+    # numpy
     from . import partitions
 
     N = config.N
-    reserved = max(partitions.class_mask_bytes(m, N) for m in missing)
-    table = partitions.sieve_primes(N, reserved_bytes=reserved)
-    shares = _modulus_shares(missing, config.worker_count)
-    computed = fork_map(
-        lambda share: [exceptional_sets_for_modulus(m, N, table) for m in share], shares
-    )
-    for share, sets_list in zip(shares, computed):
-        for m, sets in zip(share, sets_list):
-            results[m] = sets
+    computed = [m for m in missing if 2 * m > config.m_max]
+    if computed:
+        reserved = max(partitions.class_mask_bytes(m, N) for m in computed)
+        table = partitions.sieve_primes(N, reserved_bytes=reserved)
+        shares = _modulus_shares(computed, config.worker_count)
+        sets_lists = fork_map(
+            lambda share: [exceptional_sets_for_modulus(m, N, table) for m in share], shares
+        )
+        for share, sets_list in zip(shares, sets_lists):
+            results.update(zip(share, sets_list))
+    for m in reversed(missing):
+        if 2 * m <= config.m_max:
+            results[m] = partitions.exceptional_sets_from_double(m, results[2 * m])
     if config.cache_dir is not None:
         for m in missing:
             save_cache_entry(config.cache_dir, m, config.N, results[m])

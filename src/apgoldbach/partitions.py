@@ -31,6 +31,17 @@ then each b-window straight from its progression
 Its windows are independent, so a caller may pass a share map that runs
 shares of them in other processes (cli.fork_map); the engine itself runs
 them in order.
+
+A sweep that holds both m and 2m needs no stage 1 for m.  Since m is even,
+2m has the same prime factors, so a prime p = a (mod m) is a or a + m mod
+2m, and both are units.  For each of the two classes c mod 2m with
+c = a + b (mod m),
+
+    E_{a,b,m} & {n = c (mod 2m)} = E_{a,c-a,2m} & E_{a+m,c-a-m,2m},
+
+and exceptional_sets_from_double joins the two classes.  Only 2m is used:
+a multiple k*m with a prime factor that m lacks has lifts a + j*m that are
+not units, whose primes no unit pair's set accounts for.
 """
 
 import math
@@ -428,6 +439,27 @@ def exceptional_sets_for_modulus(
         bs = units[k:]
         for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
             out[(a, b)] = out[(b, a)] = _resolved(AdmissiblePair(a, b, m), M, survivors)
+    return dict(sorted(out.items()))
+
+
+def exceptional_sets_from_double(
+    m: int, double: dict[tuple[int, int], tuple[int, ...]]
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """exceptional_sets_for_modulus(m, N) for even m, derived from the sets
+    of modulus 2m up to the same N with no engine run.  The lifts (p, q)
+    mod 2m of (a, b) that reach n = a + b (mod 2m) are (a, b) and
+    (a + m, b + m), and those that reach n = a + b + m are (a, b + m) and
+    (a + m, b), so
+
+        E_{a,b,m} = (E_{a,b,2m} & E_{a+m,b+m,2m}) | (E_{a,b+m,2m} & E_{a+m,b,2m})
+    """
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    out: dict[tuple[int, int], tuple[int, ...]] = {}
+    for k, a in enumerate(units):
+        for b in units[k:]:
+            same = set(double[(a, b)]).intersection(double[(a + m, b + m)])
+            other = set(double[(a, b + m)]).intersection(double[(a + m, b)])
+            out[(a, b)] = out[(b, a)] = tuple(sorted(same | other))
     return dict(sorted(out.items()))
 
 

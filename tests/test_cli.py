@@ -62,6 +62,20 @@ def _count_forks(monkeypatch) -> list[int]:
     return pids
 
 
+def _count_engine_calls(monkeypatch) -> list[int]:
+    """The moduli that cli.exceptional_sets_for_modulus computes from now
+    on in this process."""
+    moduli = []
+    engine = cli.exceptional_sets_for_modulus
+
+    def counted(m, *args, **kwargs):
+        moduli.append(m)
+        return engine(m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "exceptional_sets_for_modulus", counted)
+    return moduli
+
+
 def _assert_no_children():
     # waitpid(-1) would see a running child and reap a zombie
     with pytest.raises(ChildProcessError):
@@ -364,6 +378,41 @@ class TestTables:
         assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
         _assert_no_children()
 
+    def test_sweep_runs_the_engine_only_where_the_double_is_out_of_range(
+        self, monkeypatch
+    ):
+        # 2, 4 and 6 are derived from 4, 8 and 12
+        calls = _count_engine_calls(monkeypatch)
+        sweep = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=12, threads=1))
+        assert sorted(calls) == [8, 10, 12]
+        assert sweep == {m: exceptional_sets_for_modulus(m, 10**4) for m in range(2, 13, 2)}
+
+    def test_pool_gets_only_the_computed_moduli(self, monkeypatch):
+        # of m = 2, ..., 8 only 6 and 8 are computed: one share here and
+        # one child, however many workers
+        forks = _count_forks(monkeypatch)
+        sweep = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=8, threads=8))
+        assert len(forks) == 1
+        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=2, m_max=8, threads=1))
+        _assert_no_children()
+
+    def test_miss_derived_from_a_cached_double(self, monkeypatch, tmp_path, table_1e5):
+        # 6 and 8 are cached and 4 is derived from 8: no engine call, no
+        # sieve and no fork
+        compute_sweep(RunConfig(N=10**4, m_min=6, m_max=8, threads=1, cache_dir=tmp_path))
+        calls, forks = _count_engine_calls(monkeypatch), _count_forks(monkeypatch)
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved with every miss derivable")
+
+        monkeypatch.setattr(partitions, "sieve_primes", no_sieve)
+        sweep = compute_sweep(
+            RunConfig(N=10**4, m_min=4, m_max=8, threads=2, cache_dir=tmp_path)
+        )
+        assert calls == forks == []
+        assert sweep[4] == exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        assert load_cache_entry(tmp_path, 4, 10**4) == sweep[4]
+
     def test_moduli_dealt_heaviest_first(self):
         # phi(m)^2/m: m = 8 costs 2, m = 4 costs 1, m = 6 and m = 2 less
         assert cli._modulus_shares([2, 4, 6, 8], 3) == [[8], [4], [6, 2]]
@@ -378,6 +427,20 @@ class TestTables:
             functools.partial(sieve_primes, memory_budget_bytes=2**20),
         )
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
+        with pytest.raises(MemoryBudgetError, match="reserved"):
+            compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
+
+    def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path):
+        # a derived modulus builds no index: with 4 cached, a sweep of
+        # m = 2-6 derives 2 and reserves the index of 6 alone, which fits
+        # a 1 MiB budget where that of 2 does not
+        compute_sweep(RunConfig(N=10**6, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
+        monkeypatch.setattr(
+            partitions, "sieve_primes",
+            functools.partial(sieve_primes, memory_budget_bytes=2**20),
+        )
+        assert compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1,
+                                       cache_dir=tmp_path))[2] == {(1, 1): (2, 4)}
         with pytest.raises(MemoryBudgetError, match="reserved"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
 
@@ -915,6 +978,18 @@ class TestCache:
         assert hashlib.sha256(data).hexdigest() == (
             "9201cbaae182ac627bb96597a9ccf60d89331e1a99ebab691807d40429f92025"
         )
+
+    def test_derived_moduli_write_the_engine_bytes(self, tmp_path, table_1e5):
+        # a cold sweep of m <= 12 derives 2, 4 and 6; their files are those
+        # of the engine's own sets, in the same schema
+        assert cli.CACHE_SCHEMA_VERSION == 2
+        swept, direct = tmp_path / "swept", tmp_path / "direct"
+        compute_sweep(RunConfig(N=10**4, m_max=12, threads=1, cache_dir=swept))
+        for m in (2, 4, 6):
+            save_cache_entry(direct, m, 10**4,
+                             exceptional_sets_for_modulus(m, 10**4, table=table_1e5))
+            name = f"m{m}_N10000.json"
+            assert (swept / name).read_bytes() == (direct / name).read_bytes()
 
     def test_round_trip(self, tmp_path, table_1e5):
         sets = exceptional_sets_for_modulus(8, 10**4, table=table_1e5)

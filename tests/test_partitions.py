@@ -17,6 +17,7 @@ from apgoldbach.partitions import (
     ResidueIndex,
     exceptional_set,
     exceptional_sets_for_modulus,
+    exceptional_sets_from_double,
     find_witness,
     verify_conjecture_mod4,
     verify_conjecture_samples,
@@ -257,6 +258,11 @@ class TestModulusSweep:
     def test_m4_multiplicity_count(self, table_1e6):
         sets = exceptional_sets_for_modulus(4, 10**6, table=table_1e6)
         assert sum(len(v) for v in sets.values()) == 8
+
+    def test_m2_derived_from_m4(self, table_1e6):
+        # 2 is in E(1, 1, 4) and E(3, 3, 4), 4 in E(1, 3, 4) and E(3, 1, 4)
+        double = exceptional_sets_for_modulus(4, 10**4, table=table_1e6)
+        assert exceptional_sets_from_double(2, double) == {(1, 1): (2, 4)}
 
     def test_odd_modulus_rejected(self):
         with pytest.raises(ValueError, match="double"):
@@ -590,6 +596,19 @@ def test_elements_do_not_depend_on_M(table_1e5, m, N, data):
     a, b = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
     pair = AdmissiblePair(a, b, m)
     assert exceptional_set(pair, N, M=M).elements == exceptional_set(pair, N).elements
+
+
+@given(m=st.integers(1, 25).map(lambda k: 2 * k), N=st.integers(2, 2 * 10**4))
+@settings(max_examples=40, deadline=None)
+def test_derived_from_double_equals_direct(table_1e5, m, N):
+    # the same pairs in the same order, and (b, a) shares the tuple of (a, b)
+    derived = exceptional_sets_from_double(
+        m, exceptional_sets_for_modulus(2 * m, N, table=table_1e5)
+    )
+    assert list(derived.items()) == list(
+        exceptional_sets_for_modulus(m, N, table=table_1e5).items()
+    )
+    assert all(derived[(a, b)] is derived[(b, a)] for a, b in derived)
 
 
 @given(m0=st.integers(3, 16), N=st.integers(2, 3000), data=st.data())

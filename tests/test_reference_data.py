@@ -4,7 +4,8 @@ m = 50 that they pin.
 table1_m200.csv and table2_m200.csv are the stdout of `table1` and `table2
 --m-max 200` at N = 2*10^5; at N = 10^7 both commands print the same bytes,
 since every set of m <= 200 ends below 2*10^5 (the largest element is
-104,494).
+104,494).  Such a sweep derives every m <= 100 from 2m; the sweep of
+m = 180-200 computes each of its moduli, and m = 90-100 are derived from it.
 """
 
 import hashlib
@@ -69,3 +70,10 @@ def test_fig1_matches_the_frozen_e_max_and_a_gcd_count(sweep_m180_200):
         expected.append(f"{m},{cells[col]},{sum(gcd(a, m) == 1 for a in range(1, m))}")
     assert len(expected) == 12
     assert figure_documents(sweep_m180_200)[0].splitlines() == expected
+
+
+@pytest.mark.parametrize("which", ["table1", "table2"])
+def test_moduli_90_to_100_derived_match_the_frozen_tables(sweep_m180_200, which):
+    derived = {m: partitions.exceptional_sets_from_double(m, sweep_m180_200[2 * m])
+               for m in range(90, 101, 2)}
+    assert table_document(which, derived) == _frozen_rows(f"{which}_m200.csv", range(90, 101))
