@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
 # The engine (partitions and primes, and with them numpy) is imported only
-# where something is computed, so that a warm-cache table1, table2, figures
-# or verify asy never loads it; summaries and heuristics, which need only
-# math and integers, are imported where they are used, so that `exceptions`
-# and the engine-only `verify` targets never load them and `heuristic`
-# loads summaries only with a cache directory; json is imported by the
-# cache functions and the JSON table format
+# where stage 1 runs, so that a table1, table2, figures or verify asy whose
+# every modulus is cached or derived never loads it; summaries and
+# heuristics, which need only math and integers, are imported where they
+# are used, so that `exceptions` and the engine-only `verify` targets never
+# load them and `heuristic` loads summaries only with a cache directory;
+# json is imported by the cache functions and the JSON table format
 if TYPE_CHECKING:
     from .partitions import AdmissiblePair
     from .primes import PrimeTable
@@ -301,11 +301,12 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
     derived and then written to the cache.
 
     A miss m whose double is in range is derived from the sets of 2m
-    (partitions.exceptional_sets_from_double), in descending order, so 2m
+    (summaries.exceptional_sets_from_double), in descending order, so 2m
     is cached, computed or derived first.  The other misses are dealt to
     the workers' shares (fork_map).  The table is sieved once, before the
     fork, and the workers read it copy-on-write; its budget reserves the
-    largest index of a computed modulus.
+    largest index of a computed modulus.  Only a sweep that computes some
+    modulus imports the engine.
 
     Results are merged in modulus order, so the output is independent of
     how the moduli were dealt.
@@ -319,16 +320,13 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
                 results[m] = cached
                 continue
         missing.append(m)
-    if not missing:
-        return results
-    # a miss computes or derives: import the engine here, before fork_map
-    # forks the workers, so that they inherit it instead of each importing
-    # numpy
-    from . import partitions
-
     N = config.N
     computed = [m for m in missing if 2 * m > config.m_max]
     if computed:
+        # import the engine here, before fork_map forks the workers, so
+        # that they inherit it instead of each importing numpy
+        from . import partitions
+
         reserved = max(partitions.class_mask_bytes(m, N) for m in computed)
         table = partitions.sieve_primes(N, reserved_bytes=reserved)
         shares = _modulus_shares(computed, config.worker_count)
@@ -337,9 +335,11 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
         )
         for share, sets_list in zip(shares, sets_lists):
             results.update(zip(share, sets_list))
+    from . import summaries  # no numpy: deriving a miss loads no engine
+
     for m in reversed(missing):
         if 2 * m <= config.m_max:
-            results[m] = partitions.exceptional_sets_from_double(m, results[2 * m])
+            results[m] = summaries.exceptional_sets_from_double(m, results[2 * m])
     if config.cache_dir is not None:
         for m in missing:
             save_cache_entry(config.cache_dir, m, config.N, results[m])
@@ -466,22 +466,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "exceptions":  # the one command that reads no cache
             p.add_argument("--cache-dir", type=Path,
                            default=os.environ.get(CACHE_ENV_VAR) or None)
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker processes, over the moduli of a sweep or the "
-                       "windows of one exceptions pair (0 = auto: one per CPU)")
+        if name != "heuristic":  # its sweep is one modulus, one worker
+            p.add_argument("--threads", type=int, default=0,
+                           help="worker processes, over the moduli of a sweep or the "
+                           "windows of one exceptions pair (0 = auto: one per CPU)")
     return parser
 
 
 def _config_from(args: argparse.Namespace, m_range: bool = False) -> RunConfig:
-    kwargs = dict(
-        N=args.limit,
-        cache_dir=args.cache_dir,
-        threads=args.threads,
-    )
-    if m_range:
-        kwargs["m_min"] = args.m_min
-        kwargs["m_max"] = args.m_max
-    return RunConfig(**kwargs)
+    moduli = dict(m_min=args.m_min, m_max=args.m_max) if m_range else {}
+    return RunConfig(N=args.limit, cache_dir=args.cache_dir, threads=args.threads, **moduli)
 
 
 def cmd_exceptions(args: argparse.Namespace) -> int:
@@ -584,7 +578,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_heuristic(args: argparse.Namespace) -> int:
     from . import heuristics
 
-    config, m = _config_from(args), args.m
+    config, m = RunConfig(N=args.limit, cache_dir=args.cache_dir), args.m
     model = heuristics.CouponModel.for_modulus(m)
     k = round(heuristics.g2_estimate(m * m))  # for_modulus took m even, >= 2
     pred = heuristics.predict_bounds(m, args.c, args.delta)

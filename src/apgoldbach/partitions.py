@@ -31,17 +31,6 @@ then each b-window straight from its progression
 Its windows are independent, so a caller may pass a share map that runs
 shares of them in other processes (cli.fork_map); the engine itself runs
 them in order.
-
-A sweep that holds both m and 2m needs no stage 1 for m.  Since m is even,
-2m has the same prime factors, so a prime p = a (mod m) is a or a + m mod
-2m, and both are units.  For each of the two classes c mod 2m with
-c = a + b (mod m),
-
-    E_{a,b,m} & {n = c (mod 2m)} = E_{a,c-a,2m} & E_{a+m,c-a-m,2m},
-
-and exceptional_sets_from_double joins the two classes.  Only 2m is used:
-a multiple k*m with a prime factor that m lacks has lifts a + j*m that are
-not units, whose primes no unit pair's set accounts for.
 """
 
 import math
@@ -51,10 +40,9 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .primes import (
-    DEFAULT_MEMORY_BUDGET_BYTES,
     SIEVE_SEGMENT_SIZE,
-    MemoryBudgetError,
     PrimeTable,
+    check_budget,
     is_prime,
     pack_copies,
     sieve_overhead_bytes,
@@ -109,6 +97,12 @@ def default_stage1_bound(m: int, N: int) -> int:
     return min(max(10**4, math.ceil(m * math.log(max(m, 3)) ** 2 * 50)), N)
 
 
+def _require_even(m: int) -> None:
+    if m < 2 or m % 2:
+        raise ValueError(f"modulus must be a positive even integer, got {m} "
+                         "(double an odd modulus instead)")
+
+
 @dataclass(frozen=True, order=True)
 class AdmissiblePair:
     """Residues (a, b) coprime to an even modulus m."""
@@ -118,11 +112,7 @@ class AdmissiblePair:
     m: int
 
     def __post_init__(self):
-        if self.m < 2 or self.m % 2 != 0:
-            raise ValueError(
-                f"modulus must be a positive even integer, got {self.m} "
-                "(double an odd modulus instead)"
-            )
+        _require_even(self.m)
         for r in (self.a, self.b):
             if not 0 < r < self.m:
                 raise ValueError(f"residue {r} not a canonical unit in (0, {self.m})")
@@ -236,13 +226,9 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
     def reserve(primes: int, window: int) -> None:
         sieve = sieve_overhead_bytes(N)
         need = entries + 8 * primes + window + sieve
-        if need > DEFAULT_MEMORY_BUDGET_BYTES:
-            raise MemoryBudgetError(
-                f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                f"small-prime mask, {8 * primes} of prime indices, {window} of "
-                f"window and copies, {sieve} of sieve pattern and base primes), "
-                f"over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte budget"
-            )
+        check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
+                     f"small-prime mask, {8 * primes} of prime indices, {window} of "
+                     f"window and copies, {sieve} of sieve pattern and base primes)")
 
     reserve(0, 0)
     pidx = np.zeros(0, dtype=np.int64)
@@ -423,11 +409,7 @@ def exceptional_sets_for_modulus(
     is read once: one stage-1 pass per small-prime class a over the rows
     b >= a.
     """
-    if m < 2 or m % 2 != 0:
-        raise ValueError(
-            f"modulus must be a positive even integer, got {m} "
-            "(double an odd modulus instead)"
-        )
+    _require_even(m)
     if table is None:
         table = sieve_primes(N, reserved_bytes=class_mask_bytes(m, N))
     if M is None:
@@ -439,27 +421,6 @@ def exceptional_sets_for_modulus(
         bs = units[k:]
         for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
             out[(a, b)] = out[(b, a)] = _resolved(AdmissiblePair(a, b, m), M, survivors)
-    return dict(sorted(out.items()))
-
-
-def exceptional_sets_from_double(
-    m: int, double: dict[tuple[int, int], tuple[int, ...]]
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """exceptional_sets_for_modulus(m, N) for even m, derived from the sets
-    of modulus 2m up to the same N with no engine run.  The lifts (p, q)
-    mod 2m of (a, b) that reach n = a + b (mod 2m) are (a, b) and
-    (a + m, b + m), and those that reach n = a + b + m are (a, b + m) and
-    (a + m, b), so
-
-        E_{a,b,m} = (E_{a,b,2m} & E_{a+m,b+m,2m}) | (E_{a,b+m,2m} & E_{a+m,b,2m})
-    """
-    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k, a in enumerate(units):
-        for b in units[k:]:
-            same = set(double[(a, b)]).intersection(double[(a + m, b + m)])
-            other = set(double[(a, b + m)]).intersection(double[(a + m, b)])
-            out[(a, b)] = out[(b, a)] = tuple(sorted(same | other))
     return dict(sorted(out.items()))
 
 

@@ -19,11 +19,12 @@ import numpy as np
 # cache-resident.
 SIEVE_SEGMENT_SIZE = 1 << 20
 
-# Default cap on peak storage.  For a table: the packed odd bits plus one
-# unpacked segment, its packed copy, the presieve pattern and the base-prime
-# sieve, which admits limits up to ~4.3*10^9, plus the class masks a sweep
-# reserves beside it, which brings a sweep down to ~4.7*10^8.  A single
-# pair counts its sieved windows against the same cap.
+# Cap on peak storage, read by check_budget at each call.  For a table:
+# the packed odd bits plus one unpacked segment, its packed copy, the
+# presieve pattern and the base-prime sieve, which admits limits up to
+# ~4.3*10^9, plus the class masks a sweep reserves beside it, which brings
+# a sweep down to ~4.7*10^8.  A single pair counts its sieved windows
+# against the same cap.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 # Odd primes whose multiples every window copies from a precomputed
@@ -47,6 +48,14 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class MemoryBudgetError(ValueError):
     """Sieve request would exceed the configured memory budget."""
+
+
+def check_budget(need: int, detail: str) -> None:
+    """MemoryBudgetError, its text `detail` and the budget, if `need` bytes
+    exceed DEFAULT_MEMORY_BUDGET_BYTES, which is read at each call."""
+    if need > DEFAULT_MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetError(
+            f"{detail}, over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -180,11 +189,7 @@ def sieve_progression(
         yield seg
 
 
-def sieve_primes(
-    limit: int,
-    memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET_BYTES,
-    reserved_bytes: int = 0,
-) -> PrimeTable:
+def sieve_primes(limit: int, reserved_bytes: int = 0) -> PrimeTable:
     """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
     inclusive; entry i stands for 2i + 1.
 
@@ -193,9 +198,9 @@ def sieve_primes(
     packed table, one unpacked segment and its packed copy, and the
     sieve's pattern and base primes; that peak, plus the reserved_bytes the
     caller will hold beside the table (a sweep's class masks), is what
-    memory_budget_bytes bounds.  A segment is SIEVE_SEGMENT_SIZE odd
-    entries, read at each call and rounded down to a multiple of 8 (at
-    least 8) so segments start on a byte.
+    check_budget bounds.  A segment is SIEVE_SEGMENT_SIZE odd entries,
+    read at each call and rounded down to a multiple of 8 (at least 8) so
+    segments start on a byte.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -204,12 +209,8 @@ def sieve_primes(
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)
     peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit)
-    if peak + reserved_bytes > memory_budget_bytes:
-        raise MemoryBudgetError(
-            f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus "
-            f"one segment) and {reserved_bytes} more are reserved, over the "
-            f"{memory_budget_bytes}-byte budget"
-        )
+    check_budget(peak + reserved_bytes, f"sieving to {limit} needs {peak} bytes ({nbytes} "
+                 f"packed plus one segment) and {reserved_bytes} more are reserved")
 
     bits = np.empty(nbytes, dtype=np.uint8)
     starts = range(0, entries, segment_size)

@@ -1,10 +1,13 @@
 """Aggregate per-modulus exceptional-set data into table rows.
 
 The input for one modulus m maps every ordered admissible pair (a, b) to
-the sorted elements of E_{a,b,m}, as exceptional_sets_for_modulus
-returns them.  The figure documents, built in cli, read E_max and
-phi(m) from the same Table 1 summary: phi(m) is the restricted family's
-pair count, one pair (a, -a) per unit a.
+the sorted elements of E_{a,b,m}, as partitions.exceptional_sets_for_modulus
+returns them; exceptional_sets_from_double derives that input for m from
+the input for 2m.  The module needs only math and integers, so a sweep
+whose every miss is derived loads no engine and no numpy.  The figure
+documents, built in cli, read E_max and phi(m) from the same Table 1
+summary: phi(m) is the restricted family's pair count, one pair (a, -a)
+per unit a.
 
 Every aggregate is an integer; an average or a percentage is kept as its
 numerator and denominator and rounded only at emission, exactly, in
@@ -17,6 +20,32 @@ import math
 from typing import NamedTuple
 
 ModulusSets = dict[tuple[int, int], tuple[int, ...]]
+
+
+def exceptional_sets_from_double(m: int, double: ModulusSets) -> ModulusSets:
+    """partitions.exceptional_sets_for_modulus(m, N) for even m, derived
+    from the sets of modulus 2m up to the same N with no engine run.
+
+    Since m is even, 2m has the same prime factors, so a prime p = a
+    (mod m) is a or a + m mod 2m, and both are units.  The lifts (p, q)
+    mod 2m of (a, b) that reach n = a + b (mod 2m) are (a, b) and
+    (a + m, b + m), and those that reach n = a + b + m are (a, b + m) and
+    (a + m, b), so
+
+        E_{a,b,m} = (E_{a,b,2m} & E_{a+m,b+m,2m}) | (E_{a,b+m,2m} & E_{a+m,b,2m})
+
+    Only 2m is used: a multiple k*m with a prime factor that m lacks has
+    lifts a + j*m that are not units, whose primes no unit pair's set
+    accounts for.
+    """
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    out: ModulusSets = {}
+    for k, a in enumerate(units):
+        for b in units[k:]:
+            same = set(double[(a, b)]).intersection(double[(a + m, b + m)])
+            other = set(double[(a, b + m)]).intersection(double[(a + m, b)])
+            out[(a, b)] = out[(b, a)] = tuple(sorted(same | other))
+    return dict(sorted(out.items()))
 
 
 def _thousandths(num: int, den: int) -> int:

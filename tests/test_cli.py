@@ -1,7 +1,6 @@
 import argparse
 import ast
 import contextlib
-import functools
 import gc
 import hashlib
 import importlib
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import cli, partitions
+from apgoldbach import cli, partitions, primes
 from apgoldbach.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -35,7 +34,7 @@ from apgoldbach.cli import (
     table_document,
 )
 from apgoldbach.partitions import exceptional_sets_for_modulus
-from apgoldbach.primes import MemoryBudgetError, sieve_primes
+from apgoldbach.primes import MemoryBudgetError
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,12 +162,7 @@ class TestExceptions:
     def test_large_limit_within_small_budget(self, capsys, monkeypatch):
         # a single pair holds one window of its b-class whatever N, so 10^8
         # fits in 8 MiB, where a table and an N/m-entry mask would not
-        budget = 8 * 2**20
-        monkeypatch.setattr(partitions, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
-        monkeypatch.setattr(
-            partitions, "sieve_primes",
-            functools.partial(sieve_primes, memory_budget_bytes=budget),
-        )
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 8 * 2**20)
         command = ["exceptions", "--m", "4", "--a", "3", "--b", "1", "--limit", "100000000"]
         code, out, _ = run(capsys, *command)
         assert code == EXIT_OK
@@ -422,10 +416,7 @@ class TestTables:
         # the sweep's one table reserves its largest index: a sweep of
         # m = 30 fits a 1 MiB budget beside its table, and one of m = 2,
         # run next in the same process, does not
-        monkeypatch.setattr(
-            partitions, "sieve_primes",
-            functools.partial(sieve_primes, memory_budget_bytes=2**20),
-        )
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
         with pytest.raises(MemoryBudgetError, match="reserved"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
@@ -435,10 +426,7 @@ class TestTables:
         # m = 2-6 derives 2 and reserves the index of 6 alone, which fits
         # a 1 MiB budget where that of 2 does not
         compute_sweep(RunConfig(N=10**6, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
-        monkeypatch.setattr(
-            partitions, "sieve_primes",
-            functools.partial(sieve_primes, memory_budget_bytes=2**20),
-        )
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
         assert compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1,
                                        cache_dir=tmp_path))[2] == {(1, 1): (2, 4)}
         with pytest.raises(MemoryBudgetError, match="reserved"):
@@ -562,26 +550,6 @@ def test_import_loads_no_engine(module):
     assert _fresh_python(code) == "[]\n"
 
 
-def test_public_names_load_on_first_access():
-    code = textwrap.dedent("""\
-        import apgoldbach
-        names = [getattr(apgoldbach, name).__module__ for name in apgoldbach.__all__]
-        print(apgoldbach.__all__)
-        print(sorted(set(names)), set(apgoldbach.__all__) <= set(dir(apgoldbach)))
-        try:
-            apgoldbach.no_such_name
-        except AttributeError as exc:
-            print(exc)
-    """)
-    assert _fresh_python(code) == (
-        "['AdmissiblePair', 'ExceptionalSet', 'PartitionWitness', 'PrimeTable', "
-        "'exceptional_set', 'exceptional_sets_for_modulus', 'find_witness', 'is_prime', "
-        "'sieve_primes']\n"
-        "['apgoldbach.partitions', 'apgoldbach.primes'] True\n"
-        "module 'apgoldbach' has no attribute 'no_such_name'\n"
-    )
-
-
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     """A cache holding m <= 50 at N = 10^4."""
@@ -606,6 +574,17 @@ def test_warm_cache_loads_no_engine(capsys, tmp_path, warm_cache, argv):
     assert _fresh_cli([*args, "--cache-dir", str(warm_cache)],
                       ENGINE_MODULES | {"dataclasses", "inspect"}) == [EXIT_OK, [], uncached]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == figures
+
+
+def test_derived_misses_load_no_engine(capsys, tmp_path):
+    # with 4 cached, the sweep of m = 2-4 derives 2 from it and computes
+    # nothing: the derivation lives in summaries, which loads no numpy
+    compute_sweep(RunConfig(N=10**4, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
+    args = ["table1", "--m-min", "2", "--m-max", "4", "--limit", "10000"]
+    code, uncached, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    assert _fresh_cli([*args, "--cache-dir", str(tmp_path)],
+                      {"numpy", "apgoldbach.partitions"}) == [EXIT_OK, [], uncached]
 
 
 def test_cold_pool_starts_after_the_engine_import():
@@ -866,30 +845,35 @@ class TestHeuristic:
             main(["heuristic", "--m", "4", "--seed", "1"])
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"], ["table1"]])
+    def test_threads_flag_rejected(self):
+        # the sweep of a heuristic is one modulus, which one worker computes
+        with pytest.raises(SystemExit) as exc:
+            main(["heuristic", "--m", "10", "--threads", "1"])
+        assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"],
+                                         ["table1", "--threads", "1"]])
     def test_cache_io_error_exits_3(self, capsys, tmp_path, command):
         # the cache directory cannot be made under a regular file; the
         # observed comparison does not swallow that
         blocker = tmp_path / "file"
         blocker.write_text("")
         code, out, err = run(
-            capsys, *command, "--limit", "10000", "--threads", "1",
+            capsys, *command, "--limit", "10000",
             "--cache-dir", str(blocker / "cache"),
         )
         assert code == EXIT_IO
         assert out == ""
         assert err.startswith("I/O error:")
 
-    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"], ["table1"]])
+    @pytest.mark.parametrize("command", [["heuristic", "--m", "10"],
+                                         ["table1", "--threads", "1"]])
     def test_over_budget_exits_2(self, capsys, monkeypatch, tmp_path, command):
         # a 1 KB budget stands in for an over-budget --limit, so that the
         # model's truncated sum stays small
-        monkeypatch.setattr(
-            partitions, "sieve_primes",
-            functools.partial(sieve_primes, memory_budget_bytes=1000),
-        )
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1000)
         code, out, err = run(
-            capsys, *command, "--limit", "10000", "--threads", "1",
+            capsys, *command, "--limit", "10000",
             "--cache-dir", str(tmp_path),
         )
         assert code == EXIT_USAGE

@@ -11,10 +11,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "apgoldbach"
 MODULES = ("cli", "partitions", "primes", "summaries", "heuristics")
 
-# a private constant such as _MARK_BLOCK, and a name qualified by one of the
-# modules such as partitions.default_stage1_bound (not a file, cli.py)
+# a private constant such as _MARK_BLOCK, a name qualified by one of the
+# modules such as partitions.default_stage1_bound (not a file, cli.py), and
+# one qualified by the package such as apgoldbach.cli.main
 CONSTANT = re.compile(r"(?<![\w.])_[A-Z][A-Z0-9_]*\b")
 QUALIFIED = re.compile(r"\b(%s)\.(?!py\b)(\w+(?:\.\w+)*)" % "|".join(MODULES))
+PACKAGED = re.compile(r"\bapgoldbach\.(?!py\b)(\w+(?:\.\w+)*)")
 
 
 def _prose() -> list[tuple[str, str]]:
@@ -40,25 +42,49 @@ def _resolves(obj, dotted: str) -> bool:
     return True
 
 
+def _stale_names(text: str) -> list[str]:
+    """The names in text that the package does not define.  A name
+    qualified by the package is looked up on it once every submodule is
+    imported, so apgoldbach.cli.main resolves and a name that only a
+    submodule defines, such as apgoldbach.is_prime, does not."""
+    modules = {name: importlib.import_module(f"apgoldbach.{name}") for name in MODULES}
+    package = importlib.import_module("apgoldbach")
+    missing = []
+    for match in CONSTANT.finditer(text):
+        if not any(_resolves(mod, match.group()) for mod in modules.values()):
+            missing.append(match.group())
+    for match in QUALIFIED.finditer(text):
+        if not _resolves(modules[match.group(1)], match.group(2)):
+            missing.append(match.group())
+    for match in PACKAGED.finditer(text):
+        if not _resolves(package, match.group(1)):
+            missing.append(match.group())
+    return missing
+
+
 def test_docs_name_only_what_exists():
     # a constant or function renamed or deleted must leave no stale name
     # in the README or in the package's docstrings and comments
-    modules = {name: importlib.import_module(f"apgoldbach.{name}") for name in MODULES}
-    missing = []
-    for where, text in _prose():
-        for match in CONSTANT.finditer(text):
-            if not any(_resolves(mod, match.group()) for mod in modules.values()):
-                missing.append((where, match.group()))
-        for match in QUALIFIED.finditer(text):
-            if not _resolves(modules[match.group(1)], match.group(2)):
-                missing.append((where, match.group()))
+    missing = [(where, name) for where, text in _prose() for name in _stale_names(text)]
     assert missing == []
+
+
+@pytest.mark.parametrize("text,stale", [
+    ("`python -m apgoldbach.cli`, `apgoldbach.cli.main_and_exit`", []),
+    # the package root defines no engine names
+    ("`apgoldbach.sieve_primes`", ["apgoldbach.sieve_primes"]),
+    ("`apgoldbach.cli.sieve_primes`", ["cli.sieve_primes", "apgoldbach.cli.sieve_primes"]),
+])
+def test_package_qualified_names_resolve(text, stale):
+    assert _stale_names(text) == stale
 
 
 @pytest.mark.parametrize(
     "text,found",
     [("see _MARK_BLOCK", ["_MARK_BLOCK"]), ("see E_{a,b,m} and __init__", []),
-     ("(primes.sieve_progression) in `primes.py`", ["primes.sieve_progression"])],
+     ("(primes.sieve_progression) in `primes.py`", ["primes.sieve_progression"]),
+     ("`apgoldbach.is_prime` in `src/apgoldbach/primes.py`", ["apgoldbach.is_prime"])],
 )
 def test_docs_patterns(text, found):
-    assert [m.group() for p in (CONSTANT, QUALIFIED) for m in p.finditer(text)] == found
+    patterns = (CONSTANT, QUALIFIED, PACKAGED)
+    assert [m.group() for p in patterns for m in p.finditer(text)] == found

@@ -17,13 +17,13 @@ from apgoldbach.partitions import (
     ResidueIndex,
     exceptional_set,
     exceptional_sets_for_modulus,
-    exceptional_sets_from_double,
     find_witness,
     verify_conjecture_mod4,
     verify_conjecture_samples,
     verify_ternary,
 )
 from apgoldbach.primes import MemoryBudgetError, PrimeTable, is_prime, sieve_primes
+from apgoldbach.summaries import exceptional_sets_from_double
 from oracles import (
     is_prime_trial_division,
     table_primes,
@@ -153,7 +153,7 @@ class TestExceptionalSet:
         # the a-mask and the sieve exceed the budget before any
         # allocation, then with the prime indices, then with a window and
         # its copies; the parts named add up to the bytes needed
-        monkeypatch.setattr(partitions, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
         with pytest.raises(MemoryBudgetError) as exc:
             exceptional_set(AdmissiblePair(3, 1, 4), N, M=M)
         need, *parts = map(int, re.search(
@@ -398,12 +398,8 @@ class TestModulusSweep:
         # class beside it: at m = 2 they take N/2 bytes, and the table and
         # one segment of it another 656 KB
         N = 10**6
-        budget = 2**20
-        monkeypatch.setattr(
-            partitions, "sieve_primes",
-            functools.partial(sieve_primes, memory_budget_bytes=budget),
-        )
-        assert len(table_primes(sieve_primes(N, memory_budget_bytes=budget))) == 78498
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
+        assert len(table_primes(sieve_primes(N))) == 78498
         with pytest.raises(MemoryBudgetError, match="reserved"):
             exceptional_sets_for_modulus(2, N)
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -54,9 +55,15 @@ def test_segment_size_does_not_change_result(monkeypatch):
     assert np.array_equal(a.bits, b.bits)
 
 
-def test_memory_budget_enforced():
+def test_memory_budget_enforced(monkeypatch):
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1024)
     with pytest.raises(MemoryBudgetError, match="budget"):
-        sieve_primes(10**9, memory_budget_bytes=1024)
+        sieve_primes(10**9)
+
+
+def test_budget_is_read_from_the_module():
+    # one budget, DEFAULT_MEMORY_BUDGET_BYTES, checked by check_budget
+    assert "memory_budget_bytes" not in inspect.signature(sieve_primes).parameters
 
 
 def test_memory_budget_counts_one_segment(monkeypatch):
@@ -65,13 +72,15 @@ def test_memory_budget_counts_one_segment(monkeypatch):
     # over [0, 1000]
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
     peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError, match="one segment"):
-        sieve_primes(10**6, memory_budget_bytes=peak - 1)
-    table = sieve_primes(10**6, memory_budget_bytes=peak)
+        sieve_primes(10**6)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
+    table = sieve_primes(10**6)
     assert len(table_primes(table)) == 78498
     # bytes a caller reserves beside the table count against the same budget
     with pytest.raises(MemoryBudgetError, match="reserved"):
-        sieve_primes(10**6, memory_budget_bytes=peak, reserved_bytes=1)
+        sieve_primes(10**6, reserved_bytes=1)
 
 
 def test_sieve_peak_is_packed_table_plus_segments():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from apgoldbach import partitions
+from apgoldbach import partitions, summaries
 from apgoldbach.cli import RunConfig, compute_sweep, figure_documents, table_document
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -74,6 +74,6 @@ def test_fig1_matches_the_frozen_e_max_and_a_gcd_count(sweep_m180_200):
 
 @pytest.mark.parametrize("which", ["table1", "table2"])
 def test_moduli_90_to_100_derived_match_the_frozen_tables(sweep_m180_200, which):
-    derived = {m: partitions.exceptional_sets_from_double(m, sweep_m180_200[2 * m])
+    derived = {m: summaries.exceptional_sets_from_double(m, sweep_m180_200[2 * m])
                for m in range(90, 101, 2)}
     assert table_document(which, derived) == _frozen_rows(f"{which}_m200.csv", range(90, 101))
