@@ -12,7 +12,6 @@ import sys
 
 from apgoldbach.cli import RunConfig, compute_sweep
 from apgoldbach.heuristics import CouponModel, expected_exception_length, predict_bounds
-from apgoldbach.summaries import summarize_modulus
 
 
 def main() -> int:
@@ -34,11 +33,11 @@ def main() -> int:
         "m,r,model_mean_length,model_length_bound,model_emax_bound,"
         "observed_L_avg,observed_E_max"
     )
-    for m, sets in sweep.items():
+    for m, summary in sweep.items():
         model = CouponModel.for_modulus(m)
         est = expected_exception_length(m, max(args.limit, 10))
         pred = predict_bounds(m, args.c, args.delta)
-        s = summarize_modulus(sets, m).unrestricted
+        s = summary.unrestricted
         print(
             f"{m},{model.r},{est.value:.4f},{pred.expected_length:.4f},"
             f"{pred.e_max_bound:.1f},{s.e_count_mult / s.pairs:.4f},{s.e_max}"

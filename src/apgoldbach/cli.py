@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequen
 if TYPE_CHECKING:
     from .partitions import AdmissiblePair
     from .primes import PrimeTable
-    from .summaries import ModulusSets
+    from .summaries import ModulusSets, ModulusSummary
 
 CACHE_ENV_VAR = "APGOLDBACH_CACHE_DIR"
 CACHE_SCHEMA_VERSION = 2
@@ -132,13 +132,21 @@ def _cache_candidates(cache_dir: Path, m: int, N: int) -> Iterator[Path]:
 
 def _payload_sets(rows, m: int, N: int) -> ModulusSets:
     """The ordered-pair sets of a payload's [a, b, elements] rows, cut at
-    N.  ValueError or TypeError unless the rows hold integers only and
-    cover exactly the pairs of units mod m."""
+    N.  ValueError or TypeError unless the rows list each pair of units mod
+    m once, each with a list of integers n >= 2, n = a + b (mod m), in
+    strictly ascending order."""
+    import bisect
+
     sets: ModulusSets = {}
     for a, b, elements in rows:
-        if not all(type(x) is int for x in (a, b, *elements)):
-            raise ValueError("non-integer entry")
-        sets[(a, b)] = sets[(b, a)] = tuple(e for e in elements if e <= N)
+        if not (type(a) is type(b) is int and type(elements) is list) or (a, b) in sets:
+            raise ValueError(f"row [{a!r}, {b!r}, ...] is malformed or repeated")
+        last = 1
+        for n in elements:
+            if type(n) is not int or n <= last or (n - a - b) % m:
+                raise ValueError(f"element {n!r} of ({a}, {b}) is out of order or class")
+            last = n
+        sets[(a, b)] = sets[(b, a)] = tuple(elements[:bisect.bisect_right(elements, N)])
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     if sets.keys() != {(a, b) for a in units for b in units}:
         raise ValueError(f"pairs do not match m = {m}")
@@ -296,31 +304,40 @@ def _modulus_shares(moduli: list[int], workers: int) -> list[list[int]]:
     return shares
 
 
-def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
-    """Sets for every modulus in range; cache misses are computed or
-    derived and then written to the cache.
+def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
+    """The summary of every modulus in range, in modulus order: its Table 1
+    row, which carries its Table 2 row.
 
-    A miss m whose double is in range is derived from the sets of 2m
-    (summaries.exceptional_sets_from_double), in descending order, so 2m
-    is cached, computed or derived first.  The other misses are dealt to
-    the workers' shares (fork_map).  The table is sieved once, before the
-    fork, and the workers read it copy-on-write; its budget reserves the
-    largest index of a computed modulus.  Only a sweep that computes some
-    modulus imports the engine.
-
-    Results are merged in modulus order, so the output is independent of
-    how the moduli were dealt.
+    finish() ends each modulus in the process that made its sets: it writes
+    a miss to the cache, summarizes, and keeps the sets only while the miss
+    m/2 is still to be derived from them.  Cache hits are finished here in
+    ascending order, when each m/2 is known to hit or miss.  The misses
+    whose double is out of range are dealt to the workers' shares
+    (fork_map), after one sieve whose budget reserves the largest index
+    of a computed modulus; the workers read the table copy-on-write.  Every
+    other miss m is derived here from the sets of 2m, which are dropped
+    then (summaries.exceptional_sets_from_double, in descending order, so
+    2m is cached, computed or derived first).  Only a sweep that computes
+    some modulus imports the engine.
     """
-    results: dict[int, ModulusSets] = {}
-    missing = []
+    from . import summaries  # no numpy: deriving a miss loads no engine
+
+    N, cache_dir = config.N, config.cache_dir
+    found: dict[int, ModulusSummary] = {}
+    kept: dict[int, Optional[ModulusSets]] = {}
+    missing: list[int] = []
+
+    def finish(m: int, sets: ModulusSets):
+        if cache_dir is not None and m in missing:
+            save_cache_entry(cache_dir, m, N, sets)
+        return summaries.summarize_modulus(sets, m), sets if m // 2 in missing else None
+
     for m in config.moduli:
-        if config.cache_dir is not None:
-            cached = load_cache_entry(config.cache_dir, m, config.N)
-            if cached is not None:
-                results[m] = cached
-                continue
-        missing.append(m)
-    N = config.N
+        cached = None if cache_dir is None else load_cache_entry(cache_dir, m, N)
+        if cached is None:
+            missing.append(m)
+        else:
+            found[m], kept[m] = finish(m, cached)
     computed = [m for m in missing if 2 * m > config.m_max]
     if computed:
         # import the engine here, before fork_map forks the workers, so
@@ -330,20 +347,16 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSets]:
         reserved = max(partitions.class_mask_bytes(m, N) for m in computed)
         table = partitions.sieve_primes(N, reserved_bytes=reserved)
         shares = _modulus_shares(computed, config.worker_count)
-        sets_lists = fork_map(
-            lambda share: [exceptional_sets_for_modulus(m, N, table) for m in share], shares
-        )
-        for share, sets_list in zip(shares, sets_lists):
-            results.update(zip(share, sets_list))
-    from . import summaries  # no numpy: deriving a miss loads no engine
-
+        finished = fork_map(lambda share: [
+            finish(m, exceptional_sets_for_modulus(m, N, table)) for m in share
+        ], shares)
+        for m, result in zip(sum(shares, []), sum(finished, [])):
+            found[m], kept[m] = result
     for m in reversed(missing):
         if 2 * m <= config.m_max:
-            results[m] = summaries.exceptional_sets_from_double(m, results[2 * m])
-    if config.cache_dir is not None:
-        for m in missing:
-            save_cache_entry(config.cache_dir, m, config.N, results[m])
-    return {m: results[m] for m in config.moduli}
+            sets = summaries.exceptional_sets_from_double(m, kept.pop(2 * m))
+            found[m], kept[m] = finish(m, sets)
+    return {m: found[m] for m in config.moduli}
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +367,14 @@ GROWTH_HEADER = "m,E_max,phi,8m2,16m2,2m2_ln_m,4m2_ln_m"
 
 
 def table_document(
-    which: str, sweep: dict[int, ModulusSets], output_format: str = "csv"
+    which: str, sweep: dict[int, ModulusSummary], output_format: str = "csv"
 ) -> str:
     """Table 1 (per-modulus aggregates) or Table 2 (empty-pair counts) of a
     sweep, as CSV or as a JSON list of rows keyed by the CSV header."""
     from . import summaries
 
-    header, row = {
-        "table1": (summaries.TABLE1_HEADER, summaries.summarize_modulus),
-        "table2": (summaries.TABLE2_HEADER, summaries.count_empty_pairs),
-    }[which]
-    rows = [row(sets, m).csv_row() for m, sets in sweep.items()]
+    header = {"table1": summaries.TABLE1_HEADER, "table2": summaries.TABLE2_HEADER}[which]
+    rows = [(s if which == "table1" else s.empty).csv_row() for s in sweep.values()]
     if output_format == "json":
         import json
 
@@ -373,15 +383,12 @@ def table_document(
     return "\n".join([header] + rows) + "\n"
 
 
-def figure_documents(sweep: dict[int, ModulusSets]) -> tuple[str, str]:
+def figure_documents(sweep: dict[int, ModulusSummary]) -> tuple[str, str]:
     """(fig1, fig2) plot data, read from each modulus's Table 1 summary:
     E_max against phi(m), the restricted family's pair count; fig2 adds
     the quadratic / quadratic-log reference curves."""
-    from . import summaries
-
     fig1, fig2 = [FIG1_HEADER], [GROWTH_HEADER]
-    for m, sets in sweep.items():
-        s = summaries.summarize_modulus(sets, m)
+    for m, s in sweep.items():
         row = f"{m},{s.unrestricted.e_max},{s.restricted.pairs}"
         fig1.append(row)
         lnm = math.log(m)
@@ -559,13 +566,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ok = got == ()
         lines.append(f"ternary: violations {list(got)} -> {'PASS' if ok else 'FAIL'}")
     else:  # asy
-        from . import summaries
-
         sweep = compute_sweep(config.replace(m_min=2, m_max=50))
         worst = max(
-            summaries.summarize_modulus(sets, m).unrestricted.e_max
-            / (m * m * math.log(m) ** 2)
-            for m, sets in sweep.items() if m >= 4
+            s.unrestricted.e_max / (m * m * math.log(m) ** 2)
+            for m, s in sweep.items() if m >= 4
         )
         lines.append(
             f"max over computed m of E_max(m)/(m^2 (ln m)^2) = {worst:.6f} "
@@ -595,10 +599,7 @@ def cmd_heuristic(args: argparse.Namespace) -> int:
         f"(tail bound {est.tail_bound:.3g})",
     ]
     if config.cache_dir is not None:
-        from . import summaries
-
-        sets = compute_sweep(config.replace(m_min=m, m_max=m))[m]
-        u = summaries.summarize_modulus(sets, m).unrestricted
+        u = compute_sweep(config.replace(m_min=m, m_max=m))[m].unrestricted
         lines.append(f"observed: L_avg = {u.e_count_mult / u.pairs:.6f}, E_max = {u.e_max}")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

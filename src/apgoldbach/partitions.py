@@ -35,7 +35,7 @@ them in order.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -125,15 +125,13 @@ class AdmissiblePair:
         return (self.a + self.b) % self.m
 
 
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(NamedTuple):
     n: int
     p: int
     q: int
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(NamedTuple):
     """All even n <= N in a pair's class with no representation."""
 
     elements: tuple[int, ...]
@@ -428,8 +426,7 @@ def exceptional_sets_for_modulus(
 # The explicit conjectures, each reduced to exceptional sets
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """Even multiples n of modulus with no representation p + q where
     p = residue and q = -residue (mod modulus)."""
 

@@ -4,10 +4,12 @@ The input for one modulus m maps every ordered admissible pair (a, b) to
 the sorted elements of E_{a,b,m}, as partitions.exceptional_sets_for_modulus
 returns them; exceptional_sets_from_double derives that input for m from
 the input for 2m.  The module needs only math and integers, so a sweep
-whose every miss is derived loads no engine and no numpy.  The figure
-documents, built in cli, read E_max and phi(m) from the same Table 1
-summary: phi(m) is the restricted family's pair count, one pair (a, -a)
-per unit a.
+whose every miss is derived loads no engine and no numpy.
+
+cli.compute_sweep returns, in place of the sets, one ModulusSummary per
+modulus: its Table 1 row, with its Table 2 row as the `empty` field.  The
+documents read only those; the figures read E_max and phi(m), which is
+the restricted family's pair count, one pair (a, -a) per unit a.
 
 Every aggregate is an integer; an average or a percentage is kept as its
 numerator and denominator and rounded only at emission, exactly, in
@@ -81,12 +83,23 @@ class FamilyStats(NamedTuple):
     e_count_mult: int
 
 
+class EmptyPairCount(NamedTuple):
+    m: int
+    z_m: int
+    total_pairs: int
+
+    def csv_row(self) -> str:
+        return f"{self.m},{self.z_m},{format_percent(self.z_m, self.total_pairs)}"
+
+
 class ModulusSummary(NamedTuple):
-    """One table row: restricted (b = -a) and unrestricted aggregates."""
+    """One Table 1 row, restricted (b = -a) and unrestricted aggregates,
+    and the modulus's Table 2 row."""
 
     m: int
     restricted: FamilyStats
     unrestricted: FamilyStats
+    empty: EmptyPairCount
 
     def csv_row(self) -> str:
         parts = [str(self.m)]
@@ -110,26 +123,14 @@ TABLE1_HEADER = (
 TABLE2_HEADER = "m,count,percent"
 
 
-class EmptyPairCount(NamedTuple):
-    m: int
-    z_m: int
-    total_pairs: int
-
-    def csv_row(self) -> str:
-        return f"{self.m},{self.z_m},{format_percent(self.z_m, self.total_pairs)}"
-
-
-def _require_complete(sets: ModulusSets, m: int) -> list[int]:
+def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
+    """The twelve aggregates over ordered admissible pairs for m, and the
+    count of those pairs whose set is empty."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    missing = [(a, b) for a in units for b in units if (a, b) not in sets]
+    all_pairs = [(a, b) for a in units for b in units]
+    missing = [key for key in all_pairs if key not in sets]
     if missing:
         raise ValueError(f"missing ordered pairs for m={m}: {missing}")
-    return units
-
-
-def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
-    """The twelve aggregates over ordered admissible pairs for m."""
-    units = _require_complete(sets, m)
 
     def stats(pairs) -> FamilyStats:
         family = [sets[key] for key in pairs]
@@ -143,17 +144,14 @@ def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
             e_count_mult=sum(lengths),
         )
 
-    all_pairs = [(a, b) for a in units for b in units]
-    restricted_pairs = [(a, (-a) % m) for a in units]
     return ModulusSummary(
         m=m,
-        restricted=stats(restricted_pairs),
+        restricted=stats([(a, (-a) % m) for a in units]),
         unrestricted=stats(all_pairs),
+        empty=EmptyPairCount(m, sum(not sets[key] for key in all_pairs), len(all_pairs)),
     )
 
 
 def count_empty_pairs(sets: ModulusSets, m: int) -> EmptyPairCount:
-    """Ordered admissible pairs whose exceptional set is empty."""
-    units = _require_complete(sets, m)
-    z = sum(1 for a in units for b in units if not sets[(a, b)])
-    return EmptyPairCount(m=m, z_m=z, total_pairs=len(units) ** 2)
+    """summarize_modulus's Table 2 row: the ordered pairs with an empty set."""
+    return summarize_modulus(sets, m).empty

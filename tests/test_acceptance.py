@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.  The full sweep to m = 50 at N = 10^6 is computed once and
-shared.
+shared: one summary per modulus, which holds its Table 1 and Table 2 rows.
 """
 
 import math
@@ -20,12 +20,7 @@ from apgoldbach.partitions import (
     verify_conjecture_samples,
     verify_ternary,
 )
-from apgoldbach.summaries import (
-    TABLE1_HEADER,
-    TABLE2_HEADER,
-    count_empty_pairs,
-    summarize_modulus,
-)
+from apgoldbach.summaries import TABLE1_HEADER, TABLE2_HEADER
 from oracles import (
     coupon_tail_inclusion_exclusion,
     naive_exceptional_set,
@@ -62,9 +57,7 @@ def test_criterion_1_explicit_sets():
 def test_criterion_2_table1(sweep_m50):
     expected_lines = (DATA_DIR / "table1_m50.csv").read_text().splitlines()
     assert expected_lines[0] == TABLE1_HEADER
-    got_lines = [TABLE1_HEADER] + [
-        summarize_modulus(sets, m).csv_row() for m, sets in sweep_m50.items()
-    ]
+    got_lines = [TABLE1_HEADER] + [s.csv_row() for s in sweep_m50.values()]
     mismatches = [
         (g, e) for g, e in zip(got_lines, expected_lines) if g != e
     ]
@@ -77,7 +70,7 @@ def test_criterion_2_table1(sweep_m50):
 
 def test_criterion_3_table2(sweep_m50):
     expected = (DATA_DIR / "table2_m50.csv").read_text()
-    rows = [count_empty_pairs(sets, m).csv_row() for m, sets in sweep_m50.items()]
+    rows = [s.empty.csv_row() for s in sweep_m50.values()]
     got = "\n".join([TABLE2_HEADER] + rows) + "\n"
     _report("3 table-2 counts and percents m<=50", got == expected)
 
@@ -179,10 +172,10 @@ def test_criterion_9_survivor_diagnostic():
 
 def test_criterion_10_growth_bound(sweep_m50):
     worst = None
-    for m, sets in sweep_m50.items():
+    for m, s in sweep_m50.items():
         if m < 8:
             continue
-        e_max = summarize_modulus(sets, m).unrestricted.e_max
+        e_max = s.unrestricted.e_max
         assert e_max < 16 * m * m, (m, e_max)
         ratio = e_max / (16 * m * m)
         if worst is None or ratio > worst[1]:

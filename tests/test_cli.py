@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import cli, partitions, primes
+from apgoldbach import cli, partitions, primes, summaries
 from apgoldbach.cli import (
     EXIT_FAIL,
     EXIT_IO,
@@ -28,6 +28,7 @@ from apgoldbach.cli import (
     EXIT_USAGE,
     RunConfig,
     compute_sweep,
+    figure_documents,
     load_cache_entry,
     main,
     save_cache_entry,
@@ -73,6 +74,14 @@ def _count_engine_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(cli, "exceptional_sets_for_modulus", counted)
     return moduli
+
+
+def _swept(cache: Path, **config) -> tuple[dict, dict]:
+    """(summaries, sets) of a sweep into the fresh cache directory
+    `cache`, the sets read back from the files it wrote."""
+    config = RunConfig(cache_dir=cache, **config)
+    sweep = compute_sweep(config)
+    return sweep, {m: load_cache_entry(cache, m, config.N) for m in config.moduli}
 
 
 def _assert_no_children():
@@ -363,32 +372,48 @@ class TestTables:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert RunConfig(threads=0).worker_count == 8
 
-    def test_pool_capped_at_missing_moduli(self, monkeypatch):
+    def test_pool_capped_at_missing_moduli(self, monkeypatch, tmp_path):
         # one share per worker and no more shares than moduli: two moduli
         # on eight workers run in this process and one child
         forks = _count_forks(monkeypatch)
-        sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=8))
+        parallel = _swept(tmp_path / "parallel", N=10**4, m_min=4, m_max=6, threads=8)
         assert len(forks) == 1
-        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
+        assert parallel == _swept(tmp_path / "serial", N=10**4, m_min=4, m_max=6, threads=1)
         _assert_no_children()
 
     def test_sweep_runs_the_engine_only_where_the_double_is_out_of_range(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         # 2, 4 and 6 are derived from 4, 8 and 12
         calls = _count_engine_calls(monkeypatch)
-        sweep = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=12, threads=1))
+        _, sets = _swept(tmp_path, N=10**4, m_min=2, m_max=12, threads=1)
         assert sorted(calls) == [8, 10, 12]
-        assert sweep == {m: exceptional_sets_for_modulus(m, 10**4) for m in range(2, 13, 2)}
+        assert sets == {m: exceptional_sets_for_modulus(m, 10**4) for m in range(2, 13, 2)}
 
-    def test_pool_gets_only_the_computed_moduli(self, monkeypatch):
+    def test_pool_gets_only_the_computed_moduli(self, monkeypatch, tmp_path):
         # of m = 2, ..., 8 only 6 and 8 are computed: one share here and
         # one child, however many workers
         forks = _count_forks(monkeypatch)
-        sweep = compute_sweep(RunConfig(N=10**4, m_min=2, m_max=8, threads=8))
+        parallel = _swept(tmp_path / "parallel", N=10**4, m_min=2, m_max=8, threads=8)
         assert len(forks) == 1
-        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=2, m_max=8, threads=1))
+        assert parallel == _swept(tmp_path / "serial", N=10**4, m_min=2, m_max=8, threads=1)
         _assert_no_children()
+
+    def test_workers_send_back_only_the_sets_still_to_derive(self, monkeypatch):
+        # m <= 12 computes 8, 10 and 12; only 8 and 12 have a half, 4 and
+        # 6, to derive, so only their sets cross the pipe or stay here
+        sent = []
+        real = cli.fork_map
+
+        def recorded(fn, shares):
+            results = real(fn, shares)
+            sent.extend(result for share in results for result in share)
+            return results
+
+        monkeypatch.setattr(cli, "fork_map", recorded)
+        compute_sweep(RunConfig(N=10**4, m_max=12, threads=2))
+        assert sorted(summary.m for summary, _ in sent) == [8, 10, 12]
+        assert sorted(summary.m for summary, sets in sent if sets is not None) == [8, 12]
 
     def test_miss_derived_from_a_cached_double(self, monkeypatch, tmp_path, table_1e5):
         # 6 and 8 are cached and 4 is derived from 8: no engine call, no
@@ -404,8 +429,9 @@ class TestTables:
             RunConfig(N=10**4, m_min=4, m_max=8, threads=2, cache_dir=tmp_path)
         )
         assert calls == forks == []
-        assert sweep[4] == exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
-        assert load_cache_entry(tmp_path, 4, 10**4) == sweep[4]
+        sets = exceptional_sets_for_modulus(4, 10**4, table=table_1e5)
+        assert load_cache_entry(tmp_path, 4, 10**4) == sets
+        assert sweep[4] == summaries.summarize_modulus(sets, 4)
 
     def test_moduli_dealt_heaviest_first(self):
         # phi(m)^2/m: m = 8 costs 2, m = 4 costs 1, m = 6 and m = 2 less
@@ -427,12 +453,12 @@ class TestTables:
         # a 1 MiB budget where that of 2 does not
         compute_sweep(RunConfig(N=10**6, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
-        assert compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1,
-                                       cache_dir=tmp_path))[2] == {(1, 1): (2, 4)}
+        compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1, cache_dir=tmp_path))
+        assert load_cache_entry(tmp_path, 2, 10**6) == {(1, 1): (2, 4)}
         with pytest.raises(MemoryBudgetError, match="reserved"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
 
-    def test_sweep_sieves_once_before_it_forks(self, monkeypatch):
+    def test_sweep_sieves_once_before_it_forks(self, monkeypatch, tmp_path):
         # the parent sieves the one table and the workers inherit it: a
         # sieve in a child would fail the sweep
         parent, events = os.getpid(), []
@@ -450,9 +476,9 @@ class TestTables:
 
         monkeypatch.setattr(partitions, "sieve_primes", recorded_sieve)
         monkeypatch.setattr(os, "fork", recorded_fork)
-        sweep = compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=2))
+        parallel = _swept(tmp_path / "parallel", N=10**4, m_min=4, m_max=6, threads=2)
         assert events == ["sieve", "fork"]
-        assert sweep == compute_sweep(RunConfig(N=10**4, m_min=4, m_max=6, threads=1))
+        assert parallel == _swept(tmp_path / "serial", N=10**4, m_min=4, m_max=6, threads=1)
         _assert_no_children()
 
 
@@ -720,6 +746,24 @@ class TestFigures:
             "fig1.csv": "4d4ae1b4cd9eaa942bdf94830b6b7bb3",
             "fig2.csv": "7f0631230b58e73aad29843e43bbe914",
         }
+
+
+def test_documents_read_only_the_summaries(capsys, monkeypatch, tmp_path):
+    # the sweep summarizes each modulus where its sets are made; the
+    # documents print the CLI's bytes from its summaries alone
+    argv = ["--m-max", "12", "--limit", "10000", "--threads", "2"]
+    tables = {which: run(capsys, which, *argv)[1] for which in ("table1", "table2")}
+    assert run(capsys, "figures", *argv, "--output-dir", str(tmp_path))[0] == EXIT_OK
+    sweep = compute_sweep(RunConfig(N=10**4, m_max=12, threads=2))
+
+    def no_sets(sets, m):
+        raise AssertionError("a document summarized the sets")
+
+    monkeypatch.setattr(summaries, "summarize_modulus", no_sets)
+    for which, out in tables.items():
+        assert table_document(which, sweep) == out
+    assert figure_documents(sweep) == tuple(
+        (tmp_path / name).read_text() for name in ("fig1.csv", "fig2.csv"))
 
 
 # The whole report of each verify target at --limit 100000, byte for byte.
@@ -1154,6 +1198,16 @@ def _checksummed(sets) -> dict:
 @example(doc=_checksummed(5))
 @example(doc=_checksummed([]))
 @example(doc=_checksummed([[1, 1, ["2"]], [1, 3, []], [3, 3, []]]))
+# sets of the right pairs and types, mod 4 at 10^4, that are not sets of
+# the pairs: out of order, a pair twice, an element below 2 or off its
+# class, a string for a list
+@example(doc=_checksummed([[1, 1, [6, 2]], [1, 3, []], [3, 3, []]]))
+@example(doc=_checksummed([[1, 1, [2, 6, 14, 38, 62]], [1, 3, [4]], [3, 3, [2]],
+                           [1, 1, [2, 6]]]))
+@example(doc=_checksummed([[1, 1, [2, 6, 14, 38, 62]], [1, 3, [4]], [3, 1, []], [3, 3, [2]]]))
+@example(doc=_checksummed([[1, 1, [-2, 2, 6, 14, 38, 62]], [1, 3, [4]], [3, 3, [2]]]))
+@example(doc=_checksummed([[1, 1, [2, 6, 14, 38, 62, 64]], [1, 3, [4]], [3, 3, [2]]]))
+@example(doc=_checksummed([[1, 1, ""], [1, 3, [4]], [3, 3, [2]]]))
 @settings(max_examples=40, deadline=None)
 def test_cache_file_of_any_json_is_recomputed_property(doc):
     # whatever valid JSON the exact-key file holds, table1 warns once and

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -528,7 +527,7 @@ class TestTernary:
         def with_extra(pair, N, **kwargs):
             es = real(pair, N, **kwargs)
             if pair == AdmissiblePair(5, 5, 6):
-                es = dataclasses.replace(es, elements=tuple(sorted(es.elements + extra)))
+                es = es._replace(elements=tuple(sorted(es.elements + extra)))
             return es
 
         monkeypatch.setattr(partitions, "exceptional_set", with_extra)

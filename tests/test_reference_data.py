@@ -4,8 +4,10 @@ m = 50 that they pin.
 table1_m200.csv and table2_m200.csv are the stdout of `table1` and `table2
 --m-max 200` at N = 2*10^5; at N = 10^7 both commands print the same bytes,
 since every set of m <= 200 ends below 2*10^5 (the largest element is
-104,494).  Such a sweep derives every m <= 100 from 2m; the sweep of
-m = 180-200 computes each of its moduli, and m = 90-100 are derived from it.
+104,494).  Such a sweep derives every m <= 100 from 2m, and the whole
+sweep is checked against both tables.  The sweep of m = 180-200 computes
+each of its moduli, in one stage-1 window or in several, and m = 90-100
+are derived here from the sets it writes to its cache.
 """
 
 import hashlib
@@ -15,9 +17,16 @@ from pathlib import Path
 import pytest
 
 from apgoldbach import partitions, summaries
-from apgoldbach.cli import RunConfig, compute_sweep, figure_documents, table_document
+from apgoldbach.cli import (
+    RunConfig,
+    compute_sweep,
+    figure_documents,
+    load_cache_entry,
+    table_document,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
+N = 2 * 10**5
 
 # A reference regenerated from changed code fails here, in review, instead
 # of passing every output check that reads it.
@@ -39,23 +48,37 @@ def _frozen_rows(name: str, moduli: range) -> str:
     return "\n".join([header] + [r for r in rows if int(r.split(",")[0]) in moduli]) + "\n"
 
 
+@pytest.fixture(scope="module")
+def sweep_m200():
+    return compute_sweep(RunConfig(N=N, m_max=200, threads=2))
+
+
+@pytest.mark.parametrize("which", ["table1", "table2"])
+def test_every_modulus_to_200_matches_the_frozen_tables(sweep_m200, which):
+    assert table_document(which, sweep_m200) == (DATA_DIR / f"{which}_m200.csv").read_text()
+
+
 @pytest.fixture(scope="module", params=[None, 1 << 15], ids=["one-window", "several-windows"])
-def sweep_m180_200(request):
+def sweep_m180_200(request, tmp_path_factory):
+    """The summaries of m = 180-200, and the cache directory that holds
+    their sets."""
     # M = min(bound, N) is N itself for each of these moduli at 2*10^5.
     # A row has at most 1,112 candidates, so the default window holds a
     # whole stage-1 pass over a class's rows; 2^15 candidates a window cut
     # the passes over many rows into 2-4 windows.  The workers fork after
     # the patch and inherit it.
+    cache = tmp_path_factory.mktemp("m180_200")
     with pytest.MonkeyPatch.context() as patch:
         if request.param is not None:
             patch.setattr(partitions, "_MARK_BLOCK", request.param)
-        return compute_sweep(RunConfig(N=2 * 10**5, m_min=180, m_max=200, threads=2))
+        config = RunConfig(N=N, m_min=180, m_max=200, threads=2, cache_dir=cache)
+        return compute_sweep(config), cache
 
 
 @pytest.mark.parametrize("which", ["table1", "table2"])
 def test_moduli_180_to_200_match_the_frozen_tables(sweep_m180_200, which):
     expected = _frozen_rows(f"{which}_m200.csv", range(180, 201))
-    assert table_document(which, sweep_m180_200) == expected
+    assert table_document(which, sweep_m180_200[0]) == expected
 
 
 def test_fig1_matches_the_frozen_e_max_and_a_gcd_count(sweep_m180_200):
@@ -69,11 +92,13 @@ def test_fig1_matches_the_frozen_e_max_and_a_gcd_count(sweep_m180_200):
         m = int(cells[0])
         expected.append(f"{m},{cells[col]},{sum(gcd(a, m) == 1 for a in range(1, m))}")
     assert len(expected) == 12
-    assert figure_documents(sweep_m180_200)[0].splitlines() == expected
+    assert figure_documents(sweep_m180_200[0])[0].splitlines() == expected
 
 
 @pytest.mark.parametrize("which", ["table1", "table2"])
 def test_moduli_90_to_100_derived_match_the_frozen_tables(sweep_m180_200, which):
-    derived = {m: summaries.exceptional_sets_from_double(m, sweep_m180_200[2 * m])
+    cache = sweep_m180_200[1]
+    derived = {m: summaries.exceptional_sets_from_double(m, load_cache_entry(cache, 2 * m, N))
                for m in range(90, 101, 2)}
-    assert table_document(which, derived) == _frozen_rows(f"{which}_m200.csv", range(90, 101))
+    rows = {m: summaries.summarize_modulus(sets, m) for m, sets in derived.items()}
+    assert table_document(which, rows) == _frozen_rows(f"{which}_m200.csv", range(90, 101))

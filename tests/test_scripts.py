@@ -1,11 +1,15 @@
-"""Smoke tests of scripts/, each run as a fresh process at m <= 10, N = 10^4."""
+"""Smoke tests of scripts/ at m <= 10, N = 10^4, each run as a fresh
+process, but for the one that counts the summaries run_tables.py makes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
-from apgoldbach import cli
+import pytest
+
+from apgoldbach import cli, summaries
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ["--m-max", "10", "--limit", "10000", "--threads", "1"]
@@ -35,6 +39,18 @@ def test_run_tables_writes_the_cli_documents(capsys, tmp_path):
     _cli_stdout(capsys, "figures", *SWEEP, "--output-dir", str(figures))
     for fig in ("fig1.csv", "fig2.csv"):
         assert (tmp_path / fig).read_text() == (figures / fig).read_text()
+
+
+def test_run_tables_summarizes_each_modulus_once(capsys, monkeypatch, tmp_path):
+    # in-process on one worker, so that every call is counted here
+    calls, real = [], summaries.summarize_modulus
+    monkeypatch.setattr(summaries, "summarize_modulus",
+                        lambda sets, m: calls.append(m) or real(sets, m))
+    monkeypatch.setattr(sys, "argv", ["run_tables.py", *SWEEP, "--output-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_tables.py"), run_name="__main__")
+    assert exc.value.code == 0
+    assert sorted(calls) == [2, 4, 6, 8, 10]
 
 
 def test_model_vs_observed_prints_one_row_per_modulus():
