@@ -456,10 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(run=cmd_table)
 
     p = sub.add_parser("verify", help="check the explicit conjecture statements")
-    p.add_argument("target", choices=("conj2", "conj3", "ternary", "asy"))
-    p.add_argument("--a", type=int, default=7,
-                   help="residue mod 60 for sample item (vii)")
-    p.set_defaults(run=cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    for target in ("conj2", "conj3", "ternary", "asy"):
+        targets.add_parser(target).set_defaults(run=cmd_verify)
+    targets.choices["conj3"].add_argument("--a", type=int, default=7,
+                                          help="residue mod 60 for sample item (vii)")
 
     p = sub.add_parser("heuristic", help="coupon-collector model report")
     p.add_argument("--m", type=int, required=True)
@@ -467,13 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.5)
     p.set_defaults(run=cmd_heuristic)
 
-    for name, p in sub.choices.items():
+    commands = {**sub.choices, **{f"verify {t}": p for t, p in targets.choices.items()}}
+    del commands["verify"]
+    for name, p in commands.items():
         p.add_argument("--limit", "-N", type=int, default=10**6,
                        help="inclusive search limit for n (default 10^6)")
-        if name != "exceptions":  # the one command that reads no cache
+        sweep = name in ("table1", "table2", "figures", "verify asy")
+        if sweep or name == "heuristic":  # the commands that read the cache
             p.add_argument("--cache-dir", type=Path,
                            default=os.environ.get(CACHE_ENV_VAR) or None)
-        if name != "heuristic":  # its sweep is one modulus, one worker
+        if sweep or name == "exceptions":  # heuristic's sweep is one modulus, one worker
             p.add_argument("--threads", type=int, default=0,
                            help="worker processes, over the moduli of a sweep or the "
                            "windows of one exceptions pair (0 = auto: one per CPU)")
@@ -533,50 +537,37 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check one target at --limit and print its report once every check
     has run; the asy sweep runs over m <= 50 with the rest of the config."""
-    config = _config_from(args)
-    N = config.N
-    lines = []
-    ok = True
-    if args.target != "asy":
-        from . import partitions
-    if args.target == "conj2":
-        sets: dict = {}  # the cases share the three sets mod 4
-        for case in partitions.MOD4_CASES:
-            got = partitions.verify_conjecture_mod4(case, N, sets)
-            expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
-            passed = got == expected
-            ok &= passed
-            lines.append(
-                f"mod-4 case ({case}): violations {list(got)} "
-                f"expected {list(expected)} -> {'PASS' if passed else 'FAIL'}"
-            )
-    elif args.target == "conj3":
-        for item in partitions.SAMPLE_ITEMS:
-            reps = partitions.verify_conjecture_samples(item, N, args.a)  # only (vii) reads a
-            got = tuple(r.violations for r in reps)
-            expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
-            passed = got == expected
-            ok &= passed
-            detail = "; ".join(
-                f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
-            )
-            lines.append(f"sample item ({item}): {detail} -> {'PASS' if passed else 'FAIL'}")
-    elif args.target == "ternary":
-        got = partitions.verify_ternary(N)
-        ok = got == ()
-        lines.append(f"ternary: violations {list(got)} -> {'PASS' if ok else 'FAIL'}")
-    else:  # asy
-        sweep = compute_sweep(config.replace(m_min=2, m_max=50))
+    if args.target == "asy":
+        sweep = compute_sweep(_config_from(args).replace(m_min=2, m_max=50))
         worst = max(
             s.unrestricted.e_max / (m * m * math.log(m) ** 2)
             for m, s in sweep.items() if m >= 4
         )
-        lines.append(
-            f"max over computed m of E_max(m)/(m^2 (ln m)^2) = {worst:.6f} "
-            "(asymptotic claim, no pass/fail)"
-        )
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_FAIL
+        print(f"max over computed m of E_max(m)/(m^2 (ln m)^2) = {worst:.6f} "
+              "(asymptotic claim, no pass/fail)")
+        return EXIT_OK
+    from . import partitions
+
+    N = RunConfig(N=args.limit).N
+    checks = []  # (report line before its verdict, passed)
+    if args.target == "conj2":
+        for case, got in partitions.verify_conjecture_mod4(N).items():
+            expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
+            checks.append((f"mod-4 case ({case}): violations {list(got)} "
+                           f"expected {list(expected)}", got == expected))
+    elif args.target == "conj3":
+        for item, reps in partitions.verify_conjecture_samples(N, args.a).items():
+            expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
+            detail = "; ".join(
+                f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
+            )
+            checks.append((f"sample item ({item}): {detail}",
+                           tuple(r.violations for r in reps) == expected))
+    else:
+        got = partitions.verify_ternary(N)
+        checks.append((f"ternary: violations {list(got)}", got == ()))
+    sys.stdout.write("".join(f"{line} -> {'PASS' if ok else 'FAIL'}\n" for line, ok in checks))
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_FAIL
 
 
 def cmd_heuristic(args: argparse.Namespace) -> int:

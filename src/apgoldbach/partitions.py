@@ -455,43 +455,23 @@ def _progression_violations(m0: int, r: int, N: int) -> ViolationReport:
     return ViolationReport(m0, r % m0, _violations(m0, r, -r, N))
 
 
-MOD4_CASES = ("i", "ii", "iii", "iv")
-
-# (a, b) mod 4 of the exceptional set that is exactly the case's violations
-_MOD4_PAIRS = {"ii": (1, 3), "iii": (3, 3), "iv": (1, 1)}
-
-
-def verify_conjecture_mod4(
-    case: str, N: int, memo: Optional[dict[tuple[int, int, int], tuple[int, ...]]] = None
-) -> tuple[int, ...]:
-    """Violations of the stated mod-4 representation case up to N.
+def verify_conjecture_mod4(N: int) -> dict[str, tuple[int, ...]]:
+    """Violations of the four mod-4 representation cases up to N, keyed
+    "i" to "iv".
 
     Cases: (i) even n > 4 with p = 3 mod 4 and q unrestricted;
     (ii) n = 0 mod 4 with p = 1, q = 3 mod 4; (iii) n = 2 mod 4 with
     p = q = 3 mod 4; (iv) n = 2 mod 4 with p = q = 1 mod 4.  Cases
     (ii)-(iv) report the small exceptions; case (i) excludes n <= 4 by
-    its statement.  `memo` keeps each set E(a, b, 4) up to N it computes,
-    keyed by (a, b, N) with a <= b since E(a, b, 4) = E(b, a, 4); one dict
-    passed to every case computes each of the three sets once.
+    its statement.  Each of E(1, 3, 4), E(3, 3, 4) and E(1, 1, 4) is
+    computed once: case (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4).
     """
-    if case not in MOD4_CASES:
-        raise ValueError(f"unknown case {case!r}, expected one of {MOD4_CASES}")
-    memo = {} if memo is None else memo
-
-    def elements(a: int, b: int) -> tuple[int, ...]:
-        key = (min(a, b), max(a, b), N)
-        if key not in memo:
-            memo[key] = _violations(4, key[0], key[1], N)
-        return memo[key]
-
-    if case != "i":
-        return elements(*_MOD4_PAIRS[case])
+    e13, e33, e11 = (_violations(4, a, b, N) for a, b in ((1, 3), (3, 3), (1, 1)))
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
-    return tuple(sorted(n for b in (1, 3) for n in elements(3, b) if n > 4))
+    case_i = tuple(sorted(n for n in e13 + e33 if n > 4))
+    return {"i": case_i, "ii": e13, "iii": e33, "iv": e11}
 
-
-SAMPLE_ITEMS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 # (modulus, p-residues checked) per item; item vii takes a caller residue.
 _SAMPLE_SPECS = {
@@ -504,31 +484,24 @@ _SAMPLE_SPECS = {
 }
 
 
-def verify_conjecture_samples(
-    item: str, N: int, a: Optional[int] = None
-) -> tuple[ViolationReport, ...]:
-    """Violations for the sample single-progression conjectures.
+def verify_conjecture_samples(N: int, a: int) -> dict[str, tuple[ViolationReport, ...]]:
+    """Violations for the seven sample single-progression conjectures,
+    keyed "i" to "vii".
 
     Each item asserts every even multiple of the stated modulus is p + q
     with p = r and q = -r (mod modulus); item (ii) checks both stated
-    residues, item (vii) checks a caller-supplied residue mod 60.
+    residues, item (vii) the residue a mod 60, which is checked first.
     """
-    if item not in SAMPLE_ITEMS:
-        raise ValueError(f"unknown item {item!r}, expected one of {SAMPLE_ITEMS}")
-
-    if item == "vii":
-        if a is None:
-            raise ValueError("item vii requires a residue a coprime to 60")
-        if math.gcd(a, 60) != 1:
-            raise ValueError(f"a={a} is not coprime to 60")
-        if a % 60 in (1, 59, 11, 49):
-            raise ValueError(
-                f"a={a} is congruent to +-1 or +-11 mod 60, excluded by the statement"
-            )
-        return (_progression_violations(60, a, N),)
-
-    m0, residues = _SAMPLE_SPECS[item]
-    return tuple(_progression_violations(m0, r, N) for r in residues)
+    if math.gcd(a, 60) != 1:
+        raise ValueError(f"a={a} is not coprime to 60")
+    if a % 60 in (1, 59, 11, 49):
+        raise ValueError(
+            f"a={a} is congruent to +-1 or +-11 mod 60, excluded by the statement"
+        )
+    return {
+        item: tuple(_progression_violations(m0, r, N) for r in residues)
+        for item, (m0, residues) in {**_SAMPLE_SPECS, "vii": (60, (a,))}.items()
+    }
 
 
 def verify_ternary(N: int) -> tuple[int, ...]:

@@ -150,8 +150,3 @@ def summarize_modulus(sets: ModulusSets, m: int) -> ModulusSummary:
         unrestricted=stats(all_pairs),
         empty=EmptyPairCount(m, sum(not sets[key] for key in all_pairs), len(all_pairs)),
     )
-
-
-def count_empty_pairs(sets: ModulusSets, m: int) -> EmptyPairCount:
-    """summarize_modulus's Table 2 row: the ordered pairs with an empty set."""
-    return summarize_modulus(sets, m).empty

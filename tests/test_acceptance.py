@@ -85,9 +85,9 @@ def test_criterion_4_mod4_cases():
         "iii": (2,),
         "iv": (2, 6, 14, 38, 62),
     }
+    got = verify_conjecture_mod4(N)
     for case, want in expected.items():
-        got = verify_conjecture_mod4(case, N)
-        assert got == want, (case, got)
+        assert got[case] == want, (case, got[case])
     _report("4 mod-4 conjecture violation sets", True, "case iv uses 38, see notes")
 
 
@@ -100,11 +100,10 @@ def test_criterion_5_sample_conjectures():
         "v": ((),),
         "vi": ((),),
     }
+    reps = verify_conjecture_samples(N, a=7)
     for item, want in expected.items():
-        reps = verify_conjecture_samples(item, N)
-        assert tuple(r.violations for r in reps) == want, item
-    reps = verify_conjecture_samples("vii", N, a=7)
-    assert reps[0].violations == ()
+        assert tuple(r.violations for r in reps[item]) == want, item
+    assert reps["vii"][0].violations == ()
     _report("5 sample conjectures i-vii (a=7)", True)
 
 

@@ -128,6 +128,17 @@ class TestExceptions:
         assert code == EXIT_OK
         assert any(line.startswith("spot check:") for line in out.splitlines())
 
+    @pytest.mark.parametrize("limit,spot", [
+        # 62 is an exception, so the spot check walks down past it
+        (62, "2 6 14 38 62\nstage-1 bound M = 62, survivors resolved in stage 2 = 0, "
+             "confirmed = True\nspot check: 58 = 5 + 53\n"),
+        # every candidate up to 6 is an exception: there is nothing to check
+        (6, "2 6\nstage-1 bound M = 6, survivors resolved in stage 2 = 0, confirmed = True\n"),
+    ])
+    def test_spot_check_skips_the_exceptions(self, capsys, limit, spot):
+        assert run(capsys, "exceptions", "--m", "4", "--a", "1", "--b", "1",
+                   "--limit", str(limit)) == (EXIT_OK, spot, "")
+
     def test_cache_not_read_or_written(self, capsys, monkeypatch, tmp_path):
         # survivor counts depend on N, so exceptions always computes and
         # takes no cache directory (test_cache_dir_only_where_read), not
@@ -798,7 +809,7 @@ class TestVerify:
             EXIT_OK, VERIFY_REPORTS_1E5[target], "")
 
     def test_excluded_residue_exits_2(self, capsys):
-        # item (vii) refuses a = 11 after items (i)-(vi) ran: nothing is printed
+        # a = 11 is refused before any item runs: nothing is printed
         assert run(capsys, "verify", "conj3", "--limit", "1000", "--a", "11") == (
             EXIT_USAGE, "",
             "error: a=11 is congruent to +-1 or +-11 mod 60, excluded by the statement\n")
@@ -834,6 +845,29 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "conj9"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("target,flag", [
+        *((t, f) for t in ("conj2", "conj3", "ternary")
+          for f in ("--threads 2", "--cache-dir /nonexistent")),
+        ("conj2", "--a 11"), ("ternary", "--a 11"), ("asy", "--a 11"),
+    ])
+    def test_flags_only_where_read(self, capsys, target, flag):
+        # only the asy sweep has workers and a cache, and only conj3 has
+        # an item that reads a residue
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", target, "--limit", "1000", *flag.split()])
+        assert exc.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["table1", "--limit", "1"], "search limit must be >= 2, got 1"),
+    (["verify", "conj2", "--limit", "1"], "search limit must be >= 2, got 1"),
+    (["table1", "--m-max", "4", "--limit", "1000", "--threads", "-1"], "threads must be >= 0"),
+    (["heuristic", "--m", "10", "--c", "0"], "c=0.0 must be positive"),
+], ids=["table1-limit", "verify-limit", "threads", "heuristic-c"])
+def test_bad_value_exits_2(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {err}\n")
 
 
 HEURISTIC_M50 = """\

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from apgoldbach import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "apgoldbach"
 MODULES = ("cli", "partitions", "primes", "summaries", "heuristics")
@@ -60,6 +62,18 @@ def _stale_names(text: str) -> list[str]:
         if not _resolves(package, match.group(1)):
             missing.append(match.group())
     return missing
+
+
+def test_readme_cli_examples_parse():
+    # every command of README's CLI code block, its comment cut, is one the
+    # parser takes, so an example that names a refused flag fails here
+    sections = re.split(r"^## ", (ROOT / "README.md").read_text(), flags=re.M)
+    block = next(s for s in sections if s.startswith("CLI\n")).split("```")[1]
+    examples = [line.split("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith("apgoldbach ")]
+    assert examples
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
 
 
 def test_docs_name_only_what_exists():

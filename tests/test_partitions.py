@@ -389,7 +389,7 @@ class TestModulusSweep:
         N = 10**6
         for (a, b, m), expected in EXPLICIT_SETS.items():
             assert exceptional_set(AdmissiblePair(a, b, m), N).elements == expected
-        assert verify_conjecture_mod4("i", N) == ()
+        assert verify_conjecture_mod4(N)["i"] == ()
         assert all(limit <= math.isqrt(N) for limit in limits)
 
     def test_own_sieve_reserves_class_masks(self, monkeypatch):
@@ -417,8 +417,8 @@ class TestModulusSweep:
 
 
 @pytest.mark.parametrize("verify", [
-    functools.partial(verify_conjecture_mod4, "iv"),
-    functools.partial(verify_conjecture_samples, "i"),
+    verify_conjecture_mod4,
+    functools.partial(verify_conjecture_samples, a=7),
     verify_ternary,
 ], ids=["mod4", "samples", "ternary"])
 def test_verifiers_refuse_N_1(verify):
@@ -432,11 +432,7 @@ class TestConjectureMod4:
         [("i", ()), ("ii", (4,)), ("iii", (2,)), ("iv", (2, 6, 14, 38, 62))],
     )
     def test_cases(self, case, expected):
-        assert verify_conjecture_mod4(case, 10**6) == expected
-
-    def test_unknown_case(self):
-        with pytest.raises(ValueError, match="unknown case"):
-            verify_conjecture_mod4("v", 100)
+        assert verify_conjecture_mod4(10**6)[case] == expected
 
     def test_shared_memo_computes_each_set_once(self, monkeypatch):
         # case (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4), which
@@ -449,13 +445,12 @@ class TestConjectureMod4:
             return engine(pair, N)
 
         monkeypatch.setattr(partitions, "exceptional_set", counted)
-        memo = {}
-        got = [verify_conjecture_mod4(case, 10**4, memo) for case in partitions.MOD4_CASES]
+        got = verify_conjecture_mod4(10**4)
         assert sorted(pairs) == [(1, 1), (1, 3), (3, 3)]
-        assert got == [verify_conjecture_mod4(case, 10**4) for case in partitions.MOD4_CASES]
+        assert list(got) == ["i", "ii", "iii", "iv"]
 
     def test_case_i_matches_naive(self):
-        got = verify_conjecture_mod4("i", 10**4)
+        got = verify_conjecture_mod4(10**4)["i"]
         assert list(got) == naive_mod4_case_i(10**4)
 
     def test_case_iv_18_has_representation(self):
@@ -477,27 +472,29 @@ class TestConjectureSamples:
         ],
     )
     def test_items(self, item, expected):
-        reps = verify_conjecture_samples(item, 10**6)
+        reps = verify_conjecture_samples(10**6, a=7)[item]
         assert tuple(r.violations for r in reps) == expected
 
     def test_item_vii(self):
-        reps = verify_conjecture_samples("vii", 10**6, a=7)
+        reps = verify_conjecture_samples(10**6, a=7)["vii"]
         assert reps[0].violations == ()
 
-    def test_item_vii_excluded_residue(self):
+    def test_item_vii_excluded_residue(self, monkeypatch):
+        # a is checked before any item reaches the engine
+        monkeypatch.setattr(partitions, "exceptional_set", None)
         with pytest.raises(ValueError, match="excluded"):
-            verify_conjecture_samples("vii", 100, a=11)
+            verify_conjecture_samples(100, a=11)
         with pytest.raises(ValueError, match="excluded"):
-            verify_conjecture_samples("vii", 100, a=59)
+            verify_conjecture_samples(100, a=59)
 
     def test_item_vii_noncoprime(self):
         with pytest.raises(ValueError, match="coprime"):
-            verify_conjecture_samples("vii", 100, a=6)
+            verify_conjecture_samples(100, a=6)
 
     def test_item_i_matches_progression_set(self):
         # violations mod 3 coincide with the exceptional set for (1, 5) mod 6
         e156 = exceptional_set(AdmissiblePair(1, 5, 6), 10**5)
-        reps = verify_conjecture_samples("i", 10**5)
+        reps = verify_conjecture_samples(10**5, a=7)["i"]
         assert reps[0].violations == e156.elements
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from apgoldbach.partitions import exceptional_sets_for_modulus
 from apgoldbach.summaries import (
-    count_empty_pairs,
     format_average,
     format_percent,
     summarize_modulus,
@@ -74,7 +73,7 @@ def test_relabel_invariance(sets_by_m):
 
 
 def test_empty_pairs_m8(sets_by_m):
-    c = count_empty_pairs(sets_by_m[8], 8)
+    c = summarize_modulus(sets_by_m[8], 8).empty
     assert c.z_m == 3
     empty_keys = {k for k, v in sets_by_m[8].items() if not v}
     assert empty_keys == {(3, 3), (3, 5), (5, 3)}
@@ -82,7 +81,7 @@ def test_empty_pairs_m8(sets_by_m):
 
 
 def test_empty_pairs_m2(sets_by_m):
-    assert count_empty_pairs(sets_by_m[2], 2).z_m == 0
+    assert summarize_modulus(sets_by_m[2], 2).empty.z_m == 0
 
 
 def _rounded(x: Fraction, places: int) -> Fraction:
