@@ -577,7 +577,7 @@ def cmd_heuristic(args: argparse.Namespace) -> int:
     model = heuristics.CouponModel.for_modulus(m)
     k = round(heuristics.g2_estimate(m * m))  # for_modulus took m even, >= 2
     pred = heuristics.predict_bounds(m, args.c, args.delta)
-    est = heuristics.expected_exception_length(m, max(config.N, 10))
+    est = heuristics.expected_exception_length(m, config.N)
     lines = [
         f"m = {m}",
         f"r = {model.r}",

@@ -30,14 +30,19 @@ then each b-window straight from its progression
 (primes.sieve_progression) and packs it once, so its memory is flat in N.
 Its windows are independent, so a caller may pass a share map that runs
 shares of them in other processes (cli.fork_map); the engine itself runs
-them in order.
+them in order.  A pair whose candidates fit in fewer than
+_MIN_SHARE_WINDOWS windows, which would never split, instead sieves its
+whole b-class into one bytearray and runs stage 1 on Python int bitsets
+(_bitset_stage1).  Only the packed kernel (_stage1 and its sources)
+imports numpy, when it first runs, so a process whose pairs are all small
+never loads it.
 """
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from __future__ import annotations
 
-import numpy as np
+import math
+from itertools import compress
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .primes import (
     SIEVE_SEGMENT_SIZE,
@@ -49,6 +54,9 @@ from .primes import (
     sieve_primes,
     sieve_progression,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Stage-1 primes handled with whole-block ORs before the gathers over the
 # remaining candidates may take over.  Past them the ORs go on in groups
@@ -68,12 +76,14 @@ _MARK_BLOCK = 1 << 21
 # and reading back its survivors costs about 4 ms of wall and CPU time,
 # and one window of a mod-4 pair at 2*10^8 about 6.5 ms: from 3 windows
 # up the fork costs at most a fifth of a share, and the verifiers' pairs
-# at 5*10^6 (1-2 windows) stay in one process.
+# at 5*10^6 (1-2 windows) stay in one process.  A pair of modulus m whose
+# candidates fit in fewer windows never splits, and runs stage 1 on int
+# bitsets (_bitset_stage1), without numpy.
 _MIN_SHARE_WINDOWS = 3
 
 # Maps the j ranges of the b-class windows, in order, to the windows, each
 # as (base, copies): bit y of copies[r, k] is entry base + y - r of row k.
-Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, np.ndarray]]]
+Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, "np.ndarray"]]]
 
 # Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
 # a caller's map may run them in other processes.
@@ -89,7 +99,10 @@ _GATHER_BLOCK_ELEMENTS = 1 << 16
 _GATHER_FIRST_ELEMENTS = 1 << 12
 
 # _BIT[y % 8] selects bit y of a packed row within its byte.
-_BIT = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
+_BIT = (128, 64, 32, 16, 8, 4, 2, 1)
+
+# Maps entry bytes 0 and 1 to the digits of int(..., 2).
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def default_stage1_bound(m: int, N: int) -> int:
@@ -103,21 +116,25 @@ def _require_even(m: int) -> None:
                          "(double an odd modulus instead)")
 
 
-@dataclass(frozen=True, order=True)
-class AdmissiblePair:
-    """Residues (a, b) coprime to an even modulus m."""
-
+class _Residues(NamedTuple):
     a: int
     b: int
     m: int
 
-    def __post_init__(self):
-        _require_even(self.m)
-        for r in (self.a, self.b):
-            if not 0 < r < self.m:
-                raise ValueError(f"residue {r} not a canonical unit in (0, {self.m})")
-            if math.gcd(r, self.m) != 1:
-                raise ValueError(f"residue {r} not coprime to modulus {self.m}")
+
+class AdmissiblePair(_Residues):
+    """Residues (a, b) coprime to an even modulus m."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, m: int) -> AdmissiblePair:
+        _require_even(m)
+        for r in (a, b):
+            if not 0 < r < m:
+                raise ValueError(f"residue {r} not a canonical unit in (0, {m})")
+            if math.gcd(r, m) != 1:
+                raise ValueError(f"residue {r} not coprime to modulus {m}")
+        return super().__new__(cls, a, b, m)
 
     @property
     def target_residue(self) -> int:
@@ -177,6 +194,8 @@ class ResidueIndex:
     """
 
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
+        import numpy as np
+
         if table.limit < N:
             raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
@@ -189,6 +208,8 @@ class ResidueIndex:
         must follow each other in `classes`: each window is the rows' copies
         whole from j = 0 and _MARK_BLOCK candidates over the rows, in whole
         bytes, so shift i reads copy i % 8, which holds every j it needs."""
+        import numpy as np
+
         k = self.classes.index(bs[0])
         if self.classes[k : k + len(bs)] != bs:
             raise ValueError(f"classes {bs} are not consecutive in the index")
@@ -212,17 +233,22 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
 
     The a-class up to M is the window [0, (M - a)//m] of its own
     progression, kept only as the indices of its primes.  A window is one
-    sieve segment of candidates; its b-entries, with the span below it,
-    are sieved into one reused buffer behind 7 False entries and packed
-    into eight reused copies.  Before each allocation the budget
-    counts the a-mask, the int64 indices once known, the buffer and the
-    copies once their size is, and the sieve's pattern and base primes.
+    sieve segment of candidates; its b-entries, with the span below it and
+    the 7 entries before that (none below j = 0 is prime), are sieved into
+    one reused bytearray, which a zero-copy view packs into eight reused
+    copies.  Before each allocation the budget counts the a-mask, the
+    int64 indices once known, the buffer and the copies once their size
+    is, and the sieve's pattern, base primes and strike.
     """
-    a, b, m = pair.a, pair.b, pair.m
+    import numpy as np
+
+    a, b, m = pair
     entries = max(0, (M - a) // m + 1)
 
-    def reserve(primes: int, window: int) -> None:
-        sieve = sieve_overhead_bytes(N)
+    def reserve(primes: int, size: int) -> None:
+        width = (size + 7) // 8  # every entry in every copy
+        window = size + 8 * width
+        sieve = sieve_overhead_bytes(N, max(entries, size))
         need = entries + 8 * primes + window + sieve
         check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
                      f"small-prime mask, {8 * primes} of prime indices, {window} of "
@@ -231,19 +257,19 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
     reserve(0, 0)
     pidx = np.zeros(0, dtype=np.int64)
     if entries:
-        amask = next(sieve_progression(a, m, M, [(0, entries)], np.empty(entries, bool)))
-        reserve(int(np.count_nonzero(amask)), 0)
-        pidx = np.flatnonzero(amask)
+        amask = next(sieve_progression(a, m, M, [(0, entries)], bytearray(entries)))
+        reserve(amask.count(1), 0)
+        pidx = np.flatnonzero(np.frombuffer(amask, dtype=bool))
 
     def windows(ranges: list[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
-        size = max(hi - lo for lo, hi in ranges)
-        width = (size + 14) // 8  # every entry in every copy
-        reserve(len(pidx), size + 7 + 8 * width)
-        buf = np.zeros(size + 7, dtype=bool)
-        copies = np.empty((8, 1, width), dtype=np.uint8)
-        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, ranges, buf[7:])):
+        size = max(hi - lo for lo, hi in ranges) + 7
+        reserve(len(pidx), size)
+        buf = bytearray(size)
+        copies = np.empty((8, 1, (size + 7) // 8), dtype=np.uint8)
+        padded = [(lo - 7, hi) for lo, hi in ranges]
+        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, padded, buf)):
             copies.fill(0)
-            pack_copies(buf[: 7 + hi - lo], copies[:, 0])
+            pack_copies(np.frombuffer(buf, dtype=bool, count=7 + hi - lo), copies[:, 0])
             yield lo, copies
 
     return pidx, windows, SIEVE_SEGMENT_SIZE
@@ -273,6 +299,9 @@ def _stage1(
     share = (k, K) runs only windows k, k + K, k + 2K, ...; share 0 also
     holds a + b - m.  The K shares' lists, merged, are the unsplit lists.
     """
+    import numpy as np
+
+    bit = np.array(_BIT, dtype=np.uint8)
     last = np.array([(N - a - b) // m for b in bs])  # largest s per row
     count = int(last.max()) + 1
     span = int(pidx[-1]) if len(pidx) else 0
@@ -319,7 +348,7 @@ def _stage1(
             w = max(1, elements // len(s))
             y = (s - base)[:, None] - tail[start : start + w][None, :]
             hit = bits0.take((row * width)[:, None] + (y >> 3))
-            hit &= _BIT.take(y & 7)
+            hit &= bit.take(y & 7)
             hit *= y >= 0
             keep = ~hit.any(axis=1)
             row, s = row[keep], s[keep]
@@ -335,6 +364,62 @@ def _stage1(
     ]
 
 
+def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
+    """Stage 1 of one pair on Python int bitsets: the candidates n <= N
+    not representable with p <= M, ascending, as _stage1 finds them.
+
+    The b-class, entries 0 to the largest s, is sieved into one bytearray
+    and read as the bitset B whose bit count - 1 - j is entry j, so that
+    shift i, which marks s where entry s - i is prime, is B >> i.  The
+    first _VECTOR_PHASE_PRIMES shifts OR into the marks; each unset bit
+    left then tries the remaining prime indices i <= s in order, on the
+    entry bytes, up to its first hit.  Before it allocates, the budget
+    counts the a-mask, the b-class bytes, their digit copy, the scan
+    string, four bitsets (B, the marks and two temporaries) and the
+    sieve's pattern, base primes and strike.
+    """
+    a, b, m = pair
+    entries = max(0, (M - a) // m + 1)
+    count = max(0, (N - a - b) // m + 1)  # candidates s = 0, ..., count - 1
+    bitsets = 4 * (count // 8 + 1)
+    sieve = sieve_overhead_bytes(N, max(entries, count))
+    need = entries + 3 * count + bitsets + sieve
+    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
+                 f"small-prime mask, {3 * count} of entries, their digits and scan, "
+                 f"{bitsets} of bitsets, {sieve} of sieve pattern and base primes)")
+    pidx: list[int] = []
+    if entries:
+        amask = next(sieve_progression(a, m, M, [(0, entries)], bytearray(entries)))
+        pidx = list(compress(range(entries), amask))
+    found = [a + b - m] * (2 <= a + b - m <= N)
+    if not count:
+        return found
+    entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(count)))
+    B = int(entry.translate(_BINARY_DIGITS), 2)
+    marks = 1 << count  # a leading 1 keeps the digits of every s in bin()
+    for i in pidx[:_VECTOR_PHASE_PRIMES]:
+        marks |= B >> i
+    del B  # before the scan string: the peak stays near 2.2 bytes an entry
+    scan = bin(marks)  # "0b1", then the digit of s at 3 + s
+    del marks
+    tail = pidx[_VECTOR_PHASE_PRIMES:]
+
+    def hit(s: int) -> bool:  # some remaining prime index i <= s marks s
+        for i in tail:
+            if i > s:
+                return False
+            if entry[s - i]:
+                return True
+        return False
+
+    x = scan.find("0", 3)
+    while x >= 0:
+        if not hit(x - 3):
+            found.append(a + b + (x - 3) * m)
+        x = scan.find("0", x + 1)
+    return found
+
+
 def _stage1_unresolved(
     pair: AdmissiblePair,
     N: int,
@@ -346,23 +431,30 @@ def _stage1_unresolved(
 
     The b-class is sieved one window at a time (_sieved_source).  The
     windows are split into as many shares as `workers` allows while each
-    gets _MIN_SHARE_WINDOWS, and share_map runs the shares.
+    gets _MIN_SHARE_WINDOWS, and share_map runs the shares.  Where every
+    pair of modulus m has fewer windows, which never split, the one share
+    runs _bitset_stage1 instead.
     """
-    a, b, m = pair.a, pair.b, pair.m
-    pidx, windows, step = _sieved_source(pair, N, M)
-    count = len(range(0, (N - a - b) // m + 1, step))
-    shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
-    parts = share_map(
-        lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0], range(shares)
-    )
-    return sorted(n for part in parts for n in part)
+    a, b, m = pair
+    if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
+        shares, run = 1, lambda k: _bitset_stage1(pair, N, M)
+    else:
+        pidx, windows, step = _sieved_source(pair, N, M)
+        count = len(range(0, (N - a - b) // m + 1, step))
+        shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
+        run = lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0]
+    return sorted(n for part in share_map(run, range(shares)) for n in part)
 
 
-def _resolved(pair: AdmissiblePair, M: int, survivors: list[int]) -> tuple[int, ...]:
-    """The elements among stage 1's survivors.  Stage 1 tried every prime
-    p = a (mod m) up to M, so an unmarked n <= M + 2 has no
-    representation, and only the survivors above it go to find_witness,
-    which tries only p > M."""
+def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
+    """The elements among stage 1's ascending survivors for (a, b) mod m.
+    Stage 1 tried every prime p = a (mod m) up to M, so an unmarked n <=
+    M + 2 has no representation, and only the survivors above it go to
+    find_witness, which tries only p > M; the pair is built only if one
+    does."""
+    if not survivors or survivors[-1] <= M + 2:
+        return tuple(survivors)
+    pair = AdmissiblePair(a, b, m)
     return tuple(
         n for n in survivors if n <= M + 2 or find_witness(n, pair, start=M + 1) is None
     )
@@ -388,7 +480,7 @@ def exceptional_set(
     if M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
     survivors = _stage1_unresolved(pair, N, M, workers, share_map)
-    elements = _resolved(pair, M, survivors)
+    elements = _resolved(*pair, M, survivors)
     return ExceptionalSet(elements, len(survivors) - len(elements))
 
 
@@ -418,7 +510,7 @@ def exceptional_sets_for_modulus(
     for k, a in enumerate(units):
         bs = units[k:]
         for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
-            out[(a, b)] = out[(b, a)] = _resolved(AdmissiblePair(a, b, m), M, survivors)
+            out[(a, b)] = out[(b, a)] = _resolved(a, b, m, M, survivors)
     return dict(sorted(out.items()))
 
 

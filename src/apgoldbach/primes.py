@@ -1,19 +1,23 @@
 """Prime generation and deterministic primality testing.
 
 Provides one segmented sieve along a progression b + j*m, window by window
-(sieve_progression); the bit-packed table over the odd numbers
-(PrimeTable) that sieve_primes builds from its case m = 2, b = 1; a
-deterministic Miller-Rabin test valid for the full 64-bit range; and
-extraction of the primes of fixed residue classes from a table
-(PrimeTable.mask, the one place that maps a table's primes to their
-class).
+(sieve_progression), which strikes a bytearray and imports no numpy; the
+bit-packed table over the odd numbers (PrimeTable) that sieve_primes
+builds from its case m = 2, b = 1; a deterministic Miller-Rabin test valid
+for the full 64-bit range; and extraction of the primes of fixed residue
+classes from a table (PrimeTable.mask, the one place that maps a table's
+primes to their class).  Only the table and the packed copies use numpy,
+which they import when called.
 """
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from __future__ import annotations
 
-import numpy as np
+import math
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Segment size (odd entries) for the table's sieve; sized to stay
 # cache-resident.
@@ -58,8 +62,7 @@ def check_budget(need: int, detail: str) -> None:
             f"{detail}, over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte budget")
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(NamedTuple):
     """Exact primality knowledge over [2, limit], bit-packed over the odd
     numbers; the prime 2 is implicit.
 
@@ -67,7 +70,7 @@ class PrimeTable:
     """
 
     limit: int
-    bits: np.ndarray = field(repr=False)  # packed, bit i <-> 2i + 1; 0 past limit
+    bits: np.ndarray  # packed, bit i <-> 2i + 1; 0 past limit
 
     def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray) -> None:
         """Primality along the progressions b + j*m for each b in classes,
@@ -81,6 +84,8 @@ class PrimeTable:
         chunk of about _CLASS_CHUNK entries at a time and packs each
         class's column; no (hi + 1)-entry array is ever built.
         """
+        import numpy as np
+
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         if m < 2 or m % 2 or any(b % 2 == 0 or not 0 < b < m for b in classes):
@@ -102,52 +107,61 @@ def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
     """OR runs of bool entries into eight bit-shifted packed copies.
 
     padded[..., 7:] are entries start, start + 1, ... (start a multiple of
-    8) of each row and padded[..., :7] are False; out[r] has the same
-    leading axes.  Bit y of out[r], in np.packbits order, is
-    entry y - r, so a shift s is whole bytes of copy s % 8 at byte offset
-    s // 8.  Bits past out's width are dropped; bytes shared with a
-    neighbouring run are ORed, so the runs of one out may come in any
-    order.
+    8) of each row and padded[..., :7] are the entries start - 7, ...,
+    start - 1 or False; out[r] has the same leading axes.  Bit y of
+    out[r], in np.packbits order, is entry y - r, so a shift s is whole
+    bytes of copy s % 8 at byte offset s // 8.  Bits past out's width are
+    dropped; bytes shared with a neighbouring run are ORed, so the runs of
+    one out may come in any order.
     """
+    import numpy as np
+
     for r in range(8):
         packed = np.packbits(padded[..., 7 - r :], axis=-1)
         dest = out[r, ..., start >> 3 :]
         dest[..., : packed.shape[-1]] |= packed[..., : dest.shape[-1]]
 
 
-def sieve_overhead_bytes(limit: int) -> int:
-    """Bytes sieve_progression holds beside its output buffer: two periods
-    of the presieve pattern and the sieve of the base primes up to
-    sqrt(limit)."""
-    return 2 * _PRESIEVE_PERIOD + math.isqrt(limit) + 1
+def sieve_overhead_bytes(limit: int, window: int) -> int:
+    """Bytes sieve_progression holds beside its `window`-byte output
+    buffer: two periods of the presieve pattern, the sieve of the base
+    primes up to sqrt(limit), and the zeros of one strike, which cover at
+    most a third of the pattern, half of the base-prime sieve or a 17th
+    of the buffer."""
+    root = math.isqrt(limit)
+    strike = max(2 * _PRESIEVE_PERIOD // 3, (root + 1) // 2, window // 17) + 1
+    return 2 * _PRESIEVE_PERIOD + root + 1 + strike
 
 
 def sieve_progression(
-    b: int, m: int, limit: int, windows: Iterable[tuple[int, int]], out: np.ndarray
-) -> Iterator[np.ndarray]:
+    b: int, m: int, limit: int, windows: Iterable[tuple[int, int]], out: bytearray
+) -> Iterator[bytearray]:
     """Segmented sieve of Eratosthenes along the progression b + j*m.
 
-    For each window (lo, hi) of j, in the order given, yields out[:hi - lo]
-    with entry x True iff b + (lo + x)*m is prime.  The answer is exact for
-    values up to `limit`; windows must not pass it.  m is even and b a unit
-    mod m, so every entry is odd; sieve_primes is the case m = 2, b = 1.
-    `out` is reused: each window overwrites the last.
+    For each window (lo, hi) of j, in the order given, writes hi - lo
+    bytes to the front of `out` and yields it: byte x is 1 iff b + (lo +
+    x)*m is prime, else 0.  The answer is exact for values up to
+    `limit`; windows must not pass it, and may start below j = 0, whose
+    values are negative.  m is even and b a unit mod m, so every entry is
+    odd; sieve_primes is the case m = 2, b = 1.  `out` is reused: each
+    window overwrites the last, and the bytes past it are stale.
 
     Each window starts as a copy of the pattern that the primes 3-13 not
     dividing m leave (its period is their product), with those primes
     restored where they lie in the class and 1 cleared.  Every larger base
     prime p <= sqrt(limit) with p not dividing m then strikes from the
-    first j with p | b + j*m and b + j*m >= p*p, with stride p.  Beside
-    `out`, the sieve holds sieve_overhead_bytes(limit).
+    first j with p | b + j*m and b + j*m >= p*p, with stride p: one
+    extended-slice assignment of zeros into `out` itself, which a
+    memoryview would make about 3x slower.  Beside `out`, the sieve holds
+    sieve_overhead_bytes(limit, len(out)).
     """
     if m < 2 or m % 2 or math.gcd(b, m) != 1:
         raise ValueError(f"need an even modulus and a unit residue, got b={b}, m={m}")
     root = math.isqrt(limit)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
+    base = bytearray(2) + bytearray(b"\x01") * (root - 1)  # entries 0 to root
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
-            base[p * p :: p] = False
+            base[p * p :: p] = bytearray(len(range(p * p, len(base), p)))
 
     def first_multiple(p: int) -> int:  # least j >= 0 with p | b + j*m
         return -b * pow(m, -1, p) % p
@@ -155,38 +169,44 @@ def sieve_progression(
     presieve = [p for p in _PRESIEVE_PRIMES if m % p]
     period = math.prod(presieve)
     # two periods, so any offset into the first is followed by a whole period
-    pattern = np.ones(2 * period, dtype=bool)
+    pattern = bytearray(b"\x01") * (2 * period)
     for p in presieve:
-        pattern[first_multiple(p) :: p] = False  # p itself included
+        first = first_multiple(p)
+        pattern[first :: p] = bytearray(len(range(first, len(pattern), p)))  # p included
     restored = [(p - b) // m for p in presieve if p % m == b]
     strikes = []  # (first j at or above p*p, first j of any multiple, p)
-    for p in np.flatnonzero(base).tolist():
+    for p in compress(range(len(base)), base):
         if p > _PRESIEVE_PRIMES[-1] and m % p:
             r = first_multiple(p)
             j = max(0, -(-(p * p - b) // m))
             strikes.append((j + (r - j) % p, r, p))
     strikes.sort()  # so the first strike past a window ends the scan
 
-    for lo, hi in windows:
-        seg = out[: hi - lo]
-        filled = min(period, len(seg))
-        offset = lo % period
-        seg[:filled] = pattern[offset : offset + filled]
-        while filled < len(seg):  # a whole number of periods: double it
-            n = min(filled, len(seg) - filled)
-            seg[filled : filled + n] = seg[:n]
-            filled += n
-        for j in restored:
-            if lo <= j < hi:
-                seg[j - lo] = True
-        if b == 1 and lo == 0 < hi:
-            seg[0] = False  # 1
-        for first, r, p in strikes:
-            if first >= hi:
-                break
-            start = first if first >= lo else lo + (r - lo) % p
-            seg[start - lo :: p] = False
-        yield seg
+    # contiguous copies through views need no temporary copy of the source
+    with memoryview(out) as view, memoryview(pattern) as source:
+        for lo, hi in windows:
+            n = hi - lo
+            filled = min(period, n)
+            offset = lo % period
+            view[:filled] = source[offset : offset + filled]
+            while filled < n:  # a whole number of periods: double it
+                k = min(filled, n - filled)
+                view[filled : filled + k] = view[:k]
+                filled += k
+            for j in restored:
+                if lo <= j < hi:
+                    out[j - lo] = 1
+            if lo < 0:  # negative values
+                view[: min(-lo, n)] = bytes(min(-lo, n))
+            if b == 1 and lo <= 0 < hi:
+                out[-lo] = 0  # 1
+            for first, r, p in strikes:
+                if first >= hi:
+                    break
+                start = (first if first >= lo else lo + (r - lo) % p) - lo
+                if start < n:  # an empty extended slice would still need a resize
+                    out[start:n:p] = bytearray((n - 1 - start) // p + 1)
+            yield out
 
 
 def sieve_primes(limit: int, reserved_bytes: int = 0) -> PrimeTable:
@@ -194,30 +214,32 @@ def sieve_primes(limit: int, reserved_bytes: int = 0) -> PrimeTable:
     inclusive; entry i stands for 2i + 1.
 
     The segments are the windows of sieve_progression(1, 2, ...), each
-    packed into the table as soon as it is sieved.  The peak storage is the
-    packed table, one unpacked segment and its packed copy, and the
-    sieve's pattern and base primes; that peak, plus the reserved_bytes the
-    caller will hold beside the table (a sweep's class masks), is what
-    check_budget bounds.  A segment is SIEVE_SEGMENT_SIZE odd entries,
-    read at each call and rounded down to a multiple of 8 (at least 8) so
-    segments start on a byte.
+    packed into the table as soon as it is sieved, through a zero-copy
+    view of the sieve's buffer.  The peak storage is the packed table, one
+    unpacked segment and its packed copy, and the sieve's pattern, base
+    primes and strike; that peak, plus the reserved_bytes the caller will
+    hold beside the table (a sweep's class masks), is what check_budget
+    bounds.  A segment is SIEVE_SEGMENT_SIZE odd entries, read at each
+    call and rounded down to a multiple of 8 (at least 8) so segments
+    start on a byte.
     """
+    import numpy as np
+
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     segment_size = max(8, SIEVE_SEGMENT_SIZE - SIEVE_SEGMENT_SIZE % 8)
     entries = (limit + 1) // 2  # odd numbers <= limit
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)
-    peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit)
+    peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit, segment)
     check_budget(peak + reserved_bytes, f"sieving to {limit} needs {peak} bytes ({nbytes} "
                  f"packed plus one segment) and {reserved_bytes} more are reserved")
 
     bits = np.empty(nbytes, dtype=np.uint8)
-    starts = range(0, entries, segment_size)
-    windows = ((lo, min(lo + segment_size, entries)) for lo in starts)
-    segments = sieve_progression(1, 2, limit, windows, np.empty(segment, dtype=bool))
-    for lo, seg in zip(starts, segments):
-        bits[lo >> 3 : (lo + len(seg) + 7) >> 3] = np.packbits(seg)
+    windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]
+    segments = sieve_progression(1, 2, limit, windows, bytearray(segment))
+    for (lo, hi), seg in zip(windows, segments):
+        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(np.frombuffer(seg, bool, hi - lo))
     return PrimeTable(limit=limit, bits=bits)
 
 

@@ -569,13 +569,13 @@ def test_blas_threads_default_to_one_unless_set(caller, seen):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_cli_import_starts_no_thread():
     # numpy's OpenBLAS starts a helper thread unless told to use one
-    # thread; the CLI imports numpy when it first computes, so count after
-    # an engine command
+    # thread; the CLI imports numpy when it first runs the packed kernel,
+    # so count after a sweep that computes a modulus
     code = textwrap.dedent("""\
         import contextlib, io, os, sys
         from apgoldbach import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["verify", "conj2", "--limit", "1000"])
+            rc = cli.main(["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"])
         print(rc, "numpy" in sys.modules, len(os.listdir("/proc/self/task")))
     """)
     assert _fresh_python(code) == "0 True 1\n"
@@ -652,11 +652,15 @@ LAZY_MODULES = ENGINE_MODULES | {"apgoldbach.heuristics", "apgoldbach.summaries"
 SUMMARIES = {"apgoldbach.summaries"}
 
 
+# a pair below the share threshold runs stage 1 on int bitsets, without numpy
+SMALL_PAIR_MODULES = ["apgoldbach.partitions", "apgoldbach.primes"]
+
+
 @pytest.mark.parametrize("argv,loaded", [
     ([], []),
-    (["verify", "conj2", "--limit", "1000"], sorted(ENGINE_MODULES)),
+    (["verify", "conj2", "--limit", "1000"], SMALL_PAIR_MODULES),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"],
-     sorted(ENGINE_MODULES)),
+     SMALL_PAIR_MODULES),
     (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
      sorted(ENGINE_MODULES | SUMMARIES)),
     # both fork one worker
@@ -677,16 +681,20 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     (["heuristic", "--m", "10", "--limit", "1000"],
      {"numpy", "apgoldbach.summaries", "dataclasses", "json", "fractions", "decimal",
       "numbers"}),
-    (["verify", "conj2", "--limit", "1000"], {"json"}),
-    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"], {"json"}),
+    (["verify", "conj2", "--limit", "1000"], {"numpy", "dataclasses", "inspect", "json"}),
+    (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"],
+     {"numpy", "dataclasses", "inspect", "json"}),
+    # at N = 5*10^6 the pair E(5, 5, 6) has 833,333 candidates, under 2^21
+    (["verify", "ternary", "--limit", "5000000"], {"numpy", "dataclasses", "inspect"}),
     # the warm cache's directory is appended
     (["table1", "--limit", "10000", "--threads", "1", "--cache-dir"],
      {"numpy", "fractions", "decimal", "numbers"}),
-], ids=["import", "heuristic", "verify", "exceptions", "warm-table1"])
+], ids=["import", "heuristic", "verify", "exceptions", "verify-5e6", "warm-table1"])
 def test_command_loads_no_module_it_does_not_use(request, argv, unused):
-    # json is for the cache and the JSON table format, dataclasses (and the
-    # inspect module it imports) only for the engine's types; the tables
-    # are integers and integer ratios, rounded without fractions
+    # json is for the cache and the JSON table format, and numpy only for
+    # the packed kernel; no module loads dataclasses (or the inspect
+    # module it imports), and the tables are integers and integer ratios,
+    # rounded without fractions
     if argv[-1:] == ["--cache-dir"]:
         argv = [*argv, str(request.getfixturevalue("warm_cache"))]
     assert _fresh_cli(argv, unused)[:2] == [EXIT_OK, []]
@@ -694,17 +702,18 @@ def test_command_loads_no_module_it_does_not_use(request, argv, unused):
 
 def test_module_run_freezes_the_heap_before_exit():
     # `python -m apgoldbach.cli` ends through main_and_exit: an atexit probe
-    # finds numpy's modules frozen and the collector's generations empty
+    # finds numpy's modules frozen and the collector's generations empty;
+    # a sweep that computes a modulus loads numpy
     code = textwrap.dedent("""\
         import atexit, gc, runpy, sys
         atexit.register(lambda: print(gc.get_freeze_count(),
                                       sum(len(gc.get_objects(g)) for g in range(3))))
-        sys.argv = ["apgoldbach", "verify", "conj2", "--limit", "1000"]
+        sys.argv = ["apgoldbach", "table1", "--m-max", "6", "--limit", "1000",
+                    "--threads", "1"]
         runpy.run_module("apgoldbach.cli", run_name="__main__")
     """)
     *report, probe = _fresh_python(code).splitlines()
-    assert report[-1] == ("mod-4 case (iv): violations [2, 6, 14, 38, 62] "
-                          "expected [2, 6, 14, 38, 62] -> PASS")
+    assert report[-1] == "6,1,1.0,1,6,1,2,1,1.25,2,8,4,5"
     frozen, tracked = map(int, probe.split())
     assert frozen >= 20_000
     assert tracked < 100
@@ -865,7 +874,9 @@ class TestVerify:
     (["verify", "conj2", "--limit", "1"], "search limit must be >= 2, got 1"),
     (["table1", "--m-max", "4", "--limit", "1000", "--threads", "-1"], "threads must be >= 0"),
     (["heuristic", "--m", "10", "--c", "0"], "c=0.0 must be positive"),
-], ids=["table1-limit", "verify-limit", "threads", "heuristic-c"])
+    # the model sum needs N >= 10; no smaller --limit is raised to it
+    (["heuristic", "--m", "10", "--limit", "5"], "N=5 must be >= 10"),
+], ids=["table1-limit", "verify-limit", "threads", "heuristic-c", "heuristic-limit"])
 def test_bad_value_exits_2(capsys, argv, err):
     assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {err}\n")
 

@@ -151,7 +151,9 @@ class TestExceptionalSet:
     def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
         # the a-mask and the sieve exceed the budget before any
         # allocation, then with the prime indices, then with a window and
-        # its copies; the parts named add up to the bytes needed
+        # its copies; the parts named add up to the bytes needed, and the
+        # sieve's strike is sized by the larger of its buffers: the a-mask
+        # or the window (one segment, the span and 7 entries below it)
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
         with pytest.raises(MemoryBudgetError) as exc:
             exceptional_set(AdmissiblePair(3, 1, 4), N, M=M)
@@ -162,7 +164,15 @@ class TestExceptionalSet:
         ).groups())
         assert sum(parts) == need > budget
         assert [part > 0 for part in parts] == nonzero
-        assert parts[3] == primes.sieve_overhead_bytes(N)
+        M = partitions.default_stage1_bound(4, N) if M is None else M
+        entries = (M - 3) // 4 + 1  # class 3 up to M
+        assert parts[0] == entries
+        window = 0
+        if parts[2]:
+            span = next(i for i in range(entries - 1, 0, -1) if is_prime(3 + 4 * i))
+            window = partitions.SIEVE_SEGMENT_SIZE + span + 7
+            assert parts[2] == window + 8 * ((window + 7) // 8)
+        assert parts[3] == primes.sieve_overhead_bytes(N, max(entries, window))
 
     @pytest.mark.parametrize(
         "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
@@ -707,3 +717,90 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
     step = partitions._sieved_source(pair, N, M)[2]
     count = len(range(0, (N - a - b) // m + 1, step))
     assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
+
+
+@given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
+    # the int-bitset kernel over the whole b-class, and the packed kernel
+    # over windows of a few entries, each leave the naive survivors; a
+    # short head leaves most primes, up to i = s (q = b), to the tails
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", data.draw(st.sampled_from([1, 7])))
+    monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES",
+                        data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 0, 1, 8])))
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    a, b = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
+    M = data.draw(st.integers(-2 * m, N))
+    pair = AdmissiblePair(a, b, m)
+    naive = naive_stage1_unresolved(a, b, m, N, M)
+    assert partitions._bitset_stage1(pair, N, M) == naive
+    assert partitions._stage1(a, [b], m, N, *partitions._sieved_source(pair, N, M))[0] == naive
+
+
+class TestKernelSelection:
+    @staticmethod
+    def record_kernels(monkeypatch, ran):
+        # each kernel's entry point appends its name to `ran` as it runs
+        for name in ("_bitset_stage1", "_sieved_source"):
+            real = getattr(partitions, name)
+            monkeypatch.setattr(partitions, name,
+                                lambda *args, name=name, real=real: ran.append(name) or real(*args))
+
+    @pytest.mark.parametrize("m", [4, 6, 30])
+    @pytest.mark.parametrize("excess,kernel", [(1, "bitset"), (2, "packed"), (64 * 4, "packed")])
+    def test_same_elements_across_the_threshold(self, monkeypatch, m, excess, kernel):
+        # with 64-entry windows, a modulus whose candidates fit in 2
+        # windows (N <= 128m + 1) runs the bitset kernel; one past it, and
+        # at 3 windows and more, the packed one
+        monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
+        ran = []
+        self.record_kernels(monkeypatch, ran)
+        N = 128 * m + excess
+        units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+        for a in units:
+            for b in units:
+                es = exceptional_set(AdmissiblePair(a, b, m), N)
+                assert list(es.elements) == naive_exceptional_set(a, b, m, N), (a, b)
+        source = {"bitset": "_bitset_stage1", "packed": "_sieved_source"}[kernel]
+        assert ran == [source] * len(units) ** 2
+
+    def test_default_threshold_is_two_segments(self, monkeypatch):
+        # 2^21 candidates, two 2^20-entry segments: N = 2^23 + 1 at m = 4
+        ran = []
+        self.record_kernels(monkeypatch, ran)
+        for N in (2**23 + 1, 2**23 + 2):
+            assert exceptional_set(AdmissiblePair(1, 3, 4), N).elements == (4,)
+        assert ran == ["_bitset_stage1", "_sieved_source"]
+
+    def test_bitset_kernel_peak_memory(self):
+        # a pair just below the threshold, 2^21 candidates: the entry
+        # bytes, their digits or the scan string, and a few bitsets stay
+        # under 4 bytes an entry
+        N = 2**23 + 1
+        pair = AdmissiblePair(1, 3, 4)
+        tracemalloc.start()
+        try:
+            survivors = partitions._bitset_stage1(pair, N, 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert survivors == [4]
+        assert peak < 4 * 2**21
+
+    def test_bitset_budget_checked_before_allocating(self, monkeypatch):
+        # the kernel counts its buffers, about 3 bytes an entry, and raises
+        # before it sieves anything
+        sieved = []
+        real = partitions.sieve_progression
+        monkeypatch.setattr(partitions, "sieve_progression",
+                            lambda *args: sieved.append(args[:2]) or real(*args))
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 3 * 10**6)
+        with pytest.raises(MemoryBudgetError, match=r"of entries, their digits and scan"):
+            exceptional_set(AdmissiblePair(1, 3, 4), 4 * 10**6)
+        assert sieved == []
+        assert exceptional_set(AdmissiblePair(1, 3, 4), 10**6).elements == (4,)
+        assert sieved == [(1, 4), (3, 4)]

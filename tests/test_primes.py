@@ -68,10 +68,11 @@ def test_budget_is_read_from_the_module():
 
 def test_memory_budget_counts_one_segment(monkeypatch):
     # the packed odd bits, one 4096-entry segment, its 512 packed bytes, two
-    # periods of the 15,015-entry presieve pattern and the base-prime sieve
-    # over [0, 1000]
+    # periods of the 15,015-entry presieve pattern, the base-prime sieve
+    # over [0, 1000] and the zeros of the largest strike, the 3's of the
+    # pattern
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
-    peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001
+    peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001 + 10011
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError, match="one segment"):
         sieve_primes(10**6)
@@ -119,11 +120,12 @@ def test_window_sieve_matches_is_prime(m, data):
     # windows of j in any order, overlapping or not: short ones around the
     # first strikes b + j*m >= p*p, long ones across the presieve pattern's
     # period (up to 15,015 entries), and one from j = 0, where b = 1 puts
-    # the non-prime 1
+    # the non-prime 1; a window may start up to 7 entries below j = 0,
+    # where the values are negative
     b = data.draw(st.sampled_from([r for r in range(1, m) if math.gcd(r, m) == 1]))
     limit = data.draw(st.integers(b, 4 * 10**5))
     count = (limit - b) // m + 1
-    lo = st.integers(0, count - 1)
+    lo = st.integers(-7, count - 1)
     windows = data.draw(st.lists(
         st.tuples(lo, st.integers(1, 40)) | st.tuples(lo, st.integers(1, 2 * 15015)),
         max_size=5,
@@ -131,13 +133,13 @@ def test_window_sieve_matches_is_prime(m, data):
     square = data.draw(st.sampled_from(primes_up_to(max(2, math.isqrt(limit)))))
     near = max(0, (square * square - b) // m - 20)  # around the first strike of p
     windows = [(min(j, count - 1), min(count, j + n)) for j, n in windows + [(0, 30), (near, 40)]]
-    out = np.empty(max(hi - lo for lo, hi in windows), dtype=bool)
+    out = bytearray(max(hi - lo for lo, hi in windows))
     for (lo, hi), window in zip(windows, primes.sieve_progression(b, m, limit, windows, out)):
-        assert window.tolist() == [is_prime(b + j * m) for j in range(lo, hi)], (lo, hi)
+        assert list(window[: hi - lo]) == [is_prime(b + j * m) for j in range(lo, hi)], (lo, hi)
 
 
 def test_window_sieve_rejects_non_units():
-    out = np.empty(8, dtype=bool)
+    out = bytearray(8)
     for b, m in ((2, 4), (3, 6), (1, 3), (1, 0)):
         with pytest.raises(ValueError):
             next(primes.sieve_progression(b, m, 100, [(0, 8)], out))
