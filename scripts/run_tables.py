@@ -12,6 +12,9 @@ import time
 from pathlib import Path
 
 from apgoldbach.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
     RunConfig,
     compute_sweep,
     figure_documents,
@@ -29,28 +32,35 @@ def main() -> int:
     parser.add_argument("--output-dir", type=Path, default=Path("out"))
     args = parser.parse_args()
 
-    config = RunConfig(
-        N=args.limit,
-        m_min=args.m_min,
-        m_max=args.m_max,
-        cache_dir=args.cache_dir,
-        threads=args.threads,
-    )
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config = RunConfig(
+            N=args.limit,
+            m_min=args.m_min,
+            m_max=args.m_max,
+            cache_dir=args.cache_dir,
+            threads=args.threads,
+        )
+        args.output_dir.mkdir(parents=True, exist_ok=True)
 
-    start = time.monotonic()
-    sweep = compute_sweep(config)
-    for which in ("table1", "table2"):
-        (args.output_dir / f"{which}.csv").write_text(table_document(which, sweep))
-    fig1, fig2 = figure_documents(sweep)
-    (args.output_dir / "fig1.csv").write_text(fig1)
-    (args.output_dir / "fig2.csv").write_text(fig2)
+        start = time.monotonic()
+        sweep = compute_sweep(config)
+        for which in ("table1", "table2"):
+            (args.output_dir / f"{which}.csv").write_text(table_document(which, sweep))
+        fig1, fig2 = figure_documents(sweep)
+        (args.output_dir / "fig1.csv").write_text(fig1)
+        (args.output_dir / "fig2.csv").write_text(fig2)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(
         f"wrote 4 documents to {args.output_dir} "
         f"(m = {args.m_min}..{args.m_max}, N = {args.limit}) "
         f"in {time.monotonic() - start:.1f}s"
     )
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -582,7 +582,7 @@ def cmd_heuristic(args: argparse.Namespace) -> int:
         f"m = {m}",
         f"r = {model.r}",
         f"alpha = {model.alpha:.6f}",
-        f"E[W] = {model.expected_wait:.6f}",
+        f"E[W] = {heuristics.coupon_expected_wait(model.r):.6f}",
         f"P(W > g2~(m^2)) = P(W > {k}) = {heuristics.coupon_tail(model.r, k):.6g}",
         f"predicted E_max bound (c={args.c}): {pred.e_max_bound:.3f}",
         f"predicted mean length (delta={args.delta}): {pred.expected_length:.6f}",

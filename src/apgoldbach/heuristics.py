@@ -66,10 +66,6 @@ class CouponModel(NamedTuple):
             raise ValueError(f"m={m} gives r=0 admissible classes on average")
         return cls(m=m, r=r, alpha=1 - 1 / r)
 
-    @property
-    def expected_wait(self) -> float:
-        return coupon_expected_wait(self.r)
-
 
 class TruncatedSum(NamedTuple):
     value: float

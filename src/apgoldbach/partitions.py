@@ -51,7 +51,7 @@ from .primes import (
     is_prime,
     pack_copies,
     sieve_overhead_bytes,
-    sieve_primes,
+    sieve_primes,  # cli sieves as partitions.sieve_primes, the name perfbench traces
     sieve_progression,
 )
 
@@ -196,8 +196,6 @@ class ResidueIndex:
     def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
         import numpy as np
 
-        if table.limit < N:
-            raise ValueError(f"table limit {table.limit} below N={N}")
         self.m = m
         self.classes = list(classes)
         self.copies = np.zeros((8, len(self.classes), _copy_width(m, N)), dtype=np.uint8)
@@ -326,9 +324,6 @@ def _stage1(
             e = lo - base - shifts[h]
             d = -(-e // 8)
             x0, x1 = max(0, -d), min(nbytes, width - d)
-            if x0 >= nbytes:  # p > n for the whole window, and for the rest
-                h = len(shifts)
-                break
             if x0 < x1:
                 mark[:, x0:x1] |= copies[8 * d - e, :, x0 + d : x1 + d]
             h += 1
@@ -342,12 +337,12 @@ def _stage1(
         row, s = row[keep], s[keep]
         # the rest in blocks: one row per candidate, one column per
         # prime index i, reading bit y = j - base of copy 0; j < 0
-        # (p > n) is no hit
+        # (p > n) is no hit, read at an index clipped to 0
         start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
         while start < len(tail) and len(s):
             w = max(1, elements // len(s))
             y = (s - base)[:, None] - tail[start : start + w][None, :]
-            hit = bits0.take((row * width)[:, None] + (y >> 3))
+            hit = bits0.take((row * width)[:, None] + (y >> 3), mode="clip")
             hit &= bit.take(y & 7)
             hit *= y >= 0
             keep = ~hit.any(axis=1)
@@ -429,20 +424,19 @@ def _stage1_unresolved(
 ) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending.
 
-    The b-class is sieved one window at a time (_sieved_source).  The
-    windows are split into as many shares as `workers` allows while each
-    gets _MIN_SHARE_WINDOWS, and share_map runs the shares.  Where every
-    pair of modulus m has fewer windows, which never split, the one share
-    runs _bitset_stage1 instead.
+    Where every pair of modulus m has fewer than _MIN_SHARE_WINDOWS
+    windows, which never split, _bitset_stage1 runs here.  Otherwise the
+    b-class is sieved one window at a time (_sieved_source), the windows
+    are split into as many shares as `workers` allows while each gets
+    _MIN_SHARE_WINDOWS, and share_map runs the shares.
     """
     a, b, m = pair
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        shares, run = 1, lambda k: _bitset_stage1(pair, N, M)
-    else:
-        pidx, windows, step = _sieved_source(pair, N, M)
-        count = len(range(0, (N - a - b) // m + 1, step))
-        shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
-        run = lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0]
+        return _bitset_stage1(pair, N, M)
+    pidx, windows, step = _sieved_source(pair, N, M)
+    count = len(range(0, (N - a - b) // m + 1, step))
+    shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
+    run = lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0]
     return sorted(n for part in share_map(run, range(shares)) for n in part)
 
 
@@ -485,23 +479,19 @@ def exceptional_set(
 
 
 def exceptional_sets_for_modulus(
-    m: int,
-    N: int,
-    M: Optional[int] = None,
-    table: Optional[PrimeTable] = None,
+    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
-    by (a, b).
+    by (a, b), read off `table`, whose limit must reach N - 1.
 
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
     with the smaller residue as the small-prime class, and (b, a) shares
     the tuple of (a, b).  Every pair reads one ResidueIndex, so the table
     is read once: one stage-1 pass per small-prime class a over the rows
-    b >= a.
+    b >= a.  The caller sieves the table and reserves the index's
+    class_mask_bytes in its budget (cli.compute_sweep).
     """
     _require_even(m)
-    if table is None:
-        table = sieve_primes(N, reserved_bytes=class_mask_bytes(m, N))
     if M is None:
         M = default_stage1_bound(m, N)
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -536,15 +526,6 @@ def _violations(m0: int, r: int, s: int, N: int) -> tuple[int, ...]:
     step = m0 if m0 % 2 == 0 else 2 * m0
     a, b = (x % m0 if x % m0 % 2 else x % m0 + m0 for x in (r, s))
     return exceptional_set(AdmissiblePair(a, b, step), N).elements
-
-
-def _progression_violations(m0: int, r: int, N: int) -> ViolationReport:
-    """Violations among even multiples of m0 for p = r, q = -r (mod m0).
-
-    When m0 is odd every candidate is a multiple of 2*m0 >= 6, so the
-    partner of the prime 2 is even and above 2, never prime.
-    """
-    return ViolationReport(m0, r % m0, _violations(m0, r, -r, N))
 
 
 def verify_conjecture_mod4(N: int) -> dict[str, tuple[int, ...]]:
@@ -590,8 +571,10 @@ def verify_conjecture_samples(N: int, a: int) -> dict[str, tuple[ViolationReport
         raise ValueError(
             f"a={a} is congruent to +-1 or +-11 mod 60, excluded by the statement"
         )
+    # for odd m0 every candidate is a multiple of 2*m0 >= 6, so the
+    # partner of the prime 2 is even and above 2, never prime
     return {
-        item: tuple(_progression_violations(m0, r, N) for r in residues)
+        item: tuple(ViolationReport(m0, r % m0, _violations(m0, r, -r, N)) for r in residues)
         for item, (m0, residues) in {**_SAMPLE_SPECS, "vii": (60, (a,))}.items()
     }
 

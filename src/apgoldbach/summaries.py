@@ -1,10 +1,10 @@
 """Aggregate per-modulus exceptional-set data into table rows.
 
 The input for one modulus m maps every ordered admissible pair (a, b) to
-the sorted elements of E_{a,b,m}, as partitions.exceptional_sets_for_modulus
-returns them; exceptional_sets_from_double derives that input for m from
-the input for 2m.  The module needs only math and integers, so a sweep
-whose every miss is derived loads no engine and no numpy.
+the sorted elements of E_{a,b,m}, as returned by partitions'
+exceptional_sets_for_modulus(m, N, table=table); exceptional_sets_from_double
+derives that input for m from the input for 2m.  It needs only math and
+integers, so a sweep whose every miss is derived loads no engine or numpy.
 
 cli.compute_sweep returns, in place of the sets, one ModulusSummary per
 modulus: its Table 1 row, with its Table 2 row as the `empty` field.  The
@@ -25,8 +25,8 @@ ModulusSets = dict[tuple[int, int], tuple[int, ...]]
 
 
 def exceptional_sets_from_double(m: int, double: ModulusSets) -> ModulusSets:
-    """partitions.exceptional_sets_for_modulus(m, N) for even m, derived
-    from the sets of modulus 2m up to the same N with no engine run.
+    """partitions.exceptional_sets_for_modulus(m, N, table=table) for even m,
+    derived from the sets of modulus 2m up to the same N with no engine run.
 
     Since m is even, 2m has the same prime factors, so a prime p = a
     (mod m) is a or a + m mod 2m, and both are units.  The lifts (p, q)

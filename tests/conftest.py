@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes oracles importable
+
+# every warning fails a test (pyproject.toml's filterwarnings) also in the
+# CLI, script and perfbench interpreters that the tests start, which
+# inherit this; pytest loads this file before it collects perfbench/
+os.environ.setdefault("PYTHONWARNINGS", "error")
 
 from apgoldbach.primes import sieve_primes
 

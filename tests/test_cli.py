@@ -393,13 +393,14 @@ class TestTables:
         _assert_no_children()
 
     def test_sweep_runs_the_engine_only_where_the_double_is_out_of_range(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, table_1e5
     ):
         # 2, 4 and 6 are derived from 4, 8 and 12
         calls = _count_engine_calls(monkeypatch)
         _, sets = _swept(tmp_path, N=10**4, m_min=2, m_max=12, threads=1)
         assert sorted(calls) == [8, 10, 12]
-        assert sets == {m: exceptional_sets_for_modulus(m, 10**4) for m in range(2, 13, 2)}
+        assert sets == {m: exceptional_sets_for_modulus(m, 10**4, table=table_1e5)
+                        for m in range(2, 13, 2)}
 
     def test_pool_gets_only_the_computed_moduli(self, monkeypatch, tmp_path):
         # of m = 2, ..., 8 only 6 and 8 are computed: one share here and
@@ -1037,15 +1038,34 @@ def test_killed_worker_fails_the_parent():
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--m-max", "12", "--limit", "10000"],
+    ["exceptions", "--m", "4", "--a", "1", "--b", "3", "--limit", "10000"],
+], ids=["table1", "exceptions"])
+def test_fork_map_without_os_fork_runs_the_shares_here(capsys, monkeypatch, argv):
+    # where os.fork does not exist, two workers' shares run in order in
+    # this process and print the bytes of one worker.  The sweep computes
+    # m = 8, 10 and 12; 256-candidate windows give the pair 10 windows
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
+    serial = run(capsys, *argv, "--threads", "1")
+    assert serial[0] == EXIT_OK
+    shares, real = [], cli.fork_map
+    monkeypatch.setattr(cli, "fork_map", lambda fn, xs: shares.append(len(xs)) or real(fn, xs))
+    monkeypatch.delattr(os, "fork")
+    assert run(capsys, *argv, "--threads", "2") == serial
+    assert shares == [2]
+
+
 def _files(path: Path) -> list[tuple[str, int]]:
     return sorted((p.name, p.stat().st_size) for p in path.iterdir())
 
 
 class TestCache:
-    def test_file_bytes(self, tmp_path):
+    def test_file_bytes(self, tmp_path, table_1e5):
         # dicts compare without order, so the round trip alone does not pin
         # the file: these are its bytes, pair order included
-        save_cache_entry(tmp_path, 8, 10**4, exceptional_sets_for_modulus(8, 10**4))
+        save_cache_entry(tmp_path, 8, 10**4,
+                         exceptional_sets_for_modulus(8, 10**4, table=table_1e5))
         data = (tmp_path / "m8_N10000.json").read_bytes()
         assert len(data) == 375
         assert hashlib.sha256(data).hexdigest() == (

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from apgoldbach import partitions, primes
 from apgoldbach.partitions import (
-    _progression_violations,
     _stage1_unresolved,
+    _violations,
     AdmissiblePair,
     ResidueIndex,
     exceptional_set,
@@ -25,7 +25,6 @@ from apgoldbach.primes import MemoryBudgetError, PrimeTable, is_prime, sieve_pri
 from apgoldbach.summaries import exceptional_sets_from_double
 from oracles import (
     is_prime_trial_division,
-    table_primes,
     naive_exceptional_set,
     naive_mod4_case_i,
     naive_progression_violations,
@@ -273,9 +272,9 @@ class TestModulusSweep:
         double = exceptional_sets_for_modulus(4, 10**4, table=table_1e6)
         assert exceptional_sets_from_double(2, double) == {(1, 1): (2, 4)}
 
-    def test_odd_modulus_rejected(self):
+    def test_odd_modulus_rejected(self, table_1e5):
         with pytest.raises(ValueError, match="double"):
-            exceptional_sets_for_modulus(15, 10**4)
+            exceptional_sets_for_modulus(15, 10**4, table=table_1e5)
 
     @pytest.mark.parametrize(
         "m,N,M",
@@ -401,16 +400,6 @@ class TestModulusSweep:
             assert exceptional_set(AdmissiblePair(a, b, m), N).elements == expected
         assert verify_conjecture_mod4(N)["i"] == ()
         assert all(limit <= math.isqrt(N) for limit in limits)
-
-    def test_own_sieve_reserves_class_masks(self, monkeypatch):
-        # a sweep that sieves its own table counts the masks of every unit
-        # class beside it: at m = 2 they take N/2 bytes, and the table and
-        # one segment of it another 656 KB
-        N = 10**6
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
-        assert len(table_primes(sieve_primes(N))) == 78498
-        with pytest.raises(MemoryBudgetError, match="reserved"):
-            exceptional_sets_for_modulus(2, N)
 
     def test_index_windows_reach_the_last_entry(self, monkeypatch, table_1e5):
         # a window of the index off a byte boundary would read shift 0
@@ -617,9 +606,7 @@ def test_derived_from_double_equals_direct(table_1e5, m, N):
 @settings(max_examples=60, deadline=None)
 def test_progression_reduction_matches_naive(m0, N, data):
     r = data.draw(st.sampled_from([r for r in range(1, m0) if math.gcd(r, m0) == 1]))
-    report = _progression_violations(m0, r, N)
-    assert (report.modulus, report.residue) == (m0, r)
-    assert list(report.violations) == naive_progression_violations(m0, r, N)
+    assert list(_violations(m0, r, -r, N)) == naive_progression_violations(m0, r, N)
 
 
 @given(
@@ -672,6 +659,17 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     assert batched[rows.index(large)] == naive_stage1_unresolved(small, large, m, N, M)
 
 
+def test_gather_past_a_short_share_reads_no_hit(monkeypatch):
+    # share 0 of 2 holds only the window [0, 256), 33 bytes a copy, but the
+    # prime indices reach 324: a gather at s < 256 reads bit y = s - i, up
+    # to 41 bytes before copy 0, where p > n is no hit
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
+    a, b, m, N, M = 3, 9, 10, 4962, 3246
+    pidx, windows, step = partitions._sieved_source(AdmissiblePair(a, b, m), N, M)
+    parts = [partitions._stage1(a, [b], m, N, pidx, windows, step, (k, 2))[0] for k in (0, 1)]
+    assert sorted(parts[0] + parts[1]) == naive_stage1_unresolved(a, b, m, N, M)
+
+
 @given(
     m=st.sampled_from([2, 4, 6, 8, 10, 12, 30]),
     N=st.integers(2, 4000),
@@ -714,9 +712,11 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
         return [fn(k) for k in reversed(shares)][::-1]
 
     assert _stage1_unresolved(pair, N, M, K, share_map) == unsplit
-    step = partitions._sieved_source(pair, N, M)[2]
-    count = len(range(0, (N - a - b) // m + 1, step))
-    assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
+    if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * window:
+        assert calls == []  # the bitset route: a pair that never splits
+    else:
+        count = len(range(0, (N - a - b) // m + 1, window))
+        assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
 
 
 @given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())

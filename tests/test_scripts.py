@@ -72,3 +72,32 @@ def test_run_tables_takes_no_stage1_bound(tmp_path):
         assert proc.returncode == 2
         assert f"unrecognized arguments: {flag} 300" in proc.stderr
     assert not any(tmp_path.iterdir())
+
+
+def test_model_vs_observed_refuses_a_limit_the_model_refuses():
+    # the model needs N >= 10, as `heuristic` does: no row at N = 10 beside
+    # a set observed at N = 5
+    proc = _script("model_vs_observed.py", "--m-min", "4", "--m-max", "4", "--limit", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        cli.EXIT_USAGE, "", "error: N=5 must be >= 10\n")
+
+
+@pytest.mark.parametrize("name,args,err", [
+    ("run_tables.py", ["--limit", "1"], "search limit must be >= 2, got 1"),
+    ("model_vs_observed.py", ["--m-min", "3", "--m-max", "5"],
+     "modulus range endpoints must be even"),
+])
+def test_bad_value_exits_2(tmp_path, name, args, err):
+    proc = _script(name, *args, "--threads", "1", *(
+        ["--output-dir", str(tmp_path / "out")] if name == "run_tables.py" else []))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_USAGE, "", f"error: {err}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_tables_output_dir_that_is_a_file_exits_3(tmp_path):
+    out = tmp_path / "out"
+    out.write_text("")
+    proc = _script("run_tables.py", *SWEEP, "--output-dir", str(out))
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_IO, "")
+    assert proc.stderr.startswith("I/O error: ") and str(out) in proc.stderr
+    assert out.read_text() == ""
