@@ -4,6 +4,7 @@
 Writes table1.csv, table2.csv, fig1.csv, fig2.csv into --output-dir.
 The desk-scale defaults (m <= 50, N = 10^6) finish in well under a
 minute on a few cores; raise --limit and --m-max for the long run.
+Exits as the apgoldbach CLI does (cli.exit_status).
 """
 
 import argparse
@@ -12,11 +13,10 @@ import time
 from pathlib import Path
 
 from apgoldbach.cli import (
-    EXIT_IO,
     EXIT_OK,
-    EXIT_USAGE,
     RunConfig,
     compute_sweep,
+    exit_status,
     figure_documents,
     table_document,
 )
@@ -32,29 +32,22 @@ def main() -> int:
     parser.add_argument("--output-dir", type=Path, default=Path("out"))
     args = parser.parse_args()
 
-    try:
-        config = RunConfig(
-            N=args.limit,
-            m_min=args.m_min,
-            m_max=args.m_max,
-            cache_dir=args.cache_dir,
-            threads=args.threads,
-        )
-        args.output_dir.mkdir(parents=True, exist_ok=True)
+    config = RunConfig(
+        N=args.limit,
+        m_min=args.m_min,
+        m_max=args.m_max,
+        cache_dir=args.cache_dir,
+        threads=args.threads,
+    )
+    args.output_dir.mkdir(parents=True, exist_ok=True)
 
-        start = time.monotonic()
-        sweep = compute_sweep(config)
-        for which in ("table1", "table2"):
-            (args.output_dir / f"{which}.csv").write_text(table_document(which, sweep))
-        fig1, fig2 = figure_documents(sweep)
-        (args.output_dir / "fig1.csv").write_text(fig1)
-        (args.output_dir / "fig2.csv").write_text(fig2)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    start = time.monotonic()
+    sweep = compute_sweep(config)
+    for which in ("table1", "table2"):
+        (args.output_dir / f"{which}.csv").write_text(table_document(which, sweep))
+    fig1, fig2 = figure_documents(sweep)
+    (args.output_dir / "fig1.csv").write_text(fig1)
+    (args.output_dir / "fig2.csv").write_text(fig2)
     print(
         f"wrote 4 documents to {args.output_dir} "
         f"(m = {args.m_min}..{args.m_max}, N = {args.limit}) "
@@ -64,4 +57,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main))

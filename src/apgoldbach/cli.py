@@ -2,7 +2,7 @@
 
 Subcommands: exceptions, table1, table2, figures, verify, heuristic.
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error, 3 I/O
-error.
+error, 4 internal error (a dead worker, an engine bug).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class RunConfig:
@@ -195,14 +196,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def fork_map(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
+def fork_map(fn: Callable[[T], R], shares: Sequence[T],
+             dead: Callable[[int], object] = lambda pid: None) -> list[R]:
     """[fn(x) for x in shares], each share in its own process.
 
     This process computes shares[0]; a child forked for each other share
     computes it, sends back its pickled result or the exception it raised,
     which is raised here, and leaves with os._exit.  A child that dies
     without sending one raises RuntimeError naming its wait status.  Every
-    child is reaped before this returns or raises.  Serial where os.fork
+    child is reaped before this returns or raises; dead(pid) runs for each
+    one reaped without a result, killed or dead.  Serial where os.fork
     does not exist.
 
     Children are copies of this process, engine and all, so fn and the
@@ -235,11 +238,11 @@ def fork_map(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             if status:
+                dead(pid)
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise RuntimeError(
-                    f"worker process {pid} sent no result: wait status {status} ({how})"
-                )
+                raise RuntimeError(f"worker process {pid} sent no result: "
+                                   f"wait status {status} ({how})")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -253,6 +256,7 @@ def fork_map(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+                dead(pid)
 
 
 def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
@@ -313,12 +317,13 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     m/2 is still to be derived from them.  Cache hits are finished here in
     ascending order, when each m/2 is known to hit or miss.  The misses
     whose double is out of range are dealt to the workers' shares
-    (fork_map), after one sieve whose budget reserves the largest index
-    of a computed modulus; the workers read the table copy-on-write.  Every
-    other miss m is derived here from the sets of 2m, which are dropped
-    then (summaries.exceptional_sets_from_double, in descending order, so
-    2m is cached, computed or derived first).  Only a sweep that computes
-    some modulus imports the engine.
+    (fork_map), after one sieve, which the budget checks first beside
+    each computed modulus's window buffers (partitions.check_sweep_budget);
+    the workers read the table copy-on-write.  Every other miss m is
+    derived here from the sets of 2m, which are dropped then
+    (summaries.exceptional_sets_from_double, in descending order, so 2m is
+    cached, computed or derived first).  Only a sweep that computes some
+    modulus imports the engine.
     """
     from . import summaries  # no numpy: deriving a miss loads no engine
 
@@ -344,12 +349,18 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
         # that they inherit it instead of each importing numpy
         from . import partitions
 
-        reserved = max(partitions.class_mask_bytes(m, N) for m in computed)
-        table = partitions.sieve_primes(N, reserved_bytes=reserved)
+        for m in computed:
+            partitions.check_sweep_budget(m, N, partitions.default_stage1_bound(m, N))
+        table = partitions.sieve_primes(N)
         shares = _modulus_shares(computed, config.worker_count)
+
+        def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup
+            for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():
+                tmp.unlink(missing_ok=True)
+
         finished = fork_map(lambda share: [
             finish(m, exceptional_sets_for_modulus(m, N, table)) for m in share
-        ], shares)
+        ], shares, dead)
         for m, result in zip(sum(shares, []), sum(finished, [])):
             found[m], kept[m] = result
     for m in reversed(missing):
@@ -366,9 +377,8 @@ FIG1_HEADER = "m,E_max,phi"
 GROWTH_HEADER = "m,E_max,phi,8m2,16m2,2m2_ln_m,4m2_ln_m"
 
 
-def table_document(
-    which: str, sweep: dict[int, ModulusSummary], output_format: str = "csv"
-) -> str:
+def table_document(which: str, sweep: dict[int, ModulusSummary],
+                   output_format: str = "csv") -> str:
     """Table 1 (per-modulus aggregates) or Table 2 (empty-pair counts) of a
     sweep, as CSV or as a JSON list of rows keyed by the CSV header."""
     from . import summaries
@@ -410,15 +420,8 @@ CONJ2_EXPECTED = {
     "iv": (2, 6, 14, 38, 62),
 }
 
-CONJ3_EXPECTED = {
-    "i": ((6,),),
-    "ii": ((), (10, 20)),
-    "iii": ((),),
-    "iv": ((),),
-    "v": ((),),
-    "vi": ((),),
-    "vii": ((),),
-}
+CONJ3_EXPECTED = {"i": ((6,),), "ii": ((), (10, 20)),
+                  **dict.fromkeys(("iii", "iv", "v", "vi", "vii"), ((),))}
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +599,26 @@ def cmd_heuristic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def exit_status(run: Callable[[], int]) -> int:
+    """run()'s exit code, or that of its exception, named in one line on
+    stderr: a ValueError (input, budget), an OSError, or any other, such
+    as a dead worker, so that only a failed check exits EXIT_FAIL."""
     try:
-        return args.run(args)
+        return run()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(lambda: args.run(args))
 
 
 def main_and_exit() -> NoReturn:

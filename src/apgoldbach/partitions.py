@@ -20,22 +20,18 @@ of copy 0, in blocks that start at _GATHER_FIRST_ELEMENTS elements and
 double up to _GATHER_BLOCK_ELEMENTS.  Stage 1 tries every small prime up
 to M, so only survivors above M + 2 go to stage 2, which tries only p > M.
 
-A modulus sweep builds one ResidueIndex, the copies of every unit class
-read off the table's odd bits in one chunked pass (PrimeTable.mask).
-Since E_{a,b,m} = E_{b,a,m}, it runs stage 1 once per small-prime class a
-over the rows b >= a, which follow each other in the index and share a's
-primes, so one OR marks every row.  A single pair is the one-row case: it
-builds no table and no N/m-entry mask, but sieves the a-class up to M and
-then each b-window straight from its progression
-(primes.sieve_progression) and packs it once, so its memory is flat in N.
-Its windows are independent, so a caller may pass a share map that runs
-shares of them in other processes (cli.fork_map); the engine itself runs
-them in order.  A pair whose candidates fit in fewer than
+Stage 1 is the body of one window (_window), which its source loops over.
+A modulus sweep runs its windows outer (_sweep_stage1), so its memory
+beside the table depends on m, not N.  A single pair is the one-row case:
+it builds no table, but sieves the a-class up to M and then each b-window
+straight from its progression (primes.sieve_progression) and packs it
+once, so its memory is flat in N.  Its windows are independent, so a
+caller may pass a share map that runs shares of them in other processes
+(cli.fork_map).  A pair whose candidates fit in fewer than
 _MIN_SHARE_WINDOWS windows, which would never split, instead sieves its
 whole b-class into one bytearray and runs stage 1 on Python int bitsets
-(_bitset_stage1).  Only the packed kernel (_stage1 and its sources)
-imports numpy, when it first runs, so a process whose pairs are all small
-never loads it.
+(_bitset_stage1).  Only the packed kernel imports numpy, when it first
+runs, so a process whose pairs are all small never loads it.
 """
 
 from __future__ import annotations
@@ -66,35 +62,33 @@ if TYPE_CHECKING:
 _VECTOR_PHASE_PRIMES = 64
 _HEAD_GROUP = 32
 
-# Candidates per stage-1 window of a sweep, over all its rows; a window's
-# 256 KiB of marks and the copy slices it reads stay in L2.  A single
-# pair's window is one sieve segment (SIEVE_SEGMENT_SIZE) of candidates.
-_MARK_BLOCK = 1 << 21
+# Candidates per stage-1 window of a sweep, over all phi(m) rows: 512 KiB
+# of marks in the pass of class 1, less in later passes over fewer rows.
+# A single pair's window is one sieve segment (SIEVE_SEGMENT_SIZE).
+_MARK_BLOCK = 1 << 22
 
 # Fewest windows a share of a single pair's stage 1 may get when it is
 # split over processes.  On 2 vCPUs, forking a share from a CLI process
 # and reading back its survivors costs about 4 ms of wall and CPU time,
 # and one window of a mod-4 pair at 2*10^8 about 6.5 ms: from 3 windows
 # up the fork costs at most a fifth of a share, and the verifiers' pairs
-# at 5*10^6 (1-2 windows) stay in one process.  A pair of modulus m whose
-# candidates fit in fewer windows never splits, and runs stage 1 on int
-# bitsets (_bitset_stage1), without numpy.
+# at 5*10^6 (1-2 windows) stay in one process; a pair of modulus m whose
+# candidates fit in fewer windows runs _bitset_stage1.
 _MIN_SHARE_WINDOWS = 3
 
-# Maps the j ranges of the b-class windows, in order, to the windows, each
-# as (base, copies): bit y of copies[r, k] is entry base + y - r of row k.
-Windows = Callable[[list[tuple[int, int]]], Iterable[tuple[int, "np.ndarray"]]]
+# Maps the starts of a pair's windows, in order, to the windows, each as
+# (lo, hi, base, copies): bit y of copies[r, 0] is b-entry base + y - r.
+Windows = Callable[[range], Iterable[tuple[int, int, int, "np.ndarray"]]]
 
 # Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
 # a caller's map may run them in other processes.
 ShareMap = Callable[[Callable[[int], list[int]], range], Iterable[list[int]]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
-# block; its int64 index matrix takes 8 bytes an element, 512 KiB here,
-# which keeps a pair's stage-1 scratch below half of one N/m-entry mask
-# at N = 10^7.  The first block of each gather takes _GATHER_FIRST_ELEMENTS
-# and each next one twice the last: nearly every candidate falls to the
-# first few primes, and the later blocks test only the rest.
+# block; its int64 index matrix takes 8 bytes an element, 512 KiB here.
+# The first block of each gather takes _GATHER_FIRST_ELEMENTS and each next
+# one twice the last: nearly every candidate falls to the first few
+# primes, and the later blocks test only the rest.
 _GATHER_BLOCK_ELEMENTS = 1 << 16
 _GATHER_FIRST_ELEMENTS = 1 << 12
 
@@ -165,9 +159,7 @@ def find_witness(n: int, pair: AdmissiblePair, start: int = 0) -> Optional[Parti
     if n % 2 != 0:
         raise ValueError(f"n={n} must be even")
     if n % pair.m != pair.target_residue:
-        raise ValueError(
-            f"n={n} is not congruent to a+b={pair.a + pair.b} mod {pair.m}"
-        )
+        raise ValueError(f"n={n} is not congruent to a+b={pair.a + pair.b} mod {pair.m}")
     p = pair.a + max(0, -(-(start - pair.a) // pair.m)) * pair.m
     while p <= n - 2:
         if is_prime(p) and is_prime(n - p):
@@ -176,67 +168,19 @@ def find_witness(n: int, pair: AdmissiblePair, start: int = 0) -> Optional[Parti
     return None
 
 
-def _copy_width(m: int, N: int) -> int:
-    """Bytes of one packed copy of a class in a modulus index up to N: room
-    for j <= (N - 2)//m, the largest s of any pair."""
-    return (N - 2) // m // 8 + 1
-
-
-class ResidueIndex:
-    """The primes below N of some unit classes mod m, read off the table in
-    one pass and held packed.
-
-    copies[r, k] is class classes[k] as eight bit-shifted copies: bit y of
-    copies[r, k], in np.packbits order, is True iff b + (y - r)*m is a
-    prime < N, so its first r bits are False.  That is the bytes a bool
-    mask per class would take, give or take 7, and class_mask_bytes counts
-    them.  Stage 1 reads q = n - p <= N - 1 only.
-    """
-
-    def __init__(self, table: PrimeTable, m: int, N: int, classes: Iterable[int]):
-        import numpy as np
-
-        self.m = m
-        self.classes = list(classes)
-        self.copies = np.zeros((8, len(self.classes), _copy_width(m, N)), dtype=np.uint8)
-        table.mask(N - 1, m, self.classes, out=self.copies)
-
-    def stage1_source(self, a: int, bs: list[int], M: int) -> tuple[np.ndarray, Windows, int]:
-        """Stage 1's inputs for small-prime class a and the b-rows bs, which
-        must follow each other in `classes`: each window is the rows' copies
-        whole from j = 0 and _MARK_BLOCK candidates over the rows, in whole
-        bytes, so shift i reads copy i % 8, which holds every j it needs."""
-        import numpy as np
-
-        k = self.classes.index(bs[0])
-        if self.classes[k : k + len(bs)] != bs:
-            raise ValueError(f"classes {bs} are not consecutive in the index")
-        copies = self.copies[:, k : k + len(bs)]
-        entries = max(0, (M - a) // self.m + 1)
-        row = self.copies[0, self.classes.index(a)]
-        pidx = np.flatnonzero(np.unpackbits(row, count=entries))
-        step = 8 * max(1, _MARK_BLOCK // (8 * len(bs)))
-        return pidx, lambda ranges: ((0, copies) for _ in ranges), step
-
-
-def class_mask_bytes(m: int, N: int) -> int:
-    """Bytes of a ResidueIndex over every unit class mod m up to N."""
-    units = sum(1 for b in range(1, m) if math.gcd(b, m) == 1)
-    return 8 * units * _copy_width(m, N)
-
-
-def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows, int]:
+def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows]:
     """Stage 1's inputs for one pair, sieved along its two progressions:
     no table and no N/m-entry mask.
 
     The a-class up to M is the window [0, (M - a)//m] of its own
     progression, kept only as the indices of its primes.  A window is one
-    sieve segment of candidates; its b-entries, with the span below it and
-    the 7 entries before that (none below j = 0 is prime), are sieved into
-    one reused bytearray, which a zero-copy view packs into eight reused
-    copies.  Before each allocation the budget counts the a-mask, the
-    int64 indices once known, the buffer and the copies once their size
-    is, and the sieve's pattern, base primes and strike.
+    sieve segment of candidates; its b-entries, with the span below it
+    (span the largest prime index) and the 7 entries before that (none
+    below j = 0 is prime), are sieved into one reused bytearray, which a
+    zero-copy view packs into eight reused copies.  Before each
+    allocation the budget counts the a-mask, the int64 indices once known,
+    the buffer and the copies once their size is, and the sieve's
+    pattern, base primes and strike.
     """
     import numpy as np
 
@@ -259,109 +203,103 @@ def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Wi
         reserve(amask.count(1), 0)
         pidx = np.flatnonzero(np.frombuffer(amask, dtype=bool))
 
-    def windows(ranges: list[tuple[int, int]]) -> Iterator[tuple[int, np.ndarray]]:
-        size = max(hi - lo for lo, hi in ranges) + 7
+    def windows(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
+        span = int(pidx[-1]) if len(pidx) else 0
+        ranges = [(max(j - span, 0), min(j + SIEVE_SEGMENT_SIZE, starts.stop)) for j in starts]
+        size = max((hi - base for base, hi in ranges), default=0) + 7
         reserve(len(pidx), size)
         buf = bytearray(size)
         copies = np.empty((8, 1, (size + 7) // 8), dtype=np.uint8)
-        padded = [(lo - 7, hi) for lo, hi in ranges]
-        for (lo, hi), _ in zip(ranges, sieve_progression(b, m, N, padded, buf)):
+        padded = [(base - 7, hi) for base, hi in ranges]
+        for lo, (base, hi), _ in zip(starts, ranges, sieve_progression(b, m, N, padded, buf)):
             copies.fill(0)
-            pack_copies(np.frombuffer(buf, dtype=bool, count=7 + hi - lo), copies[:, 0])
-            yield lo, copies
+            pack_copies(np.frombuffer(buf, dtype=bool, count=7 + hi - base), copies[:, 0])
+            yield lo, hi, base, copies
 
-    return pidx, windows, SIEVE_SEGMENT_SIZE
+    return pidx, windows
 
 
-def _stage1(
-    a: int,
-    bs: list[int],
-    m: int,
-    N: int,
-    pidx: np.ndarray,
-    windows: Windows,
-    step: int,
-    share: tuple[int, int] = (0, 1),
-) -> list[list[int]]:
-    """Candidates n <= N of each pair (a, b), b in bs, not representable
-    with a small prime p = a + i*m, i in pidx; one ascending list per b.
-
-    The candidates are n = a + b + s*m for s >= 0, and n = a + b - m when
-    that is at least 2, which no p + q reaches.  Prime index i marks s
-    where b + (s - i)*m is prime.  Each window covers `step` candidates s,
-    a length its source sets, and reaches the span entries below them,
-    span being the largest shift.  Its marks of all rows are one uint8
-    array, bit s - lo of row k in np.packbits order, so one OR per shift
-    covers every row.
-
-    share = (k, K) runs only windows k, k + K, k + 2K, ...; share 0 also
-    holds a + b - m.  The K shares' lists, merged, are the unsplit lists.
-    """
+def _window(a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, lo: int, hi: int,
+            base: int, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 over the candidates n = a + b + s*m, lo <= s < hi, of each
+    pair (a, b), b in bs: the (row, s) that no small prime p = a + i*m, i
+    in pidx, marks, by row, then s.  Bit y of copies[r, k] is entry
+    base + y - r of class bs[k], and each entry j = s - i >= 0 is there.
+    The marks of all rows are one uint8 array, bit s - lo of row k in
+    np.packbits order, so one OR per shift covers every row."""
     import numpy as np
 
-    bit = np.array(_BIT, dtype=np.uint8)
     last = np.array([(N - a - b) // m for b in bs])  # largest s per row
-    count = int(last.max()) + 1
-    span = int(pidx[-1]) if len(pidx) else 0
-    k, shares = share
-    starts = range(k * step, count, shares * step)
-    ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
     shifts = pidx.tolist()
-    rows, found = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for lo, (_, hi), (base, copies) in zip(starts, ranges, windows(ranges)):
-        # bit y of copies[r, k] is j = base + y - r of class bs[k]
-        width = copies.shape[2]
-        bits0 = copies[0].reshape(-1)  # the rows of copy 0 follow each other
-        nbytes = (hi - lo + 7) // 8
-        mark = np.zeros((len(bs), nbytes), dtype=np.uint8)
-        flat = mark.ravel()
-        h = 0  # shifts ORed so far
-        while h < len(shifts):
-            if h >= _VECTOR_PHASE_PRIMES and h % _HEAD_GROUP == 0:
-                if np.count_nonzero(flat != 255) * (len(shifts) - h) <= flat.size:
-                    break
-            # mark bit x reads j = lo + x - i, bit x + 8d of copy 8d - e
-            e = lo - base - shifts[h]
-            d = -(-e // 8)
-            x0, x1 = max(0, -d), min(nbytes, width - d)
-            if x0 < x1:
-                mark[:, x0:x1] |= copies[8 * d - e, :, x0 + d : x1 + d]
-            h += 1
-        tail = pidx[h:]
-        # the unmarked bits, unpacking only the bytes that hold any
-        nz = np.flatnonzero(flat != 255)
-        bits = np.flatnonzero(np.unpackbits(~flat[nz]))
-        row, x = np.divmod(nz[bits >> 3] * 8 + (bits & 7), 8 * nbytes)
-        s = lo + x
-        keep = (s < hi) & (s <= last[row])
+    width = copies.shape[2]
+    bits0 = copies[0].reshape(-1)  # the rows of copy 0 follow each other
+    nbytes = (hi - lo + 7) // 8
+    mark = np.zeros((len(bs), nbytes), dtype=np.uint8)
+    flat = mark.ravel()
+    h = 0  # shifts ORed so far
+    while h < len(shifts):
+        if h >= _VECTOR_PHASE_PRIMES and h % _HEAD_GROUP == 0:
+            if np.count_nonzero(flat != 255) * (len(shifts) - h) <= flat.size:
+                break
+        # mark bit x reads j = lo + x - i, bit x + 8d of copy 8d - e
+        e = lo - base - shifts[h]
+        d = -(-e // 8)
+        x0, x1 = max(0, -d), min(nbytes, width - d)
+        if x0 < x1:
+            mark[:, x0:x1] |= copies[8 * d - e, :, x0 + d : x1 + d]
+        h += 1
+    tail = pidx[h:]
+    # the unmarked bits, unpacking only the bytes that hold any
+    nz = np.flatnonzero(flat != 255)
+    bits = np.flatnonzero(np.unpackbits(~flat[nz]))
+    row, x = np.divmod(nz[bits >> 3] * 8 + (bits & 7), 8 * nbytes)
+    s = lo + x
+    keep = (s < hi) & (s <= last[row])
+    row, s = row[keep], s[keep]
+    # the rest in blocks: one row per candidate, one column per prime
+    # index i, reading bit y = j - base of copy 0; j < 0 (p > n) is no
+    # hit, read at an index clipped to 0
+    start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
+    while start < len(tail) and len(s):
+        w = max(1, elements // len(s))
+        y = (s - base)[:, None] - tail[start : start + w][None, :]
+        hit = bits0.take((row * width)[:, None] + (y >> 3), mode="clip")
+        hit &= np.array(_BIT, dtype=np.uint8).take(y & 7)
+        hit *= y >= 0
+        keep = ~hit.any(axis=1)
         row, s = row[keep], s[keep]
-        # the rest in blocks: one row per candidate, one column per
-        # prime index i, reading bit y = j - base of copy 0; j < 0
-        # (p > n) is no hit, read at an index clipped to 0
-        start, elements = 0, min(_GATHER_FIRST_ELEMENTS, _GATHER_BLOCK_ELEMENTS)
-        while start < len(tail) and len(s):
-            w = max(1, elements // len(s))
-            y = (s - base)[:, None] - tail[start : start + w][None, :]
-            hit = bits0.take((row * width)[:, None] + (y >> 3), mode="clip")
-            hit &= bit.take(y & 7)
-            hit *= y >= 0
-            keep = ~hit.any(axis=1)
-            row, s = row[keep], s[keep]
-            start += w
-            elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
-        rows.append(row)
-        found.append(s)
-    # each window's survivors ascend within a row, and the windows ascend
-    row, s = np.concatenate(rows), np.concatenate(found)
-    return [
-        [a + b - m] * (k == 0 and 2 <= a + b - m <= N) + (a + b + s[row == r] * m).tolist()
-        for r, b in enumerate(bs)
-    ]
+        start += w
+        elements = min(2 * elements, _GATHER_BLOCK_ELEMENTS)
+    return row, s
+
+
+def _survivor_lists(a: int, bs: list[int], m: int, N: int, found: list[tuple[np.ndarray, ...]],
+                    first: bool) -> list[list[int]]:
+    """The candidates n of the windows' (row, s) survivors `found`, in
+    window order: one ascending list per b in bs, led by a + b - m when
+    `first` and that is at least 2, which no p + q reaches."""
+    import numpy as np
+
+    row, s = (np.concatenate([np.zeros(0, np.int64)] + [f[i] for f in found]) for i in (0, 1))
+    return [[a + b - m] * (first and 2 <= a + b - m <= N) + (a + b + s[row == r] * m).tolist()
+            for r, b in enumerate(bs)]
+
+
+def _pair_share(pair: AdmissiblePair, N: int, pidx: np.ndarray, windows: Windows,
+                share: tuple[int, int] = (0, 1)) -> list[int]:
+    """Stage 1 of one pair on share k of K = share of its windows, each one
+    sieve segment of candidates: windows k, k + K, k + 2K, ...  The K
+    shares' ascending lists, merged, are the unsplit list."""
+    a, b, m = pair
+    step, (k, shares) = SIEVE_SEGMENT_SIZE, share
+    starts = range(k * step, (N - a - b) // m + 1, shares * step)
+    found = [_window(a, [b], m, N, pidx, *window) for window in windows(starts)]
+    return _survivor_lists(a, [b], m, N, found, k == 0)[0]
 
 
 def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
     """Stage 1 of one pair on Python int bitsets: the candidates n <= N
-    not representable with p <= M, ascending, as _stage1 finds them.
+    not representable with p <= M, ascending, as _window finds them.
 
     The b-class, entries 0 to the largest s, is sieved into one bytearray
     and read as the bitset B whose bit count - 1 - j is entry j, so that
@@ -415,13 +353,8 @@ def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
     return found
 
 
-def _stage1_unresolved(
-    pair: AdmissiblePair,
-    N: int,
-    M: int,
-    workers: int = 1,
-    share_map: ShareMap = map,
-) -> list[int]:
+def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
+                       share_map: ShareMap = map) -> list[int]:
     """Candidates n <= N not representable with p <= M; ascending.
 
     Where every pair of modulus m has fewer than _MIN_SHARE_WINDOWS
@@ -433,10 +366,10 @@ def _stage1_unresolved(
     a, b, m = pair
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
         return _bitset_stage1(pair, N, M)
-    pidx, windows, step = _sieved_source(pair, N, M)
-    count = len(range(0, (N - a - b) // m + 1, step))
+    pidx, windows = _sieved_source(pair, N, M)
+    count = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
     shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
-    run = lambda k: _stage1(a, [b], m, N, pidx, windows, step, (k, shares))[0]
+    run = lambda k: _pair_share(pair, N, pidx, windows, (k, shares))
     return sorted(n for part in share_map(run, range(shares)) for n in part)
 
 
@@ -449,18 +382,12 @@ def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int
     if not survivors or survivors[-1] <= M + 2:
         return tuple(survivors)
     pair = AdmissiblePair(a, b, m)
-    return tuple(
-        n for n in survivors if n <= M + 2 or find_witness(n, pair, start=M + 1) is None
-    )
+    return tuple(n for n in survivors
+                 if n <= M + 2 or find_witness(n, pair, start=M + 1) is None)
 
 
-def exceptional_set(
-    pair: AdmissiblePair,
-    N: int,
-    M: Optional[int] = None,
-    workers: int = 1,
-    share_map: ShareMap = map,
-) -> ExceptionalSet:
+def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, workers: int = 1,
+                    share_map: ShareMap = map) -> ExceptionalSet:
     """Compute E_{a,b,m} up to N with the two-stage algorithm.
 
     Stage 1 sieves the pair's two progressions, one window at a time.
@@ -478,29 +405,74 @@ def exceptional_set(
     return ExceptionalSet(elements, len(survivors) - len(elements))
 
 
-def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable
-) -> dict[tuple[int, int], tuple[int, ...]]:
+def check_sweep_budget(m: int, N: int, M: int) -> tuple[list[int], int, int, int]:
+    """(units, span, step, width) of a sweep of m at N: the unit classes,
+    the largest prime index up to M, the candidates of a window over all
+    rows, and the bytes a window reads of a class's copy.  First,
+    MemoryBudgetError unless the packed table, every class's copies over
+    a window and up to M, one pass's marks and a gather block's scratch
+    (32 bytes an element) fit the budget; only the table grows with N."""
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    span = max(0, (M - 1) // m)
+    step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
+    width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
+    table = ((N + 1) // 2 + 7) // 8
+    copies = 8 * len(units) * (width + span // 8 + 1)
+    marks = len(units) * width
+    scratch = 32 * _GATHER_BLOCK_ELEMENTS
+    need = table + copies + marks + scratch
+    check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({table} of table, "
+                 f"{copies} of class copies, {marks} of marks, {scratch} of gather scratch)")
+    return units, span, step, width
+
+
+def _sweep_stage1(m: int, N: int, M: int,
+                  table: PrimeTable) -> dict[tuple[int, int], list[int]]:
+    """Stage 1 of every pair a <= b of units mod m, keyed (a, b): the
+    candidates n <= N not representable with p = a (mod m), p <= M.
+
+    Each class's prime indices up to M are read off the table once.  Per
+    window [lo, hi), one table read from base, lo - span rounded down to a
+    byte, refills every class's copies in one reused buffer; then each
+    small-prime class a runs the window on its rows b >= a, which follow
+    each other there and share a's primes, so one OR marks every row."""
+    import numpy as np
+
+    units, span, step, width = check_sweep_budget(m, N, M)
+    small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
+    table.mask(min(M, N - 1), m, units, small)
+    pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
+             for a, row in zip(units, small[0])]
+    copies = np.empty((8, len(units), width), dtype=np.uint8)
+    count = (N - 2) // m + 1
+    found: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in units]
+    for lo in range(0, count, step):
+        hi, base = min(lo + step, count), max(0, lo - span) // 8 * 8
+        copies.fill(0)
+        table.mask(min(N - 1, hi * m), m, units, copies, start=base)
+        for k, a in enumerate(units):
+            row, s = _window(a, units[k:], m, N, pidxs[k], lo, hi, base, copies[:, k:])
+            if len(s):  # so that the kept windows do not grow with N
+                found[k].append((row, s))
+    return {(a, b): survivors for k, a in enumerate(units) for b, survivors in
+            zip(units[k:], _survivor_lists(a, units[k:], m, N, found[k], True))}
+
+
+def exceptional_sets_for_modulus(m: int, N: int, M: Optional[int] = None, *,
+                                 table: PrimeTable) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1.
 
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
-    with the smaller residue as the small-prime class, and (b, a) shares
-    the tuple of (a, b).  Every pair reads one ResidueIndex, so the table
-    is read once: one stage-1 pass per small-prime class a over the rows
-    b >= a.  The caller sieves the table and reserves the index's
-    class_mask_bytes in its budget (cli.compute_sweep).
+    with the smaller residue as the small-prime class (_sweep_stage1),
+    and (b, a) shares the tuple of (a, b).  The caller sieves the table.
     """
     _require_even(m)
     if M is None:
         M = default_stage1_bound(m, N)
-    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    index = ResidueIndex(table, m, N, units)
     out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k, a in enumerate(units):
-        bs = units[k:]
-        for b, survivors in zip(bs, _stage1(a, bs, m, N, *index.stage1_source(a, bs, M))):
-            out[(a, b)] = out[(b, a)] = _resolved(a, b, m, M, survivors)
+    for (a, b), survivors in _sweep_stage1(m, N, M, table).items():
+        out[(a, b)] = out[(b, a)] = _resolved(a, b, m, M, survivors)
     return dict(sorted(out.items()))
 
 

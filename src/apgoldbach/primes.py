@@ -26,9 +26,9 @@ SIEVE_SEGMENT_SIZE = 1 << 20
 # Cap on peak storage, read by check_budget at each call.  For a table:
 # the packed odd bits plus one unpacked segment, its packed copy, the
 # presieve pattern and the base-prime sieve, which admits limits up to
-# ~4.3*10^9, plus the class masks a sweep reserves beside it, which brings
-# a sweep down to ~4.7*10^8.  A single pair counts its sieved windows
-# against the same cap.
+# ~4.3*10^9; a sweep counts the table and one window's buffers, a few MB
+# whatever N, so its limit is nearly the table's.  A single pair counts
+# its sieved windows against the same cap.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 # Odd primes whose multiples every window copies from a precomputed
@@ -72,12 +72,14 @@ class PrimeTable(NamedTuple):
     limit: int
     bits: np.ndarray  # packed, bit i <-> 2i + 1; 0 past limit
 
-    def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray) -> None:
+    def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray,
+             start: int = 0) -> None:
         """Primality along the progressions b + j*m for each b in classes,
         written packed: out is a zeroed uint8 array of shape (8,
-        len(classes), width), and out[:, k] receives the entries of the
-        k-th class, entry j True iff b + j*m is a prime <= hi, as the eight
-        bit-shifted copies of pack_copies clipped to width bytes.
+        len(classes), width), and out[:, k] receives the entries j >= start
+        (a multiple of 8) of the k-th class, entry j True iff b + j*m is a
+        prime <= hi, as the eight bit-shifted copies of pack_copies clipped
+        to width bytes: bit y of out[r, k] is entry start + y - r, or False.
 
         m is even and every class odd, so the entries of class b are the
         odd indices b//2 + j*m/2.  One pass over the odd bits unpacks a
@@ -93,14 +95,14 @@ class PrimeTable(NamedTuple):
         half = m // 2  # odd-index step of every class
         step = 8 * half * max(1, _CLASS_CHUNK // (8 * half))
         entries = (hi + 1) // 2  # odd numbers <= hi
-        for lo in range(0, entries, step):
+        for lo in range(start * half, entries, step):
             end = min(lo + step, entries)
             flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
             padded = np.zeros((len(classes), (end - lo) // half + 8), dtype=bool)
             for row, b in zip(padded, classes):
                 column = flags[b // 2 :: half]
                 row[7 : 7 + len(column)] = column
-            pack_copies(padded, out, lo // half)
+            pack_copies(padded, out, lo // half - start)
 
 
 def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
@@ -209,19 +211,17 @@ def sieve_progression(
             yield out
 
 
-def sieve_primes(limit: int, reserved_bytes: int = 0) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
     inclusive; entry i stands for 2i + 1.
 
     The segments are the windows of sieve_progression(1, 2, ...), each
     packed into the table as soon as it is sieved, through a zero-copy
-    view of the sieve's buffer.  The peak storage is the packed table, one
-    unpacked segment and its packed copy, and the sieve's pattern, base
-    primes and strike; that peak, plus the reserved_bytes the caller will
-    hold beside the table (a sweep's class masks), is what check_budget
-    bounds.  A segment is SIEVE_SEGMENT_SIZE odd entries, read at each
-    call and rounded down to a multiple of 8 (at least 8) so segments
-    start on a byte.
+    view of the sieve's buffer.  The peak storage, which check_budget
+    bounds, is the packed table, one unpacked segment and its packed copy,
+    and the sieve's pattern, base primes and strike.  A segment is
+    SIEVE_SEGMENT_SIZE odd entries, read at each call and rounded down to
+    a multiple of 8 (at least 8) so segments start on a byte.
     """
     import numpy as np
 
@@ -232,8 +232,8 @@ def sieve_primes(limit: int, reserved_bytes: int = 0) -> PrimeTable:
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)
     peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit, segment)
-    check_budget(peak + reserved_bytes, f"sieving to {limit} needs {peak} bytes ({nbytes} "
-                 f"packed plus one segment) and {reserved_bytes} more are reserved")
+    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus one "
+                 "segment)")
 
     bits = np.empty(nbytes, dtype=np.uint8)
     windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]

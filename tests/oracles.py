@@ -283,19 +283,20 @@ def stage1_survivor_diagnostic(m: int, N: int, M: int, table=None) -> SurvivorDi
     """Count stage-1 survivors (unresolved non-exceptions) for modulus m.
 
     The roles of the small-prime class and the long class differ, so each
-    ordered pair runs the engine's stage 1 in its own orientation; its
-    survivors are the unresolved candidates that are not elements.
+    ordered pair runs the engine's stage 1 in its own orientation: a pair
+    a <= b as the sweep marks it, a pair a > b as the single-pair engine
+    does; its survivors are the unresolved candidates that are not
+    elements.
     """
     from apgoldbach import partitions
     from apgoldbach.primes import sieve_primes
 
     if table is None:
         table = sieve_primes(N)
-    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-    index = partitions.ResidueIndex(table, m, N, units)
+    swept = partitions._sweep_stage1(m, N, M, table)
     survivors = {
-        (a, b): set(partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0])
-        - set(elements)
+        (a, b): set(swept[(a, b)] if a <= b else partitions._stage1_unresolved(
+            partitions.AdmissiblePair(a, b, m), N, M)) - set(elements)
         for (a, b), elements in partitions.exceptional_sets_for_modulus(
             m, N, M, table=table
         ).items()

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from apgoldbach import cli, partitions, primes, summaries
 from apgoldbach.cli import (
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -161,11 +163,14 @@ class TestExceptions:
     def test_over_budget_limit_usage_error(self, capsys):
         # the budget check runs before anything is allocated: a single
         # pair's memory outgrows the budget only through the base-prime
-        # sieve of a huge N, and a sweep's table and class masks grow with N
+        # sieve of a huge N, and a sweep's only through its table, past
+        # the table's own limit of ~4.3*10^9.  numpy is imported first, so
+        # that its import (5.4 MB) is not traced when this test runs alone
+        importlib.import_module("numpy")
         for command in (
             ["exceptions", "--m", "4", "--a", "1", "--b", "1",
              "--limit", "100000000000000000"],
-            ["table1", "--m-min", "2", "--m-max", "4", "--limit", "500000000",
+            ["table1", "--m-min", "2", "--m-max", "4", "--limit", "5000000000",
              "--threads", "1"],
         ):
             tracemalloc.start()
@@ -417,8 +422,8 @@ class TestTables:
         sent = []
         real = cli.fork_map
 
-        def recorded(fn, shares):
-            results = real(fn, shares)
+        def recorded(fn, shares, *dead):
+            results = real(fn, shares, *dead)
             sent.extend(result for share in results for result in share)
             return results
 
@@ -451,23 +456,27 @@ class TestTables:
         assert cli._modulus_shares([2, 4, 6, 8], 1) == [[8, 4, 6, 2]]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
-        # the sweep's one table reserves its largest index: a sweep of
-        # m = 30 fits a 1 MiB budget beside its table, and one of m = 2,
-        # run next in the same process, does not
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
+        # each sweep checks its table beside its own moduli's windows: at
+        # 10^6 one of m = 30 (2,464,348 bytes) fits a 2.5 MB budget, and
+        # one of m = 2 (2,727,152 bytes), run next in the same process,
+        # does not, and fails before it sieves
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_500_000)
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
-        with pytest.raises(MemoryBudgetError, match="reserved"):
+        sieved = []
+        monkeypatch.setattr(partitions, "sieve_primes", sieved.append)
+        with pytest.raises(MemoryBudgetError, match="of class copies"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
+        assert sieved == []
 
     def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path):
-        # a derived modulus builds no index: with 4 cached, a sweep of
-        # m = 2-6 derives 2 and reserves the index of 6 alone, which fits
-        # a 1 MiB budget where that of 2 does not
+        # a derived modulus needs no window: with 4 cached, a sweep of
+        # m = 2-6 derives 2 and checks the windows of 6 alone (2,538,008
+        # bytes), which fit a 2.6 MB budget where those of 2 do not
         compute_sweep(RunConfig(N=10**6, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2**20)
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_600_000)
         compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1, cache_dir=tmp_path))
         assert load_cache_entry(tmp_path, 2, 10**6) == {(1, 1): (2, 4)}
-        with pytest.raises(MemoryBudgetError, match="reserved"):
+        with pytest.raises(MemoryBudgetError, match="of class copies"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
 
     def test_sweep_sieves_once_before_it_forks(self, monkeypatch, tmp_path):
@@ -1038,6 +1047,68 @@ def test_killed_worker_fails_the_parent():
     )
 
 
+def test_killed_worker_exits_4_and_leaves_no_tmp_file(capsys, monkeypatch, tmp_path):
+    # the child that computes m = 6 writes its temporary cache file, as
+    # save_cache_entry does, and is killed before it can rename it: the
+    # run is an internal error, not a failed check, and the sweep removes
+    # the dead child's file
+    parent, real = os.getpid(), cli.exceptional_sets_for_modulus
+
+    def killed(m, N, table):
+        if os.getpid() != parent:
+            tmp_path.mkdir(exist_ok=True)
+            (tmp_path / f"m{m}_N{N}.{os.getpid()}.tmp").write_text("{")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(m, N, table)
+
+    monkeypatch.setattr(cli, "exceptional_sets_for_modulus", killed)
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, *SWEEP_ARGV, "--cache-dir", str(tmp_path))
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (f"internal error: RuntimeError: worker process {forks[0]} sent no "
+                   "result: wait status 9 (killed by signal 9)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m4_N10000.json"]
+    _assert_no_children()
+
+
+def test_killed_pair_worker_exits_4(capsys, monkeypatch):
+    # the pair's child, which runs windows 1, 3, ..., is killed as it
+    # sieves its first b-window
+    parent, real = os.getpid(), partitions.sieve_progression
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 1 << 10)
+    monkeypatch.setattr(partitions, "sieve_progression", killed)
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, *PAIR_ARGV)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (f"internal error: RuntimeError: worker process {forks[0]} sent no "
+                   "result: wait status 9 (killed by signal 9)\n")
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("argv,name,exc", [
+    (["verify", "conj2", "--limit", "1000"], "_bitset_stage1",
+     IndexError("index 9 is out of range")),
+    (["table1", "--m-max", "6", "--limit", "10000", "--threads", "1"], "sieve_primes",
+     MemoryError("no room")),
+], ids=["verify-IndexError", "table1-MemoryError"])
+def test_engine_error_exits_4(capsys, monkeypatch, argv, name, exc):
+    # an exception that is neither bad input (2) nor I/O (3) is an internal
+    # error, one line on stderr, and never the exit code of a failed check
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(partitions, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["table1", "--m-max", "12", "--limit", "10000"],
     ["exceptions", "--m", "4", "--a", "1", "--b", "3", "--limit", "10000"],
@@ -1050,7 +1121,8 @@ def test_fork_map_without_os_fork_runs_the_shares_here(capsys, monkeypatch, argv
     serial = run(capsys, *argv, "--threads", "1")
     assert serial[0] == EXIT_OK
     shares, real = [], cli.fork_map
-    monkeypatch.setattr(cli, "fork_map", lambda fn, xs: shares.append(len(xs)) or real(fn, xs))
+    monkeypatch.setattr(cli, "fork_map",
+                        lambda fn, xs, *dead: shares.append(len(xs)) or real(fn, xs, *dead))
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv, "--threads", "2") == serial
     assert shares == [2]

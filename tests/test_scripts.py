@@ -101,3 +101,20 @@ def test_run_tables_output_dir_that_is_a_file_exits_3(tmp_path):
     assert (proc.returncode, proc.stdout) == (cli.EXIT_IO, "")
     assert proc.stderr.startswith("I/O error: ") and str(out) in proc.stderr
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("name", ["run_tables.py", "model_vs_observed.py"])
+def test_internal_error_exits_4(capsys, monkeypatch, tmp_path, name):
+    # a dead worker, say, is no usage or I/O error: both scripts exit 4
+    # with the CLI's one line
+    def dead(config):
+        raise RuntimeError("worker process 1 sent no result")
+
+    monkeypatch.setattr(cli, "compute_sweep", dead)
+    monkeypatch.setattr(sys, "argv", [name, *SWEEP, *(
+        ["--output-dir", str(tmp_path)] if name == "run_tables.py" else [])])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    assert exc.value.code == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == (
+        "", "internal error: RuntimeError: worker process 1 sent no result\n")

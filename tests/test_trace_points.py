@@ -6,6 +6,7 @@ it patches.
 """
 
 import functools
+import inspect
 
 import pytest
 
@@ -37,3 +38,9 @@ def test_traced_name_is_callable(name):
     target = functools.reduce(lambda owner, attr: getattr(owner, attr, None), attrs,
                               MODULES[module])
     assert callable(target)
+
+
+def test_mask_keeps_its_hi_parameter():
+    # perfbench's _unpacked_entries reads the bound argument `hi` of
+    # PrimeTable.mask, and without it counts the table's whole limit
+    assert "hi" in inspect.signature(primes.PrimeTable.mask).parameters
