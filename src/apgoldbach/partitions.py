@@ -22,12 +22,13 @@ to M, so only survivors above M + 2 go to stage 2, which tries only p > M.
 
 Stage 1 is the body of one window (_window), which its source loops over.
 A modulus sweep runs its windows outer (_sweep_stage1), so its memory
-beside the table depends on m, not N.  A single pair is the one-row case:
-it builds no table, but sieves the a-class up to M and then each b-window
-straight from its progression (primes.sieve_progression) and packs it
-once, so its memory is flat in N.  Its windows are independent, so a
-caller may pass a share map that runs shares of them in other processes
-(cli.fork_map).  A pair whose candidates fit in fewer than
+beside the table depends on m, not N.  A single pair is the one-row case
+(_pair_share): it builds no table, but sieves the a-class up to M and
+then each b-window straight from its progression
+(primes.sieve_progression) and packs it once, so its memory is flat in N.
+Its windows are independent, so a caller may pass a share map that runs
+shares of them in other processes (cli.fork_map); the budget is checked
+once before any share runs.  A pair whose candidates fit in fewer than
 _MIN_SHARE_WINDOWS windows, which would never split, instead sieves its
 whole b-class into one bytearray and runs stage 1 on Python int bitsets
 (_bitset_stage1).  Only the packed kernel imports numpy, when it first
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .primes import (
     SIEVE_SEGMENT_SIZE,
@@ -75,10 +76,6 @@ _MARK_BLOCK = 1 << 22
 # at 5*10^6 (1-2 windows) stay in one process; a pair of modulus m whose
 # candidates fit in fewer windows runs _bitset_stage1.
 _MIN_SHARE_WINDOWS = 3
-
-# Maps the starts of a pair's windows, in order, to the windows, each as
-# (lo, hi, base, copies): bit y of copies[r, 0] is b-entry base + y - r.
-Windows = Callable[[range], Iterable[tuple[int, int, int, "np.ndarray"]]]
 
 # Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
 # a caller's map may run them in other processes.
@@ -168,57 +165,6 @@ def find_witness(n: int, pair: AdmissiblePair, start: int = 0) -> Optional[Parti
     return None
 
 
-def _sieved_source(pair: AdmissiblePair, N: int, M: int) -> tuple[np.ndarray, Windows]:
-    """Stage 1's inputs for one pair, sieved along its two progressions:
-    no table and no N/m-entry mask.
-
-    The a-class up to M is the window [0, (M - a)//m] of its own
-    progression, kept only as the indices of its primes.  A window is one
-    sieve segment of candidates; its b-entries, with the span below it
-    (span the largest prime index) and the 7 entries before that (none
-    below j = 0 is prime), are sieved into one reused bytearray, which a
-    zero-copy view packs into eight reused copies.  Before each
-    allocation the budget counts the a-mask, the int64 indices once known,
-    the buffer and the copies once their size is, and the sieve's
-    pattern, base primes and strike.
-    """
-    import numpy as np
-
-    a, b, m = pair
-    entries = max(0, (M - a) // m + 1)
-
-    def reserve(primes: int, size: int) -> None:
-        width = (size + 7) // 8  # every entry in every copy
-        window = size + 8 * width
-        sieve = sieve_overhead_bytes(N, max(entries, size))
-        need = entries + 8 * primes + window + sieve
-        check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                     f"small-prime mask, {8 * primes} of prime indices, {window} of "
-                     f"window and copies, {sieve} of sieve pattern and base primes)")
-
-    reserve(0, 0)
-    pidx = np.zeros(0, dtype=np.int64)
-    if entries:
-        amask = next(sieve_progression(a, m, M, [(0, entries)], bytearray(entries)))
-        reserve(amask.count(1), 0)
-        pidx = np.flatnonzero(np.frombuffer(amask, dtype=bool))
-
-    def windows(starts: range) -> Iterator[tuple[int, int, int, np.ndarray]]:
-        span = int(pidx[-1]) if len(pidx) else 0
-        ranges = [(max(j - span, 0), min(j + SIEVE_SEGMENT_SIZE, starts.stop)) for j in starts]
-        size = max((hi - base for base, hi in ranges), default=0) + 7
-        reserve(len(pidx), size)
-        buf = bytearray(size)
-        copies = np.empty((8, 1, (size + 7) // 8), dtype=np.uint8)
-        padded = [(base - 7, hi) for base, hi in ranges]
-        for lo, (base, hi), _ in zip(starts, ranges, sieve_progression(b, m, N, padded, buf)):
-            copies.fill(0)
-            pack_copies(np.frombuffer(buf, dtype=bool, count=7 + hi - base), copies[:, 0])
-            yield lo, hi, base, copies
-
-    return pidx, windows
-
-
 def _window(a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, lo: int, hi: int,
             base: int, copies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1 over the candidates n = a + b + s*m, lo <= s < hi, of each
@@ -273,28 +219,45 @@ def _window(a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, lo: int, hi
     return row, s
 
 
-def _survivor_lists(a: int, bs: list[int], m: int, N: int, found: list[tuple[np.ndarray, ...]],
-                    first: bool) -> list[list[int]]:
-    """The candidates n of the windows' (row, s) survivors `found`, in
-    window order: one ascending list per b in bs, led by a + b - m when
-    `first` and that is at least 2, which no p + q reaches."""
-    import numpy as np
-
-    row, s = (np.concatenate([np.zeros(0, np.int64)] + [f[i] for f in found]) for i in (0, 1))
-    return [[a + b - m] * (first and 2 <= a + b - m <= N) + (a + b + s[row == r] * m).tolist()
-            for r, b in enumerate(bs)]
-
-
-def _pair_share(pair: AdmissiblePair, N: int, pidx: np.ndarray, windows: Windows,
+def _pair_share(pair: AdmissiblePair, N: int, M: int,
                 share: tuple[int, int] = (0, 1)) -> list[int]:
     """Stage 1 of one pair on share k of K = share of its windows, each one
-    sieve segment of candidates: windows k, k + K, k + 2K, ...  The K
-    shares' ascending lists, merged, are the unsplit list."""
+    sieve segment of candidates: windows k, k + K, k + 2K, ...  Returns the
+    unmarked candidates n <= N, ascending, led on share 0 by a + b - m if
+    that is at least 2, which no p + q reaches; merged, the K shares'
+    lists are the unsplit list.
+
+    The a-class up to M is the window [0, (M - a)//m] of its own
+    progression, kept only as the indices of its primes.  A window's
+    b-entries, with the span below it (span the largest prime index) and
+    the 7 entries before that (none below j = 0 is prime), are sieved into
+    one reused bytearray, which a zero-copy view packs into eight reused
+    copies.  The caller checks the budget first.
+    """
+    import numpy as np
+
     a, b, m = pair
     step, (k, shares) = SIEVE_SEGMENT_SIZE, share
-    starts = range(k * step, (N - a - b) // m + 1, shares * step)
-    found = [_window(a, [b], m, N, pidx, *window) for window in windows(starts)]
-    return _survivor_lists(a, [b], m, N, found, k == 0)[0]
+    entries = max(0, (M - a) // m + 1)
+    pidx = np.zeros(0, dtype=np.int64)
+    if entries:
+        amask = next(sieve_progression(a, m, M, [(0, entries)], bytearray(entries)))
+        pidx = np.flatnonzero(np.frombuffer(amask, dtype=bool))
+    span = int(pidx[-1]) if len(pidx) else 0
+    count = (N - a - b) // m + 1
+    starts = range(k * step, count, shares * step)
+    ranges = [(max(lo - span, 0), min(lo + step, count)) for lo in starts]
+    size = max((hi - base for base, hi in ranges), default=0) + 7
+    buf = bytearray(size)
+    copies = np.empty((8, 1, (size + 7) // 8), dtype=np.uint8)
+    padded = [(base - 7, hi) for base, hi in ranges]
+    found = [a + b - m] * (k == 0 and 2 <= a + b - m <= N)
+    for lo, (base, hi), _ in zip(starts, ranges, sieve_progression(b, m, N, padded, buf)):
+        copies.fill(0)
+        pack_copies(np.frombuffer(buf, dtype=bool, count=7 + hi - base), copies[:, 0])
+        _, s = _window(a, [b], m, N, pidx, lo, hi, base, copies)
+        found += (a + b + s * m).tolist()
+    return found
 
 
 def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
@@ -359,17 +322,27 @@ def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
 
     Where every pair of modulus m has fewer than _MIN_SHARE_WINDOWS
     windows, which never split, _bitset_stage1 runs here.  Otherwise the
-    b-class is sieved one window at a time (_sieved_source), the windows
-    are split into as many shares as `workers` allows while each gets
-    _MIN_SHARE_WINDOWS, and share_map runs the shares.
+    budget is checked before any sieve or share, numpy is imported once
+    for all shares, the windows are split into as many shares as
+    `workers` allows while each gets _MIN_SHARE_WINDOWS, and share_map
+    runs the shares (_pair_share).
     """
     a, b, m = pair
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
         return _bitset_stage1(pair, N, M)
-    pidx, windows = _sieved_source(pair, N, M)
+    entries = max(0, (M - a) // m + 1)
+    size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
+    window = size + 8 * ((size + 7) // 8)  # every entry in every copy
+    sieve = sieve_overhead_bytes(N, max(entries, size))
+    need = 9 * entries + window + sieve
+    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
+                 f"small-prime mask, {8 * entries} of prime indices, {window} of "
+                 f"window and copies, {sieve} of sieve pattern and base primes)")
+    import numpy  # here, before the fork, not in every share
+
     count = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
     shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
-    run = lambda k: _pair_share(pair, N, pidx, windows, (k, shares))
+    run = lambda k: _pair_share(pair, N, M, (k, shares))
     return sorted(n for part in share_map(run, range(shares)) for n in part)
 
 
@@ -454,8 +427,13 @@ def _sweep_stage1(m: int, N: int, M: int,
             row, s = _window(a, units[k:], m, N, pidxs[k], lo, hi, base, copies[:, k:])
             if len(s):  # so that the kept windows do not grow with N
                 found[k].append((row, s))
-    return {(a, b): survivors for k, a in enumerate(units) for b, survivors in
-            zip(units[k:], _survivor_lists(a, units[k:], m, N, found[k], True))}
+    out: dict[tuple[int, int], list[int]] = {}
+    for k, a in enumerate(units):
+        row, s = (np.concatenate([np.zeros(0, np.int64)] + [f[i] for f in found[k]])
+                  for i in (0, 1))
+        for r, b in enumerate(units[k:]):  # a + b - m >= 2 is no p + q and leads
+            out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + (a + b + s[row == r] * m).tolist()
+    return out
 
 
 def exceptional_sets_for_modulus(m: int, N: int, M: Optional[int] = None, *,

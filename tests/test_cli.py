@@ -192,8 +192,8 @@ class TestExceptions:
         code, out, _ = run(capsys, *command)
         assert code == EXIT_OK
         assert out.splitlines()[0] == "4"
-        # a large M widens the window: 3 MB of a-class mask, 3 MB of
-        # small-prime indices and a 4 MB window with its 4 MB of packed
+        # a large M widens the window: 3 MB of a-class mask, 24 MB for
+        # its int64 indices and a 4 MB window with its 4 MB of packed
         # copies do not fit
         monkeypatch.setattr(partitions, "default_stage1_bound",
                             lambda m, N: min(12_000_000, N))
@@ -656,6 +656,27 @@ def test_cold_pool_starts_after_the_engine_import():
     assert _fresh_python(code) == "0 [False, True]\n"
 
 
+def test_split_pair_maps_its_shares_after_the_numpy_import():
+    # forked shares inherit numpy from the process that maps them, so that
+    # none imports it again: a pair of 8 windows of 64 entries, split in 2
+    code = textwrap.dedent("""\
+        import sys
+        from apgoldbach import partitions
+
+        partitions.SIEVE_SEGMENT_SIZE = 64
+        seen = ["numpy" in sys.modules]
+
+        def share_map(fn, shares):
+            seen.append(("numpy" in sys.modules, len(shares)))
+            return map(fn, shares)
+
+        es = partitions.exceptional_set(partitions.AdmissiblePair(1, 3, 4), 2000,
+                                        workers=2, share_map=share_map)
+        print(es.elements, seen)
+    """)
+    assert _fresh_python(code) == "(4,) [False, (True, 2)]\n"
+
+
 LAZY_MODULES = ENGINE_MODULES | {"apgoldbach.heuristics", "apgoldbach.summaries", "fractions",
                                  "decimal", "concurrent.futures", "multiprocessing"}
 # summaries rounds integer ratios itself: no fractions, and so no decimal
@@ -1002,8 +1023,8 @@ def test_budget_error_in_a_worker_exits_2(capsys, monkeypatch, argv, where):
             return fn(*args, **kwargs)
         return wrapped
 
-    # the pair sieves its a-class (1 mod 4) here before it forks; its
-    # b-windows (3 mod 4) and the sweep's moduli run in both processes
+    # each share of the pair sieves the a-class (1 mod 4), which passes,
+    # and its b-windows (3 mod 4); the sweep's moduli run in both processes
     monkeypatch.setattr(cli, "exceptional_sets_for_modulus",
                         over_budget(cli.exceptional_sets_for_modulus))
     monkeypatch.setattr(partitions, "sieve_progression",

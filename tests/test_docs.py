@@ -83,6 +83,35 @@ def test_docs_name_only_what_exists():
     assert missing == []
 
 
+def _numpy_importers() -> set[str]:
+    """The package functions, qualified by their class if any, whose own
+    body (not a nested function's) imports numpy."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                if any(isinstance(stmt, ast.Import) and any(
+                        alias.name == "numpy" for alias in stmt.names) for stmt in child.body):
+                    found.add(prefix + child.name)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_readme_names_every_numpy_importer():
+    # README's list of the functions that use numpy, its module
+    # qualifiers cut, is exactly the functions whose body imports it
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"the functions that use it \((.*?)\) import it when they run", readme)
+    names = {re.sub(r"^(%s)\." % "|".join(MODULES), "", name)
+             for name in re.findall(r"`([\w.]+)`", listed.group(1))}
+    assert names == _numpy_importers()
+
+
 @pytest.mark.parametrize("text,stale", [
     ("`python -m apgoldbach.cli`, `apgoldbach.cli.main_and_exit`", []),
     # the package root defines no engine names

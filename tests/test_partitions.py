@@ -142,19 +142,31 @@ class TestExceptionalSet:
         assert small.stage1_survivors >= large.stage1_survivors
 
     @pytest.mark.parametrize("N,M,budget,nonzero", [
-        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, False, False, True]),
-        (10**8, 12_000_000, 4_000_000, [True, True, False, True]),
+        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, True, True, True]),
+        (10**8, 12_000_000, 4_000_000, [True, True, True, True]),
         (10**8, 12_000_000, 8 * 2**20, [True, True, True, True]),
+        (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False, True, True]),
     ])
     def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
-        # the a-mask and the sieve exceed the budget before any
-        # allocation, then with the prime indices, then with a window and
-        # its copies; the parts named add up to the bytes needed, and the
-        # sieve's strike is sized by the larger of its buffers: the a-mask
-        # or the window (one segment, the span and 7 entries below it)
+        # one count before anything is sieved or any share mapped: the
+        # a-mask, 8 bytes an a-class entry for the prime indices, a window
+        # and its copies (one segment, the a-class's length and 7 entries)
+        # and the sieve; the parts named add up to the bytes needed, and
+        # the sieve's strike is sized by the larger of its buffers.  M = 2
+        # < a leaves the a-class empty
+        sieved, mapped = [], []
+        real = partitions.sieve_progression
+        monkeypatch.setattr(partitions, "sieve_progression",
+                            lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+
+        def recorder(fn, shares):
+            mapped.append(shares)
+            return map(fn, shares)
+
         with pytest.raises(MemoryBudgetError) as exc:
-            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M)
+            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M, workers=2, share_map=recorder)
+        assert sieved == mapped == []
         need, *parts = map(int, re.search(
             r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
             r"(\d+) of window and copies, (\d+) of sieve pattern and base primes\)",
@@ -163,13 +175,10 @@ class TestExceptionalSet:
         assert sum(parts) == need > budget
         assert [part > 0 for part in parts] == nonzero
         M = partitions.default_stage1_bound(4, N) if M is None else M
-        entries = (M - 3) // 4 + 1  # class 3 up to M
-        assert parts[0] == entries
-        window = 0
-        if parts[2]:
-            span = next(i for i in range(entries - 1, 0, -1) if is_prime(3 + 4 * i))
-            window = partitions.SIEVE_SEGMENT_SIZE + span + 7
-            assert parts[2] == window + 8 * ((window + 7) // 8)
+        entries = max(0, (M - 3) // 4 + 1)  # class 3 up to M
+        assert parts[:2] == [entries, 8 * entries]
+        window = partitions.SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
+        assert parts[2] == window + 8 * ((window + 7) // 8)
         assert parts[3] == primes.sieve_overhead_bytes(N, max(entries, window))
 
     @pytest.mark.parametrize(
@@ -694,8 +703,7 @@ def test_gather_past_a_short_share_reads_no_hit(monkeypatch):
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
     a, b, m, N, M = 3, 9, 10, 4962, 3246
     pair = AdmissiblePair(a, b, m)
-    pidx, windows = partitions._sieved_source(pair, N, M)
-    parts = [partitions._pair_share(pair, N, pidx, windows, (k, 2)) for k in (0, 1)]
+    parts = [partitions._pair_share(pair, N, M, (k, 2)) for k in (0, 1)]
     assert sorted(parts[0] + parts[1]) == naive_stage1_unresolved(a, b, m, N, M)
 
 
@@ -724,8 +732,7 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     pair = AdmissiblePair(a, b, m)
     unsplit = _stage1_unresolved(pair, N, M)
     assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
-    pidx, windows = partitions._sieved_source(pair, N, M)
-    parts = [partitions._pair_share(pair, N, pidx, windows, (k, K)) for k in range(K)]
+    parts = [partitions._pair_share(pair, N, M, (k, K)) for k in range(K)]
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
@@ -762,7 +769,7 @@ def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
     pair = AdmissiblePair(a, b, m)
     naive = naive_stage1_unresolved(a, b, m, N, M)
     assert partitions._bitset_stage1(pair, N, M) == naive
-    assert partitions._pair_share(pair, N, *partitions._sieved_source(pair, N, M)) == naive
+    assert partitions._pair_share(pair, N, M) == naive
 
 
 def test_bitset_kernel_agrees_with_the_sweep_at_m194(monkeypatch, table_1e6):
@@ -792,7 +799,7 @@ class TestKernelSelection:
     @staticmethod
     def record_kernels(monkeypatch, ran):
         # each kernel's entry point appends its name to `ran` as it runs
-        for name in ("_bitset_stage1", "_sieved_source"):
+        for name in ("_bitset_stage1", "_pair_share"):
             real = getattr(partitions, name)
             monkeypatch.setattr(partitions, name,
                                 lambda *args, name=name, real=real: ran.append(name) or real(*args))
@@ -812,7 +819,7 @@ class TestKernelSelection:
             for b in units:
                 es = exceptional_set(AdmissiblePair(a, b, m), N)
                 assert list(es.elements) == naive_exceptional_set(a, b, m, N), (a, b)
-        source = {"bitset": "_bitset_stage1", "packed": "_sieved_source"}[kernel]
+        source = {"bitset": "_bitset_stage1", "packed": "_pair_share"}[kernel]
         assert ran == [source] * len(units) ** 2
 
     def test_default_threshold_is_two_segments(self, monkeypatch):
@@ -821,7 +828,7 @@ class TestKernelSelection:
         self.record_kernels(monkeypatch, ran)
         for N in (2**23 + 1, 2**23 + 2):
             assert exceptional_set(AdmissiblePair(1, 3, 4), N).elements == (4,)
-        assert ran == ["_bitset_stage1", "_sieved_source"]
+        assert ran == ["_bitset_stage1", "_pair_share"]
 
     def test_bitset_kernel_peak_memory(self):
         # a pair just below the threshold, 2^21 candidates: the entry
