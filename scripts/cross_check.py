@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Cross-check the two sweep kernels, modulus by modulus.
+
+For each even m in [--m-min, --m-max] at N = --limit, stage 1 of every
+unordered pair runs through both sweep kernels: the packed numpy kernel
+(partitions._sweep_stage1), off the prime table, and the int-bitset
+kernel (partitions._bitset_sweep), off the table's odd flags.  The two
+share no marking, scanning or tail code, and their candidate lists must
+be equal pair by pair.  The table both read is checked on its own:
+sampled entries of each unit class are compared with is_prime, whose
+Miller-Rabin test shares no code with the sieve.
+
+Prints one line per modulus.  Exits 1 at the first difference, in modulus
+order, naming (m, a, b) or the table entry; otherwise it exits as the
+apgoldbach CLI does (cli.exit_status).  The moduli are dealt to --threads
+worker processes (0 = one per CPU).
+"""
+
+import argparse
+import math
+import random
+import sys
+import time
+from typing import Optional
+
+from apgoldbach import cli, partitions
+from apgoldbach.primes import is_prime, sieve_primes
+
+# Table entries checked against is_prime per unit class of a modulus.
+SAMPLES = 32
+
+
+def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Optional[str]]:
+    """(pairs compared, table entries sampled, the first difference or
+    None) for modulus m at N."""
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    rng = random.Random(m)
+    sampled = 0
+    for b in units:
+        entries = range((N - 1 - b) // m + 1)  # b + j*m <= N - 1, the sweep's reach
+        for j in rng.sample(entries, min(SAMPLES, len(entries))):
+            sampled += 1
+            if flags[b // 2 + j * (m // 2)] != is_prime(b + j * m):
+                return 0, sampled, (f"table entry {b + j * m} (m = {m}, b = {b}) "
+                                    "disagrees with is_prime")
+    M = partitions.default_stage1_bound(m, N)
+    packed = partitions._sweep_stage1(m, N, M, table)
+    bitset = partitions._bitset_sweep(m, N, M, flags)
+    for (a, b), survivors in packed.items():
+        if bitset.get((a, b)) != survivors:
+            return 0, sampled, (f"(m, a, b) = ({m}, {a}, {b}): the packed kernel leaves "
+                                f"{len(survivors)} candidates, the int-bitset kernel "
+                                f"{len(bitset.get((a, b), []))}")
+    if bitset.keys() != packed.keys():
+        return 0, sampled, f"m = {m}: the kernels key different pairs"
+    return len(packed), sampled, None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--limit", "-N", type=int, default=2 * 10**5)
+    parser.add_argument("--m-min", type=int, default=2)
+    parser.add_argument("--m-max", type=int, default=200)
+    parser.add_argument("--threads", type=int, default=0)
+    args = parser.parse_args()
+    config = cli.RunConfig(N=args.limit, m_min=args.m_min, m_max=args.m_max,
+                           threads=args.threads)
+
+    start = time.monotonic()
+    N = config.N
+    table = sieve_primes(N)
+    flags = table.primes()
+    import numpy  # noqa: F401  (before the fork, for both kernels' workers)
+
+    shares = cli._modulus_shares(config.moduli, config.worker_count)
+    done = cli.fork_map(lambda share: [(m, *check_modulus(m, N, table, flags))
+                                       for m in share], shares)
+    for m, pairs, sampled, error in sorted(r for share in done for r in share):
+        if error is not None:
+            print(f"FAIL {error}")
+            return cli.EXIT_FAIL
+        print(f"m = {m}: {pairs} pairs agree, {sampled} table entries match is_prime")
+    print(f"both kernels agree on m = {args.m_min}..{args.m_max} at N = {N} "
+          f"in {time.monotonic() - start:.1f}s")
+    return cli.EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(cli.exit_status(main))

@@ -15,13 +15,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
-# The engine (partitions and primes, and with them numpy) is imported only
-# where stage 1 runs, so that a table1, table2, figures or verify asy whose
-# every modulus is cached or derived never loads it; summaries and
-# heuristics, which need only math and integers, are imported where they
-# are used, so that `exceptions` and the engine-only `verify` targets never
-# load them and `heuristic` loads summaries only with a cache directory;
-# json is imported by the cache functions and the JSON table format
+# The engine (partitions and primes, and numpy where the packed kernel
+# runs) is imported only where stage 1 runs, so that a table1, table2,
+# figures or verify asy whose every modulus is cached or derived never
+# loads it; summaries and heuristics, which need only math and integers,
+# are imported where they are used, so that `exceptions` and the
+# engine-only `verify` targets never load them and `heuristic` loads
+# summaries only with a cache directory; json is imported by the cache
+# functions and the JSON table format
 if TYPE_CHECKING:
     from .partitions import AdmissiblePair
     from .primes import PrimeTable
@@ -282,7 +283,7 @@ def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
 # Per-modulus computation
 
 
-def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable) -> ModulusSets:
+def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytes) -> ModulusSets:
     """partitions.exceptional_sets_for_modulus, called through this name so
     that perfbench/inprocess.py can patch it to time each modulus."""
     from . import partitions
@@ -317,13 +318,14 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     m/2 is still to be derived from them.  Cache hits are finished here in
     ascending order, when each m/2 is known to hit or miss.  The misses
     whose double is out of range are dealt to the workers' shares
-    (fork_map), after one sieve, which the budget checks first beside
-    each computed modulus's window buffers (partitions.check_sweep_budget);
-    the workers read the table copy-on-write.  Every other miss m is
-    derived here from the sets of 2m, which are dropped then
-    (summaries.exceptional_sets_from_double, in descending order, so 2m is
-    cached, computed or derived first).  Only a sweep that computes some
-    modulus imports the engine.
+    (fork_map), after partitions.sweep_table has picked their stage-1
+    kernel, checked the budget and sieved the one table; the workers read
+    the table, or its odd flags on the int-bitset kernel, copy-on-write.
+    Every other miss m is derived here from the sets of 2m, which are
+    dropped then (summaries.exceptional_sets_from_double, in descending
+    order, so 2m is cached, computed or derived first).  Only a sweep that
+    computes some modulus imports the engine, and only one on the packed
+    kernel imports numpy.
     """
     from . import summaries  # no numpy: deriving a miss loads no engine
 
@@ -346,12 +348,10 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     computed = [m for m in missing if 2 * m > config.m_max]
     if computed:
         # import the engine here, before fork_map forks the workers, so
-        # that they inherit it instead of each importing numpy
+        # that they inherit it instead of each importing it
         from . import partitions
 
-        for m in computed:
-            partitions.check_sweep_budget(m, N, partitions.default_stage1_bound(m, N))
-        table = partitions.sieve_primes(N)
+        table = partitions.sweep_table(N, computed)
         shares = _modulus_shares(computed, config.worker_count)
 
         def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup

@@ -10,29 +10,38 @@ Stage 1 reads the b-class, whose entry j says whether b + j*m is prime,
 and the small primes p = a + i*m up to M.  Candidates are indexed by
 s = i + j, n = a + b + s*m, so prime index i marks s wherever entry s - i
 is prime; the one other candidate, a + b - m when it is at least 2, is
-never marked.  The b-class is held as eight bit-shifted packed copies
+never marked.  Stage 1 tries every small prime up to M, so only
+survivors above M + 2 go to stage 2, which tries only p > M.
+
+It has two kernels, each for a whole modulus and for a single pair.  The
+packed kernel holds the b-class as eight bit-shifted packed copies
 (primes.pack_copies), so a shift is whole-byte ORs of copy i % 8 at byte
 offset i // 8.  The first _VECTOR_PHASE_PRIMES shifts OR into packed
 marks one window at a time, of a length the source sets so that the marks
 stay in cache; the survivors are the unset bits of the few marks bytes
 that hold any, and the remaining primes test them in 2-D gathers of bit j
 of copy 0, in blocks that start at _GATHER_FIRST_ELEMENTS elements and
-double up to _GATHER_BLOCK_ELEMENTS.  Stage 1 tries every small prime up
-to M, so only survivors above M + 2 go to stage 2, which tries only p > M.
+double up to _GATHER_BLOCK_ELEMENTS.  Its stage 1 is the body of one
+window (_window), which its source loops over.  A modulus sweep runs its
+windows outer (_sweep_stage1), so its memory beside the table depends on
+m, not N.  A single pair is the one-row case (_pair_share): it builds no
+table, but sieves the a-class up to M and then each b-window straight
+from its progression (primes.sieve_progression) and packs it once, so its
+memory is flat in N.  Its windows are independent, so a caller may pass a
+share map that runs shares of them in other processes (cli.fork_map); the
+budget is checked once before any share runs.
 
-Stage 1 is the body of one window (_window), which its source loops over.
-A modulus sweep runs its windows outer (_sweep_stage1), so its memory
-beside the table depends on m, not N.  A single pair is the one-row case
-(_pair_share): it builds no table, but sieves the a-class up to M and
-then each b-window straight from its progression
-(primes.sieve_progression) and packs it once, so its memory is flat in N.
-Its windows are independent, so a caller may pass a share map that runs
-shares of them in other processes (cli.fork_map); the budget is checked
-once before any share runs.  A pair whose candidates fit in fewer than
-_MIN_SHARE_WINDOWS windows, which would never split, instead sieves its
-whole b-class into one bytearray and runs stage 1 on Python int bitsets
-(_bitset_stage1).  Only the packed kernel imports numpy, when it first
-runs, so a process whose pairs are all small never loads it.
+The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
+binary digits of one Python int, so a shift is one int shift; after the
+head's ORs, each unset bit tries the remaining primes on the entry bytes.
+A modulus sweep on it (_bitset_sweep) reads the table's odd flags
+(primes.PrimeTable.primes) and holds a row of every unit class in one
+int; sweep_table picks it, by one size rule, for sweeps of short rows or
+little work.  A pair whose candidates fit in fewer than
+_MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
+(_bitset_stage1), which sieves its whole b-class into one bytearray.
+Only the packed kernel imports numpy, when it first runs, so a process
+whose sweeps and pairs all run the int-bitset kernel never loads it.
 """
 
 from __future__ import annotations
@@ -42,13 +51,14 @@ from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .primes import (
+    _BINARY_DIGITS,
     SIEVE_SEGMENT_SIZE,
     PrimeTable,
     check_budget,
     is_prime,
     pack_copies,
     sieve_overhead_bytes,
-    sieve_primes,  # cli sieves as partitions.sieve_primes, the name perfbench traces
+    sieve_primes,
     sieve_progression,
 )
 
@@ -62,6 +72,17 @@ if TYPE_CHECKING:
 # sparse b-classes, such as m = 4 at 2*10^8, that halves stage 1.
 _VECTOR_PHASE_PRIMES = 64
 _HEAD_GROUP = 32
+
+# The sweeps that run the int-bitset kernel (sweep_table): those whose
+# longest row of candidates is at most _BITSET_SWEEP_ROW, and those whose
+# head work, the sum of phi(m)^2 (N - 2)//m over the moduli they compute,
+# times that row is at most _BITSET_SWEEP_WORK.  Fitted on 2 vCPUs, CLI
+# CPU time on one worker with numpy's import: the int kernel's ORs cost
+# less than the packed kernel's per-window calls on rows of up to about
+# 10^4 candidates, and on longer rows more, by a share that grows with
+# the row, which only a small head saves back in numpy's import.
+_BITSET_SWEEP_ROW = 10**4
+_BITSET_SWEEP_WORK = 5 * 10**12
 
 # Candidates per stage-1 window of a sweep, over all phi(m) rows: 512 KiB
 # of marks in the pass of class 1, less in later passes over fewer rows.
@@ -92,8 +113,17 @@ _GATHER_FIRST_ELEMENTS = 1 << 12
 # _BIT[y % 8] selects bit y of a packed row within its byte.
 _BIT = (128, 64, 32, 16, 8, 4, 2, 1)
 
-# Maps entry bytes 0 and 1 to the digits of int(..., 2).
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Shifts that the int-bitset kernel ORs into the marks of a small-prime
+# class in a sweep before each unset bit tries the remaining primes one
+# by one.  On 2 vCPUs, 48 took 7 % less time than 64 over the moduli of
+# the desk sweep, but a single pair's long rows take _VECTOR_PHASE_PRIMES
+# shifts: 48 took 14 % more time than 64 on verify conj2 at 5*10^6.
+_BITSET_HEAD_PRIMES = 48
+
+# Maps a marks byte to 1 if any of its bits is unset, else to 0; and to
+# the positions, from the top, of its unset bits.
+_UNSET_BYTE = bytes(v != 255 for v in range(256))
+_UNSET_BITS = [[k for k in range(8) if not v & 128 >> k] for v in range(256)]
 
 
 def default_stage1_bound(m: int, N: int) -> int:
@@ -260,28 +290,76 @@ def _pair_share(pair: AdmissiblePair, N: int, M: int,
     return found
 
 
-def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
-    """Stage 1 of one pair on Python int bitsets: the candidates n <= N
-    not representable with p <= M, ascending, as _window finds them.
+def _bitset_rows(bitset: int, marks: int, width: int, pidx: list[int], head: int,
+                 rows: list[tuple[int, int]], entry: bytes, stride: int) -> list[list[int]]:
+    """Stage 1 of one small-prime class, whose prime indices up to M are
+    pidx, over rows of candidates on Python int bitsets: per row, the s
+    that no prime index i marks (entry s - i is prime), ascending.
 
-    The b-class, entries 0 to the largest s, is sieved into one bytearray
-    and read as the bitset B whose bit count - 1 - j is entry j, so that
-    shift i, which marks s where entry s - i is prime, is B >> i.  The
-    first _VECTOR_PHASE_PRIMES shifts OR into the marks; each unset bit
-    left then tries the remaining prime indices i <= s in order, on the
-    entry bytes, up to its first hit.  Before it allocates, the budget
+    `bitset` holds len(rows) rows of `width` bits, a multiple of 8, the
+    first row in the top bits.  Bit y from the top of row r is entry y of
+    its class, which is entry[offset + y*stride] for (count, offset) =
+    rows[r]; its candidates are s < count.  Below the entries each row has
+    at least pidx[head - 1] bits of 0, so shift i, which marks s where
+    entry s - i is prime, is bitset >> i; `marks` has those bits set.  The
+    first `head` shifts OR into the marks; each unset bit of a candidate
+    then tries the remaining indices i <= s in order, on the entry bytes,
+    up to its first hit.  The unset bits are found in the bytes that hold
+    any (to_bytes, translate, find).
+    """
+    for i in pidx[:head]:
+        marks |= bitset >> i
+    scan = marks.to_bytes(len(rows) * width // 8, "big")
+    del marks
+    unset = scan.translate(_UNSET_BYTE)
+    tail = pidx[head:]
+    found: list[list[int]] = [[] for _ in rows]
+    x = unset.find(1)
+    while x >= 0:
+        for k in _UNSET_BITS[scan[x]]:
+            r, s = divmod(8 * x + k, width)
+            count, offset = rows[r]
+            if s < count:
+                j = offset + s * stride  # entry s of the row
+                for i in tail:
+                    if i > s:
+                        found[r].append(s)
+                        break
+                    if entry[j - i * stride]:
+                        break
+                else:
+                    found[r].append(s)
+        x = unset.find(1, x + 1)
+    return found
+
+
+def _row_width(count: int, pidxs: list[list[int]], head: int) -> int:
+    """Bits of a row of `count` candidates in _bitset_rows: room below them
+    for the largest head shift of any class, rounded up to whole bytes."""
+    shift = max((i for p in pidxs for i in p[:head][-1:]), default=0)
+    return (count + shift + 7) // 8 * 8
+
+
+def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
+    """Stage 1 of one pair on Python int bitsets, the one-row case of
+    _bitset_rows: the candidates n <= N not representable with p <= M,
+    ascending, as _window finds them.
+
+    The b-class, entries 0 to the largest s, is sieved into one bytearray,
+    whose digits are the row's bitset.  Before it allocates, the budget
     counts the a-mask, the b-class bytes, their digit copy, the scan
-    string, four bitsets (B, the marks and two temporaries) and the
-    sieve's pattern, base primes and strike.
+    bytes, three bitsets (the row, the marks and a shift) and the sieve's
+    pattern, base primes and strike.
     """
     a, b, m = pair
     entries = max(0, (M - a) // m + 1)
     count = max(0, (N - a - b) // m + 1)  # candidates s = 0, ..., count - 1
-    bitsets = 4 * (count // 8 + 1)
+    nbytes = (count + entries + 7) // 8  # the row, padded past every shift
+    scan, bitsets = 2 * count + 2 * nbytes, 3 * nbytes
     sieve = sieve_overhead_bytes(N, max(entries, count))
-    need = entries + 3 * count + bitsets + sieve
+    need = entries + scan + bitsets + sieve
     check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                 f"small-prime mask, {3 * count} of entries, their digits and scan, "
+                 f"small-prime mask, {scan} of entries, their digits and scan, "
                  f"{bitsets} of bitsets, {sieve} of sieve pattern and base primes)")
     pidx: list[int] = []
     if entries:
@@ -291,29 +369,11 @@ def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
     if not count:
         return found
     entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(count)))
-    B = int(entry.translate(_BINARY_DIGITS), 2)
-    marks = 1 << count  # a leading 1 keeps the digits of every s in bin()
-    for i in pidx[:_VECTOR_PHASE_PRIMES]:
-        marks |= B >> i
-    del B  # before the scan string: the peak stays near 2.2 bytes an entry
-    scan = bin(marks)  # "0b1", then the digit of s at 3 + s
-    del marks
-    tail = pidx[_VECTOR_PHASE_PRIMES:]
-
-    def hit(s: int) -> bool:  # some remaining prime index i <= s marks s
-        for i in tail:
-            if i > s:
-                return False
-            if entry[s - i]:
-                return True
-        return False
-
-    x = scan.find("0", 3)
-    while x >= 0:
-        if not hit(x - 3):
-            found.append(a + b + (x - 3) * m)
-        x = scan.find("0", x + 1)
-    return found
+    head = _VECTOR_PHASE_PRIMES
+    width = _row_width(count, [pidx], head)
+    row = int(entry.translate(_BINARY_DIGITS), 2) << (width - count)
+    s = _bitset_rows(row, (1 << (width - count)) - 1, width, pidx, head, [(count, 0)], entry, 1)[0]
+    return found + [a + b + x * m for x in s]
 
 
 def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
@@ -378,25 +438,38 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, worke
     return ExceptionalSet(elements, len(survivors) - len(elements))
 
 
-def check_sweep_budget(m: int, N: int, M: int) -> tuple[list[int], int, int, int]:
-    """(units, span, step, width) of a sweep of m at N: the unit classes,
-    the largest prime index up to M, the candidates of a window over all
-    rows, and the bytes a window reads of a class's copy.  First,
-    MemoryBudgetError unless the packed table, every class's copies over
-    a window and up to M, one pass's marks and a gather block's scratch
-    (32 bytes an element) fit the budget; only the table grows with N."""
+def check_sweep_budget(m: int, N: int, M: int, packed: bool = True) -> tuple[list[int], int]:
+    """(units, span) of a sweep of m at N: the unit classes and the
+    largest prime index up to M.  First, MemoryBudgetError unless the
+    kernel's storage fits the budget beside the table.  The packed kernel
+    (_sweep_stage1) holds every class's copies over a window and up to M,
+    one pass's marks and a gather block's scratch (32 bytes an element);
+    only the table grows with N.  The int-bitset kernel (_bitset_sweep)
+    holds the table's odd flags and their digits, every row's digits and
+    their translated copy, and then, counted as six bitsets of every row,
+    the rows, the pad mask, a class's suffix, marks and shift, and the
+    scan's two byte strings."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
-    step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
-    width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
     table = ((N + 1) // 2 + 7) // 8
-    copies = 8 * len(units) * (width + span // 8 + 1)
-    marks = len(units) * width
-    scratch = 32 * _GATHER_BLOCK_ELEMENTS
-    need = table + copies + marks + scratch
+    if packed:
+        step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
+        width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
+        copies = 8 * len(units) * (width + span // 8 + 1)
+        marks = len(units) * width
+        scratch = 32 * _GATHER_BLOCK_ELEMENTS
+        need = table + copies + marks + scratch
+        detail = f"{copies} of class copies, {marks} of marks, {scratch} of gather scratch"
+    else:
+        flags = 2 * 8 * table
+        digits = 2 * len(units) * ((N - 2) // m + span + 8)
+        bitsets = 6 * (digits // 16 + 1)
+        need = table + flags + digits + bitsets
+        detail = (f"{flags} of odd flags and their digits, {digits} of row digits and "
+                  f"their copy, {bitsets} of bitsets and scan")
     check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({table} of table, "
-                 f"{copies} of class copies, {marks} of marks, {scratch} of gather scratch)")
-    return units, span, step, width
+                 f"{detail})")
+    return units, span
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -411,7 +484,9 @@ def _sweep_stage1(m: int, N: int, M: int,
     each other there and share a's primes, so one OR marks every row."""
     import numpy as np
 
-    units, span, step, width = check_sweep_budget(m, N, M)
+    units, span = check_sweep_budget(m, N, M)
+    step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
+    width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
     small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
     table.mask(min(M, N - 1), m, units, small)
     pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
@@ -436,20 +511,83 @@ def _sweep_stage1(m: int, N: int, M: int,
     return out
 
 
-def exceptional_sets_for_modulus(m: int, N: int, M: Optional[int] = None, *,
-                                 table: PrimeTable) -> dict[tuple[int, int], tuple[int, ...]]:
+def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int], list[int]]:
+    """_sweep_stage1 on Python int bitsets, read off a table's odd flags
+    (PrimeTable.primes), whose limit must reach N - 1.
+
+    Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
+    of every unit class, b ascending from the top bits, each of as many
+    entries as any pair has candidates, (N - 2)//m + 1, with room below
+    for the largest head shift.  Small-prime class a runs _bitset_rows on
+    its rows b >= a, the low bits of that bitset, so that one shift marks
+    every row."""
+    if 2 * len(flags) < N:
+        raise ValueError(f"odd flags up to {2 * len(flags) - 1} do not reach N - 1 = {N - 1}")
+    units, _ = check_sweep_budget(m, N, M, packed=False)
+    half, count = m // 2, (N - 2) // m + 1
+    pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
+             for a in units for entries in [max(0, (M - a) // m + 1)]]
+    width = _row_width(count, pidxs, _BITSET_HEAD_PRIMES)
+    digits = b"".join(flags[b // 2 : b // 2 + count * half : half].ljust(width, b"\0")
+                      for b in units).translate(_BINARY_DIGITS)
+    bitset = int(digits, 2)
+    del digits
+    pad = ((1 << (width - count)) - 1).to_bytes(width // 8, "big")
+    pads = int.from_bytes(pad * len(units), "big")  # every row's bits below its candidates
+    out: dict[tuple[int, int], list[int]] = {}
+    for k, a in enumerate(units):
+        rows = [((N - a - b) // m + 1, b // 2) for b in units[k:]]
+        suffix = bitset & ((1 << (len(rows) * width)) - 1)
+        found = _bitset_rows(suffix, pads >> (k * width), width, pidxs[k], _BITSET_HEAD_PRIMES,
+                             rows, flags, half)
+        for b, s in zip(units[k:], found):  # a + b - m >= 2 is no p + q and leads
+            out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
+    return out
+
+
+def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
+    """What every modulus of a sweep at N that computes `moduli` reads:
+    the table up to N or, where the int-bitset kernel runs, its odd flags
+    (PrimeTable.primes); see exceptional_sets_for_modulus.
+
+    The size rule picks the int-bitset kernel for the whole sweep (see
+    _BITSET_SWEEP_ROW).  Each modulus's budget on the kernel it picks is
+    checked before the sieve; the packed kernel's numpy is imported here,
+    before the caller forks its workers, so that they inherit it.
+    """
+    row = max((N - 2) // m + 1 for m in moduli)
+    work = sum(sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m)
+               for m in moduli)
+    bitset = row <= _BITSET_SWEEP_ROW or work * row <= _BITSET_SWEEP_WORK
+    for m in moduli:
+        check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
+    table = sieve_primes(N)
+    if bitset:
+        return table.primes()
+    import numpy  # here, before the fork, not in every worker
+
+    return table
+
+
+def exceptional_sets_for_modulus(
+    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytes
+) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
-    by (a, b), read off `table`, whose limit must reach N - 1.
+    by (a, b), read off `table`, whose limit must reach N - 1: a
+    PrimeTable, which the packed kernel reads (_sweep_stage1), or its odd
+    flags, which the int-bitset kernel reads (_bitset_sweep); sweep_table
+    picks one for a whole sweep.
 
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
-    with the smaller residue as the small-prime class (_sweep_stage1),
-    and (b, a) shares the tuple of (a, b).  The caller sieves the table.
+    with the smaller residue as the small-prime class, and (b, a) shares
+    the tuple of (a, b).
     """
     _require_even(m)
     if M is None:
         M = default_stage1_bound(m, N)
+    stage1 = _sweep_stage1 if isinstance(table, PrimeTable) else _bitset_sweep
     out: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (a, b), survivors in _sweep_stage1(m, N, M, table).items():
+    for (a, b), survivors in stage1(m, N, M, table).items():
         out[(a, b)] = out[(b, a)] = _resolved(a, b, m, M, survivors)
     return dict(sorted(out.items()))
 

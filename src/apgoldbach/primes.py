@@ -3,11 +3,13 @@
 Provides one segmented sieve along a progression b + j*m, window by window
 (sieve_progression), which strikes a bytearray and imports no numpy; the
 bit-packed table over the odd numbers (PrimeTable) that sieve_primes
-builds from its case m = 2, b = 1; a deterministic Miller-Rabin test valid
-for the full 64-bit range; and extraction of the primes of fixed residue
-classes from a table (PrimeTable.mask, the one place that maps a table's
-primes to their class).  Only the table and the packed copies use numpy,
-which they import when called.
+builds from its case m = 2, b = 1 and packs with int arithmetic; a
+deterministic Miller-Rabin test valid for the full 64-bit range; and the
+two readers of a table: PrimeTable.primes unpacks its odd flags into
+bytes, with no numpy, for the int-bitset sweep, and PrimeTable.mask
+extracts the packed copies of fixed residue classes for the packed
+sweep.  Only mask and pack_copies use numpy, which they import when
+called.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 # of the odd bits and of every packed class.
 _CLASS_CHUNK = 1 << 18
 
+# Maps bytes 0 and 1 to the digits of int(..., 2), and back.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
 # correct for every n < 3,317,044,064,679,887,385,961,981 (~3.3 * 10^24),
 # which covers all 64-bit inputs with a wide margin.
@@ -70,7 +76,14 @@ class PrimeTable(NamedTuple):
     """
 
     limit: int
-    bits: np.ndarray  # packed, bit i <-> 2i + 1; 0 past limit
+    bits: memoryview  # read-only bytes, packed big-endian: bit i <-> 2i + 1; 0 past limit
+
+    def primes(self) -> bytes:
+        """The odd flags, unpacked: byte i is 1 iff 2i + 1 is a prime <=
+        limit, for i below 8 * len(bits).  Beside the result it holds the
+        bits as one int and its digits, one byte a flag."""
+        digits = f"{int.from_bytes(self.bits, 'big'):0{8 * len(self.bits)}b}".encode()
+        return digits.translate(_DIGIT_FLAGS)
 
     def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray,
              start: int = 0) -> None:
@@ -92,12 +105,13 @@ class PrimeTable(NamedTuple):
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         if m < 2 or m % 2 or any(b % 2 == 0 or not 0 < b < m for b in classes):
             raise ValueError("packed masks need an even modulus and odd classes in [0, m)")
+        bits = np.frombuffer(self.bits, dtype=np.uint8)  # no copy
         half = m // 2  # odd-index step of every class
         step = 8 * half * max(1, _CLASS_CHUNK // (8 * half))
         entries = (hi + 1) // 2  # odd numbers <= hi
         for lo in range(start * half, entries, step):
             end = min(lo + step, entries)
-            flags = np.unpackbits(self.bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
+            flags = np.unpackbits(bits[lo >> 3 : (end + 7) >> 3], count=end - lo)
             padded = np.zeros((len(classes), (end - lo) // half + 8), dtype=bool)
             for row, b in zip(padded, classes):
                 column = flags[b // 2 :: half]
@@ -216,31 +230,36 @@ def sieve_primes(limit: int) -> PrimeTable:
     inclusive; entry i stands for 2i + 1.
 
     The segments are the windows of sieve_progression(1, 2, ...), each
-    packed into the table as soon as it is sieved, through a zero-copy
-    view of the sieve's buffer.  The peak storage, which check_budget
-    bounds, is the packed table, one unpacked segment and its packed copy,
-    and the sieve's pattern, base primes and strike.  A segment is
+    packed into the table as soon as it is sieved: its bytes become the
+    digits of one int, whose big-endian bytes are the packed bits.  The
+    peak storage, which check_budget bounds, is the packed table, one
+    unpacked segment, its digit copy, the int and its bytes (an eighth of
+    the segment each, and a shifted int for a short last segment), and the
+    sieve's pattern, base primes and strike.  A segment is
     SIEVE_SEGMENT_SIZE odd entries, read at each call and rounded down to
     a multiple of 8 (at least 8) so segments start on a byte.
     """
-    import numpy as np
-
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     segment_size = max(8, SIEVE_SEGMENT_SIZE - SIEVE_SEGMENT_SIZE % 8)
     entries = (limit + 1) // 2  # odd numbers <= limit
     nbytes = (entries + 7) // 8
     segment = min(segment_size, entries)
-    peak = nbytes + segment + (segment + 7) // 8 + sieve_overhead_bytes(limit, segment)
+    peak = nbytes + 2 * segment + 3 * ((segment + 7) // 8) + sieve_overhead_bytes(limit, segment)
     check_budget(peak, f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus one "
-                 "segment)")
+                 "segment, its digits, int and bytes)")
 
-    bits = np.empty(nbytes, dtype=np.uint8)
+    bits = bytearray(nbytes)
     windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]
     segments = sieve_progression(1, 2, limit, windows, bytearray(segment))
     for (lo, hi), seg in zip(windows, segments):
-        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(np.frombuffer(seg, bool, hi - lo))
-    return PrimeTable(limit=limit, bits=bits)
+        digits = seg.translate(_BINARY_DIGITS)
+        del digits[hi - lo :]  # the stale bytes of a short last segment
+        pad = -(hi - lo) % 8  # the last byte's low bits, past the limit
+        bits[lo >> 3 : (hi + 7) >> 3] = (int(digits, 2) << pad).to_bytes(
+            (hi - lo + pad) // 8, "big")
+        del digits  # before the next segment's
+    return PrimeTable(limit=limit, bits=memoryview(bits).toreadonly())
 
 
 def is_prime(n: int) -> bool:

@@ -457,27 +457,44 @@ class TestTables:
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
         # each sweep checks its table beside its own moduli's windows: at
-        # 10^6 one of m = 30 (2,464,348 bytes) fits a 2.5 MB budget, and
-        # one of m = 2 (2,727,152 bytes), run next in the same process,
-        # does not, and fails before it sieves
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_500_000)
-        assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
+        # 10^7, on the packed kernel, one of m = 30 (5,726,848 bytes) fits
+        # a 6 MB budget, and one of m = 2 (7,451,378 bytes), run next in the
+        # same process, does not, and fails before it sieves
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 6_000_000)
+        assert compute_sweep(RunConfig(N=10**7, m_min=30, m_max=30, threads=1))
         sieved = []
         monkeypatch.setattr(partitions, "sieve_primes", sieved.append)
         with pytest.raises(MemoryBudgetError, match="of class copies"):
+            compute_sweep(RunConfig(N=10**7, m_min=2, m_max=2, threads=1))
+        assert sieved == []
+
+    def test_reused_worker_flags_check_budget(self, monkeypatch):
+        # the same on the int-bitset kernel, at 10^6: one of m = 30
+        # (1,808,724 bytes) fits a 2 MB budget, one of m = 2 (2,451,268
+        # bytes) does not, and fails before it sieves
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_000_000)
+        assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
+        sieved = []
+        monkeypatch.setattr(partitions, "sieve_primes", sieved.append)
+        with pytest.raises(MemoryBudgetError, match="of odd flags and their digits"):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
         assert sieved == []
 
-    def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("N,budget,need", [
+        (10**7, 6_600_000, "of class copies"),
+        (10**6, 2_200_000, "of odd flags and their digits"),
+    ], ids=["packed", "int-bitset"])
+    def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path, N, budget, need):
         # a derived modulus needs no window: with 4 cached, a sweep of
-        # m = 2-6 derives 2 and checks the windows of 6 alone (2,538,008
-        # bytes), which fit a 2.6 MB budget where those of 2 do not
-        compute_sweep(RunConfig(N=10**6, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_600_000)
-        compute_sweep(RunConfig(N=10**6, m_min=2, m_max=6, threads=1, cache_dir=tmp_path))
-        assert load_cache_entry(tmp_path, 2, 10**6) == {(1, 1): (2, 4)}
-        with pytest.raises(MemoryBudgetError, match="of class copies"):
-            compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
+        # m = 2-6 derives 2 and checks the windows of 6 alone (6,475,508
+        # bytes at 10^7 on the packed kernel, 1,988,376 at 10^6 on the
+        # int-bitset kernel), which fit where those of 2 do not
+        compute_sweep(RunConfig(N=N, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
+        compute_sweep(RunConfig(N=N, m_min=2, m_max=6, threads=1, cache_dir=tmp_path))
+        assert load_cache_entry(tmp_path, 2, N) == {(1, 1): (2, 4)}
+        with pytest.raises(MemoryBudgetError, match=need):
+            compute_sweep(RunConfig(N=N, m_min=2, m_max=2, threads=1))
 
     def test_sweep_sieves_once_before_it_forks(self, monkeypatch, tmp_path):
         # the parent sieves the one table and the workers inherit it: a
@@ -580,15 +597,43 @@ def test_blas_threads_default_to_one_unless_set(caller, seen):
 def test_cli_import_starts_no_thread():
     # numpy's OpenBLAS starts a helper thread unless told to use one
     # thread; the CLI imports numpy when it first runs the packed kernel,
-    # so count after a sweep that computes a modulus
+    # so count after a sweep that computes a modulus on it
     code = textwrap.dedent("""\
         import contextlib, io, os, sys
         from apgoldbach import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"])
+            rc = cli.main(["table1", "--m-max", "6", "--limit", "10000000", "--threads", "1"])
         print(rc, "numpy" in sys.modules, len(os.listdir("/proc/self/task")))
     """)
     assert _fresh_python(code) == "0 True 1\n"
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="no /proc/self/status")
+def test_bitset_sweep_peak_memory_within_budget():
+    # a fresh interpreter sets the budget to the largest that the
+    # int-bitset sweep of m = 44-50 at 10^6 counts for one modulus; the
+    # sweep passes the check, and its peak RSS rises from just after the
+    # imports by no more than that
+    code = textwrap.dedent("""\
+        import re, sys
+        from apgoldbach import cli, partitions, primes, summaries
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
+
+        needs = []
+        partitions.check_budget = lambda need, detail: needs.append(need)
+        for m in range(44, 51, 2):
+            M = partitions.default_stage1_bound(m, 10**6)
+            partitions.check_sweep_budget(m, 10**6, M, packed=False)
+        partitions.check_budget = primes.check_budget
+        primes.DEFAULT_MEMORY_BUDGET_BYTES = max(needs)
+        base = status("VmRSS")
+        cli.compute_sweep(cli.RunConfig(N=10**6, m_min=44, m_max=50, threads=1))
+        print(status("VmHWM") - base <= max(needs), "numpy" in sys.modules)
+    """)
+    assert _fresh_python(code) == "True False\n"
 
 
 @pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])
@@ -692,11 +737,14 @@ SMALL_PAIR_MODULES = ["apgoldbach.partitions", "apgoldbach.primes"]
     (["verify", "conj2", "--limit", "1000"], SMALL_PAIR_MODULES),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "1000"],
      SMALL_PAIR_MODULES),
-    (["table1", "--m-max", "6", "--limit", "1000", "--threads", "1"],
+    # a sweep on the packed kernel, on one worker and forking one
+    (["table1", "--m-max", "6", "--limit", "10000000", "--threads", "1"],
      sorted(ENGINE_MODULES | SUMMARIES)),
-    # both fork one worker
-    (["table1", "--m-max", "6", "--limit", "1000", "--threads", "2"],
+    (["table1", "--m-max", "6", "--limit", "10000000", "--threads", "2"],
      sorted(ENGINE_MODULES | SUMMARIES)),
+    # the desk sweep, on the int-bitset kernel
+    (["table1", "--m-max", "50", "--limit", "1000000"],
+     sorted(SMALL_PAIR_MODULES + ["apgoldbach.summaries"])),
     (["exceptions", "--m", "4", "--a", "1", "--b", "1", "--limit", "30000000",
       "--threads", "2"], sorted(ENGINE_MODULES)),
     # the model alone: neither numpy nor summaries without a cache directory
@@ -720,7 +768,13 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, loaded):
     # the warm cache's directory is appended
     (["table1", "--limit", "10000", "--threads", "1", "--cache-dir"],
      {"numpy", "fractions", "decimal", "numbers"}),
-], ids=["import", "heuristic", "verify", "exceptions", "verify-5e6", "warm-table1"])
+    # the sweeps of the desk and rerun workloads run the int-bitset kernel
+    (["table1", "--m-max", "50", "--limit", "1000000"],
+     {"numpy", "dataclasses", "inspect", "json", "fractions", "decimal", "numbers"}),
+    (["table1", "--m-max", "30", "--limit", "1000000"],
+     {"numpy", "dataclasses", "inspect", "json", "fractions", "decimal", "numbers"}),
+], ids=["import", "heuristic", "verify", "exceptions", "verify-5e6", "warm-table1",
+        "desk-table1", "rerun-table1"])
 def test_command_loads_no_module_it_does_not_use(request, argv, unused):
     # json is for the cache and the JSON table format, and numpy only for
     # the packed kernel; no module loads dataclasses (or the inspect
@@ -734,12 +788,12 @@ def test_command_loads_no_module_it_does_not_use(request, argv, unused):
 def test_module_run_freezes_the_heap_before_exit():
     # `python -m apgoldbach.cli` ends through main_and_exit: an atexit probe
     # finds numpy's modules frozen and the collector's generations empty;
-    # a sweep that computes a modulus loads numpy
+    # a sweep that computes a modulus on the packed kernel loads numpy
     code = textwrap.dedent("""\
         import atexit, gc, runpy, sys
         atexit.register(lambda: print(gc.get_freeze_count(),
                                       sum(len(gc.get_objects(g)) for g in range(3))))
-        sys.argv = ["apgoldbach", "table1", "--m-max", "6", "--limit", "1000",
+        sys.argv = ["apgoldbach", "table1", "--m-max", "6", "--limit", "10000000",
                     "--threads", "1"]
         runpy.run_module("apgoldbach.cli", run_name="__main__")
     """)

@@ -772,27 +772,53 @@ def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
     assert partitions._pair_share(pair, N, M) == naive
 
 
-def test_bitset_kernel_agrees_with_the_sweep_at_m194(monkeypatch, table_1e6):
-    # a second oracle: the int-bitset kernel shares no marking, scanning
-    # or gathering code with the sweep.  Every unordered pair of m = 194
-    # at 2*10^5 goes through it and stage 2, one pair at a time, and must
-    # give the sweep's sets, in one window and in 129 windows of 8
-    # candidates (a mark block of 8 * 96 rows)
+@given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, m, N, data):
+    # the int-bitset sweep over every row at once, with a head of 0, 1, 8
+    # or the default shifts, and the packed sweep over windows of a few
+    # candidates leave the same candidates for every pair a <= b, and a
+    # drawn pair's are the naive ones
+    monkeypatch.setattr(partitions, "_MARK_BLOCK", data.draw(st.sampled_from([1, 5, 64])))
+    monkeypatch.setattr(partitions, "_BITSET_HEAD_PRIMES",
+                        data.draw(st.sampled_from([partitions._BITSET_HEAD_PRIMES, 0, 1, 8])))
+    M = data.draw(st.integers(-2 * m, N))
+    bitset = partitions._bitset_sweep(m, N, M, table_1e5.primes())
+    assert bitset == partitions._sweep_stage1(m, N, M, table_1e5)
+    a, b = data.draw(st.sampled_from(sorted(bitset)))
+    assert bitset[(a, b)] == naive_stage1_unresolved(a, b, m, N, M)
+
+
+def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6):
+    # a second oracle: the two sweep kernels share no marking, scanning or
+    # tail code.  Every unordered pair of m = 194 at 2*10^5 leaves the
+    # same candidates through each, the packed one in one window and in
+    # 129 windows of 8 candidates (a mark block of 8 * 96 rows), and the
+    # engine reads the same sets off the table and off its odd flags
     m, N = 194, 2 * 10**5
     M = partitions.default_stage1_bound(m, N)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
-    bitset = {
-        (a, b): partitions._resolved(a, b, m, M, partitions._bitset_stage1(
-            AdmissiblePair(a, b, m), N, M))
-        for k, a in enumerate(units) for b in units[k:]
-    }
+    flags = table_1e6.primes()
+    bitset = partitions._bitset_sweep(m, N, M, flags)
     assert len(bitset) == 4656
+    assert (exceptional_sets_for_modulus(m, N, table=flags)
+            == exceptional_sets_for_modulus(m, N, table=table_1e6))
     for mark_block, windows in ((partitions._MARK_BLOCK, 1), (8 * len(units), 129)):
         monkeypatch.setattr(partitions, "_MARK_BLOCK", mark_block)
         starts = range(0, (N - 2) // m + 1, 8 * max(1, mark_block // (8 * len(units))))
         assert len(starts) == windows
-        sets = exceptional_sets_for_modulus(m, N, table=table_1e6)
-        assert {pair: sets[pair] for pair in bitset} == bitset, windows
+        assert partitions._sweep_stage1(m, N, M, table_1e6) == bitset, windows
+
+
+def test_odd_flags_must_reach_the_limit(table_1e5):
+    flags = table_1e5.primes()
+    assert len(exceptional_sets_for_modulus(4, 2 * len(flags), table=flags)) == 4
+    with pytest.raises(ValueError, match="do not reach"):
+        exceptional_sets_for_modulus(4, 2 * len(flags) + 1, table=flags)
 
 
 class TestKernelSelection:
@@ -846,13 +872,13 @@ class TestKernelSelection:
         assert peak < 4 * 2**21
 
     def test_bitset_budget_checked_before_allocating(self, monkeypatch):
-        # the kernel counts its buffers, about 3 bytes an entry, and raises
-        # before it sieves anything
+        # the kernel counts its buffers, about 2.6 bytes an entry, and
+        # raises before it sieves anything
         sieved = []
         real = partitions.sieve_progression
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 3 * 10**6)
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2 * 10**6)
         with pytest.raises(MemoryBudgetError, match=r"of entries, their digits and scan"):
             exceptional_set(AdmissiblePair(1, 3, 4), 4 * 10**6)
         assert sieved == []

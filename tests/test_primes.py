@@ -37,6 +37,18 @@ def test_count_at_every_small_limit():
         assert table_primes(t) == primes_up_to(limit), limit
 
 
+def test_odd_flags_unpack_every_bit():
+    # PrimeTable.primes, the int-bitset sweep's reader, unpacks the packed
+    # bits without numpy, the bits past the limit as 0; the bits are
+    # read-only bytes, which PrimeTable.mask views without a copy
+    for limit in (*range(2, 40), 1000, 10**5 + 3):
+        t = sieve_primes(limit)
+        flags = t.primes()
+        assert flags == np.unpackbits(np.frombuffer(t.bits, np.uint8)).tobytes(), limit
+        assert [2 * i + 1 for i, f in enumerate(flags) if f] == primes_up_to(limit)[1:], limit
+        assert t.bits.readonly
+
+
 def test_count_to_1e6(table_1e6):
     assert len(table_primes(table_1e6)) == 78498
 
@@ -67,12 +79,13 @@ def test_budget_is_read_from_the_module():
 
 
 def test_memory_budget_counts_one_segment(monkeypatch):
-    # the packed odd bits, one 4096-entry segment, its 512 packed bytes, two
+    # the packed odd bits, one 4096-entry segment and its 4096 digits, the
+    # int they make, its 512 bytes and a shifted int, 512 bytes each, two
     # periods of the 15,015-entry presieve pattern, the base-prime sieve
     # over [0, 1000] and the zeros of the largest strike, the 3's of the
     # pattern
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
-    peak = ((10**6 + 1) // 2 + 7) // 8 + 4096 + 512 + 2 * 15015 + 1001 + 10011
+    peak = ((10**6 + 1) // 2 + 7) // 8 + 2 * 4096 + 3 * 512 + 2 * 15015 + 1001 + 10011
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
     with pytest.raises(MemoryBudgetError, match="one segment"):
         sieve_primes(10**6)
@@ -89,8 +102,10 @@ def test_sieve_peak_is_packed_table_plus_segments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # the table, one segment and its digits, and the int that packs them
+    # with its bytes, an eighth of a segment each
     assert table.bits.nbytes == ((N + 1) // 2 + 7) // 8
-    assert peak <= table.bits.nbytes + 2 * SIEVE_SEGMENT_SIZE
+    assert peak <= table.bits.nbytes + 2 * SIEVE_SEGMENT_SIZE + 3 * SIEVE_SEGMENT_SIZE // 8
 
 
 @given(

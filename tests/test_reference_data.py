@@ -6,8 +6,10 @@ table1_m200.csv and table2_m200.csv are the stdout of `table1` and `table2
 since every set of m <= 200 ends below 2*10^5 (the largest element is
 104,494).  Such a sweep derives every m <= 100 from 2m, and the whole
 sweep is checked against both tables.  The sweep of m = 180-200 computes
-each of its moduli, in one stage-1 window or in several, and m = 90-100
-are derived here from the sets it writes to its cache.
+each of its moduli, on the int-bitset kernel or on the packed one in one
+stage-1 window or in several, and m = 90-100 are derived here from the
+sets it writes to its cache.  The desk tables, m <= 50 at 10^6, are
+checked through each kernel.
 """
 
 import hashlib
@@ -58,19 +60,54 @@ def test_every_modulus_to_200_matches_the_frozen_tables(sweep_m200, which):
     assert table_document(which, sweep_m200) == (DATA_DIR / f"{which}_m200.csv").read_text()
 
 
-@pytest.fixture(scope="module", params=[None, 1 << 15], ids=["one-window", "several-windows"])
+def _force_kernel(patch: pytest.MonkeyPatch, kernel: str) -> None:
+    """Make partitions.sweep_table pick `kernel` for every sweep."""
+    bitset = kernel == "int-bitset"
+    patch.setattr(partitions, "_BITSET_SWEEP_ROW", 10**12 if bitset else 0)
+    patch.setattr(partitions, "_BITSET_SWEEP_WORK", 10**30 if bitset else 0)
+
+
+@pytest.fixture(scope="module", params=["packed", "int-bitset"])
+def desk_sweep(request):
+    """The desk sweep's summaries and the stage-1 kernel of each modulus it
+    computed, on one worker so that every call is seen here."""
+    ran = []
+    with pytest.MonkeyPatch.context() as patch:
+        _force_kernel(patch, request.param)
+        for name in ("_sweep_stage1", "_bitset_sweep"):
+            real = getattr(partitions, name)
+            patch.setattr(partitions, name, lambda m, *args, name=name, real=real:
+                          ran.append((m, name)) or real(m, *args))
+        sweep = compute_sweep(RunConfig(N=10**6, m_max=50, threads=1))
+    kernel = {"packed": "_sweep_stage1", "int-bitset": "_bitset_sweep"}[request.param]
+    return sweep, ran, kernel
+
+
+@pytest.mark.parametrize("which", ["table1", "table2"])
+def test_desk_tables_match_through_each_kernel(desk_sweep, which):
+    sweep, ran, kernel = desk_sweep
+    assert sorted(ran) == [(m, kernel) for m in range(26, 51, 2)]
+    assert table_document(which, sweep) == (DATA_DIR / f"{which}_m50.csv").read_text()
+
+
+@pytest.fixture(scope="module", params=[("int-bitset", None), ("packed", None),
+                                        ("packed", 1 << 15)],
+                ids=["int-bitset", "one-window", "several-windows"])
 def sweep_m180_200(request, tmp_path_factory):
     """The summaries of m = 180-200, and the cache directory that holds
     their sets."""
     # M = min(bound, N) is N itself for each of these moduli at 2*10^5.
-    # A row has at most 1,112 candidates, so the default window holds a
-    # whole stage-1 pass over a class's rows; 2^15 candidates a window cut
-    # the passes over many rows into 2-4 windows.  The workers fork after
-    # the patch and inherit it.
+    # A row has at most 1,112 candidates, so the size rule picks the
+    # int-bitset kernel; on the packed one, the default window holds a
+    # whole stage-1 pass over a class's rows, and 2^15 candidates a window
+    # cut the passes over many rows into 2-4 windows.  The workers fork
+    # after the patches and inherit them.
+    kernel, mark_block = request.param
     cache = tmp_path_factory.mktemp("m180_200")
     with pytest.MonkeyPatch.context() as patch:
-        if request.param is not None:
-            patch.setattr(partitions, "_MARK_BLOCK", request.param)
+        _force_kernel(patch, kernel)
+        if mark_block is not None:
+            patch.setattr(partitions, "_MARK_BLOCK", mark_block)
         config = RunConfig(N=N, m_min=180, m_max=200, threads=2, cache_dir=cache)
         return compute_sweep(config), cache
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from apgoldbach import cli, summaries
+from apgoldbach import cli, partitions, primes, summaries
 
 ROOT = Path(__file__).resolve().parents[1]
 SWEEP = ["--m-max", "10", "--limit", "10000", "--threads", "1"]
@@ -118,3 +118,41 @@ def test_internal_error_exits_4(capsys, monkeypatch, tmp_path, name):
     assert exc.value.code == cli.EXIT_INTERNAL
     assert capsys.readouterr() == (
         "", "internal error: RuntimeError: worker process 1 sent no result\n")
+
+
+def test_cross_check_passes_on_a_slice():
+    # both sweep kernels over every pair of m = 190-194 at 2*10^5, dealt
+    # to two workers, and 32 sampled table entries a class
+    proc = _script("cross_check.py", "--m-min", "190", "--m-max", "194", "--limit", "200000",
+                   "--threads", "2")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    *rows, last = proc.stdout.splitlines()
+    assert rows == ["m = 190: 2628 pairs agree, 2304 table entries match is_prime",
+                    "m = 192: 2080 pairs agree, 2048 table entries match is_prime",
+                    "m = 194: 4656 pairs agree, 3072 table entries match is_prime"]
+    assert last.startswith("both kernels agree on m = 190..194 at N = 200000 in ")
+
+
+@pytest.mark.parametrize("broken,fail", [
+    ("kernel", "FAIL (m, a, b) = (8, 1, 1): the packed kernel leaves 14 candidates, "
+               "the int-bitset kernel 15\n"),
+    # the first entry sampled of class 1 mod 8, which is seeded by m
+    ("sieve", "FAIL table entry 4049 (m = 8, b = 1) disagrees with is_prime\n"),
+])
+def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fail):
+    # an extra candidate from the int-bitset kernel, or a table that
+    # is_prime contradicts, fails the run at the first modulus, 8, with
+    # exit 1 and one line that names it
+    if broken == "kernel":
+        real = partitions._bitset_sweep
+        monkeypatch.setattr(partitions, "_bitset_sweep", lambda *args: {
+            pair: survivors + [10**9] * (pair == (1, 1))
+            for pair, survivors in real(*args).items()})
+    else:
+        monkeypatch.setattr(primes, "is_prime", lambda n: n == 1)
+    monkeypatch.setattr(sys, "argv", ["cross_check.py", "--m-min", "8", "--m-max", "12",
+                                      "--limit", "10000", "--threads", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "cross_check.py"), run_name="__main__")
+    assert exc.value.code == cli.EXIT_FAIL
+    assert capsys.readouterr() == (fail, "")
