@@ -292,21 +292,16 @@ def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytes) -> M
 
 
 def _modulus_shares(moduli: list[int], workers: int) -> list[list[int]]:
-    """The moduli dealt to min(workers, len(moduli)) shares: heaviest first, each
-    to the share with the least estimated work.  Modulus m costs about
-    phi(m)^2/m, in proportion to its stage-1 OR bytes: for each of its
-    phi(m) small-prime classes, up to phi(m) rows of N/m candidates."""
+    """The moduli dealt to min(workers, len(moduli)) shares by
+    partitions.deal.  Modulus m costs about phi(m)^2/m, in proportion to
+    its stage-1 OR bytes: for each of its phi(m) small-prime classes, up to
+    phi(m) rows of N/m candidates.  Callers have imported the engine."""
+    from . import partitions
 
     def cost(m: int) -> float:
         return sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 / m
 
-    shares: list[list[int]] = [[] for _ in range(min(workers, len(moduli)))]
-    loads = [0.0] * len(shares)
-    for m in sorted(moduli, key=lambda m: -cost(m)):
-        k = loads.index(min(loads))
-        shares[k].append(m)
-        loads[k] += cost(m)
-    return shares
+    return partitions.deal(moduli, cost, workers)
 
 
 def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
@@ -539,7 +534,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Check one target at --limit and print its report once every check
-    has run; the asy sweep runs over m <= 50 with the rest of the config."""
+    has run; the asy sweep runs over m <= 50 with the rest of the config.
+    The other targets take no --threads: their exceptional sets are one
+    partitions.exceptional_sets batch on one worker per CPU (fork_map)."""
     if args.target == "asy":
         sweep = compute_sweep(_config_from(args).replace(m_min=2, m_max=50))
         worst = max(
@@ -551,15 +548,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_OK
     from . import partitions
 
-    N = RunConfig(N=args.limit).N
+    config = RunConfig(N=args.limit)
+    N, work = config.N, (config.worker_count, fork_map)
     checks = []  # (report line before its verdict, passed)
     if args.target == "conj2":
-        for case, got in partitions.verify_conjecture_mod4(N).items():
+        for case, got in partitions.verify_conjecture_mod4(N, *work).items():
             expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
             checks.append((f"mod-4 case ({case}): violations {list(got)} "
                            f"expected {list(expected)}", got == expected))
     elif args.target == "conj3":
-        for item, reps in partitions.verify_conjecture_samples(N, args.a).items():
+        for item, reps in partitions.verify_conjecture_samples(N, args.a, *work).items():
             expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
             detail = "; ".join(
                 f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
@@ -567,7 +565,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks.append((f"sample item ({item}): {detail}",
                            tuple(r.violations for r in reps) == expected))
     else:
-        got = partitions.verify_ternary(N)
+        got = partitions.verify_ternary(N, *work)
         checks.append((f"ternary: violations {list(got)}", got == ()))
     sys.stdout.write("".join(f"{line} -> {'PASS' if ok else 'FAIL'}\n" for line, ok in checks))
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_FAIL

@@ -39,16 +39,24 @@ A modulus sweep on it (_bitset_sweep) reads the table's odd flags
 int; sweep_table picks it, by one size rule, for sweeps of short rows or
 little work.  A pair whose candidates fit in fewer than
 _MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
-(_bitset_stage1), which sieves its whole b-class into one bytearray.
-Only the packed kernel imports numpy, when it first runs, so a process
-whose sweeps and pairs all run the int-bitset kernel never loads it.
+(_bitset_group), which sieves its whole b-class into one bytearray;
+several pairs of one (m, b) share that row, each a-class running the
+kernel on it.  Only the packed kernel imports numpy, when it first runs,
+so a process whose sweeps and pairs all run the int-bitset kernel never
+loads it.
+
+A batch of pairs (exceptional_sets), such as a verifier's, is grouped
+by (m, b).  The groups are dealt heaviest first to worker shares (deal,
+which also deals a sweep's moduli), which a share map may run in other
+processes; each share runs both stages of its groups, a packed-route
+pair whole.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, TypeVar
 
 from .primes import (
     _BINARY_DIGITS,
@@ -64,6 +72,8 @@ from .primes import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+T = TypeVar("T")
 
 # Stage-1 primes handled with whole-block ORs before the gathers over the
 # remaining candidates may take over.  Past them the ORs go on in groups
@@ -94,13 +104,13 @@ _MARK_BLOCK = 1 << 22
 # and reading back its survivors costs about 4 ms of wall and CPU time,
 # and one window of a mod-4 pair at 2*10^8 about 6.5 ms: from 3 windows
 # up the fork costs at most a fifth of a share, and the verifiers' pairs
-# at 5*10^6 (1-2 windows) stay in one process; a pair of modulus m whose
-# candidates fit in fewer windows runs _bitset_stage1.
+# at 5*10^6 (1-2 windows) never split; a pair of modulus m whose
+# candidates fit in fewer windows runs _bitset_group.
 _MIN_SHARE_WINDOWS = 3
 
 # Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
 # a caller's map may run them in other processes.
-ShareMap = Callable[[Callable[[int], list[int]], range], Iterable[list[int]]]
+ShareMap = Callable[[Callable[[int], list], range], Iterable[list]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here.
@@ -340,40 +350,49 @@ def _row_width(count: int, pidxs: list[list[int]], head: int) -> int:
     return (count + shift + 7) // 8 * 8
 
 
-def _bitset_stage1(pair: AdmissiblePair, N: int, M: int) -> list[int]:
-    """Stage 1 of one pair on Python int bitsets, the one-row case of
-    _bitset_rows: the candidates n <= N not representable with p <= M,
-    ascending, as _window finds them.
+def _bitset_route(m: int, N: int) -> bool:
+    """Whether every pair of modulus m at N has fewer than
+    _MIN_SHARE_WINDOWS windows, so never splits, and runs _bitset_group."""
+    return (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE
 
-    The b-class, entries 0 to the largest s, is sieved into one bytearray,
-    whose digits are the row's bitset.  Before it allocates, the budget
-    counts the a-mask, the b-class bytes, their digit copy, the scan
-    bytes, three bitsets (the row, the marks and a shift) and the sieve's
-    pattern, base primes and strike.
+
+def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
+    """Stage 1 of the pairs (a, b) mod m, a in avals, on Python int
+    bitsets, one row of _bitset_rows shared by every a: per a, the
+    candidates n <= N not representable with p <= M, ascending, as
+    _window finds them.
+
+    The b-class, entries 0 to the largest s of any a, is sieved into one
+    bytearray, whose digits are the row's bitset, built once; each a runs
+    _bitset_rows on it up to its own last candidate.  Before it allocates,
+    the budget counts the a-masks, the b-class bytes, their digit copy,
+    the scan bytes, three bitsets (the row, the marks and a shift) and the
+    sieve's pattern, base primes and strike.
     """
-    a, b, m = pair
-    entries = max(0, (M - a) // m + 1)
-    count = max(0, (N - a - b) // m + 1)  # candidates s = 0, ..., count - 1
-    nbytes = (count + entries + 7) // 8  # the row, padded past every shift
-    scan, bitsets = 2 * count + 2 * nbytes, 3 * nbytes
-    sieve = sieve_overhead_bytes(N, max(entries, count))
-    need = entries + scan + bitsets + sieve
-    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                 f"small-prime mask, {scan} of entries, their digits and scan, "
+    entries = [max(0, (M - a) // m + 1) for a in avals]
+    counts = [max(0, (N - a - b) // m + 1) for a in avals]  # candidates s < count
+    count = max(counts)
+    nbytes = (count + max(entries) + 7) // 8  # the row, padded past every shift
+    masks, scan, bitsets = sum(entries), 2 * count + 2 * nbytes, 3 * nbytes
+    sieve = sieve_overhead_bytes(N, max(entries + [count]))
+    need = masks + scan + bitsets + sieve
+    check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
+                 f"({masks} of small-prime masks, {scan} of entries, their digits and scan, "
                  f"{bitsets} of bitsets, {sieve} of sieve pattern and base primes)")
-    pidx: list[int] = []
-    if entries:
-        amask = next(sieve_progression(a, m, M, [(0, entries)], bytearray(entries)))
-        pidx = list(compress(range(entries), amask))
-    found = [a + b - m] * (2 <= a + b - m <= N)
+    pidxs = [list(compress(range(e), next(sieve_progression(a, m, M, [(0, e)], bytearray(e)))))
+             if e else [] for a, e in zip(avals, entries)]
+    found = [[a + b - m] * (2 <= a + b - m <= N) for a in avals]
     if not count:
         return found
     entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(count)))
     head = _VECTOR_PHASE_PRIMES
-    width = _row_width(count, [pidx], head)
+    width = _row_width(count, pidxs, head)
     row = int(entry.translate(_BINARY_DIGITS), 2) << (width - count)
-    s = _bitset_rows(row, (1 << (width - count)) - 1, width, pidx, head, [(count, 0)], entry, 1)[0]
-    return found + [a + b + x * m for x in s]
+    pad = (1 << (width - count)) - 1
+    for out, a, c, pidx in zip(found, avals, counts, pidxs):
+        s = _bitset_rows(row, pad, width, pidx, head, [(c, 0)], entry, 1)[0]
+        out += [a + b + x * m for x in s]
+    return found
 
 
 def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
@@ -381,15 +400,15 @@ def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
     """Candidates n <= N not representable with p <= M; ascending.
 
     Where every pair of modulus m has fewer than _MIN_SHARE_WINDOWS
-    windows, which never split, _bitset_stage1 runs here.  Otherwise the
-    budget is checked before any sieve or share, numpy is imported once
-    for all shares, the windows are split into as many shares as
-    `workers` allows while each gets _MIN_SHARE_WINDOWS, and share_map
-    runs the shares (_pair_share).
+    windows, which never split, _bitset_group runs here, on a group of
+    one.  Otherwise the budget is checked before any sieve or share, numpy
+    is imported once for all shares, the windows are split into as many
+    shares as `workers` allows while each gets _MIN_SHARE_WINDOWS, and
+    share_map runs the shares (_pair_share).
     """
     a, b, m = pair
-    if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        return _bitset_stage1(pair, N, M)
+    if _bitset_route(m, N):
+        return _bitset_group(b, [a], m, N, M)[0]
     entries = max(0, (M - a) // m + 1)
     size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
     window = size + 8 * ((size + 7) // 8)  # every entry in every copy
@@ -436,6 +455,62 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, worke
     survivors = _stage1_unresolved(pair, N, M, workers, share_map)
     elements = _resolved(*pair, M, survivors)
     return ExceptionalSet(elements, len(survivors) - len(elements))
+
+
+def deal(items: list[T], cost: Callable[[T], float], workers: int) -> list[list[T]]:
+    """The items dealt to min(workers, len(items)) shares: heaviest first,
+    each to the share with the least cost so far (the first of equals)."""
+    shares: list[list[T]] = [[] for _ in range(min(workers, len(items)))]
+    loads = [0.0] * len(shares)
+    for x in sorted(items, key=cost, reverse=True):  # stable: equals keep their order
+        k = loads.index(min(loads))
+        shares[k].append(x)
+        loads[k] += cost(x)
+    return shares
+
+
+def _group_sets(m: int, b: int, avals: list[int], N: int) -> list[tuple[int, ...]]:
+    """The elements of E_{a,b,m} up to N for each a in avals, stage 2
+    included, at the default stage-1 bound: one _bitset_group, or on the
+    packed route each pair whole in this process."""
+    M = default_stage1_bound(m, N)
+    survivors = (_bitset_group(b, avals, m, N, M) if _bitset_route(m, N) else
+                 [_stage1_unresolved(AdmissiblePair(a, b, m), N, M) for a in avals])
+    return [_resolved(a, b, m, M, s) for a, s in zip(avals, survivors)]
+
+
+def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
+                     share_map: ShareMap = map) -> list[tuple[int, ...]]:
+    """The elements of E_{a,b,m} up to N of each pair, in order.
+
+    The pairs are grouped by (m, b), so that a group on the int-bitset
+    route sieves its b-class and builds its row once (_group_sets).  The
+    groups are dealt heaviest first, by candidates, to as many shares as
+    `workers` allows while each share gets SIEVE_SEGMENT_SIZE of them, and
+    share_map runs the shares, stage 2 included.
+    """
+    if N < 2:
+        raise ValueError(f"search limit N={N} must be >= 2")
+    groups: dict[tuple[int, int], dict[int, None]] = {}
+    for a, b, m in pairs:
+        groups.setdefault((m, b), {})[a] = None
+    items = [(m, b, list(avals)) for (m, b), avals in groups.items()]
+
+    def cost(group: tuple[int, int, list[int]]) -> int:  # its candidates
+        m, b, avals = group
+        return sum(max(0, (N - a - b) // m + 1) for a in avals)
+
+    shares = deal(items, cost, workers)
+    while len(shares) > 1 and min(sum(map(cost, s)) for s in shares) < SIEVE_SEGMENT_SIZE:
+        shares = deal(items, cost, len(shares) - 1)
+    if not all(_bitset_route(m, N) for m, _, _ in items):
+        import numpy  # here, before the fork, not in every share
+    run = lambda k: [_group_sets(*g, N) for g in shares[k]]
+    found: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for share, sets in zip(shares, share_map(run, range(len(shares)))):
+        for (m, b, avals), group in zip(share, sets):
+            found.update(((a, b, m), e) for a, e in zip(avals, group))
+    return [found[pair] for pair in pairs]
 
 
 def check_sweep_budget(m: int, N: int, M: int, packed: bool = True) -> tuple[list[int], int]:
@@ -605,18 +680,19 @@ class ViolationReport(NamedTuple):
     violations: tuple[int, ...]
 
 
-def _violations(m0: int, r: int, s: int, N: int) -> tuple[int, ...]:
-    """The elements of E(a, b, step) up to N, step the least even multiple
-    of m0 and a, b the odd residues mod step that are r, s mod m0, in that
-    order; every conjecture check reaches the engine through here.  E
-    holds sums of odd primes only: the prime 2, in a class mod m0 only
-    when m0 is odd, is left to the caller."""
+def _lifted(m0: int, r: int, s: int) -> AdmissiblePair:
+    """The pair (a, b, step), step the least even multiple of m0 and a, b
+    the odd residues mod step that are r, s mod m0, in that order; every
+    conjecture check reaches the engine through its E.  E holds sums of
+    odd primes only: the prime 2, in a class mod m0 only when m0 is odd,
+    is left to the caller."""
     step = m0 if m0 % 2 == 0 else 2 * m0
     a, b = (x % m0 if x % m0 % 2 else x % m0 + m0 for x in (r, s))
-    return exceptional_set(AdmissiblePair(a, b, step), N).elements
+    return AdmissiblePair(a, b, step)
 
 
-def verify_conjecture_mod4(N: int) -> dict[str, tuple[int, ...]]:
+def verify_conjecture_mod4(N: int, workers: int = 1,
+                           share_map: ShareMap = map) -> dict[str, tuple[int, ...]]:
     """Violations of the four mod-4 representation cases up to N, keyed
     "i" to "iv".
 
@@ -625,9 +701,11 @@ def verify_conjecture_mod4(N: int) -> dict[str, tuple[int, ...]]:
     p = q = 3 mod 4; (iv) n = 2 mod 4 with p = q = 1 mod 4.  Cases
     (ii)-(iv) report the small exceptions; case (i) excludes n <= 4 by
     its statement.  Each of E(1, 3, 4), E(3, 3, 4) and E(1, 1, 4) is
-    computed once: case (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4).
+    computed once, in one exceptional_sets call (workers, share_map): case
+    (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4).
     """
-    e13, e33, e11 = (_violations(4, a, b, N) for a, b in ((1, 3), (3, 3), (1, 1)))
+    pairs = [_lifted(4, a, b) for a, b in ((1, 3), (3, 3), (1, 1))]
+    e13, e33, e11 = exceptional_sets(pairs, N, workers, share_map)
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
     case_i = tuple(sorted(n for n in e13 + e33 if n > 4))
@@ -645,13 +723,17 @@ _SAMPLE_SPECS = {
 }
 
 
-def verify_conjecture_samples(N: int, a: int) -> dict[str, tuple[ViolationReport, ...]]:
+def verify_conjecture_samples(
+    N: int, a: int, workers: int = 1, share_map: ShareMap = map
+) -> dict[str, tuple[ViolationReport, ...]]:
     """Violations for the seven sample single-progression conjectures,
     keyed "i" to "vii".
 
     Each item asserts every even multiple of the stated modulus is p + q
     with p = r and q = -r (mod modulus); item (ii) checks both stated
     residues, item (vii) the residue a mod 60, which is checked first.
+    Every residue's set comes from one exceptional_sets call (workers,
+    share_map).
     """
     if math.gcd(a, 60) != 1:
         raise ValueError(f"a={a} is not coprime to 60")
@@ -661,13 +743,14 @@ def verify_conjecture_samples(N: int, a: int) -> dict[str, tuple[ViolationReport
         )
     # for odd m0 every candidate is a multiple of 2*m0 >= 6, so the
     # partner of the prime 2 is even and above 2, never prime
-    return {
-        item: tuple(ViolationReport(m0, r % m0, _violations(m0, r, -r, N)) for r in residues)
-        for item, (m0, residues) in {**_SAMPLE_SPECS, "vii": (60, (a,))}.items()
-    }
+    specs = {**_SAMPLE_SPECS, "vii": (60, (a,))}
+    pairs = [_lifted(m0, r, -r) for m0, residues in specs.values() for r in residues]
+    sets = iter(exceptional_sets(pairs, N, workers, share_map))
+    return {item: tuple(ViolationReport(m0, r % m0, next(sets)) for r in residues)
+            for item, (m0, residues) in specs.items()}
 
 
-def verify_ternary(N: int) -> tuple[int, ...]:
+def verify_ternary(N: int, workers: int = 1, share_map: ShareMap = map) -> tuple[int, ...]:
     """Odd n with 5 < n <= N not of the form p + q + r with
     p = q = 2 (mod 3) and r prime.
 
@@ -681,7 +764,8 @@ def verify_ternary(N: int) -> tuple[int, ...]:
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
-    binary_violations = set(_violations(3, 2, 2, N)) - {4}
+    e556 = exceptional_sets([_lifted(3, 2, 2)], N, workers, share_map)[0]
+    binary_violations = set(e556) - {4}
 
     def rep(k: int) -> bool:
         return k % 6 == 4 and k >= 4 and k not in binary_violations

@@ -785,6 +785,33 @@ def test_command_loads_no_module_it_does_not_use(request, argv, unused):
     assert _fresh_cli(argv, unused)[:2] == [EXIT_OK, []]
 
 
+@pytest.mark.parametrize("target", ["conj2", "conj3"])
+def test_verify_forks_a_worker_without_numpy(target):
+    # at 5*10^6 on 2 CPUs conj2 and conj3 fork one worker for their
+    # int-bitset groups, and load neither numpy nor dataclasses, inspect
+    # or json
+    code = textwrap.dedent(f"""\
+        import contextlib, io, os, sys
+        from apgoldbach import cli
+
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        forks, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        os.fork = counted
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["verify", "{target}", "--limit", "5000000"])
+        print(rc, len(forks), sorted(set(sys.modules) & {{"numpy", "dataclasses", "inspect",
+                                                          "json"}}))
+    """)
+    assert _fresh_python(code) == "0 1 []\n"
+
+
 def test_module_run_freezes_the_heap_before_exit():
     # `python -m apgoldbach.cli` ends through main_and_exit: an atexit probe
     # finds numpy's modules frozen and the collector's generations empty;
@@ -935,6 +962,25 @@ class TestVerify:
         assert code == EXIT_OK
         assert "E_max(m)/(m^2 (ln m)^2)" in out
 
+    @pytest.mark.parametrize("target,forked", [("conj2", 2), ("conj3", 2), ("ternary", 0)])
+    def test_bytes_do_not_depend_on_the_worker_count(self, capsys, monkeypatch, target, forked):
+        # the exceptional sets are one batch dealt to one worker per CPU:
+        # on 1 and on 2 CPUs every report and exit code is the same.  Only
+        # conj2 and conj3 at 5*10^6 and 2*10^7 have a segment of candidates
+        # for each of 2 shares, and ternary has one pair; at 2*10^7 conj2's
+        # pairs, and conj3's moduli 6 and 8, take the packed route
+        forks = _count_forks(monkeypatch)
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            runs[cpus] = [run(capsys, "verify", target, "--limit", str(N))
+                          for N in (10**3, 10**6, 5 * 10**6, 2 * 10**7)]
+            assert len(forks) == forked * (cpus - 1)
+        assert runs[1] == runs[2]
+        assert {(code, err) for code, _, err in runs[1]} == {(EXIT_OK, "")}
+        _assert_no_children()
+
     def test_unknown_target(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "conj9"])
@@ -946,8 +992,9 @@ class TestVerify:
         ("conj2", "--a 11"), ("ternary", "--a 11"), ("asy", "--a 11"),
     ])
     def test_flags_only_where_read(self, capsys, target, flag):
-        # only the asy sweep has workers and a cache, and only conj3 has
-        # an item that reads a residue
+        # only the asy sweep takes --threads and a cache (the other targets
+        # run one worker per CPU), and only conj3 has an item that reads a
+        # residue
         with pytest.raises(SystemExit) as exc:
             main(["verify", target, "--limit", "1000", *flag.split()])
         assert exc.value.code == EXIT_USAGE
@@ -1146,6 +1193,47 @@ def test_killed_worker_exits_4_and_leaves_no_tmp_file(capsys, monkeypatch, tmp_p
     _assert_no_children()
 
 
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, where):
+    # conj2 at 5*10^6 on 2 CPUs runs the b = 3 group here and the b = 1
+    # group in the child; a budget check that fails on either side exits 2
+    parent, real = os.getpid(), partitions.check_budget
+
+    def over_budget(need, detail):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise MemoryBudgetError(f"over the budget in the {where}")
+        real(need, detail)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(partitions, "check_budget", over_budget)
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, "verify", "conj2", "--limit", "5000000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: over the budget in the {where}\n"
+    assert len(forks) == 1
+    _assert_no_children()
+
+
+def test_killed_verify_worker_exits_4(capsys, monkeypatch):
+    # conj3 at 5*10^6 on 2 CPUs: the child is killed as it starts its
+    # first group, and the run is an internal error, not a failed check
+    parent, real = os.getpid(), partitions._group_sets
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(partitions, "_group_sets", killed)
+    forks = _count_forks(monkeypatch)
+    code, out, err = run(capsys, "verify", "conj3", "--limit", "5000000")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == (f"internal error: RuntimeError: worker process {forks[0]} sent no "
+                   "result: wait status 9 (killed by signal 9)\n")
+    _assert_no_children()
+
+
 def test_killed_pair_worker_exits_4(capsys, monkeypatch):
     # the pair's child, which runs windows 1, 3, ..., is killed as it
     # sieves its first b-window
@@ -1167,7 +1255,7 @@ def test_killed_pair_worker_exits_4(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,name,exc", [
-    (["verify", "conj2", "--limit", "1000"], "_bitset_stage1",
+    (["verify", "conj2", "--limit", "1000"], "_bitset_group",
      IndexError("index 9 is out of range")),
     (["table1", "--m-max", "6", "--limit", "10000", "--threads", "1"], "sieve_primes",
      MemoryError("no room")),

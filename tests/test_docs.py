@@ -83,19 +83,30 @@ def test_docs_name_only_what_exists():
     assert missing == []
 
 
+def _imports_numpy(fn: ast.FunctionDef) -> bool:
+    """Whether fn's own body, at any depth of its statements but not in a
+    nested function or class, imports numpy."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import) and any(alias.name == "numpy" for alias in node.names):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def _numpy_importers() -> set[str]:
     """The package functions, qualified by their class if any, whose own
-    body (not a nested function's) imports numpy."""
+    body (not a nested function's) imports numpy, also under an `if`."""
     found = set()
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, prefix + child.name + ".")
-            elif isinstance(child, ast.FunctionDef):
-                if any(isinstance(stmt, ast.Import) and any(
-                        alias.name == "numpy" for alias in stmt.names) for stmt in child.body):
-                    found.add(prefix + child.name)
+            elif isinstance(child, ast.FunctionDef) and _imports_numpy(child):
+                found.add(prefix + child.name)
 
     for path in PACKAGE.glob("*.py"):
         visit(ast.parse(path.read_text()), "")

@@ -5,15 +5,16 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import partitions, primes
+from apgoldbach import cli, partitions, primes
 from apgoldbach.partitions import (
+    _lifted,
     _stage1_unresolved,
-    _violations,
     AdmissiblePair,
     exceptional_set,
+    exceptional_sets,
     exceptional_sets_for_modulus,
     find_witness,
     verify_conjecture_mod4,
@@ -478,17 +479,17 @@ class TestConjectureMod4:
 
     def test_shared_memo_computes_each_set_once(self, monkeypatch):
         # case (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4), which
-        # cases (ii) and (iii) read too
-        pairs = []
-        engine = partitions.exceptional_set
+        # cases (ii) and (iii) read too: one batch computes each set once
+        calls = []
+        engine = partitions.exceptional_sets
 
-        def counted(pair, N):
-            pairs.append((pair.a, pair.b))
-            return engine(pair, N)
+        def counted(pairs, N, *work):
+            calls.append(sorted((pair.a, pair.b) for pair in pairs))
+            return engine(pairs, N, *work)
 
-        monkeypatch.setattr(partitions, "exceptional_set", counted)
+        monkeypatch.setattr(partitions, "exceptional_sets", counted)
         got = verify_conjecture_mod4(10**4)
-        assert sorted(pairs) == [(1, 1), (1, 3), (3, 3)]
+        assert calls == [[(1, 1), (1, 3), (3, 3)]]
         assert list(got) == ["i", "ii", "iii", "iv"]
 
     def test_case_i_matches_naive(self):
@@ -523,7 +524,7 @@ class TestConjectureSamples:
 
     def test_item_vii_excluded_residue(self, monkeypatch):
         # a is checked before any item reaches the engine
-        monkeypatch.setattr(partitions, "exceptional_set", None)
+        monkeypatch.setattr(partitions, "exceptional_sets", None)
         with pytest.raises(ValueError, match="excluded"):
             verify_conjecture_samples(100, a=11)
         with pytest.raises(ValueError, match="excluded"):
@@ -561,15 +562,13 @@ class TestTernary:
         # is p + q + r only as 2 + 2 + r, so n is a violation unless n - 4
         # is prime
         extra = tuple(range(10, 3001, 6))
-        real = partitions.exceptional_set
+        real = partitions.exceptional_sets
 
-        def with_extra(pair, N, **kwargs):
-            es = real(pair, N, **kwargs)
-            if pair == AdmissiblePair(5, 5, 6):
-                es = es._replace(elements=tuple(sorted(es.elements + extra)))
-            return es
+        def with_extra(pairs, N, *work):
+            return [tuple(sorted(e + extra)) if pair == AdmissiblePair(5, 5, 6) else e
+                    for pair, e in zip(pairs, real(pairs, N, *work))]
 
-        monkeypatch.setattr(partitions, "exceptional_set", with_extra)
+        monkeypatch.setattr(partitions, "exceptional_sets", with_extra)
         got = list(verify_ternary(3000))
         assert got == naive_ternary_violations(3000, frozenset(extra))
         assert got == [n for n in range(7, 3001, 2) if not is_prime(n - 4)]
@@ -649,7 +648,8 @@ def test_derived_from_double_equals_direct(table_1e5, m, N):
 @settings(max_examples=60, deadline=None)
 def test_progression_reduction_matches_naive(m0, N, data):
     r = data.draw(st.sampled_from([r for r in range(1, m0) if math.gcd(r, m0) == 1]))
-    assert list(_violations(m0, r, -r, N)) == naive_progression_violations(m0, r, N)
+    pair = _lifted(m0, r, -r)
+    assert list(exceptional_sets([pair], N)[0]) == naive_progression_violations(m0, r, N)
 
 
 @given(
@@ -757,19 +757,24 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
-    # the int-bitset kernel over the whole b-class, and the packed kernel
-    # over windows of a few entries, each leave the naive survivors; a
-    # short head leaves most primes, up to i = s (q = b), to the tails
+    # the int-bitset kernel over the whole b-class, one row shared by a
+    # group of small-prime classes a (b among them or not, repeats
+    # allowed), and the packed kernel over windows of a few entries, each
+    # leave every a's naive survivors; a short head leaves most primes, up
+    # to i = s (q = b), to the tails
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", data.draw(st.sampled_from([1, 7])))
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES",
                         data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 0, 1, 8])))
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
-    a, b = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
+    b = data.draw(st.sampled_from(units))
+    avals = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
     M = data.draw(st.integers(-2 * m, N))
-    pair = AdmissiblePair(a, b, m)
-    naive = naive_stage1_unresolved(a, b, m, N, M)
-    assert partitions._bitset_stage1(pair, N, M) == naive
-    assert partitions._pair_share(pair, N, M) == naive
+    group = partitions._bitset_group(b, avals, m, N, M)
+    assert len(group) == len(avals)
+    for a, survivors in zip(avals, group):
+        naive = naive_stage1_unresolved(a, b, m, N, M)
+        assert survivors == naive, a
+        assert partitions._pair_share(AdmissiblePair(a, b, m), N, M) == naive, a
 
 
 @given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())
@@ -825,7 +830,7 @@ class TestKernelSelection:
     @staticmethod
     def record_kernels(monkeypatch, ran):
         # each kernel's entry point appends its name to `ran` as it runs
-        for name in ("_bitset_stage1", "_pair_share"):
+        for name in ("_bitset_group", "_pair_share"):
             real = getattr(partitions, name)
             monkeypatch.setattr(partitions, name,
                                 lambda *args, name=name, real=real: ran.append(name) or real(*args))
@@ -845,7 +850,7 @@ class TestKernelSelection:
             for b in units:
                 es = exceptional_set(AdmissiblePair(a, b, m), N)
                 assert list(es.elements) == naive_exceptional_set(a, b, m, N), (a, b)
-        source = {"bitset": "_bitset_stage1", "packed": "_pair_share"}[kernel]
+        source = {"bitset": "_bitset_group", "packed": "_pair_share"}[kernel]
         assert ran == [source] * len(units) ** 2
 
     def test_default_threshold_is_two_segments(self, monkeypatch):
@@ -854,22 +859,23 @@ class TestKernelSelection:
         self.record_kernels(monkeypatch, ran)
         for N in (2**23 + 1, 2**23 + 2):
             assert exceptional_set(AdmissiblePair(1, 3, 4), N).elements == (4,)
-        assert ran == ["_bitset_stage1", "_pair_share"]
+        assert ran == ["_bitset_group", "_pair_share"]
 
     def test_bitset_kernel_peak_memory(self):
-        # a pair just below the threshold, 2^21 candidates: the entry
+        # pairs just below the threshold, 2^21 candidates: the entry
         # bytes, their digits or the scan string, and a few bitsets stay
-        # under 4 bytes an entry
+        # under 4 bytes an entry, for one a-class and for two sharing the
+        # b-class row
         N = 2**23 + 1
-        pair = AdmissiblePair(1, 3, 4)
-        tracemalloc.start()
-        try:
-            survivors = partitions._bitset_stage1(pair, N, 10**4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert survivors == [4]
-        assert peak < 4 * 2**21
+        for avals, expected in (([1], [[4]]), ([1, 3], [[4], [2]])):
+            tracemalloc.start()
+            try:
+                survivors = partitions._bitset_group(3, avals, 4, N, 10**4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert survivors == expected
+            assert peak < 4 * 2**21, avals
 
     def test_bitset_budget_checked_before_allocating(self, monkeypatch):
         # the kernel counts its buffers, about 2.6 bytes an entry, and
@@ -884,3 +890,117 @@ class TestKernelSelection:
         assert sieved == []
         assert exceptional_set(AdmissiblePair(1, 3, 4), 10**6).elements == (4,)
         assert sieved == [(1, 4), (3, 4)]
+
+
+@st.composite
+def _pair_lists(draw) -> list[AdmissiblePair]:
+    """Shuffled pairs of up to three (m, b) groups, each with up to four
+    a-classes (repeats allowed) and, if drawn, a = b; a + b - m >= 2, the
+    candidate below a + b, arises for m >= 4."""
+    pairs = []
+    for m in draw(st.lists(st.sampled_from([2, 4, 6, 10, 12, 30]), min_size=1, max_size=3)):
+        units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+        b = draw(st.sampled_from(units))
+        avals = draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
+        pairs += [AdmissiblePair(a, b, m) for a in avals + [b] * draw(st.booleans())]
+    return draw(st.permutations(pairs))
+
+
+_CONJ2_PAIRS = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4), AdmissiblePair(1, 1, 4)]
+
+
+@given(pairs=_pair_lists(), N=st.integers(2, 2000) | st.integers(5000, 5 * 10**4),
+       workers=st.integers(1, 3), segment=st.sampled_from([1 << 6, 1 << 9, 1 << 12]))
+# conj2's pairs at 5000, 1,250 candidates each, in groups of 2,500 and
+# 1,250: on the packed route in 2 shares, on the int-bitset one in 2
+# shares, and in 1 below the floor; 3 groups in 3 packed shares
+@example(pairs=_CONJ2_PAIRS, N=5000, workers=2, segment=1 << 9)
+@example(pairs=_CONJ2_PAIRS, N=5000, workers=3, segment=1 << 10)
+@example(pairs=_CONJ2_PAIRS, N=5000, workers=2, segment=1 << 11)
+@example(pairs=[AdmissiblePair(1, 1, 4), AdmissiblePair(1, 3, 4), AdmissiblePair(1, 5, 6)],
+         N=20000, workers=3, segment=1 << 9)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, workers, segment):
+    # the batch gives each pair's elements, in order, whatever runs its
+    # shares.  Short segments put a modulus on the packed route (more than
+    # two segments of candidates) or the int-bitset one, and the fork
+    # floor (a segment of candidates per share) both above and below the
+    # drawn work.  A recording map sees each (m, b) group run in exactly
+    # one share, as many shares as the workers and the floor allow, and
+    # cli.fork_map runs them in two processes
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", segment)
+    expected = [exceptional_set(pair, N).elements for pair in pairs]
+    assert exceptional_sets(pairs, N) == expected
+
+    ran, real = [], partitions._group_sets
+
+    def recorded(m, b, avals, N):
+        ran[-1].append((m, b))
+        return real(m, b, avals, N)
+
+    def share_map(fn, shares):
+        return [ran.append([]) or fn(k) for k in shares]
+
+    monkeypatch.setattr(partitions, "_group_sets", recorded)
+    assert exceptional_sets(pairs, N, workers, share_map) == expected
+    groups = dict.fromkeys((pair.m, pair.b) for pair in pairs)
+    assert sorted(g for share in ran for g in share) == sorted(groups)
+    avals = {g: {pair.a for pair in pairs if (pair.m, pair.b) == g} for g in groups}
+    cost = {(m, b): sum(max(0, (N - a - b) // m + 1) for a in avals[(m, b)]) for m, b in groups}
+    loads = [sum(cost[g] for g in share) for share in ran]
+    assert len(ran) == 1 or min(loads) >= segment
+    if len(ran) < min(workers, len(groups)):  # one more share would fall below the floor
+        more = partitions.deal(list(cost), cost.get, len(ran) + 1)
+        assert min(sum(cost[g] for g in share) for share in more) < segment
+
+    monkeypatch.setattr(partitions, "_group_sets", real)
+    assert exceptional_sets(pairs, N, 2, cli.fork_map) == expected
+
+
+def test_group_shares_one_b_class_row(monkeypatch):
+    # E(1, 3, 4) and E(3, 3, 4) sieve the a-classes 1 and 3 up to M and the
+    # b-class 3 once, for both
+    sieved = []
+    real = partitions.sieve_progression
+    monkeypatch.setattr(partitions, "sieve_progression",
+                        lambda *args: sieved.append(args[:2]) or real(*args))
+    pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
+    assert exceptional_sets(pairs, 10**5) == [(4,), (2,)]
+    assert sieved == [(1, 4), (3, 4), (3, 4)]
+
+
+def test_group_budget_checked_once_before_any_sieve(monkeypatch):
+    # one count per group before anything is sieved: every a-mask, the
+    # shared row's entries, digits and scan, its bitsets and the sieve;
+    # the parts named add up to the bytes needed
+    sieved = []
+    real = partitions.sieve_progression
+    monkeypatch.setattr(partitions, "sieve_progression",
+                        lambda *args: sieved.append(args[:2]) or real(*args))
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2 * 10**6)
+    N = 4 * 10**6
+    with pytest.raises(MemoryBudgetError) as exc:
+        exceptional_sets([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)], N)
+    assert sieved == []
+    need, *parts = map(int, re.search(
+        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries, their digits and "
+        r"scan, (\d+) of bitsets, (\d+) of sieve pattern and base primes\)",
+        str(exc.value),
+    ).groups())
+    assert sum(parts) == need > 2 * 10**6
+    M = partitions.default_stage1_bound(4, N)
+    count, nbytes = (N - 4) // 4 + 1, ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8
+    assert parts[:3] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 2 * count + 2 * nbytes, 3 * nbytes]
+
+
+def test_deal_heaviest_first_to_the_least_loaded():
+    # equal costs keep their order; each item joins the first share of
+    # least load, and there are no more shares than items
+    cost = {"a": 5, "b": 3, "c": 3, "d": 2, "e": 1}.get
+    assert partitions.deal(list("edcba"), cost, 2) == [["a", "d"], ["c", "b", "e"]]
+    assert partitions.deal(list("ab"), cost, 4) == [["a"], ["b"]]
+    assert partitions.deal([], cost, 2) == []
