@@ -27,9 +27,8 @@ windows outer (_sweep_stage1), so its memory beside the table depends on
 m, not N.  A single pair is the one-row case (_pair_share): it builds no
 table, but sieves the a-class up to M and then each b-window straight
 from its progression (primes.sieve_progression) and packs it once, so its
-memory is flat in N.  Its windows are independent, so a caller may pass a
-share map that runs shares of them in other processes (cli.fork_map); the
-budget is checked once before any share runs.
+memory is flat in N.  Its windows are independent, so shares of them may
+run in other processes.
 
 The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
 binary digits of one Python int, so a shift is one int shift; after the
@@ -45,11 +44,11 @@ kernel on it.  Only the packed kernel imports numpy, when it first runs,
 so a process whose sweeps and pairs all run the int-bitset kernel never
 loads it.
 
-A batch of pairs (exceptional_sets), such as a verifier's, is grouped
-by (m, b).  The groups are dealt heaviest first to worker shares (deal,
-which also deals a sweep's moduli), which a share map may run in other
-processes; each share runs both stages of its groups, a packed-route
-pair whole.
+Every pair goes through one batch (exceptional_sets, and exceptional_set
+is its batch of one), whose jobs, a group (m, b) on the int-bitset route or
+a share of a packed-route pair's windows, are dealt heaviest first to
+worker shares (deal, which also deals a sweep's moduli) that a share map
+may run in other processes (cli.fork_map).
 """
 
 from __future__ import annotations
@@ -272,7 +271,7 @@ def _pair_share(pair: AdmissiblePair, N: int, M: int,
     b-entries, with the span below it (span the largest prime index) and
     the 7 entries before that (none below j = 0 is prime), are sieved into
     one reused bytearray, which a zero-copy view packs into eight reused
-    copies.  The caller checks the budget first.
+    copies.  _pair_jobs checks the budget first.
     """
     import numpy as np
 
@@ -395,36 +394,6 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     return found
 
 
-def _stage1_unresolved(pair: AdmissiblePair, N: int, M: int, workers: int = 1,
-                       share_map: ShareMap = map) -> list[int]:
-    """Candidates n <= N not representable with p <= M; ascending.
-
-    Where every pair of modulus m has fewer than _MIN_SHARE_WINDOWS
-    windows, which never split, _bitset_group runs here, on a group of
-    one.  Otherwise the budget is checked before any sieve or share, numpy
-    is imported once for all shares, the windows are split into as many
-    shares as `workers` allows while each gets _MIN_SHARE_WINDOWS, and
-    share_map runs the shares (_pair_share).
-    """
-    a, b, m = pair
-    if _bitset_route(m, N):
-        return _bitset_group(b, [a], m, N, M)[0]
-    entries = max(0, (M - a) // m + 1)
-    size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
-    window = size + 8 * ((size + 7) // 8)  # every entry in every copy
-    sieve = sieve_overhead_bytes(N, max(entries, size))
-    need = 9 * entries + window + sieve
-    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                 f"small-prime mask, {8 * entries} of prime indices, {window} of "
-                 f"window and copies, {sieve} of sieve pattern and base primes)")
-    import numpy  # here, before the fork, not in every share
-
-    count = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
-    shares = max(1, min(workers, count // _MIN_SHARE_WINDOWS))
-    run = lambda k: _pair_share(pair, N, M, (k, shares))
-    return sorted(n for part in share_map(run, range(shares)) for n in part)
-
-
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
     """The elements among stage 1's ascending survivors for (a, b) mod m.
     Stage 1 tried every prime p = a (mod m) up to M, so an unmarked n <=
@@ -438,29 +407,11 @@ def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int
                  if n <= M + 2 or find_witness(n, pair, start=M + 1) is None)
 
 
-def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, workers: int = 1,
-                    share_map: ShareMap = map) -> ExceptionalSet:
-    """Compute E_{a,b,m} up to N with the two-stage algorithm.
-
-    Stage 1 sieves the pair's two progressions, one window at a time.
-    With workers > 1 its windows may be split into up to that many
-    shares, which share_map runs; stage 2 runs here.
-    """
-    if N < 2:
-        raise ValueError(f"search limit N={N} must be >= 2")
-    if M is None:
-        M = default_stage1_bound(pair.m, N)
-    if M > N:
-        raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    survivors = _stage1_unresolved(pair, N, M, workers, share_map)
-    elements = _resolved(*pair, M, survivors)
-    return ExceptionalSet(elements, len(survivors) - len(elements))
-
-
 def deal(items: list[T], cost: Callable[[T], float], workers: int) -> list[list[T]]:
-    """The items dealt to min(workers, len(items)) shares: heaviest first,
-    each to the share with the least cost so far (the first of equals)."""
-    shares: list[list[T]] = [[] for _ in range(min(workers, len(items)))]
+    """The items dealt to min(workers, len(items)) shares, or one if
+    workers < 1: heaviest first, each to the share with the least cost so
+    far (the first of equals)."""
+    shares: list[list[T]] = [[] for _ in range(min(max(1, workers), len(items)))]
     loads = [0.0] * len(shares)
     for x in sorted(items, key=cost, reverse=True):  # stable: equals keep their order
         k = loads.index(min(loads))
@@ -469,67 +420,101 @@ def deal(items: list[T], cost: Callable[[T], float], workers: int) -> list[list[
     return shares
 
 
-def _group_sets(m: int, b: int, avals: list[int], N: int) -> list[tuple[int, ...]]:
-    """The elements of E_{a,b,m} up to N for each a in avals, stage 2
-    included, at the default stage-1 bound: one _bitset_group, or on the
-    packed route each pair whole in this process."""
-    M = default_stage1_bound(m, N)
+def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> list[tuple]:
+    """A packed-route pair's jobs, shares (k, K) of its windows, as many as
+    `workers` allows while each gets _MIN_SHARE_WINDOWS; first,
+    MemoryBudgetError unless one share's storage fits the budget."""
+    a, b, m = pair
+    entries = max(0, (M - a) // m + 1)
+    size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
+    window = size + 8 * ((size + 7) // 8)  # every entry in every copy
+    sieve = sieve_overhead_bytes(N, max(entries, size))
+    need = 9 * entries + window + sieve
+    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
+                 f"small-prime mask, {8 * entries} of prime indices, {window} of "
+                 f"window and copies, {sieve} of sieve pattern and base primes)")
+    import numpy  # here, before the fork, not in every share
+
+    windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
+    shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
+    return [(m, b, [a], M, (k, shares)) for k in range(shares)]
+
+
+def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
+              N: int) -> list[tuple[tuple[int, int, int], tuple[int, ...], int]]:
+    """Both stages of one job of exceptional_sets, per a in avals: the
+    pair (a, b, m), the elements of E_{a,b,m} among the job's candidates,
+    ascending, and the count of its stage-1 survivors.  On the int-bitset
+    route the job is a group of a-classes (_bitset_group); on the packed
+    route, share `share` of one pair's windows (_pair_share)."""
     survivors = (_bitset_group(b, avals, m, N, M) if _bitset_route(m, N) else
-                 [_stage1_unresolved(AdmissiblePair(a, b, m), N, M) for a in avals])
-    return [_resolved(a, b, m, M, s) for a, s in zip(avals, survivors)]
+                 [_pair_share(AdmissiblePair(a, b, m), N, M, share) for a in avals])
+    return [((a, b, m), _resolved(a, b, m, M, s), len(s)) for a, s in zip(avals, survivors)]
 
 
 def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
-                     share_map: ShareMap = map) -> list[tuple[int, ...]]:
-    """The elements of E_{a,b,m} up to N of each pair, in order.
-
-    The pairs are grouped by (m, b), so that a group on the int-bitset
-    route sieves its b-class and builds its row once (_group_sets).  The
-    groups are dealt heaviest first, by candidates, to as many shares as
-    `workers` allows while each share gets SIEVE_SEGMENT_SIZE of them, and
-    share_map runs the shares, stage 2 included.
-    """
+                     share_map: ShareMap = map, M: Optional[int] = None) -> list[ExceptionalSet]:
+    """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
+    each modulus's default_stage1_bound.  A group (m, b) on the int-bitset
+    route is one job, a packed-route pair the jobs of _pair_jobs; they are
+    dealt heaviest first, by candidates, to as many shares as `workers`
+    allows while each gets SIEVE_SEGMENT_SIZE of them, share_map runs the
+    shares (_job_sets), and each pair's parts are merged here."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
-    groups: dict[tuple[int, int], dict[int, None]] = {}
-    for a, b, m in pairs:
-        groups.setdefault((m, b), {})[a] = None
-    items = [(m, b, list(avals)) for (m, b), avals in groups.items()]
+    if M is not None and M > N:
+        raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
+    groups: dict[tuple[int, int], tuple] = {}
+    jobs = []  # (m, b, avals, M, share)
+    for a, b, m in dict.fromkeys(pairs):  # each pair once
+        bound = default_stage1_bound(m, N) if M is None else M
+        if _bitset_route(m, N):
+            groups.setdefault((m, b), (m, b, [], bound, (0, 1)))[2].append(a)
+        else:
+            jobs += _pair_jobs(AdmissiblePair(a, b, m), N, bound, workers)
+    jobs += groups.values()
 
-    def cost(group: tuple[int, int, list[int]]) -> int:  # its candidates
-        m, b, avals = group
-        return sum(max(0, (N - a - b) // m + 1) for a in avals)
+    def cost(job: tuple) -> float:  # its candidates
+        m, b, avals, _, (_, shares) = job
+        return sum(max(0, (N - a - b) // m + 1) for a in avals) / shares
 
-    shares = deal(items, cost, workers)
+    shares = deal(jobs, cost, workers)
     while len(shares) > 1 and min(sum(map(cost, s)) for s in shares) < SIEVE_SEGMENT_SIZE:
-        shares = deal(items, cost, len(shares) - 1)
-    if not all(_bitset_route(m, N) for m, _, _ in items):
-        import numpy  # here, before the fork, not in every share
-    run = lambda k: [_group_sets(*g, N) for g in shares[k]]
-    found: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for share, sets in zip(shares, share_map(run, range(len(shares)))):
-        for (m, b, avals), group in zip(share, sets):
-            found.update(((a, b, m), e) for a, e in zip(avals, group))
-    return [found[pair] for pair in pairs]
+        shares = deal(jobs, cost, len(shares) - 1)
+    run = lambda k: [part for job in shares[k] for part in _job_sets(*job, N)]
+    found: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
+    for parts in share_map(run, range(len(shares))):
+        for pair, elements, survivors in parts:
+            e, s = found.get(pair, ((), 0))
+            found[pair] = e + elements, s + survivors
+    return [ExceptionalSet(tuple(sorted(e)), s - len(e)) for e, s in map(found.get, pairs)]
 
 
-def check_sweep_budget(m: int, N: int, M: int, packed: bool = True) -> tuple[list[int], int]:
-    """(units, span) of a sweep of m at N: the unit classes and the
-    largest prime index up to M.  First, MemoryBudgetError unless the
-    kernel's storage fits the budget beside the table.  The packed kernel
-    (_sweep_stage1) holds every class's copies over a window and up to M,
-    one pass's marks and a gather block's scratch (32 bytes an element);
-    only the table grows with N.  The int-bitset kernel (_bitset_sweep)
-    holds the table's odd flags and their digits, every row's digits and
-    their translated copy, and then, counted as six bitsets of every row,
-    the rows, the pad mask, a class's suffix, marks and shift, and the
-    scan's two byte strings."""
+def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, workers: int = 1,
+                    share_map: ShareMap = map) -> ExceptionalSet:
+    """E_{a,b,m} up to N: the batch of one pair (exceptional_sets)."""
+    return exceptional_sets([pair], N, workers, share_map, M)[0]
+
+
+def check_sweep_budget(m: int, N: int, M: int,
+                       packed: bool = True) -> tuple[list[int], int, int, int]:
+    """(units, span, step, width) of a sweep of m at N: the unit classes,
+    the largest prime index up to M, and the packed kernel's candidates a
+    window and bytes a class's copy, as its storage counts them.  First,
+    MemoryBudgetError unless the kernel's storage fits the budget beside
+    the table.  The packed kernel (_sweep_stage1) holds every class's
+    copies over a window and up to M, one pass's marks and a gather
+    block's scratch (32 bytes an element); only the table grows with N.
+    The int-bitset kernel (_bitset_sweep) holds the table's odd flags and
+    their digits, every row's digits and their translated copy, and then,
+    counted as six bitsets of every row, the rows, the pad mask, a class's
+    suffix, marks and shift, and the scan's two byte strings."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = ((N + 1) // 2 + 7) // 8
+    step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
+    width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
     if packed:
-        step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
-        width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
         copies = 8 * len(units) * (width + span // 8 + 1)
         marks = len(units) * width
         scratch = 32 * _GATHER_BLOCK_ELEMENTS
@@ -544,7 +529,7 @@ def check_sweep_budget(m: int, N: int, M: int, packed: bool = True) -> tuple[lis
                   f"their copy, {bitsets} of bitsets and scan")
     check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({table} of table, "
                  f"{detail})")
-    return units, span
+    return units, span, step, width
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -559,9 +544,7 @@ def _sweep_stage1(m: int, N: int, M: int,
     each other there and share a's primes, so one OR marks every row."""
     import numpy as np
 
-    units, span = check_sweep_budget(m, N, M)
-    step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
-    width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
+    units, span, step, width = check_sweep_budget(m, N, M)
     small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
     table.mask(min(M, N - 1), m, units, small)
     pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
@@ -598,7 +581,7 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int],
     every row."""
     if 2 * len(flags) < N:
         raise ValueError(f"odd flags up to {2 * len(flags) - 1} do not reach N - 1 = {N - 1}")
-    units, _ = check_sweep_budget(m, N, M, packed=False)
+    units, *_ = check_sweep_budget(m, N, M, packed=False)
     half, count = m // 2, (N - 2) // m + 1
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
              for a in units for entries in [max(0, (M - a) // m + 1)]]
@@ -705,7 +688,7 @@ def verify_conjecture_mod4(N: int, workers: int = 1,
     (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4).
     """
     pairs = [_lifted(4, a, b) for a, b in ((1, 3), (3, 3), (1, 1))]
-    e13, e33, e11 = exceptional_sets(pairs, N, workers, share_map)
+    e13, e33, e11 = (e.elements for e in exceptional_sets(pairs, N, workers, share_map))
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
     case_i = tuple(sorted(n for n in e13 + e33 if n > 4))
@@ -746,7 +729,7 @@ def verify_conjecture_samples(
     specs = {**_SAMPLE_SPECS, "vii": (60, (a,))}
     pairs = [_lifted(m0, r, -r) for m0, residues in specs.values() for r in residues]
     sets = iter(exceptional_sets(pairs, N, workers, share_map))
-    return {item: tuple(ViolationReport(m0, r % m0, next(sets)) for r in residues)
+    return {item: tuple(ViolationReport(m0, r % m0, next(sets).elements) for r in residues)
             for item, (m0, residues) in specs.items()}
 
 
@@ -764,7 +747,7 @@ def verify_ternary(N: int, workers: int = 1, share_map: ShareMap = map) -> tuple
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
-    e556 = exceptional_sets([_lifted(3, 2, 2)], N, workers, share_map)[0]
+    e556 = exceptional_sets([_lifted(3, 2, 2)], N, workers, share_map)[0].elements
     binary_violations = set(e556) - {4}
 
     def rep(k: int) -> bool:

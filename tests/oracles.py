@@ -284,8 +284,8 @@ def stage1_survivor_diagnostic(m: int, N: int, M: int, table=None) -> SurvivorDi
 
     The roles of the small-prime class and the long class differ, so each
     ordered pair runs the engine's stage 1 in its own orientation: a pair
-    a <= b as the sweep marks it, a pair a > b as the single-pair engine
-    does; its survivors are the unresolved candidates that are not
+    a <= b as the sweep marks it, a pair a > b as a single pair's packed
+    kernel does; its survivors are the unresolved candidates that are not
     elements.
     """
     from apgoldbach import partitions
@@ -295,7 +295,7 @@ def stage1_survivor_diagnostic(m: int, N: int, M: int, table=None) -> SurvivorDi
         table = sieve_primes(N)
     swept = partitions._sweep_stage1(m, N, M, table)
     survivors = {
-        (a, b): set(swept[(a, b)] if a <= b else partitions._stage1_unresolved(
+        (a, b): set(swept[(a, b)] if a <= b else partitions._pair_share(
             partitions.AdmissiblePair(a, b, m), N, M)) - set(elements)
         for (a, b), elements in partitions.exceptional_sets_for_modulus(
             m, N, M, table=table

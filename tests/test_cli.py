@@ -1216,8 +1216,8 @@ def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, where):
 
 def test_killed_verify_worker_exits_4(capsys, monkeypatch):
     # conj3 at 5*10^6 on 2 CPUs: the child is killed as it starts its
-    # first group, and the run is an internal error, not a failed check
-    parent, real = os.getpid(), partitions._group_sets
+    # first job, and the run is an internal error, not a failed check
+    parent, real = os.getpid(), partitions._job_sets
 
     def killed(*args):
         if os.getpid() != parent:
@@ -1225,7 +1225,7 @@ def test_killed_verify_worker_exits_4(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(partitions, "_group_sets", killed)
+    monkeypatch.setattr(partitions, "_job_sets", killed)
     forks = _count_forks(monkeypatch)
     code, out, err = run(capsys, "verify", "conj3", "--limit", "5000000")
     assert (code, out) == (EXIT_INTERNAL, "")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from apgoldbach import cli, partitions, primes
 from apgoldbach.partitions import (
     _lifted,
-    _stage1_unresolved,
     AdmissiblePair,
+    ExceptionalSet,
     exceptional_set,
     exceptional_sets,
     exceptional_sets_for_modulus,
@@ -309,7 +309,7 @@ class TestModulusSweep:
                 naive = naive_stage1_unresolved(a, b, m, N, M)
                 if a <= b:
                     assert swept[(a, b)] == naive, (a, b)
-                assert _stage1_unresolved(AdmissiblePair(a, b, m), N, M) == naive, (a, b)
+                assert partitions._pair_share(AdmissiblePair(a, b, m), N, M) == naive, (a, b)
                 es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
                 assert es.elements == sets[(a, b)], (a, b)
                 assert set(es.elements) <= set(naive), (a, b)
@@ -565,7 +565,8 @@ class TestTernary:
         real = partitions.exceptional_sets
 
         def with_extra(pairs, N, *work):
-            return [tuple(sorted(e + extra)) if pair == AdmissiblePair(5, 5, 6) else e
+            return [e._replace(elements=tuple(sorted(e.elements + extra)))
+                    if pair == AdmissiblePair(5, 5, 6) else e
                     for pair, e in zip(pairs, real(pairs, N, *work))]
 
         monkeypatch.setattr(partitions, "exceptional_sets", with_extra)
@@ -649,7 +650,7 @@ def test_derived_from_double_equals_direct(table_1e5, m, N):
 def test_progression_reduction_matches_naive(m0, N, data):
     r = data.draw(st.sampled_from([r for r in range(1, m0) if math.gcd(r, m0) == 1]))
     pair = _lifted(m0, r, -r)
-    assert list(exceptional_sets([pair], N)[0]) == naive_progression_violations(m0, r, N)
+    assert list(exceptional_sets([pair], N)[0].elements) == naive_progression_violations(m0, r, N)
 
 
 @given(
@@ -687,10 +688,11 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     a = data.draw(st.sampled_from(units))
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
-    got = _stage1_unresolved(AdmissiblePair(a, b, m), N, M)
-    assert got == naive_stage1_unresolved(a, b, m, N, M)
+    naive = naive_stage1_unresolved(a, b, m, N, M)
+    assert partitions._pair_share(AdmissiblePair(a, b, m), N, M) == naive
     es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
     assert list(es.elements) == naive_exceptional_set(a, b, m, N)
+    assert es.stage1_survivors == len(naive) - len(es.elements)
     small, large = sorted((a, b))
     batched = partitions._sweep_stage1(m, N, M, table_1e5)
     assert batched[(small, large)] == naive_stage1_unresolved(small, large, m, N, M)
@@ -723,6 +725,7 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     # are the unsplit stage 1, also where a share has no window.  Through
     # the engine, a pair splits into at most `workers` shares, only while
     # each gets _MIN_SHARE_WINDOWS windows, and gives the unsplit result
+    # and survivor count
     window = data.draw(st.sampled_from([1, 7, 64]))
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", window)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
@@ -730,8 +733,7 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     b = data.draw(st.sampled_from(units))
     M = data.draw(st.integers(-2 * m, N))
     pair = AdmissiblePair(a, b, m)
-    unsplit = _stage1_unresolved(pair, N, M)
-    assert unsplit == naive_stage1_unresolved(a, b, m, N, M)
+    unsplit = naive_stage1_unresolved(a, b, m, N, M)
     parts = [partitions._pair_share(pair, N, M, (k, K)) for k in range(K)]
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
@@ -742,9 +744,11 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
         calls.append(len(shares))
         return [fn(k) for k in reversed(shares)][::-1]
 
-    assert _stage1_unresolved(pair, N, M, K, share_map) == unsplit
+    es = exceptional_set(pair, N, M, K, share_map)
+    assert es == exceptional_set(pair, N, M)
+    assert es.stage1_survivors + len(es.elements) == len(unsplit)
     if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * window:
-        assert calls == []  # the bitset route: a pair that never splits
+        assert calls == [1]  # the bitset route: a pair that never splits
     else:
         count = len(range(0, (N - a - b) // m + 1, window))
         assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
@@ -912,8 +916,9 @@ _CONJ2_PAIRS = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4), AdmissiblePair
 @given(pairs=_pair_lists(), N=st.integers(2, 2000) | st.integers(5000, 5 * 10**4),
        workers=st.integers(1, 3), segment=st.sampled_from([1 << 6, 1 << 9, 1 << 12]))
 # conj2's pairs at 5000, 1,250 candidates each, in groups of 2,500 and
-# 1,250: on the packed route in 2 shares, on the int-bitset one in 2
-# shares, and in 1 below the floor; 3 groups in 3 packed shares
+# 1,250: on the packed route, one job a pair, in 2 shares, on the
+# int-bitset one in 2 shares, and in 1 below the floor; three packed
+# pairs of 3, 3 and 2 window jobs in 3 shares
 @example(pairs=_CONJ2_PAIRS, N=5000, workers=2, segment=1 << 9)
 @example(pairs=_CONJ2_PAIRS, N=5000, workers=3, segment=1 << 10)
 @example(pairs=_CONJ2_PAIRS, N=5000, workers=2, segment=1 << 11)
@@ -925,40 +930,116 @@ _CONJ2_PAIRS = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4), AdmissiblePair
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, workers, segment):
-    # the batch gives each pair's elements, in order, whatever runs its
-    # shares.  Short segments put a modulus on the packed route (more than
-    # two segments of candidates) or the int-bitset one, and the fork
-    # floor (a segment of candidates per share) both above and below the
-    # drawn work.  A recording map sees each (m, b) group run in exactly
-    # one share, as many shares as the workers and the floor allow, and
-    # cli.fork_map runs them in two processes
+    # the batch gives each pair's elements and stage-1 survivors, in
+    # order, whatever runs its shares.  Short segments put a modulus on
+    # the packed route (more than two segments of candidates) or the
+    # int-bitset one, and the fork floor (a segment of candidates per
+    # share) both above and below the drawn work.  A recording map sees
+    # each int-bitset (m, b) group run as one job, in exactly one share,
+    # and each packed pair as its K window jobs, in as many shares as the
+    # workers and the floor allow; cli.fork_map runs them in two processes
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", segment)
-    expected = [exceptional_set(pair, N).elements for pair in pairs]
+    expected = [_naive_batch_set(pair, N) for pair in pairs]
     assert exceptional_sets(pairs, N) == expected
 
-    ran, real = [], partitions._group_sets
+    ran, real = [], partitions._job_sets
 
-    def recorded(m, b, avals, N):
-        ran[-1].append((m, b))
-        return real(m, b, avals, N)
+    def recorded(m, b, avals, M, share, N):
+        ran[-1].append((m, b, tuple(avals), share))
+        return real(m, b, avals, M, share, N)
 
     def share_map(fn, shares):
         return [ran.append([]) or fn(k) for k in shares]
 
-    monkeypatch.setattr(partitions, "_group_sets", recorded)
+    monkeypatch.setattr(partitions, "_job_sets", recorded)
     assert exceptional_sets(pairs, N, workers, share_map) == expected
-    groups = dict.fromkeys((pair.m, pair.b) for pair in pairs)
-    assert sorted(g for share in ran for g in share) == sorted(groups)
-    avals = {g: {pair.a for pair in pairs if (pair.m, pair.b) == g} for g in groups}
-    cost = {(m, b): sum(max(0, (N - a - b) // m + 1) for a in avals[(m, b)]) for m, b in groups}
-    loads = [sum(cost[g] for g in share) for share in ran]
-    assert len(ran) == 1 or min(loads) >= segment
-    if len(ran) < min(workers, len(groups)):  # one more share would fall below the floor
-        more = partitions.deal(list(cost), cost.get, len(ran) + 1)
-        assert min(sum(cost[g] for g in share) for share in more) < segment
+    jobs = []
+    for m, b in dict.fromkeys((pair.m, pair.b) for pair in pairs):
+        avals = tuple(dict.fromkeys(pair.a for pair in pairs if (pair.m, pair.b) == (m, b)))
+        if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * segment:
+            jobs.append((m, b, avals, (0, 1)))
+            continue
+        for a in avals:
+            windows = len(range(0, (N - a - b) // m + 1, segment))
+            K = max(1, min(workers, windows // partitions._MIN_SHARE_WINDOWS))
+            jobs += [(m, b, (a,), (k, K)) for k in range(K)]
+    assert sorted(job for share in ran for job in share) == sorted(jobs)
 
-    monkeypatch.setattr(partitions, "_group_sets", real)
+    def cost(job):  # its candidates
+        m, b, avals, (_, K) = job
+        return sum(max(0, (N - a - b) // m + 1) for a in avals) / K
+
+    loads = [sum(map(cost, share)) for share in ran]
+    assert len(ran) == 1 or min(loads) >= segment
+    if len(ran) < min(workers, len(jobs)):  # one more share would fall below the floor
+        more = partitions.deal(jobs, cost, len(ran) + 1)
+        assert min(sum(map(cost, share)) for share in more) < segment
+
+    monkeypatch.setattr(partitions, "_job_sets", real)
     assert exceptional_sets(pairs, N, 2, cli.fork_map) == expected
+
+
+# The largest N that _pair_lists' batches are drawn at
+_BATCH_LIMIT = 5 * 10**4
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_at_batch_limit(oracle, a: int, b: int, m: int, *M: int) -> list[int]:
+    return oracle(a, b, m, _BATCH_LIMIT, *M)
+
+
+def _naive_batch_set(pair: AdmissiblePair, N: int) -> ExceptionalSet:
+    """E_{a,b,m} up to N <= _BATCH_LIMIT and its stage-1 survivors at the
+    default bound M, by the naive oracles.  An n <= N is reached only by
+    primes below it, so each oracle's list at N is its list at
+    _BATCH_LIMIT cut at N; with M >= N, stage 1 leaves only elements."""
+    M = partitions.default_stage1_bound(pair.m, N)
+    elements = tuple(n for n in _naive_at_batch_limit(naive_exceptional_set, *pair) if n <= N)
+    unresolved = elements if M >= N else [
+        n for n in _naive_at_batch_limit(naive_stage1_unresolved, *pair, M) if n <= N]
+    return ExceptionalSet(elements, len(unresolved) - len(elements))
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_run_one_share(workers):
+    # as for one worker: one share, mapped here, for an int-bitset group
+    # (at 500, 125 candidates in 64-entry segments) and for a packed-route
+    # pair (at 5000, 20 windows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
+        mapped = []
+
+        def share_map(fn, shares):
+            mapped.append(len(shares))
+            return map(fn, shares)
+
+        for N in (500, 5000):
+            pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
+            got = exceptional_sets(pairs, N, workers, share_map)
+            assert [e.elements for e in got] == [(4,), (2,)]
+            assert got == exceptional_sets(pairs, N)
+            assert exceptional_set(pairs[0], N, None, workers, share_map) == got[0]
+        assert mapped == [1] * 4
+
+
+def test_pair_budget_checked_before_any_sieve_or_share(monkeypatch):
+    # a packed-route pair of a verifier's batch is counted before the
+    # jobs are dealt: conj2 at 5000 in 64-entry windows, on 2 workers,
+    # neither sieves nor maps a share
+    sieved, mapped = [], []
+    real = partitions.sieve_progression
+    monkeypatch.setattr(partitions, "sieve_progression",
+                        lambda *args: sieved.append(args[:2]) or real(*args))
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1000)
+
+    def recorder(fn, shares):
+        mapped.append(shares)
+        return map(fn, shares)
+
+    with pytest.raises(MemoryBudgetError, match=r"^pair AdmissiblePair\(a=1, b=3, m=4\) at N=5000"):
+        verify_conjecture_mod4(5000, 2, recorder)
+    assert sieved == mapped == []
 
 
 def test_group_shares_one_b_class_row(monkeypatch):
@@ -969,7 +1050,7 @@ def test_group_shares_one_b_class_row(monkeypatch):
     monkeypatch.setattr(partitions, "sieve_progression",
                         lambda *args: sieved.append(args[:2]) or real(*args))
     pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
-    assert exceptional_sets(pairs, 10**5) == [(4,), (2,)]
+    assert [e.elements for e in exceptional_sets(pairs, 10**5)] == [(4,), (2,)]
     assert sieved == [(1, 4), (3, 4), (3, 4)]
 
 
