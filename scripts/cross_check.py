@@ -3,12 +3,13 @@
 
 For each even m in [--m-min, --m-max] at N = --limit, stage 1 of every
 unordered pair runs through both sweep kernels: the packed numpy kernel
-(partitions._sweep_stage1), off the prime table, and the int-bitset
-kernel (partitions._bitset_sweep), off the table's odd flags.  The two
-share no marking, scanning or tail code, and their candidate lists must
-be equal pair by pair.  The table both read is checked on its own:
-sampled entries of each unit class are compared with is_prime, whose
-Miller-Rabin test shares no code with the sieve.
+(partitions._sweep_stage1), off the packed prime table, and the int-bitset
+kernel (partitions._bitset_sweep), off the odd flags; both come from
+sieve_primes, as a sweep reads them.  The two kernels share no marking,
+scanning or tail code, and their candidate lists must be equal pair by
+pair.  The table and the flags, which share no packing code, are checked
+on their own: sampled entries of each unit class are compared with
+is_prime, whose Miller-Rabin test shares no code with the sieve.
 
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
@@ -30,7 +31,7 @@ from apgoldbach.primes import is_prime, sieve_primes
 SAMPLES = 32
 
 
-def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Optional[str]]:
+def check_modulus(m: int, N: int, table, flags: bytearray) -> tuple[int, int, Optional[str]]:
     """(pairs compared, table entries sampled, the first difference or
     None) for modulus m at N."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -40,9 +41,12 @@ def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Option
         entries = range((N - 1 - b) // m + 1)  # b + j*m <= N - 1, the sweep's reach
         for j in rng.sample(entries, min(SAMPLES, len(entries))):
             sampled += 1
-            if flags[b // 2 + j * (m // 2)] != is_prime(b + j * m):
-                return 0, sampled, (f"table entry {b + j * m} (m = {m}, b = {b}) "
-                                    "disagrees with is_prime")
+            n, i = b + j * m, b // 2 + j * (m // 2)  # i: the odd entry of n
+            prime = is_prime(n)
+            for name, entry in (("table entry", table.bits[i >> 3] >> (7 - i % 8) & 1),
+                                ("odd flag", flags[i])):
+                if entry != prime:
+                    return 0, sampled, f"{name} {n} (m = {m}, b = {b}) disagrees with is_prime"
     M = partitions.default_stage1_bound(m, N)
     packed = partitions._sweep_stage1(m, N, M, table)
     bitset = partitions._bitset_sweep(m, N, M, flags)
@@ -68,9 +72,8 @@ def main() -> int:
 
     start = time.monotonic()
     N = config.N
-    table = sieve_primes(N)
-    flags = table.primes()
-    import numpy  # noqa: F401  (before the fork, for both kernels' workers)
+    table = sieve_primes(N)  # imports numpy before the fork, for both kernels' workers
+    flags = sieve_primes(N, packed=False)
 
     shares = cli._modulus_shares(config.moduli, config.worker_count)
     done = cli.fork_map(lambda share: [(m, *check_modulus(m, N, table, flags))

@@ -202,8 +202,10 @@ def fork_map(fn: Callable[[T], R], shares: Sequence[T],
     """[fn(x) for x in shares], each share in its own process.
 
     This process computes shares[0]; a child forked for each other share
-    computes it, sends back its pickled result or the exception it raised,
-    which is raised here, and leaves with os._exit.  A child that dies
+    closes every result pipe's read end it inherited, computes its share,
+    sends back its pickled result or the exception it raised, which is
+    raised here, and leaves with os._exit.  With no reader left once this
+    process is gone, a child's write then fails, and it exits.  A child that dies
     without sending one raises RuntimeError naming its wait status.  Every
     child is reaped before this returns or raises; dead(pid) runs for each
     one reaped without a result, killed or dead.  Serial where os.fork
@@ -224,7 +226,7 @@ def fork_map(fn: Callable[[T], R], shares: Sequence[T],
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(fn, share, w)
+                    _run_share(fn, share, w, [r] + [pipe.fileno() for _, pipe in children])
             except BaseException:
                 os.close(r)
                 raise
@@ -260,14 +262,16 @@ def fork_map(fn: Callable[[T], R], shares: Sequence[T],
                 dead(pid)
 
 
-def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
-    """The child's side of fork_map: write (True, fn(share)) or (False,
-    the exception it raised), pickled, to the pipe end w and exit; exit
-    status 1 if that fails."""
+def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> NoReturn:
+    """The child's side of fork_map: close the read ends `inherited`, write
+    (True, fn(share)) or (False, the exception it raised), pickled, to the
+    pipe end w and exit; exit status 1 if that fails."""
     import pickle
 
     status = 1
     try:
+        for fd in inherited:
+            os.close(fd)
         try:
             out = (True, fn(share))
         except BaseException as exc:  # raised again in the parent
@@ -283,7 +287,7 @@ def _run_share(fn: Callable[[T], R], share: T, w: int) -> NoReturn:
 # Per-modulus computation
 
 
-def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytes) -> ModulusSets:
+def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytearray) -> ModulusSets:
     """partitions.exceptional_sets_for_modulus, called through this name so
     that perfbench/inprocess.py can patch it to time each modulus."""
     from . import partitions
@@ -315,7 +319,7 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     whose double is out of range are dealt to the workers' shares
     (fork_map), after partitions.sweep_table has picked their stage-1
     kernel, checked the budget and sieved the one table; the workers read
-    the table, or its odd flags on the int-bitset kernel, copy-on-write.
+    the table, or the odd flags on the int-bitset kernel, copy-on-write.
     Every other miss m is derived here from the sets of 2m, which are
     dropped then (summaries.exceptional_sets_from_double, in descending
     order, so 2m is cached, computed or derived first).  Only a sweep that

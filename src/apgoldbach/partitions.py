@@ -31,12 +31,12 @@ memory is flat in N.  Its windows are independent, so shares of them may
 run in other processes.
 
 The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
-binary digits of one Python int, so a shift is one int shift; after the
-head's ORs, each unset bit tries the remaining primes on the entry bytes.
-A modulus sweep on it (_bitset_sweep) reads the table's odd flags
-(primes.PrimeTable.primes) and holds a row of every unit class in one
-int; sweep_table picks it, by one size rule, for sweeps of short rows or
-little work.  A pair whose candidates fit in fewer than
+binary digits of one Python int (_bits_from_bytes), so a shift is one
+int shift; after the head's ORs, each unset bit tries the remaining
+primes on the entry bytes.  A modulus sweep on it (_bitset_sweep) reads
+the odd flags (primes.sieve_primes) and holds a row of every unit class
+in one int; sweep_table picks it, by one size rule, for sweeps of short
+rows or little work.  A pair whose candidates fit in fewer than
 _MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
 (_bitset_group), which sieves its whole b-class into one bytearray;
 several pairs of one (m, b) share that row, each a-class running the
@@ -58,7 +58,6 @@ from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, TypeVar
 
 from .primes import (
-    _BINARY_DIGITS,
     SIEVE_SEGMENT_SIZE,
     PrimeTable,
     check_budget,
@@ -299,6 +298,16 @@ def _pair_share(pair: AdmissiblePair, N: int, M: int,
     return found
 
 
+def _bits_from_bytes(entries: bytes | bytearray) -> int:
+    """The int whose binary digits are `entries`, bytes 0 and 1 whose
+    length is a multiple of 8, the first the top bit: each eighth byte,
+    from byte k on, is the bits 7 - k of the int's bytes."""
+    bits = 0
+    for k in range(8):
+        bits |= int.from_bytes(entries[k::8], "big") << (7 - k)
+    return bits
+
+
 def _bitset_rows(bitset: int, marks: int, width: int, pidx: list[int], head: int,
                  rows: list[tuple[int, int]], entry: bytes, stride: int) -> list[list[int]]:
     """Stage 1 of one small-prime class, whose prime indices up to M are
@@ -355,38 +364,46 @@ def _bitset_route(m: int, N: int) -> bool:
     return (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE
 
 
+def _check_group_budget(m: int, b: int, avals: list[int], M: int, N: int) -> None:
+    """MemoryBudgetError unless _bitset_group of the pairs (a, b, m), a in
+    avals, fits the budget: every a-mask, the row's entry bytes and their
+    eight slices, five bitsets' bytes (the row, the marks, a shift, the
+    scan's two strings) and the sieve's pattern, base primes and strike."""
+    entries = [max(0, (M - a) // m + 1) for a in avals]
+    count = max(max(0, (N - a - b) // m + 1) for a in avals)
+    width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
+    masks, row, bitsets = sum(entries), 2 * width, 5 * width // 8
+    sieve = sieve_overhead_bytes(N, max(entries + [width]))
+    need = masks + row + bitsets + sieve
+    check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
+                 f"({masks} of small-prime masks, {row} of entries and their slices, "
+                 f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
+
+
 def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
     """Stage 1 of the pairs (a, b) mod m, a in avals, on Python int
     bitsets, one row of _bitset_rows shared by every a: per a, the
     candidates n <= N not representable with p <= M, ascending, as
     _window finds them.
 
-    The b-class, entries 0 to the largest s of any a, is sieved into one
-    bytearray, whose digits are the row's bitset, built once; each a runs
-    _bitset_rows on it up to its own last candidate.  Before it allocates,
-    the budget counts the a-masks, the b-class bytes, their digit copy,
-    the scan bytes, three bitsets (the row, the marks and a shift) and the
-    sieve's pattern, base primes and strike.
+    The b-class, entries 0 to the largest s of any a, is sieved into a
+    zeroed bytearray of the row's width, whose digits are the row's
+    bitset, built once; each a runs _bitset_rows on it up to its own last
+    candidate.  exceptional_sets checks the budget first
+    (_check_group_budget).
     """
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # candidates s < count
     count = max(counts)
-    nbytes = (count + max(entries) + 7) // 8  # the row, padded past every shift
-    masks, scan, bitsets = sum(entries), 2 * count + 2 * nbytes, 3 * nbytes
-    sieve = sieve_overhead_bytes(N, max(entries + [count]))
-    need = masks + scan + bitsets + sieve
-    check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
-                 f"({masks} of small-prime masks, {scan} of entries, their digits and scan, "
-                 f"{bitsets} of bitsets, {sieve} of sieve pattern and base primes)")
     pidxs = [list(compress(range(e), next(sieve_progression(a, m, M, [(0, e)], bytearray(e)))))
              if e else [] for a, e in zip(avals, entries)]
     found = [[a + b - m] * (2 <= a + b - m <= N) for a in avals]
     if not count:
         return found
-    entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(count)))
     head = _VECTOR_PHASE_PRIMES
     width = _row_width(count, pidxs, head)
-    row = int(entry.translate(_BINARY_DIGITS), 2) << (width - count)
+    entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(width)))
+    row = _bits_from_bytes(entry)
     pad = (1 << (width - count)) - 1
     for out, a, c, pidx in zip(found, avals, counts, pidxs):
         s = _bitset_rows(row, pad, width, pidx, head, [(c, 0)], entry, 1)[0]
@@ -456,10 +473,12 @@ def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
                      share_map: ShareMap = map, M: Optional[int] = None) -> list[ExceptionalSet]:
     """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
     each modulus's default_stage1_bound.  A group (m, b) on the int-bitset
-    route is one job, a packed-route pair the jobs of _pair_jobs; they are
-    dealt heaviest first, by candidates, to as many shares as `workers`
-    allows while each gets SIEVE_SEGMENT_SIZE of them, share_map runs the
-    shares (_job_sets), and each pair's parts are merged here."""
+    route is one job, a packed-route pair the jobs of _pair_jobs; every
+    job's budget is checked before any runs (_check_group_budget and
+    _pair_jobs).  They are dealt heaviest first, by candidates, to as many
+    shares as `workers` allows while each gets SIEVE_SEGMENT_SIZE of them,
+    share_map runs the shares (_job_sets), and each pair's parts are
+    merged here."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is not None and M > N:
@@ -472,6 +491,8 @@ def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
             groups.setdefault((m, b), (m, b, [], bound, (0, 1)))[2].append(a)
         else:
             jobs += _pair_jobs(AdmissiblePair(a, b, m), N, bound, workers)
+    for m, b, avals, bound, _ in groups.values():
+        _check_group_budget(m, b, avals, bound, N)
     jobs += groups.values()
 
     def cost(job: tuple) -> float:  # its candidates
@@ -505,10 +526,10 @@ def check_sweep_budget(m: int, N: int, M: int,
     the table.  The packed kernel (_sweep_stage1) holds every class's
     copies over a window and up to M, one pass's marks and a gather
     block's scratch (32 bytes an element); only the table grows with N.
-    The int-bitset kernel (_bitset_sweep) holds the table's odd flags and
-    their digits, every row's digits and their translated copy, and then,
-    counted as six bitsets of every row, the rows, the pad mask, a class's
-    suffix, marks and shift, and the scan's two byte strings."""
+    The int-bitset kernel (_bitset_sweep) holds the odd flags, every row's
+    entry bytes and their eight slices, and then, counted as six bitsets
+    of every row, the rows, the pad mask, a class's suffix, marks and
+    shift, and the scan's two byte strings."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = ((N + 1) // 2 + 7) // 8
@@ -519,16 +540,15 @@ def check_sweep_budget(m: int, N: int, M: int,
         marks = len(units) * width
         scratch = 32 * _GATHER_BLOCK_ELEMENTS
         need = table + copies + marks + scratch
-        detail = f"{copies} of class copies, {marks} of marks, {scratch} of gather scratch"
+        detail = (f"{table} of table, {copies} of class copies, {marks} of marks, "
+                  f"{scratch} of gather scratch")
     else:
-        flags = 2 * 8 * table
-        digits = 2 * len(units) * ((N - 2) // m + span + 8)
-        bitsets = 6 * (digits // 16 + 1)
-        need = table + flags + digits + bitsets
-        detail = (f"{flags} of odd flags and their digits, {digits} of row digits and "
-                  f"their copy, {bitsets} of bitsets and scan")
-    check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({table} of table, "
-                 f"{detail})")
+        rows = 2 * len(units) * ((N - 2) // m + span + 8)
+        bitsets = 6 * (rows // 16 + 1)
+        need = 8 * table + rows + bitsets
+        detail = (f"{8 * table} of odd flags, {rows} of row entries and their slices, "
+                  f"{bitsets} of bitsets and scan")
+    check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({detail})")
     return units, span, step, width
 
 
@@ -569,9 +589,9 @@ def _sweep_stage1(m: int, N: int, M: int,
     return out
 
 
-def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int], list[int]]:
-    """_sweep_stage1 on Python int bitsets, read off a table's odd flags
-    (PrimeTable.primes), whose limit must reach N - 1.
+def _bitset_sweep(m: int, N: int, M: int, flags: bytearray) -> dict[tuple[int, int], list[int]]:
+    """_sweep_stage1 on Python int bitsets, read off the odd flags of
+    sieve_primes(limit, packed=False), whose limit must reach N - 1.
 
     Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
     of every unit class, b ascending from the top bits, each of as many
@@ -586,10 +606,12 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int],
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
              for a in units for entries in [max(0, (M - a) // m + 1)]]
     width = _row_width(count, pidxs, _BITSET_HEAD_PRIMES)
-    digits = b"".join(flags[b // 2 : b // 2 + count * half : half].ljust(width, b"\0")
-                      for b in units).translate(_BINARY_DIGITS)
-    bitset = int(digits, 2)
-    del digits
+    entries = bytearray(len(units) * width)
+    for k, b in enumerate(units):  # a row may end past the flags: its entries there stay 0
+        row = flags[b // 2 : b // 2 + count * half : half]
+        entries[k * width : k * width + len(row)] = row
+    bitset = _bits_from_bytes(entries)
+    del entries
     pad = ((1 << (width - count)) - 1).to_bytes(width // 8, "big")
     pads = int.from_bytes(pad * len(units), "big")  # every row's bits below its candidates
     out: dict[tuple[int, int], list[int]] = {}
@@ -603,14 +625,14 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int],
     return out
 
 
-def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
-    """What every modulus of a sweep at N that computes `moduli` reads:
-    the table up to N or, where the int-bitset kernel runs, its odd flags
-    (PrimeTable.primes); see exceptional_sets_for_modulus.
+def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytearray:
+    """What every modulus of a sweep at N that computes `moduli` reads,
+    sieved up to N: the packed table or, where the int-bitset kernel
+    runs, the odd flags (sieve_primes); see exceptional_sets_for_modulus.
 
     The size rule picks the int-bitset kernel for the whole sweep (see
     _BITSET_SWEEP_ROW).  Each modulus's budget on the kernel it picks is
-    checked before the sieve; the packed kernel's numpy is imported here,
+    checked before the sieve; the packed table's sieve imports numpy
     before the caller forks its workers, so that they inherit it.
     """
     row = max((N - 2) // m + 1 for m in moduli)
@@ -619,16 +641,11 @@ def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
     bitset = row <= _BITSET_SWEEP_ROW or work * row <= _BITSET_SWEEP_WORK
     for m in moduli:
         check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
-    table = sieve_primes(N)
-    if bitset:
-        return table.primes()
-    import numpy  # here, before the fork, not in every worker
-
-    return table
+    return sieve_primes(N, packed=not bitset)
 
 
 def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytes
+    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytearray
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1: a

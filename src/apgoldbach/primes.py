@@ -1,15 +1,14 @@
 """Prime generation and deterministic primality testing.
 
 Provides one segmented sieve along a progression b + j*m, window by window
-(sieve_progression), which strikes a bytearray and imports no numpy; the
-bit-packed table over the odd numbers (PrimeTable) that sieve_primes
-builds from its case m = 2, b = 1 and packs with int arithmetic; a
-deterministic Miller-Rabin test valid for the full 64-bit range; and the
-two readers of a table: PrimeTable.primes unpacks its odd flags into
-bytes, with no numpy, for the int-bitset sweep, and PrimeTable.mask
-extracts the packed copies of fixed residue classes for the packed
-sweep.  Only mask and pack_copies use numpy, which they import when
-called.
+(sieve_progression), which strikes a bytearray and imports no numpy; its
+case m = 2, b = 1 over the odd numbers (sieve_primes), which returns
+their flags, one byte each, for the int-bitset sweep, or the bit-packed
+table (PrimeTable), whose reader PrimeTable.mask extracts the packed
+copies of fixed residue classes for the packed sweep; and a
+deterministic Miller-Rabin test valid for the full 64-bit range.  Only
+the packed table, mask and pack_copies use numpy, which they import
+when called.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ _PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
 # of the odd bits and of every packed class.
 _CLASS_CHUNK = 1 << 18
 
-# Maps bytes 0 and 1 to the digits of int(..., 2), and back.
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
 # Deterministic Miller-Rabin witnesses.  This 7-base set is verified
 # correct for every n < 3,317,044,064,679,887,385,961,981 (~3.3 * 10^24),
 # which covers all 64-bit inputs with a wide margin.
@@ -77,13 +72,6 @@ class PrimeTable(NamedTuple):
 
     limit: int
     bits: memoryview  # read-only bytes, packed big-endian: bit i <-> 2i + 1; 0 past limit
-
-    def primes(self) -> bytes:
-        """The odd flags, unpacked: byte i is 1 iff 2i + 1 is a prime <=
-        limit, for i below 8 * len(bits).  Beside the result it holds the
-        bits as one int and its digits, one byte a flag."""
-        digits = f"{int.from_bytes(self.bits, 'big'):0{8 * len(self.bits)}b}".encode()
-        return digits.translate(_DIGIT_FLAGS)
 
     def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray,
              start: int = 0) -> None:
@@ -225,41 +213,42 @@ def sieve_progression(
             yield out
 
 
-def sieve_primes(limit: int) -> PrimeTable:
+def sieve_primes(limit: int, packed: bool = True) -> PrimeTable | bytearray:
     """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
-    inclusive; entry i stands for 2i + 1.
+    inclusive, entry i for 2i + 1, in segments of SIEVE_SEGMENT_SIZE odd
+    entries (read at each call, rounded down to a multiple of 8, at least
+    8) that sieve_progression(1, 2, ...) sieves one at a time.
 
-    The segments are the windows of sieve_progression(1, 2, ...), each
-    packed into the table as soon as it is sieved: its bytes become the
-    digits of one int, whose big-endian bytes are the packed bits.  The
-    peak storage, which check_budget bounds, is the packed table, one
-    unpacked segment, its digit copy, the int and its bytes (an eighth of
-    the segment each, and a shifted int for a short last segment), and the
-    sieve's pattern, base primes and strike.  A segment is
-    SIEVE_SEGMENT_SIZE odd entries, read at each call and rounded down to
-    a multiple of 8 (at least 8) so segments start on a byte.
+    Packed, np.packbits packs each segment into the table; otherwise, with
+    no numpy, it is copied into the odd flags, the table unpacked: byte i
+    is 1 iff 2i + 1 is a prime <= limit, for i below 8 times the table's
+    bytes.  check_budget bounds the output, one segment, the packed
+    segment and the sieve's pattern, base primes and strike.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     segment_size = max(8, SIEVE_SEGMENT_SIZE - SIEVE_SEGMENT_SIZE % 8)
     entries = (limit + 1) // 2  # odd numbers <= limit
-    nbytes = (entries + 7) // 8
+    size = (entries + 7) // 8 * (1 if packed else 8)
     segment = min(segment_size, entries)
-    peak = nbytes + 2 * segment + 3 * ((segment + 7) // 8) + sieve_overhead_bytes(limit, segment)
-    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({nbytes} packed plus one "
-                 "segment, its digits, int and bytes)")
+    peak = size + segment + packed * ((segment + 7) // 8) + sieve_overhead_bytes(limit, segment)
+    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({size} "
+                 f"{'packed' if packed else 'of odd flags'} plus one segment)")
 
-    bits = bytearray(nbytes)
+    out, buf = bytearray(size), bytearray(segment)
     windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]
-    segments = sieve_progression(1, 2, limit, windows, bytearray(segment))
-    for (lo, hi), seg in zip(windows, segments):
-        digits = seg.translate(_BINARY_DIGITS)
-        del digits[hi - lo :]  # the stale bytes of a short last segment
-        pad = -(hi - lo) % 8  # the last byte's low bits, past the limit
-        bits[lo >> 3 : (hi + 7) >> 3] = (int(digits, 2) << pad).to_bytes(
-            (hi - lo + pad) // 8, "big")
-        del digits  # before the next segment's
-    return PrimeTable(limit=limit, bits=memoryview(bits).toreadonly())
+    segments = sieve_progression(1, 2, limit, windows, buf)
+    if not packed:  # through views: a bytearray copies any other source first
+        with memoryview(out) as dest, memoryview(buf) as source:
+            for (lo, hi), _ in zip(windows, segments):
+                dest[lo:hi] = source[: hi - lo]
+        return out
+    import numpy as np
+
+    bits = np.frombuffer(out, dtype=np.uint8)  # a view; a short last byte's low bits stay 0
+    for (lo, hi), _ in zip(windows, segments):
+        bits[lo >> 3 : (hi + 7) >> 3] = np.packbits(np.frombuffer(buf, np.uint8, hi - lo))
+    return PrimeTable(limit=limit, bits=memoryview(out).toreadonly())
 
 
 def is_prime(n: int) -> bool:

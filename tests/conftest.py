@@ -22,3 +22,13 @@ def table_1e5():
 @pytest.fixture(scope="session")
 def table_1e6():
     return sieve_primes(10**6)
+
+
+@pytest.fixture(scope="session")
+def flags_1e5():
+    return sieve_primes(10**5, packed=False)
+
+
+@pytest.fixture(scope="session")
+def flags_1e6():
+    return sieve_primes(10**6, packed=False)

@@ -470,24 +470,24 @@ class TestTables:
 
     def test_reused_worker_flags_check_budget(self, monkeypatch):
         # the same on the int-bitset kernel, at 10^6: one of m = 30
-        # (1,808,724 bytes) fits a 2 MB budget, one of m = 2 (2,451,268
-        # bytes) does not, and fails before it sieves
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2_000_000)
+        # (1,246,224 bytes; its sieve 1,060,443) fits a 1.5 MB budget, one
+        # of m = 2 (1,888,768 bytes) does not, and fails before it sieves
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1_500_000)
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
         sieved = []
         monkeypatch.setattr(partitions, "sieve_primes", sieved.append)
-        with pytest.raises(MemoryBudgetError, match="of odd flags and their digits"):
+        with pytest.raises(MemoryBudgetError, match="of odd flags, "):
             compute_sweep(RunConfig(N=10**6, m_min=2, m_max=2, threads=1))
         assert sieved == []
 
     @pytest.mark.parametrize("N,budget,need", [
         (10**7, 6_600_000, "of class copies"),
-        (10**6, 2_200_000, "of odd flags and their digits"),
+        (10**6, 1_600_000, "of odd flags, "),
     ], ids=["packed", "int-bitset"])
     def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path, N, budget, need):
         # a derived modulus needs no window: with 4 cached, a sweep of
         # m = 2-6 derives 2 and checks the windows of 6 alone (6,475,508
-        # bytes at 10^7 on the packed kernel, 1,988,376 at 10^6 on the
+        # bytes at 10^7 on the packed kernel, 1,425,876 at 10^6 on the
         # int-bitset kernel), which fit where those of 2 do not
         compute_sweep(RunConfig(N=N, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
@@ -1193,15 +1193,16 @@ def test_killed_worker_exits_4_and_leaves_no_tmp_file(capsys, monkeypatch, tmp_p
     _assert_no_children()
 
 
-@pytest.mark.parametrize("where", ["parent", "child"])
-def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, where):
+@pytest.mark.parametrize("b", [3, 1], ids=["parent", "child-share"])
+def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, b):
     # conj2 at 5*10^6 on 2 CPUs runs the b = 3 group here and the b = 1
-    # group in the child; a budget check that fails on either side exits 2
-    parent, real = os.getpid(), partitions.check_budget
+    # group in the child; every group's budget is checked here before the
+    # fork, so a group over budget on either share exits 2 with no fork
+    real = partitions.check_budget
 
     def over_budget(need, detail):
-        if (os.getpid() == parent) == (where == "parent"):
-            raise MemoryBudgetError(f"over the budget in the {where}")
+        if f", {b}, 4), a in" in detail:
+            raise MemoryBudgetError(f"the b = {b} group is over the budget in {os.getpid()}")
         real(need, detail)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1209,8 +1210,8 @@ def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, where):
     forks = _count_forks(monkeypatch)
     code, out, err = run(capsys, "verify", "conj2", "--limit", "5000000")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: over the budget in the {where}\n"
-    assert len(forks) == 1
+    assert err == f"error: the b = {b} group is over the budget in {os.getpid()}\n"
+    assert forks == []
     _assert_no_children()
 
 
@@ -1289,6 +1290,42 @@ def test_fork_map_without_os_fork_runs_the_shares_here(capsys, monkeypatch, argv
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv, "--threads", "2") == serial
     assert shares == [2]
+
+
+def test_fork_map_children_hold_no_read_end(monkeypatch):
+    # before it computes, each child closes the result pipes' read ends it
+    # inherited, its own and those of the children forked before it, so
+    # that once this process is gone no reader is left and a child's write
+    # fails instead of blocking.  This process still reads both pipes
+    import fcntl
+
+    pipes, real = set(), os.pipe
+
+    def recorded_pipe():
+        r, w = real()
+        st = os.fstat(r)
+        pipes.add((st.st_dev, st.st_ino))  # both ends share the inode
+        return r, w
+
+    def open_read_ends(share):
+        ends = []
+        for fd in range(256):
+            try:
+                st = os.fstat(fd)
+            except OSError:
+                continue
+            if ((st.st_dev, st.st_ino) in pipes
+                    and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE == os.O_RDONLY):
+                ends.append(fd)
+        return share, os.getpid(), ends
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    results = cli.fork_map(open_read_ends, [0, 1, 2])
+    assert len(pipes) == 2
+    assert [share for share, _, _ in results] == [0, 1, 2]
+    assert [pid == os.getpid() for _, pid, _ in results] == [True, False, False]
+    assert [len(ends) for _, _, ends in results] == [2, 0, 0]
+    _assert_no_children()
 
 
 def _files(path: Path) -> list[tuple[str, int]]:

@@ -787,7 +787,7 @@ def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, m, N, data):
+def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, flags_1e5, m, N, data):
     # the int-bitset sweep over every row at once, with a head of 0, 1, 8
     # or the default shifts, and the packed sweep over windows of a few
     # candidates leave the same candidates for every pair a <= b, and a
@@ -796,13 +796,26 @@ def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, m, N, dat
     monkeypatch.setattr(partitions, "_BITSET_HEAD_PRIMES",
                         data.draw(st.sampled_from([partitions._BITSET_HEAD_PRIMES, 0, 1, 8])))
     M = data.draw(st.integers(-2 * m, N))
-    bitset = partitions._bitset_sweep(m, N, M, table_1e5.primes())
+    bitset = partitions._bitset_sweep(m, N, M, flags_1e5)
     assert bitset == partitions._sweep_stage1(m, N, M, table_1e5)
     a, b = data.draw(st.sampled_from(sorted(bitset)))
     assert bitset[(a, b)] == naive_stage1_unresolved(a, b, m, N, M)
 
 
-def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6):
+@given(m=st.integers(1, 100).map(lambda k: 2 * k), N=st.integers(3, 3000), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_int_sweep_reads_flags_that_end_at_the_limit(table_1e5, m, N, data):
+    # odd flags sieved only to N, or to N - 1 when that is odd, end before
+    # the rows of the larger classes do, whose last entries b + j*m pass
+    # N; those entries are read as 0, and the int-bitset sweep agrees with
+    # the packed one
+    flags = sieve_primes(data.draw(st.sampled_from([N - 1 + N % 2, N])), packed=False)
+    M = data.draw(st.integers(-2 * m, N))
+    assert partitions._bitset_sweep(m, N, M, flags) == partitions._sweep_stage1(m, N, M, table_1e5)
+
+
+def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6, flags_1e6):
     # a second oracle: the two sweep kernels share no marking, scanning or
     # tail code.  Every unordered pair of m = 194 at 2*10^5 leaves the
     # same candidates through each, the packed one in one window and in
@@ -811,7 +824,7 @@ def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6):
     m, N = 194, 2 * 10**5
     M = partitions.default_stage1_bound(m, N)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
-    flags = table_1e6.primes()
+    flags = flags_1e6
     bitset = partitions._bitset_sweep(m, N, M, flags)
     assert len(bitset) == 4656
     assert (exceptional_sets_for_modulus(m, N, table=flags)
@@ -823,8 +836,25 @@ def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6):
         assert partitions._sweep_stage1(m, N, M, table_1e6) == bitset, windows
 
 
-def test_odd_flags_must_reach_the_limit(table_1e5):
-    flags = table_1e5.primes()
+@given(st.integers(0, 64).flatmap(
+    lambda n: st.lists(st.sampled_from(b"\0\1"), min_size=8 * n, max_size=8 * n).map(bytes)))
+@example(b"")
+@example(bytes(512))
+@example(b"\1" * 512)
+@example(b"\1" + bytes(511))
+@example(bytes(511) + b"\1")
+@settings(max_examples=200, deadline=None)
+def test_bits_from_bytes_reads_the_bytes_as_binary_digits(entries):
+    # 0/1 entry bytes up to 512 long, a multiple of 8, read by the eight
+    # strided slices: the int whose binary digits they are, the first the
+    # top bit, from bytes and from a bytearray
+    reference = int(b"0" + entries.translate(bytes.maketrans(b"\0\1", b"01")), 2)
+    assert partitions._bits_from_bytes(entries) == reference
+    assert partitions._bits_from_bytes(bytearray(entries)) == reference
+
+
+def test_odd_flags_must_reach_the_limit(flags_1e5):
+    flags = flags_1e5
     assert len(exceptional_sets_for_modulus(4, 2 * len(flags), table=flags)) == 4
     with pytest.raises(ValueError, match="do not reach"):
         exceptional_sets_for_modulus(4, 2 * len(flags) + 1, table=flags)
@@ -867,7 +897,7 @@ class TestKernelSelection:
 
     def test_bitset_kernel_peak_memory(self):
         # pairs just below the threshold, 2^21 candidates: the entry
-        # bytes, their digits or the scan string, and a few bitsets stay
+        # bytes, a slice of them and its ints or the scan strings, and a few bitsets stay
         # under 4 bytes an entry, for one a-class and for two sharing the
         # b-class row
         N = 2**23 + 1
@@ -889,7 +919,7 @@ class TestKernelSelection:
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2 * 10**6)
-        with pytest.raises(MemoryBudgetError, match=r"of entries, their digits and scan"):
+        with pytest.raises(MemoryBudgetError, match=r"of entries and their slices"):
             exceptional_set(AdmissiblePair(1, 3, 4), 4 * 10**6)
         assert sieved == []
         assert exceptional_set(AdmissiblePair(1, 3, 4), 10**6).elements == (4,)
@@ -1056,8 +1086,8 @@ def test_group_shares_one_b_class_row(monkeypatch):
 
 def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     # one count per group before anything is sieved: every a-mask, the
-    # shared row's entries, digits and scan, its bitsets and the sieve;
-    # the parts named add up to the bytes needed
+    # shared row's entries and their eight slices, its bitsets and scan,
+    # and the sieve; the parts named add up to the bytes needed
     sieved = []
     real = partitions.sieve_progression
     monkeypatch.setattr(partitions, "sieve_progression",
@@ -1068,14 +1098,14 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
         exceptional_sets([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)], N)
     assert sieved == []
     need, *parts = map(int, re.search(
-        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries, their digits and "
-        r"scan, (\d+) of bitsets, (\d+) of sieve pattern and base primes\)",
+        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries and their "
+        r"slices, (\d+) of bitsets and scan, (\d+) of sieve pattern and base primes\)",
         str(exc.value),
     ).groups())
     assert sum(parts) == need > 2 * 10**6
     M = partitions.default_stage1_bound(4, N)
-    count, nbytes = (N - 4) // 4 + 1, ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8
-    assert parts[:3] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 2 * count + 2 * nbytes, 3 * nbytes]
+    nbytes = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8  # the row, past every shift
+    assert parts[:3] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 16 * nbytes, 5 * nbytes]
 
 
 def test_deal_heaviest_first_to_the_least_loaded():

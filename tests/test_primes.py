@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import tracemalloc
@@ -37,16 +38,35 @@ def test_count_at_every_small_limit():
         assert table_primes(t) == primes_up_to(limit), limit
 
 
-def test_odd_flags_unpack_every_bit():
-    # PrimeTable.primes, the int-bitset sweep's reader, unpacks the packed
-    # bits without numpy, the bits past the limit as 0; the bits are
-    # read-only bytes, which PrimeTable.mask views without a copy
-    for limit in (*range(2, 40), 1000, 10**5 + 3):
+def test_odd_flags_unpack_every_bit(monkeypatch):
+    # the odd flags, the int-bitset sweep's output, and the packed table
+    # share no packing code: the flags are the table's bits unpacked, the
+    # bits past the limit as 0, and byte i is 1 iff 2i + 1 is prime.  The
+    # bits are read-only bytes, which PrimeTable.mask views without a
+    # copy.  Limits at and around the ends of 16-entry segments, and
+    # every residue of the limit mod 16
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 16)
+    for limit in (*range(2, 40), *range(60, 70), *range(90, 100), 1000, 10**5 + 3):
         t = sieve_primes(limit)
-        flags = t.primes()
+        flags = sieve_primes(limit, packed=False)
+        assert isinstance(flags, bytearray)
         assert flags == np.unpackbits(np.frombuffer(t.bits, np.uint8)).tobytes(), limit
         assert [2 * i + 1 for i, f in enumerate(flags) if f] == primes_up_to(limit)[1:], limit
         assert t.bits.readonly
+
+
+@pytest.mark.parametrize("limit,digest", [
+    (2, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d"),
+    (17, "7d30679c89ef793c18df151871191e88de55691cba414e88d5971baf5737f781"),
+    (1000, "ea12e2088ea4d8a7337f78d23c5d221b8886909825adabae61ca0c76ca863406"),
+    (10**5 + 3, "a8f2de10838597ab5330d0465be7a8226381334f6b195bac2ed988240047ce61"),
+    (2**21 + 5, "616a06b897d86a9e0e4446a6a06bcb0adbb643bbf7a9fcafbb7a67e735378e05"),
+    (10**7, "071f8b5771d0115b6c2a6920371be47db9ec5135eff45243db5ebc8a8f66926b"),
+])
+def test_packed_table_bytes_are_pinned(limit, digest):
+    # the sha256 of the packed bits as the int packing of each segment
+    # made them; 2^21 + 5 ends in a short third segment, mid-byte
+    assert hashlib.sha256(sieve_primes(limit).bits).hexdigest() == digest
 
 
 def test_count_to_1e6(table_1e6):
@@ -79,22 +99,27 @@ def test_budget_is_read_from_the_module():
 
 
 def test_memory_budget_counts_one_segment(monkeypatch):
-    # the packed odd bits, one 4096-entry segment and its 4096 digits, the
-    # int they make, its 512 bytes and a shifted int, 512 bytes each, two
+    # the packed odd bits, or the odd flags, 8 bytes a packed byte; one
+    # 4096-entry segment, and for the table its 512 packed bytes; two
     # periods of the 15,015-entry presieve pattern, the base-prime sieve
     # over [0, 1000] and the zeros of the largest strike, the 3's of the
     # pattern
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
-    peak = ((10**6 + 1) // 2 + 7) // 8 + 2 * 4096 + 3 * 512 + 2 * 15015 + 1001 + 10011
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
-    with pytest.raises(MemoryBudgetError, match="one segment"):
-        sieve_primes(10**6)
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
-    table = sieve_primes(10**6)
-    assert len(table_primes(table)) == 78498
+    nbytes, sieve = ((10**6 + 1) // 2 + 7) // 8, 2 * 15015 + 1001 + 10011
+    for packed, peak in ((True, nbytes + 4096 + 512 + sieve), (False, 8 * nbytes + 4096 + sieve)):
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
+        with pytest.raises(MemoryBudgetError, match=f"needs {peak} bytes .* one segment"):
+            sieve_primes(10**6, packed)
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
+        out = sieve_primes(10**6, packed)
+        assert (len(table_primes(out)) if packed else sum(out) + 1) == 78498  # 2 is implicit
 
 
 def test_sieve_peak_is_packed_table_plus_segments():
+    # the table, one segment and its packed bytes, an eighth of it, the
+    # sieve's own pattern, base primes and strike, which
+    # sieve_overhead_bytes counts, and its list of strikes, a tuple of
+    # three ints (under 200 bytes) a base prime
     N = 10**7
     tracemalloc.start()
     try:
@@ -102,10 +127,26 @@ def test_sieve_peak_is_packed_table_plus_segments():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the table, one segment and its digits, and the int that packs them
-    # with its bytes, an eighth of a segment each
     assert table.bits.nbytes == ((N + 1) // 2 + 7) // 8
-    assert peak <= table.bits.nbytes + 2 * SIEVE_SEGMENT_SIZE + 3 * SIEVE_SEGMENT_SIZE // 8
+    strikes = 200 * len(primes_up_to(math.isqrt(N)))
+    assert peak <= (table.bits.nbytes + SIEVE_SEGMENT_SIZE + SIEVE_SEGMENT_SIZE // 8
+                    + primes.sieve_overhead_bytes(N, SIEVE_SEGMENT_SIZE) + strikes)
+
+
+def test_flags_peak_is_flags_plus_one_segment():
+    # the odd flags, one segment copied into them with no copy between,
+    # and the sieve's storage as above
+    N = 10**7
+    tracemalloc.start()
+    try:
+        flags = sieve_primes(N, packed=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(flags) == 8 * (((N + 1) // 2 + 7) // 8)
+    strikes = 200 * len(primes_up_to(math.isqrt(N)))
+    assert peak <= (len(flags) + SIEVE_SEGMENT_SIZE
+                    + primes.sieve_overhead_bytes(N, SIEVE_SEGMENT_SIZE) + strikes)
 
 
 @given(

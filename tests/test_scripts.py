@@ -138,18 +138,29 @@ def test_cross_check_passes_on_a_slice():
                "the int-bitset kernel 15\n"),
     # the first entry sampled of class 1 mod 8, which is seeded by m
     ("sieve", "FAIL table entry 4049 (m = 8, b = 1) disagrees with is_prime\n"),
+    ("flags", "FAIL odd flag 4049 (m = 8, b = 1) disagrees with is_prime\n"),
 ])
 def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fail):
-    # an extra candidate from the int-bitset kernel, or a table that
-    # is_prime contradicts, fails the run at the first modulus, 8, with
+    # an extra candidate from the int-bitset kernel, or a table or odd
+    # flags that is_prime contradicts, fails the run at the first modulus, 8, with
     # exit 1 and one line that names it
     if broken == "kernel":
         real = partitions._bitset_sweep
         monkeypatch.setattr(partitions, "_bitset_sweep", lambda *args: {
             pair: survivors + [10**9] * (pair == (1, 1))
             for pair, survivors in real(*args).items()})
-    else:
+    elif broken == "sieve":
         monkeypatch.setattr(primes, "is_prime", lambda n: n == 1)
+    else:  # the flags alone, which no longer share packing code with the table
+        real = primes.sieve_primes
+
+        def flipped(limit, packed=True):
+            out = real(limit, packed)
+            if not packed:
+                out[4049 // 2] ^= 1
+            return out
+
+        monkeypatch.setattr(primes, "sieve_primes", flipped)
     monkeypatch.setattr(sys, "argv", ["cross_check.py", "--m-min", "8", "--m-max", "12",
                                       "--limit", "10000", "--threads", "1"])
     with pytest.raises(SystemExit) as exc:
