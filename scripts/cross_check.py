@@ -31,7 +31,7 @@ from apgoldbach.primes import is_prime, sieve_primes
 SAMPLES = 32
 
 
-def check_modulus(m: int, N: int, table, flags: bytearray) -> tuple[int, int, Optional[str]]:
+def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Optional[str]]:
     """(pairs compared, table entries sampled, the first difference or
     None) for modulus m at N."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
@@ -73,7 +73,7 @@ def main() -> int:
     start = time.monotonic()
     N = config.N
     table = sieve_primes(N)  # imports numpy before the fork, for both kernels' workers
-    flags = sieve_primes(N, packed=False)
+    flags = sieve_primes(N, packed=False).primes()
 
     shares = cli._modulus_shares(config.moduli, config.worker_count)
     done = cli.fork_map(lambda share: [(m, *check_modulus(m, N, table, flags))

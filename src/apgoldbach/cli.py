@@ -287,7 +287,7 @@ def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> 
 # Per-modulus computation
 
 
-def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytearray) -> ModulusSets:
+def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytes) -> ModulusSets:
     """partitions.exceptional_sets_for_modulus, called through this name so
     that perfbench/inprocess.py can patch it to time each modulus."""
     from . import partitions

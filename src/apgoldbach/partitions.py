@@ -34,7 +34,7 @@ The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
 binary digits of one Python int (_bits_from_bytes), so a shift is one
 int shift; after the head's ORs, each unset bit tries the remaining
 primes on the entry bytes.  A modulus sweep on it (_bitset_sweep) reads
-the odd flags (primes.sieve_primes) and holds a row of every unit class
+the odd flags (primes.PrimeTable.primes) and holds a row of every unit class
 in one int; sweep_table picks it, by one size rule, for sweeps of short
 rows or little work.  A pair whose candidates fit in fewer than
 _MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
@@ -589,9 +589,10 @@ def _sweep_stage1(m: int, N: int, M: int,
     return out
 
 
-def _bitset_sweep(m: int, N: int, M: int, flags: bytearray) -> dict[tuple[int, int], list[int]]:
+def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int], list[int]]:
     """_sweep_stage1 on Python int bitsets, read off the odd flags of
-    sieve_primes(limit, packed=False), whose limit must reach N - 1.
+    sieve_primes(limit, packed=False).primes(), whose limit must reach
+    N - 1.
 
     Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
     of every unit class, b ascending from the top bits, each of as many
@@ -625,10 +626,11 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytearray) -> dict[tuple[int, i
     return out
 
 
-def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytearray:
+def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
     """What every modulus of a sweep at N that computes `moduli` reads,
     sieved up to N: the packed table or, where the int-bitset kernel
-    runs, the odd flags (sieve_primes); see exceptional_sets_for_modulus.
+    runs, the odd flags (sieve_primes, PrimeTable.primes); see
+    exceptional_sets_for_modulus.
 
     The size rule picks the int-bitset kernel for the whole sweep (see
     _BITSET_SWEEP_ROW).  Each modulus's budget on the kernel it picks is
@@ -641,11 +643,12 @@ def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytearray:
     bitset = row <= _BITSET_SWEEP_ROW or work * row <= _BITSET_SWEEP_WORK
     for m in moduli:
         check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
-    return sieve_primes(N, packed=not bitset)
+    table = sieve_primes(N, packed=not bitset)
+    return table.primes() if bitset else table
 
 
 def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytearray
+    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytes
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1: a

@@ -2,13 +2,13 @@
 
 Provides one segmented sieve along a progression b + j*m, window by window
 (sieve_progression), which strikes a bytearray and imports no numpy; its
-case m = 2, b = 1 over the odd numbers (sieve_primes), which returns
-their flags, one byte each, for the int-bitset sweep, or the bit-packed
-table (PrimeTable), whose reader PrimeTable.mask extracts the packed
-copies of fixed residue classes for the packed sweep; and a
-deterministic Miller-Rabin test valid for the full 64-bit range.  Only
-the packed table, mask and pack_copies use numpy, which they import
-when called.
+case m = 2, b = 1 over the odd numbers (sieve_primes), which returns a
+table (PrimeTable) of their flags, one byte each, whose reader
+PrimeTable.primes hands them to the int-bitset sweep, or bit-packed,
+whose reader PrimeTable.mask extracts the packed copies of fixed residue
+classes for the packed sweep; and a deterministic Miller-Rabin test
+valid for the full 64-bit range.  Only the packed table, mask and
+pack_copies use numpy, which they import when called.
 """
 
 from __future__ import annotations
@@ -64,14 +64,29 @@ def check_budget(need: int, detail: str) -> None:
 
 
 class PrimeTable(NamedTuple):
-    """Exact primality knowledge over [2, limit], bit-packed over the odd
-    numbers; the prime 2 is implicit.
+    """Exact primality knowledge over [2, limit] on the odd numbers, entry
+    i for 2i + 1; the prime 2 is implicit.  Packed, entry i is bit i of
+    bits, big-endian, which PrimeTable.mask reads; otherwise byte i, 0 or
+    1, the odd flags that PrimeTable.primes reads.  Entries past limit
+    are 0.
 
     Immutable after construction; safe to share across threads.
     """
 
     limit: int
-    bits: memoryview  # read-only bytes, packed big-endian: bit i <-> 2i + 1; 0 past limit
+    bits: memoryview  # read-only bytes
+    packed: bool = True
+
+    def primes(self) -> bytes:
+        """The odd flags of an unpacked table: byte i is 1 iff 2i + 1 is a
+        prime <= limit, for i below len(bits).  A copy, bytes, which a
+        strided slice or an index reads faster than a memoryview; the
+        budget counts it beside the table."""
+        if self.packed:
+            raise ValueError("a packed table has no odd flags; read it with mask")
+        check_budget(2 * len(self.bits), f"copying the odd flags up to {self.limit} needs "
+                     f"{2 * len(self.bits)} bytes (the table and its copy)")
+        return self.bits.tobytes()
 
     def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray,
              start: int = 0) -> None:
@@ -89,6 +104,8 @@ class PrimeTable(NamedTuple):
         """
         import numpy as np
 
+        if not self.packed:
+            raise ValueError("mask reads a packed table; read the odd flags with primes")
         if hi > self.limit:
             raise ValueError(f"hi={hi} exceeds table limit {self.limit}")
         if m < 2 or m % 2 or any(b % 2 == 0 or not 0 < b < m for b in classes):
@@ -213,17 +230,16 @@ def sieve_progression(
             yield out
 
 
-def sieve_primes(limit: int, packed: bool = True) -> PrimeTable | bytearray:
+def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
     """Segmented sieve of Eratosthenes over the odd numbers up to `limit`
     inclusive, entry i for 2i + 1, in segments of SIEVE_SEGMENT_SIZE odd
     entries (read at each call, rounded down to a multiple of 8, at least
     8) that sieve_progression(1, 2, ...) sieves one at a time.
 
     Packed, np.packbits packs each segment into the table; otherwise, with
-    no numpy, it is copied into the odd flags, the table unpacked: byte i
-    is 1 iff 2i + 1 is a prime <= limit, for i below 8 times the table's
-    bytes.  check_budget bounds the output, one segment, the packed
-    segment and the sieve's pattern, base primes and strike.
+    no numpy, it is copied into the table's odd flags, 8 times as many
+    bytes as packed.  check_budget bounds the output, one segment, the
+    packed segment and the sieve's pattern, base primes and strike.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -242,7 +258,7 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable | bytearray:
         with memoryview(out) as dest, memoryview(buf) as source:
             for (lo, hi), _ in zip(windows, segments):
                 dest[lo:hi] = source[: hi - lo]
-        return out
+        return PrimeTable(limit=limit, bits=memoryview(out).toreadonly(), packed=False)
     import numpy as np
 
     bits = np.frombuffer(out, dtype=np.uint8)  # a view; a short last byte's low bits stay 0

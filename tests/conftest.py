@@ -26,9 +26,9 @@ def table_1e6():
 
 @pytest.fixture(scope="session")
 def flags_1e5():
-    return sieve_primes(10**5, packed=False)
+    return sieve_primes(10**5, packed=False).primes()
 
 
 @pytest.fixture(scope="session")
 def flags_1e6():
-    return sieve_primes(10**6, packed=False)
+    return sieve_primes(10**6, packed=False).primes()

@@ -810,7 +810,7 @@ def test_int_sweep_reads_flags_that_end_at_the_limit(table_1e5, m, N, data):
     # the rows of the larger classes do, whose last entries b + j*m pass
     # N; those entries are read as 0, and the int-bitset sweep agrees with
     # the packed one
-    flags = sieve_primes(data.draw(st.sampled_from([N - 1 + N % 2, N])), packed=False)
+    flags = sieve_primes(data.draw(st.sampled_from([N - 1 + N % 2, N])), packed=False).primes()
     M = data.draw(st.integers(-2 * m, N))
     assert partitions._bitset_sweep(m, N, M, flags) == partitions._sweep_stage1(m, N, M, table_1e5)
 

@@ -41,18 +41,24 @@ def test_count_at_every_small_limit():
 def test_odd_flags_unpack_every_bit(monkeypatch):
     # the odd flags, the int-bitset sweep's output, and the packed table
     # share no packing code: the flags are the table's bits unpacked, the
-    # bits past the limit as 0, and byte i is 1 iff 2i + 1 is prime.  The
-    # bits are read-only bytes, which PrimeTable.mask views without a
-    # copy.  Limits at and around the ends of 16-entry segments, and
-    # every residue of the limit mod 16
+    # bits past the limit as 0, and byte i is 1 iff 2i + 1 is prime.  Both
+    # tables' bits are read-only bytes, which PrimeTable.mask views without
+    # a copy; PrimeTable.primes copies the flags into bytes.  Each table
+    # has one reader.  Limits at and around the ends of 16-entry segments,
+    # and every residue of the limit mod 16
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 16)
     for limit in (*range(2, 40), *range(60, 70), *range(90, 100), 1000, 10**5 + 3):
         t = sieve_primes(limit)
-        flags = sieve_primes(limit, packed=False)
-        assert isinstance(flags, bytearray)
+        u = sieve_primes(limit, packed=False)
+        flags = u.primes()
+        assert isinstance(flags, bytes) and flags == u.bits and not u.packed
         assert flags == np.unpackbits(np.frombuffer(t.bits, np.uint8)).tobytes(), limit
         assert [2 * i + 1 for i, f in enumerate(flags) if f] == primes_up_to(limit)[1:], limit
-        assert t.bits.readonly
+        assert t.bits.readonly and u.bits.readonly and t.packed
+        with pytest.raises(ValueError, match="no odd flags"):
+            t.primes()
+        with pytest.raises(ValueError, match="packed table"):
+            u.mask(limit, 2, [1], np.zeros((8, 1, 1), np.uint8))
 
 
 @pytest.mark.parametrize("limit,digest", [
@@ -112,7 +118,12 @@ def test_memory_budget_counts_one_segment(monkeypatch):
             sieve_primes(10**6, packed)
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
         out = sieve_primes(10**6, packed)
-        assert (len(table_primes(out)) if packed else sum(out) + 1) == 78498  # 2 is implicit
+        assert (len(table_primes(out)) if packed else sum(out.bits) + 1) == 78498  # 2 is implicit
+    # PrimeTable.primes holds the flags and their copy
+    with pytest.raises(MemoryBudgetError, match=f"needs {16 * nbytes} bytes .* its copy"):
+        out.primes()
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 16 * nbytes)
+    assert out.primes() == out.bits
 
 
 def test_sieve_peak_is_packed_table_plus_segments():
@@ -139,7 +150,7 @@ def test_flags_peak_is_flags_plus_one_segment():
     N = 10**7
     tracemalloc.start()
     try:
-        flags = sieve_primes(N, packed=False)
+        flags = sieve_primes(N, packed=False).bits
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

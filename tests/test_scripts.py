@@ -157,7 +157,9 @@ def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fai
         def flipped(limit, packed=True):
             out = real(limit, packed)
             if not packed:
-                out[4049 // 2] ^= 1
+                bits = bytearray(out.bits)
+                bits[4049 // 2] ^= 1
+                out = out._replace(bits=memoryview(bits).toreadonly())
             return out
 
         monkeypatch.setattr(primes, "sieve_primes", flipped)
