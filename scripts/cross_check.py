@@ -4,12 +4,13 @@
 For each even m in [--m-min, --m-max] at N = --limit, stage 1 of every
 unordered pair runs through both sweep kernels: the packed numpy kernel
 (partitions._sweep_stage1), off the packed prime table, and the int-bitset
-kernel (partitions._bitset_sweep), off the odd flags; both come from
-sieve_primes, as a sweep reads them.  The two kernels share no marking,
-scanning or tail code, and their candidate lists must be equal pair by
-pair.  The table and the flags, which share no packing code, are checked
-on their own: sampled entries of each unit class are compared with
-is_prime, whose Miller-Rabin test shares no code with the sieve.
+kernel (partitions._bitset_sweep), off the unpacked table of odd flags;
+both come from sieve_primes, as a sweep reads them.  The two kernels
+share no marking, scanning or tail code, and their candidate lists must
+be equal pair by pair.  The table and the flags, which share no packing
+code, are checked on their own: sampled entries of each unit class are
+compared with is_prime, whose Miller-Rabin test shares no code with the
+sieve.
 
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
@@ -25,15 +26,17 @@ import time
 from typing import Optional
 
 from apgoldbach import cli, partitions
-from apgoldbach.primes import is_prime, sieve_primes
+from apgoldbach.primes import PrimeTable, is_prime, sieve_primes
 
 # Table entries checked against is_prime per unit class of a modulus.
 SAMPLES = 32
 
 
-def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Optional[str]]:
+def check_modulus(m: int, N: int, table: PrimeTable,
+                  unpacked: PrimeTable) -> tuple[int, int, Optional[str]]:
     """(pairs compared, table entries sampled, the first difference or
     None) for modulus m at N."""
+    flags = unpacked.primes()
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     rng = random.Random(m)
     sampled = 0
@@ -49,7 +52,7 @@ def check_modulus(m: int, N: int, table, flags: bytes) -> tuple[int, int, Option
                     return 0, sampled, f"{name} {n} (m = {m}, b = {b}) disagrees with is_prime"
     M = partitions.default_stage1_bound(m, N)
     packed = partitions._sweep_stage1(m, N, M, table)
-    bitset = partitions._bitset_sweep(m, N, M, flags)
+    bitset = partitions._bitset_sweep(m, N, M, unpacked)
     for (a, b), survivors in packed.items():
         if bitset.get((a, b)) != survivors:
             return 0, sampled, (f"(m, a, b) = ({m}, {a}, {b}): the packed kernel leaves "
@@ -73,11 +76,11 @@ def main() -> int:
     start = time.monotonic()
     N = config.N
     table = sieve_primes(N)  # imports numpy before the fork, for both kernels' workers
-    flags = sieve_primes(N, packed=False).primes()
+    unpacked = sieve_primes(N, packed=False)
 
     shares = cli._modulus_shares(config.moduli, config.worker_count)
-    done = cli.fork_map(lambda share: [(m, *check_modulus(m, N, table, flags))
-                                       for m in share], shares)
+    done = partitions.fork_map(lambda share: [(m, *check_modulus(m, N, table, unpacked))
+                                              for m in share], shares)
     for m, pairs, sampled, error in sorted(r for share in done for r in share):
         if error is not None:
             print(f"FAIL {error}")

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional
 
 # The engine (partitions and primes, and numpy where the packed kernel
 # runs) is imported only where stage 1 runs, so that a table1, table2,
@@ -191,103 +191,10 @@ def load_cache_entry(cache_dir: Path, m: int, N: int) -> Optional[ModulusSets]:
 
 
 # ---------------------------------------------------------------------------
-# Worker processes
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def fork_map(fn: Callable[[T], R], shares: Sequence[T],
-             dead: Callable[[int], object] = lambda pid: None) -> list[R]:
-    """[fn(x) for x in shares], each share in its own process.
-
-    This process computes shares[0]; a child forked for each other share
-    closes every result pipe's read end it inherited, computes its share,
-    sends back its pickled result or the exception it raised, which is
-    raised here, and leaves with os._exit.  With no reader left once this
-    process is gone, a child's write then fails, and it exits.  A child that dies
-    without sending one raises RuntimeError naming its wait status.  Every
-    child is reaped before this returns or raises; dead(pid) runs for each
-    one reaped without a result, killed or dead.  Serial where os.fork
-    does not exist.
-
-    Children are copies of this process, engine and all, so fn and the
-    shares need not be picklable; this process must run no other thread
-    (importing apgoldbach keeps numpy's OpenBLAS to one).
-    """
-    if len(shares) < 2 or not hasattr(os, "fork"):
-        return [fn(x) for x in shares]
-    import pickle
-
-    children = []  # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_share(fn, share, w, [r] + [pipe.fileno() for _, pipe in children])
-            except BaseException:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-            children.append((pid, open(r, "rb")))
-        results = [fn(shares[0])]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status:
-                dead(pid)
-                code = os.waitstatus_to_exitcode(status)
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise RuntimeError(f"worker process {pid} sent no result: "
-                                   f"wait status {status} ({how})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        if children:  # this process failed first: stop and reap the rest
-            import signal
-
-            for pid, pipe in children:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                dead(pid)
-
-
-def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> NoReturn:
-    """The child's side of fork_map: close the read ends `inherited`, write
-    (True, fn(share)) or (False, the exception it raised), pickled, to the
-    pipe end w and exit; exit status 1 if that fails."""
-    import pickle
-
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            out = (True, fn(share))
-        except BaseException as exc:  # raised again in the parent
-            out = (False, exc)
-        with open(w, "wb") as pipe:
-            pipe.write(pickle.dumps(out))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-# ---------------------------------------------------------------------------
 # Per-modulus computation
 
 
-def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable | bytes) -> ModulusSets:
+def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable) -> ModulusSets:
     """partitions.exceptional_sets_for_modulus, called through this name so
     that perfbench/inprocess.py can patch it to time each modulus."""
     from . import partitions
@@ -317,9 +224,9 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     m/2 is still to be derived from them.  Cache hits are finished here in
     ascending order, when each m/2 is known to hit or miss.  The misses
     whose double is out of range are dealt to the workers' shares
-    (fork_map), after partitions.sweep_table has picked their stage-1
-    kernel, checked the budget and sieved the one table; the workers read
-    the table, or the odd flags on the int-bitset kernel, copy-on-write.
+    (partitions.fork_map), after partitions.sweep_table has picked their
+    stage-1 kernel, checked the budget and sieved the one table that the
+    kernel reads; the workers read it copy-on-write.
     Every other miss m is derived here from the sets of 2m, which are
     dropped then (summaries.exceptional_sets_from_double, in descending
     order, so 2m is cached, computed or derived first).  Only a sweep that
@@ -357,7 +264,7 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
             for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():
                 tmp.unlink(missing_ok=True)
 
-        finished = fork_map(lambda share: [
+        finished = partitions.fork_map(lambda share: [
             finish(m, exceptional_sets_for_modulus(m, N, table)) for m in share
         ], shares, dead)
         for m, result in zip(sum(shares, []), sum(finished, [])):
@@ -497,7 +404,7 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = RunConfig(N=args.limit, threads=args.threads)
     M = partitions.default_stage1_bound(pair.m, config.N)
-    es = partitions.exceptional_set(pair, config.N, M, config.worker_count, fork_map)
+    es = partitions.exceptional_set(pair, config.N, M, config.worker_count)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
     print(f"stage-1 bound M = {M}, "
@@ -540,7 +447,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Check one target at --limit and print its report once every check
     has run; the asy sweep runs over m <= 50 with the rest of the config.
     The other targets take no --threads: their exceptional sets are one
-    partitions.exceptional_sets batch on one worker per CPU (fork_map)."""
+    partitions.exceptional_sets batch on one worker per CPU."""
     if args.target == "asy":
         sweep = compute_sweep(_config_from(args).replace(m_min=2, m_max=50))
         worst = max(
@@ -553,15 +460,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import partitions
 
     config = RunConfig(N=args.limit)
-    N, work = config.N, (config.worker_count, fork_map)
+    N, workers = config.N, config.worker_count
     checks = []  # (report line before its verdict, passed)
     if args.target == "conj2":
-        for case, got in partitions.verify_conjecture_mod4(N, *work).items():
+        for case, got in partitions.verify_conjecture_mod4(N, workers).items():
             expected = tuple(n for n in CONJ2_EXPECTED[case] if n <= N)
             checks.append((f"mod-4 case ({case}): violations {list(got)} "
                            f"expected {list(expected)}", got == expected))
     elif args.target == "conj3":
-        for item, reps in partitions.verify_conjecture_samples(N, args.a, *work).items():
+        for item, reps in partitions.verify_conjecture_samples(N, args.a, workers).items():
             expected = tuple(tuple(n for n in e if n <= N) for e in CONJ3_EXPECTED[item])
             detail = "; ".join(
                 f"p={r.residue} mod {r.modulus}: {list(r.violations)}" for r in reps
@@ -569,7 +476,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks.append((f"sample item ({item}): {detail}",
                            tuple(r.violations for r in reps) == expected))
     else:
-        got = partitions.verify_ternary(N, *work)
+        got = partitions.verify_ternary(N, workers)
         checks.append((f"ternary: violations {list(got)}", got == ()))
     sys.stdout.write("".join(f"{line} -> {'PASS' if ok else 'FAIL'}\n" for line, ok in checks))
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_FAIL

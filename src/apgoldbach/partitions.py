@@ -34,28 +34,29 @@ The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
 binary digits of one Python int (_bits_from_bytes), so a shift is one
 int shift; after the head's ORs, each unset bit tries the remaining
 primes on the entry bytes.  A modulus sweep on it (_bitset_sweep) reads
-the odd flags (primes.PrimeTable.primes) and holds a row of every unit class
-in one int; sweep_table picks it, by one size rule, for sweeps of short
-rows or little work.  A pair whose candidates fit in fewer than
-_MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
-(_bitset_group), which sieves its whole b-class into one bytearray;
-several pairs of one (m, b) share that row, each a-class running the
-kernel on it.  Only the packed kernel imports numpy, when it first runs,
-so a process whose sweeps and pairs all run the int-bitset kernel never
-loads it.
+an unpacked table's odd flags (primes.PrimeTable.primes) and holds a
+row of every unit class in one int; sweep_table picks it, by one size
+rule, for sweeps of short rows or little work.  A pair whose candidates
+fit in fewer than _MIN_SHARE_WINDOWS windows, which would never split,
+is its one-row case (_bitset_group), which sieves its whole b-class into
+one bytearray; several pairs of one (m, b) share that row, each a-class
+running the kernel on it.  Only the packed kernel imports numpy, when it
+first runs, so a process whose sweeps and pairs all run the int-bitset
+kernel never loads it.
 
 Every pair goes through one batch (exceptional_sets, and exceptional_set
 is its batch of one), whose jobs, a group (m, b) on the int-bitset route or
 a share of a packed-route pair's windows, are dealt heaviest first to
-worker shares (deal, which also deals a sweep's moduli) that a share map
-may run in other processes (cli.fork_map).
+worker shares (deal, which also deals a sweep's moduli) that run in
+forked processes (fork_map, which also runs a sweep's shares).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from itertools import compress
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar
 
 from .primes import (
     SIEVE_SEGMENT_SIZE,
@@ -72,6 +73,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 # Stage-1 primes handled with whole-block ORs before the gathers over the
 # remaining candidates may take over.  Past them the ORs go on in groups
@@ -105,10 +107,6 @@ _MARK_BLOCK = 1 << 22
 # at 5*10^6 (1-2 windows) never split; a pair of modulus m whose
 # candidates fit in fewer windows runs _bitset_group.
 _MIN_SHARE_WINDOWS = 3
-
-# Maps fn over the share numbers 0, 1, ..., in order, like the builtin map;
-# a caller's map may run them in other processes.
-ShareMap = Callable[[Callable[[int], list], range], Iterable[list]]
 
 # Cap on the elements (candidates x primes) of one stage-1 tail gather
 # block; its int64 index matrix takes 8 bytes an element, 512 KiB here.
@@ -437,6 +435,92 @@ def deal(items: list[T], cost: Callable[[T], float], workers: int) -> list[list[
     return shares
 
 
+def fork_map(fn: Callable[[T], R], shares: Sequence[T],
+             dead: Callable[[int], object] = lambda pid: None) -> list[R]:
+    """[fn(x) for x in shares], each share in its own process.
+
+    This process computes shares[0]; a child forked for each other share
+    closes every result pipe's read end it inherited, computes its share,
+    sends back its pickled result or the exception it raised, which is
+    raised here, and leaves with os._exit.  With no reader left once this
+    process is gone, a child's write then fails, and it exits.  A child that dies
+    without sending one raises RuntimeError naming its wait status.  Every
+    child is reaped before this returns or raises; dead(pid) runs for each
+    one reaped without a result, killed or dead.  Serial where os.fork
+    does not exist.
+
+    Children are copies of this process, engine and all, so fn and the
+    shares need not be picklable; this process must run no other thread
+    (importing apgoldbach keeps numpy's OpenBLAS to one).
+    """
+    if len(shares) < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in shares]
+    import pickle
+
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, share, w, [r] + [pipe.fileno() for _, pipe in children])
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [fn(shares[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status:
+                dead(pid)
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise RuntimeError(f"worker process {pid} sent no result: "
+                                   f"wait status {status} ({how})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:  # this process failed first: stop and reap the rest
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                dead(pid)
+
+
+def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> NoReturn:
+    """The child's side of fork_map: close the read ends `inherited`, write
+    (True, fn(share)) or (False, the exception it raised), pickled, to the
+    pipe end w and exit; exit status 1 if that fails."""
+    import pickle
+
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            out = (True, fn(share))
+        except BaseException as exc:  # raised again in the parent
+            out = (False, exc)
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> list[tuple]:
     """A packed-route pair's jobs, shares (k, K) of its windows, as many as
     `workers` allows while each gets _MIN_SHARE_WINDOWS; first,
@@ -445,11 +529,13 @@ def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> list[tuple
     entries = max(0, (M - a) // m + 1)
     size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
     window = size + 8 * ((size + 7) // 8)  # every entry in every copy
+    scratch = 32 * _GATHER_BLOCK_ELEMENTS  # as check_sweep_budget counts it
     sieve = sieve_overhead_bytes(N, max(entries, size))
-    need = 9 * entries + window + sieve
+    need = 9 * entries + window + scratch + sieve
     check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
                  f"small-prime mask, {8 * entries} of prime indices, {window} of "
-                 f"window and copies, {sieve} of sieve pattern and base primes)")
+                 f"window and copies, {scratch} of gather scratch, {sieve} of sieve "
+                 "pattern and base primes)")
     import numpy  # here, before the fork, not in every share
 
     windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
@@ -470,15 +556,15 @@ def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
 
 
 def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
-                     share_map: ShareMap = map, M: Optional[int] = None) -> list[ExceptionalSet]:
+                     M: Optional[int] = None) -> list[ExceptionalSet]:
     """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
     each modulus's default_stage1_bound.  A group (m, b) on the int-bitset
     route is one job, a packed-route pair the jobs of _pair_jobs; every
     job's budget is checked before any runs (_check_group_budget and
     _pair_jobs).  They are dealt heaviest first, by candidates, to as many
     shares as `workers` allows while each gets SIEVE_SEGMENT_SIZE of them,
-    share_map runs the shares (_job_sets), and each pair's parts are
-    merged here."""
+    fork_map runs the shares (_job_sets), one of them in this process,
+    and each pair's parts are merged here."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is not None and M > N:
@@ -504,17 +590,17 @@ def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
         shares = deal(jobs, cost, len(shares) - 1)
     run = lambda k: [part for job in shares[k] for part in _job_sets(*job, N)]
     found: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
-    for parts in share_map(run, range(len(shares))):
+    for parts in fork_map(run, range(len(shares))):
         for pair, elements, survivors in parts:
             e, s = found.get(pair, ((), 0))
             found[pair] = e + elements, s + survivors
     return [ExceptionalSet(tuple(sorted(e)), s - len(e)) for e, s in map(found.get, pairs)]
 
 
-def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None, workers: int = 1,
-                    share_map: ShareMap = map) -> ExceptionalSet:
+def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
+                    workers: int = 1) -> ExceptionalSet:
     """E_{a,b,m} up to N: the batch of one pair (exceptional_sets)."""
-    return exceptional_sets([pair], N, workers, share_map, M)[0]
+    return exceptional_sets([pair], N, workers, M)[0]
 
 
 def check_sweep_budget(m: int, N: int, M: int,
@@ -589,10 +675,9 @@ def _sweep_stage1(m: int, N: int, M: int,
     return out
 
 
-def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int], list[int]]:
-    """_sweep_stage1 on Python int bitsets, read off the odd flags of
-    sieve_primes(limit, packed=False).primes(), whose limit must reach
-    N - 1.
+def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, int], list[int]]:
+    """_sweep_stage1 on Python int bitsets, read off the odd flags of an
+    unpacked table (PrimeTable.primes).
 
     Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
     of every unit class, b ascending from the top bits, each of as many
@@ -600,9 +685,8 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int],
     for the largest head shift.  Small-prime class a runs _bitset_rows on
     its rows b >= a, the low bits of that bitset, so that one shift marks
     every row."""
-    if 2 * len(flags) < N:
-        raise ValueError(f"odd flags up to {2 * len(flags) - 1} do not reach N - 1 = {N - 1}")
     units, *_ = check_sweep_budget(m, N, M, packed=False)
+    flags = table.primes()
     half, count = m // 2, (N - 2) // m + 1
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
              for a in units for entries in [max(0, (M - a) // m + 1)]]
@@ -626,10 +710,10 @@ def _bitset_sweep(m: int, N: int, M: int, flags: bytes) -> dict[tuple[int, int],
     return out
 
 
-def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
-    """What every modulus of a sweep at N that computes `moduli` reads,
-    sieved up to N: the packed table or, where the int-bitset kernel
-    runs, the odd flags (sieve_primes, PrimeTable.primes); see
+def sweep_table(N: int, moduli: list[int]) -> PrimeTable:
+    """The table that every modulus of a sweep at N that computes
+    `moduli` reads, sieved up to N (sieve_primes): packed or, where the
+    int-bitset kernel runs, of odd flags; see
     exceptional_sets_for_modulus.
 
     The size rule picks the int-bitset kernel for the whole sweep (see
@@ -643,27 +727,28 @@ def sweep_table(N: int, moduli: list[int]) -> PrimeTable | bytes:
     bitset = row <= _BITSET_SWEEP_ROW or work * row <= _BITSET_SWEEP_WORK
     for m in moduli:
         check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
-    table = sieve_primes(N, packed=not bitset)
-    return table.primes() if bitset else table
+    return sieve_primes(N, packed=not bitset)
 
 
 def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable | bytes
+    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable
 ) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
-    by (a, b), read off `table`, whose limit must reach N - 1: a
-    PrimeTable, which the packed kernel reads (_sweep_stage1), or its odd
-    flags, which the int-bitset kernel reads (_bitset_sweep); sweep_table
-    picks one for a whole sweep.
+    by (a, b), read off `table`, whose limit must reach N - 1: a packed
+    table runs the packed kernel (_sweep_stage1), one of odd flags the
+    int-bitset kernel (_bitset_sweep); sweep_table picks one for a whole
+    sweep.
 
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
     with the smaller residue as the small-prime class, and (b, a) shares
     the tuple of (a, b).
     """
     _require_even(m)
+    if table.limit < N - 1:
+        raise ValueError(f"table up to {table.limit} does not reach N - 1 = {N - 1}")
     if M is None:
         M = default_stage1_bound(m, N)
-    stage1 = _sweep_stage1 if isinstance(table, PrimeTable) else _bitset_sweep
+    stage1 = _sweep_stage1 if table.packed else _bitset_sweep
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for (a, b), survivors in stage1(m, N, M, table).items():
         out[(a, b)] = out[(b, a)] = _resolved(a, b, m, M, survivors)
@@ -694,8 +779,7 @@ def _lifted(m0: int, r: int, s: int) -> AdmissiblePair:
     return AdmissiblePair(a, b, step)
 
 
-def verify_conjecture_mod4(N: int, workers: int = 1,
-                           share_map: ShareMap = map) -> dict[str, tuple[int, ...]]:
+def verify_conjecture_mod4(N: int, workers: int = 1) -> dict[str, tuple[int, ...]]:
     """Violations of the four mod-4 representation cases up to N, keyed
     "i" to "iv".
 
@@ -704,11 +788,11 @@ def verify_conjecture_mod4(N: int, workers: int = 1,
     p = q = 3 mod 4; (iv) n = 2 mod 4 with p = q = 1 mod 4.  Cases
     (ii)-(iv) report the small exceptions; case (i) excludes n <= 4 by
     its statement.  Each of E(1, 3, 4), E(3, 3, 4) and E(1, 1, 4) is
-    computed once, in one exceptional_sets call (workers, share_map): case
+    computed once, in one exceptional_sets call on `workers`: case
     (i) reads E(3, 1, 4) = E(1, 3, 4) and E(3, 3, 4).
     """
     pairs = [_lifted(4, a, b) for a, b in ((1, 3), (3, 3), (1, 1))]
-    e13, e33, e11 = (e.elements for e in exceptional_sets(pairs, N, workers, share_map))
+    e13, e33, e11 = (e.elements for e in exceptional_sets(pairs, N, workers))
     # q = 2 would make p + q odd, so q is odd: q = 1 mod 4 reaches the
     # n = 0 mod 4 and q = 3 mod 4 the n = 2 mod 4
     case_i = tuple(sorted(n for n in e13 + e33 if n > 4))
@@ -727,7 +811,7 @@ _SAMPLE_SPECS = {
 
 
 def verify_conjecture_samples(
-    N: int, a: int, workers: int = 1, share_map: ShareMap = map
+    N: int, a: int, workers: int = 1
 ) -> dict[str, tuple[ViolationReport, ...]]:
     """Violations for the seven sample single-progression conjectures,
     keyed "i" to "vii".
@@ -735,8 +819,8 @@ def verify_conjecture_samples(
     Each item asserts every even multiple of the stated modulus is p + q
     with p = r and q = -r (mod modulus); item (ii) checks both stated
     residues, item (vii) the residue a mod 60, which is checked first.
-    Every residue's set comes from one exceptional_sets call (workers,
-    share_map).
+    Every residue's set comes from one exceptional_sets call on
+    `workers`.
     """
     if math.gcd(a, 60) != 1:
         raise ValueError(f"a={a} is not coprime to 60")
@@ -748,12 +832,12 @@ def verify_conjecture_samples(
     # partner of the prime 2 is even and above 2, never prime
     specs = {**_SAMPLE_SPECS, "vii": (60, (a,))}
     pairs = [_lifted(m0, r, -r) for m0, residues in specs.values() for r in residues]
-    sets = iter(exceptional_sets(pairs, N, workers, share_map))
+    sets = iter(exceptional_sets(pairs, N, workers))
     return {item: tuple(ViolationReport(m0, r % m0, next(sets).elements) for r in residues)
             for item, (m0, residues) in specs.items()}
 
 
-def verify_ternary(N: int, workers: int = 1, share_map: ShareMap = map) -> tuple[int, ...]:
+def verify_ternary(N: int, workers: int = 1) -> tuple[int, ...]:
     """Odd n with 5 < n <= N not of the form p + q + r with
     p = q = 2 (mod 3) and r prime.
 
@@ -767,7 +851,7 @@ def verify_ternary(N: int, workers: int = 1, share_map: ShareMap = map) -> tuple
 
     # representable even k = 4 mod 6 as p + q with p, q = 2 mod 3: the
     # odd primes make E(5, 5, 6), and the prime 2 adds only 4 = 2 + 2
-    e556 = exceptional_sets([_lifted(3, 2, 2)], N, workers, share_map)[0].elements
+    e556 = exceptional_sets([_lifted(3, 2, 2)], N, workers)[0].elements
     binary_violations = set(e556) - {4}
 
     def rep(k: int) -> bool:

@@ -4,16 +4,17 @@ Provides one segmented sieve along a progression b + j*m, window by window
 (sieve_progression), which strikes a bytearray and imports no numpy; its
 case m = 2, b = 1 over the odd numbers (sieve_primes), which returns a
 table (PrimeTable) of their flags, one byte each, whose reader
-PrimeTable.primes hands them to the int-bitset sweep, or bit-packed,
-whose reader PrimeTable.mask extracts the packed copies of fixed residue
-classes for the packed sweep; and a deterministic Miller-Rabin test
-valid for the full 64-bit range.  Only the packed table, mask and
-pack_copies use numpy, which they import when called.
+PrimeTable.primes hands them to the int-bitset sweep without a copy, or
+bit-packed, whose reader PrimeTable.mask extracts the packed copies of
+fixed residue classes for the packed sweep; and a deterministic
+Miller-Rabin test valid for the full 64-bit range.  Only the packed
+table, mask and pack_copies use numpy, which they import when called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,10 +27,11 @@ SIEVE_SEGMENT_SIZE = 1 << 20
 
 # Cap on peak storage, read by check_budget at each call.  For a table:
 # the packed odd bits plus one unpacked segment, its packed copy, the
-# presieve pattern and the base-prime sieve, which admits limits up to
-# ~4.3*10^9; a sweep counts the table and one window's buffers, a few MB
-# whatever N, so its limit is nearly the table's.  A single pair counts
-# its sieved windows against the same cap.
+# presieve pattern, the base-prime sieve and its strikes, which admits
+# limits up to ~4.25*10^9; a sweep counts the table and one window's
+# buffers, a few MB whatever N, so its limit is nearly the table's.  A
+# single pair counts its sieved windows against the same cap, and the
+# strikes of its base primes up to sqrt(N) fill it at ~3*10^14.
 DEFAULT_MEMORY_BUDGET_BYTES = 256 * 1024 * 1024
 
 # Odd primes whose multiples every window copies from a precomputed
@@ -79,14 +81,12 @@ class PrimeTable(NamedTuple):
 
     def primes(self) -> bytes:
         """The odd flags of an unpacked table: byte i is 1 iff 2i + 1 is a
-        prime <= limit, for i below len(bits).  A copy, bytes, which a
-        strided slice or an index reads faster than a memoryview; the
-        budget counts it beside the table."""
+        prime <= limit, for i below len(bits).  The bytes that bits views,
+        with no copy, which a strided slice or an index reads faster than
+        a memoryview."""
         if self.packed:
             raise ValueError("a packed table has no odd flags; read it with mask")
-        check_budget(2 * len(self.bits), f"copying the odd flags up to {self.limit} needs "
-                     f"{2 * len(self.bits)} bytes (the table and its copy)")
-        return self.bits.tobytes()
+        return self.bits.obj
 
     def mask(self, hi: int, m: int, classes: Sequence[int], out: np.ndarray,
              start: int = 0) -> None:
@@ -146,12 +146,19 @@ def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
 def sieve_overhead_bytes(limit: int, window: int) -> int:
     """Bytes sieve_progression holds beside its `window`-byte output
     buffer: two periods of the presieve pattern, the sieve of the base
-    primes up to sqrt(limit), and the zeros of one strike, which cover at
+    primes up to sqrt(limit), the zeros of one strike, which cover at
     most a third of the pattern, half of the base-prime sieve or a 17th
-    of the buffer."""
+    of the buffer, and the list of strikes.  That list holds a tuple of
+    three ints, none above limit, and up to three list slots (a growing
+    list's old and new arrays, or sort's scratch) for each base prime,
+    of which there are fewer than 1.25506 r/ln r for r = sqrt(limit) >=
+    2 (Rosser and Schoenfeld, 1962)."""
     root = math.isqrt(limit)
     strike = max(2 * _PRESIEVE_PERIOD // 3, (root + 1) // 2, window // 17) + 1
-    return 2 * _PRESIEVE_PERIOD + root + 1 + strike
+    bases = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
+    each = (sys.getsizeof((limit,) * 3) + 3 * sys.getsizeof(limit)
+            + sys.getsizeof([None] * 3) - sys.getsizeof([]))
+    return 2 * _PRESIEVE_PERIOD + root + 1 + strike + bases * each
 
 
 def sieve_progression(
@@ -237,9 +244,11 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
     8) that sieve_progression(1, 2, ...) sieves one at a time.
 
     Packed, np.packbits packs each segment into the table; otherwise, with
-    no numpy, it is copied into the table's odd flags, 8 times as many
-    bytes as packed.  check_budget bounds the output, one segment, the
-    packed segment and the sieve's pattern, base primes and strike.
+    no numpy, it is copied into odd flags, 8 times as many bytes as
+    packed, which the table holds as one bytes copy, made once the
+    segment and the sieve are released.  check_budget bounds the output,
+    the sieve's storage (sieve_overhead_bytes) and one segment and the
+    packed segment, or one segment or the flags' copy, if that is larger.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -247,9 +256,10 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
     entries = (limit + 1) // 2  # odd numbers <= limit
     size = (entries + 7) // 8 * (1 if packed else 8)
     segment = min(segment_size, entries)
-    peak = size + segment + packed * ((segment + 7) // 8) + sieve_overhead_bytes(limit, segment)
-    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({size} "
-                 f"{'packed' if packed else 'of odd flags'} plus one segment)")
+    beside = segment + (segment + 7) // 8 if packed else max(segment, size)
+    peak = size + beside + sieve_overhead_bytes(limit, segment)
+    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({size} " + (
+        "packed plus one segment)" if packed else "of odd flags plus one segment or their copy)"))
 
     out, buf = bytearray(size), bytearray(segment)
     windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]
@@ -258,7 +268,8 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
         with memoryview(out) as dest, memoryview(buf) as source:
             for (lo, hi), _ in zip(windows, segments):
                 dest[lo:hi] = source[: hi - lo]
-        return PrimeTable(limit=limit, bits=memoryview(out).toreadonly(), packed=False)
+        del buf, segments, _  # so that the copy is counted beside the flags alone
+        return PrimeTable(limit=limit, bits=memoryview(bytes(out)), packed=False)
     import numpy as np
 
     bits = np.frombuffer(out, dtype=np.uint8)  # a view; a short last byte's low bits stay 0

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -420,14 +421,14 @@ class TestTables:
         # m <= 12 computes 8, 10 and 12; only 8 and 12 have a half, 4 and
         # 6, to derive, so only their sets cross the pipe or stay here
         sent = []
-        real = cli.fork_map
+        real = partitions.fork_map
 
         def recorded(fn, shares, *dead):
             results = real(fn, shares, *dead)
             sent.extend(result for share in results for result in share)
             return results
 
-        monkeypatch.setattr(cli, "fork_map", recorded)
+        monkeypatch.setattr(partitions, "fork_map", recorded)
         compute_sweep(RunConfig(N=10**4, m_max=12, threads=2))
         assert sorted(summary.m for summary, _ in sent) == [8, 10, 12]
         assert sorted(summary.m for summary, sets in sent if sets is not None) == [8, 12]
@@ -636,6 +637,33 @@ def test_bitset_sweep_peak_memory_within_budget():
     assert _fresh_python(code) == "True False\n"
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="no /proc/self/status")
+def test_packed_pair_peak_memory_within_budget():
+    # as above for one packed-route pair, (1, 3) mod 4 at 2*10^7 (5
+    # windows) on one worker: the budget is what _pair_jobs counts for its
+    # one share, and numpy is imported before the baseline
+    code = textwrap.dedent("""\
+        import re
+        import numpy
+        from apgoldbach import partitions, primes
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
+
+        pair, N = partitions.AdmissiblePair(1, 3, 4), 2 * 10**7
+        needs = []
+        partitions.check_budget = lambda need, detail: needs.append(need)
+        partitions._pair_jobs(pair, N, partitions.default_stage1_bound(4, N), 1)
+        partitions.check_budget = primes.check_budget
+        primes.DEFAULT_MEMORY_BUDGET_BYTES = max(needs)
+        base = status("VmRSS")
+        es = partitions.exceptional_set(pair, N)
+        print(status("VmHWM") - base <= max(needs), es.elements)
+    """)
+    assert _fresh_python(code) == "True (4,)\n"
+
+
 @pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])
 def test_import_loads_no_engine(module):
     code = f"import sys, {module}; print(sorted(set(sys.modules) & {ENGINE_MODULES!r}))"
@@ -711,12 +739,12 @@ def test_split_pair_maps_its_shares_after_the_numpy_import():
         partitions.SIEVE_SEGMENT_SIZE = 64
         seen = ["numpy" in sys.modules]
 
-        def share_map(fn, shares):
+        def share_map(fn, shares, *dead):
             seen.append(("numpy" in sys.modules, len(shares)))
-            return map(fn, shares)
+            return list(map(fn, shares))
 
-        es = partitions.exceptional_set(partitions.AdmissiblePair(1, 3, 4), 2000,
-                                        workers=2, share_map=share_map)
+        partitions.fork_map = share_map
+        es = partitions.exceptional_set(partitions.AdmissiblePair(1, 3, 4), 2000, workers=2)
         print(es.elements, seen)
     """)
     assert _fresh_python(code) == "(4,) [False, (True, 2)]\n"
@@ -1284,8 +1312,8 @@ def test_fork_map_without_os_fork_runs_the_shares_here(capsys, monkeypatch, argv
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
     serial = run(capsys, *argv, "--threads", "1")
     assert serial[0] == EXIT_OK
-    shares, real = [], cli.fork_map
-    monkeypatch.setattr(cli, "fork_map",
+    shares, real = [], partitions.fork_map
+    monkeypatch.setattr(partitions, "fork_map",
                         lambda fn, xs, *dead: shares.append(len(xs)) or real(fn, xs, *dead))
     monkeypatch.delattr(os, "fork")
     assert run(capsys, *argv, "--threads", "2") == serial
@@ -1320,12 +1348,81 @@ def test_fork_map_children_hold_no_read_end(monkeypatch):
         return share, os.getpid(), ends
 
     monkeypatch.setattr(os, "pipe", recorded_pipe)
-    results = cli.fork_map(open_read_ends, [0, 1, 2])
+    results = partitions.fork_map(open_read_ends, [0, 1, 2])
     assert len(pipes) == 2
     assert [share for share, _, _ in results] == [0, 1, 2]
     assert [pid == os.getpid() for _, pid, _ in results] == [True, False, False]
     assert [len(ends) for _, _, ends in results] == [2, 0, 0]
     _assert_no_children()
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                    reason="needs os.fork and /proc")
+def test_held_worker_exits_once_its_parent_is_killed(tmp_path):
+    # a fresh table1 on 2 workers whose child, its share computed, writes
+    # its pid and waits on a file while its parent is SIGKILLed.  The
+    # child's result is more than a pipe holds (64 KiB), so its write
+    # would block while any read end were open; released, it finds none,
+    # its write fails and it is gone (or a zombie) within seconds
+    pidfile, release = tmp_path / "pid", tmp_path / "release"
+    code = textwrap.dedent(f"""\
+        import os, pickle, time
+        from apgoldbach import cli, partitions
+
+        parent, real = os.getpid(), partitions.fork_map
+
+        def held(fn, shares, *dead):
+            def share(x):
+                out = fn(x)
+                if os.getpid() != parent:
+                    big = len(pickle.dumps((True, out))) > 64 * 1024
+                    with open({str(pidfile) + ".tmp"!r}, "w") as f:
+                        f.write(f"{{os.getpid()}} {{big}}")
+                    os.replace({str(pidfile) + ".tmp"!r}, {str(pidfile)!r})
+                    while not os.path.exists({str(release)!r}):
+                        time.sleep(0.01)
+                return out
+            return real(share, shares, *dead)
+
+        partitions.fork_map = held
+        cli.main(["table1", "--m-max", "200", "--limit", "100000", "--threads", "2"])
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop(cli.CACHE_ENV_VAR, None)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        for _ in range(6000):  # up to 60 s for the child to hold
+            if pidfile.exists() or proc.poll() is not None:
+                break
+            time.sleep(0.01)
+        pid, big = pidfile.read_text().split()
+        child = int(pid)
+        assert big == "True"
+        proc.kill()
+        proc.wait(timeout=10)
+        release.touch()
+        for _ in range(100):  # up to 5 s for the child to go
+            if not _running(child):
+                break
+            time.sleep(0.05)
+        assert not _running(child)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def _files(path: Path) -> list[tuple[str, int]]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from apgoldbach import cli, partitions, primes
+from apgoldbach import partitions, primes
 from apgoldbach.partitions import (
     _lifted,
     AdmissiblePair,
@@ -143,16 +143,17 @@ class TestExceptionalSet:
         assert small.stage1_survivors >= large.stage1_survivors
 
     @pytest.mark.parametrize("N,M,budget,nonzero", [
-        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, True, True, True]),
-        (10**8, 12_000_000, 4_000_000, [True, True, True, True]),
-        (10**8, 12_000_000, 8 * 2**20, [True, True, True, True]),
-        (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False, True, True]),
+        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, True, True, True, True]),
+        (10**8, 12_000_000, 4_000_000, [True, True, True, True, True]),
+        (10**8, 12_000_000, 8 * 2**20, [True, True, True, True, True]),
+        (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False, True, True, True]),
     ])
     def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
         # one count before anything is sieved or any share mapped: the
         # a-mask, 8 bytes an a-class entry for the prime indices, a window
-        # and its copies (one segment, the a-class's length and 7 entries)
-        # and the sieve; the parts named add up to the bytes needed, and
+        # and its copies (one segment, the a-class's length and 7 entries),
+        # a gather block's scratch, as a sweep counts it, and the sieve;
+        # the parts named add up to the bytes needed, and
         # the sieve's strike is sized by the larger of its buffers.  M = 2
         # < a leaves the a-class empty
         sieved, mapped = [], []
@@ -161,16 +162,18 @@ class TestExceptionalSet:
                             lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
 
-        def recorder(fn, shares):
+        def recorder(fn, shares, *dead):
             mapped.append(shares)
-            return map(fn, shares)
+            return list(map(fn, shares))
 
+        monkeypatch.setattr(partitions, "fork_map", recorder)
         with pytest.raises(MemoryBudgetError) as exc:
-            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M, workers=2, share_map=recorder)
+            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M, workers=2)
         assert sieved == mapped == []
         need, *parts = map(int, re.search(
             r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
-            r"(\d+) of window and copies, (\d+) of sieve pattern and base primes\)",
+            r"(\d+) of window and copies, (\d+) of gather scratch, "
+            r"(\d+) of sieve pattern and base primes\)",
             str(exc.value),
         ).groups())
         assert sum(parts) == need > budget
@@ -180,7 +183,8 @@ class TestExceptionalSet:
         assert parts[:2] == [entries, 8 * entries]
         window = partitions.SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
         assert parts[2] == window + 8 * ((window + 7) // 8)
-        assert parts[3] == primes.sieve_overhead_bytes(N, max(entries, window))
+        assert parts[3] == 32 * partitions._GATHER_BLOCK_ELEMENTS
+        assert parts[4] == primes.sieve_overhead_bytes(N, max(entries, window))
 
     @pytest.mark.parametrize(
         "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
@@ -738,13 +742,15 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
-    calls = []
+    calls, real = [], partitions.fork_map
 
-    def share_map(fn, shares):
+    def share_map(fn, shares, *dead):
         calls.append(len(shares))
         return [fn(k) for k in reversed(shares)][::-1]
 
-    es = exceptional_set(pair, N, M, K, share_map)
+    monkeypatch.setattr(partitions, "fork_map", share_map)
+    es = exceptional_set(pair, N, M, K)
+    monkeypatch.setattr(partitions, "fork_map", real)
     assert es == exceptional_set(pair, N, M)
     assert es.stage1_survivors + len(es.elements) == len(unsplit)
     if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * window:
@@ -806,11 +812,10 @@ def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, flags_1e5
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_int_sweep_reads_flags_that_end_at_the_limit(table_1e5, m, N, data):
-    # odd flags sieved only to N, or to N - 1 when that is odd, end before
-    # the rows of the larger classes do, whose last entries b + j*m pass
-    # N; those entries are read as 0, and the int-bitset sweep agrees with
-    # the packed one
-    flags = sieve_primes(data.draw(st.sampled_from([N - 1 + N % 2, N])), packed=False).primes()
+    # odd flags sieved only to N or to N - 1 end before the rows of the
+    # larger classes do, whose last entries b + j*m pass N; those entries
+    # are read as 0, and the int-bitset sweep agrees with the packed one
+    flags = sieve_primes(data.draw(st.sampled_from([N - 1, N])), packed=False)
     M = data.draw(st.integers(-2 * m, N))
     assert partitions._bitset_sweep(m, N, M, flags) == partitions._sweep_stage1(m, N, M, table_1e5)
 
@@ -855,9 +860,27 @@ def test_bits_from_bytes_reads_the_bytes_as_binary_digits(entries):
 
 def test_odd_flags_must_reach_the_limit(flags_1e5):
     flags = flags_1e5
-    assert len(exceptional_sets_for_modulus(4, 2 * len(flags), table=flags)) == 4
-    with pytest.raises(ValueError, match="do not reach"):
-        exceptional_sets_for_modulus(4, 2 * len(flags) + 1, table=flags)
+    assert len(exceptional_sets_for_modulus(4, flags.limit + 1, table=flags)) == 4
+    with pytest.raises(ValueError, match="does not reach"):
+        exceptional_sets_for_modulus(4, flags.limit + 2, table=flags)
+
+
+@pytest.mark.parametrize("limit", [16, 17, 101, 102])
+def test_both_kernels_agree_on_reach(table_1e5, limit):
+    # a table reaches N when it is sieved to N - 1, packed or of odd
+    # flags alike: both kernels read the same sets off it, and both refuse
+    # a larger N with one error
+    tables = [sieve_primes(limit), sieve_primes(limit, packed=False)]
+    for m in (2, 4, 6):
+        expected = exceptional_sets_for_modulus(m, limit + 1, table=table_1e5)
+        got = [exceptional_sets_for_modulus(m, limit + 1, table=t) for t in tables]
+        assert got == [expected] * 2
+        errors = []
+        for t in tables:
+            with pytest.raises(ValueError) as exc:
+                exceptional_sets_for_modulus(m, limit + 2, table=t)
+            errors.append(str(exc.value))
+        assert errors == [f"table up to {limit} does not reach N - 1 = {limit + 1}"] * 2
 
 
 class TestKernelSelection:
@@ -967,22 +990,23 @@ def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, worker
     # share) both above and below the drawn work.  A recording map sees
     # each int-bitset (m, b) group run as one job, in exactly one share,
     # and each packed pair as its K window jobs, in as many shares as the
-    # workers and the floor allow; cli.fork_map runs them in two processes
+    # workers and the floor allow; fork_map runs them in two processes
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", segment)
     expected = [_naive_batch_set(pair, N) for pair in pairs]
     assert exceptional_sets(pairs, N) == expected
 
-    ran, real = [], partitions._job_sets
+    ran, real, real_fork_map = [], partitions._job_sets, partitions.fork_map
 
     def recorded(m, b, avals, M, share, N):
         ran[-1].append((m, b, tuple(avals), share))
         return real(m, b, avals, M, share, N)
 
-    def share_map(fn, shares):
+    def share_map(fn, shares, *dead):
         return [ran.append([]) or fn(k) for k in shares]
 
     monkeypatch.setattr(partitions, "_job_sets", recorded)
-    assert exceptional_sets(pairs, N, workers, share_map) == expected
+    monkeypatch.setattr(partitions, "fork_map", share_map)
+    assert exceptional_sets(pairs, N, workers) == expected
     jobs = []
     for m, b in dict.fromkeys((pair.m, pair.b) for pair in pairs):
         avals = tuple(dict.fromkeys(pair.a for pair in pairs if (pair.m, pair.b) == (m, b)))
@@ -1006,7 +1030,8 @@ def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, worker
         assert min(sum(map(cost, share)) for share in more) < segment
 
     monkeypatch.setattr(partitions, "_job_sets", real)
-    assert exceptional_sets(pairs, N, 2, cli.fork_map) == expected
+    monkeypatch.setattr(partitions, "fork_map", real_fork_map)
+    assert exceptional_sets(pairs, N, 2) == expected
 
 
 # The largest N that _pair_lists' batches are drawn at
@@ -1039,16 +1064,18 @@ def test_workers_below_one_run_one_share(workers):
         patch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
         mapped = []
 
-        def share_map(fn, shares):
+        def share_map(fn, shares, *dead):
             mapped.append(len(shares))
-            return map(fn, shares)
+            return list(map(fn, shares))
 
-        for N in (500, 5000):
-            pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
-            got = exceptional_sets(pairs, N, workers, share_map)
+        pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
+        expected = [exceptional_sets(pairs, N) for N in (500, 5000)]
+        patch.setattr(partitions, "fork_map", share_map)
+        for N, want in zip((500, 5000), expected):
+            got = exceptional_sets(pairs, N, workers)
             assert [e.elements for e in got] == [(4,), (2,)]
-            assert got == exceptional_sets(pairs, N)
-            assert exceptional_set(pairs[0], N, None, workers, share_map) == got[0]
+            assert got == want
+            assert exceptional_set(pairs[0], N, None, workers) == got[0]
         assert mapped == [1] * 4
 
 
@@ -1063,12 +1090,13 @@ def test_pair_budget_checked_before_any_sieve_or_share(monkeypatch):
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1000)
 
-    def recorder(fn, shares):
+    def recorder(fn, shares, *dead):
         mapped.append(shares)
-        return map(fn, shares)
+        return list(map(fn, shares))
 
+    monkeypatch.setattr(partitions, "fork_map", recorder)
     with pytest.raises(MemoryBudgetError, match=r"^pair AdmissiblePair\(a=1, b=3, m=4\) at N=5000"):
-        verify_conjecture_mod4(5000, 2, recorder)
+        verify_conjecture_mod4(5000, 2)
     assert sieved == mapped == []
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -43,8 +44,8 @@ def test_odd_flags_unpack_every_bit(monkeypatch):
     # share no packing code: the flags are the table's bits unpacked, the
     # bits past the limit as 0, and byte i is 1 iff 2i + 1 is prime.  Both
     # tables' bits are read-only bytes, which PrimeTable.mask views without
-    # a copy; PrimeTable.primes copies the flags into bytes.  Each table
-    # has one reader.  Limits at and around the ends of 16-entry segments,
+    # a copy; PrimeTable.primes returns the flags' bytes, not a copy.  Each
+    # table has one reader.  Limits at and around the ends of 16-entry segments,
     # and every residue of the limit mod 16
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 16)
     for limit in (*range(2, 40), *range(60, 70), *range(90, 100), 1000, 10**5 + 3):
@@ -52,6 +53,7 @@ def test_odd_flags_unpack_every_bit(monkeypatch):
         u = sieve_primes(limit, packed=False)
         flags = u.primes()
         assert isinstance(flags, bytes) and flags == u.bits and not u.packed
+        assert u.primes() is flags
         assert flags == np.unpackbits(np.frombuffer(t.bits, np.uint8)).tobytes(), limit
         assert [2 * i + 1 for i, f in enumerate(flags) if f] == primes_up_to(limit)[1:], limit
         assert t.bits.readonly and u.bits.readonly and t.packed
@@ -105,59 +107,80 @@ def test_budget_is_read_from_the_module():
 
 
 def test_memory_budget_counts_one_segment(monkeypatch):
-    # the packed odd bits, or the odd flags, 8 bytes a packed byte; one
-    # 4096-entry segment, and for the table its 512 packed bytes; two
-    # periods of the 15,015-entry presieve pattern, the base-prime sieve
-    # over [0, 1000] and the zeros of the largest strike, the 3's of the
-    # pattern
+    # the packed odd bits, or the odd flags, 8 bytes a packed byte; for
+    # the table one 4096-entry segment and its 512 packed bytes, for the
+    # flags their copy, which is larger than a segment; two periods of the
+    # 15,015-entry presieve pattern, the base-prime sieve over [0, 1000],
+    # the zeros of the largest strike, the 3's of the pattern, and 182
+    # strikes, Rosser and Schoenfeld's bound on the primes up to 1000,
+    # each a tuple of three ints and three list slots
     monkeypatch.setattr(primes, "SIEVE_SEGMENT_SIZE", 4096)
-    nbytes, sieve = ((10**6 + 1) // 2 + 7) // 8, 2 * 15015 + 1001 + 10011
-    for packed, peak in ((True, nbytes + 4096 + 512 + sieve), (False, 8 * nbytes + 4096 + sieve)):
+    strike = sys.getsizeof((0, 0, 0)) + 3 * sys.getsizeof(10**6) + 3 * 8
+    nbytes, sieve = ((10**6 + 1) // 2 + 7) // 8, 2 * 15015 + 1001 + 10011 + 182 * strike
+    for packed, peak in ((True, nbytes + 4096 + 512 + sieve), (False, 16 * nbytes + sieve)):
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak - 1)
         with pytest.raises(MemoryBudgetError, match=f"needs {peak} bytes .* one segment"):
             sieve_primes(10**6, packed)
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", peak)
         out = sieve_primes(10**6, packed)
         assert (len(table_primes(out)) if packed else sum(out.bits) + 1) == 78498  # 2 is implicit
-    # PrimeTable.primes holds the flags and their copy
-    with pytest.raises(MemoryBudgetError, match=f"needs {16 * nbytes} bytes .* its copy"):
-        out.primes()
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 16 * nbytes)
-    assert out.primes() == out.bits
+    # PrimeTable.primes makes no copy, so it needs no budget
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 0)
+    assert out.primes() is out.bits.obj
 
 
-def test_sieve_peak_is_packed_table_plus_segments():
-    # the table, one segment and its packed bytes, an eighth of it, the
-    # sieve's own pattern, base primes and strike, which
-    # sieve_overhead_bytes counts, and its list of strikes, a tuple of
-    # three ints (under 200 bytes) a base prime
-    N = 10**7
+def _traced_sieve(monkeypatch, N: int, packed: bool):
+    """sieve_primes(N, packed), its tracemalloc peak and the bytes that it
+    counted for check_budget."""
+    needs = []
+    monkeypatch.setattr(primes, "check_budget", lambda need, detail: needs.append(need))
     tracemalloc.start()
     try:
-        table = sieve_primes(N)
+        out = sieve_primes(N, packed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.bits.nbytes == ((N + 1) // 2 + 7) // 8
-    strikes = 200 * len(primes_up_to(math.isqrt(N)))
-    assert peak <= (table.bits.nbytes + SIEVE_SEGMENT_SIZE + SIEVE_SEGMENT_SIZE // 8
-                    + primes.sieve_overhead_bytes(N, SIEVE_SEGMENT_SIZE) + strikes)
+    return out, peak, needs[0]
 
 
-def test_flags_peak_is_flags_plus_one_segment():
-    # the odd flags, one segment copied into them with no copy between,
-    # and the sieve's storage as above
-    N = 10**7
+def test_sieve_peak_is_packed_table_plus_segments(monkeypatch):
+    # the table, one segment and its packed bytes, an eighth of it, and
+    # the sieve's own pattern, base primes, strike and list of strikes,
+    # which sieve_overhead_bytes counts: the count stays above the peak
+    for N in (10**6, 10**7):
+        table, peak, need = _traced_sieve(monkeypatch, N, True)
+        segment = min(SIEVE_SEGMENT_SIZE, (N + 1) // 2)
+        assert table.bits.nbytes == ((N + 1) // 2 + 7) // 8
+        assert need == (table.bits.nbytes + segment + segment // 8
+                        + primes.sieve_overhead_bytes(N, segment))
+        assert peak <= need, N
+
+
+def test_flags_peak_is_flags_plus_one_segment(monkeypatch):
+    # the odd flags and one segment copied into them with no copy
+    # between, or, once the segment and the sieve are released, the
+    # flags and their bytes copy, with the sieve's storage as above (or
+    # what it leaves in free lists): the count stays above the peak
+    for N in (10**6, 10**7):
+        table, peak, need = _traced_sieve(monkeypatch, N, False)
+        segment, flags = min(SIEVE_SEGMENT_SIZE, (N + 1) // 2), len(table.bits)
+        assert flags == 8 * (((N + 1) // 2 + 7) // 8)
+        assert need == flags + max(segment, flags) + primes.sieve_overhead_bytes(N, segment)
+        assert peak <= need, N
+
+
+def test_window_peak_counts_the_strike_list():
+    # a single pair sieves windows far past any table's limit, where the
+    # list of strikes, a tuple of three ints for each base prime up to
+    # sqrt(limit), is most of the sieve's storage: 9,586 strikes at 10^10
+    out = bytearray(8)
     tracemalloc.start()
     try:
-        flags = sieve_primes(N, packed=False).bits
+        next(primes.sieve_progression(3, 4, 10**10, [(0, 8)], out))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(flags) == 8 * (((N + 1) // 2 + 7) // 8)
-    strikes = 200 * len(primes_up_to(math.isqrt(N)))
-    assert peak <= (len(flags) + SIEVE_SEGMENT_SIZE
-                    + primes.sieve_overhead_bytes(N, SIEVE_SEGMENT_SIZE) + strikes)
+    assert peak <= primes.sieve_overhead_bytes(10**10, len(out))
 
 
 @given(
