@@ -15,7 +15,8 @@ sieve.
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
 apgoldbach CLI does (cli.exit_status).  The moduli are dealt to --threads
-worker processes (0 = one per CPU).
+worker processes (0 = one per CPU) as a sweep deals them
+(partitions.sweep_table).
 """
 
 import argparse
@@ -78,7 +79,8 @@ def main() -> int:
     table = sieve_primes(N)  # imports numpy before the fork, for both kernels' workers
     unpacked = sieve_primes(N, packed=False)
 
-    shares = cli._modulus_shares(config.moduli, config.worker_count)
+    # the sweep's shares; the table that sweep_table sieves with them is dropped here
+    shares = partitions.sweep_table(N, config.moduli, config.worker_count)[1]
     done = partitions.fork_map(lambda share: [(m, *check_modulus(m, N, table, unpacked))
                                               for m in share], shares)
     for m, pairs, sampled, error in sorted(r for share in done for r in share):

@@ -202,19 +202,6 @@ def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable) -> ModulusSe
     return partitions.exceptional_sets_for_modulus(m, N, table=table)
 
 
-def _modulus_shares(moduli: list[int], workers: int) -> list[list[int]]:
-    """The moduli dealt to min(workers, len(moduli)) shares by
-    partitions.deal.  Modulus m costs about phi(m)^2/m, in proportion to
-    its stage-1 OR bytes: for each of its phi(m) small-prime classes, up to
-    phi(m) rows of N/m candidates.  Callers have imported the engine."""
-    from . import partitions
-
-    def cost(m: int) -> float:
-        return sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 / m
-
-    return partitions.deal(moduli, cost, workers)
-
-
 def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     """The summary of every modulus in range, in modulus order: its Table 1
     row, which carries its Table 2 row.
@@ -223,10 +210,10 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     a miss to the cache, summarizes, and keeps the sets only while the miss
     m/2 is still to be derived from them.  Cache hits are finished here in
     ascending order, when each m/2 is known to hit or miss.  The misses
-    whose double is out of range are dealt to the workers' shares
-    (partitions.fork_map), after partitions.sweep_table has picked their
-    stage-1 kernel, checked the budget and sieved the one table that the
-    kernel reads; the workers read it copy-on-write.
+    whose double is out of range run in the workers' shares
+    (partitions.fork_map) that partitions.sweep_table deals them to, once
+    it has picked their stage-1 kernel, checked the budget and sieved the
+    one table that the kernel reads; the workers read it copy-on-write.
     Every other miss m is derived here from the sets of 2m, which are
     dropped then (summaries.exceptional_sets_from_double, in descending
     order, so 2m is cached, computed or derived first).  Only a sweep that
@@ -257,8 +244,7 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
         # that they inherit it instead of each importing it
         from . import partitions
 
-        table = partitions.sweep_table(N, computed)
-        shares = _modulus_shares(computed, config.worker_count)
+        table, shares = partitions.sweep_table(N, computed, config.worker_count)
 
         def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup
             for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():

@@ -47,8 +47,8 @@ kernel never loads it.
 Every pair goes through one batch (exceptional_sets, and exceptional_set
 is its batch of one), whose jobs, a group (m, b) on the int-bitset route or
 a share of a packed-route pair's windows, are dealt heaviest first to
-worker shares (deal, which also deals a sweep's moduli) that run in
-forked processes (fork_map, which also runs a sweep's shares).
+worker shares (deal) that run in forked processes (fork_map), as are a
+sweep's moduli, by the head work that picks their kernel (sweep_table).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import os
 from itertools import compress
 from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar
 
+from . import primes
 from .primes import (
     SIEVE_SEGMENT_SIZE,
     PrimeTable,
@@ -362,11 +363,12 @@ def _bitset_route(m: int, N: int) -> bool:
     return (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE
 
 
-def _check_group_budget(m: int, b: int, avals: list[int], M: int, N: int) -> None:
-    """MemoryBudgetError unless _bitset_group of the pairs (a, b, m), a in
-    avals, fits the budget: every a-mask, the row's entry bytes and their
-    eight slices, five bitsets' bytes (the row, the marks, a shift, the
-    scan's two strings) and the sieve's pattern, base primes and strike."""
+def _check_group_budget(m: int, b: int, avals: list[int], M: int, N: int) -> int:
+    """The bytes that _bitset_group of the pairs (a, b, m), a in avals,
+    counts, and MemoryBudgetError unless they fit the budget: every
+    a-mask, the row's entry bytes and their eight slices, five bitsets'
+    bytes (the row, the marks, a shift, the scan's two strings) and the
+    sieve's pattern, base primes and strike."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     count = max(max(0, (N - a - b) // m + 1) for a in avals)
     width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
@@ -376,6 +378,7 @@ def _check_group_budget(m: int, b: int, avals: list[int], M: int, N: int) -> Non
     check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
                  f"({masks} of small-prime masks, {row} of entries and their slices, "
                  f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
+    return need
 
 
 def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
@@ -521,10 +524,11 @@ def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> 
         os._exit(status)
 
 
-def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> list[tuple]:
-    """A packed-route pair's jobs, shares (k, K) of its windows, as many as
-    `workers` allows while each gets _MIN_SHARE_WINDOWS; first,
-    MemoryBudgetError unless one share's storage fits the budget."""
+def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> tuple[int, list[tuple]]:
+    """The bytes of one share's storage and a packed-route pair's jobs,
+    shares (k, K) of its windows, as many as `workers` allows while each
+    gets _MIN_SHARE_WINDOWS; first, MemoryBudgetError unless one share's
+    storage fits the budget."""
     a, b, m = pair
     entries = max(0, (M - a) // m + 1)
     size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
@@ -540,7 +544,7 @@ def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> list[tuple
 
     windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
     shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
-    return [(m, b, [a], M, (k, shares)) for k in range(shares)]
+    return need, [(m, b, [a], M, (k, shares)) for k in range(shares)]
 
 
 def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
@@ -562,30 +566,34 @@ def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
     route is one job, a packed-route pair the jobs of _pair_jobs; every
     job's budget is checked before any runs (_check_group_budget and
     _pair_jobs).  They are dealt heaviest first, by candidates, to as many
-    shares as `workers` allows while each gets SIEVE_SEGMENT_SIZE of them,
-    fork_map runs the shares (_job_sets), one of them in this process,
-    and each pair's parts are merged here."""
+    shares as `workers` allows while each gets SIEVE_SEGMENT_SIZE of them
+    and, since the shares run at once, the budget holds that many of the
+    largest job's count; fork_map runs the shares (_job_sets), one of them
+    in this process, and each pair's parts are merged here."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is not None and M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
     groups: dict[tuple[int, int], tuple] = {}
-    jobs = []  # (m, b, avals, M, share)
+    jobs, needs = [], []  # (m, b, avals, M, share); the bytes that each counts
     for a, b, m in dict.fromkeys(pairs):  # each pair once
         bound = default_stage1_bound(m, N) if M is None else M
         if _bitset_route(m, N):
             groups.setdefault((m, b), (m, b, [], bound, (0, 1)))[2].append(a)
         else:
-            jobs += _pair_jobs(AdmissiblePair(a, b, m), N, bound, workers)
+            need, pair_jobs = _pair_jobs(AdmissiblePair(a, b, m), N, bound, workers)
+            needs.append(need)
+            jobs += pair_jobs
     for m, b, avals, bound, _ in groups.values():
-        _check_group_budget(m, b, avals, bound, N)
+        needs.append(_check_group_budget(m, b, avals, bound, N))
     jobs += groups.values()
 
     def cost(job: tuple) -> float:  # its candidates
         m, b, avals, _, (_, shares) = job
         return sum(max(0, (N - a - b) // m + 1) for a in avals) / shares
 
-    shares = deal(jobs, cost, workers)
+    fit = primes.DEFAULT_MEMORY_BUDGET_BYTES // max(needs, default=1)
+    shares = deal(jobs, cost, min(workers, fit))
     while len(shares) > 1 and min(sum(map(cost, s)) for s in shares) < SIEVE_SEGMENT_SIZE:
         shares = deal(jobs, cost, len(shares) - 1)
     run = lambda k: [part for job in shares[k] for part in _job_sets(*job, N)]
@@ -710,24 +718,26 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     return out
 
 
-def sweep_table(N: int, moduli: list[int]) -> PrimeTable:
+def sweep_table(N: int, moduli: list[int], workers: int) -> tuple[PrimeTable, list[list[int]]]:
     """The table that every modulus of a sweep at N that computes
-    `moduli` reads, sieved up to N (sieve_primes): packed or, where the
-    int-bitset kernel runs, of odd flags; see
-    exceptional_sets_for_modulus.
+    `moduli` reads, sieved up to N (sieve_primes), and the moduli dealt
+    to `workers` shares (deal) by their head work (see _BITSET_SWEEP_ROW):
+    phi(m) small-prime classes, each on up to phi(m) rows of candidates.
+    The table is packed or, where the int-bitset kernel runs, of odd
+    flags; see exceptional_sets_for_modulus.
 
-    The size rule picks the int-bitset kernel for the whole sweep (see
-    _BITSET_SWEEP_ROW).  Each modulus's budget on the kernel it picks is
+    The size rule on the moduli's total work picks the int-bitset kernel
+    for the whole sweep.  Each modulus's budget on the kernel it picks is
     checked before the sieve; the packed table's sieve imports numpy
     before the caller forks its workers, so that they inherit it.
     """
-    row = max((N - 2) // m + 1 for m in moduli)
-    work = sum(sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m)
-               for m in moduli)
-    bitset = row <= _BITSET_SWEEP_ROW or work * row <= _BITSET_SWEEP_WORK
+    row = max(((N - 2) // m + 1 for m in moduli), default=0)
+    work = {m: sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m)
+            for m in moduli}
+    bitset = row <= _BITSET_SWEEP_ROW or sum(work.values()) * row <= _BITSET_SWEEP_WORK
     for m in moduli:
         check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
-    return sieve_primes(N, packed=not bitset)
+    return sieve_primes(N, packed=not bitset), deal(moduli, work.get, workers)
 
 
 def exceptional_sets_for_modulus(

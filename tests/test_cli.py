@@ -452,9 +452,18 @@ class TestTables:
         assert sweep[4] == summaries.summarize_modulus(sets, 4)
 
     def test_moduli_dealt_heaviest_first(self):
-        # phi(m)^2/m: m = 8 costs 2, m = 4 costs 1, m = 6 and m = 2 less
-        assert cli._modulus_shares([2, 4, 6, 8], 3) == [[8], [4], [6, 2]]
-        assert cli._modulus_shares([2, 4, 6, 8], 1) == [[8, 4, 6, 2]]
+        # phi(m)^2 (N - 2)//m at 10^4: m = 8 costs 19,984, m = 4 9,996,
+        # m = 6 and m = 2 less
+        assert partitions.sweep_table(10**4, [2, 4, 6, 8], 3)[1] == [[8], [4], [6, 2]]
+        assert partitions.sweep_table(10**4, [2, 4, 6, 8], 1)[1] == [[8, 4, 6, 2]]
+        # the computed moduli of the benchmark's desk (m <= 50) and rerun
+        # (m <= 30) sweeps at 10^6 on 2 workers, pinned as phi(m)^2/m
+        # dealt them, so that a change to the work figure that moves them
+        # fails here
+        assert partitions.sweep_table(10**6, list(range(26, 51, 2)), 2)[1] == [
+            [46, 32, 34, 26, 48, 36], [44, 38, 50, 40, 28, 42, 30]]
+        assert partitions.sweep_table(10**6, list(range(16, 31, 2)), 2)[1] == [
+            [26, 16, 20, 18], [28, 22, 24, 30]]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
         # each sweep checks its table beside its own moduli's windows: at
@@ -1367,13 +1376,26 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                     reason="needs os.fork and /proc")
-def test_held_worker_exits_once_its_parent_is_killed(tmp_path):
-    # a fresh table1 on 2 workers whose child, its share computed, writes
-    # its pid and waits on a file while its parent is SIGKILLed.  The
-    # child's result is more than a pipe holds (64 KiB), so its write
-    # would block while any read end were open; released, it finds none,
-    # its write fails and it is gone (or a zombie) within seconds
-    pidfile, release = tmp_path / "pid", tmp_path / "release"
+@pytest.mark.parametrize("argv,pad", [
+    (["table1", "--m-max", "200", "--limit", "100000", "--threads", "2"], False),
+    # two window shares of one pair
+    (["exceptions", "--m", "4", "--a", "1", "--b", "3", "--limit", "50000000",
+      "--threads", "2"], True),
+    # eight int-bitset groups dealt to the CPUs
+    (["verify", "conj3", "--limit", "5000000"], True),
+], ids=["table1", "exceptions", "verify"])
+def test_held_worker_exits_once_its_parent_is_killed(tmp_path, argv, pad):
+    # a fresh run on 2 or more workers whose children, each with its share
+    # computed, write their pids and wait on a file while their parent is
+    # SIGKILLed.  Each child's result is more than a pipe holds (64 KiB:
+    # the sweep's own, the batches' padded, as theirs are small), so its
+    # write would block while any read end were open; released, the
+    # children find none, their writes fail and they are gone (or
+    # zombies) within seconds
+    if argv[0] == "verify" and cli.RunConfig().worker_count < 2:
+        pytest.skip("verify deals its groups to the CPUs, fewer than 2 here")
+    held, count, release = tmp_path / "held", tmp_path / "children", tmp_path / "release"
+    held.mkdir()
     code = textwrap.dedent(f"""\
         import os, pickle, time
         from apgoldbach import cli, partitions
@@ -1381,48 +1403,58 @@ def test_held_worker_exits_once_its_parent_is_killed(tmp_path):
         parent, real = os.getpid(), partitions.fork_map
 
         def held(fn, shares, *dead):
+            with open({str(count)!r}, "w") as f:
+                f.write(str(len(shares) - 1))
             def share(x):
                 out = fn(x)
                 if os.getpid() != parent:
+                    if {pad}:
+                        out = (out, bytes(64 * 1024))
                     big = len(pickle.dumps((True, out))) > 64 * 1024
-                    with open({str(pidfile) + ".tmp"!r}, "w") as f:
-                        f.write(f"{{os.getpid()}} {{big}}")
-                    os.replace({str(pidfile) + ".tmp"!r}, {str(pidfile)!r})
+                    tmp = os.path.join({str(held)!r}, f"{{os.getpid()}}.tmp")
+                    with open(tmp, "w") as f:
+                        f.write(str(big))
+                    os.replace(tmp, tmp[:-4])
                     while not os.path.exists({str(release)!r}):
                         time.sleep(0.01)
                 return out
             return real(share, shares, *dead)
 
         partitions.fork_map = held
-        cli.main(["table1", "--m-max", "200", "--limit", "100000", "--threads", "2"])
+        cli.main({argv!r})
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop(cli.CACHE_ENV_VAR, None)
     proc = subprocess.Popen([sys.executable, "-c", code], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    child = None
+
+    def children() -> list[Path]:  # the pid file of every child that holds
+        return [p for p in held.iterdir() if p.suffix != ".tmp"]
+
     try:
-        for _ in range(6000):  # up to 60 s for the child to hold
-            if pidfile.exists() or proc.poll() is not None:
+        for _ in range(6000):  # up to 60 s for every child to hold
+            if proc.poll() is not None or (
+                    count.exists() and str(len(children())) == count.read_text()):
                 break
             time.sleep(0.01)
-        pid, big = pidfile.read_text().split()
-        child = int(pid)
-        assert big == "True"
+        assert children() and {p.read_text() for p in children()} == {"True"}
         proc.kill()
         proc.wait(timeout=10)
         release.touch()
-        for _ in range(100):  # up to 5 s for the child to go
-            if not _running(child):
+        pids = [int(p.name) for p in children()]
+        for _ in range(100):  # up to 5 s for the children to go
+            if not any(map(_running, pids)):
                 break
             time.sleep(0.05)
-        assert not _running(child)
+        assert not any(map(_running, pids))
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-        if child is not None and _running(child):
-            os.kill(child, signal.SIGKILL)
+        release.touch()  # a child still computing then exits once done
+        for pid in (int(p.name) for p in children()):
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def _files(path: Path) -> list[tuple[str, int]]:

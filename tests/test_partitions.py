@@ -1079,6 +1079,36 @@ def test_workers_below_one_run_one_share(workers):
         assert mapped == [1] * 4
 
 
+@pytest.mark.parametrize("pairs,N,held", [
+    # 98 windows of 256 candidates: 8 window jobs on 8 workers
+    ([AdmissiblePair(1, 3, 4)], 10**5, 3),
+    # 500 candidates a pair: two int-bitset groups, b = 3 and b = 1
+    ([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4), AdmissiblePair(1, 1, 4)], 2000, 1),
+], ids=["pair-windows", "groups"])
+def test_shares_at_once_fit_the_budget_together(monkeypatch, pairs, N, held):
+    # every share runs at the same time, so the batch deals to no more
+    # shares than the budget holds of its largest job's count.  On 8
+    # workers each case gets more shares than `held` under the default
+    # budget, and `held` under one that holds that many of its largest
+    # job; the sets stay those of one worker.  The shares run here
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
+    mapped, needs, real = [], [], partitions.check_budget
+
+    def share_map(fn, shares, *dead):
+        mapped.append(len(shares))
+        return list(map(fn, shares))
+
+    monkeypatch.setattr(partitions, "fork_map", share_map)
+    monkeypatch.setattr(partitions, "check_budget",
+                        lambda need, detail: needs.append(need) or real(need, detail))
+    expected = exceptional_sets(pairs, N)
+    assert exceptional_sets(pairs, N, 8) == expected
+    assert mapped[-1] > held
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", (held + 1) * max(needs) - 1)
+    assert exceptional_sets(pairs, N, 8) == expected
+    assert mapped[-1] == held
+
+
 def test_pair_budget_checked_before_any_sieve_or_share(monkeypatch):
     # a packed-route pair of a verifier's batch is counted before the
     # jobs are dealt: conj2 at 5000 in 64-entry windows, on 2 workers,
