@@ -2,7 +2,8 @@
 
 Subcommands: exceptions, table1, table2, figures, verify, heuristic.
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error, 3 I/O
-error, 4 internal error (a dead worker, an engine bug).
+error, 4 internal error (a dead worker, an engine bug); SIGINT or SIGTERM
+ends a run with exit 128 + signal (main_and_exit).
 """
 
 from __future__ import annotations
@@ -518,7 +519,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def main_and_exit() -> NoReturn:
     """Run main() and exit with its status: the `apgoldbach` console
-    script and `python -m apgoldbach.cli`.
+    script and `python -m apgoldbach.cli`.  SIGINT and SIGTERM raise
+    KeyboardInterrupt(signal), once, here or in a worker that sends it
+    back, so that fork_map reaps the workers and save_cache_entry removes
+    its temporary file; the run exits 128 + signal.
 
     gc.freeze() first takes every object alive at exit (some 21,000
     after an engine command, nearly all of them numpy's and the standard
@@ -526,7 +530,20 @@ def main_and_exit() -> NoReturn:
     finalization runs; the rest of teardown is unchanged.  main() never
     freezes, since tests and scripts call it in-process.
     """
-    status = main()
+    import signal
+
+    def stop(signum: int, frame: object) -> NoReturn:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt(signum)
+
+    signal.signal(signal.SIGINT, stop)
+    signal.signal(signal.SIGTERM, stop)
+    try:
+        status = main()
+    except KeyboardInterrupt as exc:  # raised by stop, here or in a worker
+        print(f"interrupted: {signal.Signals(exc.args[0]).name}", file=sys.stderr)
+        status = 128 + exc.args[0]
     gc.freeze()
     sys.exit(status)
 

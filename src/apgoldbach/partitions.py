@@ -45,10 +45,10 @@ first runs, so a process whose sweeps and pairs all run the int-bitset
 kernel never loads it.
 
 Every pair goes through one batch (exceptional_sets, and exceptional_set
-is its batch of one), whose jobs, a group (m, b) on the int-bitset route or
-a share of a packed-route pair's windows, are dealt heaviest first to
-worker shares (deal) that run in forked processes (fork_map), as are a
-sweep's moduli, by the head work that picks their kernel (sweep_table).
+is its batch of one), whose jobs, each group (m, b)'s from _group_jobs,
+are dealt heaviest first to as many worker shares as the budget holds at
+once (deal), which run in forked processes (fork_map), as are a sweep's
+moduli, by the head work that picks their kernel (sweep_table).
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def _pair_share(pair: AdmissiblePair, N: int, M: int,
     b-entries, with the span below it (span the largest prime index) and
     the 7 entries before that (none below j = 0 is prime), are sieved into
     one reused bytearray, which a zero-copy view packs into eight reused
-    copies.  _pair_jobs checks the budget first.
+    copies.  _group_jobs checks the budget first.
     """
     import numpy as np
 
@@ -363,24 +363,6 @@ def _bitset_route(m: int, N: int) -> bool:
     return (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE
 
 
-def _check_group_budget(m: int, b: int, avals: list[int], M: int, N: int) -> int:
-    """The bytes that _bitset_group of the pairs (a, b, m), a in avals,
-    counts, and MemoryBudgetError unless they fit the budget: every
-    a-mask, the row's entry bytes and their eight slices, five bitsets'
-    bytes (the row, the marks, a shift, the scan's two strings) and the
-    sieve's pattern, base primes and strike."""
-    entries = [max(0, (M - a) // m + 1) for a in avals]
-    count = max(max(0, (N - a - b) // m + 1) for a in avals)
-    width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
-    masks, row, bitsets = sum(entries), 2 * width, 5 * width // 8
-    sieve = sieve_overhead_bytes(N, max(entries + [width]))
-    need = masks + row + bitsets + sieve
-    check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
-                 f"({masks} of small-prime masks, {row} of entries and their slices, "
-                 f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
-    return need
-
-
 def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
     """Stage 1 of the pairs (a, b) mod m, a in avals, on Python int
     bitsets, one row of _bitset_rows shared by every a: per a, the
@@ -390,8 +372,7 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     The b-class, entries 0 to the largest s of any a, is sieved into a
     zeroed bytearray of the row's width, whose digits are the row's
     bitset, built once; each a runs _bitset_rows on it up to its own last
-    candidate.  exceptional_sets checks the budget first
-    (_check_group_budget).
+    candidate.  exceptional_sets checks the budget first (_group_jobs).
     """
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # candidates s < count
@@ -425,10 +406,12 @@ def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int
                  if n <= M + 2 or find_witness(n, pair, start=M + 1) is None)
 
 
-def deal(items: list[T], cost: Callable[[T], float], workers: int) -> list[list[T]]:
-    """The items dealt to min(workers, len(items)) shares, or one if
-    workers < 1: heaviest first, each to the share with the least cost so
-    far (the first of equals)."""
+def deal(items: list[T], cost: Callable[[T], float], workers: int,
+         need: int = 0) -> list[list[T]]:
+    """The items dealt to min(workers, len(items), budget // need)
+    shares, need 0 for no cap, or one if workers < 1: heaviest first,
+    each to the share with the least cost so far (the first of equals)."""
+    workers = min(workers, primes.DEFAULT_MEMORY_BUDGET_BYTES // max(need, 1))
     shares: list[list[T]] = [[] for _ in range(min(max(1, workers), len(items)))]
     loads = [0.0] * len(shares)
     for x in sorted(items, key=cost, reverse=True):  # stable: equals keep their order
@@ -524,27 +507,46 @@ def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> 
         os._exit(status)
 
 
-def _pair_jobs(pair: AdmissiblePair, N: int, M: int, workers: int) -> tuple[int, list[tuple]]:
-    """The bytes of one share's storage and a packed-route pair's jobs,
-    shares (k, K) of its windows, as many as `workers` allows while each
-    gets _MIN_SHARE_WINDOWS; first, MemoryBudgetError unless one share's
-    storage fits the budget."""
-    a, b, m = pair
-    entries = max(0, (M - a) // m + 1)
-    size = SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
-    window = size + 8 * ((size + 7) // 8)  # every entry in every copy
-    scratch = 32 * _GATHER_BLOCK_ELEMENTS  # as check_sweep_budget counts it
-    sieve = sieve_overhead_bytes(N, max(entries, size))
-    need = 9 * entries + window + scratch + sieve
-    check_budget(need, f"pair {pair} at N={N}, M={M} needs {need} bytes ({entries} of "
-                 f"small-prime mask, {8 * entries} of prime indices, {window} of "
-                 f"window and copies, {scratch} of gather scratch, {sieve} of sieve "
-                 "pattern and base primes)")
+def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int,
+                workers: int) -> tuple[int, list[tuple]]:
+    """The bytes that the largest job of the pairs (a, b, m), a in avals,
+    counts and their jobs; first, MemoryBudgetError unless every job's
+    count fits the budget.  On the int-bitset route the group is one job
+    (_bitset_group), counting every a-mask, the row's entry bytes and
+    their eight slices, five bitsets' bytes (the row, the marks, a shift,
+    the scan's two strings) and the sieve's pattern, base primes and
+    strike.  On the packed route each pair's jobs are shares (k, K) of its
+    windows (_pair_share), as many as `workers` allows while each gets
+    _MIN_SHARE_WINDOWS; a share counts the a-class mask and prime indices,
+    its window and copies, a gather block's scratch and the sieve."""
+    entries = [max(0, (M - a) // m + 1) for a in avals]
+    if _bitset_route(m, N):
+        count = max(max(0, (N - a - b) // m + 1) for a in avals)
+        width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
+        masks, row, bitsets = sum(entries), 2 * width, 5 * width // 8
+        sieve = sieve_overhead_bytes(N, max(entries + [width]))
+        need = masks + row + bitsets + sieve
+        check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
+                     f"({masks} of small-prime masks, {row} of entries and their slices, "
+                     f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
+        return need, [(m, b, avals, M, (0, 1))]
+    needs, jobs = [], []
+    for a, e in zip(avals, entries):
+        size = SIEVE_SEGMENT_SIZE + max(0, e - 1) + 7
+        window = size + 8 * ((size + 7) // 8)  # every entry in every copy
+        scratch = 32 * _GATHER_BLOCK_ELEMENTS  # as check_sweep_budget counts it
+        sieve = sieve_overhead_bytes(N, max(e, size))
+        needs.append(9 * e + window + scratch + sieve)
+        check_budget(needs[-1], f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M} needs "
+                     f"{needs[-1]} bytes ({e} of small-prime mask, {8 * e} of prime indices, "
+                     f"{window} of window and copies, {scratch} of gather scratch, {sieve} of "
+                     "sieve pattern and base primes)")
+        windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
+        shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
+        jobs += [(m, b, [a], M, (k, shares)) for k in range(shares)]
     import numpy  # here, before the fork, not in every share
 
-    windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
-    shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
-    return need, [(m, b, [a], M, (k, shares)) for k in range(shares)]
+    return max(needs), jobs
 
 
 def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
@@ -562,38 +564,30 @@ def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
 def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
                      M: Optional[int] = None) -> list[ExceptionalSet]:
     """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
-    each modulus's default_stage1_bound.  A group (m, b) on the int-bitset
-    route is one job, a packed-route pair the jobs of _pair_jobs; every
-    job's budget is checked before any runs (_check_group_budget and
-    _pair_jobs).  They are dealt heaviest first, by candidates, to as many
-    shares as `workers` allows while each gets SIEVE_SEGMENT_SIZE of them
-    and, since the shares run at once, the budget holds that many of the
-    largest job's count; fork_map runs the shares (_job_sets), one of them
-    in this process, and each pair's parts are merged here."""
+    each modulus's default_stage1_bound.  Its pairs are grouped by (m, b,
+    M), and each group's jobs and the count of its largest come from
+    _group_jobs, which checks every job's budget before any runs.  They
+    are dealt heaviest first, by candidates, to as many shares as
+    `workers` allows while each gets SIEVE_SEGMENT_SIZE of them and,
+    since the shares run at once, the budget holds that many of the
+    largest job's count (deal); fork_map runs the shares (_job_sets), one
+    of them in this process, and each pair's parts are merged here."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is not None and M > N:
         raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    groups: dict[tuple[int, int], tuple] = {}
-    jobs, needs = [], []  # (m, b, avals, M, share); the bytes that each counts
+    groups: dict[tuple[int, int, int], list[int]] = {}
     for a, b, m in dict.fromkeys(pairs):  # each pair once
-        bound = default_stage1_bound(m, N) if M is None else M
-        if _bitset_route(m, N):
-            groups.setdefault((m, b), (m, b, [], bound, (0, 1)))[2].append(a)
-        else:
-            need, pair_jobs = _pair_jobs(AdmissiblePair(a, b, m), N, bound, workers)
-            needs.append(need)
-            jobs += pair_jobs
-    for m, b, avals, bound, _ in groups.values():
-        needs.append(_check_group_budget(m, b, avals, bound, N))
-    jobs += groups.values()
+        groups.setdefault((m, b, default_stage1_bound(m, N) if M is None else M), []).append(a)
+    made = [_group_jobs(m, b, avals, bound, N, workers)
+            for (m, b, bound), avals in groups.items()]
+    jobs = [job for _, group in made for job in group]  # (m, b, avals, M, share)
 
     def cost(job: tuple) -> float:  # its candidates
         m, b, avals, _, (_, shares) = job
         return sum(max(0, (N - a - b) // m + 1) for a in avals) / shares
 
-    fit = primes.DEFAULT_MEMORY_BUDGET_BYTES // max(needs, default=1)
-    shares = deal(jobs, cost, min(workers, fit))
+    shares = deal(jobs, cost, workers, max((need for need, _ in made), default=0))
     while len(shares) > 1 and min(sum(map(cost, s)) for s in shares) < SIEVE_SEGMENT_SIZE:
         shares = deal(jobs, cost, len(shares) - 1)
     run = lambda k: [part for job in shares[k] for part in _job_sets(*job, N)]
@@ -612,14 +606,15 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
 
 
 def check_sweep_budget(m: int, N: int, M: int,
-                       packed: bool = True) -> tuple[list[int], int, int, int]:
-    """(units, span, step, width) of a sweep of m at N: the unit classes,
-    the largest prime index up to M, and the packed kernel's candidates a
-    window and bytes a class's copy, as its storage counts them.  First,
-    MemoryBudgetError unless the kernel's storage fits the budget beside
-    the table.  The packed kernel (_sweep_stage1) holds every class's
-    copies over a window and up to M, one pass's marks and a gather
-    block's scratch (32 bytes an element); only the table grows with N.
+                       packed: bool = True) -> tuple[list[int], int, int, int, int]:
+    """(units, span, step, width, need) of a sweep of m at N: the unit
+    classes, the largest prime index up to M, the packed kernel's
+    candidates a window and bytes a class's copy, and the bytes that the
+    kernel's storage counts beside the table.  First, MemoryBudgetError
+    unless they fit the budget beside the table.  The packed kernel
+    (_sweep_stage1) holds every class's copies over a window and up to M,
+    one pass's marks and a gather block's scratch (32 bytes an element);
+    only the table grows with N.
     The int-bitset kernel (_bitset_sweep) holds the odd flags, every row's
     entry bytes and their eight slices, and then, counted as six bitsets
     of every row, the rows, the pad mask, a class's suffix, marks and
@@ -643,7 +638,7 @@ def check_sweep_budget(m: int, N: int, M: int,
         detail = (f"{8 * table} of odd flags, {rows} of row entries and their slices, "
                   f"{bitsets} of bitsets and scan")
     check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({detail})")
-    return units, span, step, width
+    return units, span, step, width, need - (table if packed else 8 * table)
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -658,7 +653,7 @@ def _sweep_stage1(m: int, N: int, M: int,
     each other there and share a's primes, so one OR marks every row."""
     import numpy as np
 
-    units, span, step, width = check_sweep_budget(m, N, M)
+    units, span, step, width, _ = check_sweep_budget(m, N, M)
     small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
     table.mask(min(M, N - 1), m, units, small)
     pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
@@ -728,16 +723,17 @@ def sweep_table(N: int, moduli: list[int], workers: int) -> tuple[PrimeTable, li
 
     The size rule on the moduli's total work picks the int-bitset kernel
     for the whole sweep.  Each modulus's budget on the kernel it picks is
-    checked before the sieve; the packed table's sieve imports numpy
-    before the caller forks its workers, so that they inherit it.
+    checked before the sieve, and deal caps the shares by the largest
+    count beside the table; the packed table's sieve imports numpy before
+    the caller forks its workers, so that they inherit it.
     """
     row = max(((N - 2) // m + 1 for m in moduli), default=0)
     work = {m: sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m)
             for m in moduli}
     bitset = row <= _BITSET_SWEEP_ROW or sum(work.values()) * row <= _BITSET_SWEEP_WORK
-    for m in moduli:
-        check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)
-    return sieve_primes(N, packed=not bitset), deal(moduli, work.get, workers)
+    need = max((check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-1]
+                for m in moduli), default=0)
+    return sieve_primes(N, packed=not bitset), deal(moduli, work.get, workers, need)
 
 
 def exceptional_sets_for_modulus(

@@ -72,7 +72,7 @@ class PrimeTable(NamedTuple):
     1, the odd flags that PrimeTable.primes reads.  Entries past limit
     are 0.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; forked workers read it copy-on-write.
     """
 
     limit: int

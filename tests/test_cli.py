@@ -649,8 +649,8 @@ def test_bitset_sweep_peak_memory_within_budget():
 @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="no /proc/self/status")
 def test_packed_pair_peak_memory_within_budget():
     # as above for one packed-route pair, (1, 3) mod 4 at 2*10^7 (5
-    # windows) on one worker: the budget is what _pair_jobs counts for its
-    # one share, and numpy is imported before the baseline
+    # windows) on one worker: the budget is what _group_jobs counts for
+    # its one share, and numpy is imported before the baseline
     code = textwrap.dedent("""\
         import re
         import numpy
@@ -663,7 +663,7 @@ def test_packed_pair_peak_memory_within_budget():
         pair, N = partitions.AdmissiblePair(1, 3, 4), 2 * 10**7
         needs = []
         partitions.check_budget = lambda need, detail: needs.append(need)
-        partitions._pair_jobs(pair, N, partitions.default_stage1_bound(4, N), 1)
+        partitions._group_jobs(4, 3, [1], partitions.default_stage1_bound(4, N), N, 1)
         partitions.check_budget = primes.check_budget
         primes.DEFAULT_MEMORY_BUDGET_BYTES = max(needs)
         base = status("VmRSS")
@@ -1455,6 +1455,67 @@ def test_held_worker_exits_once_its_parent_is_killed(tmp_path, argv, pad):
         for pid in (int(p.name) for p in children()):
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
+                    reason="needs os.fork and /proc")
+@pytest.mark.parametrize("sig,target", [
+    (signal.SIGTERM, "parent"), (signal.SIGINT, "parent"), (signal.SIGTERM, "worker"),
+], ids=["SIGTERM", "SIGINT", "SIGTERM-worker"])
+def test_signal_stops_the_run_and_its_workers(tmp_path, sig, target):
+    # a console-script run (main_and_exit) on 2 workers whose child holds
+    # in its first cache write, its temporary file written, while the
+    # parent or the child is signalled: the run exits 128 + signal with
+    # one line on stderr, the child is gone within seconds and no
+    # temporary cache file is left
+    held, cache = tmp_path / "held", tmp_path / "cache"
+    held.mkdir()
+    argv = ["table1", "--m-max", "200", "--limit", "100000", "--threads", "2",
+            "--cache-dir", str(cache)]
+    code = textwrap.dedent(f"""\
+        import os, pathlib, sys, time
+        from apgoldbach import cli
+
+        parent, real = os.getpid(), pathlib.Path.write_text
+
+        def write_text(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            if os.getpid() != parent and self.suffix == ".tmp":
+                open(os.path.join({str(held)!r}, str(os.getpid())), "w").close()
+                while True:
+                    time.sleep(0.01)
+
+        pathlib.Path.write_text = write_text
+        sys.argv = ["apgoldbach", *{argv!r}]
+        cli.main_and_exit()
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop(cli.CACHE_ENV_VAR, None)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        for _ in range(6000):  # up to 60 s for the child to hold
+            if proc.poll() is not None or any(held.iterdir()):
+                break
+            time.sleep(0.01)
+        child = int(next(held.iterdir()).name)
+        os.kill(child if target == "worker" else proc.pid, sig)
+        _, err = proc.communicate(timeout=30)
+        assert (proc.returncode, err) == (128 + sig, f"interrupted: {sig.name}\n")
+        for _ in range(100):  # up to 5 s for the child to go
+            if not _running(child):
+                break
+            time.sleep(0.05)
+        assert not _running(child)
+        assert list(cache.glob("*.tmp")) == []
+    finally:
+        for pid in (int(p.name) for p in held.iterdir()):
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def _files(path: Path) -> list[tuple[str, int]]:

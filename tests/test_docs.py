@@ -123,6 +123,23 @@ def test_readme_names_every_numpy_importer():
     assert names == _numpy_importers()
 
 
+def _exit_codes(text: str) -> set[int]:
+    """The codes that the sentence "Exit codes: ..." of text lists."""
+    sentence = re.search(r"Exit codes: (.*?)\.(?: |$)", " ".join(text.split())).group(1)
+    return {int(code) for code in re.findall(r"(?:^|, )(\d+) ", sentence)}
+
+
+def test_exit_codes_match_cli():
+    # README and the cli docstring list exactly the cli.EXIT_* codes, and
+    # README's exit-code paragraph states the rule of a run stopped by a
+    # signal
+    readme = (ROOT / "README.md").read_text()
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert _exit_codes(readme) == codes == _exit_codes(cli.__doc__)
+    paragraph = re.search(r"^Exit codes:.*?(?:\n\n|\Z)", readme, re.M | re.S).group()
+    assert "128 + signal" in " ".join(paragraph.split())
+
+
 @pytest.mark.parametrize("text,stale", [
     ("`python -m apgoldbach.cli`, `apgoldbach.cli.main_and_exit`", []),
     # the package root defines no engine names

@@ -1109,6 +1109,52 @@ def test_shares_at_once_fit_the_budget_together(monkeypatch, pairs, N, held):
     assert mapped[-1] == held
 
 
+def test_sweep_shares_at_once_fit_the_budget_together(monkeypatch):
+    # the long run's moduli, m = 102..200 at 10^7, each count up to
+    # 7,100,288 bytes beside the 625,000-byte packed table that all
+    # shares read: a budget that holds the table and three of them deals
+    # to 3 shares, not to the 50 that 100 workers would get.  Nothing is
+    # sieved
+    monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 625_000 + 3 * 7_100_288)
+    packed, shares = partitions.sweep_table(10**7, list(range(102, 201, 2)), 100)
+    assert packed and len(shares) == 3
+    assert sorted(sum(shares, [])) == list(range(102, 201, 2))
+
+
+_DEEP_LIMIT = 2 * 10**8
+
+
+@pytest.mark.parametrize("run,shares", [
+    (lambda: verify_conjecture_mod4(5 * 10**6, 2),
+     [[(4, 3, (1, 3), 10000, (0, 1))], [(4, 1, (1,), 10000, (0, 1))]]),
+    (lambda: verify_conjecture_samples(5 * 10**6, 7, 2),
+     [[(6, 5, (1,), 10000, (0, 1)), (10, 9, (1,), 10000, (0, 1)),
+       (16, 13, (3,), 10000, (0, 1)), (60, 53, (7,), 50291, (0, 1))],
+      [(8, 5, (3,), 10000, (0, 1)), (10, 3, (7,), 10000, (0, 1)),
+       (14, 11, (3,), 10000, (0, 1)), (22, 19, (3,), 10510, (0, 1))]]),
+    (lambda: verify_ternary(5 * 10**6, 2), [[(6, 5, (5,), 10000, (0, 1))]]),
+    *[(lambda a=a, b=b: exceptional_set(AdmissiblePair(a, b, 4), _DEEP_LIMIT, None, 2),
+       [[(4, b, (a,), 10000, (0, 2))], [(4, b, (a,), 10000, (1, 2))]])
+      for a, b in ((1, 1), (1, 3), (3, 1), (3, 3))],
+], ids=["conj2", "conj3", "ternary", "deep-1-1", "deep-1-3", "deep-3-1", "deep-3-3"])
+def test_benchmark_batches_keep_their_jobs(monkeypatch, run, shares):
+    # the shares of (m, b, avals, M, share) that the batches of the verify
+    # and deep workloads deal on 2 workers, recorded with the shares run
+    # here in turn and no job sieved
+    ran = []
+
+    def recorded(m, b, avals, M, share, N):
+        ran[-1].append((m, b, tuple(avals), M, share))
+        return [((a, b, m), (), 0) for a in avals]
+
+    monkeypatch.setattr(partitions, "_job_sets", recorded)
+    monkeypatch.setattr(partitions, "fork_map",
+                        lambda fn, shares, *dead: [ran.append([]) or fn(k) for k in shares])
+    run()
+    assert ran == shares
+
+
 def test_pair_budget_checked_before_any_sieve_or_share(monkeypatch):
     # a packed-route pair of a verifier's batch is counted before the
     # jobs are dealt: conj2 at 5000 in 64-entry windows, on 2 workers,
