@@ -520,9 +520,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 def main_and_exit() -> NoReturn:
     """Run main() and exit with its status: the `apgoldbach` console
     script and `python -m apgoldbach.cli`.  SIGINT and SIGTERM raise
-    KeyboardInterrupt(signal), once, here or in a worker that sends it
-    back, so that fork_map reaps the workers and save_cache_entry removes
-    its temporary file; the run exits 128 + signal.
+    KeyboardInterrupt(signal), once, so that fork_map reaps the workers
+    and save_cache_entry removes its temporary file; the run exits 128 +
+    signal.  A worker (a child of this process) also sends the signal on
+    to this process, so that the run stops at once, not once this
+    process's own share is done.
 
     gc.freeze() first takes every object alive at exit (some 21,000
     after an engine command, nearly all of them numpy's and the standard
@@ -532,9 +534,13 @@ def main_and_exit() -> NoReturn:
     """
     import signal
 
+    parent = os.getpid()
+
     def stop(signum: int, frame: object) -> NoReturn:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        if os.getpid() != parent and os.getppid() == parent:  # a worker
+            os.kill(parent, signum)
         raise KeyboardInterrupt(signum)
 
     signal.signal(signal.SIGINT, stop)

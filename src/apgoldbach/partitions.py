@@ -30,19 +30,19 @@ from its progression (primes.sieve_progression) and packs it once, so its
 memory is flat in N.  Its windows are independent, so shares of them may
 run in other processes.
 
-The int-bitset kernel (_bitset_rows) holds rows of b-entries as the
-binary digits of one Python int (_bits_from_bytes), so a shift is one
-int shift; after the head's ORs, each unset bit tries the remaining
-primes on the entry bytes.  A modulus sweep on it (_bitset_sweep) reads
-an unpacked table's odd flags (primes.PrimeTable.primes) and holds a
-row of every unit class in one int; sweep_table picks it, by one size
-rule, for sweeps of short rows or little work.  A pair whose candidates
-fit in fewer than _MIN_SHARE_WINDOWS windows, which would never split,
-is its one-row case (_bitset_group), which sieves its whole b-class into
-one bytearray; several pairs of one (m, b) share that row, each a-class
-running the kernel on it.  Only the packed kernel imports numpy, when it
-first runs, so a process whose sweeps and pairs all run the int-bitset
-kernel never loads it.
+The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
+bytearray row by row, as the binary digits of one Python int
+(_bits_from_bytes), so a shift is one int shift; after the head's ORs,
+each unset bit tries the remaining primes on the row's bytes.  A
+modulus sweep on it (_bitset_sweep) copies a row of every unit class
+out of an unpacked table's odd flags (primes.PrimeTable.primes), and
+each small-prime class a runs on its rows b >= a; sweep_table picks it,
+by one size rule, for sweeps of short rows or little work.  A pair whose
+candidates fit in fewer than _MIN_SHARE_WINDOWS windows, which would
+never split, is its one-row case (_bitset_group), which sieves its
+whole b-class into the row; several pairs of one (m, b) share it.
+Only the packed kernel imports numpy, when it first runs, so a process
+whose sweeps and pairs all run the int-bitset kernel never loads it.
 
 Every pair goes through one batch (exceptional_sets, and exceptional_set
 is its batch of one), whose jobs, each group (m, b)'s from _group_jobs,
@@ -307,51 +307,57 @@ def _bits_from_bytes(entries: bytes | bytearray) -> int:
     return bits
 
 
-def _bitset_rows(bitset: int, marks: int, width: int, pidx: list[int], head: int,
-                 rows: list[tuple[int, int]], entry: bytes, stride: int) -> list[list[int]]:
-    """Stage 1 of one small-prime class, whose prime indices up to M are
-    pidx, over rows of candidates on Python int bitsets: per row, the s
-    that no prime index i marks (entry s - i is prime), ascending.
+def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int, count: int,
+                   classes: list[tuple], head: int) -> dict[tuple[int, int], list[int]]:
+    """Stage 1 on Python int bitsets of each small-prime class (a, pidx, k),
+    pidx its prime indices up to M, with each b in bs[k:]: keyed (a, b),
+    the candidates n <= N not representable with p <= M, ascending, as
+    _window finds them, led by a + b - m if that is at least 2 (no p + q).
 
-    `bitset` holds len(rows) rows of `width` bits, a multiple of 8, the
-    first row in the top bits.  Bit y from the top of row r is entry y of
-    its class, which is entry[offset + y*stride] for (count, offset) =
-    rows[r]; its candidates are s < count.  Below the entries each row has
-    at least pidx[head - 1] bits of 0, so shift i, which marks s where
-    entry s - i is prime, is bitset >> i; `marks` has those bits set.  The
-    first `head` shifts OR into the marks; each unset bit of a candidate
-    then tries the remaining indices i <= s in order, on the entry bytes,
-    up to its first hit.  The unset bits are found in the bytes that hold
-    any (to_bytes, translate, find).
-    """
-    for i in pidx[:head]:
-        marks |= bitset >> i
-    scan = marks.to_bytes(len(rows) * width // 8, "big")
-    del marks
-    unset = scan.translate(_UNSET_BYTE)
-    tail = pidx[head:]
-    found: list[list[int]] = [[] for _ in rows]
-    x = unset.find(1)
-    while x >= 0:
-        for k in _UNSET_BITS[scan[x]]:
-            r, s = divmod(8 * x + k, width)
-            count, offset = rows[r]
-            if s < count:
-                j = offset + s * stride  # entry s of the row
-                for i in tail:
+    `entries` holds a row of `width` bytes, a multiple of 8, per b in bs,
+    byte s its entry s; its digits (_bits_from_bytes) are one bitset, the
+    first row in the top bits.  Below its `count` entries each row has at
+    least pidx[head - 1] bits of 0, so shift i, which marks s where entry
+    s - i is prime, is bitset >> i; `pads` has those bits set.  Class a's
+    rows are its low bits from row k on, so one shift marks them all.  The
+    first `head` shifts OR into the marks; each unset bit of a candidate,
+    found in the bytes that hold any (to_bytes, translate, find), then
+    tries the remaining indices i <= s in order, on the row's bytes, up to
+    its first hit."""
+    bitset = _bits_from_bytes(entries)
+    pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * len(bs),
+                          "big")  # every row's bits below its candidates
+    out: dict[tuple[int, int], list[int]] = {}
+    for a, pidx, k in classes:
+        rows, tail = bs[k:], pidx[head:] + [width]  # the tail ends past every s
+        counts = [(N - a - b) // m + 1 for b in rows]  # candidates s < count
+        suffix = bitset & ((1 << (len(rows) * width)) - 1) if k else bitset
+        marks = pads >> (k * width)
+        for i in pidx[:head]:
+            marks |= suffix >> i
+        scan = marks.to_bytes(len(rows) * width // 8, "big")
+        del suffix, marks
+        unset, found = scan.translate(_UNSET_BYTE), [[] for _ in rows]
+        x = unset.find(1)
+        while x >= 0:
+            for y in _UNSET_BITS[scan[x]]:
+                r, s = divmod(8 * x + y, width)
+                if s < counts[r]:
+                    j = k * width + 8 * x + y  # entry s of row r
+                    for i in tail:
+                        if i > s or entries[j - i]:
+                            break
                     if i > s:
                         found[r].append(s)
-                        break
-                    if entry[j - i * stride]:
-                        break
-                else:
-                    found[r].append(s)
-        x = unset.find(1, x + 1)
-    return found
+            x = unset.find(1, x + 1)
+        del scan, unset  # before the next class's marks
+        for b, s in zip(rows, found):  # a + b - m >= 2 is no p + q and leads
+            out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
+    return out
 
 
 def _row_width(count: int, pidxs: list[list[int]], head: int) -> int:
-    """Bits of a row of `count` candidates in _bitset_rows: room below them
+    """Bits of a row of `count` candidates in _bitset_stage1: room below them
     for the largest head shift of any class, rounded up to whole bytes."""
     shift = max((i for p in pidxs for i in p[:head][-1:]), default=0)
     return (count + shift + 7) // 8 * 8
@@ -365,32 +371,23 @@ def _bitset_route(m: int, N: int) -> bool:
 
 def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
     """Stage 1 of the pairs (a, b) mod m, a in avals, on Python int
-    bitsets, one row of _bitset_rows shared by every a: per a, the
+    bitsets (_bitset_stage1), one row shared by every a: per a, the
     candidates n <= N not representable with p <= M, ascending, as
     _window finds them.
 
     The b-class, entries 0 to the largest s of any a, is sieved into a
     zeroed bytearray of the row's width, whose digits are the row's
-    bitset, built once; each a runs _bitset_rows on it up to its own last
-    candidate.  exceptional_sets checks the budget first (_group_jobs).
+    bitset, built once; each a runs on it up to its own last candidate.
+    exceptional_sets checks the budget first (_group_jobs).
     """
-    entries = [max(0, (M - a) // m + 1) for a in avals]
-    counts = [max(0, (N - a - b) // m + 1) for a in avals]  # candidates s < count
-    count = max(counts)
+    count = max(max(0, (N - a - b) // m + 1) for a in avals)  # candidates s < count
     pidxs = [list(compress(range(e), next(sieve_progression(a, m, M, [(0, e)], bytearray(e)))))
-             if e else [] for a, e in zip(avals, entries)]
-    found = [[a + b - m] * (2 <= a + b - m <= N) for a in avals]
-    if not count:
-        return found
-    head = _VECTOR_PHASE_PRIMES
-    width = _row_width(count, pidxs, head)
-    entry = next(sieve_progression(b, m, N, [(0, count)], bytearray(width)))
-    row = _bits_from_bytes(entry)
-    pad = (1 << (width - count)) - 1
-    for out, a, c, pidx in zip(found, avals, counts, pidxs):
-        s = _bitset_rows(row, pad, width, pidx, head, [(c, 0)], entry, 1)[0]
-        out += [a + b + x * m for x in s]
-    return found
+             if e else [] for a in avals for e in [max(0, (M - a) // m + 1)]]
+    width = _row_width(count, pidxs, _VECTOR_PHASE_PRIMES)
+    entries = next(sieve_progression(b, m, N, [(0, count)], bytearray(width)))
+    classes = [(a, pidx, 0) for a, pidx in zip(avals, pidxs)]
+    found = _bitset_stage1(m, N, [b], entries, width, count, classes, _VECTOR_PHASE_PRIMES)
+    return [found[(a, b)] for a in avals]
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -685,9 +682,8 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
     of every unit class, b ascending from the top bits, each of as many
     entries as any pair has candidates, (N - 2)//m + 1, with room below
-    for the largest head shift.  Small-prime class a runs _bitset_rows on
-    its rows b >= a, the low bits of that bitset, so that one shift marks
-    every row."""
+    for the largest head shift.  Small-prime class a runs on its rows b >=
+    a (_bitset_stage1)."""
     units, *_ = check_sweep_budget(m, N, M, packed=False)
     flags = table.primes()
     half, count = m // 2, (N - 2) // m + 1
@@ -698,19 +694,8 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     for k, b in enumerate(units):  # a row may end past the flags: its entries there stay 0
         row = flags[b // 2 : b // 2 + count * half : half]
         entries[k * width : k * width + len(row)] = row
-    bitset = _bits_from_bytes(entries)
-    del entries
-    pad = ((1 << (width - count)) - 1).to_bytes(width // 8, "big")
-    pads = int.from_bytes(pad * len(units), "big")  # every row's bits below its candidates
-    out: dict[tuple[int, int], list[int]] = {}
-    for k, a in enumerate(units):
-        rows = [((N - a - b) // m + 1, b // 2) for b in units[k:]]
-        suffix = bitset & ((1 << (len(rows) * width)) - 1)
-        found = _bitset_rows(suffix, pads >> (k * width), width, pidxs[k], _BITSET_HEAD_PRIMES,
-                             rows, flags, half)
-        for b, s in zip(units[k:], found):  # a + b - m >= 2 is no p + q and leads
-            out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
-    return out
+    classes = [(a, pidx, k) for k, (a, pidx) in enumerate(zip(units, pidxs))]
+    return _bitset_stage1(m, N, units, entries, width, count, classes, _BITSET_HEAD_PRIMES)
 
 
 def sweep_table(N: int, moduli: list[int], workers: int) -> tuple[PrimeTable, list[list[int]]]:

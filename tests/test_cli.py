@@ -673,6 +673,31 @@ def test_packed_pair_peak_memory_within_budget():
     assert _fresh_python(code) == "True (4,)\n"
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="no /proc/self/status")
+def test_bitset_group_peak_memory_within_budget():
+    # as above for one int-route group, the pairs (1, 3) and (3, 3) mod 4
+    # at 2^23 + 1, the largest N on that route, sharing one b-class row:
+    # the budget is what _group_jobs counts for the group, and numpy is
+    # never loaded
+    code = textwrap.dedent("""\
+        import re, sys
+        from apgoldbach import partitions, primes
+
+        def status(key):
+            with open("/proc/self/status") as f:
+                return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
+
+        N = 2**23 + 1
+        need, _ = partitions._group_jobs(4, 3, [1, 3], partitions.default_stage1_bound(4, N), N, 1)
+        primes.DEFAULT_MEMORY_BUDGET_BYTES = need
+        base = status("VmRSS")
+        sets = partitions.exceptional_sets([partitions.AdmissiblePair(a, 3, 4) for a in (1, 3)], N)
+        print(need, status("VmHWM") - base <= need, "numpy" in sys.modules,
+              [es.elements for es in sets])
+    """)
+    assert _fresh_python(code) == "5751466 True False [(4,), (2,)]\n"
+
+
 @pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])
 def test_import_loads_no_engine(module):
     code = f"import sys, {module}; print(sorted(set(sys.modules) & {ENGINE_MODULES!r}))"
@@ -1459,15 +1484,18 @@ def test_held_worker_exits_once_its_parent_is_killed(tmp_path, argv, pad):
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self"),
                     reason="needs os.fork and /proc")
-@pytest.mark.parametrize("sig,target", [
-    (signal.SIGTERM, "parent"), (signal.SIGINT, "parent"), (signal.SIGTERM, "worker"),
-], ids=["SIGTERM", "SIGINT", "SIGTERM-worker"])
-def test_signal_stops_the_run_and_its_workers(tmp_path, sig, target):
+@pytest.mark.parametrize("sig,target,holders", [
+    (signal.SIGTERM, "parent", 1), (signal.SIGINT, "parent", 1), (signal.SIGTERM, "worker", 1),
+    (signal.SIGTERM, "worker", 2),
+], ids=["SIGTERM", "SIGINT", "SIGTERM-worker", "SIGTERM-worker-parent-held"])
+def test_signal_stops_the_run_and_its_workers(tmp_path, sig, target, holders):
     # a console-script run (main_and_exit) on 2 workers whose child holds
     # in its first cache write, its temporary file written, while the
     # parent or the child is signalled: the run exits 128 + signal with
     # one line on stderr, the child is gone within seconds and no
-    # temporary cache file is left
+    # temporary cache file is left.  With 2 holders the parent holds in
+    # its own first cache write too, so only a worker that passes the
+    # signal on to the parent stops the run, within 10 s
     held, cache = tmp_path / "held", tmp_path / "cache"
     held.mkdir()
     argv = ["table1", "--m-max", "200", "--limit", "100000", "--threads", "2",
@@ -1480,7 +1508,7 @@ def test_signal_stops_the_run_and_its_workers(tmp_path, sig, target):
 
         def write_text(self, *args, **kwargs):
             real(self, *args, **kwargs)
-            if os.getpid() != parent and self.suffix == ".tmp":
+            if (os.getpid() != parent or {holders == 2!r}) and self.suffix == ".tmp":
                 open(os.path.join({str(held)!r}, str(os.getpid())), "w").close()
                 while True:
                     time.sleep(0.01)
@@ -1494,13 +1522,13 @@ def test_signal_stops_the_run_and_its_workers(tmp_path, sig, target):
     proc = subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     try:
-        for _ in range(6000):  # up to 60 s for the child to hold
-            if proc.poll() is not None or any(held.iterdir()):
+        for _ in range(6000):  # up to 60 s for the child (and the parent) to hold
+            if proc.poll() is not None or len(list(held.iterdir())) == holders:
                 break
             time.sleep(0.01)
-        child = int(next(held.iterdir()).name)
+        child = next(pid for pid in (int(p.name) for p in held.iterdir()) if pid != proc.pid)
         os.kill(child if target == "worker" else proc.pid, sig)
-        _, err = proc.communicate(timeout=30)
+        _, err = proc.communicate(timeout=10 if holders == 2 else 30)
         assert (proc.returncode, err) == (128 + sig, f"interrupted: {sig.name}\n")
         for _ in range(100):  # up to 5 s for the child to go
             if not _running(child):

@@ -11,21 +11,24 @@ from apgoldbach import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "apgoldbach"
+SCRIPTS = ROOT / "scripts"
 MODULES = ("cli", "partitions", "primes", "summaries", "heuristics")
 
-# a private constant such as _MARK_BLOCK, a name qualified by one of the
-# modules such as partitions.default_stage1_bound (not a file, cli.py), and
-# one qualified by the package such as apgoldbach.cli.main
+# a private constant such as _MARK_BLOCK, a private function such as
+# _window, a name qualified by one of the modules such as
+# partitions.default_stage1_bound (not a file, cli.py), and one qualified
+# by the package such as apgoldbach.cli.main
 CONSTANT = re.compile(r"(?<![\w.])_[A-Z][A-Z0-9_]*\b")
+PRIVATE = re.compile(r"(?<![\w.])_[a-z]\w*")
 QUALIFIED = re.compile(r"\b(%s)\.(?!py\b)(\w+(?:\.\w+)*)" % "|".join(MODULES))
 PACKAGED = re.compile(r"\bapgoldbach\.(?!py\b)(\w+(?:\.\w+)*)")
 
 
 def _prose() -> list[tuple[str, str]]:
-    """README.md and every docstring and comment of the package, each
-    with the file it is in."""
+    """README.md and every docstring and comment of the package and of
+    the scripts, each with the file it is in."""
     texts = [("README.md", (ROOT / "README.md").read_text())]
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         source = path.read_text()
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
@@ -52,7 +55,7 @@ def _stale_names(text: str) -> list[str]:
     modules = {name: importlib.import_module(f"apgoldbach.{name}") for name in MODULES}
     package = importlib.import_module("apgoldbach")
     missing = []
-    for match in CONSTANT.finditer(text):
+    for match in [*CONSTANT.finditer(text), *PRIVATE.finditer(text)]:
         if not any(_resolves(mod, match.group()) for mod in modules.values()):
             missing.append(match.group())
     for match in QUALIFIED.finditer(text):
@@ -78,7 +81,8 @@ def test_readme_cli_examples_parse():
 
 def test_docs_name_only_what_exists():
     # a constant or function renamed or deleted must leave no stale name
-    # in the README or in the package's docstrings and comments
+    # in the README or in the docstrings and comments of the package and
+    # the scripts
     missing = [(where, name) for where, text in _prose() for name in _stale_names(text)]
     assert missing == []
 
@@ -159,3 +163,13 @@ def test_package_qualified_names_resolve(text, stale):
 def test_docs_patterns(text, found):
     patterns = (CONSTANT, QUALIFIED, PACKAGED)
     assert [m.group() for p in patterns for m in p.finditer(text)] == found
+
+
+@pytest.mark.parametrize("text,stale", [
+    ("stage 1 of one window (_window), then _resolved", []),
+    ("the tail of _deleted_kernel", ["_deleted_kernel"]),
+    ("partitions._deleted_kernel, E_{a,b,m}, __init__, wall_s", ["partitions._deleted_kernel"]),
+])
+def test_private_names_resolve(text, stale):
+    # an unqualified private name must be defined by one of the modules
+    assert _stale_names(text) == stale

@@ -841,6 +841,24 @@ def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6, flags_1e6):
         assert partitions._sweep_stage1(m, N, M, table_1e6) == bitset, windows
 
 
+@pytest.mark.parametrize("bound", [1000, None], ids=["M1000", "default"])
+def test_both_pair_kernels_agree_at_verify_scale(bound):
+    # the pair-route counterpart of the m = 194 check: at N = 5*10^6 the
+    # int-bitset group and the unsplit packed pair leave the same
+    # candidates for conj2's groups (m, b, avals) = (4, 3, [1, 3]) and
+    # (4, 1, [1]) and ternary's (6, 5, [5]); at M = 1000 the mod-4 pairs
+    # keep 85, 15 and 85 candidates through the tails past the 64-shift
+    # head, and at each modulus's default bound the few left
+    N = 5 * 10**6
+    kept = []
+    for m, b, avals in ((4, 3, [1, 3]), (4, 1, [1]), (6, 5, [5])):
+        M = partitions.default_stage1_bound(m, N) if bound is None else bound
+        group = partitions._bitset_group(b, avals, m, N, M)
+        assert group == [partitions._pair_share(AdmissiblePair(a, b, m), N, M) for a in avals]
+        kept += map(len, group)
+    assert kept == ([85, 15, 85, 1] if bound else [1, 1, 5, 1])
+
+
 @given(st.integers(0, 64).flatmap(
     lambda n: st.lists(st.sampled_from(b"\0\1"), min_size=8 * n, max_size=8 * n).map(bytes)))
 @example(b"")
