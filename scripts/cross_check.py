@@ -14,9 +14,10 @@ sieve.
 
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
-apgoldbach CLI does (cli.exit_status).  The moduli are dealt to --threads
-worker processes (0 = one per CPU) as a sweep deals them
-(partitions.sweep_table).
+apgoldbach CLI does (cli.exit_status).  The moduli are the jobs of a
+sweep's plan (partitions.sweep_plan), which sieves one kind of table;
+this script sieves the other, and the runner (partitions.run_plan) runs
+the jobs on --threads worker processes (0 = one per CPU).
 """
 
 import argparse
@@ -34,9 +35,11 @@ SAMPLES = 32
 
 
 def check_modulus(m: int, N: int, table: PrimeTable,
-                  unpacked: PrimeTable) -> tuple[int, int, Optional[str]]:
+                  other: PrimeTable) -> tuple[int, int, Optional[str]]:
     """(pairs compared, table entries sampled, the first difference or
-    None) for modulus m at N."""
+    None) for modulus m at N, off a packed table and one of odd flags, in
+    either order."""
+    table, unpacked = (table, other) if table.packed else (other, table)
     flags = unpacked.primes()
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     rng = random.Random(m)
@@ -76,14 +79,13 @@ def main() -> int:
 
     start = time.monotonic()
     N = config.N
-    table = sieve_primes(N)  # imports numpy before the fork, for both kernels' workers
-    unpacked = sieve_primes(N, packed=False)
-
-    # the sweep's shares; the table that sweep_table sieves with them is dropped here
-    shares = partitions.sweep_table(N, config.moduli, config.worker_count)[1]
-    done = partitions.fork_map(lambda share: [(m, *check_modulus(m, N, table, unpacked))
-                                              for m in share], shares)
-    for m, pairs, sampled, error in sorted(r for share in done for r in share):
+    jobs = partitions.sweep_plan(N, config.moduli,
+                                 lambda m, table: check_modulus(m, N, table, other))
+    # every job reads the plan's table; the other kind is sieved here, before
+    # the fork, and the packed one imports numpy for both kernels' workers
+    other = sieve_primes(N, packed=not jobs[0].args[1].packed) if jobs else None
+    done = partitions.run_plan(jobs, config.worker_count)
+    for m, (pairs, sampled, error) in zip(config.moduli, done):
         if error is not None:
             print(f"FAIL {error}")
             return cli.EXIT_FAIL

@@ -211,10 +211,8 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
     a miss to the cache, summarizes, and keeps the sets only while the miss
     m/2 is still to be derived from them.  Cache hits are finished here in
     ascending order, when each m/2 is known to hit or miss.  The misses
-    whose double is out of range run in the workers' shares
-    (partitions.fork_map) that partitions.sweep_table deals them to, once
-    it has picked their stage-1 kernel, checked the budget and sieved the
-    one table that the kernel reads; the workers read it copy-on-write.
+    whose double is out of range are partitions.sweep_plan's jobs, run in
+    the workers (partitions.run_plan), which read its table copy-on-write.
     Every other miss m is derived here from the sets of 2m, which are
     dropped then (summaries.exceptional_sets_from_double, in descending
     order, so 2m is cached, computed or derived first).  Only a sweep that
@@ -241,20 +239,17 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
             found[m], kept[m] = finish(m, cached)
     computed = [m for m in missing if 2 * m > config.m_max]
     if computed:
-        # import the engine here, before fork_map forks the workers, so
+        # import the engine here, before run_plan forks the workers, so
         # that they inherit it instead of each importing it
         from . import partitions
-
-        table, shares = partitions.sweep_table(N, computed, config.worker_count)
 
         def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup
             for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():
                 tmp.unlink(missing_ok=True)
 
-        finished = partitions.fork_map(lambda share: [
-            finish(m, exceptional_sets_for_modulus(m, N, table)) for m in share
-        ], shares, dead)
-        for m, result in zip(sum(shares, []), sum(finished, [])):
+        jobs = partitions.sweep_plan(N, computed, lambda m, table: finish(
+            m, exceptional_sets_for_modulus(m, N, table)))
+        for m, result in zip(computed, partitions.run_plan(jobs, config.worker_count, dead=dead)):
             found[m], kept[m] = result
     for m in reversed(missing):
         if 2 * m <= config.m_max:

@@ -36,7 +36,7 @@ bytearray row by row, as the binary digits of one Python int
 each unset bit tries the remaining primes on the row's bytes.  A
 modulus sweep on it (_bitset_sweep) copies a row of every unit class
 out of an unpacked table's odd flags (primes.PrimeTable.primes), and
-each small-prime class a runs on its rows b >= a; sweep_table picks it,
+each small-prime class a runs on its rows b >= a; sweep_plan picks it,
 by one size rule, for sweeps of short rows or little work.  A pair whose
 candidates fit in fewer than _MIN_SHARE_WINDOWS windows, which would
 never split, is its one-row case (_bitset_group), which sieves its
@@ -44,11 +44,10 @@ whole b-class into the row; several pairs of one (m, b) share it.
 Only the packed kernel imports numpy, when it first runs, so a process
 whose sweeps and pairs all run the int-bitset kernel never loads it.
 
-Every pair goes through one batch (exceptional_sets, and exceptional_set
-is its batch of one), whose jobs, each group (m, b)'s from _group_jobs,
-are dealt heaviest first to as many worker shares as the budget holds at
-once (deal), which run in forked processes (fork_map), as are a sweep's
-moduli, by the head work that picks their kernel (sweep_table).
+A sweep and a batch of pairs (exceptional_sets, and exceptional_set is
+its batch of one) each build a plan of jobs (Job): one a modulus
+(sweep_plan), or each group (m, b)'s (batch_plan); one runner (run_plan)
+deals them to worker shares (deal) and forks those (fork_map).
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ R = TypeVar("R")
 _VECTOR_PHASE_PRIMES = 64
 _HEAD_GROUP = 32
 
-# The sweeps that run the int-bitset kernel (sweep_table): those whose
+# The sweeps that run the int-bitset kernel (sweep_plan): those whose
 # longest row of candidates is at most _BITSET_SWEEP_ROW, and those whose
 # head work, the sum of phi(m)^2 (N - 2)//m over the moduli they compute,
 # times that row is at most _BITSET_SWEEP_WORK.  Fitted on 2 vCPUs, CLI
@@ -363,12 +362,6 @@ def _row_width(count: int, pidxs: list[list[int]], head: int) -> int:
     return (count + shift + 7) // 8 * 8
 
 
-def _bitset_route(m: int, N: int) -> bool:
-    """Whether every pair of modulus m at N has fewer than
-    _MIN_SHARE_WINDOWS windows, so never splits, and runs _bitset_group."""
-    return (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE
-
-
 def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list[int]]:
     """Stage 1 of the pairs (a, b) mod m, a in avals, on Python int
     bitsets (_bitset_stage1), one row shared by every a: per a, the
@@ -403,19 +396,43 @@ def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int
                  if n <= M + 2 or find_witness(n, pair, start=M + 1) is None)
 
 
-def deal(items: list[T], cost: Callable[[T], float], workers: int,
-         need: int = 0) -> list[list[T]]:
-    """The items dealt to min(workers, len(items), budget // need)
-    shares, need 0 for no cap, or one if workers < 1: heaviest first,
-    each to the share with the least cost so far (the first of equals)."""
-    workers = min(workers, primes.DEFAULT_MEMORY_BUDGET_BYTES // max(need, 1))
-    shares: list[list[T]] = [[] for _ in range(min(max(1, workers), len(items)))]
-    loads = [0.0] * len(shares)
-    for x in sorted(items, key=cost, reverse=True):  # stable: equals keep their order
-        k = loads.index(min(loads))
-        shares[k].append(x)
-        loads[k] += cost(x)
-    return shares
+class Job(NamedTuple):
+    """The unit of work of a plan, which goes whole to one worker share:
+    kernel(*args), dealt by its cost, counting `need` bytes as it runs."""
+
+    kernel: Callable
+    args: tuple
+    cost: float
+    need: int
+
+
+def deal(jobs: list[Job], workers: int, floor: float = 0) -> list[list[Job]]:
+    """The jobs dealt to min(workers, len(jobs), budget // the largest
+    need) shares, or one if workers < 1, and to one fewer while one of
+    two or more costs less than `floor`: heaviest first, each to the
+    share with the least cost so far (the first of equals)."""
+    workers = min(workers, primes.DEFAULT_MEMORY_BUDGET_BYTES // max([1] + [j.need for j in jobs]))
+    count = min(max(1, workers), len(jobs))
+    while True:
+        shares, loads = [[] for _ in range(count)], [0.0] * count
+        # stable: equals keep their order
+        for job in sorted(jobs, key=lambda j: j.cost, reverse=True):
+            k = loads.index(min(loads))
+            shares[k].append(job)
+            loads[k] += job.cost
+        if count < 2 or min(loads) >= floor:
+            return shares
+        count -= 1
+
+
+def run_plan(jobs: list[Job], workers: int, floor: float = 0,
+             dead: Callable[[int], object] = lambda pid: None) -> list:
+    """[job.kernel(*job.args) for job in jobs], each job whole in its share
+    of deal(jobs, workers, floor), each share in a process (fork_map)."""
+    shares = deal(jobs, workers, floor)
+    done = fork_map(lambda share: [job.kernel(*job.args) for job in share], shares, dead)
+    results = {id(job): out for share, outs in zip(shares, done) for job, out in zip(share, outs)}
+    return [results[id(job)] for job in jobs]
 
 
 def fork_map(fn: Callable[[T], R], shares: Sequence[T],
@@ -504,11 +521,11 @@ def _run_share(fn: Callable[[T], R], share: T, w: int, inherited: list[int]) -> 
         os._exit(status)
 
 
-def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int,
-                workers: int) -> tuple[int, list[tuple]]:
-    """The bytes that the largest job of the pairs (a, b, m), a in avals,
-    counts and their jobs; first, MemoryBudgetError unless every job's
-    count fits the budget.  On the int-bitset route the group is one job
+def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) -> list[Job]:
+    """The jobs of the pairs (a, b, m), a in avals, each weighed by its
+    candidates; first, MemoryBudgetError unless every job's count fits
+    the budget.  Where every pair of m has under _MIN_SHARE_WINDOWS
+    windows, so none splits, the group is one int-bitset job
     (_bitset_group), counting every a-mask, the row's entry bytes and
     their eight slices, five bitsets' bytes (the row, the marks, a shift,
     the scan's two strings) and the sieve's pattern, base primes and
@@ -517,58 +534,52 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int,
     _MIN_SHARE_WINDOWS; a share counts the a-class mask and prime indices,
     its window and copies, a gather block's scratch and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
-    if _bitset_route(m, N):
-        count = max(max(0, (N - a - b) // m + 1) for a in avals)
-        width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
+    counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
+    if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
+        width = (max(counts) + max(entries) + 7) // 8 * 8  # the row, padded past every shift
         masks, row, bitsets = sum(entries), 2 * width, 5 * width // 8
         sieve = sieve_overhead_bytes(N, max(entries + [width]))
         need = masks + row + bitsets + sieve
         check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
                      f"({masks} of small-prime masks, {row} of entries and their slices, "
                      f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
-        return need, [(m, b, avals, M, (0, 1))]
-    needs, jobs = [], []
-    for a, e in zip(avals, entries):
+        return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
+    jobs = []
+    for a, e, count in zip(avals, entries, counts):
         size = SIEVE_SEGMENT_SIZE + max(0, e - 1) + 7
         window = size + 8 * ((size + 7) // 8)  # every entry in every copy
         scratch = 32 * _GATHER_BLOCK_ELEMENTS  # as check_sweep_budget counts it
         sieve = sieve_overhead_bytes(N, max(e, size))
-        needs.append(9 * e + window + scratch + sieve)
-        check_budget(needs[-1], f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M} needs "
-                     f"{needs[-1]} bytes ({e} of small-prime mask, {8 * e} of prime indices, "
+        need = 9 * e + window + scratch + sieve
+        check_budget(need, f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M} needs "
+                     f"{need} bytes ({e} of small-prime mask, {8 * e} of prime indices, "
                      f"{window} of window and copies, {scratch} of gather scratch, {sieve} of "
                      "sieve pattern and base primes)")
-        windows = len(range(0, (N - a - b) // m + 1, SIEVE_SEGMENT_SIZE))
+        windows = len(range(0, count, SIEVE_SEGMENT_SIZE))
         shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
-        jobs += [(m, b, [a], M, (k, shares)) for k in range(shares)]
+        jobs += [Job(_job_sets, (m, b, [a], M, (k, shares), N, False), count / shares, need)
+                 for k in range(shares)]
     import numpy  # here, before the fork, not in every share
 
-    return max(needs), jobs
+    return jobs
 
 
-def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int],
-              N: int) -> list[tuple[tuple[int, int, int], tuple[int, ...], int]]:
+def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int], N: int,
+              bitset: bool) -> list[tuple[tuple[int, int, int], tuple[int, ...], int]]:
     """Both stages of one job of exceptional_sets, per a in avals: the
     pair (a, b, m), the elements of E_{a,b,m} among the job's candidates,
-    ascending, and the count of its stage-1 survivors.  On the int-bitset
-    route the job is a group of a-classes (_bitset_group); on the packed
-    route, share `share` of one pair's windows (_pair_share)."""
-    survivors = (_bitset_group(b, avals, m, N, M) if _bitset_route(m, N) else
+    ascending, and the count of its stage-1 survivors.  On the route that
+    _group_jobs picked: a group of a-classes on int bitsets
+    (_bitset_group), or share `share` of one pair's windows (_pair_share)."""
+    survivors = (_bitset_group(b, avals, m, N, M) if bitset else
                  [_pair_share(AdmissiblePair(a, b, m), N, M, share) for a in avals])
     return [((a, b, m), _resolved(a, b, m, M, s), len(s)) for a, s in zip(avals, survivors)]
 
 
-def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
-                     M: Optional[int] = None) -> list[ExceptionalSet]:
-    """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
-    each modulus's default_stage1_bound.  Its pairs are grouped by (m, b,
-    M), and each group's jobs and the count of its largest come from
-    _group_jobs, which checks every job's budget before any runs.  They
-    are dealt heaviest first, by candidates, to as many shares as
-    `workers` allows while each gets SIEVE_SEGMENT_SIZE of them and,
-    since the shares run at once, the budget holds that many of the
-    largest job's count (deal); fork_map runs the shares (_job_sets), one
-    of them in this process, and each pair's parts are merged here."""
+def batch_plan(pairs: list[AdmissiblePair], N: int, workers: int = 1,
+               M: Optional[int] = None) -> list[Job]:
+    """The jobs of exceptional_sets: its pairs grouped by (m, b, M), each
+    group's from _group_jobs, which checks their budget before any runs."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
     if M is not None and M > N:
@@ -576,20 +587,18 @@ def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
     groups: dict[tuple[int, int, int], list[int]] = {}
     for a, b, m in dict.fromkeys(pairs):  # each pair once
         groups.setdefault((m, b, default_stage1_bound(m, N) if M is None else M), []).append(a)
-    made = [_group_jobs(m, b, avals, bound, N, workers)
-            for (m, b, bound), avals in groups.items()]
-    jobs = [job for _, group in made for job in group]  # (m, b, avals, M, share)
+    return [job for (m, b, bound), avals in groups.items()
+            for job in _group_jobs(m, b, avals, bound, N, workers)]
 
-    def cost(job: tuple) -> float:  # its candidates
-        m, b, avals, _, (_, shares) = job
-        return sum(max(0, (N - a - b) // m + 1) for a in avals) / shares
 
-    shares = deal(jobs, cost, workers, max((need for need, _ in made), default=0))
-    while len(shares) > 1 and min(sum(map(cost, s)) for s in shares) < SIEVE_SEGMENT_SIZE:
-        shares = deal(jobs, cost, len(shares) - 1)
-    run = lambda k: [part for job in shares[k] for part in _job_sets(*job, N)]
+def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
+                     M: Optional[int] = None) -> list[ExceptionalSet]:
+    """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
+    each modulus's default_stage1_bound: batch_plan's jobs, run while each
+    share gets SIEVE_SEGMENT_SIZE candidates (run_plan), one share in this
+    process, and each pair's parts merged here."""
     found: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
-    for parts in fork_map(run, range(len(shares))):
+    for parts in run_plan(batch_plan(pairs, N, workers, M), workers, SIEVE_SEGMENT_SIZE):
         for pair, elements, survivors in parts:
             e, s = found.get(pair, ((), 0))
             found[pair] = e + elements, s + survivors
@@ -698,27 +707,22 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     return _bitset_stage1(m, N, units, entries, width, count, classes, _BITSET_HEAD_PRIMES)
 
 
-def sweep_table(N: int, moduli: list[int], workers: int) -> tuple[PrimeTable, list[list[int]]]:
-    """The table that every modulus of a sweep at N that computes
-    `moduli` reads, sieved up to N (sieve_primes), and the moduli dealt
-    to `workers` shares (deal) by their head work (see _BITSET_SWEEP_ROW):
-    phi(m) small-prime classes, each on up to phi(m) rows of candidates.
-    The table is packed or, where the int-bitset kernel runs, of odd
-    flags; see exceptional_sets_for_modulus.
-
-    The size rule on the moduli's total work picks the int-bitset kernel
-    for the whole sweep.  Each modulus's budget on the kernel it picks is
-    checked before the sieve, and deal caps the shares by the largest
-    count beside the table; the packed table's sieve imports numpy before
-    the caller forks its workers, so that they inherit it.
-    """
+def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object]) -> list[Job]:
+    """The jobs fn(m, table) of a sweep at N that computes `moduli`, in
+    order, each weighed by its head work (see _BITSET_SWEEP_ROW), phi(m)
+    small-prime classes on up to phi(m) rows each, and counting its
+    kernel's bytes beside the table (check_sweep_budget), checked before
+    the one sieve (sieve_primes) of the table that every job reads: of
+    odd flags where the size rule on the moduli's total work picks the
+    int-bitset kernel for the sweep, else packed, which imports numpy
+    before run_plan forks; see exceptional_sets_for_modulus."""
     row = max(((N - 2) // m + 1 for m in moduli), default=0)
-    work = {m: sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m)
-            for m in moduli}
-    bitset = row <= _BITSET_SWEEP_ROW or sum(work.values()) * row <= _BITSET_SWEEP_WORK
-    need = max((check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-1]
-                for m in moduli), default=0)
-    return sieve_primes(N, packed=not bitset), deal(moduli, work.get, workers, need)
+    work = [sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m) for m in moduli]
+    bitset = row <= _BITSET_SWEEP_ROW or sum(work) * row <= _BITSET_SWEEP_WORK
+    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-1]
+             for m in moduli]
+    table = sieve_primes(N, packed=not bitset)
+    return [Job(fn, (m, table), cost, need) for m, cost, need in zip(moduli, work, needs)]
 
 
 def exceptional_sets_for_modulus(
@@ -727,7 +731,7 @@ def exceptional_sets_for_modulus(
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1: a packed
     table runs the packed kernel (_sweep_stage1), one of odd flags the
-    int-bitset kernel (_bitset_sweep); sweep_table picks one for a whole
+    int-bitset kernel (_bitset_sweep); sweep_plan picks one for a whole
     sweep.
 
     E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,

@@ -452,17 +452,21 @@ class TestTables:
         assert sweep[4] == summaries.summarize_modulus(sets, 4)
 
     def test_moduli_dealt_heaviest_first(self):
+        def dealt(N, moduli, workers):  # the moduli of each share of the sweep's plan
+            shares = partitions.deal(partitions.sweep_plan(N, moduli, None), workers)
+            return [[job.args[0] for job in share] for share in shares]
+
         # phi(m)^2 (N - 2)//m at 10^4: m = 8 costs 19,984, m = 4 9,996,
         # m = 6 and m = 2 less
-        assert partitions.sweep_table(10**4, [2, 4, 6, 8], 3)[1] == [[8], [4], [6, 2]]
-        assert partitions.sweep_table(10**4, [2, 4, 6, 8], 1)[1] == [[8, 4, 6, 2]]
+        assert dealt(10**4, [2, 4, 6, 8], 3) == [[8], [4], [6, 2]]
+        assert dealt(10**4, [2, 4, 6, 8], 1) == [[8, 4, 6, 2]]
         # the computed moduli of the benchmark's desk (m <= 50) and rerun
         # (m <= 30) sweeps at 10^6 on 2 workers, pinned as phi(m)^2/m
         # dealt them, so that a change to the work figure that moves them
         # fails here
-        assert partitions.sweep_table(10**6, list(range(26, 51, 2)), 2)[1] == [
+        assert dealt(10**6, list(range(26, 51, 2)), 2) == [
             [46, 32, 34, 26, 48, 36], [44, 38, 50, 40, 28, 42, 30]]
-        assert partitions.sweep_table(10**6, list(range(16, 31, 2)), 2)[1] == [
+        assert dealt(10**6, list(range(16, 31, 2)), 2) == [
             [26, 16, 20, 18], [28, 22, 24, 30]]
 
     def test_reused_worker_table_checks_budget(self, monkeypatch):
@@ -688,8 +692,8 @@ def test_bitset_group_peak_memory_within_budget():
                 return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
 
         N = 2**23 + 1
-        need, _ = partitions._group_jobs(4, 3, [1, 3], partitions.default_stage1_bound(4, N), N, 1)
-        primes.DEFAULT_MEMORY_BUDGET_BYTES = need
+        [job] = partitions._group_jobs(4, 3, [1, 3], partitions.default_stage1_bound(4, N), N, 1)
+        need = primes.DEFAULT_MEMORY_BUDGET_BYTES = job.need
         base = status("VmRSS")
         sets = partitions.exceptional_sets([partitions.AdmissiblePair(a, 3, 4) for a in (1, 3)], N)
         print(need, status("VmHWM") - base <= need, "numpy" in sys.modules,
@@ -765,20 +769,18 @@ def test_cold_pool_starts_after_the_engine_import():
 
 def test_split_pair_maps_its_shares_after_the_numpy_import():
     # forked shares inherit numpy from the process that maps them, so that
-    # none imports it again: a pair of 8 windows of 64 entries, split in 2
+    # none imports it again: a pair of 8 windows of 64 entries, split in 2,
+    # has imported it once its plan is built, before the runner forks
     code = textwrap.dedent("""\
         import sys
         from apgoldbach import partitions
 
         partitions.SIEVE_SEGMENT_SIZE = 64
         seen = ["numpy" in sys.modules]
-
-        def share_map(fn, shares, *dead):
-            seen.append(("numpy" in sys.modules, len(shares)))
-            return list(map(fn, shares))
-
-        partitions.fork_map = share_map
-        es = partitions.exceptional_set(partitions.AdmissiblePair(1, 3, 4), 2000, workers=2)
+        pair = partitions.AdmissiblePair(1, 3, 4)
+        plan = partitions.batch_plan([pair], 2000, 2)
+        seen.append(("numpy" in sys.modules, len(partitions.deal(plan, 2, 64))))
+        es = partitions.exceptional_set(pair, 2000, workers=2)
         print(es.elements, seen)
     """)
     assert _fresh_python(code) == "(4,) [False, (True, 2)]\n"

@@ -173,3 +173,30 @@ def test_docs_patterns(text, found):
 def test_private_names_resolve(text, stale):
     # an unqualified private name must be defined by one of the modules
     assert _stale_names(text) == stale
+
+
+
+def _callers(name: str) -> list[str]:
+    """Each call of `name`, bare or as an attribute, in the package and
+    the scripts, as its file and innermost enclosing function."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                func = getattr(child, "func", None)
+                if isinstance(child, ast.Call) and name in (getattr(func, "id", None),
+                                                            getattr(func, "attr", None)):
+                    callers.append(f"{path.name}:{function}")
+                visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    return callers
+
+
+def test_one_runner_deals_and_forks():
+    # every plan, a sweep's or a batch's, runs through one runner: it alone
+    # deals the jobs to shares and forks them, and the pair route is
+    # picked in at most one place
+    assert _callers("fork_map") == ["partitions.py:run_plan"]
+    assert _callers("deal") == ["partitions.py:run_plan"]
+    assert len(_callers("_bitset_route")) <= 1

@@ -149,27 +149,22 @@ class TestExceptionalSet:
         (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False, True, True, True]),
     ])
     def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
-        # one count before anything is sieved or any share mapped: the
+        # one count as the plan is built, before anything is sieved or
+        # any share dealt: the
         # a-mask, 8 bytes an a-class entry for the prime indices, a window
         # and its copies (one segment, the a-class's length and 7 entries),
         # a gather block's scratch, as a sweep counts it, and the sieve;
         # the parts named add up to the bytes needed, and
         # the sieve's strike is sized by the larger of its buffers.  M = 2
         # < a leaves the a-class empty
-        sieved, mapped = [], []
+        sieved = []
         real = partitions.sieve_progression
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
-
-        def recorder(fn, shares, *dead):
-            mapped.append(shares)
-            return list(map(fn, shares))
-
-        monkeypatch.setattr(partitions, "fork_map", recorder)
         with pytest.raises(MemoryBudgetError) as exc:
-            exceptional_set(AdmissiblePair(3, 1, 4), N, M=M, workers=2)
-        assert sieved == mapped == []
+            partitions.batch_plan([AdmissiblePair(3, 1, 4)], N, 2, M)
+        assert sieved == []
         need, *parts = map(int, re.search(
             r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
             r"(\d+) of window and copies, (\d+) of gather scratch, "
@@ -742,15 +737,8 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
-    calls, real = [], partitions.fork_map
-
-    def share_map(fn, shares, *dead):
-        calls.append(len(shares))
-        return [fn(k) for k in reversed(shares)][::-1]
-
-    monkeypatch.setattr(partitions, "fork_map", share_map)
+    calls = [len(partitions.deal(partitions.batch_plan([pair], N, K, M), K, window))]
     es = exceptional_set(pair, N, M, K)
-    monkeypatch.setattr(partitions, "fork_map", real)
     assert es == exceptional_set(pair, N, M)
     assert es.stage1_survivors + len(es.elements) == len(unsplit)
     if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * window:
@@ -1005,26 +993,21 @@ def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, worker
     # order, whatever runs its shares.  Short segments put a modulus on
     # the packed route (more than two segments of candidates) or the
     # int-bitset one, and the fork floor (a segment of candidates per
-    # share) both above and below the drawn work.  A recording map sees
-    # each int-bitset (m, b) group run as one job, in exactly one share,
-    # and each packed pair as its K window jobs, in as many shares as the
-    # workers and the floor allow; fork_map runs them in two processes
+    # share) both above and below the drawn work.  The plan dealt on
+    # `workers` has each int-bitset (m, b) group as one job, in exactly
+    # one share, and each packed pair as its K window jobs, in as many
+    # shares as the workers and the floor allow
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", segment)
     expected = [_naive_batch_set(pair, N) for pair in pairs]
     assert exceptional_sets(pairs, N) == expected
-
-    ran, real, real_fork_map = [], partitions._job_sets, partitions.fork_map
-
-    def recorded(m, b, avals, M, share, N):
-        ran[-1].append((m, b, tuple(avals), share))
-        return real(m, b, avals, M, share, N)
-
-    def share_map(fn, shares, *dead):
-        return [ran.append([]) or fn(k) for k in shares]
-
-    monkeypatch.setattr(partitions, "_job_sets", recorded)
-    monkeypatch.setattr(partitions, "fork_map", share_map)
     assert exceptional_sets(pairs, N, workers) == expected
+
+    def args(job):  # (m, b, avals, share)
+        m, b, avals, _, share, *_ = job.args
+        return m, b, tuple(avals), share
+
+    plan = partitions.batch_plan(pairs, N, workers)
+    ran = [list(map(args, share)) for share in partitions.deal(plan, workers, segment)]
     jobs = []
     for m, b in dict.fromkeys((pair.m, pair.b) for pair in pairs):
         avals = tuple(dict.fromkeys(pair.a for pair in pairs if (pair.m, pair.b) == (m, b)))
@@ -1044,11 +1027,9 @@ def test_exceptional_sets_equal_one_pair_at_a_time(monkeypatch, pairs, N, worker
     loads = [sum(map(cost, share)) for share in ran]
     assert len(ran) == 1 or min(loads) >= segment
     if len(ran) < min(workers, len(jobs)):  # one more share would fall below the floor
-        more = partitions.deal(jobs, cost, len(ran) + 1)
-        assert min(sum(map(cost, share)) for share in more) < segment
+        more = partitions.deal(plan, len(ran) + 1)
+        assert min(sum(cost(args(job)) for job in share) for share in more) < segment
 
-    monkeypatch.setattr(partitions, "_job_sets", real)
-    monkeypatch.setattr(partitions, "fork_map", real_fork_map)
     assert exceptional_sets(pairs, N, 2) == expected
 
 
@@ -1075,25 +1056,22 @@ def _naive_batch_set(pair: AdmissiblePair, N: int) -> ExceptionalSet:
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_run_one_share(workers):
-    # as for one worker: one share, mapped here, for an int-bitset group
-    # (at 500, 125 candidates in 64-entry segments) and for a packed-route
-    # pair (at 5000, 20 windows)
+    # as for one worker: one share for an int-bitset group (at 500, 125
+    # candidates in 64-entry segments) and for a packed-route pair (at
+    # 5000, 20 windows), for the batch and for its first pair alone
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
         mapped = []
-
-        def share_map(fn, shares, *dead):
-            mapped.append(len(shares))
-            return list(map(fn, shares))
-
         pairs = [AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)]
         expected = [exceptional_sets(pairs, N) for N in (500, 5000)]
-        patch.setattr(partitions, "fork_map", share_map)
         for N, want in zip((500, 5000), expected):
             got = exceptional_sets(pairs, N, workers)
             assert [e.elements for e in got] == [(4,), (2,)]
             assert got == want
             assert exceptional_set(pairs[0], N, None, workers) == got[0]
+            for batch in (pairs, pairs[:1]):
+                plan = partitions.batch_plan(batch, N, workers)
+                mapped.append(len(partitions.deal(plan, workers, 64)))
         assert mapped == [1] * 4
 
 
@@ -1108,23 +1086,16 @@ def test_shares_at_once_fit_the_budget_together(monkeypatch, pairs, N, held):
     # shares than the budget holds of its largest job's count.  On 8
     # workers each case gets more shares than `held` under the default
     # budget, and `held` under one that holds that many of its largest
-    # job; the sets stay those of one worker.  The shares run here
+    # job; the sets stay those of one worker
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 256)
-    mapped, needs, real = [], [], partitions.check_budget
-
-    def share_map(fn, shares, *dead):
-        mapped.append(len(shares))
-        return list(map(fn, shares))
-
-    monkeypatch.setattr(partitions, "fork_map", share_map)
-    monkeypatch.setattr(partitions, "check_budget",
-                        lambda need, detail: needs.append(need) or real(need, detail))
     expected = exceptional_sets(pairs, N)
+    plan = partitions.batch_plan(pairs, N, 8)
     assert exceptional_sets(pairs, N, 8) == expected
-    assert mapped[-1] > held
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", (held + 1) * max(needs) - 1)
+    assert len(partitions.deal(plan, 8, 256)) > held
+    need = max(job.need for job in plan)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", (held + 1) * need - 1)
     assert exceptional_sets(pairs, N, 8) == expected
-    assert mapped[-1] == held
+    assert len(partitions.deal(plan, 8, 256)) == held
 
 
 def test_sweep_shares_at_once_fit_the_budget_together(monkeypatch):
@@ -1135,63 +1106,57 @@ def test_sweep_shares_at_once_fit_the_budget_together(monkeypatch):
     # sieved
     monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 625_000 + 3 * 7_100_288)
-    packed, shares = partitions.sweep_table(10**7, list(range(102, 201, 2)), 100)
-    assert packed and len(shares) == 3
-    assert sorted(sum(shares, [])) == list(range(102, 201, 2))
+    jobs = partitions.sweep_plan(10**7, list(range(102, 201, 2)), None)
+    shares = partitions.deal(jobs, 100)
+    assert all(job.args[1] for job in jobs) and len(shares) == 3
+    assert sorted(job.args[0] for share in shares for job in share) == list(range(102, 201, 2))
 
 
 _DEEP_LIMIT = 2 * 10**8
 
 
-@pytest.mark.parametrize("run,shares", [
-    (lambda: verify_conjecture_mod4(5 * 10**6, 2),
+# the pairs that verify_conjecture_samples lifts to an even modulus
+_CONJ3_PAIRS = [AdmissiblePair(*pair) for pair in (
+    (1, 5, 6), (7, 3, 10), (1, 9, 10), (3, 11, 14), (3, 19, 22), (3, 5, 8), (3, 13, 16),
+    (7, 53, 60))]
+
+
+@pytest.mark.parametrize("pairs,N,shares", [
+    (_CONJ2_PAIRS, 5 * 10**6,
      [[(4, 3, (1, 3), 10000, (0, 1))], [(4, 1, (1,), 10000, (0, 1))]]),
-    (lambda: verify_conjecture_samples(5 * 10**6, 7, 2),
+    (_CONJ3_PAIRS, 5 * 10**6,
      [[(6, 5, (1,), 10000, (0, 1)), (10, 9, (1,), 10000, (0, 1)),
        (16, 13, (3,), 10000, (0, 1)), (60, 53, (7,), 50291, (0, 1))],
       [(8, 5, (3,), 10000, (0, 1)), (10, 3, (7,), 10000, (0, 1)),
        (14, 11, (3,), 10000, (0, 1)), (22, 19, (3,), 10510, (0, 1))]]),
-    (lambda: verify_ternary(5 * 10**6, 2), [[(6, 5, (5,), 10000, (0, 1))]]),
-    *[(lambda a=a, b=b: exceptional_set(AdmissiblePair(a, b, 4), _DEEP_LIMIT, None, 2),
+    ([AdmissiblePair(5, 5, 6)], 5 * 10**6, [[(6, 5, (5,), 10000, (0, 1))]]),
+    *[([AdmissiblePair(a, b, 4)], _DEEP_LIMIT,
        [[(4, b, (a,), 10000, (0, 2))], [(4, b, (a,), 10000, (1, 2))]])
       for a, b in ((1, 1), (1, 3), (3, 1), (3, 3))],
 ], ids=["conj2", "conj3", "ternary", "deep-1-1", "deep-1-3", "deep-3-1", "deep-3-3"])
-def test_benchmark_batches_keep_their_jobs(monkeypatch, run, shares):
+def test_benchmark_batches_keep_their_jobs(pairs, N, shares):
     # the shares of (m, b, avals, M, share) that the batches of the verify
-    # and deep workloads deal on 2 workers, recorded with the shares run
-    # here in turn and no job sieved
-    ran = []
-
-    def recorded(m, b, avals, M, share, N):
-        ran[-1].append((m, b, tuple(avals), M, share))
-        return [((a, b, m), (), 0) for a in avals]
-
-    monkeypatch.setattr(partitions, "_job_sets", recorded)
-    monkeypatch.setattr(partitions, "fork_map",
-                        lambda fn, shares, *dead: [ran.append([]) or fn(k) for k in shares])
-    run()
-    assert ran == shares
+    # workload (the pairs of verify_conjecture_mod4,
+    # verify_conjecture_samples and verify_ternary) and of the deep
+    # workload deal on 2 workers, read off the plan with no job run
+    dealt = partitions.deal(partitions.batch_plan(pairs, N, 2), 2, partitions.SIEVE_SEGMENT_SIZE)
+    assert [[(m, b, tuple(avals), M, share) for m, b, avals, M, share, *_ in
+             (job.args for job in jobs)] for jobs in dealt] == shares
 
 
 def test_pair_budget_checked_before_any_sieve_or_share(monkeypatch):
-    # a packed-route pair of a verifier's batch is counted before the
-    # jobs are dealt: conj2 at 5000 in 64-entry windows, on 2 workers,
-    # neither sieves nor maps a share
-    sieved, mapped = [], []
+    # a packed-route pair of a verifier's batch is counted as the plan is
+    # built, before the jobs are dealt: conj2's pairs at 5000 in 64-entry
+    # windows, on 2 workers, neither sieve nor deal a share
+    sieved = []
     real = partitions.sieve_progression
     monkeypatch.setattr(partitions, "sieve_progression",
                         lambda *args: sieved.append(args[:2]) or real(*args))
     monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 64)
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1000)
-
-    def recorder(fn, shares, *dead):
-        mapped.append(shares)
-        return list(map(fn, shares))
-
-    monkeypatch.setattr(partitions, "fork_map", recorder)
     with pytest.raises(MemoryBudgetError, match=r"^pair AdmissiblePair\(a=1, b=3, m=4\) at N=5000"):
-        verify_conjecture_mod4(5000, 2)
-    assert sieved == mapped == []
+        partitions.batch_plan(_CONJ2_PAIRS, 5000, 2)
+    assert sieved == []
 
 
 def test_group_shares_one_b_class_row(monkeypatch):
@@ -1233,7 +1198,12 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
 def test_deal_heaviest_first_to_the_least_loaded():
     # equal costs keep their order; each item joins the first share of
     # least load, and there are no more shares than items
-    cost = {"a": 5, "b": 3, "c": 3, "d": 2, "e": 1}.get
-    assert partitions.deal(list("edcba"), cost, 2) == [["a", "d"], ["c", "b", "e"]]
-    assert partitions.deal(list("ab"), cost, 4) == [["a"], ["b"]]
-    assert partitions.deal([], cost, 2) == []
+    cost = {"a": 5, "b": 3, "c": 3, "d": 2, "e": 1}
+
+    def deal(items, workers):
+        jobs = [partitions.Job(None, (x,), cost[x], 0) for x in items]
+        return [[job.args[0] for job in share] for share in partitions.deal(jobs, workers)]
+
+    assert deal("edcba", 2) == [["a", "d"], ["c", "b", "e"]]
+    assert deal("ab", 4) == [["a"], ["b"]]
+    assert deal("", 2) == []

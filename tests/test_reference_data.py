@@ -61,7 +61,7 @@ def test_every_modulus_to_200_matches_the_frozen_tables(sweep_m200, which):
 
 
 def _force_kernel(patch: pytest.MonkeyPatch, kernel: str) -> None:
-    """Make partitions.sweep_table pick `kernel` for every sweep."""
+    """Make partitions.sweep_plan pick `kernel` for every sweep."""
     bitset = kernel == "int-bitset"
     patch.setattr(partitions, "_BITSET_SWEEP_ROW", 10**12 if bitset else 0)
     patch.setattr(partitions, "_BITSET_SWEEP_WORK", 10**30 if bitset else 0)

@@ -162,10 +162,35 @@ def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fai
                 out = out._replace(bits=memoryview(bits).toreadonly())
             return out
 
+        # the script sieves through primes, the sweep's plan through partitions
         monkeypatch.setattr(primes, "sieve_primes", flipped)
+        monkeypatch.setattr(partitions, "sieve_primes", flipped)
     monkeypatch.setattr(sys, "argv", ["cross_check.py", "--m-min", "8", "--m-max", "12",
                                       "--limit", "10000", "--threads", "1"])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / "cross_check.py"), run_name="__main__")
     assert exc.value.code == cli.EXIT_FAIL
     assert capsys.readouterr() == (fail, "")
+
+
+@pytest.mark.parametrize("limit,planned", [("10000", False), ("5000000", True)],
+                         ids=["int-bitset", "packed"])
+def test_cross_check_sieves_each_table_once(capsys, monkeypatch, limit, planned):
+    # the sweep's plan sieves the table that its kernel reads, and the
+    # script only the other kind: one packed table and one of odd flags,
+    # whichever kernel the plan picks (the packed one past 10^4 candidates
+    # a row and 5*10^12 of head work times row)
+    sieved, real = [], primes.sieve_primes
+
+    def recorded(where):
+        return lambda limit, packed=True: sieved.append((where, packed)) or real(limit, packed)
+
+    monkeypatch.setattr(primes, "sieve_primes", recorded("script"))
+    monkeypatch.setattr(partitions, "sieve_primes", recorded("plan"))
+    monkeypatch.setattr(sys, "argv", ["cross_check.py", "--m-min", "8", "--m-max", "8",
+                                      "--limit", limit, "--threads", "1"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "cross_check.py"), run_name="__main__")
+    assert exc.value.code == cli.EXIT_OK
+    assert sieved == [("plan", planned), ("script", not planned)]
+    assert capsys.readouterr().out.startswith("m = 8: 10 pairs agree, 128 table entries ")
