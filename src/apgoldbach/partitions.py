@@ -32,8 +32,10 @@ run in other processes.
 
 The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
 bytearray row by row, as the binary digits of one Python int
-(_bits_from_bytes), so a shift is one int shift; after the head's ORs,
-each unset bit tries the remaining primes on the row's bytes.  A
+(_bits_from_bytes), so a shift is one int shift, made once for each
+index in any small-prime class's head (_head_shifts) and ORed into the
+marks of every class whose head holds it; after the head, each unset
+bit tries the remaining primes on the row's bytes.  A
 modulus sweep on it (_bitset_sweep) copies a row of every unit class
 out of an unpacked table's odd flags (primes.PrimeTable.primes), and
 each small-prime class a runs on its rows b >= a; sweep_plan picks it,
@@ -306,6 +308,17 @@ def _bits_from_bytes(entries: bytes | bytearray) -> int:
     return bits
 
 
+def _head_shifts(classes: list[tuple], head: int) -> dict[int, list[int]]:
+    """Each prime index among the first `head` of some class (a, pidx, k),
+    ascending, mapped to the positions in `classes` of the classes whose
+    head holds it: _bitset_stage1 shifts once per index."""
+    shifts: dict[int, list[int]] = {}
+    for c, (_, pidx, _) in enumerate(classes):
+        for i in pidx[:head]:
+            shifts.setdefault(i, []).append(c)
+    return dict(sorted(shifts.items()))
+
+
 def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int, count: int,
                    classes: list[tuple], head: int) -> dict[tuple[int, int], list[int]]:
     """Stage 1 on Python int bitsets of each small-prime class (a, pidx, k),
@@ -317,25 +330,31 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
     byte s its entry s; its digits (_bits_from_bytes) are one bitset, the
     first row in the top bits.  Below its `count` entries each row has at
     least pidx[head - 1] bits of 0, so shift i, which marks s where entry
-    s - i is prime, is bitset >> i; `pads` has those bits set.  Class a's
-    rows are its low bits from row k on, so one shift marks them all.  The
-    first `head` shifts OR into the marks; each unset bit of a candidate,
-    found in the bytes that hold any (to_bytes, translate, find), then
-    tries the remaining indices i <= s in order, on the row's bytes, up to
-    its first hit."""
+    s - i is prime, is bitset >> i; `pads` has those bits set.  Every
+    class's marks, one bitset each, are alive at once: each index in the
+    first `head` of any class (_head_shifts) shifts the whole bitset once,
+    and that shift ORs into the marks of every class whose head holds it.
+    Class a's rows are then its marks' low bits, from row k on; each unset
+    bit of a candidate there, found in the bytes that hold any (to_bytes,
+    translate, find), tries the remaining indices i <= s in order, on the
+    row's bytes, up to its first hit."""
     bitset = _bits_from_bytes(entries)
     pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * len(bs),
                           "big")  # every row's bits below its candidates
+    marks = [pads >> (k * width) for _, _, k in classes]
+    del pads
+    for i, holders in _head_shifts(classes, head).items():
+        shifted = bitset >> i
+        for c in holders:
+            marks[c] |= shifted  # also into rows above k, which class c never reads
+        del shifted  # before the next shift
+    del bitset
     out: dict[tuple[int, int], list[int]] = {}
-    for a, pidx, k in classes:
+    for c, (a, pidx, k) in enumerate(classes):
         rows, tail = bs[k:], pidx[head:] + [width]  # the tail ends past every s
         counts = [(N - a - b) // m + 1 for b in rows]  # candidates s < count
-        suffix = bitset & ((1 << (len(rows) * width)) - 1) if k else bitset
-        marks = pads >> (k * width)
-        for i in pidx[:head]:
-            marks |= suffix >> i
-        scan = marks.to_bytes(len(rows) * width // 8, "big")
-        del suffix, marks
+        scan = (marks[c] & ((1 << (len(rows) * width)) - 1)).to_bytes(len(rows) * width // 8, "big")
+        marks[c] = 0
         unset, found = scan.translate(_UNSET_BYTE), [[] for _ in rows]
         x = unset.find(1)
         while x >= 0:
@@ -349,7 +368,7 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
                     if i > s:
                         found[r].append(s)
             x = unset.find(1, x + 1)
-        del scan, unset  # before the next class's marks
+        del scan, unset  # before the next class's scan
         for b, s in zip(rows, found):  # a + b - m >= 2 is no p + q and leads
             out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
     return out
@@ -398,20 +417,25 @@ def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int
 
 class Job(NamedTuple):
     """The unit of work of a plan, which goes whole to one worker share:
-    kernel(*args), dealt by its cost, counting `need` bytes as it runs."""
+    kernel(*args), dealt by its cost, counting `need` bytes as it runs
+    beside the `shared` bytes that every share of its plan reads (a
+    sweep's table)."""
 
     kernel: Callable
     args: tuple
     cost: float
     need: int
+    shared: int = 0
 
 
 def deal(jobs: list[Job], workers: int, floor: float = 0) -> list[list[Job]]:
-    """The jobs dealt to min(workers, len(jobs), budget // the largest
-    need) shares, or one if workers < 1, and to one fewer while one of
-    two or more costs less than `floor`: heaviest first, each to the
-    share with the least cost so far (the first of equals)."""
-    workers = min(workers, primes.DEFAULT_MEMORY_BUDGET_BYTES // max([1] + [j.need for j in jobs]))
+    """The jobs dealt to min(workers, len(jobs), (budget - the largest
+    shared) // the largest need) shares, or one if that is below 1, and
+    to one fewer while one of two or more costs less than `floor`:
+    heaviest first, each to the share with the least cost so far (the
+    first of equals)."""
+    held = primes.DEFAULT_MEMORY_BUDGET_BYTES - max([0] + [j.shared for j in jobs])
+    workers = min(workers, held // max([1] + [j.need for j in jobs]))
     count = min(max(1, workers), len(jobs))
     while True:
         shares, loads = [[] for _ in range(count)], [0.0] * count
@@ -527,8 +551,9 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     the budget.  Where every pair of m has under _MIN_SHARE_WINDOWS
     windows, so none splits, the group is one int-bitset job
     (_bitset_group), counting every a-mask, the row's entry bytes and
-    their eight slices, five bitsets' bytes (the row, the marks, a shift,
-    the scan's two strings) and the sieve's pattern, base primes and
+    their eight slices, the marks of every a-class at once, the row's
+    bitset, its pads and a shift, the scan's two strings of one a-class,
+    each a bitset's bytes, and the sieve's pattern, base primes and
     strike.  On the packed route each pair's jobs are shares (k, K) of its
     windows (_pair_share), as many as `workers` allows while each gets
     _MIN_SHARE_WINDOWS; a share counts the a-class mask and prime indices,
@@ -537,12 +562,14 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
         width = (max(counts) + max(entries) + 7) // 8 * 8  # the row, padded past every shift
-        masks, row, bitsets = sum(entries), 2 * width, 5 * width // 8
+        masks, row, bitset = sum(entries), 2 * width, width // 8
+        marks, bitsets, scan = len(avals) * bitset, 3 * bitset, 2 * bitset
         sieve = sieve_overhead_bytes(N, max(entries + [width]))
-        need = masks + row + bitsets + sieve
+        need = masks + row + marks + bitsets + scan + sieve
         check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
                      f"({masks} of small-prime masks, {row} of entries and their slices, "
-                     f"{bitsets} of bitsets and scan, {sieve} of sieve pattern and base primes)")
+                     f"{marks} of marks, {bitsets} of bitset, pads and shift, {scan} of scan, "
+                     f"{sieve} of sieve pattern and base primes)")
         return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
     jobs = []
     for a, e, count in zip(avals, entries, counts):
@@ -612,19 +639,19 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
 
 
 def check_sweep_budget(m: int, N: int, M: int,
-                       packed: bool = True) -> tuple[list[int], int, int, int, int]:
-    """(units, span, step, width, need) of a sweep of m at N: the unit
-    classes, the largest prime index up to M, the packed kernel's
-    candidates a window and bytes a class's copy, and the bytes that the
-    kernel's storage counts beside the table.  First, MemoryBudgetError
-    unless they fit the budget beside the table.  The packed kernel
-    (_sweep_stage1) holds every class's copies over a window and up to M,
-    one pass's marks and a gather block's scratch (32 bytes an element);
-    only the table grows with N.
+                       packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
+    """(units, span, step, width, need, table) of a sweep of m at N: the
+    unit classes, the largest prime index up to M, the packed kernel's
+    candidates a window and bytes a class's copy, the bytes that the
+    kernel's storage counts beside the table and the table's bytes.
+    First, MemoryBudgetError unless they fit the budget beside the table.
+    The packed kernel (_sweep_stage1) holds every class's copies over a
+    window and up to M, one pass's marks and a gather block's scratch (32
+    bytes an element); only the table grows with N.
     The int-bitset kernel (_bitset_sweep) holds the odd flags, every row's
-    entry bytes and their eight slices, and then, counted as six bitsets
-    of every row, the rows, the pad mask, a class's suffix, marks and
-    shift, and the scan's two byte strings."""
+    entry bytes and their eight slices, and then, each a bitset of every
+    row, the marks of every small-prime class at once, the bitset, its
+    pads and a shift, and one class's two scan strings."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = ((N + 1) // 2 + 7) // 8
@@ -638,13 +665,15 @@ def check_sweep_budget(m: int, N: int, M: int,
         detail = (f"{table} of table, {copies} of class copies, {marks} of marks, "
                   f"{scratch} of gather scratch")
     else:
+        table *= 8  # odd flags
         rows = 2 * len(units) * ((N - 2) // m + span + 8)
-        bitsets = 6 * (rows // 16 + 1)
-        need = 8 * table + rows + bitsets
-        detail = (f"{8 * table} of odd flags, {rows} of row entries and their slices, "
-                  f"{bitsets} of bitsets and scan")
+        bitset = rows // 16 + 1
+        marks, bitsets, scan = len(units) * bitset, 3 * bitset, 2 * bitset
+        need = table + rows + marks + bitsets + scan
+        detail = (f"{table} of odd flags, {rows} of row entries and their slices, "
+                  f"{marks} of marks, {bitsets} of bitset, pads and shift, {scan} of scan")
     check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({detail})")
-    return units, span, step, width, need - (table if packed else 8 * table)
+    return units, span, step, width, need - table, table
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -659,7 +688,7 @@ def _sweep_stage1(m: int, N: int, M: int,
     each other there and share a's primes, so one OR marks every row."""
     import numpy as np
 
-    units, span, step, width, _ = check_sweep_budget(m, N, M)
+    units, span, step, width, *_ = check_sweep_budget(m, N, M)
     small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
     table.mask(min(M, N - 1), m, units, small)
     pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
@@ -712,17 +741,18 @@ def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object
     order, each weighed by its head work (see _BITSET_SWEEP_ROW), phi(m)
     small-prime classes on up to phi(m) rows each, and counting its
     kernel's bytes beside the table (check_sweep_budget), checked before
-    the one sieve (sieve_primes) of the table that every job reads: of
-    odd flags where the size rule on the moduli's total work picks the
-    int-bitset kernel for the sweep, else packed, which imports numpy
-    before run_plan forks; see exceptional_sets_for_modulus."""
+    the one sieve (sieve_primes) of the table that every job reads, and
+    counts as shared: of odd flags where the size rule on the moduli's
+    total work picks the int-bitset kernel for the sweep, else packed,
+    which imports numpy before run_plan forks; see
+    exceptional_sets_for_modulus."""
     row = max(((N - 2) // m + 1 for m in moduli), default=0)
     work = [sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m) for m in moduli]
     bitset = row <= _BITSET_SWEEP_ROW or sum(work) * row <= _BITSET_SWEEP_WORK
-    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-1]
+    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-2:]
              for m in moduli]
     table = sieve_primes(N, packed=not bitset)
-    return [Job(fn, (m, table), cost, need) for m, cost, need in zip(moduli, work, needs)]
+    return [Job(fn, (m, table), cost, *need) for m, cost, need in zip(moduli, work, needs)]
 
 
 def exceptional_sets_for_modulus(

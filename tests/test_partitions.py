@@ -847,6 +847,100 @@ def test_both_pair_kernels_agree_at_verify_scale(bound):
     assert kept == ([85, 15, 85, 1] if bound else [1, 1, 5, 1])
 
 
+def _recorded_head_shifts(monkeypatch) -> list:
+    """(classes, head, schedule) of every _head_shifts call from here on."""
+    seen, real = [], partitions._head_shifts
+
+    def recorded(classes, head):
+        seen.append((classes, head, real(classes, head)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(partitions, "_head_shifts", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("M,head", [(2, 64), (10**4, 0)], ids=["M-below-a", "head-0"])
+def test_bitset_stage1_without_a_head_shift(monkeypatch, flags_1e5, M, head):
+    # no class has a head index, M below every a-class's first prime or a
+    # head of 0, so no shift is made and the tails alone mark: a sweep of
+    # m = 10 and a group of three a-classes leave the naive survivors
+    seen = _recorded_head_shifts(monkeypatch)
+    monkeypatch.setattr(partitions, "_BITSET_HEAD_PRIMES", head)
+    monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
+    N = 2000
+    sweep = partitions._bitset_sweep(10, N, M, flags_1e5)
+    for (a, b), survivors in sweep.items():
+        assert survivors == naive_stage1_unresolved(a, b, 10, N, M), (a, b)
+    group = partitions._bitset_group(3, [1, 3, 7], 10, N, M)
+    assert group == [naive_stage1_unresolved(a, 3, 10, N, M) for a in (1, 3, 7)]
+    assert [shifts for _, _, shifts in seen] == [{}, {}]
+
+
+def test_bitset_stage1_classes_with_disjoint_heads(monkeypatch):
+    # with a head of one shift, class 1 mod 4 shifts by its index of 5
+    # and class 3 by its index of 3: each shift ORs into one class only
+    seen = _recorded_head_shifts(monkeypatch)
+    monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 1)
+    N, M = 3000, 100
+    group = partitions._bitset_group(3, [1, 3], 4, N, M)
+    assert [shifts for _, _, shifts in seen] == [{0: [1], 1: [0]}]
+    assert group == [naive_stage1_unresolved(a, 3, 4, N, M) for a in (1, 3)]
+    assert group == [partitions._pair_share(AdmissiblePair(a, 3, 4), N, M) for a in (1, 3)]
+
+
+def test_bitset_stage1_cuts_each_class_to_its_rows(flags_1e5):
+    # in a sweep of m = 30 class k runs on rows k to 7 only, its marks cut
+    # from the full-length shifts; every pair a <= b leaves the naive
+    # survivors, the last class its one row
+    N = 5000
+    M = partitions.default_stage1_bound(30, N)
+    sweep = partitions._bitset_sweep(30, N, M, flags_1e5)
+    assert len(sweep) == 36
+    for (a, b), survivors in sweep.items():
+        assert survivors == naive_stage1_unresolved(a, b, 30, N, M), (a, b)
+
+
+def test_bitset_group_of_one_a_class():
+    # a group of one a-class, b among the a-classes or not, at the default
+    # head and bound, as the unsplit packed pair leaves it
+    N = 20000
+    M = partitions.default_stage1_bound(6, N)
+    for a, b in ((5, 5), (1, 5)):
+        [group] = partitions._bitset_group(b, [a], 6, N, M)
+        assert group == partitions._pair_share(AdmissiblePair(a, b, 6), N, M)
+        assert group == naive_stage1_unresolved(a, b, 6, N, M)
+
+
+def _schedule_totals(seen) -> list[int]:
+    """[shifts, ORs] over the schedules `seen`, after checking that each
+    class's head is listed once, ascending, under its own indices."""
+    for classes, head, shifts in seen:
+        assert list(shifts) == sorted(shifts)
+        held = [[] for _ in classes]
+        for i, positions in shifts.items():
+            for c in positions:
+                held[c].append(i)
+        assert held == [pidx[:head] for _, pidx, _ in classes]
+    return [sum(len(shifts) for *_, shifts in seen),
+            sum(len(c) for *_, shifts in seen for c in shifts.values())]
+
+
+def test_head_shift_counts_of_the_benchmark_runs(monkeypatch, flags_1e6):
+    # the int kernel's head work as counts, which repeat where time does
+    # not: the desk sweep's computed moduli, m = 26-50 at 10^6, shift 2,049
+    # times for 200 classes of 48 ORs, and conj2's group (m, b) = (4, 3),
+    # a in [1, 3], at 5*10^6 113 times for 2 classes of 64 ORs
+    seen = _recorded_head_shifts(monkeypatch)
+    N = 10**6
+    for m in range(26, 51, 2):
+        partitions._bitset_sweep(m, N, partitions.default_stage1_bound(m, N), flags_1e6)
+    assert _schedule_totals(seen) == [2049, 9600]
+    seen.clear()
+    N = 5 * 10**6
+    partitions._bitset_group(3, [1, 3], 4, N, partitions.default_stage1_bound(4, N))
+    assert _schedule_totals(seen) == [113, 128]
+
+
 @given(st.integers(0, 64).flatmap(
     lambda n: st.lists(st.sampled_from(b"\0\1"), min_size=8 * n, max_size=8 * n).map(bytes)))
 @example(b"")
@@ -941,7 +1035,7 @@ class TestKernelSelection:
             assert peak < 4 * 2**21, avals
 
     def test_bitset_budget_checked_before_allocating(self, monkeypatch):
-        # the kernel counts its buffers, about 2.6 bytes an entry, and
+        # the kernel counts its buffers, about 2.9 bytes an entry, and
         # raises before it sieves anything
         sieved = []
         real = partitions.sieve_progression
@@ -1110,6 +1204,22 @@ def test_sweep_shares_at_once_fit_the_budget_together(monkeypatch):
     shares = partitions.deal(jobs, 100)
     assert all(job.args[1] for job in jobs) and len(shares) == 3
     assert sorted(job.args[0] for share in shares for job in share) == list(range(102, 201, 2))
+    need = max(job.need for job in jobs)
+    assert need == 7_100_288 and {job.shared for job in jobs} == {625_000}
+    assert 625_000 + len(shares) * need <= primes.DEFAULT_MEMORY_BUDGET_BYTES
+
+
+def test_sweep_share_cap_leaves_room_for_the_table(monkeypatch):
+    # a budget of three of those counts and one byte holds three shares
+    # only without the 625,000-byte table that they all read (21,925,864
+    # bytes with it): the cap takes the table off the budget first and
+    # deals to 2 shares.  Nothing is sieved
+    monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 3 * 7_100_288 + 1)
+    jobs = partitions.sweep_plan(10**7, list(range(102, 201, 2)), None)
+    shares = partitions.deal(jobs, 100)
+    assert len(shares) == 2
+    assert 625_000 + len(shares) * 7_100_288 <= primes.DEFAULT_MEMORY_BUDGET_BYTES
 
 
 _DEEP_LIMIT = 2 * 10**8
@@ -1173,8 +1283,9 @@ def test_group_shares_one_b_class_row(monkeypatch):
 
 def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     # one count per group before anything is sieved: every a-mask, the
-    # shared row's entries and their eight slices, its bitsets and scan,
-    # and the sieve; the parts named add up to the bytes needed
+    # shared row's entries and their eight slices, the marks of both
+    # a-classes, the bitset, its pads and a shift, one a-class's scan, and
+    # the sieve; the parts named add up to the bytes needed
     sieved = []
     real = partitions.sieve_progression
     monkeypatch.setattr(partitions, "sieve_progression",
@@ -1186,13 +1297,15 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     assert sieved == []
     need, *parts = map(int, re.search(
         r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries and their "
-        r"slices, (\d+) of bitsets and scan, (\d+) of sieve pattern and base primes\)",
+        r"slices, (\d+) of marks, (\d+) of bitset, pads and shift, (\d+) of scan, "
+        r"(\d+) of sieve pattern and base primes\)",
         str(exc.value),
     ).groups())
     assert sum(parts) == need > 2 * 10**6
     M = partitions.default_stage1_bound(4, N)
     nbytes = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8  # the row, past every shift
-    assert parts[:3] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 16 * nbytes, 5 * nbytes]
+    assert parts[:5] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 16 * nbytes, 2 * nbytes,
+                         3 * nbytes, 2 * nbytes]
 
 
 def test_deal_heaviest_first_to_the_least_loaded():
