@@ -32,10 +32,11 @@ run in other processes.
 
 The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
 bytearray row by row, as the binary digits of one Python int
-(_bits_from_bytes), so a shift is one int shift, made once for each
-index in any small-prime class's head (_head_shifts) and ORed into the
-marks of every class whose head holds it; after the head, each unset
-bit tries the remaining primes on the row's bytes.  A
+(_bits_from_bytes), so a shift is one int shift.  Its small-prime
+classes run in chunks, as many as its budget counts, and within a chunk
+a shift is made once for each index in any class's head (_head_shifts)
+and ORed into the marks of every class whose head holds it; after the
+head, each unset bit tries the remaining primes on the row's bytes.  A
 modulus sweep on it (_bitset_sweep) copies a row of every unit class
 out of an unpacked table's odd flags (primes.PrimeTable.primes), and
 each small-prime class a runs on its rows b >= a; sweep_plan picks it,
@@ -310,67 +311,73 @@ def _bits_from_bytes(entries: bytes | bytearray) -> int:
 
 def _head_shifts(classes: list[tuple], head: int) -> dict[int, list[int]]:
     """Each prime index among the first `head` of some class (a, pidx, k),
-    ascending, mapped to the positions in `classes` of the classes whose
-    head holds it: _bitset_stage1 shifts once per index."""
+    mapped to the positions in `classes` of the classes whose head holds
+    it: _bitset_stage1 shifts once per index."""
     shifts: dict[int, list[int]] = {}
     for c, (_, pidx, _) in enumerate(classes):
         for i in pidx[:head]:
             shifts.setdefault(i, []).append(c)
-    return dict(sorted(shifts.items()))
+    return shifts
 
 
 def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int, count: int,
-                   classes: list[tuple], head: int) -> dict[tuple[int, int], list[int]]:
+                   classes: list[tuple], head: int,
+                   chunk: int) -> dict[tuple[int, int], list[int]]:
     """Stage 1 on Python int bitsets of each small-prime class (a, pidx, k),
-    pidx its prime indices up to M, with each b in bs[k:]: keyed (a, b),
-    the candidates n <= N not representable with p <= M, ascending, as
-    _window finds them, led by a + b - m if that is at least 2 (no p + q).
+    k ascending, pidx its prime indices up to M, with each b in bs[k:]:
+    keyed (a, b), the candidates n <= N not representable with p <= M,
+    ascending, as _window finds them, led by a + b - m if that is at least
+    2 (no p + q).
 
     `entries` holds a row of `width` bytes, a multiple of 8, per b in bs,
     byte s its entry s; its digits (_bits_from_bytes) are one bitset, the
     first row in the top bits.  Below its `count` entries each row has at
     least pidx[head - 1] bits of 0, so shift i, which marks s where entry
-    s - i is prime, is bitset >> i; `pads` has those bits set.  Every
-    class's marks, one bitset each, are alive at once: each index in the
-    first `head` of any class (_head_shifts) shifts the whole bitset once,
-    and that shift ORs into the marks of every class whose head holds it.
-    Class a's rows are then its marks' low bits, from row k on; each unset
-    bit of a candidate there, found in the bytes that hold any (to_bytes,
-    translate, find), tries the remaining indices i <= s in order, on the
-    row's bytes, up to its first hit."""
+    s - i is prime, is bitset >> i; `pads` has those bits set.  The
+    classes run `chunk` at a time, on the low bits that hold the rows of
+    the chunk's first class, its suffix, with every chunk class's marks
+    alive at once: each index in the first `head` of any of them
+    (_head_shifts) shifts the suffix once, and that shift ORs into the
+    marks of every class whose head holds it.  Class a's rows are then its
+    marks' low bits, from row k on; each unset bit of a candidate there,
+    found in the bytes that hold any (to_bytes, translate, find), tries
+    the remaining indices i <= s in order, on the row's bytes, up to its
+    first hit."""
     bitset = _bits_from_bytes(entries)
     pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * len(bs),
                           "big")  # every row's bits below its candidates
-    marks = [pads >> (k * width) for _, _, k in classes]
-    del pads
-    for i, holders in _head_shifts(classes, head).items():
-        shifted = bitset >> i
-        for c in holders:
-            marks[c] |= shifted  # also into rows above k, which class c never reads
-        del shifted  # before the next shift
-    del bitset
     out: dict[tuple[int, int], list[int]] = {}
-    for c, (a, pidx, k) in enumerate(classes):
-        rows, tail = bs[k:], pidx[head:] + [width]  # the tail ends past every s
-        counts = [(N - a - b) // m + 1 for b in rows]  # candidates s < count
-        scan = (marks[c] & ((1 << (len(rows) * width)) - 1)).to_bytes(len(rows) * width // 8, "big")
-        marks[c] = 0
-        unset, found = scan.translate(_UNSET_BYTE), [[] for _ in rows]
-        x = unset.find(1)
-        while x >= 0:
-            for y in _UNSET_BITS[scan[x]]:
-                r, s = divmod(8 * x + y, width)
-                if s < counts[r]:
-                    j = k * width + 8 * x + y  # entry s of row r
-                    for i in tail:
-                        if i > s or entries[j - i]:
-                            break
-                    if i > s:
-                        found[r].append(s)
-            x = unset.find(1, x + 1)
-        del scan, unset  # before the next class's scan
-        for b, s in zip(rows, found):  # a + b - m >= 2 is no p + q and leads
-            out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
+    for first in range(0, len(classes), chunk):
+        part, low = classes[first : first + chunk], classes[first][2]
+        suffix = bitset & ((1 << ((len(bs) - low) * width)) - 1) if low else bitset
+        marks = [pads >> (k * width) for _, _, k in part]
+        for i, holders in _head_shifts(part, head).items():
+            shifted = suffix >> i
+            for c in holders:
+                marks[c] |= shifted  # also into rows above k, which class c never reads
+            del shifted  # before the next shift
+        del suffix
+        for c, (a, pidx, k) in enumerate(part):
+            rows, tail = bs[k:], pidx[head:] + [width]  # the tail ends past every s
+            counts = [(N - a - b) // m + 1 for b in rows]  # candidates s < count
+            size = len(rows) * width
+            scan, marks[c] = (marks[c] & ((1 << size) - 1)).to_bytes(size // 8, "big"), 0
+            unset, found = scan.translate(_UNSET_BYTE), [[] for _ in rows]
+            x = unset.find(1)
+            while x >= 0:
+                for y in _UNSET_BITS[scan[x]]:
+                    r, s = divmod(8 * x + y, width)
+                    if s < counts[r]:
+                        j = k * width + 8 * x + y  # entry s of row r
+                        for i in tail:
+                            if i > s or entries[j - i]:
+                                break
+                        if i > s:
+                            found[r].append(s)
+                x = unset.find(1, x + 1)
+            del scan, unset  # before the next class's scan
+            for b, s in zip(rows, found):  # a + b - m >= 2 is no p + q and leads
+                out[(a, b)] = [a + b - m] * (2 <= a + b - m <= N) + [a + b + x * m for x in s]
     return out
 
 
@@ -389,7 +396,8 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
 
     The b-class, entries 0 to the largest s of any a, is sieved into a
     zeroed bytearray of the row's width, whose digits are the row's
-    bitset, built once; each a runs on it up to its own last candidate.
+    bitset, built once; each a runs on it up to its own last candidate,
+    as many a-classes at a time as _group_budget counts.
     exceptional_sets checks the budget first (_group_jobs).
     """
     count = max(max(0, (N - a - b) // m + 1) for a in avals)  # candidates s < count
@@ -398,8 +406,30 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     width = _row_width(count, pidxs, _VECTOR_PHASE_PRIMES)
     entries = next(sieve_progression(b, m, N, [(0, count)], bytearray(width)))
     classes = [(a, pidx, 0) for a, pidx in zip(avals, pidxs)]
-    found = _bitset_stage1(m, N, [b], entries, width, count, classes, _VECTOR_PHASE_PRIMES)
+    found = _bitset_stage1(m, N, [b], entries, width, count, classes, _VECTOR_PHASE_PRIMES,
+                           _group_budget(b, avals, m, N, M)[0])
     return [found[(a, b)] for a in avals]
+
+
+def _group_budget(b: int, avals: list[int], m: int, N: int, M: int) -> tuple[int, int, str]:
+    """(chunk, need, parts) of _bitset_group on the pairs (a, b, m), a in
+    avals: the a-classes whose marks it holds at once, the bytes it
+    counts, and their parts named: every a-mask, the row's entry bytes
+    and their eight slices, the marks of a chunk, the row's bitset, its
+    pads and a shift, one a-class's two scan strings, each a bitset's
+    bytes, and the sieve's pattern, base primes and strike."""
+    entries = [max(0, (M - a) // m + 1) for a in avals]
+    count = max(max(0, (N - a - b) // m + 1) for a in avals)
+    width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
+    masks, row, bitset = sum(entries), 2 * width, width // 8
+    bitsets, scan = 3 * bitset, 2 * bitset
+    sieve = sieve_overhead_bytes(N, max(entries + [width]))
+    rest = masks + row + bitsets + scan + sieve
+    chunk = max(1, min(len(avals), rest // max(1, bitset)))  # marks at most the rest
+    return chunk, rest + chunk * bitset, (
+        f"{masks} of small-prime masks, {row} of entries and their slices, {chunk * bitset} of "
+        f"marks, {bitsets} of bitset, pads and shift, {scan} of scan, {sieve} of sieve pattern "
+        "and base primes")
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -550,26 +580,17 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     candidates; first, MemoryBudgetError unless every job's count fits
     the budget.  Where every pair of m has under _MIN_SHARE_WINDOWS
     windows, so none splits, the group is one int-bitset job
-    (_bitset_group), counting every a-mask, the row's entry bytes and
-    their eight slices, the marks of every a-class at once, the row's
-    bitset, its pads and a shift, the scan's two strings of one a-class,
-    each a bitset's bytes, and the sieve's pattern, base primes and
-    strike.  On the packed route each pair's jobs are shares (k, K) of its
-    windows (_pair_share), as many as `workers` allows while each gets
-    _MIN_SHARE_WINDOWS; a share counts the a-class mask and prime indices,
-    its window and copies, a gather block's scratch and the sieve."""
+    (_bitset_group), counting what _group_budget counts.  On the packed
+    route each pair's jobs are shares (k, K) of its windows (_pair_share),
+    as many as `workers` allows while each gets _MIN_SHARE_WINDOWS; a
+    share counts the a-class mask and prime indices, its window and
+    copies, a gather block's scratch and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        width = (max(counts) + max(entries) + 7) // 8 * 8  # the row, padded past every shift
-        masks, row, bitset = sum(entries), 2 * width, width // 8
-        marks, bitsets, scan = len(avals) * bitset, 3 * bitset, 2 * bitset
-        sieve = sieve_overhead_bytes(N, max(entries + [width]))
-        need = masks + row + marks + bitsets + scan + sieve
-        check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} bytes "
-                     f"({masks} of small-prime masks, {row} of entries and their slices, "
-                     f"{marks} of marks, {bitsets} of bitset, pads and shift, {scan} of scan, "
-                     f"{sieve} of sieve pattern and base primes)")
+        _, need, parts = _group_budget(b, avals, m, N, M)
+        check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} "
+                     f"bytes ({parts})")
         return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
     jobs = []
     for a, e, count in zip(avals, entries, counts):
@@ -639,24 +660,28 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
 
 
 def check_sweep_budget(m: int, N: int, M: int,
-                       packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
-    """(units, span, step, width, need, table) of a sweep of m at N: the
-    unit classes, the largest prime index up to M, the packed kernel's
-    candidates a window and bytes a class's copy, the bytes that the
-    kernel's storage counts beside the table and the table's bytes.
-    First, MemoryBudgetError unless they fit the budget beside the table.
+                       packed: bool = True) -> tuple[list[int], int, int, int, int, int, int]:
+    """(units, span, step, width, chunk, need, table) of a sweep of m at
+    N: the unit classes, the largest prime index up to M, the packed
+    kernel's candidates a window and bytes a class's copy, the int-bitset
+    kernel's small-prime classes a chunk, the bytes that the kernel's
+    storage counts beside the table and the table's bytes.  First,
+    MemoryBudgetError unless they fit the budget beside the table.
     The packed kernel (_sweep_stage1) holds every class's copies over a
     window and up to M, one pass's marks and a gather block's scratch (32
     bytes an element); only the table grows with N.
     The int-bitset kernel (_bitset_sweep) holds the odd flags, every row's
     entry bytes and their eight slices, and then, each a bitset of every
-    row, the marks of every small-prime class at once, the bitset, its
-    pads and a shift, and one class's two scan strings."""
+    row, the bitset, its pads and a shift, one class's two scan strings,
+    the marks of a chunk of classes, as many as fit in the bytes of the
+    rest of the count, and, where the classes take more than one chunk,
+    a later chunk's suffix of the bitset."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = ((N + 1) // 2 + 7) // 8
     step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
     width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
+    chunk = len(units)
     if packed:
         copies = 8 * len(units) * (width + span // 8 + 1)
         marks = len(units) * width
@@ -668,12 +693,13 @@ def check_sweep_budget(m: int, N: int, M: int,
         table *= 8  # odd flags
         rows = 2 * len(units) * ((N - 2) // m + span + 8)
         bitset = rows // 16 + 1
-        marks, bitsets, scan = len(units) * bitset, 3 * bitset, 2 * bitset
+        chunk = min(chunk, (table + rows + 5 * bitset) // bitset)  # marks at most the rest
+        marks, bitsets, scan = chunk * bitset, (3 + (chunk < len(units))) * bitset, 2 * bitset
         need = table + rows + marks + bitsets + scan
         detail = (f"{table} of odd flags, {rows} of row entries and their slices, "
-                  f"{marks} of marks, {bitsets} of bitset, pads and shift, {scan} of scan")
+                  f"{marks} of marks, {bitsets} of bitset, suffix, pads and shift, {scan} of scan")
     check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({detail})")
-    return units, span, step, width, need - table, table
+    return units, span, step, width, chunk, need - table, table
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -721,8 +747,8 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     of every unit class, b ascending from the top bits, each of as many
     entries as any pair has candidates, (N - 2)//m + 1, with room below
     for the largest head shift.  Small-prime class a runs on its rows b >=
-    a (_bitset_stage1)."""
-    units, *_ = check_sweep_budget(m, N, M, packed=False)
+    a, in chunks of classes that check_sweep_budget counts (_bitset_stage1)."""
+    units, _, _, _, chunk, *_ = check_sweep_budget(m, N, M, packed=False)
     flags = table.primes()
     half, count = m // 2, (N - 2) // m + 1
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
@@ -733,7 +759,7 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
         row = flags[b // 2 : b // 2 + count * half : half]
         entries[k * width : k * width + len(row)] = row
     classes = [(a, pidx, k) for k, (a, pidx) in enumerate(zip(units, pidxs))]
-    return _bitset_stage1(m, N, units, entries, width, count, classes, _BITSET_HEAD_PRIMES)
+    return _bitset_stage1(m, N, units, entries, width, count, classes, _BITSET_HEAD_PRIMES, chunk)
 
 
 def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object]) -> list[Job]:

@@ -900,6 +900,26 @@ def test_bitset_stage1_cuts_each_class_to_its_rows(flags_1e5):
         assert survivors == naive_stage1_unresolved(a, b, 30, N, M), (a, b)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_bitset_stage1_in_chunks(monkeypatch, flags_1e5, chunk):
+    # classes run a few at a time, each chunk on the rows of its first
+    # class: a sweep of m = 30 (8 classes) and a group of three a-classes
+    # mod 10 leave what one chunk of them all does, which is naive
+    N = 5000
+    M = partitions.default_stage1_bound(30, N)
+    whole = partitions._bitset_sweep(30, N, M, flags_1e5)
+    group = partitions._bitset_group(3, [1, 3, 7], 10, N, 100)
+    budget, count = partitions.check_sweep_budget, partitions._group_budget
+    monkeypatch.setattr(partitions, "check_sweep_budget", lambda *args, **kw: (
+        *budget(*args, **kw)[:4], chunk, *budget(*args, **kw)[5:]))
+    monkeypatch.setattr(partitions, "_group_budget", lambda *args: (chunk, *count(*args)[1:]))
+    assert partitions._bitset_sweep(30, N, M, flags_1e5) == whole
+    assert partitions._bitset_group(3, [1, 3, 7], 10, N, 100) == group
+    assert group == [naive_stage1_unresolved(a, 3, 10, N, 100) for a in (1, 3, 7)]
+    for (a, b), survivors in whole.items():
+        assert survivors == naive_stage1_unresolved(a, b, 30, N, M), (a, b)
+
+
 def test_bitset_group_of_one_a_class():
     # a group of one a-class, b among the a-classes or not, at the default
     # head and bound, as the unsplit packed pair leaves it
@@ -913,14 +933,13 @@ def test_bitset_group_of_one_a_class():
 
 def _schedule_totals(seen) -> list[int]:
     """[shifts, ORs] over the schedules `seen`, after checking that each
-    class's head is listed once, ascending, under its own indices."""
+    class's head is listed once under its own indices."""
     for classes, head, shifts in seen:
-        assert list(shifts) == sorted(shifts)
         held = [[] for _ in classes]
         for i, positions in shifts.items():
             for c in positions:
                 held[c].append(i)
-        assert held == [pidx[:head] for _, pidx, _ in classes]
+        assert [sorted(h) for h in held] == [sorted(pidx[:head]) for _, pidx, _ in classes]
     return [sum(len(shifts) for *_, shifts in seen),
             sum(len(c) for *_, shifts in seen for c in shifts.values())]
 
@@ -1220,6 +1239,23 @@ def test_sweep_share_cap_leaves_room_for_the_table(monkeypatch):
     shares = partitions.deal(jobs, 100)
     assert len(shares) == 2
     assert 625_000 + len(shares) * 7_100_288 <= primes.DEFAULT_MEMORY_BUDGET_BYTES
+
+
+def test_int_sweep_of_a_large_modulus_fits_its_budget(monkeypatch):
+    # m = 1202 at 10^7 (phi(m) = 600, rows of 8,320 candidates) takes the
+    # int route and fits the default budget: its classes run 27 at a
+    # time, whose marks take at most the bytes of the rest of the count,
+    # so the count, 44,840,708 bytes with the 5,000,000 of odd flags, is
+    # at most about twice the rest.  Nothing is sieved
+    monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
+    N, m = 10**7, 1202
+    [job] = partitions.sweep_plan(N, [m], None)
+    assert job.args == (m, False)  # the odd flags' route
+    units, *_, chunk, need, table = partitions.check_sweep_budget(
+        m, N, partitions.default_stage1_bound(m, N), packed=False)
+    assert (len(units), chunk) == (600, 27)
+    assert (job.need, job.shared) == (need, table) == (39_840_708, 5_000_000)
+    assert need + table <= primes.DEFAULT_MEMORY_BUDGET_BYTES
 
 
 _DEEP_LIMIT = 2 * 10**8
