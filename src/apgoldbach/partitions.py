@@ -33,7 +33,7 @@ run in other processes.
 The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
 bytearray row by row, as the binary digits of one Python int
 (_bits_from_bytes), so a shift is one int shift.  Its small-prime
-classes run in chunks, as many as its budget counts, and within a chunk
+classes run in chunks, as many as _bitset_count lets, and in a chunk
 a shift is made once for each index in any class's head (_head_shifts)
 and ORed into the marks of every class whose head holds it; after the
 head, each unset bit tries the remaining primes on the row's bytes.  A
@@ -49,8 +49,9 @@ whose sweeps and pairs all run the int-bitset kernel never loads it.
 
 A sweep and a batch of pairs (exceptional_sets, and exceptional_set is
 its batch of one) each build a plan of jobs (Job): one a modulus
-(sweep_plan), or each group (m, b)'s (batch_plan); one runner (run_plan)
-deals them to worker shares (deal) and forks those (fork_map).
+(sweep_plan), or each group (m, b)'s (batch_plan), whose bytes its
+kernel's one count gives (_window_count, _bitset_count); one runner
+(run_plan) deals them to worker shares (deal) and forks those (fork_map).
 """
 
 from __future__ import annotations
@@ -258,6 +259,14 @@ def _window(a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, lo: int, hi
     return row, s
 
 
+def _window_count(rows: int, width: int, copy: int) -> tuple[int, str]:
+    """(bytes, parts) of _window on `rows` rows: eight `copy`-byte copies
+    and `width` bytes of marks a row, and a gather block's scratch."""
+    copies, marks, scratch = 8 * rows * copy, rows * width, 32 * _GATHER_BLOCK_ELEMENTS
+    return copies + marks + scratch, (f"{copies} of class copies, {marks} of marks, "
+                                      f"{scratch} of gather scratch")
+
+
 def _pair_share(pair: AdmissiblePair, N: int, M: int,
                 share: tuple[int, int] = (0, 1)) -> list[int]:
     """Stage 1 of one pair on share k of K = share of its windows, each one
@@ -411,25 +420,31 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     return [found[(a, b)] for a in avals]
 
 
+def _bitset_count(entries: int, bitset: int, classes: int, beside: int,
+                  suffix: bool) -> tuple[int, int, str]:
+    """(chunk, need, parts) of _bitset_stage1 beside `beside` bytes of its
+    source: the entry bytes and their eight slices; the bitset, its pads
+    and a shift, a later chunk's suffix if `suffix` and there is one, one
+    class's two scan strings, each `bitset` bytes; and the marks of a
+    chunk of the `classes`, as many as fit in the bytes of the rest."""
+    own = 2 * entries + 5 * bitset
+    chunk = max(1, min(classes, (beside + own) // max(1, bitset)))  # marks at most the rest
+    later = suffix and chunk < classes
+    return chunk, own + (chunk + later) * bitset, (f"{2 * entries} of entries and their slices, "
+        f"{chunk * bitset} of marks, {(3 + later) * bitset} of bitset, "
+        f"{'suffix, ' * suffix}pads and shift, {2 * bitset} of scan")
+
+
 def _group_budget(b: int, avals: list[int], m: int, N: int, M: int) -> tuple[int, int, str]:
     """(chunk, need, parts) of _bitset_group on the pairs (a, b, m), a in
-    avals: the a-classes whose marks it holds at once, the bytes it
-    counts, and their parts named: every a-mask, the row's entry bytes
-    and their eight slices, the marks of a chunk, the row's bitset, its
-    pads and a shift, one a-class's two scan strings, each a bitset's
-    bytes, and the sieve's pattern, base primes and strike."""
+    avals: _bitset_count of its row beside every a-mask and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     count = max(max(0, (N - a - b) // m + 1) for a in avals)
     width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
-    masks, row, bitset = sum(entries), 2 * width, width // 8
-    bitsets, scan = 3 * bitset, 2 * bitset
-    sieve = sieve_overhead_bytes(N, max(entries + [width]))
-    rest = masks + row + bitsets + scan + sieve
-    chunk = max(1, min(len(avals), rest // max(1, bitset)))  # marks at most the rest
-    return chunk, rest + chunk * bitset, (
-        f"{masks} of small-prime masks, {row} of entries and their slices, {chunk * bitset} of "
-        f"marks, {bitsets} of bitset, pads and shift, {scan} of scan, {sieve} of sieve pattern "
-        "and base primes")
+    masks, sieve = sum(entries), sieve_overhead_bytes(N, max(entries + [width]))
+    chunk, need, parts = _bitset_count(width, width // 8, len(avals), masks + sieve, False)
+    return chunk, masks + need + sieve, (f"{masks} of small-prime masks, {parts}, {sieve} of "
+                                         "sieve pattern and base primes")
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -580,11 +595,10 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     candidates; first, MemoryBudgetError unless every job's count fits
     the budget.  Where every pair of m has under _MIN_SHARE_WINDOWS
     windows, so none splits, the group is one int-bitset job
-    (_bitset_group), counting what _group_budget counts.  On the packed
-    route each pair's jobs are shares (k, K) of its windows (_pair_share),
-    as many as `workers` allows while each gets _MIN_SHARE_WINDOWS; a
-    share counts the a-class mask and prime indices, its window and
-    copies, a gather block's scratch and the sieve."""
+    (_bitset_group) that _group_budget counts.  On the packed route each
+    pair's jobs are shares (k, K) of its windows (_pair_share), as many as
+    `workers` allows while each gets _MIN_SHARE_WINDOWS; a share counts its
+    a-class, its window buffer, _window_count of one row and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
@@ -595,14 +609,12 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     jobs = []
     for a, e, count in zip(avals, entries, counts):
         size = SIEVE_SEGMENT_SIZE + max(0, e - 1) + 7
-        window = size + 8 * ((size + 7) // 8)  # every entry in every copy
-        scratch = 32 * _GATHER_BLOCK_ELEMENTS  # as check_sweep_budget counts it
+        window, parts = _window_count(1, SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8)
         sieve = sieve_overhead_bytes(N, max(e, size))
-        need = 9 * e + window + scratch + sieve
+        need = 9 * e + size + window + sieve
         check_budget(need, f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M} needs "
                      f"{need} bytes ({e} of small-prime mask, {8 * e} of prime indices, "
-                     f"{window} of window and copies, {scratch} of gather scratch, {sieve} of "
-                     "sieve pattern and base primes)")
+                     f"{size} of window, {parts}, {sieve} of sieve pattern and base primes)")
         windows = len(range(0, count, SIEVE_SEGMENT_SIZE))
         shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
         jobs += [Job(_job_sets, (m, b, [a], M, (k, shares), N, False), count / shares, need)
@@ -664,42 +676,23 @@ def check_sweep_budget(m: int, N: int, M: int,
     """(units, span, step, width, chunk, need, table) of a sweep of m at
     N: the unit classes, the largest prime index up to M, the packed
     kernel's candidates a window and bytes a class's copy, the int-bitset
-    kernel's small-prime classes a chunk, the bytes that the kernel's
-    storage counts beside the table and the table's bytes.  First,
-    MemoryBudgetError unless they fit the budget beside the table.
-    The packed kernel (_sweep_stage1) holds every class's copies over a
-    window and up to M, one pass's marks and a gather block's scratch (32
-    bytes an element); only the table grows with N.
-    The int-bitset kernel (_bitset_sweep) holds the odd flags, every row's
-    entry bytes and their eight slices, and then, each a bitset of every
-    row, the bitset, its pads and a shift, one class's two scan strings,
-    the marks of a chunk of classes, as many as fit in the bytes of the
-    rest of the count, and, where the classes take more than one chunk,
-    a later chunk's suffix of the bitset."""
+    kernel's classes a chunk, the bytes that the kernel's storage counts
+    beside the table (_window_count of a window of every class's row, or
+    _bitset_count of the whole rows beside the odd flags) and the table's
+    bytes (table_bytes); first, MemoryBudgetError unless they fit."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
-    table = ((N + 1) // 2 + 7) // 8
+    table = primes.table_bytes(N, packed)
     step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
     width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
-    chunk = len(units)
     if packed:
-        copies = 8 * len(units) * (width + span // 8 + 1)
-        marks = len(units) * width
-        scratch = 32 * _GATHER_BLOCK_ELEMENTS
-        need = table + copies + marks + scratch
-        detail = (f"{table} of table, {copies} of class copies, {marks} of marks, "
-                  f"{scratch} of gather scratch")
+        chunk, (need, detail) = len(units), _window_count(len(units), width, width + span // 8 + 1)
     else:
-        table *= 8  # odd flags
-        rows = 2 * len(units) * ((N - 2) // m + span + 8)
-        bitset = rows // 16 + 1
-        chunk = min(chunk, (table + rows + 5 * bitset) // bitset)  # marks at most the rest
-        marks, bitsets, scan = chunk * bitset, (3 + (chunk < len(units))) * bitset, 2 * bitset
-        need = table + rows + marks + bitsets + scan
-        detail = (f"{table} of odd flags, {rows} of row entries and their slices, "
-                  f"{marks} of marks, {bitsets} of bitset, suffix, pads and shift, {scan} of scan")
-    check_budget(need, f"sweep of m = {m} at N={N} needs {need} bytes ({detail})")
-    return units, span, step, width, chunk, need - table, table
+        entries = len(units) * ((N - 2) // m + span + 8)  # every row as long as the longest
+        chunk, need, detail = _bitset_count(entries, entries // 8 + 1, len(units), table, True)
+    check_budget(need + table, f"sweep of m = {m} at N={N} needs {need + table} bytes ({table} "
+                 f"of {'table' if packed else 'odd flags'}, {detail})")
+    return units, span, step, width, chunk, need, table
 
 
 def _sweep_stage1(m: int, N: int, M: int,

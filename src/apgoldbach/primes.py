@@ -143,6 +143,11 @@ def pack_copies(padded: np.ndarray, out: np.ndarray, start: int = 0) -> None:
         dest[..., : packed.shape[-1]] |= packed[..., : dest.shape[-1]]
 
 
+def table_bytes(limit: int, packed: bool = True) -> int:
+    """Bytes of sieve_primes(limit, packed)'s table: odd bits or flags."""
+    return ((limit + 1) // 2 + 7) // 8 * (1 if packed else 8)
+
+
 def sieve_overhead_bytes(limit: int, window: int) -> int:
     """Bytes sieve_progression holds beside its `window`-byte output
     buffer: two periods of the presieve pattern, the sieve of the base
@@ -254,7 +259,7 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
         raise ValueError(f"limit must be >= 2, got {limit}")
     segment_size = max(8, SIEVE_SEGMENT_SIZE - SIEVE_SEGMENT_SIZE % 8)
     entries = (limit + 1) // 2  # odd numbers <= limit
-    size = (entries + 7) // 8 * (1 if packed else 8)
+    size = table_bytes(limit, packed)
     segment = min(segment_size, entries)
     beside = segment + (segment + 7) // 8 if packed else max(segment, size)
     peak = size + beside + sieve_overhead_bytes(limit, segment)

@@ -176,16 +176,19 @@ def test_private_names_resolve(text, stale):
 
 
 
-def _callers(name: str) -> list[str]:
-    """Each call of `name`, bare or as an attribute, in the package and
-    the scripts, as its file and innermost enclosing function."""
+def _callers(name: str, calls: bool = True) -> list[str]:
+    """Each call of `name`, or with `calls` false each read of it, bare or
+    as an attribute, in the package and the scripts, as its file and
+    innermost enclosing function."""
     callers = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         def visit(node, function):
             for child in ast.iter_child_nodes(node):
-                func = getattr(child, "func", None)
-                if isinstance(child, ast.Call) and name in (getattr(func, "id", None),
-                                                            getattr(func, "attr", None)):
+                if calls:
+                    used = child.func if isinstance(child, ast.Call) else None
+                else:
+                    used = child if isinstance(getattr(child, "ctx", None), ast.Load) else None
+                if name in (getattr(used, "id", None), getattr(used, "attr", None)):
                     callers.append(f"{path.name}:{function}")
                 visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
@@ -200,3 +203,15 @@ def test_one_runner_deals_and_forks():
     assert _callers("fork_map") == ["partitions.py:run_plan"]
     assert _callers("deal") == ["partitions.py:run_plan"]
     assert len(_callers("_bitset_route")) <= 1
+
+
+def test_one_home_per_count():
+    # each kernel's storage is counted in one function, which both of its
+    # sources, the sweep and the batch, call; only the packed kernel and
+    # its count read the size of a gather block
+    assert sorted(_callers("_window_count")) == ["partitions.py:_group_jobs",
+                                                 "partitions.py:check_sweep_budget"]
+    assert sorted(_callers("_bitset_count")) == ["partitions.py:_group_budget",
+                                                 "partitions.py:check_sweep_budget"]
+    assert set(_callers("_GATHER_BLOCK_ELEMENTS", calls=False)) == {
+        "partitions.py:_window", "partitions.py:_window_count"}

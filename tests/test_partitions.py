@@ -143,20 +143,20 @@ class TestExceptionalSet:
         assert small.stage1_survivors >= large.stage1_survivors
 
     @pytest.mark.parametrize("N,M,budget,nonzero", [
-        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True, True, True, True, True]),
-        (10**8, 12_000_000, 4_000_000, [True, True, True, True, True]),
-        (10**8, 12_000_000, 8 * 2**20, [True, True, True, True, True]),
-        (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False, True, True, True]),
+        (10**17, None, primes.DEFAULT_MEMORY_BUDGET_BYTES, [True] * 7),
+        (10**8, 12_000_000, 4_000_000, [True] * 7),
+        (10**8, 12_000_000, 8 * 2**20, [True] * 7),
+        (10**17, 2, primes.DEFAULT_MEMORY_BUDGET_BYTES, [False, False] + [True] * 5),
     ])
     def test_budget_message_names_every_part(self, monkeypatch, N, M, budget, nonzero):
         # one count as the plan is built, before anything is sieved or
-        # any share dealt: the
-        # a-mask, 8 bytes an a-class entry for the prime indices, a window
-        # and its copies (one segment, the a-class's length and 7 entries),
-        # a gather block's scratch, as a sweep counts it, and the sieve;
-        # the parts named add up to the bytes needed, and
-        # the sieve's strike is sized by the larger of its buffers.  M = 2
-        # < a leaves the a-class empty
+        # any share dealt: the a-mask, 8 bytes an a-class entry for the
+        # prime indices, a window (one segment, the a-class's length and 7
+        # entries), its eight copies, one segment's marks, a gather
+        # block's scratch, as a sweep counts them, and the sieve; the
+        # parts named add up to the bytes needed, and the sieve's strike
+        # is sized by the larger of its buffers.  M = 2 < a leaves the
+        # a-class empty
         sieved = []
         real = partitions.sieve_progression
         monkeypatch.setattr(partitions, "sieve_progression",
@@ -167,7 +167,7 @@ class TestExceptionalSet:
         assert sieved == []
         need, *parts = map(int, re.search(
             r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
-            r"(\d+) of window and copies, (\d+) of gather scratch, "
+            r"(\d+) of window, (\d+) of class copies, (\d+) of marks, (\d+) of gather scratch, "
             r"(\d+) of sieve pattern and base primes\)",
             str(exc.value),
         ).groups())
@@ -177,9 +177,9 @@ class TestExceptionalSet:
         entries = max(0, (M - 3) // 4 + 1)  # class 3 up to M
         assert parts[:2] == [entries, 8 * entries]
         window = partitions.SIEVE_SEGMENT_SIZE + max(0, entries - 1) + 7
-        assert parts[2] == window + 8 * ((window + 7) // 8)
-        assert parts[3] == 32 * partitions._GATHER_BLOCK_ELEMENTS
-        assert parts[4] == primes.sieve_overhead_bytes(N, max(entries, window))
+        assert parts[2:6] == [window, 8 * ((window + 7) // 8), partitions.SIEVE_SEGMENT_SIZE // 8,
+                              32 * partitions._GATHER_BLOCK_ELEMENTS]
+        assert parts[6] == primes.sieve_overhead_bytes(N, max(entries, window))
 
     @pytest.mark.parametrize(
         "a,b,m,M", [(1, 3, 4, 13), (3, 1, 4, 19), (1, 1, 4, 29), (7, 11, 30, 37), (5, 1, 6, 5)]
@@ -1342,6 +1342,44 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     nbytes = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8  # the row, past every shift
     assert parts[:5] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 16 * nbytes, 2 * nbytes,
                          3 * nbytes, 2 * nbytes]
+
+
+@pytest.mark.parametrize("kernel,N,source,route", [
+    ("packed sweep", 10**7, 30, "sweep of m = 30 at N=10000000 needs"),
+    ("int sweep", 10**6, 46, "sweep of m = 46 at N=1000000 needs"),
+    ("packed pair", 2 * 10**8, [(1, 3, 4)], "pair AdmissiblePair(a=1, b=3, m=4) at N="),
+    ("int group", 4 * 10**6, [(1, 3, 4), (3, 3, 4)], "pairs (a, 3, 4), a in [1, 3], at N="),
+], ids=["packed-sweep", "int-sweep", "packed-pair", "int-group"])
+def test_every_count_names_parts_that_add_up(monkeypatch, kernel, N, source, route):
+    # each kernel's count, for a sweep of the modulus `source` and for a
+    # batch of the pairs `source`, forced over a small budget as its plan
+    # is built, before anything is sieved: the parts that its error names
+    # add up to the bytes it needs, and a packed count's copies, marks and
+    # scratch are _window_count's
+    sieved = []
+    monkeypatch.setattr(partitions, "sieve_primes", lambda *args: sieved.append(args))
+    monkeypatch.setattr(partitions, "sieve_progression", lambda *args: sieved.append(args))
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 10**5)
+    with pytest.raises(MemoryBudgetError) as exc:
+        if "sweep" in kernel:
+            partitions.sweep_plan(N, [source], None)
+        else:
+            partitions.batch_plan([AdmissiblePair(*pair) for pair in source], N, 2)
+    assert sieved == []
+    text = str(exc.value)
+    assert text.startswith(route) and (" of table, " in text) == (kernel == "packed sweep")
+    need = int(re.search(r"needs? (\d+) bytes", text).group(1))
+    parts = re.search(r"bytes \((.*)\), over", text).group(1)
+    assert sum(map(int, re.findall(r"(\d+) of ", parts))) == need > 10**5
+    if kernel == "packed sweep":
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", need)
+        units, span, _, width, *_ = partitions.check_sweep_budget(
+            source, N, partitions.default_stage1_bound(source, N))
+        assert partitions._window_count(len(units), width, width + span // 8 + 1)[1] in parts
+    if kernel == "packed pair":  # one row of one segment, the a-class's length and 7 entries
+        size = partitions.SIEVE_SEGMENT_SIZE + (partitions.default_stage1_bound(4, N) - 1) // 4 + 7
+        assert partitions._window_count(
+            1, partitions.SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8)[1] in parts
 
 
 def test_deal_heaviest_first_to_the_least_loaded():
