@@ -239,9 +239,11 @@ def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
             found[m], kept[m] = finish(m, cached)
     computed = [m for m in missing if 2 * m > config.m_max]
     if computed:
-        # import the engine here, before run_plan forks the workers, so
-        # that they inherit it instead of each importing it
+        # the engine, and hashlib for a cache, imported before run_plan forks
+        # the workers, so that they inherit them instead of each importing them
         from . import partitions
+        if cache_dir is not None:
+            import hashlib
 
         def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup
             for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():

@@ -31,12 +31,12 @@ memory is flat in N.  Its windows are independent, so shares of them may
 run in other processes.
 
 The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
-bytearray row by row, as the binary digits of one Python int
-(_bits_from_bytes), so a shift is one int shift.  Its small-prime
-classes run in chunks, as many as _bitset_count lets, and in a chunk
-a shift is made once for each index in any class's head (_head_shifts)
-and ORed into the marks of every class whose head holds it; after the
-head, each unset bit tries the remaining primes on the row's bytes.  A
+bytearray row by row, in blocks of whole rows of at most _BITSET_BLOCK
+bits, each the binary digits of one Python int (_bits_from_bytes), so a
+shift is one int shift.  A block is shifted once for each of the first
+_VECTOR_PHASE_PRIMES indices of any class that reads it (_head_shifts),
+ORed into the marks of every class whose head holds it; after the head,
+each unset bit tries the remaining primes on the row's bytes.  A
 modulus sweep on it (_bitset_sweep) copies a row of every unit class
 out of an unpacked table's odd flags (primes.PrimeTable.primes), and
 each small-prime class a runs on its rows b >= a; sweep_plan picks it,
@@ -83,7 +83,8 @@ R = TypeVar("R")
 # remaining candidates may take over.  Past them the ORs go on in groups
 # of _HEAD_GROUP while a gather would take more elements (candidates not
 # yet ruled out, times primes left) than the block has mark bytes: on
-# sparse b-classes, such as m = 4 at 2*10^8, that halves stage 1.
+# sparse b-classes, such as m = 4 at 2*10^8, that halves stage 1.  The
+# int-bitset kernel shifts as many before its per-candidate tail.
 _VECTOR_PHASE_PRIMES = 64
 _HEAD_GROUP = 32
 
@@ -123,12 +124,11 @@ _GATHER_FIRST_ELEMENTS = 1 << 12
 # _BIT[y % 8] selects bit y of a packed row within its byte.
 _BIT = (128, 64, 32, 16, 8, 4, 2, 1)
 
-# Shifts that the int-bitset kernel ORs into the marks of a small-prime
-# class in a sweep before each unset bit tries the remaining primes one
-# by one.  On 2 vCPUs, 48 took 7 % less time than 64 over the moduli of
-# the desk sweep, but a single pair's long rows take _VECTOR_PHASE_PRIMES
-# shifts: 48 took 14 % more time than 64 on verify conj2 at 5*10^6.
-_BITSET_HEAD_PRIMES = 48
+# Bits of a block of whole rows of the int-bitset kernel, or one row where
+# a row is longer; the marks of every class that reads a block are alive
+# at once.  On 2 vCPUs, one row a block took 73 % more time on m = 102-200
+# at 2*10^5, and blocks of 2^16 bits 36 % more on m = 1202 at 10^7.
+_BITSET_BLOCK = 1 << 17
 
 # Maps a marks byte to 1 if any of its bits is unset, else to 0; and to
 # the positions, from the top, of its unset bits.
@@ -318,20 +318,19 @@ def _bits_from_bytes(entries: bytes | bytearray) -> int:
     return bits
 
 
-def _head_shifts(classes: list[tuple], head: int) -> dict[int, list[int]]:
-    """Each prime index among the first `head` of some class (a, pidx, k),
-    mapped to the positions in `classes` of the classes whose head holds
-    it: _bitset_stage1 shifts once per index."""
+def _head_shifts(classes: list[tuple]) -> dict[int, list[int]]:
+    """Each prime index among the first _VECTOR_PHASE_PRIMES of some class
+    (a, pidx, k), mapped to the positions in `classes` of the classes
+    whose head holds it: _bitset_stage1 shifts a block once per index."""
     shifts: dict[int, list[int]] = {}
     for c, (_, pidx, _) in enumerate(classes):
-        for i in pidx[:head]:
+        for i in pidx[:_VECTOR_PHASE_PRIMES]:
             shifts.setdefault(i, []).append(c)
     return shifts
 
 
 def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int, count: int,
-                   classes: list[tuple], head: int,
-                   chunk: int) -> dict[tuple[int, int], list[int]]:
+                   classes: list[tuple]) -> dict[tuple[int, int], list[int]]:
     """Stage 1 on Python int bitsets of each small-prime class (a, pidx, k),
     k ascending, pidx its prime indices up to M, with each b in bs[k:]:
     keyed (a, b), the candidates n <= N not representable with p <= M,
@@ -339,35 +338,39 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
     2 (no p + q).
 
     `entries` holds a row of `width` bytes, a multiple of 8, per b in bs,
-    byte s its entry s; its digits (_bits_from_bytes) are one bitset, the
-    first row in the top bits.  Below its `count` entries each row has at
-    least pidx[head - 1] bits of 0, so shift i, which marks s where entry
-    s - i is prime, is bitset >> i; `pads` has those bits set.  The
-    classes run `chunk` at a time, on the low bits that hold the rows of
-    the chunk's first class, its suffix, with every chunk class's marks
-    alive at once: each index in the first `head` of any of them
-    (_head_shifts) shifts the suffix once, and that shift ORs into the
-    marks of every class whose head holds it.  Class a's rows are then its
-    marks' low bits, from row k on; each unset bit of a candidate there,
-    found in the bytes that hold any (to_bytes, translate, find), tries
-    the remaining indices i <= s in order, on the row's bytes, up to its
-    first hit."""
-    bitset = _bits_from_bytes(entries)
-    pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * len(bs),
-                          "big")  # every row's bits below its candidates
-    out: dict[tuple[int, int], list[int]] = {}
-    for first in range(0, len(classes), chunk):
-        part, low = classes[first : first + chunk], classes[first][2]
-        suffix = bitset & ((1 << ((len(bs) - low) * width)) - 1) if low else bitset
-        marks = [pads >> (k * width) for _, _, k in part]
-        for i, holders in _head_shifts(part, head).items():
-            shifted = suffix >> i
+    byte s its entry s.  Its blocks of whole rows [lo, hi), each of at most
+    _BITSET_BLOCK bits or one row, are each one bitset (_bits_from_bytes,
+    of `entries` itself for every row), row lo in the top bits.  Below its
+    `count` entries each row has at least pidx[_VECTOR_PHASE_PRIMES - 1]
+    bits of 0, so shift i, which marks s where entry s - i is prime, is
+    bitset >> i.  The marks of every class with k < hi, all alive at once,
+    start from the bits below the candidates of its rows max(k, lo) to
+    hi - 1; each index in the head of any of them (_head_shifts) shifts
+    the block once, ORed into the marks of every class whose head holds
+    it.  Class a's rows are then its marks' low bits; each unset bit of a
+    candidate there (to_bytes, translate, find) tries the remaining
+    indices i <= s in order on the row's bytes, up to its first hit."""
+    step = max(1, _BITSET_BLOCK // max(1, width))
+    # keyed a, then b: keyed block by block, a sweep's sets peaked higher
+    out: dict[tuple[int, int], list[int]] = dict.fromkeys(
+        (a, b) for a, _, k in classes for b in bs[k:])
+    for lo in range(0, len(bs), step):
+        hi = min(lo + step, len(bs))
+        bitset = _bits_from_bytes(entries if hi - lo == len(bs) else  # every row: no copy
+                                  entries[lo * width : hi * width])
+        part = [cls for cls in classes if cls[2] < hi]
+        pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * (hi - lo),
+                              "big")  # every row's bits below its candidates
+        marks = [pads >> (max(0, k - lo) * width) for _, _, k in part]
+        for i, holders in _head_shifts(part).items():
+            shifted = bitset >> i
             for c in holders:
-                marks[c] |= shifted  # also into rows above k, which class c never reads
+                marks[c] |= shifted  # also into rows above max(k, lo), which class c never reads
             del shifted  # before the next shift
-        del suffix
+        del bitset
         for c, (a, pidx, k) in enumerate(part):
-            rows, tail = bs[k:], pidx[head:] + [width]  # the tail ends past every s
+            first = max(k, lo)
+            rows, tail = bs[first:hi], pidx[_VECTOR_PHASE_PRIMES:] + [width]  # past every s
             counts = [(N - a - b) // m + 1 for b in rows]  # candidates s < count
             size = len(rows) * width
             scan, marks[c] = (marks[c] & ((1 << size) - 1)).to_bytes(size // 8, "big"), 0
@@ -377,10 +380,12 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
                 for y in _UNSET_BITS[scan[x]]:
                     r, s = divmod(8 * x + y, width)
                     if s < counts[r]:
-                        j = k * width + 8 * x + y  # entry s of row r
-                        for i in tail:
-                            if i > s or entries[j - i]:
-                                break
+                        i = tail[0]  # past s, no tail index can mark s
+                        if i <= s:
+                            j = first * width + 8 * x + y  # entry s of row first + r
+                            for i in tail:
+                                if i > s or entries[j - i]:
+                                    break
                         if i > s:
                             found[r].append(s)
                 x = unset.find(1, x + 1)
@@ -390,10 +395,10 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
     return out
 
 
-def _row_width(count: int, pidxs: list[list[int]], head: int) -> int:
+def _row_width(count: int, pidxs: list[list[int]]) -> int:
     """Bits of a row of `count` candidates in _bitset_stage1: room below them
     for the largest head shift of any class, rounded up to whole bytes."""
-    shift = max((i for p in pidxs for i in p[:head][-1:]), default=0)
+    shift = max((i for p in pidxs for i in p[:_VECTOR_PHASE_PRIMES][-1:]), default=0)
     return (count + shift + 7) // 8 * 8
 
 
@@ -405,46 +410,40 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
 
     The b-class, entries 0 to the largest s of any a, is sieved into a
     zeroed bytearray of the row's width, whose digits are the row's
-    bitset, built once; each a runs on it up to its own last candidate,
-    as many a-classes at a time as _group_budget counts.
+    bitset, built once; each a runs on it up to its own last candidate.
     exceptional_sets checks the budget first (_group_jobs).
     """
     count = max(max(0, (N - a - b) // m + 1) for a in avals)  # candidates s < count
     pidxs = [list(compress(range(e), next(sieve_progression(a, m, M, [(0, e)], bytearray(e)))))
              if e else [] for a in avals for e in [max(0, (M - a) // m + 1)]]
-    width = _row_width(count, pidxs, _VECTOR_PHASE_PRIMES)
+    width = _row_width(count, pidxs)
     entries = next(sieve_progression(b, m, N, [(0, count)], bytearray(width)))
     classes = [(a, pidx, 0) for a, pidx in zip(avals, pidxs)]
-    found = _bitset_stage1(m, N, [b], entries, width, count, classes, _VECTOR_PHASE_PRIMES,
-                           _group_budget(b, avals, m, N, M)[0])
+    found = _bitset_stage1(m, N, [b], entries, width, count, classes)
     return [found[(a, b)] for a in avals]
 
 
-def _bitset_count(entries: int, bitset: int, classes: int, beside: int,
-                  suffix: bool) -> tuple[int, int, str]:
-    """(chunk, need, parts) of _bitset_stage1 beside `beside` bytes of its
-    source: the entry bytes and their eight slices; the bitset, its pads
-    and a shift, a later chunk's suffix if `suffix` and there is one, one
-    class's two scan strings, each `bitset` bytes; and the marks of a
-    chunk of the `classes`, as many as fit in the bytes of the rest."""
-    own = 2 * entries + 5 * bitset
-    chunk = max(1, min(classes, (beside + own) // max(1, bitset)))  # marks at most the rest
-    later = suffix and chunk < classes
-    return chunk, own + (chunk + later) * bitset, (f"{2 * entries} of entries and their slices, "
-        f"{chunk * bitset} of marks, {(3 + later) * bitset} of bitset, "
-        f"{'suffix, ' * suffix}pads and shift, {2 * bitset} of scan")
+def _bitset_count(entries: int, width: int, classes: int) -> tuple[int, str]:
+    """(need, parts) of _bitset_stage1 on `entries` bytes in rows of at most
+    `width`: the entry bytes, a block's eight slices, and a block's bits
+    for each of its bitset, a shift, two scan strings and `classes` marks."""
+    block = min(entries, max(width, _BITSET_BLOCK))  # a block's entry bytes
+    bits = block // 8 + 1
+    return entries + block + (4 + classes) * bits, (
+        f"{entries + block} of entries and a block's slices, {classes * bits} of marks, "
+        f"{2 * bits} of bitset and shift, {2 * bits} of scan")
 
 
-def _group_budget(b: int, avals: list[int], m: int, N: int, M: int) -> tuple[int, int, str]:
-    """(chunk, need, parts) of _bitset_group on the pairs (a, b, m), a in
-    avals: _bitset_count of its row beside every a-mask and the sieve."""
+def _group_budget(b: int, avals: list[int], m: int, N: int, M: int) -> tuple[int, str]:
+    """(need, parts) of _bitset_group on the pairs (a, b, m), a in avals:
+    every a-mask, _bitset_count of its row and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     count = max(max(0, (N - a - b) // m + 1) for a in avals)
     width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
     masks, sieve = sum(entries), sieve_overhead_bytes(N, max(entries + [width]))
-    chunk, need, parts = _bitset_count(width, width // 8, len(avals), masks + sieve, False)
-    return chunk, masks + need + sieve, (f"{masks} of small-prime masks, {parts}, {sieve} of "
-                                         "sieve pattern and base primes")
+    need, parts = _bitset_count(width, width, len(avals))
+    return masks + need + sieve, (f"{masks} of small-prime masks, {parts}, {sieve} of "
+                                  "sieve pattern and base primes")
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -602,7 +601,7 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        _, need, parts = _group_budget(b, avals, m, N, M)
+        need, parts = _group_budget(b, avals, m, N, M)
         check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} "
                      f"bytes ({parts})")
         return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
@@ -672,27 +671,26 @@ def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
 
 
 def check_sweep_budget(m: int, N: int, M: int,
-                       packed: bool = True) -> tuple[list[int], int, int, int, int, int, int]:
-    """(units, span, step, width, chunk, need, table) of a sweep of m at
-    N: the unit classes, the largest prime index up to M, the packed
-    kernel's candidates a window and bytes a class's copy, the int-bitset
-    kernel's classes a chunk, the bytes that the kernel's storage counts
-    beside the table (_window_count of a window of every class's row, or
-    _bitset_count of the whole rows beside the odd flags) and the table's
-    bytes (table_bytes); first, MemoryBudgetError unless they fit."""
+                       packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
+    """(units, span, step, width, need, table) of a sweep of m at N: the
+    unit classes, the largest prime index up to M, the packed kernel's
+    candidates a window and bytes a class's copy, the bytes that the
+    kernel's storage counts beside the table (_window_count of a window of
+    every class's row, or _bitset_count of the rows) and the table's bytes
+    (table_bytes); first, MemoryBudgetError unless they fit."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = primes.table_bytes(N, packed)
     step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
     width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
     if packed:
-        chunk, (need, detail) = len(units), _window_count(len(units), width, width + span // 8 + 1)
+        need, detail = _window_count(len(units), width, width + span // 8 + 1)
     else:
-        entries = len(units) * ((N - 2) // m + span + 8)  # every row as long as the longest
-        chunk, need, detail = _bitset_count(entries, entries // 8 + 1, len(units), table, True)
+        row = (N - 2) // m + span + 8  # every row as long as the longest
+        need, detail = _bitset_count(len(units) * row, row, len(units))
     check_budget(need + table, f"sweep of m = {m} at N={N} needs {need + table} bytes ({table} "
                  f"of {'table' if packed else 'odd flags'}, {detail})")
-    return units, span, step, width, chunk, need, table
+    return units, span, step, width, need, table
 
 
 def _sweep_stage1(m: int, N: int, M: int,
@@ -736,23 +734,22 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     """_sweep_stage1 on Python int bitsets, read off the odd flags of an
     unpacked table (PrimeTable.primes).
 
-    Class b's entries are the flags b//2 + j*m/2.  One bitset holds a row
-    of every unit class, b ascending from the top bits, each of as many
-    entries as any pair has candidates, (N - 2)//m + 1, with room below
-    for the largest head shift.  Small-prime class a runs on its rows b >=
-    a, in chunks of classes that check_sweep_budget counts (_bitset_stage1)."""
-    units, _, _, _, chunk, *_ = check_sweep_budget(m, N, M, packed=False)
+    Class b's entries are the flags b//2 + j*m/2.  Entry bytes hold a row
+    of every unit class, b ascending, each of as many entries as any pair
+    has candidates, (N - 2)//m + 1, with room below for the largest head
+    shift.  Small-prime class a runs on its rows b >= a (_bitset_stage1)."""
+    units = check_sweep_budget(m, N, M, packed=False)[0]
     flags = table.primes()
     half, count = m // 2, (N - 2) // m + 1
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
              for a in units for entries in [max(0, (M - a) // m + 1)]]
-    width = _row_width(count, pidxs, _BITSET_HEAD_PRIMES)
+    width = _row_width(count, pidxs)
     entries = bytearray(len(units) * width)
     for k, b in enumerate(units):  # a row may end past the flags: its entries there stay 0
         row = flags[b // 2 : b // 2 + count * half : half]
         entries[k * width : k * width + len(row)] = row
     classes = [(a, pidx, k) for k, (a, pidx) in enumerate(zip(units, pidxs))]
-    return _bitset_stage1(m, N, units, entries, width, count, classes, _BITSET_HEAD_PRIMES, chunk)
+    return _bitset_stage1(m, N, units, entries, width, count, classes)
 
 
 def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object]) -> list[Job]:

@@ -699,13 +699,35 @@ def test_bitset_group_peak_memory_within_budget():
         print(need, status("VmHWM") - base <= need, "numpy" in sys.modules,
               [es.elements for es in sets])
     """)
-    assert _fresh_python(code) == "6276380 True False [(4,), (2,)]\n"
+    assert _fresh_python(code) == "6013929 True False [(4,), (2,)]\n"
 
 
 @pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])
 def test_import_loads_no_engine(module):
     code = f"import sys, {module}; print(sorted(set(sys.modules) & {ENGINE_MODULES!r}))"
     assert _fresh_python(code) == "[]\n"
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+def test_cached_sweep_forks_with_hashlib_loaded(tmp_path, cached):
+    # a cold cached sweep imports hashlib, for its files' checksums, before
+    # run_plan forks the workers, so that they inherit it instead of each
+    # importing it at its first save; a sweep with no cache loads none
+    cache = f"Path({str(tmp_path)!r})" if cached else "None"
+    code = textwrap.dedent(f"""\
+        import sys
+        from pathlib import Path
+        from apgoldbach import cli, partitions
+
+        seen, real = [], partitions.run_plan
+        partitions.run_plan = lambda *args, **kw: (
+            seen.append("hashlib" in sys.modules) or real(*args, **kw))
+        cli.compute_sweep(cli.RunConfig(N=10**4, m_min=6, m_max=8, threads=2, cache_dir={cache}))
+        print(seen, "hashlib" in sys.modules)
+    """)
+    assert _fresh_python(code) == f"[{cached}] {cached}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["m6_N10000.json", "m8_N10000.json"] if cached else [])
 
 
 @pytest.fixture(scope="module")

@@ -782,13 +782,15 @@ def test_bitset_and_packed_kernels_match_naive(monkeypatch, m, N, data):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_both_sweep_kernels_agree_pair_by_pair(monkeypatch, table_1e5, flags_1e5, m, N, data):
-    # the int-bitset sweep over every row at once, with a head of 0, 1, 8
-    # or the default shifts, and the packed sweep over windows of a few
-    # candidates leave the same candidates for every pair a <= b, and a
-    # drawn pair's are the naive ones
+    # the int-bitset sweep in blocks of one row, of a few rows or of every
+    # row, with a head of 0, 1, 8 or the default shifts, and the packed
+    # sweep over windows of a few candidates leave the same candidates for
+    # every pair a <= b, and a drawn pair's are the naive ones
     monkeypatch.setattr(partitions, "_MARK_BLOCK", data.draw(st.sampled_from([1, 5, 64])))
-    monkeypatch.setattr(partitions, "_BITSET_HEAD_PRIMES",
-                        data.draw(st.sampled_from([partitions._BITSET_HEAD_PRIMES, 0, 1, 8])))
+    monkeypatch.setattr(partitions, "_BITSET_BLOCK",
+                        data.draw(st.sampled_from([partitions._BITSET_BLOCK, 1, 200])))
+    monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES",
+                        data.draw(st.sampled_from([partitions._VECTOR_PHASE_PRIMES, 0, 1, 8])))
     M = data.draw(st.integers(-2 * m, N))
     bitset = partitions._bitset_sweep(m, N, M, flags_1e5)
     assert bitset == partitions._sweep_stage1(m, N, M, table_1e5)
@@ -848,12 +850,13 @@ def test_both_pair_kernels_agree_at_verify_scale(bound):
 
 
 def _recorded_head_shifts(monkeypatch) -> list:
-    """(classes, head, schedule) of every _head_shifts call from here on."""
+    """(classes, schedule) of every _head_shifts call, one a block, from
+    here on."""
     seen, real = [], partitions._head_shifts
 
-    def recorded(classes, head):
-        seen.append((classes, head, real(classes, head)))
-        return seen[-1][2]
+    def recorded(classes):
+        seen.append((classes, real(classes)))
+        return seen[-1][1]
 
     monkeypatch.setattr(partitions, "_head_shifts", recorded)
     return seen
@@ -865,7 +868,6 @@ def test_bitset_stage1_without_a_head_shift(monkeypatch, flags_1e5, M, head):
     # head of 0, so no shift is made and the tails alone mark: a sweep of
     # m = 10 and a group of three a-classes leave the naive survivors
     seen = _recorded_head_shifts(monkeypatch)
-    monkeypatch.setattr(partitions, "_BITSET_HEAD_PRIMES", head)
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", head)
     N = 2000
     sweep = partitions._bitset_sweep(10, N, M, flags_1e5)
@@ -873,7 +875,7 @@ def test_bitset_stage1_without_a_head_shift(monkeypatch, flags_1e5, M, head):
         assert survivors == naive_stage1_unresolved(a, b, 10, N, M), (a, b)
     group = partitions._bitset_group(3, [1, 3, 7], 10, N, M)
     assert group == [naive_stage1_unresolved(a, 3, 10, N, M) for a in (1, 3, 7)]
-    assert [shifts for _, _, shifts in seen] == [{}, {}]
+    assert [shifts for _, shifts in seen] == [{}, {}]
 
 
 def test_bitset_stage1_classes_with_disjoint_heads(monkeypatch):
@@ -883,7 +885,7 @@ def test_bitset_stage1_classes_with_disjoint_heads(monkeypatch):
     monkeypatch.setattr(partitions, "_VECTOR_PHASE_PRIMES", 1)
     N, M = 3000, 100
     group = partitions._bitset_group(3, [1, 3], 4, N, M)
-    assert [shifts for _, _, shifts in seen] == [{0: [1], 1: [0]}]
+    assert [shifts for _, shifts in seen] == [{0: [1], 1: [0]}]
     assert group == [naive_stage1_unresolved(a, 3, 4, N, M) for a in (1, 3)]
     assert group == [partitions._pair_share(AdmissiblePair(a, 3, 4), N, M) for a in (1, 3)]
 
@@ -900,24 +902,27 @@ def test_bitset_stage1_cuts_each_class_to_its_rows(flags_1e5):
         assert survivors == naive_stage1_unresolved(a, b, 30, N, M), (a, b)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 5])
-def test_bitset_stage1_in_chunks(monkeypatch, flags_1e5, chunk):
-    # classes run a few at a time, each chunk on the rows of its first
-    # class: a sweep of m = 30 (8 classes) and a group of three a-classes
-    # mod 10 leave what one chunk of them all does, which is naive
+@pytest.mark.parametrize("block,classes", [
+    (1, [1, 2, 3, 4, 5, 6, 7, 8]), (1000, [3, 6, 8]), (10**9, [8]),
+], ids=["one-row", "three-rows", "every-row"])
+def test_bitset_stage1_in_blocks(monkeypatch, flags_1e5, block, classes):
+    # blocks of _BITSET_BLOCK bits of whole rows, or one row where a row is
+    # longer: a sweep of m = 30 (8 rows of 296 bits) runs in blocks of one
+    # row, of three rows (1,000 bits) or of every row, and each block's
+    # schedule holds the classes k < hi that read it; the sweep and a
+    # group of three a-classes mod 10, always one block, leave the naive
+    # survivors
+    monkeypatch.setattr(partitions, "_BITSET_BLOCK", block)
+    seen = _recorded_head_shifts(monkeypatch)
     N = 5000
     M = partitions.default_stage1_bound(30, N)
-    whole = partitions._bitset_sweep(30, N, M, flags_1e5)
-    group = partitions._bitset_group(3, [1, 3, 7], 10, N, 100)
-    budget, count = partitions.check_sweep_budget, partitions._group_budget
-    monkeypatch.setattr(partitions, "check_sweep_budget", lambda *args, **kw: (
-        *budget(*args, **kw)[:4], chunk, *budget(*args, **kw)[5:]))
-    monkeypatch.setattr(partitions, "_group_budget", lambda *args: (chunk, *count(*args)[1:]))
-    assert partitions._bitset_sweep(30, N, M, flags_1e5) == whole
-    assert partitions._bitset_group(3, [1, 3, 7], 10, N, 100) == group
-    assert group == [naive_stage1_unresolved(a, 3, 10, N, 100) for a in (1, 3, 7)]
-    for (a, b), survivors in whole.items():
+    sweep = partitions._bitset_sweep(30, N, M, flags_1e5)
+    assert [len(part) for part, _ in seen] == classes
+    for (a, b), survivors in sweep.items():
         assert survivors == naive_stage1_unresolved(a, b, 30, N, M), (a, b)
+    group = partitions._bitset_group(3, [1, 3, 7], 10, N, 100)
+    assert len(seen) == len(classes) + 1
+    assert group == [naive_stage1_unresolved(a, 3, 10, N, 100) for a in (1, 3, 7)]
 
 
 def test_bitset_group_of_one_a_class():
@@ -934,26 +939,28 @@ def test_bitset_group_of_one_a_class():
 def _schedule_totals(seen) -> list[int]:
     """[shifts, ORs] over the schedules `seen`, after checking that each
     class's head is listed once under its own indices."""
-    for classes, head, shifts in seen:
+    head = partitions._VECTOR_PHASE_PRIMES
+    for classes, shifts in seen:
         held = [[] for _ in classes]
         for i, positions in shifts.items():
             for c in positions:
                 held[c].append(i)
         assert [sorted(h) for h in held] == [sorted(pidx[:head]) for _, pidx, _ in classes]
-    return [sum(len(shifts) for *_, shifts in seen),
-            sum(len(c) for *_, shifts in seen for c in shifts.values())]
+    return [sum(len(shifts) for _, shifts in seen),
+            sum(len(c) for _, shifts in seen for c in shifts.values())]
 
 
 def test_head_shift_counts_of_the_benchmark_runs(monkeypatch, flags_1e6):
     # the int kernel's head work as counts, which repeat where time does
-    # not: the desk sweep's computed moduli, m = 26-50 at 10^6, shift 2,049
-    # times for 200 classes of 48 ORs, and conj2's group (m, b) = (4, 3),
-    # a in [1, 3], at 5*10^6 113 times for 2 classes of 64 ORs
+    # not: the desk sweep's computed moduli, m = 26-50 at 10^6, in 3 to 5
+    # blocks of rows each, shift 10,385 times for 524 (class, block) pairs
+    # of 64 ORs, and conj2's group (m, b) = (4, 3), a in [1, 3], at 5*10^6 113 times
+    # for 2 classes of 64 ORs in its one block
     seen = _recorded_head_shifts(monkeypatch)
     N = 10**6
     for m in range(26, 51, 2):
         partitions._bitset_sweep(m, N, partitions.default_stage1_bound(m, N), flags_1e6)
-    assert _schedule_totals(seen) == [2049, 9600]
+    assert _schedule_totals(seen) == [10385, 33536]
     seen.clear()
     N = 5 * 10**6
     partitions._bitset_group(3, [1, 3], 4, N, partitions.default_stage1_bound(4, N))
@@ -1061,7 +1068,7 @@ class TestKernelSelection:
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2 * 10**6)
-        with pytest.raises(MemoryBudgetError, match=r"of entries and their slices"):
+        with pytest.raises(MemoryBudgetError, match=r"of entries and a block's slices"):
             exceptional_set(AdmissiblePair(1, 3, 4), 4 * 10**6)
         assert sieved == []
         assert exceptional_set(AdmissiblePair(1, 3, 4), 10**6).elements == (4,)
@@ -1243,18 +1250,20 @@ def test_sweep_share_cap_leaves_room_for_the_table(monkeypatch):
 
 def test_int_sweep_of_a_large_modulus_fits_its_budget(monkeypatch):
     # m = 1202 at 10^7 (phi(m) = 600, rows of 8,320 candidates) takes the
-    # int route and fits the default budget: its classes run 27 at a
-    # time, whose marks take at most the bytes of the rest of the count,
-    # so the count, 44,840,708 bytes with the 5,000,000 of odd flags, is
-    # at most about twice the rest.  Nothing is sieved
+    # int route and fits the default budget: its rows run in blocks of at
+    # most _BITSET_BLOCK bits, with the marks of every class that reads a
+    # block alive at once, so the count, 16,532,212 bytes beside the
+    # 5,000,000 of odd flags, is 6,504,600 of entries, a block's slices,
+    # and 604 blocks' bits for the marks, bitset, shift and scan.  Nothing
+    # is sieved
     monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
     N, m = 10**7, 1202
     [job] = partitions.sweep_plan(N, [m], None)
     assert job.args == (m, False)  # the odd flags' route
-    units, *_, chunk, need, table = partitions.check_sweep_budget(
+    units, *_, need, table = partitions.check_sweep_budget(
         m, N, partitions.default_stage1_bound(m, N), packed=False)
-    assert (len(units), chunk) == (600, 27)
-    assert (job.need, job.shared) == (need, table) == (39_840_708, 5_000_000)
+    assert len(units) == 600
+    assert (job.need, job.shared) == (need, table) == (16_532_212, 5_000_000)
     assert need + table <= primes.DEFAULT_MEMORY_BUDGET_BYTES
 
 
@@ -1319,9 +1328,9 @@ def test_group_shares_one_b_class_row(monkeypatch):
 
 def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     # one count per group before anything is sieved: every a-mask, the
-    # shared row's entries and their eight slices, the marks of both
-    # a-classes, the bitset, its pads and a shift, one a-class's scan, and
-    # the sieve; the parts named add up to the bytes needed
+    # shared row's entries and the eight slices of its one block, the
+    # marks of both a-classes, the bitset and a shift, one a-class's scan,
+    # and the sieve; the parts named add up to the bytes needed
     sieved = []
     real = partitions.sieve_progression
     monkeypatch.setattr(partitions, "sieve_progression",
@@ -1332,16 +1341,17 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
         exceptional_sets([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)], N)
     assert sieved == []
     need, *parts = map(int, re.search(
-        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries and their "
-        r"slices, (\d+) of marks, (\d+) of bitset, pads and shift, (\d+) of scan, "
+        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries and a block's "
+        r"slices, (\d+) of marks, (\d+) of bitset and shift, (\d+) of scan, "
         r"(\d+) of sieve pattern and base primes\)",
         str(exc.value),
     ).groups())
     assert sum(parts) == need > 2 * 10**6
     M = partitions.default_stage1_bound(4, N)
-    nbytes = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8  # the row, past every shift
-    assert parts[:5] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 16 * nbytes, 2 * nbytes,
-                         3 * nbytes, 2 * nbytes]
+    width = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8 * 8  # the row, past every shift
+    bits = width // 8 + 1
+    assert parts[:5] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 2 * width, 2 * bits,
+                         2 * bits, 2 * bits]
 
 
 @pytest.mark.parametrize("kernel,N,source,route", [
