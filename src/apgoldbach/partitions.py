@@ -32,11 +32,12 @@ run in other processes.
 
 The int-bitset kernel (_bitset_stage1) holds rows of b-entries, one
 bytearray row by row, in blocks of whole rows of at most _BITSET_BLOCK
-bits, each the binary digits of one Python int (_bits_from_bytes), so a
-shift is one int shift.  A block is shifted once for each of the first
-_VECTOR_PHASE_PRIMES indices of any class that reads it (_head_shifts),
-ORed into the marks of every class whose head holds it; after the head,
-each unset bit tries the remaining primes on the row's bytes.  A
+bits, each read in place as the binary digits of one Python int
+(_bits_from_bytes), so a shift is one int shift.  A block is shifted
+once for each of the first _VECTOR_PHASE_PRIMES indices of any class
+that reads it (_head_shifts), ORed into the marks of every class whose
+head holds it; after the head, each unset bit tries the remaining
+primes on the row's bytes.  A
 modulus sweep on it (_bitset_sweep) copies a row of every unit class
 out of an unpacked table's odd flags (primes.PrimeTable.primes), and
 each small-prime class a runs on its rows b >= a; sweep_plan picks it,
@@ -50,8 +51,9 @@ whose sweeps and pairs all run the int-bitset kernel never loads it.
 A sweep and a batch of pairs (exceptional_sets, and exceptional_set is
 its batch of one) each build a plan of jobs (Job): one a modulus
 (sweep_plan), or each group (m, b)'s (batch_plan), whose bytes its
-kernel's one count gives (_window_count, _bitset_count); one runner
-(run_plan) deals them to worker shares (deal) and forks those (fork_map).
+kernel's one count gives (_window_count, _bitset_count, each called by
+check_sweep_budget and _group_jobs alone); one runner (run_plan) deals
+them to worker shares (deal) and forks those (fork_map).
 """
 
 from __future__ import annotations
@@ -308,13 +310,13 @@ def _pair_share(pair: AdmissiblePair, N: int, M: int,
     return found
 
 
-def _bits_from_bytes(entries: bytes | bytearray) -> int:
-    """The int whose binary digits are `entries`, bytes 0 and 1 whose
-    length is a multiple of 8, the first the top bit: each eighth byte,
-    from byte k on, is the bits 7 - k of the int's bytes."""
+def _bits_from_bytes(entries: bytes | bytearray, start: int, stop: int) -> int:
+    """The int whose binary digits are entries[start:stop], bytes 0 and 1
+    of a length a multiple of 8, the first the top bit, read in place: each
+    eighth byte from start + k on is the bits 7 - k of the int's bytes."""
     bits = 0
     for k in range(8):
-        bits |= int.from_bytes(entries[k::8], "big") << (7 - k)
+        bits |= int.from_bytes(entries[start + k : stop : 8], "big") << (7 - k)
     return bits
 
 
@@ -339,9 +341,9 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
 
     `entries` holds a row of `width` bytes, a multiple of 8, per b in bs,
     byte s its entry s.  Its blocks of whole rows [lo, hi), each of at most
-    _BITSET_BLOCK bits or one row, are each one bitset (_bits_from_bytes,
-    of `entries` itself for every row), row lo in the top bits.  Below its
-    `count` entries each row has at least pidx[_VECTOR_PHASE_PRIMES - 1]
+    _BITSET_BLOCK bits or one row, are each one bitset read in place
+    (_bits_from_bytes), row lo in the top bits.  Below its `count`
+    entries each row has at least pidx[_VECTOR_PHASE_PRIMES - 1]
     bits of 0, so shift i, which marks s where entry s - i is prime, is
     bitset >> i.  The marks of every class with k < hi, all alive at once,
     start from the bits below the candidates of its rows max(k, lo) to
@@ -356,8 +358,7 @@ def _bitset_stage1(m: int, N: int, bs: list[int], entries: bytearray, width: int
         (a, b) for a, _, k in classes for b in bs[k:])
     for lo in range(0, len(bs), step):
         hi = min(lo + step, len(bs))
-        bitset = _bits_from_bytes(entries if hi - lo == len(bs) else  # every row: no copy
-                                  entries[lo * width : hi * width])
+        bitset = _bits_from_bytes(entries, lo * width, hi * width)
         part = [cls for cls in classes if cls[2] < hi]
         pads = int.from_bytes(((1 << (width - count)) - 1).to_bytes(width // 8, "big") * (hi - lo),
                               "big")  # every row's bits below its candidates
@@ -423,27 +424,19 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     return [found[(a, b)] for a in avals]
 
 
-def _bitset_count(entries: int, width: int, classes: int) -> tuple[int, str]:
-    """(need, parts) of _bitset_stage1 on `entries` bytes in rows of at most
-    `width`: the entry bytes, a block's eight slices, and a block's bits
-    for each of its bitset, a shift, two scan strings and `classes` marks."""
-    block = min(entries, max(width, _BITSET_BLOCK))  # a block's entry bytes
+def _bitset_count(rows: int, count: int, span: int, classes: int) -> tuple[int, str]:
+    """(need, parts) of _bitset_stage1 on `rows` rows of `count` candidates
+    with room below for shifts up to `span`, a row never narrower than
+    _row_width's: the entry bytes, the one slice of a block alive as it is
+    read, and a block's bits for each of its bitset, a shift, two scan
+    strings and `classes` marks."""
+    row = (count + span + 7) // 8 * 8
+    entries = rows * row
+    block = min(entries, max(row, _BITSET_BLOCK))  # a block's entry bytes
     bits = block // 8 + 1
-    return entries + block + (4 + classes) * bits, (
-        f"{entries + block} of entries and a block's slices, {classes * bits} of marks, "
+    return entries + block // 8 + (4 + classes) * bits, (
+        f"{entries} of entries, {block // 8} of a slice, {classes * bits} of marks, "
         f"{2 * bits} of bitset and shift, {2 * bits} of scan")
-
-
-def _group_budget(b: int, avals: list[int], m: int, N: int, M: int) -> tuple[int, str]:
-    """(need, parts) of _bitset_group on the pairs (a, b, m), a in avals:
-    every a-mask, _bitset_count of its row and the sieve."""
-    entries = [max(0, (M - a) // m + 1) for a in avals]
-    count = max(max(0, (N - a - b) // m + 1) for a in avals)
-    width = (count + max(entries) + 7) // 8 * 8  # the row, padded past every shift
-    masks, sieve = sum(entries), sieve_overhead_bytes(N, max(entries + [width]))
-    need, parts = _bitset_count(width, width, len(avals))
-    return masks + need + sieve, (f"{masks} of small-prime masks, {parts}, {sieve} of "
-                                  "sieve pattern and base primes")
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -594,16 +587,20 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     candidates; first, MemoryBudgetError unless every job's count fits
     the budget.  Where every pair of m has under _MIN_SHARE_WINDOWS
     windows, so none splits, the group is one int-bitset job
-    (_bitset_group) that _group_budget counts.  On the packed route each
+    (_bitset_group), which counts every a-mask, _bitset_count of its one
+    row and the sieve of that row.  On the packed route each
     pair's jobs are shares (k, K) of its windows (_pair_share), as many as
     `workers` allows while each gets _MIN_SHARE_WINDOWS; a share counts its
     a-class, its window buffer, _window_count of one row and the sieve."""
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        need, parts = _group_budget(b, avals, m, N, M)
+        need, parts = _bitset_count(1, max(counts), max(entries), len(avals))
+        masks, sieve = sum(entries), sieve_overhead_bytes(N, max(counts) + max(entries) + 7)
+        need += masks + sieve  # that window bounds the row sieved into
         check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} "
-                     f"bytes ({parts})")
+                     f"bytes ({masks} of small-prime masks, {parts}, {sieve} of sieve pattern "
+                     "and base primes)")
         return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
     jobs = []
     for a, e, count in zip(avals, entries, counts):
@@ -686,8 +683,7 @@ def check_sweep_budget(m: int, N: int, M: int,
     if packed:
         need, detail = _window_count(len(units), width, width + span // 8 + 1)
     else:
-        row = (N - 2) // m + span + 8  # every row as long as the longest
-        need, detail = _bitset_count(len(units) * row, row, len(units))
+        need, detail = _bitset_count(len(units), (N - 2) // m + 1, span, len(units))
     check_budget(need + table, f"sweep of m = {m} at N={N} needs {need + table} bytes ({table} "
                  f"of {'table' if packed else 'odd flags'}, {detail})")
     return units, span, step, width, need, table
@@ -761,8 +757,10 @@ def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object
     counts as shared: of odd flags where the size rule on the moduli's
     total work picks the int-bitset kernel for the sweep, else packed,
     which imports numpy before run_plan forks; see
-    exceptional_sets_for_modulus."""
-    row = max(((N - 2) // m + 1 for m in moduli), default=0)
+    exceptional_sets_for_modulus.  No moduli: no jobs, and no sieve."""
+    if not moduli:
+        return []
+    row = max((N - 2) // m + 1 for m in moduli)
     work = [sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m) for m in moduli]
     bitset = row <= _BITSET_SWEEP_ROW or sum(work) * row <= _BITSET_SWEEP_WORK
     needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-2:]

@@ -484,9 +484,9 @@ class TestTables:
 
     def test_reused_worker_flags_check_budget(self, monkeypatch):
         # the same on the int-bitset kernel, at 10^6: one of m = 30
-        # (1,483,664 bytes; its sieve 1,060,443) fits a 1.5 MB budget, one
-        # of m = 2 (1,888,768 bytes) does not, and fails before it sieves
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1_500_000)
+        # (984,300 bytes; its sieve 1,060,443) fits a 1.2 MB budget, one
+        # of m = 2 (1,383,755 bytes) does not, and fails before it sieves
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 1_200_000)
         assert compute_sweep(RunConfig(N=10**6, m_min=30, m_max=30, threads=1))
         sieved = []
         monkeypatch.setattr(partitions, "sieve_primes", sieved.append)
@@ -496,13 +496,14 @@ class TestTables:
 
     @pytest.mark.parametrize("N,budget,need", [
         (10**7, 6_600_000, "of class copies"),
-        (10**6, 1_600_000, "of odd flags, "),
+        (10**6, 1_200_000, "of odd flags, "),
     ], ids=["packed", "int-bitset"])
     def test_budget_reserves_only_computed_moduli(self, monkeypatch, tmp_path, N, budget, need):
         # a derived modulus needs no window: with 4 cached, a sweep of
         # m = 2-6 derives 2 and checks the windows of 6 alone (6,475,508
-        # bytes at 10^7 on the packed kernel, 1,467,962 at 10^6 on the
-        # int-bitset kernel), which fit where those of 2 do not
+        # bytes at 10^7 on the packed kernel, 983,972 at 10^6 on the
+        # int-bitset kernel, beside its sieve's 1,060,443), which fit where
+        # those of 2 (1,383,755 bytes) do not
         compute_sweep(RunConfig(N=N, m_min=4, m_max=4, threads=1, cache_dir=tmp_path))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
         compute_sweep(RunConfig(N=N, m_min=2, m_max=6, threads=1, cache_dir=tmp_path))
@@ -699,7 +700,7 @@ def test_bitset_group_peak_memory_within_budget():
         print(need, status("VmHWM") - base <= need, "numpy" in sys.modules,
               [es.elements for es in sets])
     """)
-    assert _fresh_python(code) == "6013929 True False [(4,), (2,)]\n"
+    assert _fresh_python(code) == "4176730 True False [(4,), (2,)]\n"
 
 
 @pytest.mark.parametrize("module", ["apgoldbach", "apgoldbach.cli"])

@@ -207,13 +207,11 @@ def test_one_runner_deals_and_forks():
 
 def test_one_home_per_count():
     # each kernel's storage is counted in one function, which both of its
-    # sources, the sweep and the batch, call, and the int-bitset group's
-    # count is read only where its job is built, never by the kernel; only
-    # the packed kernel and its count read the size of a gather block
+    # sources, the sweep and the batch, call where their jobs are built,
+    # never the kernel; only the packed kernel and its count read the size
+    # of a gather block
     assert sorted(_callers("_window_count")) == ["partitions.py:_group_jobs",
                                                  "partitions.py:check_sweep_budget"]
-    assert sorted(_callers("_bitset_count")) == ["partitions.py:_group_budget",
-                                                 "partitions.py:check_sweep_budget"]
-    assert _callers("_group_budget") == ["partitions.py:_group_jobs"]
+    assert sorted(_callers("_bitset_count")) == sorted(_callers("_window_count"))
     assert set(_callers("_GATHER_BLOCK_ELEMENTS", calls=False)) == {
         "partitions.py:_window", "partitions.py:_window_count"}

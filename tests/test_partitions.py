@@ -810,6 +810,30 @@ def test_int_sweep_reads_flags_that_end_at_the_limit(table_1e5, m, N, data):
     assert partitions._bitset_sweep(m, N, M, flags) == partitions._sweep_stage1(m, N, M, table_1e5)
 
 
+@given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bitset_count_covers_the_entries_allocated(monkeypatch, flags_1e5, m, N, data):
+    # the entry bytes that _bitset_count counts, for a sweep and for a
+    # group of a-classes sharing one b-row, are at least the entries that
+    # _bitset_sweep and _bitset_group allocate and hand to _bitset_stage1
+    counted, allocated = [], []
+    monkeypatch.setattr(partitions, "check_budget", lambda need, detail: counted.append(
+        int(re.search(r"(\d+) of entries, ", detail).group(1))))
+    real = partitions._bitset_stage1
+    monkeypatch.setattr(partitions, "_bitset_stage1",
+                        lambda *args: allocated.append(len(args[3])) or real(*args))
+    M = data.draw(st.integers(-2 * m, N), label="M")
+    partitions._bitset_sweep(m, N, M, flags_1e5)
+    units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+    b = data.draw(st.sampled_from(units), label="b")
+    avals = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True), label="avals")
+    [job] = partitions._group_jobs(m, b, avals, max(M, 0), N, 1)
+    job.kernel(*job.args)
+    assert len(counted) == len(allocated) == 2
+    assert counted[0] >= allocated[0] and counted[1] >= allocated[1]
+
+
 def test_both_sweep_kernels_agree_at_m194(monkeypatch, table_1e6, flags_1e6):
     # a second oracle: the two sweep kernels share no marking, scanning or
     # tail code.  Every unordered pair of m = 194 at 2*10^5 leaves the
@@ -976,12 +1000,20 @@ def test_head_shift_counts_of_the_benchmark_runs(monkeypatch, flags_1e6):
 @example(bytes(511) + b"\1")
 @settings(max_examples=200, deadline=None)
 def test_bits_from_bytes_reads_the_bytes_as_binary_digits(entries):
-    # 0/1 entry bytes up to 512 long, a multiple of 8, read by the eight
-    # strided slices: the int whose binary digits they are, the first the
-    # top bit, from bytes and from a bytearray
-    reference = int(b"0" + entries.translate(bytes.maketrans(b"\0\1", b"01")), 2)
-    assert partitions._bits_from_bytes(entries) == reference
-    assert partitions._bits_from_bytes(bytearray(entries)) == reference
+    # 0/1 entry bytes up to 512 long, a multiple of 8, read in place by the
+    # eight strided slices: the int whose binary digits they are, the first
+    # the top bit, from bytes and from a bytearray, and of a middle block
+    # of them, between 8-byte bounds inside the entries
+    def digits(entries):
+        return int(b"0" + entries.translate(bytes.maketrans(b"\0\1", b"01")), 2)
+
+    n = len(entries)
+    assert partitions._bits_from_bytes(entries, 0, n) == digits(entries)
+    assert partitions._bits_from_bytes(bytearray(entries), 0, n) == digits(entries)
+    start, stop = n // 16 * 8, max(n // 16 * 8, n - 8)
+    padded = b"\1" * 8 + entries + b"\1" * 8  # so that a middle block exists at any n
+    assert partitions._bits_from_bytes(padded, 8 + start, 8 + stop) == digits(entries[start:stop])
+    assert partitions._bits_from_bytes(bytearray(padded), 8, 8 + n) == digits(entries)
 
 
 def test_odd_flags_must_reach_the_limit(flags_1e5):
@@ -1061,14 +1093,15 @@ class TestKernelSelection:
             assert peak < 4 * 2**21, avals
 
     def test_bitset_budget_checked_before_allocating(self, monkeypatch):
-        # the kernel counts its buffers, about 2.9 bytes an entry, and
-        # raises before it sieves anything
+        # the kernel counts its buffers, about 1.9 bytes an entry (1,904,822
+        # bytes at 4*10^6, 521,576 at 10^6), and raises before it sieves
+        # anything
         sieved = []
         real = partitions.sieve_progression
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
-        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 2 * 10**6)
-        with pytest.raises(MemoryBudgetError, match=r"of entries and a block's slices"):
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", 15 * 10**5)
+        with pytest.raises(MemoryBudgetError, match=r"of entries, \d+ of a slice, "):
             exceptional_set(AdmissiblePair(1, 3, 4), 4 * 10**6)
         assert sieved == []
         assert exceptional_set(AdmissiblePair(1, 3, 4), 10**6).elements == (4,)
@@ -1248,14 +1281,24 @@ def test_sweep_share_cap_leaves_room_for_the_table(monkeypatch):
     assert 625_000 + len(shares) * 7_100_288 <= primes.DEFAULT_MEMORY_BUDGET_BYTES
 
 
+def test_empty_sweep_plan_sieves_nothing(monkeypatch):
+    # a sweep that computes no modulus neither counts nor sieves a table,
+    # however large its N
+    sieved = []
+    monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: sieved.append(N))
+    monkeypatch.setattr(partitions, "check_budget", lambda need, detail: sieved.append(need))
+    assert partitions.sweep_plan(10**12, [], None) == []
+    assert sieved == []
+
+
 def test_int_sweep_of_a_large_modulus_fits_its_budget(monkeypatch):
     # m = 1202 at 10^7 (phi(m) = 600, rows of 8,320 candidates) takes the
     # int route and fits the default budget: its rows run in blocks of at
     # most _BITSET_BLOCK bits, with the marks of every class that reads a
-    # block alive at once, so the count, 16,532,212 bytes beside the
-    # 5,000,000 of odd flags, is 6,504,600 of entries, a block's slices,
-    # and 604 blocks' bits for the marks, bitset, shift and scan.  Nothing
-    # is sieved
+    # block alive at once, so the count, 16,416,924 bytes beside the
+    # 5,000,000 of odd flags, is 6,504,000 of entries, one slice of a
+    # block, and 604 blocks' bits for the marks, bitset, shift and scan.
+    # Nothing is sieved
     monkeypatch.setattr(partitions, "sieve_primes", lambda N, packed: packed)
     N, m = 10**7, 1202
     [job] = partitions.sweep_plan(N, [m], None)
@@ -1263,7 +1306,7 @@ def test_int_sweep_of_a_large_modulus_fits_its_budget(monkeypatch):
     units, *_, need, table = partitions.check_sweep_budget(
         m, N, partitions.default_stage1_bound(m, N), packed=False)
     assert len(units) == 600
-    assert (job.need, job.shared) == (need, table) == (16_532_212, 5_000_000)
+    assert (job.need, job.shared) == (need, table) == (16_416_924, 5_000_000)
     assert need + table <= primes.DEFAULT_MEMORY_BUDGET_BYTES
 
 
@@ -1328,9 +1371,9 @@ def test_group_shares_one_b_class_row(monkeypatch):
 
 def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     # one count per group before anything is sieved: every a-mask, the
-    # shared row's entries and the eight slices of its one block, the
-    # marks of both a-classes, the bitset and a shift, one a-class's scan,
-    # and the sieve; the parts named add up to the bytes needed
+    # shared row's entries and the one slice of it alive as it is read,
+    # the marks of both a-classes, the bitset and a shift, one a-class's
+    # scan, and the sieve; the parts named add up to the bytes needed
     sieved = []
     real = partitions.sieve_progression
     monkeypatch.setattr(partitions, "sieve_progression",
@@ -1341,8 +1384,8 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
         exceptional_sets([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)], N)
     assert sieved == []
     need, *parts = map(int, re.search(
-        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries and a block's "
-        r"slices, (\d+) of marks, (\d+) of bitset and shift, (\d+) of scan, "
+        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries, (\d+) of a "
+        r"slice, (\d+) of marks, (\d+) of bitset and shift, (\d+) of scan, "
         r"(\d+) of sieve pattern and base primes\)",
         str(exc.value),
     ).groups())
@@ -1350,7 +1393,7 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
     M = partitions.default_stage1_bound(4, N)
     width = ((N - 4) // 4 + 1 + (M - 1) // 4 + 1 + 7) // 8 * 8  # the row, past every shift
     bits = width // 8 + 1
-    assert parts[:5] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, 2 * width, 2 * bits,
+    assert parts[:6] == [(M - 1) // 4 + 1 + (M - 3) // 4 + 1, width, width // 8, 2 * bits,
                          2 * bits, 2 * bits]
 
 
