@@ -15,9 +15,10 @@ sieve.
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
 apgoldbach CLI does (cli.exit_status).  The moduli are the jobs of a
-sweep's plan (partitions.sweep_plan), which sieves one kind of table;
-this script sieves the other, and the runner (partitions.run_plan) runs
-the jobs on --threads worker processes (0 = one per CPU).
+sweep's plan (partitions.sweep_plan), which sieves nothing: this script
+sieves each kind of table once, the plan's kind (args (m, packed)) first,
+and the runner (partitions.run_plan) runs the jobs on --threads worker
+processes (0 = one per CPU).
 """
 
 import argparse
@@ -81,9 +82,12 @@ def main() -> int:
     N = config.N
     jobs = partitions.sweep_plan(N, config.moduli,
                                  lambda m, table: check_modulus(m, N, table, other))
-    # every job reads the plan's table; the other kind is sieved here, before
-    # the fork, and the packed one imports numpy for both kernels' workers
-    other = sieve_primes(N, packed=not jobs[0].args[1].packed) if jobs else None
+    # both kinds sieved here, before the fork, and the packed one imports
+    # numpy for both kernels' workers; each job runs on the plan's kind
+    if jobs:
+        packed = jobs[0].args[1]
+        table, other = sieve_primes(N, packed), sieve_primes(N, not packed)
+        jobs = [job._replace(args=(job.args[0], table)) for job in jobs]
     done = partitions.run_plan(jobs, config.worker_count)
     for m, (pairs, sampled, error) in zip(config.moduli, done):
         if error is not None:

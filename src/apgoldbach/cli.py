@@ -17,15 +17,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Optional
 
 # The engine (partitions and primes, and numpy where the packed kernel
-# runs) is imported only where stage 1 runs, so that a table1, table2,
-# figures or verify asy whose every modulus is cached or derived never
-# loads it; summaries and heuristics, which need only math and integers,
-# are imported where they are used, so that `exceptions` and the
-# engine-only `verify` targets never load them and `heuristic` loads
-# summaries only with a cache directory; json is imported by the cache
-# functions and the JSON table format
+# runs) is imported only where stage 1 runs, so that a sweep whose every
+# modulus is cached or derived never loads it; summaries and heuristics
+# are imported where they are used, so that `exceptions` and the engine
+# `verify` targets never load them and `heuristic` loads summaries only
+# with a cache directory; json only by the cache and the JSON tables
 if TYPE_CHECKING:
-    from .partitions import AdmissiblePair
+    from .partitions import AdmissiblePair, Job
     from .primes import PrimeTable
     from .summaries import ModulusSets, ModulusSummary
 
@@ -203,61 +201,74 @@ def exceptional_sets_for_modulus(m: int, N: int, table: PrimeTable) -> ModulusSe
     return partitions.exceptional_sets_for_modulus(m, N, table=table)
 
 
-def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
-    """The summary of every modulus in range, in modulus order: its Table 1
-    row, which carries its Table 2 row.
-
-    finish() ends each modulus in the process that made its sets: it writes
-    a miss to the cache, summarizes, and keeps the sets only while the miss
-    m/2 is still to be derived from them.  Cache hits are finished here in
-    ascending order, when each m/2 is known to hit or miss.  The misses
-    whose double is out of range are partitions.sweep_plan's jobs, run in
-    the workers (partitions.run_plan), which read its table copy-on-write.
-    Every other miss m is derived here from the sets of 2m, which are
-    dropped then (summaries.exceptional_sets_from_double, in descending
-    order, so 2m is cached, computed or derived first).  Only a sweep that
-    computes some modulus imports the engine, and only one on the packed
-    kernel imports numpy.
-    """
+def _summarized(m: int, sets: ModulusSets, derived: list[int], miss: Optional[RunConfig] = None):
+    """The summary of modulus m, and its sets while m/2 is still to be
+    derived from them; a miss of the sweep `miss` is cached first."""
     from . import summaries  # no numpy: deriving a miss loads no engine
 
+    if miss is not None and miss.cache_dir is not None:
+        save_cache_entry(miss.cache_dir, m, miss.N, sets)
+    return summaries.summarize_modulus(sets, m), sets if m // 2 in derived else None
+
+
+def plan_sweep(config: RunConfig) -> tuple[dict, list[Job], list[int]]:
+    """The plan of a sweep, (cached, jobs, derived), giving every modulus in
+    range one source: `cached` maps each cache hit at N' >= N, read once,
+    ascending, to _summarized of it; `jobs` compute each miss whose double
+    2m is out of range (partitions.sweep_plan: its budget checked, args (m,
+    packed)); `derived` lists, ascending, every other miss.  It sieves,
+    forks and writes nothing, and without jobs loads no engine."""
     N, cache_dir = config.N, config.cache_dir
-    found: dict[int, ModulusSummary] = {}
-    kept: dict[int, Optional[ModulusSets]] = {}
-    missing: list[int] = []
-
-    def finish(m: int, sets: ModulusSets):
-        if cache_dir is not None and m in missing:
-            save_cache_entry(cache_dir, m, N, sets)
-        return summaries.summarize_modulus(sets, m), sets if m // 2 in missing else None
-
+    cached, computed, derived = {}, [], []
     for m in config.moduli:
-        cached = None if cache_dir is None else load_cache_entry(cache_dir, m, N)
-        if cached is None:
-            missing.append(m)
+        sets = None if cache_dir is None else load_cache_entry(cache_dir, m, N)
+        if sets is not None:
+            cached[m] = _summarized(m, sets, derived)
         else:
-            found[m], kept[m] = finish(m, cached)
-    computed = [m for m in missing if 2 * m > config.m_max]
+            (computed if 2 * m > config.m_max else derived).append(m)
+    jobs = []
     if computed:
-        # the engine, and hashlib for a cache, imported before run_plan forks
-        # the workers, so that they inherit them instead of each importing them
         from . import partitions
-        if cache_dir is not None:
+        jobs = partitions.sweep_plan(N, computed, lambda m, table: _summarized(
+            m, exceptional_sets_for_modulus(m, N, table), derived, config))
+    return cached, jobs, derived
+
+
+def run_sweep(config: RunConfig, plan: tuple) -> dict[int, ModulusSummary]:
+    """The summary of every modulus in range, in modulus order: the one
+    executor of plan_sweep's `plan`, whose `cached` it fills in place.  It
+    sieves the table of the jobs' kind (partitions.sieve_primes), runs them
+    on it in workers (partitions.run_plan), then derives each other miss m,
+    descending, from the sets of 2m, dropped then
+    (summaries.exceptional_sets_from_double)."""
+    from . import summaries
+
+    found, jobs, derived = plan
+    if jobs:
+        from . import partitions  # loaded by the plan
+        if config.cache_dir is not None:  # before run_plan forks, so that workers inherit it
             import hashlib
 
         def dead(pid: int) -> None:  # a killed worker skipped save_cache_entry's cleanup
-            for tmp in cache_dir.glob(f"m*_N*.{pid}.tmp") if cache_dir else ():
+            for tmp in config.cache_dir.glob(f"m*_N*.{pid}.tmp") if config.cache_dir else ():
                 tmp.unlink(missing_ok=True)
 
-        jobs = partitions.sweep_plan(N, computed, lambda m, table: finish(
-            m, exceptional_sets_for_modulus(m, N, table)))
-        for m, result in zip(computed, partitions.run_plan(jobs, config.worker_count, dead=dead)):
-            found[m], kept[m] = result
-    for m in reversed(missing):
-        if 2 * m <= config.m_max:
-            sets = summaries.exceptional_sets_from_double(m, kept.pop(2 * m))
-            found[m], kept[m] = finish(m, sets)
-    return {m: found[m] for m in config.moduli}
+        table = partitions.sieve_primes(config.N, packed=jobs[0].args[1])
+        jobs = [job._replace(args=(job.args[0], table)) for job in jobs]
+        found.update(zip((job.args[0] for job in jobs),
+                         partitions.run_plan(jobs, config.worker_count, dead=dead)))
+    for m in reversed(derived):
+        summary, double = found[2 * m]
+        found[2 * m] = summary, None
+        found[m] = _summarized(m, summaries.exceptional_sets_from_double(m, double), derived, config)
+    return {m: found[m][0] for m in config.moduli}
+
+
+def compute_sweep(config: RunConfig) -> dict[int, ModulusSummary]:
+    """The summary of every modulus in range, in modulus order: its Table 1
+    row, which carries its Table 2 row.  It only builds the sweep's plan
+    and runs it; only a sweep on the packed kernel imports numpy."""
+    return run_sweep(config, plan_sweep(config))
 
 
 # ---------------------------------------------------------------------------

@@ -36,24 +36,25 @@ bits, each read in place as the binary digits of one Python int
 (_bits_from_bytes), so a shift is one int shift.  A block is shifted
 once for each of the first _VECTOR_PHASE_PRIMES indices of any class
 that reads it (_head_shifts), ORed into the marks of every class whose
-head holds it; after the head, each unset bit tries the remaining
-primes on the row's bytes.  A
-modulus sweep on it (_bitset_sweep) copies a row of every unit class
-out of an unpacked table's odd flags (primes.PrimeTable.primes), and
-each small-prime class a runs on its rows b >= a; sweep_plan picks it,
-by one size rule, for sweeps of short rows or little work.  A pair whose
-candidates fit in fewer than _MIN_SHARE_WINDOWS windows, which would
-never split, is its one-row case (_bitset_group), which sieves its
-whole b-class into the row; several pairs of one (m, b) share it.
-Only the packed kernel imports numpy, when it first runs, so a process
-whose sweeps and pairs all run the int-bitset kernel never loads it.
+head holds it; after the head, each unset bit tries the remaining primes
+on the row's bytes.  A modulus sweep on it (_bitset_sweep) copies a row
+of every unit class out of an unpacked table's odd flags
+(primes.PrimeTable.primes), and each small-prime class a runs on its
+rows b >= a; sweep_plan picks it, by one size rule, for sweeps of short
+rows or little work.  A pair whose candidates fit in fewer than
+_MIN_SHARE_WINDOWS windows, which would never split, is its one-row case
+(_bitset_group), which sieves its whole b-class into the row; several
+pairs of one (m, b) share it.  Only the packed kernel imports numpy,
+when it first runs, so a process whose sweeps and pairs all run the
+int-bitset kernel never loads it.
 
 A sweep and a batch of pairs (exceptional_sets, and exceptional_set is
-its batch of one) each build a plan of jobs (Job): one a modulus
-(sweep_plan), or each group (m, b)'s (batch_plan), whose bytes its
-kernel's one count gives (_window_count, _bitset_count, each called by
-check_sweep_budget and _group_jobs alone); one runner (run_plan) deals
-them to worker shares (deal) and forks those (fork_map).
+its batch of one) each build a plan of jobs (Job), which sieves nothing:
+one a modulus (sweep_plan), whose table the sweep's executor
+(cli.run_sweep) sieves, or each group (m, b)'s (batch_plan); its
+kernel's one count gives a job's bytes (_window_count, _bitset_count,
+each called by check_sweep_budget and _group_jobs alone).  One runner
+(run_plan) deals them to worker shares (deal) and forks those (fork_map).
 """
 
 from __future__ import annotations
@@ -93,11 +94,9 @@ _HEAD_GROUP = 32
 # The sweeps that run the int-bitset kernel (sweep_plan): those whose
 # longest row of candidates is at most _BITSET_SWEEP_ROW, and those whose
 # head work, the sum of phi(m)^2 (N - 2)//m over the moduli they compute,
-# times that row is at most _BITSET_SWEEP_WORK.  Fitted on 2 vCPUs, CLI
-# CPU time on one worker with numpy's import: the int kernel's ORs cost
-# less than the packed kernel's per-window calls on rows of up to about
-# 10^4 candidates, and on longer rows more, by a share that grows with
-# the row, which only a small head saves back in numpy's import.
+# times that row is at most _BITSET_SWEEP_WORK.  Fitted at 3cbe2a8, before
+# row blocks, on CLI CPU time with numpy's import (2 vCPUs); it is known to
+# pick the slower, packed kernel on m = 102-200 at 2*10^6.
 _BITSET_SWEEP_ROW = 10**4
 _BITSET_SWEEP_WORK = 5 * 10**12
 
@@ -749,24 +748,18 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
 
 
 def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object]) -> list[Job]:
-    """The jobs fn(m, table) of a sweep at N that computes `moduli`, in
-    order, each weighed by its head work (see _BITSET_SWEEP_ROW), phi(m)
-    small-prime classes on up to phi(m) rows each, and counting its
-    kernel's bytes beside the table (check_sweep_budget), checked before
-    the one sieve (sieve_primes) of the table that every job reads, and
-    counts as shared: of odd flags where the size rule on the moduli's
-    total work picks the int-bitset kernel for the sweep, else packed,
-    which imports numpy before run_plan forks; see
-    exceptional_sets_for_modulus.  No moduli: no jobs, and no sieve."""
-    if not moduli:
-        return []
-    row = max((N - 2) // m + 1 for m in moduli)
+    """The jobs of a sweep at N that computes `moduli`, in order, args (m,
+    packed): each weighed by its head work (see _BITSET_SWEEP_ROW) and
+    counting its kernel's bytes beside the `shared` table (all checked by
+    check_sweep_budget first).  `packed`, the size rule's kernel for the
+    whole sweep, is the kind of table that the executor sieves
+    (sieve_primes) before run_plan forks, to run each job as fn(m, table);
+    see exceptional_sets_for_modulus.  Nothing is sieved here."""
+    row = max(((N - 2) // m + 1 for m in moduli), default=0)
     work = [sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m) for m in moduli]
-    bitset = row <= _BITSET_SWEEP_ROW or sum(work) * row <= _BITSET_SWEEP_WORK
-    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed=not bitset)[-2:]
-             for m in moduli]
-    table = sieve_primes(N, packed=not bitset)
-    return [Job(fn, (m, table), cost, *need) for m, cost, need in zip(moduli, work, needs)]
+    packed = row > _BITSET_SWEEP_ROW and sum(work) * row > _BITSET_SWEEP_WORK
+    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed)[-2:] for m in moduli]
+    return [Job(fn, (m, packed), cost, *need) for m, cost, need in zip(moduli, work, needs)]
 
 
 def exceptional_sets_for_modulus(
@@ -775,18 +768,14 @@ def exceptional_sets_for_modulus(
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1: a packed
     table runs the packed kernel (_sweep_stage1), one of odd flags the
-    int-bitset kernel (_bitset_sweep); sweep_plan picks one for a whole
-    sweep.
-
-    E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the engine once,
-    with the smaller residue as the small-prime class, and (b, a) shares
-    the tuple of (a, b).
-    """
+    int-bitset kernel (_bitset_sweep), and a sweep's plan picks its kind
+    (sweep_plan).  E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the
+    engine once, the smaller residue the small-prime class, and (b, a)
+    shares the tuple of (a, b)."""
     _require_even(m)
     if table.limit < N - 1:
         raise ValueError(f"table up to {table.limit} does not reach N - 1 = {N - 1}")
-    if M is None:
-        M = default_stage1_bound(m, N)
+    M = default_stage1_bound(m, N) if M is None else M
     stage1 = _sweep_stage1 if table.packed else _bitset_sweep
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for (a, b), survivors in stage1(m, N, M, table).items():

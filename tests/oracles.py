@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is deliberately naive: trial division, double loops,
-full enumeration, a table's bits unpacked whole.  None of it shares code
-with the implementations under test, except stage1_survivor_diagnostic,
-which counts what the engine's own stage 1 leaves unresolved.
+full enumeration, a table's bits unpacked whole, sumsets by FFT.  None of
+it shares code with the implementations under test, except
+stage1_survivor_diagnostic, which counts what the engine's own stage 1
+leaves unresolved.
 """
 
 import functools
@@ -52,6 +53,40 @@ def naive_exceptional_set(a: int, b: int, m: int, N: int) -> list[int]:
     c = (a + b) % m
     start = c if c >= 2 else c + m
     return [n for n in range(start, N + 1, m) if n not in reachable]
+
+
+def fft_exceptional_sets(m: int, N: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """E_{a,b,m} up to N of every ordered pair of units mod m, from FFT
+    sumsets, with no code of the package: a plain numpy sieve; row b, the
+    0/1 indicator of the primes b + j*m <= N, transformed once per unit
+    class (rfft); and per small-prime class a one batched irfft over the
+    rows b >= a, whose entry s counts the representations p + q of
+    n = a + b + s*m.  E_{a,b,m} is the candidates n <= N of count 0, led
+    by a + b - m when that is at least 2 (no p + q reaches it).  Every
+    count must lie within 0.25 of an integer, or rounding could mislead."""
+    prime = np.ones(N + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    length = (N - 1) // m + 1  # the longest row, class 1's
+    size = 1 << (2 * length).bit_length()  # no wrap-around of a sum's index
+    rows = np.zeros((len(units), size))
+    for k, b in enumerate(units):
+        rows[k, : len(prime[b::m])] = prime[b::m]
+    spectra = np.fft.rfft(rows, axis=1)
+    sets = {}
+    for k, a in enumerate(units):
+        counts = np.fft.irfft(spectra[k] * spectra[k:], n=size, axis=1)
+        rounded = np.rint(counts)
+        error = float(np.abs(counts - rounded).max())
+        assert error < 0.25, f"an FFT count of m = {m}, a = {a} at N = {N} is off by {error}"
+        for b, count in zip(units[k:], rounded):
+            zero = np.flatnonzero(count[: max(0, (N - a - b) // m + 1)] == 0)
+            sets[(a, b)] = sets[(b, a)] = tuple(
+                [a + b - m] * (2 <= a + b - m <= N) + (a + b + m * zero).tolist())
+    return sets
 
 
 def naive_stage1_unresolved(a: int, b: int, m: int, N: int, M: int) -> list[int]:

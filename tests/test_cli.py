@@ -534,6 +534,44 @@ class TestTables:
         assert parallel == _swept(tmp_path / "serial", N=10**4, m_min=4, m_max=6, threads=1)
         _assert_no_children()
 
+    def test_plan_gives_each_modulus_one_source_and_runs_nothing(self, monkeypatch, tmp_path):
+        # with 8 cached at N' = 2*10^4, the plan of m = 2-12 at 10^4 reads
+        # 8 (and keeps its sets, since 4 is derived from them), computes 10
+        # and 12, whose doubles are out of range, on the int-bitset kernel,
+        # and derives 2, 4 and 6; building it sieves, forks and writes nothing
+        compute_sweep(RunConfig(N=2 * 10**4, m_min=8, m_max=8, threads=1, cache_dir=tmp_path))
+        files = sorted(tmp_path.iterdir())
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the plan ran something")
+
+        monkeypatch.setattr(partitions, "sieve_primes", refused)
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(cli, "save_cache_entry", refused)
+        cached, jobs, derived = cli.plan_sweep(
+            RunConfig(N=10**4, m_min=2, m_max=12, threads=2, cache_dir=tmp_path))
+        sets = load_cache_entry(tmp_path, 8, 10**4)
+        assert cached == {8: (summaries.summarize_modulus(sets, 8), sets)}
+        assert [job.args for job in jobs] == [(10, False), (12, False)]
+        assert derived == [2, 4, 6]
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_long_run_plan_computes_half_on_the_packed_kernel(self, monkeypatch):
+        # the RunConfig defaults, m <= 200 at 10^7: 102-200 computed on the
+        # packed kernel, each job counting the bytes that check_sweep_budget
+        # gives beside the packed table, and 2-100 derived; nothing sieved
+        monkeypatch.setattr(partitions, "sieve_primes", None)
+        cached, jobs, derived = cli.plan_sweep(RunConfig())
+        N = 10**7
+        assert cached == {} and derived == list(range(2, 101, 2))
+        assert [job.args for job in jobs] == [(m, True) for m in range(102, 201, 2)]
+        for job in jobs:
+            m = job.args[0]
+            *_, need, table = partitions.check_sweep_budget(
+                m, N, partitions.default_stage1_bound(m, N))
+            assert (job.need, job.shared) == (need, table)
+        assert {job.shared for job in jobs} == {625_000}
+
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
     """The long options of parser and of its subcommands, but --help."""

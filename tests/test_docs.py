@@ -205,6 +205,16 @@ def test_one_runner_deals_and_forks():
     assert len(_callers("_bitset_route")) <= 1
 
 
+def test_one_kernel_rule_and_one_sweep_sieve():
+    # a sweep's kernel is picked once, by the size rule of its plan, and
+    # only the executor that runs the plan sieves its table; the cross
+    # check sieves its own two, one of each kind
+    for name in ("_BITSET_SWEEP_ROW", "_BITSET_SWEEP_WORK"):
+        assert _callers(name, calls=False) == ["partitions.py:sweep_plan"]
+    assert sorted(_callers("sieve_primes")) == ["cli.py:run_sweep"] + 2 * ["cross_check.py:main"]
+    assert _callers("run_sweep") == _callers("plan_sweep") == ["cli.py:compute_sweep"]
+
+
 def test_one_home_per_count():
     # each kernel's storage is counted in one function, which both of its
     # sources, the sweep and the batch, call where their jobs are built,

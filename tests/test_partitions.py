@@ -24,6 +24,7 @@ from apgoldbach.partitions import (
 from apgoldbach.primes import MemoryBudgetError, PrimeTable, is_prime, sieve_primes
 from apgoldbach.summaries import exceptional_sets_from_double
 from oracles import (
+    fft_exceptional_sets,
     is_prime_trial_division,
     naive_exceptional_set,
     naive_mod4_case_i,
@@ -211,6 +212,11 @@ class TestExceptionalSet:
         es = exceptional_set(AdmissiblePair(1, 3, 4), 100, M=4)
         assert es.elements == (4,)
         assert calls[0] == 8
+        # for M = 33 the last survivor is 68 = 2M + 2 = 37 + 31, whose only
+        # class-1 primes lie above M: stage 2 still finds it
+        calls.clear()
+        assert exceptional_set(AdmissiblePair(1, 3, 4), 100, M=33).elements == (4,)
+        assert calls[-1] == 68
 
     def test_stage2_tests_no_p_up_to_M(self, monkeypatch):
         # stage 1 ruled out every class-a prime p <= M, so stage 2's scan
@@ -255,6 +261,30 @@ class TestExceptionalSet:
                     staged = exceptional_set(AdmissiblePair(a, b, m), N)
                     naive = naive_exceptional_set(a, b, m, N)
                     assert list(staged.elements) == naive, (a, b, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 12).map(lambda k: 2 * k), N=st.integers(2, 800))
+@example(m=2, N=2)
+@example(m=24, N=3)  # no class b's row but class 1's reaches N
+def test_fft_oracle_matches_the_naive_one(m, N):
+    # the FFT sumset oracle against the double loop over prime pairs, on
+    # every ordered pair of small (m, N)
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    naive = {(a, b): tuple(naive_exceptional_set(a, b, m, N)) for a in units for b in units}
+    assert fft_exceptional_sets(m, N) == naive
+
+
+def test_fft_oracle_matches_both_sweep_kernels():
+    # every set of m <= 60 at 2*10^5, from the packed table and from the
+    # odd flags, against the FFT oracle, which shares no code with either
+    # (about 1.2 s on 2 vCPUs)
+    N = 2 * 10**5
+    tables = [sieve_primes(N), sieve_primes(N, packed=False)]
+    for m in range(2, 61, 2):
+        expected = fft_exceptional_sets(m, N)
+        for table in tables:
+            assert exceptional_sets_for_modulus(m, N, table=table) == expected, (m, table.packed)
 
 
 class TestModulusSweep:

@@ -1,6 +1,7 @@
 """Smoke tests of scripts/ at m <= 10, N = 10^4, each run as a fresh
 process, but for the one that counts the summaries run_tables.py makes."""
 
+import importlib.util
 import os
 import runpy
 import subprocess
@@ -162,7 +163,8 @@ def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fai
                 out = out._replace(bits=memoryview(bits).toreadonly())
             return out
 
-        # the script sieves through primes, the sweep's plan through partitions
+        # the script sieves both kinds through primes; a sieve through
+        # partitions, which the plan no longer makes, would read them too
         monkeypatch.setattr(primes, "sieve_primes", flipped)
         monkeypatch.setattr(partitions, "sieve_primes", flipped)
     monkeypatch.setattr(sys, "argv", ["cross_check.py", "--m-min", "8", "--m-max", "12",
@@ -176,10 +178,10 @@ def test_cross_check_names_the_first_difference(capsys, monkeypatch, broken, fai
 @pytest.mark.parametrize("limit,planned", [("10000", False), ("5000000", True)],
                          ids=["int-bitset", "packed"])
 def test_cross_check_sieves_each_table_once(capsys, monkeypatch, limit, planned):
-    # the sweep's plan sieves the table that its kernel reads, and the
-    # script only the other kind: one packed table and one of odd flags,
-    # whichever kernel the plan picks (the packed one past 10^4 candidates
-    # a row and 5*10^12 of head work times row)
+    # the sweep's plan sieves nothing, and the script sieves each kind
+    # once, the one that the plan's kernel reads first: one packed table
+    # and one of odd flags, whichever kernel the plan picks (the packed one
+    # past 10^4 candidates a row and 5*10^12 of head work times row)
     sieved, real = [], primes.sieve_primes
 
     def recorded(where):
@@ -192,5 +194,19 @@ def test_cross_check_sieves_each_table_once(capsys, monkeypatch, limit, planned)
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "scripts" / "cross_check.py"), run_name="__main__")
     assert exc.value.code == cli.EXIT_OK
-    assert sieved == [("plan", planned), ("script", not planned)]
+    assert sieved == [("script", planned), ("script", not planned)]
     assert capsys.readouterr().out.startswith("m = 8: 10 pairs agree, 128 table entries ")
+
+
+def test_every_mutant_snippet_occurs_once():
+    # each mutant of the standing mutation check changes one place, and
+    # names tests that exist, so that no edit leaves it applying to nothing
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    listed = mutants.load()  # raises unless each snippet occurs once in its file
+    assert len(listed) >= 10 and len({m["name"] for m in listed}) == len(listed)
+    for m in listed:
+        assert m["snippet"] != m["replacement"] and m["tests"]
+        for test in m["tests"]:
+            assert (ROOT / test.split("::")[0]).is_file()
