@@ -52,9 +52,10 @@ A sweep and a batch of pairs (exceptional_sets, and exceptional_set is
 its batch of one) each build a plan of jobs (Job), which sieves nothing:
 one a modulus (sweep_plan), whose table the sweep's executor
 (cli.run_sweep) sieves, or each group (m, b)'s (batch_plan); its
-kernel's one count gives a job's bytes (_window_count, _bitset_count,
-each called by check_sweep_budget and _group_jobs alone).  One runner
-(run_plan) deals them to worker shares (deal) and forks those (fork_map).
+kernel's one count names the parts of a job's bytes (_window_count,
+_bitset_count, each called by check_sweep_budget and _group_jobs alone),
+which primes.check_budget sums.  One runner (run_plan) deals the jobs to
+worker shares (deal) and forks those (fork_map).
 """
 
 from __future__ import annotations
@@ -94,10 +95,10 @@ _HEAD_GROUP = 32
 # The sweeps that run the int-bitset kernel (sweep_plan): those whose
 # longest row of candidates is at most _BITSET_SWEEP_ROW, and those whose
 # head work, the sum of phi(m)^2 (N - 2)//m over the moduli they compute,
-# times that row is at most _BITSET_SWEEP_WORK.  Fitted at 3cbe2a8, before
-# row blocks, on CLI CPU time with numpy's import (2 vCPUs); it is known to
-# pick the slower, packed kernel on m = 102-200 at 2*10^6.
-_BITSET_SWEEP_ROW = 10**4
+# times that row is at most _BITSET_SWEEP_WORK.  On row blocks, the int
+# kernel ran rows of 19,608 candidates in 0.7-0.8x the packed kernel's CLI
+# CPU time (1 worker, 2 vCPUs) and rows of 29,412 about even with it.
+_BITSET_SWEEP_ROW = 3 * 10**4
 _BITSET_SWEEP_WORK = 5 * 10**12
 
 # Candidates per stage-1 window of a sweep, over all phi(m) rows: 512 KiB
@@ -260,12 +261,11 @@ def _window(a: int, bs: list[int], m: int, N: int, pidx: np.ndarray, lo: int, hi
     return row, s
 
 
-def _window_count(rows: int, width: int, copy: int) -> tuple[int, str]:
-    """(bytes, parts) of _window on `rows` rows: eight `copy`-byte copies
-    and `width` bytes of marks a row, and a gather block's scratch."""
-    copies, marks, scratch = 8 * rows * copy, rows * width, 32 * _GATHER_BLOCK_ELEMENTS
-    return copies + marks + scratch, (f"{copies} of class copies, {marks} of marks, "
-                                      f"{scratch} of gather scratch")
+def _window_count(rows: int, width: int, copy: int) -> dict[str, int]:
+    """The bytes of _window on `rows` rows, by part: eight `copy`-byte
+    copies and `width` bytes of marks a row, and a gather block's scratch."""
+    return {"class copies": 8 * rows * copy, "marks": rows * width,
+            "gather scratch": 32 * _GATHER_BLOCK_ELEMENTS}
 
 
 def _pair_share(pair: AdmissiblePair, N: int, M: int,
@@ -423,19 +423,18 @@ def _bitset_group(b: int, avals: list[int], m: int, N: int, M: int) -> list[list
     return [found[(a, b)] for a in avals]
 
 
-def _bitset_count(rows: int, count: int, span: int, classes: int) -> tuple[int, str]:
-    """(need, parts) of _bitset_stage1 on `rows` rows of `count` candidates
+def _bitset_count(rows: int, count: int, span: int, classes: int) -> dict[str, int]:
+    """The bytes of _bitset_stage1 on `rows` rows of `count` candidates
     with room below for shifts up to `span`, a row never narrower than
-    _row_width's: the entry bytes, the one slice of a block alive as it is
-    read, and a block's bits for each of its bitset, a shift, two scan
-    strings and `classes` marks."""
+    _row_width's, by part: the entry bytes, the one slice of a block alive
+    as it is read, and a block's bits for each of `classes` marks, its
+    bitset, a shift and two scan strings."""
     row = (count + span + 7) // 8 * 8
     entries = rows * row
     block = min(entries, max(row, _BITSET_BLOCK))  # a block's entry bytes
     bits = block // 8 + 1
-    return entries + block // 8 + (4 + classes) * bits, (
-        f"{entries} of entries, {block // 8} of a slice, {classes * bits} of marks, "
-        f"{2 * bits} of bitset and shift, {2 * bits} of scan")
+    return {"entries": entries, "a slice": block // 8, "marks": classes * bits,
+            "bitset and shift": 2 * bits, "scan": 2 * bits}
 
 
 def _resolved(a: int, b: int, m: int, M: int, survivors: list[int]) -> tuple[int, ...]:
@@ -594,22 +593,19 @@ def _group_jobs(m: int, b: int, avals: list[int], M: int, N: int, workers: int) 
     entries = [max(0, (M - a) // m + 1) for a in avals]
     counts = [max(0, (N - a - b) // m + 1) for a in avals]  # each pair's candidates
     if (N - 2) // m + 1 <= (_MIN_SHARE_WINDOWS - 1) * SIEVE_SEGMENT_SIZE:
-        need, parts = _bitset_count(1, max(counts), max(entries), len(avals))
-        masks, sieve = sum(entries), sieve_overhead_bytes(N, max(counts) + max(entries) + 7)
-        need += masks + sieve  # that window bounds the row sieved into
-        check_budget(need, f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M} need {need} "
-                     f"bytes ({masks} of small-prime masks, {parts}, {sieve} of sieve pattern "
-                     "and base primes)")
+        count, span = max(counts), max(entries)
+        need = check_budget(f"pairs (a, {b}, {m}), a in {avals}, at N={N}, M={M}", {
+            "small-prime masks": sum(entries), **_bitset_count(1, count, span, len(avals)),
+            # that window bounds the row sieved into
+            "sieve pattern and base primes": sieve_overhead_bytes(N, count + span + 7)})
         return [Job(_job_sets, (m, b, avals, M, (0, 1), N, True), sum(counts), need)]
     jobs = []
     for a, e, count in zip(avals, entries, counts):
         size = SIEVE_SEGMENT_SIZE + max(0, e - 1) + 7
-        window, parts = _window_count(1, SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8)
-        sieve = sieve_overhead_bytes(N, max(e, size))
-        need = 9 * e + size + window + sieve
-        check_budget(need, f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M} needs "
-                     f"{need} bytes ({e} of small-prime mask, {8 * e} of prime indices, "
-                     f"{size} of window, {parts}, {sieve} of sieve pattern and base primes)")
+        need = check_budget(f"pair {AdmissiblePair(a, b, m)} at N={N}, M={M}", {
+            "small-prime mask": e, "prime indices": 8 * e, "window": size,
+            **_window_count(1, SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8),
+            "sieve pattern and base primes": sieve_overhead_bytes(N, max(e, size))})
         windows = len(range(0, count, SIEVE_SEGMENT_SIZE))
         shares = max(1, min(workers, windows // _MIN_SHARE_WINDOWS))
         jobs += [Job(_job_sets, (m, b, [a], M, (k, shares), N, False), count / shares, need)
@@ -670,21 +666,19 @@ def check_sweep_budget(m: int, N: int, M: int,
                        packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
     """(units, span, step, width, need, table) of a sweep of m at N: the
     unit classes, the largest prime index up to M, the packed kernel's
-    candidates a window and bytes a class's copy, the bytes that the
-    kernel's storage counts beside the table (_window_count of a window of
-    every class's row, or _bitset_count of the rows) and the table's bytes
-    (table_bytes); first, MemoryBudgetError unless they fit."""
+    candidates a window and bytes a class's copy, the bytes of the
+    kernel's parts beside the table (_window_count of a window of every
+    class's row, or _bitset_count of the rows) and the table's bytes
+    (table_bytes); first, check_budget's MemoryBudgetError unless they fit."""
     units = [a for a in range(1, m) if math.gcd(a, m) == 1]
     span = max(0, (M - 1) // m)
     table = primes.table_bytes(N, packed)
     step = 8 * max(1, _MARK_BLOCK // (8 * len(units)))
     width = (min((N - 2) // m + 1, step + span + 7) + 7) // 8
-    if packed:
-        need, detail = _window_count(len(units), width, width + span // 8 + 1)
-    else:
-        need, detail = _bitset_count(len(units), (N - 2) // m + 1, span, len(units))
-    check_budget(need + table, f"sweep of m = {m} at N={N} needs {need + table} bytes ({table} "
-                 f"of {'table' if packed else 'odd flags'}, {detail})")
+    kernel = (_window_count(len(units), width, width + span // 8 + 1) if packed else
+              _bitset_count(len(units), (N - 2) // m + 1, span, len(units)))
+    need = check_budget(f"sweep of m = {m} at N={N}",
+                        {"table" if packed else "odd flags": table, **kernel}) - table
     return units, span, step, width, need, table
 
 

@@ -6,9 +6,10 @@ case m = 2, b = 1 over the odd numbers (sieve_primes), which returns a
 table (PrimeTable) of their flags, one byte each, whose reader
 PrimeTable.primes hands them to the int-bitset sweep without a copy, or
 bit-packed, whose reader PrimeTable.mask extracts the packed copies of
-fixed residue classes for the packed sweep; and a deterministic
-Miller-Rabin test valid for the full 64-bit range.  Only the packed
-table, mask and pack_copies use numpy, which they import when called.
+fixed residue classes for the packed sweep; the budget check that sums
+every storage count's named parts and words each refusal (check_budget);
+and a deterministic Miller-Rabin test valid for the full 64-bit range.
+Only the packed table, mask and pack_copies import numpy, when called.
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ class MemoryBudgetError(ValueError):
     """Sieve request would exceed the configured memory budget."""
 
 
-def check_budget(need: int, detail: str) -> None:
-    """MemoryBudgetError, its text `detail` and the budget, if `need` bytes
-    exceed DEFAULT_MEMORY_BUDGET_BYTES, which is read at each call."""
+def check_budget(what: str, parts: dict[str, int]) -> int:
+    """The bytes that `what` needs, the sum of its parts {name: bytes};
+    first, MemoryBudgetError naming `what`, that sum and each part if it
+    exceeds DEFAULT_MEMORY_BUDGET_BYTES, which is read at each call."""
+    need = sum(parts.values())
     if need > DEFAULT_MEMORY_BUDGET_BYTES:
-        raise MemoryBudgetError(
-            f"{detail}, over the {DEFAULT_MEMORY_BUDGET_BYTES}-byte budget")
+        named = ", ".join(f"{v} of {k}" for k, v in parts.items())
+        raise MemoryBudgetError(f"{what} needs {need} bytes ({named}), over the "
+                                f"{DEFAULT_MEMORY_BUDGET_BYTES}-byte budget")
+    return need
 
 
 class PrimeTable(NamedTuple):
@@ -251,9 +256,9 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
     Packed, np.packbits packs each segment into the table; otherwise, with
     no numpy, it is copied into odd flags, 8 times as many bytes as
     packed, which the table holds as one bytes copy, made once the
-    segment and the sieve are released.  check_budget bounds the output,
-    the sieve's storage (sieve_overhead_bytes) and one segment and the
-    packed segment, or one segment or the flags' copy, if that is larger.
+    segment and the sieve are released.  check_budget bounds its parts:
+    the output, the sieve's storage (sieve_overhead_bytes) and one segment
+    and the packed segment, or one segment or the flags' copy if larger.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -261,10 +266,10 @@ def sieve_primes(limit: int, packed: bool = True) -> PrimeTable:
     entries = (limit + 1) // 2  # odd numbers <= limit
     size = table_bytes(limit, packed)
     segment = min(segment_size, entries)
-    beside = segment + (segment + 7) // 8 if packed else max(segment, size)
-    peak = size + beside + sieve_overhead_bytes(limit, segment)
-    check_budget(peak, f"sieving to {limit} needs {peak} bytes ({size} " + (
-        "packed plus one segment)" if packed else "of odd flags plus one segment or their copy)"))
+    parts = ({"packed table": size, "one segment": segment, "packed segment": (segment + 7) // 8}
+             if packed else {"odd flags": size, "one segment or their copy": max(segment, size)})
+    parts["sieve pattern and base primes"] = sieve_overhead_bytes(limit, segment)
+    check_budget(f"sieving to {limit}", parts)
 
     out, buf = bytearray(size), bytearray(segment)
     windows = [(lo, min(lo + segment_size, entries)) for lo in range(0, entries, segment_size)]

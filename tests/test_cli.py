@@ -572,6 +572,18 @@ class TestTables:
             assert (job.need, job.shared) == (need, table)
         assert {job.shared for job in jobs} == {625_000}
 
+    @pytest.mark.parametrize("N,m_max,packed", [
+        (10**6, 50, False), (10**6, 30, False), (2 * 10**6, 200, False), (10**7, 200, True),
+    ], ids=["desk", "rerun", "m200-2e6", "long-run"])
+    def test_size_rule_picks_each_sweeps_kernel(self, monkeypatch, N, m_max, packed):
+        # the kernel of the sweeps of table1 in desk's and rerun's
+        # benchmark runs, of m <= 200 at 2*10^6, whose longest rows, 19,608
+        # candidates, run faster on the int-bitset kernel, and of the long
+        # run (RunConfig's defaults).  Nothing is sieved
+        monkeypatch.setattr(partitions, "sieve_primes", None)
+        _, jobs, _ = cli.plan_sweep(RunConfig(N=N, m_max=m_max))
+        assert jobs and {job.args[1] for job in jobs} == {packed}
+
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
     """The long options of parser and of its subcommands, but --help."""
@@ -676,11 +688,10 @@ def test_bitset_sweep_peak_memory_within_budget():
                 return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
 
         needs = []
-        partitions.check_budget = lambda need, detail: needs.append(need)
         for m in range(44, 51, 2):
             M = partitions.default_stage1_bound(m, 10**6)
-            partitions.check_sweep_budget(m, 10**6, M, packed=False)
-        partitions.check_budget = primes.check_budget
+            *_, need, table = partitions.check_sweep_budget(m, 10**6, M, packed=False)
+            needs.append(need + table)
         primes.DEFAULT_MEMORY_BUDGET_BYTES = max(needs)
         base = status("VmRSS")
         cli.compute_sweep(cli.RunConfig(N=10**6, m_min=44, m_max=50, threads=1))
@@ -704,10 +715,8 @@ def test_packed_pair_peak_memory_within_budget():
                 return int(re.search(key + r":\\s+(\\d+) kB", f.read()).group(1)) * 1024
 
         pair, N = partitions.AdmissiblePair(1, 3, 4), 2 * 10**7
-        needs = []
-        partitions.check_budget = lambda need, detail: needs.append(need)
-        partitions._group_jobs(4, 3, [1], partitions.default_stage1_bound(4, N), N, 1)
-        partitions.check_budget = primes.check_budget
+        needs = [job.need for job in
+                 partitions._group_jobs(4, 3, [1], partitions.default_stage1_bound(4, N), N, 1)]
         primes.DEFAULT_MEMORY_BUDGET_BYTES = max(needs)
         base = status("VmRSS")
         es = partitions.exceptional_set(pair, N)
@@ -1325,10 +1334,10 @@ def test_budget_error_in_a_verify_worker_exits_2(capsys, monkeypatch, b):
     # fork, so a group over budget on either share exits 2 with no fork
     real = partitions.check_budget
 
-    def over_budget(need, detail):
-        if f", {b}, 4), a in" in detail:
+    def over_budget(what, parts):
+        if f", {b}, 4), a in" in what:
             raise MemoryBudgetError(f"the b = {b} group is over the budget in {os.getpid()}")
-        real(need, detail)
+        return real(what, parts)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(partitions, "check_budget", over_budget)

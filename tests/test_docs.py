@@ -225,3 +225,30 @@ def test_one_home_per_count():
     assert sorted(_callers("_bitset_count")) == sorted(_callers("_window_count"))
     assert set(_callers("_GATHER_BLOCK_ELEMENTS", calls=False)) == {
         "partitions.py:_window", "partitions.py:_window_count"}
+
+
+def test_one_budget_check_words_every_refusal():
+    # each count returns its named parts as a dict, and every budget check
+    # hands a dict of parts to primes.check_budget, which alone sums them
+    # and words the refusal: no other function raises MemoryBudgetError or
+    # formats a text that counts bytes
+    assert _callers("MemoryBudgetError") == ["primes.py:check_budget"]
+    worded, parts = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.JoinedStr) and re.search(r"\bbytes\b", "".join(
+                        v.value for v in node.values if isinstance(v, ast.Constant))):
+                    worded.append(f"{path.name}:{fn.name}")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_budget":
+                    parts.append(type(node.args[1]).__name__)
+                if fn.name in ("_window_count", "_bitset_count") and isinstance(node, ast.Return):
+                    parts.append(type(node.value).__name__)
+    assert worded == ["primes.py:check_budget"]
+    # sieve_primes names its parts first, as `parts`; the other counts are literals
+    assert sorted(parts) == ["Dict"] * 5 + ["Name"]
+    assert sorted(_callers("check_budget")) == [
+        "partitions.py:_group_jobs", "partitions.py:_group_jobs",
+        "partitions.py:check_sweep_budget", "primes.py:sieve_primes"]

@@ -848,8 +848,8 @@ def test_bitset_count_covers_the_entries_allocated(monkeypatch, flags_1e5, m, N,
     # group of a-classes sharing one b-row, are at least the entries that
     # _bitset_sweep and _bitset_group allocate and hand to _bitset_stage1
     counted, allocated = [], []
-    monkeypatch.setattr(partitions, "check_budget", lambda need, detail: counted.append(
-        int(re.search(r"(\d+) of entries, ", detail).group(1))))
+    monkeypatch.setattr(partitions, "check_budget", lambda what, parts: counted.append(
+        parts["entries"]) or sum(parts.values()))
     real = partitions._bitset_stage1
     monkeypatch.setattr(partitions, "_bitset_stage1",
                         lambda *args: allocated.append(len(args[3])) or real(*args))
@@ -1221,19 +1221,25 @@ _BATCH_LIMIT = 5 * 10**4
 
 
 @functools.lru_cache(maxsize=None)
-def _naive_at_batch_limit(oracle, a: int, b: int, m: int, *M: int) -> list[int]:
-    return oracle(a, b, m, _BATCH_LIMIT, *M)
+def _fft_at_batch_limit(m: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    return fft_exceptional_sets(m, _BATCH_LIMIT)
+
+
+@functools.lru_cache(maxsize=None)
+def _unresolved_at_batch_limit(a: int, b: int, m: int, M: int) -> list[int]:
+    return naive_stage1_unresolved(a, b, m, _BATCH_LIMIT, M)
 
 
 def _naive_batch_set(pair: AdmissiblePair, N: int) -> ExceptionalSet:
-    """E_{a,b,m} up to N <= _BATCH_LIMIT and its stage-1 survivors at the
-    default bound M, by the naive oracles.  An n <= N is reached only by
-    primes below it, so each oracle's list at N is its list at
-    _BATCH_LIMIT cut at N; with M >= N, stage 1 leaves only elements."""
+    """E_{a,b,m} up to N <= _BATCH_LIMIT, by the FFT oracle, and its
+    stage-1 survivors at the default bound M, by the naive one.  An n <= N
+    is reached only by primes below it, so each oracle's list at N is its
+    list at _BATCH_LIMIT cut at N; with M >= N, stage 1 leaves only
+    elements."""
     M = partitions.default_stage1_bound(pair.m, N)
-    elements = tuple(n for n in _naive_at_batch_limit(naive_exceptional_set, *pair) if n <= N)
+    elements = tuple(n for n in _fft_at_batch_limit(pair.m)[(pair.a, pair.b)] if n <= N)
     unresolved = elements if M >= N else [
-        n for n in _naive_at_batch_limit(naive_stage1_unresolved, *pair, M) if n <= N]
+        n for n in _unresolved_at_batch_limit(*pair, M) if n <= N]
     return ExceptionalSet(elements, len(unresolved) - len(elements))
 
 
@@ -1414,7 +1420,7 @@ def test_group_budget_checked_once_before_any_sieve(monkeypatch):
         exceptional_sets([AdmissiblePair(1, 3, 4), AdmissiblePair(3, 3, 4)], N)
     assert sieved == []
     need, *parts = map(int, re.search(
-        r"need (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries, (\d+) of a "
+        r"needs (\d+) bytes \((\d+) of small-prime masks, (\d+) of entries, (\d+) of a "
         r"slice, (\d+) of marks, (\d+) of bitset and shift, (\d+) of scan, "
         r"(\d+) of sieve pattern and base primes\)",
         str(exc.value),
@@ -1458,11 +1464,34 @@ def test_every_count_names_parts_that_add_up(monkeypatch, kernel, N, source, rou
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", need)
         units, span, _, width, *_ = partitions.check_sweep_budget(
             source, N, partitions.default_stage1_bound(source, N))
-        assert partitions._window_count(len(units), width, width + span // 8 + 1)[1] in parts
+        assert _named(partitions._window_count(len(units), width, width + span // 8 + 1)) in parts
     if kernel == "packed pair":  # one row of one segment, the a-class's length and 7 entries
         size = partitions.SIEVE_SEGMENT_SIZE + (partitions.default_stage1_bound(4, N) - 1) // 4 + 7
-        assert partitions._window_count(
-            1, partitions.SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8)[1] in parts
+        assert _named(partitions._window_count(
+            1, partitions.SIEVE_SEGMENT_SIZE // 8, (size + 7) // 8)) in parts
+
+
+def _named(parts: dict[str, int]) -> str:
+    """A count's parts as a refusal names them."""
+    return ", ".join(f"{v} of {k}" for k, v in parts.items())
+
+
+@pytest.mark.parametrize("N,m,packed", [(10**7, 30, True), (10**6, 46, False)],
+                         ids=["packed-sweep", "int-sweep"])
+def test_sweep_job_needs_its_kernels_parts(monkeypatch, N, m, packed):
+    # a sweep job's need is the sum of its kernel's named parts, each a
+    # dict of bytes, and the table that every share reads is its shared
+    # bytes, not a part of its need.  Nothing is sieved
+    monkeypatch.setattr(partitions, "sieve_primes", None)
+    [job] = partitions.sweep_plan(N, [m], None)
+    assert job.args == (m, packed)
+    units, span, _, width, *_ = partitions.check_sweep_budget(
+        m, N, partitions.default_stage1_bound(m, N), packed)
+    parts = (partitions._window_count(len(units), width, width + span // 8 + 1) if packed
+             else partitions._bitset_count(len(units), (N - 2) // m + 1, span, len(units)))
+    assert all(isinstance(v, int) and v > 0 for v in parts.values())
+    assert sum(parts.values()) == job.need
+    assert job.shared == primes.table_bytes(N, packed)
 
 
 def test_deal_heaviest_first_to_the_least_loaded():

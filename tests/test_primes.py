@@ -133,7 +133,8 @@ def _traced_sieve(monkeypatch, N: int, packed: bool):
     """sieve_primes(N, packed), its tracemalloc peak and the bytes that it
     counted for check_budget."""
     needs = []
-    monkeypatch.setattr(primes, "check_budget", lambda need, detail: needs.append(need))
+    monkeypatch.setattr(primes, "check_budget",
+                        lambda what, parts: needs.append(sum(parts.values())))
     tracemalloc.start()
     try:
         out = sieve_primes(N, packed)
