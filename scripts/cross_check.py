@@ -8,9 +8,12 @@ kernel (partitions._bitset_sweep), off the unpacked table of odd flags;
 both come from sieve_primes, as a sweep reads them.  The two kernels
 share no marking, scanning or tail code, and their candidate lists must
 be equal pair by pair.  The table and the flags, which share no packing
-code, are checked on their own: sampled entries of each unit class are
-compared with is_prime, whose Miller-Rabin test shares no code with the
-sieve.
+code, are checked on their own: sampled entries of each unit class, and
+every entry up to 100, are compared with is_prime, whose Miller-Rabin
+test shares no code with the sieve.  The entries up to 100 hold 1 and
+the primes 3-13 that the sieve's presieve pattern strikes and restores,
+where a fault in the sieve that both kernels read would leave the
+kernels agreeing.
 
 Prints one line per modulus.  Exits 1 at the first difference, in modulus
 order, naming (m, a, b) or the table entry; otherwise it exits as the
@@ -47,7 +50,8 @@ def check_modulus(m: int, N: int, table: PrimeTable,
     sampled = 0
     for b in units:
         entries = range((N - 1 - b) // m + 1)  # b + j*m <= N - 1, the sweep's reach
-        for j in rng.sample(entries, min(SAMPLES, len(entries))):
+        small = entries[: max(0, (100 - b) // m + 1)]  # b + j*m <= 100
+        for j in [*rng.sample(entries, min(SAMPLES, len(entries))), *small]:
             sampled += 1
             n, i = b + j * m, b // 2 + j * (m // 2)  # i: the odd entry of n
             prime = is_prime(n)

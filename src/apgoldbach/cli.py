@@ -398,11 +398,10 @@ def cmd_exceptions(args: argparse.Namespace) -> int:
 
     pair = partitions.AdmissiblePair(args.a, args.b, args.m)
     config = RunConfig(N=args.limit, threads=args.threads)
-    M = partitions.default_stage1_bound(pair.m, config.N)
-    es = partitions.exceptional_set(pair, config.N, M, config.worker_count)
+    es = partitions.exceptional_set(pair, config.N, config.worker_count)
     body = " ".join(str(n) for n in es.elements) if es.elements else "(empty)"
     print(body)
-    print(f"stage-1 bound M = {M}, "
+    print(f"stage-1 bound M = {partitions.default_stage1_bound(pair.m, config.N)}, "
           f"survivors resolved in stage 2 = {es.stage1_survivors}, confirmed = True")
     spot = _largest_non_exception(pair, config.N, set(es.elements))
     if spot is not None:

@@ -11,7 +11,9 @@ and the small primes p = a + i*m up to M.  Candidates are indexed by
 s = i + j, n = a + b + s*m, so prime index i marks s wherever entry s - i
 is prime; the one other candidate, a + b - m when it is at least 2, is
 never marked.  Stage 1 tries every small prime up to M, so only
-survivors above M + 2 go to stage 2, which tries only p > M.
+survivors above M + 2 go to stage 2, which tries only p > M.  M moves
+work between the stages and changes no element: each public entry reads
+default_stage1_bound(m, N), and only the private kernels take an M.
 
 It has two kernels, each for a whole modulus and for a single pair.  The
 packed kernel holds the b-class as eight bit-shifted packed copies
@@ -53,7 +55,7 @@ its batch of one) each build a plan of jobs (Job), which sieves nothing:
 one a modulus (sweep_plan), whose table the sweep's executor
 (cli.run_sweep) sieves, or each group (m, b)'s (batch_plan); its
 kernel's one count names the parts of a job's bytes (_window_count,
-_bitset_count, each called by check_sweep_budget and _group_jobs alone),
+_bitset_count, each called by _check_sweep_budget and _group_jobs alone),
 which primes.check_budget sums.  One runner (run_plan) deals the jobs to
 worker shares (deal) and forks those (fork_map).
 """
@@ -627,43 +629,39 @@ def _job_sets(m: int, b: int, avals: list[int], M: int, share: tuple[int, int], 
     return [((a, b, m), _resolved(a, b, m, M, s), len(s)) for a, s in zip(avals, survivors)]
 
 
-def batch_plan(pairs: list[AdmissiblePair], N: int, workers: int = 1,
-               M: Optional[int] = None) -> list[Job]:
-    """The jobs of exceptional_sets: its pairs grouped by (m, b, M), each
-    group's from _group_jobs, which checks their budget before any runs."""
+def batch_plan(pairs: list[AdmissiblePair], N: int, workers: int = 1) -> list[Job]:
+    """The jobs of exceptional_sets: its pairs grouped by (m, b), each
+    group's from _group_jobs at M = default_stage1_bound(m, N), which
+    checks their budget before any runs."""
     if N < 2:
         raise ValueError(f"search limit N={N} must be >= 2")
-    if M is not None and M > N:
-        raise ValueError(f"stage-1 bound M={M} exceeds N={N}")
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for a, b, m in dict.fromkeys(pairs):  # each pair once
-        groups.setdefault((m, b, default_stage1_bound(m, N) if M is None else M), []).append(a)
-    return [job for (m, b, bound), avals in groups.items()
-            for job in _group_jobs(m, b, avals, bound, N, workers)]
+        groups.setdefault((m, b), []).append(a)
+    return [job for (m, b), avals in groups.items()
+            for job in _group_jobs(m, b, avals, default_stage1_bound(m, N), N, workers)]
 
 
-def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1,
-                     M: Optional[int] = None) -> list[ExceptionalSet]:
-    """E_{a,b,m} up to N of each pair, in order, with stage 1 up to M or
-    each modulus's default_stage1_bound: batch_plan's jobs, run while each
+def exceptional_sets(pairs: list[AdmissiblePair], N: int, workers: int = 1) -> list[ExceptionalSet]:
+    """E_{a,b,m} up to N of each pair, in order, with stage 1 up to each
+    modulus's default_stage1_bound: batch_plan's jobs, run while each
     share gets SIEVE_SEGMENT_SIZE candidates (run_plan), one share in this
     process, and each pair's parts merged here."""
     found: dict[tuple[int, int, int], tuple[tuple[int, ...], int]] = {}
-    for parts in run_plan(batch_plan(pairs, N, workers, M), workers, SIEVE_SEGMENT_SIZE):
+    for parts in run_plan(batch_plan(pairs, N, workers), workers, SIEVE_SEGMENT_SIZE):
         for pair, elements, survivors in parts:
             e, s = found.get(pair, ((), 0))
             found[pair] = e + elements, s + survivors
     return [ExceptionalSet(tuple(sorted(e)), s - len(e)) for e, s in map(found.get, pairs)]
 
 
-def exceptional_set(pair: AdmissiblePair, N: int, M: Optional[int] = None,
-                    workers: int = 1) -> ExceptionalSet:
+def exceptional_set(pair: AdmissiblePair, N: int, workers: int = 1) -> ExceptionalSet:
     """E_{a,b,m} up to N: the batch of one pair (exceptional_sets)."""
-    return exceptional_sets([pair], N, workers, M)[0]
+    return exceptional_sets([pair], N, workers)[0]
 
 
-def check_sweep_budget(m: int, N: int, M: int,
-                       packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
+def _check_sweep_budget(m: int, N: int, M: int,
+                        packed: bool = True) -> tuple[list[int], int, int, int, int, int]:
     """(units, span, step, width, need, table) of a sweep of m at N: the
     unit classes, the largest prime index up to M, the packed kernel's
     candidates a window and bytes a class's copy, the bytes of the
@@ -694,7 +692,7 @@ def _sweep_stage1(m: int, N: int, M: int,
     each other there and share a's primes, so one OR marks every row."""
     import numpy as np
 
-    units, span, step, width, *_ = check_sweep_budget(m, N, M)
+    units, span, step, width, *_ = _check_sweep_budget(m, N, M)
     small = np.zeros((8, len(units), span // 8 + 1), dtype=np.uint8)
     table.mask(min(M, N - 1), m, units, small)
     pidxs = [np.flatnonzero(np.unpackbits(row, count=max(0, (M - a) // m + 1)))
@@ -727,7 +725,7 @@ def _bitset_sweep(m: int, N: int, M: int, table: PrimeTable) -> dict[tuple[int, 
     of every unit class, b ascending, each of as many entries as any pair
     has candidates, (N - 2)//m + 1, with room below for the largest head
     shift.  Small-prime class a runs on its rows b >= a (_bitset_stage1)."""
-    units = check_sweep_budget(m, N, M, packed=False)[0]
+    units = _check_sweep_budget(m, N, M, packed=False)[0]
     flags = table.primes()
     half, count = m // 2, (N - 2) // m + 1
     pidxs = [list(compress(range(entries), flags[a // 2 : a // 2 + entries * half : half]))
@@ -745,31 +743,31 @@ def sweep_plan(N: int, moduli: list[int], fn: Callable[[int, PrimeTable], object
     """The jobs of a sweep at N that computes `moduli`, in order, args (m,
     packed): each weighed by its head work (see _BITSET_SWEEP_ROW) and
     counting its kernel's bytes beside the `shared` table (all checked by
-    check_sweep_budget first).  `packed`, the size rule's kernel for the
+    _check_sweep_budget first).  `packed`, the size rule's kernel for the
     whole sweep, is the kind of table that the executor sieves
     (sieve_primes) before run_plan forks, to run each job as fn(m, table);
     see exceptional_sets_for_modulus.  Nothing is sieved here."""
     row = max(((N - 2) // m + 1 for m in moduli), default=0)
     work = [sum(math.gcd(a, m) == 1 for a in range(1, m)) ** 2 * ((N - 2) // m) for m in moduli]
     packed = row > _BITSET_SWEEP_ROW and sum(work) * row > _BITSET_SWEEP_WORK
-    needs = [check_sweep_budget(m, N, default_stage1_bound(m, N), packed)[-2:] for m in moduli]
+    needs = [_check_sweep_budget(m, N, default_stage1_bound(m, N), packed)[-2:] for m in moduli]
     return [Job(fn, (m, packed), cost, *need) for m, cost, need in zip(moduli, work, needs)]
 
 
-def exceptional_sets_for_modulus(
-    m: int, N: int, M: Optional[int] = None, *, table: PrimeTable
-) -> dict[tuple[int, int], tuple[int, ...]]:
+def exceptional_sets_for_modulus(m: int, N: int, *,
+                                 table: PrimeTable) -> dict[tuple[int, int], tuple[int, ...]]:
     """The elements of E_{a,b,m} for every ordered admissible pair, keyed
     by (a, b), read off `table`, whose limit must reach N - 1: a packed
     table runs the packed kernel (_sweep_stage1), one of odd flags the
     int-bitset kernel (_bitset_sweep), and a sweep's plan picks its kind
-    (sweep_plan).  E_{a,b,m} = E_{b,a,m}, so each unordered pair runs the
-    engine once, the smaller residue the small-prime class, and (b, a)
-    shares the tuple of (a, b)."""
+    (sweep_plan); stage 1 runs up to default_stage1_bound(m, N), as
+    sweep_plan counts it.  E_{a,b,m} = E_{b,a,m}, so each unordered pair
+    runs the engine once, the smaller residue the small-prime class, and
+    (b, a) shares the tuple of (a, b)."""
     _require_even(m)
     if table.limit < N - 1:
         raise ValueError(f"table up to {table.limit} does not reach N - 1 = {N - 1}")
-    M = default_stage1_bound(m, N) if M is None else M
+    M = default_stage1_bound(m, N)
     stage1 = _sweep_stage1 if table.packed else _bitset_sweep
     out: dict[tuple[int, int], tuple[int, ...]] = {}
     for (a, b), survivors in stage1(m, N, M, table).items():

@@ -4,12 +4,14 @@ Everything here is deliberately naive: trial division, double loops,
 full enumeration, a table's bits unpacked whole, sumsets by FFT.  None of
 it shares code with the implementations under test, except
 stage1_survivor_diagnostic, which counts what the engine's own stage 1
-leaves unresolved.
+leaves unresolved, and stage1_bound, which sets the engine's stage-1
+bound for a test.
 """
 
 import functools
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -296,6 +298,23 @@ def g2_exact(n: int, table) -> int:
     return int(np.count_nonzero(odd & odd[::-1])) + (n == 4)
 
 
+@contextmanager
+def stage1_bound(M):
+    """Within the block every engine entry runs stage 1 up to M, or up to
+    its own bound where M is None: each entry reads its bound from
+    partitions.default_stage1_bound, patched here, as the CLI's tests
+    patch it."""
+    from apgoldbach import partitions
+
+    real = partitions.default_stage1_bound
+    if M is not None:
+        partitions.default_stage1_bound = lambda m, N: M
+    try:
+        yield
+    finally:
+        partitions.default_stage1_bound = real
+
+
 @dataclass(frozen=True)
 class SurvivorDiagnostic:
     """Stage-1 survivor counts for a whole modulus under several tallies.
@@ -329,12 +348,12 @@ def stage1_survivor_diagnostic(m: int, N: int, M: int, table=None) -> SurvivorDi
     if table is None:
         table = sieve_primes(N)
     swept = partitions._sweep_stage1(m, N, M, table)
+    with stage1_bound(M):
+        sets = partitions.exceptional_sets_for_modulus(m, N, table=table)
     survivors = {
         (a, b): set(swept[(a, b)] if a <= b else partitions._pair_share(
             partitions.AdmissiblePair(a, b, m), N, M)) - set(elements)
-        for (a, b), elements in partitions.exceptional_sets_for_modulus(
-            m, N, M, table=table
-        ).items()
+        for (a, b), elements in sets.items()
     }
     return SurvivorDiagnostic(
         m=m,

@@ -220,8 +220,8 @@ def test_one_home_per_count():
     # sources, the sweep and the batch, call where their jobs are built,
     # never the kernel; only the packed kernel and its count read the size
     # of a gather block
-    assert sorted(_callers("_window_count")) == ["partitions.py:_group_jobs",
-                                                 "partitions.py:check_sweep_budget"]
+    assert sorted(_callers("_window_count")) == ["partitions.py:_check_sweep_budget",
+                                                 "partitions.py:_group_jobs"]
     assert sorted(_callers("_bitset_count")) == sorted(_callers("_window_count"))
     assert set(_callers("_GATHER_BLOCK_ELEMENTS", calls=False)) == {
         "partitions.py:_window", "partitions.py:_window_count"}
@@ -250,5 +250,38 @@ def test_one_budget_check_words_every_refusal():
     # sieve_primes names its parts first, as `parts`; the other counts are literals
     assert sorted(parts) == ["Dict"] * 5 + ["Name"]
     assert sorted(_callers("check_budget")) == [
-        "partitions.py:_group_jobs", "partitions.py:_group_jobs",
-        "partitions.py:check_sweep_budget", "primes.py:sieve_primes"]
+        "partitions.py:_check_sweep_budget", "partitions.py:_group_jobs",
+        "partitions.py:_group_jobs", "primes.py:sieve_primes"]
+
+
+def test_the_engine_alone_picks_the_stage1_bound():
+    # no public function of partitions takes a stage-1 bound M, and the
+    # entries that run stage 1 get it only from default_stage1_bound: every
+    # M they assign, and every argument they pass where a partitions
+    # function takes M, is a call of it or the M so assigned
+    tree = ast.parse((PACKAGE / "partitions.py").read_text())
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    takes_M = {}
+    for name, fn in functions.items():
+        params = [arg.arg for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+        if "M" in params:
+            takes_M[name] = params.index("M")
+    assert [name for name in takes_M if not name.startswith("_")] == []
+
+    def derived(node) -> bool:
+        return getattr(getattr(node, "func", None), "id", None) == "default_stage1_bound"
+
+    for name in ("batch_plan", "sweep_plan", "exceptional_sets_for_modulus"):
+        fn, passed = functions[name], []
+        assert any(derived(node) for node in ast.walk(fn)), name
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in takes_M:
+                at = takes_M[node.func.id]
+                passed += node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "M"]
+        assert passed, name
+        assigned = [node.value for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "M" for t in node.targets)]
+        stores = [node for node in ast.walk(fn) if isinstance(node, ast.Name)
+                  and node.id == "M" and isinstance(node.ctx, ast.Store)]
+        assert len(stores) == len(assigned) and all(map(derived, assigned)), name
+        assert all(derived(arg) or getattr(arg, "id", None) == "M" for arg in passed), name

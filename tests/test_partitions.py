@@ -31,6 +31,7 @@ from oracles import (
     naive_progression_violations,
     naive_stage1_unresolved,
     naive_ternary_violations,
+    stage1_bound,
     stage1_survivor_diagnostic,
 )
 
@@ -138,8 +139,10 @@ class TestExceptionalSet:
 
     def test_stage1_bound_invariance(self):
         pair = AdmissiblePair(7, 7, 8)
-        small = exceptional_set(pair, 10**5, M=500)
-        large = exceptional_set(pair, 10**5, M=10**5)
+        with stage1_bound(500):
+            small = exceptional_set(pair, 10**5)
+        with stage1_bound(10**5):
+            large = exceptional_set(pair, 10**5)
         assert small.elements == large.elements
         assert small.stage1_survivors >= large.stage1_survivors
 
@@ -163,8 +166,8 @@ class TestExceptionalSet:
         monkeypatch.setattr(partitions, "sieve_progression",
                             lambda *args: sieved.append(args[:2]) or real(*args))
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", budget)
-        with pytest.raises(MemoryBudgetError) as exc:
-            partitions.batch_plan([AdmissiblePair(3, 1, 4)], N, 2, M)
+        with pytest.raises(MemoryBudgetError) as exc, stage1_bound(M):
+            partitions.batch_plan([AdmissiblePair(3, 1, 4)], N, 2)
         assert sieved == []
         need, *parts = map(int, re.search(
             r"needs (\d+) bytes \((\d+) of small-prime mask, (\d+) of prime indices, "
@@ -187,7 +190,8 @@ class TestExceptionalSet:
     )
     def test_survivors_match_naive_with_M_prime(self, a, b, m, M):
         # M is itself a prime of class a, so stage 1 must still use p = M
-        es = exceptional_set(AdmissiblePair(a, b, m), 3000, M=M)
+        with stage1_bound(M):
+            es = exceptional_set(AdmissiblePair(a, b, m), 3000)
         naive = naive_stage1_unresolved(a, b, m, 3000, M)
         assert es.stage1_survivors == len(naive) - len(es.elements)
 
@@ -200,7 +204,8 @@ class TestExceptionalSet:
             partitions, "find_witness",
             lambda n, pair, **kw: calls.append(n) or witness(n, pair, **kw),
         )
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=100)
+        with stage1_bound(100):
+            es = exceptional_set(AdmissiblePair(1, 1, 4), 1000)
         assert es.elements == (2, 6, 14, 38, 62)
         assert len(calls) == es.stage1_survivors == 5
         assert min(calls) > 102
@@ -209,13 +214,15 @@ class TestExceptionalSet:
         assert calls == []
         # no class-1 prime is <= 4, so every candidate survives; 8 = 5 + 3
         # lies just above M + 2 and stage 2 finds it
-        es = exceptional_set(AdmissiblePair(1, 3, 4), 100, M=4)
+        with stage1_bound(4):
+            es = exceptional_set(AdmissiblePair(1, 3, 4), 100)
         assert es.elements == (4,)
         assert calls[0] == 8
         # for M = 33 the last survivor is 68 = 2M + 2 = 37 + 31, whose only
         # class-1 primes lie above M: stage 2 still finds it
         calls.clear()
-        assert exceptional_set(AdmissiblePair(1, 3, 4), 100, M=33).elements == (4,)
+        with stage1_bound(33):
+            assert exceptional_set(AdmissiblePair(1, 3, 4), 100).elements == (4,)
         assert calls[-1] == 68
 
     def test_stage2_tests_no_p_up_to_M(self, monkeypatch):
@@ -230,7 +237,8 @@ class TestExceptionalSet:
             return is_prime(k)
 
         monkeypatch.setattr(partitions, "is_prime", counting)
-        es = exceptional_set(pair, N, M=M)
+        with stage1_bound(M):
+            es = exceptional_set(pair, N)
         ps = [k for k in tested if k % 50 == 1]
         assert ps and min(ps) == 301
         assert es.elements == tuple(naive_exceptional_set(1, 49, 50, N))
@@ -238,15 +246,12 @@ class TestExceptionalSet:
             es.elements
         )
 
-    def test_M_larger_than_N_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            exceptional_set(AdmissiblePair(1, 1, 2), 100, M=200)
-
     @pytest.mark.parametrize("M", [-100, -4, 0])
     def test_M_below_every_prime_leaves_all_candidates(self, M):
         # no p <= M, so stage 1 resolves nothing: the 250 candidates
         # n = 2 (mod 4) up to 1000 all go to stage 2
-        es = exceptional_set(AdmissiblePair(1, 1, 4), 1000, M=M)
+        with stage1_bound(M):
+            es = exceptional_set(AdmissiblePair(1, 1, 4), 1000)
         assert es.elements == exceptional_set(AdmissiblePair(1, 1, 4), 1000).elements
         assert es.stage1_survivors + len(es.elements) == 250
 
@@ -332,14 +337,16 @@ class TestModulusSweep:
         monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 3)
         units = [a for a in range(1, m) if math.gcd(a, m) == 1]
         swept = partitions._sweep_stage1(m, N, M, table_1e5)
-        sets = exceptional_sets_for_modulus(m, N, M=M, table=table_1e5)
+        with stage1_bound(M):
+            sets = exceptional_sets_for_modulus(m, N, table=table_1e5)
         for a in units:
             for b in units:
                 naive = naive_stage1_unresolved(a, b, m, N, M)
                 if a <= b:
                     assert swept[(a, b)] == naive, (a, b)
                 assert partitions._pair_share(AdmissiblePair(a, b, m), N, M) == naive, (a, b)
-                es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
+                with stage1_bound(M):
+                    es = exceptional_set(AdmissiblePair(a, b, m), N)
                 assert es.elements == sets[(a, b)], (a, b)
                 assert set(es.elements) <= set(naive), (a, b)
                 assert es.stage1_survivors == len(naive) - len(es.elements), (a, b)
@@ -652,13 +659,15 @@ def test_elements_do_not_depend_on_M(table_1e5, m, N, data):
     # so the engine alone picks M: any M from below every prime to N
     # gives the elements of the default M, for a whole modulus and a pair
     M = data.draw(st.integers(-2 * m, N))
-    assert exceptional_sets_for_modulus(m, N, M=M, table=table_1e5) == (
-        exceptional_sets_for_modulus(m, N, table=table_1e5)
-    )
+    with stage1_bound(M):
+        sets = exceptional_sets_for_modulus(m, N, table=table_1e5)
+    assert sets == exceptional_sets_for_modulus(m, N, table=table_1e5)
     units = [r for r in range(1, m) if math.gcd(r, m) == 1]
     a, b = data.draw(st.sampled_from(units)), data.draw(st.sampled_from(units))
     pair = AdmissiblePair(a, b, m)
-    assert exceptional_set(pair, N, M=M).elements == exceptional_set(pair, N).elements
+    with stage1_bound(M):
+        elements = exceptional_set(pair, N).elements
+    assert elements == exceptional_set(pair, N).elements
 
 
 @given(m=st.integers(1, 25).map(lambda k: 2 * k), N=st.integers(2, 2 * 10**4))
@@ -719,7 +728,8 @@ def test_indexed_stage1_matches_naive(monkeypatch, table_1e5, m, N, data):
     M = data.draw(st.integers(-2 * m, N))
     naive = naive_stage1_unresolved(a, b, m, N, M)
     assert partitions._pair_share(AdmissiblePair(a, b, m), N, M) == naive
-    es = exceptional_set(AdmissiblePair(a, b, m), N, M=M)
+    with stage1_bound(M):
+        es = exceptional_set(AdmissiblePair(a, b, m), N)
     assert list(es.elements) == naive_exceptional_set(a, b, m, N)
     assert es.stage1_survivors == len(naive) - len(es.elements)
     small, large = sorted((a, b))
@@ -767,15 +777,29 @@ def test_stage1_shares_merge_to_unsplit(monkeypatch, m, N, K, data):
     assert all(part == sorted(part) for part in parts)
     assert sorted(n for part in parts for n in part) == unsplit
 
-    calls = [len(partitions.deal(partitions.batch_plan([pair], N, K, M), K, window))]
-    es = exceptional_set(pair, N, M, K)
-    assert es == exceptional_set(pair, N, M)
+    with stage1_bound(M):
+        calls = [len(partitions.deal(partitions.batch_plan([pair], N, K), K, window))]
+        es = exceptional_set(pair, N, K)
+        assert es == exceptional_set(pair, N)
     assert es.stage1_survivors + len(es.elements) == len(unsplit)
     if (N - 2) // m + 1 <= (partitions._MIN_SHARE_WINDOWS - 1) * window:
         assert calls == [1]  # the bitset route: a pair that never splits
     else:
         count = len(range(0, (N - a - b) // m + 1, window))
         assert calls == [max(1, min(K, count // partitions._MIN_SHARE_WINDOWS))]
+
+
+def test_split_pair_merges_its_shares(monkeypatch):
+    # (1, 1) mod 4 at 1000 on 2 workers, in windows of 2 candidates: share
+    # 0 holds the windows of 2, 6 and 38, share 1 those of 14 and 62, so
+    # the batch sorts the merged elements and sums both shares' survivors
+    monkeypatch.setattr(partitions, "SIEVE_SEGMENT_SIZE", 2)
+    pair = AdmissiblePair(1, 1, 4)
+    parts = [job.kernel(*job.args) for job in partitions.batch_plan([pair], 1000, 2)]
+    assert [elements for [(_, elements, _)] in parts] == [(2, 6, 38), (14, 62)]
+    es = exceptional_set(pair, 1000, 2)
+    assert es == exceptional_set(pair, 1000) == ExceptionalSet(
+        (2, 6, 14, 38, 62), sum(survivors for [(*_, survivors)] in parts) - 5)
 
 
 @given(m=st.integers(1, 30).map(lambda k: 2 * k), N=st.integers(2, 5000), data=st.data())
@@ -1257,7 +1281,7 @@ def test_workers_below_one_run_one_share(workers):
             got = exceptional_sets(pairs, N, workers)
             assert [e.elements for e in got] == [(4,), (2,)]
             assert got == want
-            assert exceptional_set(pairs[0], N, None, workers) == got[0]
+            assert exceptional_set(pairs[0], N, workers) == got[0]
             for batch in (pairs, pairs[:1]):
                 plan = partitions.batch_plan(batch, N, workers)
                 mapped.append(len(partitions.deal(plan, workers, 64)))
@@ -1339,7 +1363,7 @@ def test_int_sweep_of_a_large_modulus_fits_its_budget(monkeypatch):
     N, m = 10**7, 1202
     [job] = partitions.sweep_plan(N, [m], None)
     assert job.args == (m, False)  # the odd flags' route
-    units, *_, need, table = partitions.check_sweep_budget(
+    units, *_, need, table = partitions._check_sweep_budget(
         m, N, partitions.default_stage1_bound(m, N), packed=False)
     assert len(units) == 600
     assert (job.need, job.shared) == (need, table) == (16_416_924, 5_000_000)
@@ -1462,7 +1486,7 @@ def test_every_count_names_parts_that_add_up(monkeypatch, kernel, N, source, rou
     assert sum(map(int, re.findall(r"(\d+) of ", parts))) == need > 10**5
     if kernel == "packed sweep":
         monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET_BYTES", need)
-        units, span, _, width, *_ = partitions.check_sweep_budget(
+        units, span, _, width, *_ = partitions._check_sweep_budget(
             source, N, partitions.default_stage1_bound(source, N))
         assert _named(partitions._window_count(len(units), width, width + span // 8 + 1)) in parts
     if kernel == "packed pair":  # one row of one segment, the a-class's length and 7 entries
@@ -1485,7 +1509,7 @@ def test_sweep_job_needs_its_kernels_parts(monkeypatch, N, m, packed):
     monkeypatch.setattr(partitions, "sieve_primes", None)
     [job] = partitions.sweep_plan(N, [m], None)
     assert job.args == (m, packed)
-    units, span, _, width, *_ = partitions.check_sweep_budget(
+    units, span, _, width, *_ = partitions._check_sweep_budget(
         m, N, partitions.default_stage1_bound(m, N), packed)
     parts = (partitions._window_count(len(units), width, width + span // 8 + 1) if packed
              else partitions._bitset_count(len(units), (N - 2) // m + 1, span, len(units)))

@@ -123,15 +123,29 @@ def test_internal_error_exits_4(capsys, monkeypatch, tmp_path, name):
 
 def test_cross_check_passes_on_a_slice():
     # both sweep kernels over every pair of m = 190-194 at 2*10^5, dealt
-    # to two workers, and 32 sampled table entries a class
+    # to two workers, and 32 sampled table entries a class, and each
+    # class's entries up to 100
     proc = _script("cross_check.py", "--m-min", "190", "--m-max", "194", "--limit", "200000",
                    "--threads", "2")
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     *rows, last = proc.stdout.splitlines()
-    assert rows == ["m = 190: 2628 pairs agree, 2304 table entries match is_prime",
-                    "m = 192: 2080 pairs agree, 2048 table entries match is_prime",
-                    "m = 194: 4656 pairs agree, 3072 table entries match is_prime"]
+    assert rows == ["m = 190: 2628 pairs agree, 2342 table entries match is_prime",
+                    "m = 192: 2080 pairs agree, 2081 table entries match is_prime",
+                    "m = 194: 4656 pairs agree, 3121 table entries match is_prime"]
     assert last.startswith("both kernels agree on m = 190..194 at N = 200000 in ")
+
+
+def test_cross_check_reads_every_small_entry():
+    # every entry up to 100 of each class, 1 and the presieve primes 3-13
+    # among them, is compared with is_prime beside the 32 samples: m = 2
+    # checks 32 + 50 entries, so a sieve fault there that both kernels
+    # read alike fails the run (mutants presieve-restore and
+    # sieve-keeps-one of scripts/mutants.json)
+    proc = _script("cross_check.py", "--limit", "20000", "--m-max", "12", "--threads", "1")
+    assert proc.returncode == cli.EXIT_OK, proc.stdout + proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0] == "m = 2: 1 pairs agree, 82 table entries match is_prime"
+    assert rows[-1].startswith("both kernels agree on m = 2..12 at N = 20000 in ")
 
 
 @pytest.mark.parametrize("broken,fail", [
@@ -195,7 +209,7 @@ def test_cross_check_sieves_each_table_once(capsys, monkeypatch, limit, planned)
         runpy.run_path(str(ROOT / "scripts" / "cross_check.py"), run_name="__main__")
     assert exc.value.code == cli.EXIT_OK
     assert sieved == [("script", planned), ("script", not planned)]
-    assert capsys.readouterr().out.startswith("m = 8: 10 pairs agree, 128 table entries ")
+    assert capsys.readouterr().out.startswith("m = 8: 10 pairs agree, 178 table entries ")
 
 
 def test_every_mutant_snippet_occurs_once():
@@ -205,7 +219,7 @@ def test_every_mutant_snippet_occurs_once():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     listed = mutants.load()  # raises unless each snippet occurs once in its file
-    assert len(listed) >= 10 and len({m["name"] for m in listed}) == len(listed)
+    assert len(listed) >= 25 and len({m["name"] for m in listed}) == len(listed)
     for m in listed:
         assert m["snippet"] != m["replacement"] and m["tests"]
         for test in m["tests"]:
